@@ -70,7 +70,6 @@ db::Options make_options(std::size_t units, bool wal_on,
   o.num_units = units;
   o.seed = 7;
   o.in_memory = !wal_on;
-  o.enable_wal = wal_on;
   o.group_commit = group_commit;
   return o;
 }

@@ -1,6 +1,6 @@
 // Persistence-layer throughput, measured through the smartstore::db::Store
-// facade: checkpoint (snapshot save) / Open (snapshot load) and WAL
-// append/replay rates, plus restart-under-load.
+// facade: checkpoint (a fold: full base image save) / Open (base image
+// load) and WAL append/replay rates, plus restart-under-load.
 //
 // The number that motivates the subsystem is the reopen column — a restart
 // that recovers the snapshot instead of re-running SVD + balanced k-means
@@ -26,11 +26,10 @@ using namespace smartstore::bench;
 
 namespace {
 
-db::Options bench_options(std::size_t units, bool wal) {
+db::Options bench_options(std::size_t units) {
   db::Options o;
   o.num_units = units;
   o.seed = 7;
-  o.enable_wal = wal;
   return o;
 }
 
@@ -57,7 +56,7 @@ void restart_under_load() {
     const std::size_t churn = 1500 * tif;
     const auto stream = tr.make_insert_stream(churn, 99);
 
-    db::Options options = bench_options(30, /*wal=*/true);
+    db::Options options = bench_options(30);
     options.checkpoint_every = churn / 4;  // ~4 background ckpts per run
     auto opened = db::Store::Open(options, dir);
     check(opened.status(), "open");
@@ -82,7 +81,7 @@ void restart_under_load() {
     store.reset();
 
     util::WallTimer t;
-    db::Options reopen = bench_options(30, /*wal=*/true);
+    db::Options reopen = bench_options(30);
     auto recovered = db::Store::Open(reopen, dir);
     check(recovered.status(), "recover");
     const double recover_s = t.seconds();
@@ -132,15 +131,17 @@ int main() {
     std::filesystem::remove_all(dir);
 
     // Build + checkpoint through the facade.
-    auto opened = db::Store::Open(bench_options(60, /*wal=*/true), dir);
+    auto opened = db::Store::Open(bench_options(60), dir);
     check(opened.status(), "open");
     std::unique_ptr<db::Store> store = std::move(opened).value();
     util::WallTimer t;
     check(store->Bulkload(tr.files()), "bulkload");
     const double build_s = t.seconds();
 
+    // Bulkload already folded once; time a second fold, the full-image
+    // checkpoint (a plain Checkpoint() here would be a no-op cut).
     t.reset();
-    check(store->Checkpoint(), "checkpoint");
+    check(store->Compact(), "checkpoint");
     const double save_s = t.seconds();
     const std::size_t snap_bytes =
         static_cast<std::size_t>(int_property(*store,
@@ -149,7 +150,7 @@ int main() {
 
     // Reopen: snapshot load, no SVD/k-means/tree build.
     t.reset();
-    auto reopened = db::Store::Open(bench_options(60, /*wal=*/true), dir);
+    auto reopened = db::Store::Open(bench_options(60), dir);
     check(reopened.status(), "reopen");
     const double load_s = t.seconds();
     store = std::move(reopened).value();
@@ -168,7 +169,7 @@ int main() {
     store.reset();
 
     t.reset();
-    auto replayed = db::Store::Open(bench_options(60, /*wal=*/true), dir);
+    auto replayed = db::Store::Open(bench_options(60), dir);
     check(replayed.status(), "replay reopen");
     const double replay_s = t.seconds();
     const std::size_t replayed_records =

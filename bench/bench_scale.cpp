@@ -1,11 +1,11 @@
-// Scale tiers for the incremental-checkpoint engine: at 1M/5M/10M-file
+// Scale tiers for the checkpoint engine: at 1M/5M/10M-file
 // store sizes (parameterized — CI's nightly job runs the 1M tier), how
 // much does a checkpoint cost once it is a WAL-delta cut instead of a
 // full image?
 //
 // Per tier, against one on-disk deployment:
-//   * full-image bytes + seconds (the fold/compaction a la the legacy
-//     checkpoint) — the denominator of the headline claim;
+//   * full-image bytes + seconds (a fold) — the denominator of the
+//     headline claim;
 //   * delta-cut bytes + seconds after 1% churn — the numerator; the
 //     engine's acceptance bar is delta < 5% of the full image at 1% churn
 //     (reported as PASS/FAIL, and as delta_ratio_pct in the JSON);
@@ -101,8 +101,6 @@ int main(int argc, char** argv) {
   db::Options options;
   options.num_units = smoke ? 16 : 64;
   options.seed = 7;
-  options.enable_wal = true;
-  options.incremental_checkpoints = true;
   options.compaction_trigger = 0;  // manual folds only: the bench is the
   options.compaction_byte_budget = 0;  // policy here, not the compactor
 

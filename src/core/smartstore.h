@@ -368,9 +368,9 @@ class SmartStore {
 
   /// Freezes the logical state at the current epoch; returns that epoch.
   /// At most one checkpoint may be active at a time. `while_frozen`, if
-  /// given, runs inside the exclusive section — the background
-  /// checkpointer uses it to commit the WAL shards and capture their
-  /// frontier vector at exactly the frozen mutation boundary.
+  /// given, runs inside the exclusive section — a checkpoint fold uses it
+  /// to commit the WAL shards and capture their frontier vector at
+  /// exactly the frozen mutation boundary.
   std::uint64_t begin_checkpoint(
       const std::function<void()>& while_frozen = {});
 

@@ -1,7 +1,8 @@
 // smartstore::db::Store implementation: the one place that knows how to
-// compose core::SmartStore, persist::ShardedWal, persist::recover and
-// persist::BackgroundCheckpointer into a correctly-wired deployment — and
-// how to take it apart again in the right order.
+// compose core::SmartStore, persist::ShardedWal, persist::recover and the
+// checkpoint engine (persist::DeltaEngine behind the persist::Compactor's
+// background slot) into a correctly-wired deployment — and how to take it
+// apart again in the right order.
 //
 // Lock architecture (outer to inner):
 //   lifecycle_mu (shared_mutex) — every operation holds it shared, so the
@@ -10,14 +11,14 @@
 //     is ABOVE every core-store lock: an operation takes it before calling
 //     into the core and releases it after, so exclusive acquisition doubles
 //     as "no facade operation is in flight".
-//   ckpt_mu (mutex) — serializes every interaction with the background
-//     checkpointer's trigger/wait pair (two threads get()ing the same
-//     std::future is a data race). The auto-cadence path only
-//     try_locks it: if someone else is talking to the checkpointer, a
-//     cadence trigger is already redundant. Invariant: every bg/wal
-//     dereference happens under lifecycle_mu (shared suffices), so
-//     Close/Abandon — which hold it exclusively — may drain and reset
-//     them without ckpt_mu: no shared holder can exist concurrently.
+//   ckpt_mu (mutex) — serializes every interaction with the compactor's
+//     trigger/wait pair (two threads get()ing the same std::future is a
+//     data race). The auto-cadence path only try_locks it: if someone else
+//     is talking to the compactor, a cadence trigger is already redundant.
+//     Invariant: every wal/delta/compactor dereference happens under
+//     lifecycle_mu (shared suffices), so Close/Abandon — which hold it
+//     exclusively — may drain and reset them without ckpt_mu: no shared
+//     holder can exist concurrently.
 //
 // Crash discipline (kFaultInjected): the first operation that sees
 // persist::FaultInjected runs crash() exactly once — drain the in-flight
@@ -39,7 +40,6 @@
 
 #include "core/smartstore.h"
 #include "db/lock_file.h"
-#include "persist/bg_checkpoint.h"
 #include "persist/compactor.h"
 #include "persist/delta_checkpoint.h"
 #include "persist/fault.h"
@@ -50,7 +50,6 @@
 #include "util/annotated_mutex.h"
 #include "util/binary_io.h"
 #include "util/thread_annotations.h"
-#include "util/thread_pool.h"
 
 namespace smartstore::db {
 
@@ -80,6 +79,8 @@ Status map_persist_error(const persist::PersistError& e) {
       return Status::NotFound(e.what());
     case persist::PersistError::Code::kIo:
       return Status::IOError(e.what());
+    case persist::PersistError::Code::kUnsupported:
+      return Status::FailedPrecondition(e.what());
     case persist::PersistError::Code::kCorruption:
       break;
   }
@@ -94,14 +95,12 @@ struct Store::Impl {
   DirLock lock;
   RecoveryInfo recovery;
 
-  // Teardown order matters and is encoded in Close(): the checkpointer
-  // references the store, WAL and pool; the compactor runs folds through
-  // the delta engine on the pool; the engine references store and WAL;
-  // the WAL holds open shard files.
+  // wal, delta and compactor exist on durable stores only. Teardown order
+  // matters and is encoded in Close(): the compactor's background job runs
+  // through the delta engine, the engine references store and WAL, the
+  // WAL holds open shard files.
   std::unique_ptr<core::SmartStore> core;
   std::unique_ptr<persist::ShardedWal> wal;
-  std::unique_ptr<util::ThreadPool> pool;
-  std::unique_ptr<persist::BackgroundCheckpointer> bg;
   std::unique_ptr<persist::DeltaEngine> delta;
   std::unique_ptr<persist::Compactor> compactor;
 
@@ -133,64 +132,34 @@ struct Store::Impl {
   void crash() {
     std::call_once(crash_once, [this] {
       crashed.store(true, std::memory_order_release);
-      {
+      if (compactor) {
         const util::MutexLock ck(ckpt_mu);
-        if (bg) {
-          try {
-            bg->wait();  // an in-flight checkpoint may land — "the power
-          } catch (...) {  // dies an instant later"
-            // The worker's own injected fault; the directory already
-            // holds whatever prefix its crash point left.
-          }
-        }
-        if (compactor) {
-          try {
-            compactor->wait();  // a scheduled fold must not race the WAL
-          } catch (...) {       // abandon below
-          }
+        try {
+          compactor->wait();  // an in-flight checkpoint may land — "the
+        } catch (...) {       // power dies an instant later"
+          // The worker's own injected fault; the directory already holds
+          // whatever prefix its crash point left.
         }
       }
       if (wal) wal->abandon();  // pending batches were never acknowledged
     });
   }
 
-  /// Creates the delta engine + compactor pair next to an existing
-  /// checkpointer (caller holds ckpt_mu; requires a sharded WAL).
-  void ensure_delta() SS_REQUIRES(ckpt_mu) {
-    if (delta || !opts.incremental_checkpoints) return;
-    delta = std::make_unique<persist::DeltaEngine>(*core, *wal, dir);
-    compactor = std::make_unique<persist::Compactor>(
-        *delta, *pool, opts.compaction_trigger, opts.compaction_byte_budget);
-    bg->set_delta(delta.get(), compactor.get());
-  }
-
-  /// Creates the background checkpointer on first need — an embedder that
-  /// only ever Puts/Queries/Flushes should not pay for an idle thread
-  /// pool. Caller holds ckpt_mu; requires a durable store with a WAL.
-  /// Throws PersistError through (callers map at the boundary).
-  void ensure_checkpointer() SS_REQUIRES(ckpt_mu) {
-    if (bg) return;
-    pool = std::make_unique<util::ThreadPool>(opts.background_threads);
-    bg = std::make_unique<persist::BackgroundCheckpointer>(*core, dir, *wal,
-                                                           *pool);
-    ensure_delta();  // incremental mode rides the same lazy creation
-  }
-
   /// Caller holds lifecycle_mu (shared suffices — this never changes the
   /// pointers, and Close/Abandon reset them only under exclusive). A
-  /// checkpoint failure observed here must not vanish: bg->wait()'s
-  /// rethrow is one-shot (the future is consumed), so an injected crash
-  /// poisons the handle via crash() and any other failure is deferred to
-  /// the next Checkpoint()/Close() through deferred_ckpt_error.
+  /// checkpoint failure observed here must not vanish: wait()'s rethrow
+  /// is one-shot (the future is consumed), so an injected crash poisons
+  /// the handle via crash() and any other failure is deferred to the next
+  /// Checkpoint()/Close() through deferred_ckpt_error.
   CheckpointInfo checkpoint_info_locked() SS_REQUIRES_SHARED(lifecycle_mu) {
     CheckpointInfo info;
     bool fault = false;
     {
       const util::MutexLock ck(ckpt_mu);
-      if (!bg) return info;
+      if (!compactor) return info;
       try {
-        bg->wait();  // drain: the stats fields are plain (non-atomic)
-      } catch (const persist::FaultInjected&) {  // state from the worker
+        compactor->wait();  // drain: report the finished job's stats
+      } catch (const persist::FaultInjected&) {
         fault = true;
       } catch (const persist::PersistError& e) {
         if (deferred_ckpt_error.ok()) deferred_ckpt_error = map_persist_error(e);
@@ -198,24 +167,23 @@ struct Store::Impl {
         if (deferred_ckpt_error.ok())
           deferred_ckpt_error = Status::Unknown(e.what());
       }
-      const persist::CheckpointStats& st = bg->last_stats();
-      info.completed = bg->completed();
-      info.total_mutations_during = bg->total_mutations_during();
-      info.total_cow_copies = bg->total_cow_copies();
+      const persist::DeltaCutStats st = delta->last_stats();
+      info.completed = delta->completed();
+      info.total_mutations_during = delta->total_mutations_during();
+      info.total_cow_copies = delta->total_cow_copies();
       info.last_freeze_s = st.freeze_s;
       info.last_write_s = st.write_s;
       info.last_truncate_s = st.truncate_s;
-      info.last_snapshot_bytes = st.snapshot_bytes;
-      info.last_was_delta = st.delta;
+      info.last_snapshot_bytes =
+          st.folded ? st.base_bytes : static_cast<std::size_t>(st.delta_bytes);
+      info.last_was_delta = info.completed > 0 && !st.folded;
       info.last_delta_records = st.delta_records;
-      info.last_delta_units = st.delta_units;
-      info.last_delta_units_cold = st.delta_units_cold;
-      if (delta) {
-        info.delta_cuts = delta->cuts();
-        info.delta_folds = delta->folds();
-        info.delta_chain_len = delta->chain_len();
-        info.delta_chain_bytes = delta->chain_bytes();
-      }
+      info.last_delta_units = st.units_contributing;
+      info.last_delta_units_cold = st.units_cold;
+      info.delta_cuts = delta->cuts();
+      info.delta_folds = delta->folds();
+      info.delta_chain_len = delta->chain_len();
+      info.delta_chain_bytes = delta->chain_bytes();
     }
     if (fault) crash();  // outside ckpt_mu (crash() re-acquires it)
     return info;
@@ -234,6 +202,37 @@ struct Store::Impl {
   }
 
   bool durable() const { return !opts.in_memory; }
+
+  /// Checkpoint()/Compact(): runs `action` on the compactor under ckpt_mu,
+  /// concurrent with serving threads. A failure an introspection drain
+  /// parked earlier is surfaced once instead of checkpointing over it.
+  template <typename Action>
+  Status run_checkpoint(const char* what, Action&& action) {
+    util::ReaderLock lk(lifecycle_mu);
+    Status gate = check_serving();
+    if (!gate.ok()) return gate;
+    if (!durable())
+      return Status::FailedPrecondition(
+          std::string("ephemeral store cannot ") + what);
+    try {
+      const util::MutexLock ck(ckpt_mu);
+      if (!deferred_ckpt_error.ok()) {
+        Status s = deferred_ckpt_error;
+        deferred_ckpt_error = Status::OK();
+        return s;
+      }
+      action(*compactor);
+      mutations_since_ckpt.store(0, std::memory_order_relaxed);
+      return Status::OK();
+    } catch (const persist::FaultInjected& e) {
+      crash();  // ckpt_mu was released by the unwind above
+      return Status::FaultInjected(e.what());
+    } catch (const persist::PersistError& e) {
+      return map_persist_error(e);
+    } catch (const std::exception& e) {
+      return Status::Unknown(e.what());
+    }
+  }
 
   /// One Put through the core with the WAL shard hooks attached: the
   /// append fires under the routed unit's lock (shard log order == that
@@ -329,11 +328,11 @@ struct Store::Impl {
 
   /// Cadence accounting: every acknowledged mutation counts toward the
   /// next automatic background checkpoint. Only try_locks ckpt_mu — if
-  /// another thread is already talking to the checkpointer, this trigger
-  /// is redundant. May throw (trigger() surfaces a previously failed
+  /// another thread is already talking to the compactor, this trigger is
+  /// redundant. May throw (trigger() surfaces a previously failed
   /// checkpoint); callers' boundary catch maps it.
   void note_mutations(std::uint64_t n) {
-    if (n == 0 || opts.checkpoint_every == 0 || !bg) return;
+    if (n == 0 || opts.checkpoint_every == 0 || !compactor) return;
     const std::uint64_t total =
         mutations_since_ckpt.fetch_add(n, std::memory_order_relaxed) + n;
     if (total < opts.checkpoint_every) return;
@@ -350,7 +349,7 @@ struct Store::Impl {
     // running checkpoint finished (the note_mutations thundering herd).
     // The mutations folded away here count toward the in-flight run, not
     // the next window; at worst the next checkpoint is one period late.
-    bg->trigger();
+    compactor->trigger();
     mutations_since_ckpt.store(0, std::memory_order_relaxed);
   }
 };
@@ -369,16 +368,14 @@ StatusOr<std::unique_ptr<Store>> Store::Open(const Options& options,
     return Status::InvalidArgument("num_units must be > 0");
   if (options.fanout < 2)
     return Status::InvalidArgument("fanout must be >= 2");
-  if (options.background_threads == 0)
-    return Status::InvalidArgument("background_threads must be > 0");
   if (options.ingest_threads == 0)
     return Status::InvalidArgument("ingest_threads must be > 0");
   if (!options.in_memory && path.empty())
     return Status::InvalidArgument("path must be non-empty (or set in_memory)");
-  if (options.checkpoint_every > 0 && (!options.enable_wal || options.in_memory))
+  if (options.checkpoint_every > 0 && options.in_memory)
     return Status::InvalidArgument(
-        "checkpoint_every requires enable_wal on a durable store (the "
-        "background protocol fences against the WAL shards)");
+        "checkpoint_every requires a durable store (checkpoints fence "
+        "against the WAL shards)");
 
   // The fault injector is process-global; make sure a handle that never
   // reaches its armed boundary (failed Open, early Close) cannot leave
@@ -426,18 +423,29 @@ StatusOr<std::unique_ptr<Store>> Store::Open(const Options& options,
   Status ls = im.lock.Acquire(path);
   if (!ls.ok()) return ls;
 
-  // A delta manifest counts as "a deployment exists": after a fold the
-  // legacy snapshot.bin is pruned and the manifest's base + chain IS the
-  // checkpoint (recover() prefers it whenever present).
-  const std::string snap = persist::snapshot_path(path);
-  const bool have_snapshot = std::filesystem::exists(snap, ec) ||
-                             persist::manifest_exists(path);
+  // The manifest is the one marker of an existing deployment. Files of
+  // the pre-manifest single-log layout are refused rather than silently
+  // buried under an empty store: this release has no importer for them.
+  // (A manifest that adopted such an image is refused by recovery, with
+  // the same FailedPrecondition.)
+  const bool have_checkpoint = persist::manifest_exists(path);
+  if (!have_checkpoint) {
+    for (const char* legacy : {"snapshot.bin", "wal.bin"}) {
+      if (std::filesystem::exists(std::filesystem::path(path) / legacy, ec)) {
+        return Status::FailedPrecondition(
+            path + " holds a " + legacy +
+            " from the pre-manifest single-log layout and no ckpt/MANIFEST; "
+            "this release reads only wal/<unit>.log + ckpt/ and has no "
+            "importer");
+      }
+    }
+  }
 
-  if (have_snapshot && options.error_if_exists) {
+  if (have_checkpoint && options.error_if_exists) {
     return Status::InvalidArgument("deployment already exists: " + path);
   }
 
-  if (have_snapshot) {
+  if (have_checkpoint) {
     persist::RecoveryResult rec;
     Status rs = persist::recover(path, &rec);
     if (!rs.ok()) return rs;
@@ -453,18 +461,15 @@ StatusOr<std::unique_ptr<Store>> Store::Open(const Options& options,
     im.recovery.delta_records = rec.delta_records;
   } else {
     if (!options.create_if_missing)
-      return Status::NotFound("no snapshot in " + path);
+      return Status::NotFound("no checkpoint in " + path);
     try {
       im.core = std::make_unique<core::SmartStore>(cfg);
       im.core->build({});
       // A deployment that crashed before its first checkpoint has WAL
-      // records but no snapshot; their base image is exactly the empty
+      // records but no manifest; their base image is exactly the empty
       // build above (assuming the same Options), so the full log replays.
-      const bool logs_exist =
-          std::filesystem::exists(persist::wal_path(path), ec) ||
-          std::filesystem::is_directory(
-              persist::ShardedWal::shard_dir(path), ec);
-      if (logs_exist) {
+      if (std::filesystem::is_directory(persist::ShardedWal::shard_dir(path),
+                                        ec)) {
         persist::RecoveryResult rec;
         persist::replay_dir_logs(*im.core, path, persist::WalFence{}, rec);
         im.recovery.recovered = rec.wal_records > 0;
@@ -486,35 +491,31 @@ StatusOr<std::unique_ptr<Store>> Store::Open(const Options& options,
     }
   }
 
-  if (options.enable_wal) {
-    try {
-      // group_commit == 0 means adaptive sizing: each shard converges on
-      // its own batch from fsync-latency and arrival-rate EWMAs, seeded
-      // from the paper's aggregation factor until the estimates warm up.
-      im.wal = std::make_unique<persist::ShardedWal>(
-          path, im.core->units().size(),
-          options.group_commit > 0 ? options.group_commit
-                                   : im.core->config().version_ratio,
-          /*adaptive=*/options.group_commit == 0);
-      // A rebased/reset shard dir restarts its on-disk seq counter; the
-      // snapshot remembers the commit frontier, so fresh stamps must start
-      // strictly past everything already applied or time-travel reads
-      // would see two mutations share a timestamp.
-      im.wal->ensure_seq_at_least(im.core->last_commit_seq() + 1);
-      // The checkpointer (and its thread pool) is eager only when the
-      // cadence needs it from the first mutation; an explicit
-      // Checkpoint() call creates it lazily instead.
-      if (options.checkpoint_every > 0) {
-        const util::MutexLock ck(im.ckpt_mu);
-        im.ensure_checkpointer();
-      }
-    } catch (const persist::FaultInjected& e) {
-      return Status::FaultInjected(e.what());  // before the PersistError
-    } catch (const persist::PersistError& e) {  // catch: IS-A relationship
-      return map_persist_error(e);
-    } catch (const std::exception& e) {
-      return Status::IOError(e.what());
-    }
+  try {
+    // group_commit == 0 means adaptive sizing: each shard converges on its
+    // own batch from fsync-latency and arrival-rate EWMAs, seeded from the
+    // paper's aggregation factor until the estimates warm up.
+    im.wal = std::make_unique<persist::ShardedWal>(
+        path, im.core->units().size(),
+        options.group_commit > 0 ? options.group_commit
+                                 : im.core->config().version_ratio,
+        /*adaptive=*/options.group_commit == 0);
+    // A rebased shard dir restarts its on-disk seq counter; the checkpoint
+    // remembers the commit frontier, so fresh stamps must start strictly
+    // past everything already applied or time-travel reads would see two
+    // mutations share a timestamp.
+    im.wal->ensure_seq_at_least(im.core->last_commit_seq() + 1);
+    im.delta =
+        std::make_unique<persist::DeltaEngine>(*im.core, *im.wal, path);
+    // No thread until the first background trigger.
+    im.compactor = std::make_unique<persist::Compactor>(
+        *im.delta, options.compaction_trigger, options.compaction_byte_budget);
+  } catch (const persist::FaultInjected& e) {
+    return Status::FaultInjected(e.what());  // before the PersistError
+  } catch (const persist::PersistError& e) {  // catch: IS-A relationship
+    return map_persist_error(e);
+  } catch (const std::exception& e) {
+    return Status::IOError(e.what());
   }
   fault_guard.active = false;  // the live handle owns the countdown now
   return store;
@@ -532,25 +533,17 @@ Status Store::Bulkload(const std::vector<metadata::FileMetadata>& files) {
         "operation); open a fresh directory or use Put/Write");
   }
   try {
+    const util::MutexLock ck(impl_->ckpt_mu);
+    // No background cut may race the build.
+    if (impl_->compactor) impl_->compactor->wait();
     impl_->core->build(files);
-    // Checkpoint before returning (durable stores): Bulkload is not
-    // WAL-logged, and the no-snapshot recovery path assumes a log's base
-    // image is the EMPTY build — if the population were not snapshotted
-    // here, a crash before the first explicit Checkpoint would silently
-    // replay later Puts onto an empty store and drop the bulkload.
-    // build() already dwarfs this snapshot's cost. We hold the exclusive
-    // lifecycle lock, so the quiesced flavour applies.
-    if (impl_->durable() && !files.empty()) {
-      if (impl_->wal) {
-        persist::checkpoint(*impl_->core, impl_->dir, *impl_->wal);
-      } else {
-        persist::checkpoint(*impl_->core, impl_->dir);
-      }
-      // The quiesced checkpoint removed the incremental state (its full
-      // image subsumes every delta); a live engine must not keep chaining
-      // onto a manifest that no longer exists.
-      if (impl_->delta) impl_->delta->invalidate();
-    }
+    // Fold before returning (durable stores): Bulkload is not WAL-logged,
+    // and the no-checkpoint recovery path assumes a log's base image is
+    // the EMPTY build — without a base holding the population, a crash
+    // before the first explicit Checkpoint would silently replay later
+    // Puts onto an empty store and drop the bulkload. build() already
+    // dwarfs the fold's cost.
+    if (impl_->delta && !files.empty()) impl_->delta->fold();
     return Status::OK();
   } catch (const persist::FaultInjected& e) {
     impl_->crash();  // safe under the exclusive lock: needs only ckpt_mu
@@ -793,7 +786,6 @@ Status Store::Flush() {
   if (!gate.ok()) return gate;
   if (!impl_->durable())
     return Status::FailedPrecondition("ephemeral store has no WAL");
-  if (!impl_->wal) return Status::OK();  // durable but unlogged: no-op
   try {
     impl_->wal->commit_all();
     return Status::OK();
@@ -808,96 +800,16 @@ Status Store::Flush() {
 }
 
 Status Store::Checkpoint() {
-  // Background path: serving threads keep running; all checkpointer
-  // interaction serialized under ckpt_mu (released by unwinding before
-  // the catch blocks run, so crash() never sees it held).
-  {
-    util::ReaderLock lk(impl_->lifecycle_mu);
-    Status gate = impl_->check_serving();
-    if (!gate.ok()) return gate;
-    if (!impl_->durable())
-      return Status::FailedPrecondition("ephemeral store cannot checkpoint");
-    if (impl_->wal) {
-      try {
-        const util::MutexLock ck(impl_->ckpt_mu);
-        if (!impl_->deferred_ckpt_error.ok()) {
-          // A failure an introspection drain parked earlier: surface it
-          // once instead of silently checkpointing over it.
-          Status s = impl_->deferred_ckpt_error;
-          impl_->deferred_ckpt_error = Status::OK();
-          return s;
-        }
-        impl_->ensure_checkpointer();
-        impl_->bg->wait();     // drain (and surface) any in-flight run
-        impl_->bg->trigger();  // cannot race: all triggers hold ckpt_mu
-        impl_->bg->wait();
-        impl_->mutations_since_ckpt.store(0, std::memory_order_relaxed);
-        return Status::OK();
-      } catch (const persist::FaultInjected& e) {
-        impl_->crash();  // ckpt_mu was released by the unwind above
-        return Status::FaultInjected(e.what());
-      } catch (const persist::PersistError& e) {
-        return map_persist_error(e);
-      } catch (const std::exception& e) {
-        return Status::Unknown(e.what());
-      }
-    }
-  }
-
-  // No WAL: the stop-the-world flavour, quiesced by excluding every facade
-  // operation for the duration.
-  util::WriterLock ex(impl_->lifecycle_mu);
-  Status gate = impl_->check_serving();
-  if (!gate.ok()) return gate;
-  try {
-    persist::checkpoint(*impl_->core, impl_->dir);
-    return Status::OK();
-  } catch (const persist::FaultInjected& e) {
-    impl_->crash();  // safe under the exclusive lock: needs only ckpt_mu
-    return Status::FaultInjected(e.what());
-  } catch (const persist::PersistError& e) {
-    return map_persist_error(e);
-  } catch (const std::exception& e) {
-    return Status::Unknown(e.what());
-  }
+  return impl_->run_checkpoint(
+      "checkpoint", [](persist::Compactor& c) { c.checkpoint_now(); });
 }
 
 Status Store::Compact() {
-  {
-    util::ReaderLock lk(impl_->lifecycle_mu);
-    Status gate = impl_->check_serving();
-    if (!gate.ok()) return gate;
-    if (!impl_->durable())
-      return Status::FailedPrecondition("ephemeral store cannot compact");
-    if (impl_->wal && impl_->opts.incremental_checkpoints) {
-      try {
-        const util::MutexLock ck(impl_->ckpt_mu);
-        if (!impl_->deferred_ckpt_error.ok()) {
-          Status s = impl_->deferred_ckpt_error;
-          impl_->deferred_ckpt_error = Status::OK();
-          return s;
-        }
-        impl_->ensure_checkpointer();
-        impl_->bg->wait();  // drain (and surface) any in-flight cut
-        // compact_now waits out a scheduled background fold, then folds
-        // the whole chain into a fresh base on this thread — concurrent
-        // with serving (the engine reuses the epoch-freeze/COW protocol).
-        impl_->compactor->compact_now();
-        impl_->mutations_since_ckpt.store(0, std::memory_order_relaxed);
-        return Status::OK();
-      } catch (const persist::FaultInjected& e) {
-        impl_->crash();  // ckpt_mu was released by the unwind above
-        return Status::FaultInjected(e.what());
-      } catch (const persist::PersistError& e) {
-        return map_persist_error(e);
-      } catch (const std::exception& e) {
-        return Status::Unknown(e.what());
-      }
-    }
-  }
-  // No delta chain to fold (incremental mode off, or no WAL): a full
-  // checkpoint is the compacted state by definition.
-  return Checkpoint();
+  // compact_now waits out an in-flight background job, then folds the
+  // whole chain into a fresh base on this thread — concurrent with
+  // serving (the engine uses the epoch-freeze/COW protocol).
+  return impl_->run_checkpoint(
+      "compact", [](persist::Compactor& c) { c.compact_now(); });
 }
 
 // ---- replication ------------------------------------------------------------
@@ -1022,21 +934,20 @@ StatusOr<std::vector<metadata::FileMetadata>> Store::DumpSnapshot(
   if (!gate.ok()) return gate;
   Impl& im = *impl_;
 
-  // Incremental stores bootstrap followers from the checkpoint artifacts
+  // Durable stores bootstrap followers from the checkpoint artifacts
   // instead of a forced full scan of the live structure: take a delta cut
   // (cheap — only units dirtied since the last cut write anything), then
   // rebuild the state at that cut OFFLINE from base + chain. The
   // reconstruction never touches the serving store or its WAL, so live
   // traffic proceeds untouched while the dump serializes.
-  if (im.wal && im.opts.incremental_checkpoints) {
+  if (im.delta) {
     try {
       std::unique_ptr<core::SmartStore> at_cut;
       std::uint64_t cut_seq = 0;
       {
         const util::MutexLock ck(im.ckpt_mu);
-        im.ensure_checkpointer();
-        im.bg->wait();    // drain: the cut below must own the protocol
-        im.delta->cut();  // everything acked is now in base + chain
+        im.compactor->wait();  // drain: the cut below owns the protocol
+        im.delta->cut();       // everything acked is now in base + chain
         at_cut = im.delta->reconstruct_at_last_cut(&cut_seq);
       }
       if (seq_out) *seq_out = cut_seq;
@@ -1102,7 +1013,7 @@ const Options& Store::options() const { return impl_->opts; }
 const std::string& Store::path() const { return impl_->dir; }
 
 CheckpointInfo Store::GetCheckpointInfo() const {
-  // Lifecycle shared FIRST: Close/Abandon reset bg/wal under the
+  // Lifecycle shared FIRST: Close/Abandon reset compactor/wal under the
   // exclusive lock, so every introspection path that dereferences them
   // must hold it shared — otherwise this races a concurrent Close into a
   // use-after-free. ckpt_mu nests inside (same order as Checkpoint()).
@@ -1119,9 +1030,9 @@ bool Store::GetProperty(const std::string& name, std::string* value) {
     return true;
   };
 
-  // Counter / WAL / snapshot / checkpoint properties: cheap reads, but
-  // still under the shared lifecycle lock — Close() frees the WAL and
-  // checkpointer under the exclusive lock, and these dereference them.
+  // Counter / WAL / checkpoint properties: cheap reads, but still under
+  // the shared lifecycle lock — Close() frees the WAL and checkpoint
+  // engine under the exclusive lock, and these dereference them.
   {
     util::ReaderLock lk(im.lifecycle_mu);
 
@@ -1197,16 +1108,17 @@ bool Store::GetProperty(const std::string& name, std::string* value) {
       return u64(w);
     }
 
-    if (name == "smartstore.snapshot.path") {
-      if (im.dir.empty()) return false;
-      *value = persist::snapshot_path(im.dir);
-      return true;
-    }
-    if (name == "smartstore.snapshot.bytes") {
-      if (im.dir.empty()) return false;
+    // The current checkpoint base image (ckpt/base-<id>.bin).
+    if (name == "smartstore.snapshot.path" ||
+        name == "smartstore.snapshot.bytes") {
+      if (!im.delta || im.delta->base_id() == 0) return false;
+      const std::string base = persist::base_path(im.dir, im.delta->base_id());
+      if (name == "smartstore.snapshot.path") {
+        *value = base;
+        return true;
+      }
       std::error_code ec;
-      const auto sz =
-          std::filesystem::file_size(persist::snapshot_path(im.dir), ec);
+      const auto sz = std::filesystem::file_size(base, ec);
       return !ec && u64(static_cast<std::uint64_t>(sz));
     }
 
@@ -1229,13 +1141,9 @@ bool Store::GetProperty(const std::string& name, std::string* value) {
       return false;
     }
 
-    // Incremental-checkpoint properties: engine atomics, read under
-    // ckpt_mu only to order against the engine's lazy creation.
+    // Checkpoint-engine properties: engine atomics.
     if (name.rfind("smartstore.ckpt.", 0) == 0) {
-      const util::MutexLock ck(im.ckpt_mu);
       const persist::DeltaEngine* eng = im.delta.get();
-      if (name == "smartstore.ckpt.delta-enabled")
-        return u64(im.wal && im.opts.incremental_checkpoints ? 1 : 0);
       if (name == "smartstore.ckpt.delta-cuts")
         return u64(eng ? eng->cuts() : 0);
       if (name == "smartstore.ckpt.delta-folds")
@@ -1332,25 +1240,12 @@ Status Store::Close() {
       im.deferred_ckpt_error = Status::OK();
     }
   }
-  if (im.bg) {
-    try {
-      im.bg->wait();  // drain the in-flight checkpoint before anything
-    } catch (const persist::FaultInjected& e) {  // it references goes away
-      im.crashed.store(true, std::memory_order_release);
-      if (im.wal) im.wal->abandon();
-      result = Status::FaultInjected(e.what());
-    } catch (const persist::PersistError& e) {
-      if (result.ok()) result = map_persist_error(e);
-    } catch (const std::exception& e) {
-      if (result.ok()) result = Status::Unknown(e.what());
-    }
-  }
   if (im.compactor) {
     try {
-      im.compactor->wait();  // a scheduled fold drains the same way
-    } catch (const persist::FaultInjected& e) {
-      im.crashed.store(true, std::memory_order_release);
-      if (im.wal) im.wal->abandon();
+      im.compactor->wait();  // drain the in-flight checkpoint before
+    } catch (const persist::FaultInjected& e) {  // anything it references
+      im.crashed.store(true, std::memory_order_release);  // goes away
+      im.wal->abandon();
       result = Status::FaultInjected(e.what());
     } catch (const persist::PersistError& e) {
       if (result.ok()) result = map_persist_error(e);
@@ -1372,15 +1267,11 @@ Status Store::Close() {
     }
   }
 
-  // Teardown order: the checkpointer references store+wal+pool, the
-  // compactor's queued folds run on the pool against the engine, the pool
-  // must drain before the objects its queued work touches die, the engine
-  // references the WAL, the WAL holds the shard files, and the LOCK
-  // releases last — nothing of this handle touches the directory
+  // Teardown order: the compactor's (drained) job ran through the engine,
+  // the engine references the WAL, the WAL holds the shard files, and the
+  // LOCK releases last — nothing of this handle touches the directory
   // afterwards.
-  im.bg.reset();
   im.compactor.reset();
-  im.pool.reset();
   im.delta.reset();
   im.wal.reset();
   im.lock.Release();
@@ -1399,22 +1290,14 @@ void Store::Abandon() {
   }
   im.closed = true;
   im.crashed.store(true, std::memory_order_release);
-  if (im.bg) {
-    try {
-      im.bg->wait();  // a checkpoint that already passed its boundaries
-    } catch (...) {   // lands — "the power dies an instant later"
-    }
-  }
   if (im.compactor) {
     try {
-      im.compactor->wait();
-    } catch (...) {
-    }
+      im.compactor->wait();  // a checkpoint that already passed its
+    } catch (...) {          // boundaries lands — "the power dies an
+    }                        // instant later"
   }
   if (im.wal) im.wal->abandon();
-  im.bg.reset();
   im.compactor.reset();
-  im.pool.reset();
   im.delta.reset();
   im.wal.reset();
   im.lock.Release();

@@ -2,12 +2,20 @@
 
 namespace smartstore::persist {
 
-bool Compactor::maybe_schedule() {
-  if (!over_budget()) return false;
+DeltaCutStats Compactor::cut_then_fold() {
+  DeltaCutStats st = engine_.cut();
+  if (over_budget()) st = engine_.fold();
+  return st;
+}
+
+bool Compactor::trigger() {
   bool expected = false;
   if (!running_.compare_exchange_strong(expected, true,
                                         std::memory_order_acq_rel))
     return false;
+  // From here until the worker owns it, any exit path must release
+  // running_ — a stuck flag would disable checkpointing forever while the
+  // WAL grows unboundedly.
   struct ClearRunning {
     std::atomic<bool>& flag;
     bool armed = true;
@@ -16,21 +24,23 @@ bool Compactor::maybe_schedule() {
     }
   } caller_guard{running_};
 
-  // A finished-but-unobserved predecessor must not be overwritten
-  // silently: surface its failure here rather than discarding it.
-  if (inflight_.valid()) inflight_.get();
+  if (inflight_.valid()) inflight_.get();  // surface a finished job's failure
 
-  inflight_ = pool_.submit([this] {
+  inflight_ = std::async(std::launch::async, [this] {
     ClearRunning worker_guard{running_};
-    engine_.fold();
+    cut_then_fold();
   });
   caller_guard.armed = false;  // the worker's guard owns the flag now
-  scheduled_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
+DeltaCutStats Compactor::checkpoint_now() {
+  wait();
+  return cut_then_fold();
+}
+
 DeltaCutStats Compactor::compact_now() {
-  wait();  // a concurrent background fold must not interleave its publish
+  wait();
   return engine_.fold();
 }
 

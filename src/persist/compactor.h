@@ -1,14 +1,15 @@
-// Background compaction policy over the delta-checkpoint engine: when a
-// delta chain grows past a configured length or byte budget, fold it into
-// a fresh base image on a thread-pool worker, concurrent with live
-// traffic (the fold reuses the store's epoch-freeze/COW protocol and
-// honors the MVCC GC watermark, so readers and writers keep running).
+// The one background checkpoint slot over the delta engine. Its cadence
+// action is a delta cut followed, when the cut leaves the chain past a
+// configured length or byte budget, by a fold into a fresh base image —
+// on a worker thread, concurrent with live traffic (the fold reuses the
+// store's epoch-freeze/COW protocol and honors the MVCC GC watermark, so
+// readers and writers keep running).
 //
-// The policy is intentionally thin — all correctness lives in
-// DeltaEngine, whose internal mutex already serializes a scheduled fold
-// against the next cadence cut. This class only decides WHEN and keeps at
-// most one fold in flight (same single-flight discipline as the
-// background checkpointer).
+// The class is intentionally thin — all correctness lives in DeltaEngine,
+// whose internal mutex serializes every cut and fold. This class only
+// decides WHEN and keeps at most one background job in flight: a trigger
+// while one runs is rejected, since the job in flight already covers the
+// window that tripped it.
 #pragma once
 
 #include <atomic>
@@ -16,23 +17,22 @@
 #include <future>
 
 #include "persist/delta_checkpoint.h"
-#include "util/thread_pool.h"
 
 namespace smartstore::persist {
 
 class Compactor {
  public:
-  /// A fold is scheduled when the chain exceeds `max_chain_len` cuts OR
+  /// A fold follows a cut when the chain exceeds `max_chain_len` cuts OR
   /// `max_chain_bytes` delta bytes (0 disables that trigger; both 0
-  /// disables automatic compaction entirely — compact_now() still works).
-  Compactor(DeltaEngine& engine, util::ThreadPool& pool,
-            std::size_t max_chain_len, std::uint64_t max_chain_bytes)
+  /// disables automatic folds — compact_now() still works). `engine` must
+  /// outlive the compactor.
+  Compactor(DeltaEngine& engine, std::size_t max_chain_len,
+            std::uint64_t max_chain_bytes)
       : engine_(engine),
-        pool_(pool),
         max_chain_len_(max_chain_len),
         max_chain_bytes_(max_chain_bytes) {}
 
-  /// Waits for an in-flight fold (swallowing its error — use wait() to
+  /// Waits for an in-flight job (swallowing its error — use wait() to
   /// observe failures before destruction).
   ~Compactor() {
     if (inflight_.valid()) {
@@ -40,7 +40,7 @@ class Compactor {
         inflight_.get();
       } catch (...) {
         // The next cut/fold/recover sees a state every crash window of
-        // the fold protocol keeps consistent.
+        // the checkpoint protocol keeps consistent.
       }
     }
   }
@@ -48,27 +48,28 @@ class Compactor {
   Compactor(const Compactor&) = delete;
   Compactor& operator=(const Compactor&) = delete;
 
-  /// Checks the policy against the engine's current chain and schedules a
-  /// background fold if it is exceeded. Returns true when one was
-  /// scheduled (false: under budget, or a fold already in flight).
-  bool maybe_schedule();
+  /// Starts the cadence action (cut, then fold when over budget) on a
+  /// background thread. Returns false, and does nothing, when one is
+  /// already in flight. A finished job's failure is rethrown here rather
+  /// than discarded with its future.
+  bool trigger();
 
-  /// Synchronous full compaction on the caller's thread (waits out any
-  /// in-flight background fold first, rethrowing its failure).
+  /// The cadence action on the caller's thread, after waiting out (and
+  /// rethrowing the failure of) any in-flight job.
+  DeltaCutStats checkpoint_now();
+
+  /// Folds the whole chain into a fresh base on the caller's thread, after
+  /// waiting out any in-flight job.
   DeltaCutStats compact_now();
 
-  /// Blocks until the in-flight fold (if any) finishes; rethrows its
-  /// failure. Returns true when a fold actually ran.
+  /// Blocks until the in-flight job (if any) finishes; rethrows its
+  /// failure. Returns true when a job actually ran.
   bool wait();
 
   bool running() const { return running_.load(std::memory_order_acquire); }
-  std::uint64_t scheduled() const {
-    return scheduled_.load(std::memory_order_relaxed);
-  }
-  std::size_t max_chain_len() const { return max_chain_len_; }
-  std::uint64_t max_chain_bytes() const { return max_chain_bytes_; }
 
  private:
+  DeltaCutStats cut_then_fold();
   bool over_budget() const {
     const std::uint64_t len = engine_.chain_len();
     const std::uint64_t bytes = engine_.chain_bytes();
@@ -77,12 +78,10 @@ class Compactor {
   }
 
   DeltaEngine& engine_;
-  util::ThreadPool& pool_;
   std::size_t max_chain_len_;
   std::uint64_t max_chain_bytes_;
 
   std::atomic<bool> running_{false};
-  std::atomic<std::uint64_t> scheduled_{0};
   std::future<void> inflight_;
 };
 

@@ -23,76 +23,60 @@ DeltaEngine::DeltaEngine(core::SmartStore& store, ShardedWal& wal,
                        "directory's shards (" +
                        ShardedWal::shard_dir(dir_) + "), got " + wal_.dir());
   }
-}
-
-bool DeltaEngine::ensure_manifest_locked() {
-  if (loaded_) return true;
+  const util::MutexLock lock(mu_);
   if (manifest_exists(dir_)) {
     manifest_ = read_manifest(dir_);
     loaded_ = true;
-    return true;
+    publish_stats_locked(manifest_);
   }
-
-  // No manifest yet. An existing full image can be adopted as the chain's
-  // base — its WALFENCE says which WAL prefix it already contains — but
-  // only when no pre-sharding wal.bin carries live records: legacy records
-  // replay BEFORE the sharded stream, while a delta chain would apply them
-  // after the base, so their order cannot be expressed as a chain link.
-  const std::string sp = snapshot_path(dir_);
-  std::error_code ec;
-  if (!fs::exists(sp, ec)) return false;  // fresh store: fold
-  const WalFence base_fence = read_snapshot_fence(sp);
-  const std::string wp = wal_path(dir_);
-  if (fs::exists(wp, ec)) {
-    try {
-      const WalScan scan = scan_wal(wp);
-      std::size_t covered = 0;
-      if (base_fence.present && base_fence.generation == scan.generation)
-        covered = static_cast<std::size_t>(std::min<std::uint64_t>(
-            base_fence.records, scan.records.size()));
-      if (scan.records.size() > covered) return false;  // live legacy tail
-    } catch (const PersistError&) {
-      // Not a WAL; recovery ignores it the same way.
-    }
-  }
-  manifest_ = DeltaManifest{};
-  manifest_.base_kind = BaseKind::kLegacySnapshot;
-  manifest_.fence = base_fence;
-  loaded_ = true;  // adopted in memory; the first cut publishes it
-  return true;
 }
 
 void DeltaEngine::publish_stats_locked(const DeltaManifest& m) {
   chain_len_.store(m.cuts.size(), std::memory_order_relaxed);
   chain_bytes_.store(m.delta_bytes(), std::memory_order_relaxed);
   last_cut_seq_.store(m.last_cut_seq, std::memory_order_relaxed);
+  base_id_.store(m.base_id, std::memory_order_relaxed);
+}
+
+void DeltaEngine::record_locked(const DeltaCutStats& st) {
+  last_ = st;
+  completed_.fetch_add(1, std::memory_order_relaxed);
+  total_cow_copies_.fetch_add(st.cow_copies, std::memory_order_relaxed);
+  total_mutations_during_.fetch_add(st.mutations_during,
+                                    std::memory_order_relaxed);
+}
+
+DeltaCutStats DeltaEngine::last_stats() const {
+  const util::MutexLock lock(mu_);
+  return last_;
 }
 
 DeltaCutStats DeltaEngine::cut() {
   util::WallTimer t;
   const util::MutexLock lock(mu_);
-  if (!ensure_manifest_locked()) {
-    DeltaCutStats st = fold_locked();
-    st.seconds = t.seconds();
-    return st;
-  }
+  // No base to chain from yet: the first checkpoint is a fold.
+  DeltaCutStats st = loaded_ ? cut_locked() : fold_locked();
+  st.seconds = t.seconds();
+  record_locked(st);
+  return st;
+}
 
+DeltaCutStats DeltaEngine::cut_locked() {
   // The barrier: with every serving thread outside its operation, the
   // frontier, the commit seq and the dirty watermarks describe one
   // instant, and every stamped record is committed by the frontier.
   WalFence fence;
   std::vector<std::size_t> fence_bytes;
   std::uint64_t cut_seq = 0;
+  util::WallTimer phase;
   store_.mutation_barrier([&] {
     fence = wal_.frontier(&fence_bytes);
     cut_seq = store_.last_commit_seq();
   });
-  // The frontier's legacy pair is empty; the chain keeps fencing whatever
-  // prefix of a leftover wal.bin its base already covers.
-  fence.generation = manifest_.fence.generation;
-  fence.records = manifest_.fence.records;
 
   DeltaCutStats st;
+  st.freeze_s = phase.seconds();
+  phase.reset();
   st.cut_seq = cut_seq;
   DeltaCut cutrec;
   cutrec.cut_id = manifest_.next_cut_id();
@@ -135,7 +119,6 @@ DeltaCutStats DeltaEngine::cut() {
     st.noop = true;
     st.chain_len = manifest_.cuts.size();
     st.chain_bytes = manifest_.delta_bytes();
-    st.seconds = t.seconds();
     return st;
   }
 
@@ -149,65 +132,55 @@ DeltaCutStats DeltaEngine::cut() {
   publish_stats_locked(manifest_);
   total_delta_bytes_.fetch_add(st.delta_bytes, std::memory_order_relaxed);
   cuts_.fetch_add(1, std::memory_order_relaxed);
+  st.write_s = phase.seconds();
+  phase.reset();
 
   // The crash window: manifest published, WAL not yet rebased. The fence
   // (generation match) makes recovery — and the next cut — skip exactly
   // the records the new delta carries.
   fault_point("delta:pre-rebase");
   wal_.rebase_to(fence, fence_bytes);
+  st.truncate_s = phase.seconds();
 
   st.chain_len = manifest_.cuts.size();
   st.chain_bytes = manifest_.delta_bytes();
-  st.seconds = t.seconds();
   return st;
 }
 
 DeltaCutStats DeltaEngine::fold() {
   util::WallTimer t;
   const util::MutexLock lock(mu_);
-  if (!loaded_ && manifest_exists(dir_)) {
-    manifest_ = read_manifest(dir_);
-    loaded_ = true;
-  }
   DeltaCutStats st = fold_locked();
   st.seconds = t.seconds();
+  record_locked(st);
   return st;
 }
 
 DeltaCutStats DeltaEngine::fold_locked() {
   DeltaCutStats st;
   st.folded = true;
-  const std::uint64_t next_id = (loaded_ ? manifest_.manifest_id : 0) + 1;
+  const std::uint64_t next_id = manifest_.manifest_id + 1;
 
   std::error_code ec;
   fs::create_directories(ckpt_dir(dir_), ec);
 
-  // The classic fuzzy-checkpoint protocol, targeting ckpt/base-<id> and a
-  // manifest instead of snapshot.bin: FREEZE (frontier inside the
-  // exclusive section), WRITE (concurrent, epoch-freeze/COW, GC watermark
-  // captured by the frozen core), PUBLISH+TRUNCATE.
+  // FREEZE: the frontier is taken inside the exclusive section, at exactly
+  // the frozen mutation boundary.
   WalFence fence;
   std::vector<std::size_t> fence_bytes;
   std::uint64_t cut_seq = 0;
-  store_.begin_checkpoint([&] {
+  util::WallTimer phase;
+  const std::uint64_t epoch = store_.begin_checkpoint([&] {
     fence = wal_.frontier(&fence_bytes);
     cut_seq = store_.last_commit_seq();
-    // A leftover pre-sharding wal.bin is subsumed by the full image too:
-    // fence it, or its stale records would replay over base-<id> on the
-    // next recover().
-    const std::string wp = wal_path(dir_);
-    if (fs::exists(wp)) {
-      try {
-        const WalScan scan = scan_wal(wp);
-        fence.generation = scan.generation;
-        fence.records = scan.records.size();
-      } catch (const PersistError&) {
-        // Not a WAL; recovery ignores it the same way.
-      }
-    }
   });
+  st.freeze_s = phase.seconds();
+  phase.reset();
   st.cut_seq = cut_seq;
 
+  // WRITE (concurrent with serving), then PUBLISH + TRUNCATE. Any failure,
+  // an injected crash included, must release the freeze so a surviving
+  // store stops paying the copy-on-write tax.
   try {
     const std::string base = base_path(dir_, next_id);
     save_snapshot_frozen(store_, base, fence);
@@ -216,7 +189,6 @@ DeltaCutStats DeltaEngine::fold_locked() {
 
     DeltaManifest next;
     next.manifest_id = next_id;
-    next.base_kind = BaseKind::kCheckpointBase;
     next.base_id = next_id;
     next.last_cut_seq = cut_seq;
     next.fence = fence;
@@ -225,43 +197,37 @@ DeltaCutStats DeltaEngine::fold_locked() {
     loaded_ = true;
     publish_stats_locked(manifest_);
     folds_.fetch_add(1, std::memory_order_relaxed);
+    st.write_s = phase.seconds();
+    phase.reset();
 
     fault_point("compact:pre-rebase");
     wal_.rebase_to(fence, fence_bytes);
-    const std::string wp = wal_path(dir_);
-    if (fence.records > 0 && fs::exists(wp))
-      write_empty_wal(wp, fresh_wal_generation());
+    st.truncate_s = phase.seconds();
   } catch (...) {
     store_.end_checkpoint();
     throw;
   }
+  st.cow_copies = store_.checkpoint_cow_copies();
+  st.mutations_during = store_.mutation_epoch() - epoch;
   store_.end_checkpoint();
 
-  // Superseded state: older bases, every segment (the chain is empty),
-  // and the stale snapshot.bin the chain no longer reads. Failures here
-  // leave only unreferenced garbage.
+  // Superseded state: older bases and every segment (the chain is empty).
+  // Failures here leave only unreferenced garbage.
   fault_point("compact:pre-prune");
   prune_ckpt_files(dir_, manifest_);
-  fs::remove(snapshot_path(dir_), ec);
   return st;
 }
 
 std::unique_ptr<core::SmartStore> DeltaEngine::reconstruct_at_last_cut(
     std::uint64_t* seq_out) {
   const util::MutexLock lock(mu_);
-  // Read disk, not the cache: a quiesced full checkpoint may have removed
-  // or rewritten the layout since the last cut.
-  const DeltaManifest m = read_manifest(dir_);
-  std::unique_ptr<core::SmartStore> store = load_delta_base(dir_, m, nullptr);
-  if (seq_out) *seq_out = m.last_cut_seq;
+  if (!loaded_)
+    throw PersistError("no checkpoint yet in " + dir_,
+                       PersistError::Code::kNotFound);
+  std::unique_ptr<core::SmartStore> store =
+      load_delta_base(dir_, manifest_, nullptr);
+  if (seq_out) *seq_out = manifest_.last_cut_seq;
   return store;
-}
-
-void DeltaEngine::invalidate() {
-  const util::MutexLock lock(mu_);
-  loaded_ = false;
-  manifest_ = DeltaManifest{};
-  publish_stats_locked(manifest_);
 }
 
 }  // namespace smartstore::persist

@@ -63,7 +63,9 @@ void write_file_atomic_faulted(const std::string& path,
                                const std::string& fault_prefix) {
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (!f) throw PersistError("cannot open for writing: " + tmp);
+  if (!f)
+    throw PersistError("cannot open for writing: " + tmp,
+                       PersistError::Code::kIo);
   // The bytes land in two halves with a crash boundary between them: a
   // power cut does not respect write() boundaries, and the flushed torn
   // temp is exactly what the crash-injection suite must recover past.
@@ -86,7 +88,7 @@ void write_file_atomic_faulted(const std::string& path,
   }
   if (short_write) {
     std::fclose(f);
-    throw PersistError("short write: " + tmp);
+    throw PersistError("short write: " + tmp, PersistError::Code::kIo);
   }
   std::fflush(f);
 #if defined(__unix__) || defined(__APPLE__)
@@ -98,7 +100,8 @@ void write_file_atomic_faulted(const std::string& path,
   std::error_code ec;
   std::filesystem::rename(tmp, path, ec);
   if (ec)
-    throw PersistError("rename " + tmp + " -> " + path + ": " + ec.message());
+    throw PersistError("rename " + tmp + " -> " + path + ": " + ec.message(),
+                       PersistError::Code::kIo);
   fault_point((fault_prefix + ":pre-dirsync").c_str());
   util::fsync_parent_dir(path);
 }

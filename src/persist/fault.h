@@ -53,15 +53,15 @@ void fault_point(const char* where);
 /// scan sees the tear), "<prefix>:pre-rename" with the full temp
 /// unpublished, "<prefix>:pre-dirsync" after the rename but before the
 /// directory entry is durable. Every temp+rename publish in src/persist/
-/// (snapshot images, WAL rebase and upgrade) goes through this one
+/// (base images, manifests, WAL rebases) goes through this one
 /// implementation, so their crash behavior cannot drift. It deliberately
 /// mirrors util::write_file_atomic rather than wrapping it — util/ stays
 /// free of persist dependencies, and the fault hooks need to fire inside
-/// the write. The one publish NOT routed here is write_empty_wal's
-/// in-place truncation (WalWriter::reset), which has no temp/rename
-/// stages; its sole crash window (a short header) is covered by
-/// scan_wal's torn-creation handling and the "wal:reset:pre-truncate"
-/// point.
+/// the write. When the OS refuses the open, a write or the rename, it
+/// throws PersistError kIo. The one log write NOT routed here is a fresh
+/// shard log's header, which has no temp/rename stages; its sole crash
+/// window (a short header) is covered by scan_wal's torn-creation
+/// handling.
 void write_file_atomic_faulted(const std::string& path,
                                const std::vector<std::uint8_t>& bytes,
                                const std::string& fault_prefix);

@@ -1,20 +1,11 @@
 #include "persist/recovery.h"
 
 #include <algorithm>
-#include <cctype>
 #include <filesystem>
 
 #include "persist/fault.h"
 
 namespace smartstore::persist {
-
-std::string snapshot_path(const std::string& dir) {
-  return (std::filesystem::path(dir) / "snapshot.bin").string();
-}
-
-std::string wal_path(const std::string& dir) {
-  return (std::filesystem::path(dir) / "wal.bin").string();
-}
 
 void apply_record(core::SmartStore& store, const WalRecord& rec) {
   // Replay runs at virtual time zero: queue state is not part of recovery,
@@ -55,26 +46,9 @@ std::size_t replay(core::SmartStore& store, const WalScan& scan) {
 
 void replay_dir_logs(core::SmartStore& store, const std::string& dir,
                      const WalFence& fence, RecoveryResult& res) {
-  // Legacy single log first (a deployment that migrated to the sharded
-  // layout may still carry an emptied wal.bin alongside the shard dir).
-  const WalScan scan = scan_wal(wal_path(dir));
-  std::size_t skip = 0;
-  if (fence.present && fence.generation == scan.generation) {
-    // Records the snapshot's fence covers are already reflected in it;
-    // this is the crash window between "snapshot renamed" and "WAL
-    // emptied".
-    skip = static_cast<std::size_t>(
-        std::min<std::uint64_t>(fence.records, scan.records.size()));
-  }
-  for (std::size_t i = skip; i < scan.records.size(); ++i)
-    apply_record(store, scan.records[i]);
-  res.wal_blocks += scan.blocks;
-  res.wal_records += scan.records.size() - skip;
-  res.wal_fenced += skip;
-  res.wal_tail_torn = res.wal_tail_torn || scan.torn_tail;
-
-  // Sharded logs: scan every shard, drop each shard's fenced prefix
-  // (matching generations only — a rebased shard replays in full), then
+  // Scan every shard, drop each shard's fenced prefix (matching
+  // generations only — a rebased shard replays in full; a match is the
+  // crash window between "manifest published" and "shard rebased"), then
   // merge by the store-wide sequence number back into one mutation order.
   const std::string sdir = ShardedWal::shard_dir(dir);
   std::error_code ec;
@@ -99,8 +73,6 @@ void replay_dir_logs(core::SmartStore& store, const std::string& dir,
       for (std::size_t i = shard_skip; i < shard_scan.records.size(); ++i)
         merged.push_back(std::move(shard_scan.records[i]));
     }
-    // Stable: records upgraded from unsequenced logs (seq 0) keep their
-    // per-shard order at the front.
     std::stable_sort(merged.begin(), merged.end(),
                      [](const WalRecord& a, const WalRecord& b) {
                        return a.seq < b.seq;
@@ -113,10 +85,8 @@ void replay_dir_logs(core::SmartStore& store, const std::string& dir,
 std::unique_ptr<core::SmartStore> load_delta_base(const std::string& dir,
                                                   const DeltaManifest& m,
                                                   RecoveryResult* res) {
-  const std::string base = m.base_kind == BaseKind::kLegacySnapshot
-                               ? snapshot_path(dir)
-                               : base_path(dir, m.base_id);
-  std::unique_ptr<core::SmartStore> store = load_snapshot(base);
+  std::unique_ptr<core::SmartStore> store =
+      load_snapshot(base_path(dir, m.base_id));
   std::vector<WalRecord> merged;
   for (const DeltaCut& c : m.cuts)
     for (const DeltaExtent& e : c.extents) read_segment_extent(dir, e, &merged);
@@ -138,16 +108,10 @@ std::unique_ptr<core::SmartStore> load_delta_base(const std::string& dir,
 
 RecoveryResult recover(const std::string& dir) {
   RecoveryResult res;
-  WalFence fence;
-  if (manifest_exists(dir)) {
-    const DeltaManifest m = read_manifest(dir);
-    res.store = load_delta_base(dir, m, &res);
-    fence = m.fence;
-    res.used_manifest = true;
-  } else {
-    res.store = load_snapshot(snapshot_path(dir), &fence);
-  }
-  replay_dir_logs(*res.store, dir, fence, res);
+  const DeltaManifest m = read_manifest(dir);
+  res.store = load_delta_base(dir, m, &res);
+  res.used_manifest = true;
+  replay_dir_logs(*res.store, dir, m.fence, res);
   return res;
 }
 
@@ -168,6 +132,8 @@ db::Status recover(const std::string& dir, RecoveryResult* out) noexcept {
         return db::Status::NotFound(e.what());
       case PersistError::Code::kIo:
         return db::Status::IOError(e.what());
+      case PersistError::Code::kUnsupported:
+        return db::Status::FailedPrecondition(e.what());
       case PersistError::Code::kCorruption:
         break;
     }
@@ -185,112 +151,6 @@ db::Status recover(const std::string& dir, RecoveryResult* out) noexcept {
     *out = RecoveryResult{};
     return db::Status::Unknown(e.what());
   }
-}
-
-void checkpoint(const core::SmartStore& store, const std::string& dir,
-                WalWriter* wal) {
-  std::filesystem::create_directories(dir);
-
-  // Only this directory's log is subsumed by the snapshot about to be
-  // written. A live writer is used when it owns that log; a writer logging
-  // into a different directory is left untouched — its records pair with
-  // *that* directory's snapshot, and emptying it would lose them.
-  const std::string wp = wal_path(dir);
-  std::error_code ec;
-  const bool owns_log =
-      wal && std::filesystem::weakly_canonical(wal->path(), ec) ==
-                 std::filesystem::weakly_canonical(wp, ec);
-
-  // Fence before switching: note how much of the log the snapshot covers,
-  // so a crash between the snapshot rename and the WAL reset cannot make
-  // recovery replay those records twice.
-  WalFence fence;
-  std::uint64_t next_generation = 0;
-  if (owns_log) {
-    wal->commit();  // pending records become durable and countable
-    fence = {wal->generation(), wal->committed_records(), true};
-  } else if (std::filesystem::exists(wp)) {
-    try {
-      const WalScan scan = scan_wal(wp);
-      fence = {scan.generation, scan.records.size(), true};
-      next_generation = scan.generation + 1;
-    } catch (const PersistError&) {
-      // Not a WAL (junk from an interrupted copy, say): no fence; the file
-      // is about to be overwritten regardless.
-      next_generation = fresh_wal_generation();
-    }
-  }
-
-  save_snapshot(store, snapshot_path(dir), fence);
-
-  // Any incremental-checkpoint layout is superseded by the full image
-  // just published, and it must be gone BEFORE the WAL reset below: a
-  // manifest that outlived the truncation of the prefix its fence covers
-  // would recover a stale chain with no tail to catch it up. (Crashing
-  // between the rename and this removal is fine the other way around —
-  // the old manifest plus the still-intact log recovers the same state.)
-  fault_point("checkpoint:pre-ckpt-clear");
-  remove_ckpt_state(dir);
-
-  // The classic checkpoint crash window: snapshot published, log not yet
-  // emptied. The fence recorded above is what keeps this state consistent.
-  fault_point("checkpoint:pre-wal-reset");
-
-  if (owns_log) {
-    wal->reset();
-  } else if (std::filesystem::exists(wp)) {
-    write_empty_wal(wp, next_generation);  // stale records must not replay
-  }                                        // over the fresher snapshot
-
-  // A shard directory no writer owns is equally subsumed: remove it, or
-  // its stale records would replay over the fresher snapshot on the next
-  // recover() (the snapshot just written fences none of them).
-  const std::string sdir = ShardedWal::shard_dir(dir);
-  std::error_code sec;
-  if (std::filesystem::is_directory(sdir, sec))
-    std::filesystem::remove_all(sdir);
-}
-
-void checkpoint(const core::SmartStore& store, const std::string& dir,
-                ShardedWal& wal) {
-  std::filesystem::create_directories(dir);
-  std::error_code cec;
-  if (std::filesystem::weakly_canonical(wal.dir(), cec) !=
-      std::filesystem::weakly_canonical(ShardedWal::shard_dir(dir), cec)) {
-    throw PersistError("checkpoint: the sharded WAL must own " +
-                       ShardedWal::shard_dir(dir) + ", got " + wal.dir());
-  }
-
-  // Same fence-then-switch discipline as the single-log flavour, with the
-  // frontier taken across every shard (frontier() commits them all first).
-  WalFence fence = wal.frontier();
-  // A leftover single log (pre-migration deployments) is subsumed too; it
-  // must be FENCED in the snapshot, not merely emptied afterwards — a
-  // crash between the snapshot rename and the emptying below would
-  // otherwise replay its stale records over a snapshot that already
-  // contains them.
-  const std::string wp = wal_path(dir);
-  if (std::filesystem::exists(wp)) {
-    try {
-      const WalScan scan = scan_wal(wp);
-      fence.generation = scan.generation;
-      fence.records = scan.records.size();
-    } catch (const PersistError&) {
-      // Not a WAL; the overwrite below deals with it.
-    }
-  }
-  save_snapshot(store, snapshot_path(dir), fence);
-
-  // Same ordering as the single-log flavour: the superseded incremental
-  // layout goes after the snapshot publish, before the WAL reset.
-  fault_point("checkpoint:pre-ckpt-clear");
-  remove_ckpt_state(dir);
-
-  fault_point("checkpoint:pre-wal-reset");
-
-  wal.reset_all();
-  if (std::filesystem::exists(wp))
-    write_empty_wal(wp, fresh_wal_generation());
 }
 
 }  // namespace smartstore::persist

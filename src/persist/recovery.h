@@ -1,25 +1,18 @@
-// Deployment-directory recovery: the checkpoint/recover protocol over a
-// snapshot file plus a WAL — single-log or sharded.
+// Deployment-directory recovery over the one durable layout:
 //
-//   <dir>/snapshot.bin   full deployment image (persist/snapshot.h)
-//   <dir>/wal.bin        mutations since that snapshot (persist/wal.h)
-//   <dir>/wal/<u>.log    sharded flavour: one v03 log per storage unit
-//                        (persist/wal_shard.h)
+//   <dir>/ckpt/        the checkpoint: a base image plus a delta chain,
+//                      described by ckpt/MANIFEST (persist/segment.h)
+//   <dir>/wal/<u>.log  one write-ahead log per storage unit
+//                      (persist/wal_shard.h)
 //
-// checkpoint() fences before it switches: the snapshot it writes records
-// the WAL frontier — a (generation, record count) pair for the single log,
-// or one such entry per shard — in its WALFENCE section, then the rename
-// atomically publishes the snapshot, then the log(s) are emptied/rebased
-// under new generations. recover() loads the snapshot and replays the
-// valid prefix of whatever logs exist through the store's own mutation
-// API, skipping each log's fenced prefix when generations match; sharded
-// records are merged across shards by their store-wide sequence number
-// first, reconstructing one mutation order. A crash anywhere inside
-// checkpoint() recovers exactly, per log: before the rename the old
-// snapshot+log pair is intact; between rename and reset/rebase the fence
-// suppresses the double replay; after it the generation changed and the
-// whole tail replays. A torn or truncated tail rolls any log back to its
-// last group-commit boundary — in the sharded layout that loses only
+// recover() loads the manifest's base, applies the delta chain, then
+// replays the valid prefix of every shard log past the manifest's fence,
+// skipping each shard's fenced prefix when generations match. Records are
+// merged across shards by their store-wide sequence number first,
+// reconstructing one mutation order. The checkpoint protocol that keeps
+// every crash window consistent is DeltaEngine's
+// (persist/delta_checkpoint.h). A torn or truncated tail rolls a shard
+// back to its last group-commit boundary, which loses only
 // *unacknowledged* records of that shard, never an acknowledged record of
 // another shard.
 #pragma once
@@ -35,17 +28,14 @@
 
 namespace smartstore::persist {
 
-std::string snapshot_path(const std::string& dir);
-std::string wal_path(const std::string& dir);
-
 struct RecoveryResult {
   std::unique_ptr<core::SmartStore> store;
   std::size_t wal_blocks = 0;
   std::size_t wal_records = 0;   ///< replayed (fenced prefix excluded)
-  std::size_t wal_fenced = 0;    ///< skipped: already in the snapshot
-  std::size_t wal_shards = 0;    ///< shard logs scanned (0 = single-log dir)
+  std::size_t wal_fenced = 0;    ///< skipped: already in the checkpoint
+  std::size_t wal_shards = 0;    ///< shard logs scanned
   bool wal_tail_torn = false;    ///< any log had a torn tail dropped
-  bool used_manifest = false;    ///< base came from the delta-chain layout
+  bool used_manifest = false;    ///< a checkpoint manifest was loaded
   std::size_t delta_cuts = 0;    ///< chain links applied under the manifest
   std::size_t delta_records = 0; ///< delta records applied before the tail
 };
@@ -56,18 +46,17 @@ void apply_record(core::SmartStore& store, const WalRecord& rec);
 /// Replays a scanned log into `store`; returns the number of records applied.
 std::size_t replay(core::SmartStore& store, const WalScan& scan);
 
-/// recover()'s replay half, reusable without a snapshot: replays whatever
-/// logs exist in `dir` (legacy wal.bin and/or the shard logs, merged by
-/// sequence number) into `store`, skipping prefixes `fence` covers, and
-/// accumulates counts into `res`. The db facade uses this to recover a
-/// deployment that crashed before its first checkpoint — the base image is
-/// then the empty store build({}) produces, so the full log replays.
+/// recover()'s replay half, reusable without a checkpoint: replays the
+/// shard logs in `dir` (merged by sequence number) into `store`, skipping
+/// prefixes `fence` covers, and accumulates counts into `res`. The db
+/// facade uses this to recover a deployment that crashed before its first
+/// checkpoint — the base image is then the empty store build({})
+/// produces, so the full log replays.
 void replay_dir_logs(core::SmartStore& store, const std::string& dir,
                      const WalFence& fence, RecoveryResult& res);
 
 /// Reassembles the state a delta manifest describes at its last cut: the
-/// base image (snapshot.bin or ckpt/base-<id>.bin per the manifest) with
-/// every cut's extents applied, merged across units by store-wide
+/// base image ckpt/base-<id>.bin with every cut's extents applied, merged across units by store-wide
 /// sequence number. No WAL is read — the caller replays the tail past
 /// m.fence separately (recover()), or wants exactly the state at the last
 /// cut (the replication bootstrap). `res`, when given, accumulates the
@@ -77,39 +66,21 @@ std::unique_ptr<core::SmartStore> load_delta_base(const std::string& dir,
                                                   const DeltaManifest& m,
                                                   RecoveryResult* res);
 
-/// Loads the base image and replays <dir>'s logs. When a delta manifest
-/// exists it WINS over snapshot.bin: the base is whatever the manifest
-/// names, the delta chain applies next (merged by sequence number), and
-/// the WAL tail past the manifest's fence replays last. Without one, the
-/// legacy layout loads exactly as before. Throws PersistError when the
-/// base is missing or corrupt; a torn WAL tail is not an error (reported
-/// in the result, recovery keeps the prefix).
+/// Loads the manifest's base + delta chain, then replays the WAL tail
+/// past the manifest's fence. Throws PersistError — kNotFound when `dir`
+/// holds no manifest, kCorruption when the manifest, base or a segment is
+/// corrupt; a torn WAL tail is not an error (reported in the result,
+/// recovery keeps the prefix).
 RecoveryResult recover(const std::string& dir);
 
 /// Exception-free flavour: the one error path out of recovery, typed.
 /// Every failure mode that used to be a mixed bag of bools and throws maps
-/// onto one Status code — kNotFound (no snapshot in `dir`), kCorruption
+/// onto one Status code — kNotFound (no checkpoint in `dir`), kCorruption
 /// (bad magic / checksum / truncated section / malformed record),
 /// kIOError (the OS failed an open/stat/write), kUnknown (anything else).
 /// A torn WAL tail is still NOT an error: recovery keeps the valid prefix
 /// and reports it via out->wal_tail_torn, exactly like the throwing
 /// flavour. On failure `*out` is left default-constructed (no store).
 db::Status recover(const std::string& dir, RecoveryResult* out) noexcept;
-
-/// Snapshots `store` into `dir` (created if needed) and empties `dir`'s
-/// WAL, whose records the snapshot subsumes. Pass the live writer when one
-/// has that log open so its handle stays coherent; a writer logging into a
-/// different directory is left untouched (its records pair with that
-/// directory's snapshot). Without a writer, any wal.bin in `dir` is
-/// truncated on disk — and any shard directory is removed, so stale shard
-/// records cannot replay over the fresher snapshot.
-void checkpoint(const core::SmartStore& store, const std::string& dir,
-                WalWriter* wal = nullptr);
-
-/// Sharded-WAL flavour of the quiesced checkpoint: commits every shard,
-/// records the per-shard fence in the snapshot, then truncates all shards
-/// (and any leftover legacy wal.bin) under new generations.
-void checkpoint(const core::SmartStore& store, const std::string& dir,
-                ShardedWal& wal);
 
 }  // namespace smartstore::persist

@@ -31,9 +31,14 @@ void sync_file(std::FILE* f, const std::string& path) {
 #endif
 }
 
+/// The manifest's base-kind byte: the base is ckpt/base-<id>.bin. Earlier
+/// builds also wrote kind 1, an image adopted from the pre-manifest layout.
+constexpr std::uint8_t kBaseKindCheckpoint = 2;
+constexpr std::uint8_t kBaseKindAdopted = 1;
+
 void encode_fence(util::BinaryWriter& w, const WalFence& f) {
-  w.write_u64(f.generation);
-  w.write_u64(f.records);
+  w.write_u64(0);  // the pre-sharding (generation, records) pair
+  w.write_u64(0);
   w.write_u8(f.present ? 1 : 0);
   w.write_u64(f.shards.size());
   for (const ShardFence& s : f.shards) {
@@ -45,8 +50,8 @@ void encode_fence(util::BinaryWriter& w, const WalFence& f) {
 
 WalFence decode_fence(util::BinaryReader& r) {
   WalFence f;
-  f.generation = r.read_u64();
-  f.records = r.read_u64();
+  r.read_u64();  // the pre-sharding (generation, records) pair
+  r.read_u64();
   f.present = r.read_u8() != 0;
   const std::uint64_t nshards =
       r.read_u64_max(r.remaining(), "manifest fence shard count");
@@ -153,10 +158,15 @@ DeltaManifest read_manifest(const std::string& dir) {
     DeltaManifest m;
     m.manifest_id = r.read_u64();
     const std::uint8_t kind = r.read_u8();
-    if (kind != static_cast<std::uint8_t>(BaseKind::kLegacySnapshot) &&
-        kind != static_cast<std::uint8_t>(BaseKind::kCheckpointBase))
-      corrupt("unknown base kind");
-    m.base_kind = static_cast<BaseKind>(kind);
+    if (kind == kBaseKindAdopted) {
+      throw PersistError(
+          path +
+              " has a base of kind 1, an image adopted from the pre-manifest "
+              "single-log layout by earlier builds; this release reads only "
+              "ckpt/base-<id>.bin bases and has no importer",
+          PersistError::Code::kUnsupported);
+    }
+    if (kind != kBaseKindCheckpoint) corrupt("unknown base kind");
     m.base_id = r.read_u64();
     m.last_cut_seq = r.read_u64();
     m.fence = decode_fence(r);
@@ -197,7 +207,7 @@ void write_manifest(const std::string& dir, const DeltaManifest& m) {
   util::BinaryWriter body;
   body.write_u32(kManifestFormatVersion);
   body.write_u64(m.manifest_id);
-  body.write_u8(static_cast<std::uint8_t>(m.base_kind));
+  body.write_u8(kBaseKindCheckpoint);
   body.write_u64(m.base_id);
   body.write_u64(m.last_cut_seq);
   encode_fence(body, m.fence);
@@ -270,8 +280,7 @@ DeltaExtent append_segment_extent(const std::string& dir, std::uint64_t unit,
   }
 
   util::BinaryWriter payload;
-  for (const WalRecord& rec : records)
-    encode_wal_record(payload, rec, /*with_seq=*/true);
+  for (const WalRecord& rec : records) encode_wal_record(payload, rec);
 
   fault_point("delta:seg:pre-append");
   std::FILE* f = std::fopen(path.c_str(), "ab");
@@ -328,7 +337,7 @@ void read_segment_extent(const std::string& dir, const DeltaExtent& ext,
   try {
     for (std::uint64_t i = 0; i < ext.records; ++i) {
       WalRecord rec;
-      if (!decode_wal_record(r, /*with_seq=*/true, &rec))
+      if (!decode_wal_record(r, &rec))
         throw PersistError("segment extent has unknown record type: " + path,
                            PersistError::Code::kCorruption);
       out->push_back(std::move(rec));
@@ -342,17 +351,6 @@ void read_segment_extent(const std::string& dir, const DeltaExtent& ext,
   }
 }
 
-void remove_ckpt_state(const std::string& dir) {
-  std::error_code ec;
-  // Unlink the manifest first: it is the commit point of the incremental
-  // layout, and a crash after it is gone but before the bases/segments are
-  // must leave only unreferenced garbage, never a manifest pointing at
-  // deleted files.
-  fs::remove(manifest_path(dir), ec);
-  util::fsync_parent_dir(manifest_path(dir));
-  fs::remove_all(ckpt_dir(dir), ec);
-}
-
 void prune_ckpt_files(const std::string& dir, const DeltaManifest& m) {
   std::error_code ec;
   if (!fs::exists(ckpt_dir(dir), ec)) return;
@@ -361,9 +359,7 @@ void prune_ckpt_files(const std::string& dir, const DeltaManifest& m) {
        fs::directory_iterator(ckpt_dir(dir), ec)) {
     const std::string name = entry.path().filename().string();
     if (name.rfind("base-", 0) != 0) continue;
-    if (m.base_kind == BaseKind::kCheckpointBase &&
-        entry.path().string() == base_path(dir, m.base_id))
-      continue;
+    if (entry.path().string() == base_path(dir, m.base_id)) continue;
     std::error_code rm_ec;
     fs::remove(entry.path(), rm_ec);
   }

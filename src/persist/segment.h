@@ -1,7 +1,7 @@
-// Incremental-checkpoint on-disk formats: the delta manifest and the
-// per-unit log-structured segment files.
+// Checkpoint on-disk formats: the delta manifest and the per-unit
+// log-structured segment files.
 //
-// A deployment running incremental checkpoints keeps, under <dir>/ckpt/:
+// A durable deployment keeps, under <dir>/ckpt/:
 //
 //   MANIFEST          the chain descriptor (below) — the ONE file recovery
 //                     consults to decide the incremental layout exists
@@ -17,18 +17,22 @@
 // unit (no records since the previous cut) contributes no extent and its
 // segment is not even opened. Recovery = load the base image, apply every
 // cut's extents merged by store-wide sequence number, then replay the WAL
-// tail past the manifest fence — the same fence/generation protocol as
-// the legacy WALFENCE, so nothing ever applies twice.
+// tail past the manifest fence — a per-shard (generation, records) pair
+// that makes a replayed prefix skip exactly once, so nothing ever applies
+// twice.
 //
 // Manifest layout (little-endian):
 //
 //   [8B magic "SSMFTv01"] [u32 format version]
 //   [u64 manifest id]                  bumped on every publish
-//   [u8 base kind] [u64 base id]       1 = legacy <dir>/snapshot.bin,
-//                                      2 = ckpt/base-<id>.bin
+//   [u8 base kind = 2] [u64 base id]   the base is ckpt/base-<id>.bin
+//                                      (kind 1, an image adopted from
+//                                      the pre-manifest layout, is
+//                                      refused: kUnsupported)
 //   [u64 last cut seq]                 commit seq at the newest cut/fold
-//   fence: [u64 generation] [u64 records] [u8 present]
-//          [u64 shard count] then per shard
+//   fence: [u64 0] [u64 0]             unused pair (the pre-sharding
+//                                      single log's), written as zero
+//          [u8 present] [u64 shard count] then per shard
 //          [u64 shard] [u64 generation] [u64 records]
 //   [u64 cut count] then per cut:
 //     [u64 cut id] [u64 cut seq] [u64 extent count]
@@ -68,12 +72,6 @@ inline constexpr char kSegmentMagic[8] = {'S', 'S', 'S', 'E',
                                           'G', 'v', '0', '1'};
 inline constexpr std::size_t kSegmentHeaderBytes = sizeof(kSegmentMagic) + 8;
 
-/// What the delta chain's base image is.
-enum class BaseKind : std::uint8_t {
-  kLegacySnapshot = 1,  ///< <dir>/snapshot.bin (adopted full image)
-  kCheckpointBase = 2,  ///< <dir>/ckpt/base-<id>.bin (compaction fold)
-};
-
 /// One unit's slice of one cut: `records` v03-encoded WAL records at
 /// [offset, offset + length) of that unit's segment file.
 struct DeltaExtent {
@@ -94,8 +92,7 @@ struct DeltaCut {
 
 struct DeltaManifest {
   std::uint64_t manifest_id = 0;
-  BaseKind base_kind = BaseKind::kLegacySnapshot;
-  std::uint64_t base_id = 0;
+  std::uint64_t base_id = 0;  ///< the base image is ckpt/base-<id>.bin
   std::uint64_t last_cut_seq = 0;
   /// WAL prefix (per shard) the base + delta chain subsumes; recovery
   /// replays only past it, the next cut slices only past it.
@@ -136,7 +133,8 @@ bool manifest_exists(const std::string& dir);
 
 /// Loads and fully verifies <dir>/ckpt/MANIFEST: magic, version, trailer
 /// CRC, chain CRCs. Throws PersistError kNotFound when absent, kCorruption
-/// on any mismatch.
+/// on any mismatch, kUnsupported for a well-formed manifest whose base is
+/// kind 1 (an image earlier builds adopted from the pre-manifest layout).
 DeltaManifest read_manifest(const std::string& dir);
 
 /// Publishes the manifest atomically (creates <dir>/ckpt first). Computes
@@ -155,13 +153,6 @@ DeltaExtent append_segment_extent(const std::string& dir, std::uint64_t unit,
 /// Throws PersistError kCorruption on any mismatch.
 void read_segment_extent(const std::string& dir, const DeltaExtent& ext,
                          std::vector<WalRecord>* out);
-
-/// Removes the whole incremental-checkpoint state (manifest, bases,
-/// segments). The quiesced full checkpoint calls this AFTER publishing
-/// snapshot.bin and BEFORE resetting the WAL: once the fresh full image is
-/// durable the manifest describes a superseded history, and it must be
-/// gone before the WAL prefix it fences is truncated.
-void remove_ckpt_state(const std::string& dir);
 
 /// Deletes base images and segment files `m` does not reference (compaction
 /// cleanup — after a fold the chain is empty, so every segment goes).

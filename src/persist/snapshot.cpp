@@ -28,7 +28,7 @@ constexpr std::uint32_t kSecUnits = 3;
 constexpr std::uint32_t kSecTree = 4;
 constexpr std::uint32_t kSecVariants = 5;
 constexpr std::uint32_t kSecSync = 6;
-constexpr std::uint32_t kSecWalFence = 7;  // optional, written by checkpoint
+constexpr std::uint32_t kSecWalFence = 7;  // optional, written by a fold
 constexpr std::uint32_t kMaxSection = 7;
 
 /// An index that is either < limit or the kInvalidIndex sentinel.
@@ -673,35 +673,10 @@ struct SectionView {
   bool present() const { return data != nullptr || size > 0; }
 };
 
-/// Decodes a WALFENCE section payload (checksum already verified by the
-/// section walk). Shared by load_snapshot and read_snapshot_fence.
-WalFence decode_fence_section(const std::uint8_t* data, std::size_t size) {
-  WalFence fence;
-  BinaryReader fr(data, size);
-  fence.generation = fr.read_u64();
-  fence.records = fr.read_u64();
-  fence.present = true;
-  if (!fr.at_end()) {  // sharded frontier (absent in older snapshots)
-    const std::size_t nshards = static_cast<std::size_t>(
-        fr.read_u64_max(fr.remaining(), "fence shard count"));
-    fence.shards.reserve(nshards);
-    for (std::size_t i = 0; i < nshards; ++i) {
-      ShardFence s;
-      s.shard = fr.read_u64();
-      s.generation = fr.read_u64();
-      s.records = fr.read_u64();
-      fence.shards.push_back(s);
-    }
-  }
-  return fence;
-}
-
 void append_fence_section(BinaryWriter& out, const WalFence& fence) {
   BinaryWriter sec;
-  sec.write_u64(fence.generation);
-  sec.write_u64(fence.records);
-  // Sharded frontier vector, appended after the legacy pair: decoders
-  // that predate sharding stop after the pair; sharded decoders read on.
+  sec.write_u64(0);  // the pre-sharding (generation, records) pair
+  sec.write_u64(0);
   sec.write_u64(fence.shards.size());
   for (const ShardFence& s : fence.shards) {
     sec.write_u64(s.shard);
@@ -793,8 +768,7 @@ void save_snapshot_frozen(core::SmartStore& store, const std::string& path,
       fence, path);
 }
 
-std::unique_ptr<core::SmartStore> load_snapshot(const std::string& path,
-                                                WalFence* fence_out) {
+std::unique_ptr<core::SmartStore> load_snapshot(const std::string& path) {
   // Distinguish "no snapshot" from "unreadable snapshot" up front: the
   // former is a typed kNotFound (a fresh directory, or a deployment that
   // never checkpointed), the corruption paths below stay kCorruption.
@@ -837,17 +811,11 @@ std::unique_ptr<core::SmartStore> load_snapshot(const std::string& path,
     }
     // Unknown ids: checksummed and skipped (forward compatibility).
   }
-  for (std::uint32_t id = 1; id <= 6; ++id) {  // WALFENCE (7) is optional
+  // WALFENCE (7) is optional and informational: recovery takes the fence
+  // from the delta manifest.
+  for (std::uint32_t id = 1; id <= 6; ++id) {
     if (!sections[id].present())
       throw PersistError("snapshot missing section " + std::to_string(id));
-  }
-
-  if (fence_out) {
-    *fence_out = WalFence{};
-    if (sections[kSecWalFence].present()) {
-      *fence_out = decode_fence_section(sections[kSecWalFence].data,
-                                        sections[kSecWalFence].size);
-    }
   }
 
   BinaryReader config_r(sections[kSecConfig].data, sections[kSecConfig].size);
@@ -860,44 +828,6 @@ std::unique_ptr<core::SmartStore> load_snapshot(const std::string& path,
   BinaryReader sync_r(sections[kSecSync].data, sections[kSecSync].size);
   return SnapshotAccess::assemble(version, config_r, std_r, units_r, tree_r,
                                   variants_r, sync_r);
-}
-
-WalFence read_snapshot_fence(const std::string& path) {
-  std::error_code exists_ec;
-  if (!std::filesystem::exists(path, exists_ec)) {
-    throw PersistError("snapshot not found: " + path,
-                       PersistError::Code::kNotFound);
-  }
-  const std::vector<std::uint8_t> bytes = util::read_file_bytes(path);
-  BinaryReader r(bytes);
-  if (r.remaining() < sizeof(kSnapshotMagic))
-    throw PersistError("snapshot too short for magic: " + path);
-  char magic[sizeof(kSnapshotMagic)];
-  for (char& c : magic) c = static_cast<char>(r.read_u8());
-  if (std::memcmp(magic, kSnapshotMagic, sizeof(kSnapshotMagic)) != 0)
-    throw PersistError("bad snapshot magic: " + path);
-  const std::uint32_t version = r.read_u32();
-  if (version == 0 || version > kSnapshotFormatVersion) {
-    throw PersistError("unsupported snapshot format version " +
-                       std::to_string(version));
-  }
-  const std::uint32_t nsections = r.read_u32();
-  for (std::uint32_t i = 0; i < nsections; ++i) {
-    const std::uint32_t id = r.read_u32();
-    const std::uint64_t len = r.read_u64();
-    if (r.remaining() < 4 || len > r.remaining() - 4)
-      throw PersistError("truncated snapshot section " + std::to_string(id));
-    const std::uint8_t* payload = bytes.data() + r.position();
-    r.skip(static_cast<std::size_t>(len));
-    const std::uint32_t stored_crc = r.read_u32();
-    if (id != kSecWalFence) continue;  // only the fence section matters here
-    if (util::crc32(payload, static_cast<std::size_t>(len)) != stored_crc) {
-      throw PersistError("checksum mismatch in snapshot section " +
-                         std::to_string(id));
-    }
-    return decode_fence_section(payload, static_cast<std::size_t>(len));
-  }
-  return WalFence{};  // no fence section: present == false
 }
 
 }  // namespace smartstore::persist

@@ -15,9 +15,10 @@
 //
 // Sections: CONFIG (Config + rng state + active flags), STANDARDIZER,
 // UNITS (records per storage unit), TREE, VARIANTS, SYNC (group replicas,
-// sealed versions, pending deltas), and an optional WALFENCE written by
-// checkpoint() — the (generation, record count) of the WAL whose effects
-// this snapshot already contains, so recovery never replays them twice.
+// sealed versions, pending deltas), and an optional WALFENCE written by a
+// checkpoint fold — the per-shard (generation, record count) frontier of
+// the WAL prefix this image already contains (the delta manifest carries
+// the same fence, and recovery reads it from there).
 // Every section is independently checksummed; a flipped bit or truncation
 // anywhere fails the load with a PersistError instead of resurrecting a
 // corrupt deployment.
@@ -42,10 +43,12 @@ namespace smartstore::persist {
 /// Status boundary, recover(dir, out)) can type the failure instead of
 /// string-matching messages: kCorruption is the default (malformed bytes),
 /// kNotFound marks a missing snapshot, kIo an OS-level open/write/stat
-/// failure on otherwise well-formed state.
+/// failure on otherwise well-formed state, kUnsupported well-formed state
+/// from an older layout this release cannot read (the facade maps it to
+/// FailedPrecondition).
 class PersistError : public std::runtime_error {
  public:
-  enum class Code { kCorruption, kNotFound, kIo };
+  enum class Code { kCorruption, kNotFound, kIo, kUnsupported };
 
   explicit PersistError(const std::string& msg,
                         Code code = Code::kCorruption)
@@ -73,19 +76,13 @@ struct ShardFence {
   std::uint64_t records = 0;
 };
 
-/// The WAL prefix a snapshot subsumes. For a single-log deployment,
-/// records [0, records) of the log whose header generation is `generation`
-/// are already reflected in the snapshotted state. For a sharded
-/// deployment `shards` carries one (generation, records) frontier entry
-/// per WAL shard instead (and the legacy pair is zero). `present` is
-/// false when the snapshot carries no fence (one saved outside the
-/// checkpoint protocol). The WALFENCE section encodes the legacy pair
-/// first and appends the shard vector, so pre-sharding snapshots decode
-/// with `shards` empty and old binaries ignore the extra bytes they never
+/// The WAL prefix a checkpoint subsumes: one (generation, records)
+/// frontier entry per WAL shard. `present` is false when an image carries
+/// no fence (one saved outside the checkpoint protocol). The encodings
+/// (WALFENCE section, manifest) lead with a (generation, records) pair the
+/// pre-sharding single log used; it is written as zero and skipped on
 /// read.
 struct WalFence {
-  std::uint64_t generation = 0;
-  std::uint64_t records = 0;
   bool present = false;
   std::vector<ShardFence> shards;
 };
@@ -108,17 +105,7 @@ void save_snapshot_frozen(core::SmartStore& store, const std::string& path,
 
 /// Loads and verifies a snapshot, reassembling a ready-to-serve deployment.
 /// Throws PersistError (or util::BinaryIoError) on any corruption; the
-/// returned store has passed check_invariants(). When `fence_out` is given
-/// it receives the snapshot's WAL fence (present = false if none).
-std::unique_ptr<core::SmartStore> load_snapshot(const std::string& path,
-                                                WalFence* fence_out = nullptr);
-
-/// Reads ONLY the WALFENCE section of a snapshot (checksum-verified),
-/// without assembling the store — the incremental-checkpoint engine uses
-/// it to adopt an existing full image as a delta chain's base, where the
-/// fence says which WAL prefix that base already covers. Returns a fence
-/// with `present == false` when the snapshot carries none. Throws
-/// PersistError on a missing or malformed file, like load_snapshot.
-WalFence read_snapshot_fence(const std::string& path);
+/// returned store has passed check_invariants().
+std::unique_ptr<core::SmartStore> load_snapshot(const std::string& path);
 
 }  // namespace smartstore::persist

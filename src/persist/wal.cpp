@@ -27,11 +27,10 @@ void flush_and_sync(std::FILE* f) {
 /// Serializes `records` as one commit block appended to `out` (nothing
 /// when empty). The layout must stay byte-identical to commit()'s.
 void append_block(util::BinaryWriter& out,
-                  const std::vector<WalRecord>& records, bool with_seq) {
+                  const std::vector<WalRecord>& records) {
   if (records.empty()) return;
   util::BinaryWriter payload;
-  for (const WalRecord& rec : records)
-    encode_wal_record(payload, rec, with_seq);
+  for (const WalRecord& rec : records) encode_wal_record(payload, rec);
   out.write_u32(kWalBlockMagic);
   out.write_u32(static_cast<std::uint32_t>(records.size()));
   out.write_u64(payload.size());
@@ -39,28 +38,53 @@ void append_block(util::BinaryWriter& out,
   out.write_u32(util::crc32(payload.buffer().data(), payload.size()));
 }
 
-/// A complete log image: the requested magic, the given generation, then
-/// whatever `fill_blocks` appends. Published atomically through the shared
-/// fault-instrumented temp+rename+dir-fsync, so every log publish (rebase,
-/// version upgrade) has identical crash behavior.
+/// A complete log image: the magic, the given generation, then whatever
+/// `fill_blocks` appends. Published atomically through the shared
+/// fault-instrumented temp+rename+dir-fsync (fault prefix "wal:rebase").
 template <typename FillBlocks>
 void publish_log(const std::string& path, std::uint64_t generation,
-                 FillBlocks&& fill_blocks, const std::string& fault_prefix,
-                 bool with_seq = false) {
+                 FillBlocks&& fill_blocks) {
   util::BinaryWriter out;
-  out.write_bytes(with_seq ? kWalMagicV3 : kWalMagic, sizeof(kWalMagic));
+  out.write_bytes(kWalMagic, sizeof(kWalMagic));
   out.write_u64(generation);
   fill_blocks(out);
-  write_file_atomic_faulted(path, out.buffer(), fault_prefix);
+  write_file_atomic_faulted(path, out.buffer(), "wal:rebase");
+}
+
+/// Overwrites `path` with a fresh, empty log carrying `generation` (header
+/// only, fsynced, directory entry synced).
+void write_empty_wal(const std::string& path, std::uint64_t generation) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (!f) throw PersistError("cannot create WAL: " + path,
+                             PersistError::Code::kIo);
+  util::BinaryWriter header;
+  header.write_bytes(kWalMagic, sizeof(kWalMagic));
+  header.write_u64(generation);
+  if (std::fwrite(header.buffer().data(), 1, header.size(), f) !=
+      header.size()) {
+    std::fclose(f);
+    throw PersistError("cannot write WAL header: " + path,
+                       PersistError::Code::kIo);
+  }
+  flush_and_sync(f);
+  std::fclose(f);
+  util::fsync_parent_dir(path);
+}
+
+/// A generation for a log with no usable predecessor: drawn from the
+/// system entropy source so it cannot collide with a fence some earlier
+/// checkpoint recorded against an unrelated log history.
+std::uint64_t fresh_wal_generation() {
+  std::random_device rd;
+  return (static_cast<std::uint64_t>(rd()) << 32) ^ rd();
 }
 
 }  // namespace
 
 // ---- record codec -----------------------------------------------------------
 
-void encode_wal_record(util::BinaryWriter& w, const WalRecord& rec,
-                       bool with_seq) {
-  if (with_seq) w.write_u64(rec.seq);
+void encode_wal_record(util::BinaryWriter& w, const WalRecord& rec) {
+  w.write_u64(rec.seq);
   w.write_u8(static_cast<std::uint8_t>(rec.type));
   switch (rec.type) {
     case WalRecordType::kInsert:
@@ -81,8 +105,8 @@ void encode_wal_record(util::BinaryWriter& w, const WalRecord& rec,
   }
 }
 
-bool decode_wal_record(util::BinaryReader& r, bool with_seq, WalRecord* out) {
-  if (with_seq) out->seq = r.read_u64();
+bool decode_wal_record(util::BinaryReader& r, WalRecord* out) {
+  out->seq = r.read_u64();
   const std::uint8_t type = r.read_u8();
   switch (type) {
     case static_cast<std::uint8_t>(WalRecordType::kInsert):
@@ -129,15 +153,7 @@ WalScan scan_wal(const std::string& path) {
     scan.torn_tail = true;  // shorter than the header: a torn creation
     return scan;
   }
-  // v02 added the reconfiguration record types; v01 logs parse as a strict
-  // subset, so both magics are accepted on read. v03 (sharded) adds the
-  // per-record sequence prefix.
-  scan.v1_magic =
-      std::memcmp(bytes.data(), kWalMagicV1, sizeof(kWalMagicV1)) == 0;
-  scan.v3_magic =
-      std::memcmp(bytes.data(), kWalMagicV3, sizeof(kWalMagicV3)) == 0;
-  if (!scan.v1_magic && !scan.v3_magic &&
-      std::memcmp(bytes.data(), kWalMagic, sizeof(kWalMagic)) != 0)
+  if (std::memcmp(bytes.data(), kWalMagic, sizeof(kWalMagic)) != 0)
     throw PersistError("bad WAL magic: " + path);
 
   util::BinaryReader r(bytes);
@@ -185,11 +201,11 @@ WalScan scan_wal(const std::string& path) {
     try {
       for (std::uint32_t i = 0; i < count; ++i) {
         WalRecord rec;
-        if (!decode_wal_record(pr, scan.v3_magic, &rec)) {
+        if (!decode_wal_record(pr, &rec)) {
           parsed = false;
           break;
         }
-        if (scan.v3_magic) scan.max_seq = std::max(scan.max_seq, rec.seq);
+        scan.max_seq = std::max(scan.max_seq, rec.seq);
         block_records.push_back(std::move(rec));
       }
       if (!pr.at_end()) parsed = false;
@@ -213,11 +229,7 @@ WalScan scan_wal(const std::string& path) {
 
 // ---- writer -----------------------------------------------------------------
 
-WalWriter::WalWriter(std::string path, std::size_t group_commit,
-                     bool with_seq)
-    : path_(std::move(path)),
-      group_commit_(group_commit == 0 ? 1 : group_commit),
-      with_seq_(with_seq) {
+WalWriter::WalWriter(std::string path) : path_(std::move(path)) {
   open_truncated_to_valid_prefix();
 }
 
@@ -239,32 +251,12 @@ void WalWriter::open_truncated_to_valid_prefix() {
   committed_bytes_ = scan.valid_bytes;
 
   if (scan.valid_bytes > 0) {
-    if (scan.v3_magic != with_seq_ || scan.v1_magic) {
-      // Appending records in one layout behind another layout's header
-      // would make readers mis-parse them as a torn tail and truncate
-      // acked records away. Upgrade in place: same generation and records,
-      // the writer's magic, atomic swap. (A crash inside the swap leaves
-      // either the old log or the equivalent re-encoded one — same
-      // generation, same records. Records upgraded into v03 keep seq 0,
-      // which sorts them before every newly stamped record on merge.)
-      publish_log(
-          path_, generation_,
-          [&](util::BinaryWriter& out) {
-            append_block(out, scan.records, with_seq_);
-          },
-          "wal:upgrade", with_seq_);
-      std::error_code size_ec;
-      const auto sz = std::filesystem::file_size(path_, size_ec);
-      if (size_ec)
-        throw PersistError("cannot stat upgraded WAL: " + size_ec.message(),
-                         PersistError::Code::kIo);
-      committed_bytes_ = static_cast<std::size_t>(sz);
-    } else if (scan.torn_tail) {
+    if (scan.torn_tail) {
       std::error_code ec;
       std::filesystem::resize_file(path_, scan.valid_bytes, ec);
       if (ec)
-      throw PersistError("cannot drop torn WAL tail: " + ec.message(),
-                         PersistError::Code::kIo);
+        throw PersistError("cannot drop torn WAL tail: " + ec.message(),
+                           PersistError::Code::kIo);
     }
     file_ = std::fopen(path_.c_str(), "ab");
     if (!file_) throw PersistError("cannot open WAL for append: " + path_,
@@ -273,7 +265,7 @@ void WalWriter::open_truncated_to_valid_prefix() {
   }
   // Absent, empty, or torn before the header completed: start fresh.
   generation_ = fresh_wal_generation();
-  write_empty_wal(path_, generation_, with_seq_);
+  write_empty_wal(path_, generation_);
   file_ = std::fopen(path_.c_str(), "ab");
   if (!file_) throw PersistError("cannot open WAL for append: " + path_,
                        PersistError::Code::kIo);
@@ -281,52 +273,9 @@ void WalWriter::open_truncated_to_valid_prefix() {
   committed_bytes_ = sizeof(kWalMagic) + 8;
 }
 
-// Every log_* encodes through encode_wal_record so the live-append layout
-// and the rewrite paths (rebase slow path, version upgrade) cannot drift.
-
-void WalWriter::log(const WalRecord& rec) {
-  append(rec);
-  if (pending_ >= group_commit_) commit();
-}
-
 void WalWriter::append(const WalRecord& rec) {
-  encode_wal_record(batch_, rec, with_seq_);
+  encode_wal_record(batch_, rec);
   ++pending_;
-}
-
-void WalWriter::log_insert(const metadata::FileMetadata& f) {
-  WalRecord rec;
-  rec.type = WalRecordType::kInsert;
-  rec.file = f;
-  log(rec);
-}
-
-void WalWriter::log_remove(const std::string& name) {
-  WalRecord rec;
-  rec.type = WalRecordType::kRemove;
-  rec.name = name;
-  log(rec);
-}
-
-void WalWriter::log_add_unit() {
-  WalRecord rec;
-  rec.type = WalRecordType::kAddUnit;
-  log(rec);
-}
-
-void WalWriter::log_remove_unit(std::uint64_t unit) {
-  WalRecord rec;
-  rec.type = WalRecordType::kRemoveUnit;
-  rec.unit = unit;
-  log(rec);
-}
-
-void WalWriter::log_autoconfigure(
-    const std::vector<metadata::AttrSubset>& subsets) {
-  WalRecord rec;
-  rec.type = WalRecordType::kAutoconfigure;
-  rec.subsets = subsets;
-  log(rec);
 }
 
 void WalWriter::commit() {
@@ -391,52 +340,37 @@ void WalWriter::commit() {
   committed_bytes_ = static_cast<std::size_t>(start) + block.size();
 }
 
-void WalWriter::reset() {
-  pending_ = 0;
-  batch_.clear();
-  committed_ = 0;
-  if (file_) std::fclose(file_);
-  file_ = nullptr;
-  fault_point("wal:reset:pre-truncate");
-  ++generation_;  // fences against the old history stop matching
-  write_empty_wal(path_, generation_, with_seq_);
-  file_ = std::fopen(path_.c_str(), "ab");
-  if (!file_) throw PersistError("cannot reopen WAL after reset: " + path_,
-                                PersistError::Code::kIo);
-  committed_bytes_ = sizeof(kWalMagic) + 8;
-}
-
 void WalWriter::rebase(std::size_t drop, std::size_t drop_bytes) {
   commit();  // the rebased log must carry every acknowledged record
   if (drop == 0) return;  // fence covers nothing: the log already pairs
-                          // exactly with the snapshot, leave it be
+                          // exactly with the checkpoint, leave it be
   fault_point("wal:rebase:begin");
 
   // Fast path: a checkpoint fence is always taken at a commit frontier of
   // this writer, so when the caller kept the frontier's byte offset the
   // tail splices over as raw block bytes — O(tail), no re-parse. (This
-  // runs with the serving thread excluded; re-scanning the whole log here
-  // would stall it for the full history since the last checkpoint.)
+  // runs under the shard's mutex; re-scanning the whole log here would
+  // stall that shard's writers for the full history since the last cut.)
   const std::size_t header = sizeof(kWalMagic) + 8;
   if (drop_bytes != kNoByteHint && drop_bytes >= header &&
       drop_bytes <= committed_bytes_ && drop <= committed_) {
     std::vector<std::uint8_t> tail(committed_bytes_ - drop_bytes);
     if (!tail.empty()) {
       std::FILE* in = std::fopen(path_.c_str(), "rb");
-      if (!in) throw PersistError("cannot reopen WAL for rebase: " + path_);
+      if (!in)
+        throw PersistError("cannot reopen WAL for rebase: " + path_,
+                           PersistError::Code::kIo);
       if (std::fseek(in, static_cast<long>(drop_bytes), SEEK_SET) != 0 ||
           std::fread(tail.data(), 1, tail.size(), in) != tail.size()) {
         std::fclose(in);
-        throw PersistError("cannot read WAL tail for rebase: " + path_);
+        throw PersistError("cannot read WAL tail for rebase: " + path_,
+                           PersistError::Code::kIo);
       }
       std::fclose(in);
     }
-    publish_log(
-        path_, generation_ + 1,
-        [&](util::BinaryWriter& out) {
-          if (!tail.empty()) out.write_bytes(tail.data(), tail.size());
-        },
-        "wal:rebase", with_seq_);
+    publish_log(path_, generation_ + 1, [&](util::BinaryWriter& out) {
+      if (!tail.empty()) out.write_bytes(tail.data(), tail.size());
+    });
     committed_ -= drop;
   } else {
     // No (usable) byte hint — e.g. a drop inside a commit block, which
@@ -446,21 +380,23 @@ void WalWriter::rebase(std::size_t drop, std::size_t drop_bytes) {
     const std::vector<WalRecord> tail(
         scan.records.begin() + static_cast<std::ptrdiff_t>(keep_from),
         scan.records.end());
-    publish_log(
-        path_, generation_ + 1,
-        [&](util::BinaryWriter& out) { append_block(out, tail, with_seq_); },
-        "wal:rebase", with_seq_);
+    publish_log(path_, generation_ + 1,
+                [&](util::BinaryWriter& out) { append_block(out, tail); });
     committed_ = tail.size();
   }
 
   // Swap the append handle onto the new inode.
   if (file_) std::fclose(file_);
   file_ = std::fopen(path_.c_str(), "ab");
-  if (!file_) throw PersistError("cannot reopen WAL after rebase: " + path_);
+  if (!file_)
+    throw PersistError("cannot reopen WAL after rebase: " + path_,
+                       PersistError::Code::kIo);
   ++generation_;
   std::error_code ec;
   const auto sz = std::filesystem::file_size(path_, ec);
-  if (ec) throw PersistError("cannot stat rebased WAL: " + ec.message());
+  if (ec)
+    throw PersistError("cannot stat rebased WAL: " + ec.message(),
+                       PersistError::Code::kIo);
   committed_bytes_ = static_cast<std::size_t>(sz);
 }
 
@@ -469,28 +405,6 @@ void WalWriter::abandon() {
   batch_.clear();
   if (file_) std::fclose(file_);
   file_ = nullptr;
-}
-
-void write_empty_wal(const std::string& path, std::uint64_t generation,
-                     bool with_seq) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (!f) throw PersistError("cannot create WAL: " + path);
-  util::BinaryWriter header;
-  header.write_bytes(with_seq ? kWalMagicV3 : kWalMagic, sizeof(kWalMagic));
-  header.write_u64(generation);
-  if (std::fwrite(header.buffer().data(), 1, header.size(), f) !=
-      header.size()) {
-    std::fclose(f);
-    throw PersistError("cannot write WAL header: " + path);
-  }
-  flush_and_sync(f);
-  std::fclose(f);
-  util::fsync_parent_dir(path);
-}
-
-std::uint64_t fresh_wal_generation() {
-  std::random_device rd;
-  return (static_cast<std::uint64_t>(rd()) << 32) ^ rd();
 }
 
 }  // namespace smartstore::persist

@@ -1,4 +1,6 @@
-// Versioned write-ahead log for SmartStore's dynamic operations.
+// Write-ahead log for SmartStore's dynamic operations: the per-unit log
+// format the sharded WAL (persist/wal_shard.h) keeps one of per storage
+// unit.
 //
 // Records mirror the store's mutation API — one kInsert per insert_file,
 // one kRemove per delete_file, plus the reconfiguration operations
@@ -6,43 +8,36 @@
 // between a topology change and the next checkpoint replays into the new
 // topology, not the old one. Records are batched into group-commit blocks
 // the same way Section 4.4 aggregates changes into sealed VersionDeltas:
-// `group_commit` records (default: the store's version_ratio) form one
-// atomic, CRC-checksummed block, flushed and fsynced together. Recovery is
-// load-latest-snapshot + replay; a torn or truncated tail block (the crash
-// window) is detected by its checksum/length and dropped, rolling the log
-// back to the last group-commit boundary.
+// one atomic, CRC-checksummed block per commit, flushed and fsynced
+// together. Recovery is load-latest-checkpoint + replay; a torn or
+// truncated tail block (the crash window) is detected by its
+// checksum/length and dropped, rolling the log back to the last
+// group-commit boundary.
 //
 // On-disk layout (little-endian):
 //
-//   [8B magic "SSWALv02"] [u64 log generation]
+//   [8B magic "SSWALv03"] [u64 log generation]
 //   then per commit block:
 //   [u32 block magic] [u32 record count] [u64 payload length]
 //   [payload] [u32 CRC-32 of payload]
 //
-// Payload: `record count` records, each
-//   [u8 type]  type 1 (insert): FileMetadata record (persist/codec.h)
+// Payload: `record count` records, each [u64 seq] [u8 type] then
+//              type 1 (insert): FileMetadata record (persist/codec.h)
 //              type 2 (remove): u64-length-prefixed filename
 //              type 3 (add unit): no payload
 //              type 4 (remove unit): u64 unit id
 //              type 5 (autoconfigure): u64 count + attribute subsets
 //                                      (persist/codec.h)
 //
-// v01 logs (no reconfiguration record types) are still read; new logs are
-// written as v02 so an old binary rejects them by magic instead of
-// misparsing the new record types as corruption.
+// The seq is the store-wide monotonic sequence number, so recovery can
+// merge the shards back into one mutation order. Logs from before
+// sharding (magic v01/v02, no per-record seq) are not read.
 //
-// v03 is the *sharded* flavour (persist/wal_shard.h): one log per storage
-// unit, same block framing, but every record carries a store-wide
-// monotonic sequence number — [u64 seq] prefixed to the record body — so
-// recovery can merge the shards back into one mutation order. A v03
-// writer is WalWriter with `with_seq = true`; v01/v02 logs opened by one
-// are upgraded in place (their records sort before all new ones at seq 0).
-//
-// The generation changes every time the log is emptied or rebased. A
-// checkpoint records (generation, record count) as a fence inside the
-// snapshot it writes; recovery skips fenced records when the generations
-// match, so a crash landing between "snapshot renamed" and "WAL
-// emptied/rebased" replays nothing twice (see persist/recovery.h).
+// The generation changes every time the log is rebased. A checkpoint
+// records (generation, record count) per shard as a fence in its
+// manifest; recovery skips fenced records when the generations match, so
+// a crash landing between "manifest published" and "WAL rebased" replays
+// nothing twice (see persist/delta_checkpoint.h).
 #pragma once
 
 #include <cstdint>
@@ -57,11 +52,7 @@
 
 namespace smartstore::persist {
 
-inline constexpr char kWalMagic[8] = {'S', 'S', 'W', 'A', 'L', 'v', '0', '2'};
-inline constexpr char kWalMagicV1[8] = {'S', 'S', 'W', 'A',
-                                        'L', 'v', '0', '1'};
-inline constexpr char kWalMagicV3[8] = {'S', 'S', 'W', 'A',
-                                        'L', 'v', '0', '3'};
+inline constexpr char kWalMagic[8] = {'S', 'S', 'W', 'A', 'L', 'v', '0', '3'};
 inline constexpr std::uint32_t kWalBlockMagic = 0x4B4C4257;  // "WBLK"
 
 enum class WalRecordType : std::uint8_t {
@@ -74,9 +65,7 @@ enum class WalRecordType : std::uint8_t {
 
 struct WalRecord {
   WalRecordType type = WalRecordType::kInsert;
-  /// Store-wide monotonic sequence number (v03 sharded logs only; 0 in
-  /// v01/v02 logs and for records upgraded from them).
-  std::uint64_t seq = 0;
+  std::uint64_t seq = 0;  ///< store-wide monotonic sequence number
   metadata::FileMetadata file;                  ///< kInsert payload
   std::string name;                             ///< kRemove payload
   std::uint64_t unit = 0;                       ///< kRemoveUnit payload
@@ -91,9 +80,7 @@ struct WalScan {
   std::size_t blocks = 0;
   std::size_t valid_bytes = 0;  ///< file offset just past the last good block
   bool torn_tail = false;       ///< trailing partial/corrupt block dropped
-  bool v1_magic = false;        ///< header was the legacy "SSWALv01"
-  bool v3_magic = false;        ///< header was the sharded "SSWALv03"
-  std::uint64_t max_seq = 0;    ///< largest record seq seen (v03)
+  std::uint64_t max_seq = 0;    ///< largest record seq seen
 };
 
 /// Scans a WAL, stopping (not failing) at the first torn or corrupt block.
@@ -104,72 +91,52 @@ WalScan scan_wal(const std::string& path);
 /// Encodes one record in the block-payload layout — the exact bytes
 /// scan_wal parses. Shared by the live append path, the rebase re-encode
 /// and the incremental-checkpoint delta segments (persist/segment.h), so
-/// the layouts cannot drift. `with_seq` selects the v03 per-record
-/// sequence prefix.
-void encode_wal_record(util::BinaryWriter& w, const WalRecord& rec,
-                       bool with_seq);
+/// the layouts cannot drift.
+void encode_wal_record(util::BinaryWriter& w, const WalRecord& rec);
 
 /// Decodes one record from the block-payload layout. Returns false on an
 /// unknown record type; throws util::BinaryIoError on truncation. The
 /// caller chooses the failure semantics: scan_wal treats both as a torn
 /// tail (keep the prefix), the segment reader as kCorruption (the extent
 /// passed its checksum, so a parse failure is a real format break).
-bool decode_wal_record(util::BinaryReader& r, bool with_seq, WalRecord* out);
+bool decode_wal_record(util::BinaryReader& r, WalRecord* out);
 
-/// Append-side of the log.
+/// Append-side of one log. ShardedWal owns one per shard and decides
+/// when to commit; the writer itself never commits on its own.
 class WalWriter {
  public:
   /// Opens (or creates) the log at `path`. An existing log is scanned and
   /// truncated to its last valid commit block first, so a torn tail from a
-  /// previous crash never poisons subsequent appends. `with_seq` selects
-  /// the v03 record layout (each record prefixed with its store-wide
-  /// sequence number) — the per-shard writer mode ShardedWal uses.
-  explicit WalWriter(std::string path, std::size_t group_commit = 4,
-                     bool with_seq = false);
+  /// previous crash never poisons subsequent appends.
+  explicit WalWriter(std::string path);
   ~WalWriter();
 
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
-  void log_insert(const metadata::FileMetadata& f);
-  void log_remove(const std::string& name);
-  void log_add_unit();
-  void log_remove_unit(std::uint64_t unit);
-  void log_autoconfigure(const std::vector<metadata::AttrSubset>& subsets);
-
-  /// Appends an arbitrary record (the sharded writer pre-stamps rec.seq).
-  void log(const WalRecord& rec);
-
-  /// Appends without ever auto-committing — the sharded writer's
-  /// under-the-unit-lock half (the group-commit fsync then runs from
-  /// maybe_commit() after the caller has released its locks).
+  /// Buffers a record (its seq already stamped) into the pending batch.
   void append(const WalRecord& rec);
 
   /// Seals the pending batch into one commit block: write, flush, fsync.
   /// No-op when nothing is pending.
   void commit();
 
-  /// Truncates to a fresh, empty log (after a checkpoint made the tail
-  /// redundant). Pending uncommitted records are discarded.
-  void reset();
-
   /// No byte hint: rebase() falls back to re-parsing the log.
   static constexpr std::size_t kNoByteHint = static_cast<std::size_t>(-1);
 
   /// Drops the first `drop` committed records — the prefix a just-published
-  /// snapshot's fence subsumes — and keeps the tail under the next
+  /// checkpoint's fence subsumes — and keeps the tail under the next
   /// generation. Pending records are committed first so the rebased log is
   /// exact. The swap is atomic (temp + rename + directory fsync): a crash
-  /// at any instant leaves either the old log (the snapshot's fence skips
-  /// the prefix) or the new one (generation mismatch replays the whole
-  /// tail), never a torn mixture. This is how a background checkpoint
-  /// truncates the log without quiescing the writers appending behind it.
+  /// at any instant leaves either the old log (the checkpoint's fence
+  /// skips the prefix) or the new one (generation mismatch replays the
+  /// whole tail), never a torn mixture. This is how a checkpoint truncates
+  /// the log without quiescing the writers appending behind it.
   ///
   /// `drop_bytes` — committed_bytes() observed at the same instant the
   /// fence observed committed_records() — lets the tail splice over as raw
-  /// block bytes, O(tail) instead of an O(log) re-parse (rebase runs with
-  /// the serving thread excluded, so this matters under load). Without it,
-  /// or with an out-of-range value, the slow re-encode path runs.
+  /// block bytes, O(tail) instead of an O(log) re-parse. Without it, or
+  /// with an out-of-range value, the slow re-encode path runs.
   void rebase(std::size_t drop, std::size_t drop_bytes = kNoByteHint);
 
   /// Drops the handle and the pending batch without committing — the
@@ -184,17 +151,14 @@ class WalWriter {
   /// commit frontier (pair it with committed_records() for rebase()).
   std::size_t committed_bytes() const { return committed_bytes_; }
   std::uint64_t generation() const { return generation_; }
-  /// Largest record sequence number found when the log was opened (v03).
+  /// Largest record sequence number found when the log was opened.
   std::uint64_t opened_max_seq() const { return opened_max_seq_; }
-  bool with_seq() const { return with_seq_; }
   const std::string& path() const { return path_; }
 
  private:
   void open_truncated_to_valid_prefix();
 
   std::string path_;
-  std::size_t group_commit_;
-  bool with_seq_ = false;
   std::FILE* file_ = nullptr;
   util::BinaryWriter batch_;
   std::size_t pending_ = 0;
@@ -203,16 +167,5 @@ class WalWriter {
   std::uint64_t opened_max_seq_ = 0;
   std::size_t committed_bytes_ = 0;  ///< offset past the last block
 };
-
-/// Overwrites `path` with a fresh, empty log carrying `generation` (header
-/// only, fsynced, directory entry synced). Does not read the old contents.
-/// `with_seq` selects the v03 magic.
-void write_empty_wal(const std::string& path, std::uint64_t generation,
-                     bool with_seq = false);
-
-/// A generation for a log with no usable predecessor: drawn from the
-/// system entropy source so it cannot collide with a fence some earlier
-/// snapshot recorded against an unrelated log history.
-std::uint64_t fresh_wal_generation();
 
 }  // namespace smartstore::persist

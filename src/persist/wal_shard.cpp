@@ -90,8 +90,8 @@ ShardedWal::Shard& ShardedWal::shard(std::size_t i) {
   const util::MutexLock lock(map_mu_);
   if (i >= shards_.size()) shards_.resize(i + 1);
   if (!shards_[i]) {
-    shards_[i] = std::make_unique<Shard>(std::make_unique<WalWriter>(
-        shard_path(deploy_dir_, i), group_commit_, /*with_seq=*/true));
+    shards_[i] = std::make_unique<Shard>(
+        std::make_unique<WalWriter>(shard_path(deploy_dir_, i)));
   }
   return *shards_[i];
 }
@@ -302,7 +302,7 @@ std::uint64_t ShardedWal::log_structural(const WalRecord& rec_in) {
   // markers): they consume a stamp, and a seq-ordered replication stream
   // would otherwise wait forever on the hole.
   tap_append(s, rec);
-  s.writer->log(rec);
+  s.writer->append(rec);
   s.writer->commit();
   drain_tap(s);
   return rec.seq;
@@ -364,25 +364,14 @@ void ShardedWal::rebase_to(const WalFence& fence,
     Shard* s = shard_if_exists(static_cast<std::size_t>(f.shard));
     if (!s) continue;
     const util::MutexLock lock(s->mu);
-    // A mismatched generation means this shard was already rebased (or
-    // reset) since the fence was taken — dropping by count would discard
+    // A mismatched generation means this shard was already rebased since
+    // the fence was taken — dropping by count would discard
     // unfenced records.
     if (s->writer->generation() != f.generation) continue;
     const std::size_t hint = f.shard < bytes.size()
                                  ? bytes[static_cast<std::size_t>(f.shard)]
                                  : WalWriter::kNoByteHint;
     s->writer->rebase(static_cast<std::size_t>(f.records), hint);
-  }
-}
-
-void ShardedWal::reset_all() {
-  const std::size_t n = num_shards();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (Shard* s = shard_if_exists(i)) {
-      const util::MutexLock lock(s->mu);
-      s->writer->reset();
-      s->tap_pending.clear();  // reset drops pending records — never acked
-    }
   }
 }
 

@@ -1,7 +1,7 @@
-// Sharded write-ahead log: one v03 log per storage unit, so concurrent
+// Sharded write-ahead log: one log per storage unit, so concurrent
 // writers stop serializing on a single append/fsync point.
 //
-// Layout on disk: <deploy dir>/wal/<unit id>.log, each a v03 WalWriter log
+// Layout on disk: <deploy dir>/wal/<unit id>.log, each a WalWriter log
 // (persist/wal.h) whose records carry a store-wide monotonic sequence
 // number. A record for storage unit u is appended to shard u under the
 // caller-held unit stripe (core::SmartStore::WalHook), which makes each
@@ -28,7 +28,7 @@
 // the other shards. A crash between per-shard rebases leaves some shards
 // fenced (generation matches: recovery skips the prefix) and some rebased
 // (generation changed: recovery replays the whole tail) — consistent
-// either way, exactly as with the single-log protocol, shard by shard.
+// either way, shard by shard.
 #pragma once
 
 #include <atomic>
@@ -139,8 +139,8 @@ class ShardedWal {
   /// one (generation, records) entry per shard, `present` set. When
   /// `bytes_out` is given it receives each shard's committed byte offset,
   /// the hint that makes the later rebase O(tail). Call at a mutation
-  /// boundary (the background checkpointer calls it from inside
-  /// begin_checkpoint's frozen section).
+  /// boundary (the delta engine calls it from inside its cut barrier or
+  /// a fold's frozen section).
   WalFence frontier(std::vector<std::size_t>* bytes_out = nullptr);
 
   /// Drops each shard's fenced prefix under its next generation. Safe to
@@ -149,10 +149,6 @@ class ShardedWal {
   /// the slow re-encode path then runs per shard).
   void rebase_to(const WalFence& fence,
                  const std::vector<std::size_t>& bytes = {});
-
-  /// Truncates every shard to a fresh, empty log under a new generation
-  /// (quiesced checkpoint: the snapshot subsumes everything).
-  void reset_all();
 
   /// Drops all handles and pending batches without committing — the
   /// in-process stand-in for the process dying (crash-injection tests).
@@ -169,8 +165,8 @@ class ShardedWal {
 
   /// Raises the sequence counter so the next stamp is at least `floor`.
   /// Store::Open calls this with last_commit_seq() + 1 after recovery:
-  /// reset/rebase drop replayed records, so the directory scan alone can
-  /// under-resume the counter and reuse seqs a loaded snapshot already
+  /// rebases drop replayed records, so the directory scan alone can
+  /// under-resume the counter and reuse seqs a loaded checkpoint already
   /// carries.
   void ensure_seq_at_least(std::uint64_t floor) {
     std::uint64_t cur = next_seq_.load(std::memory_order_relaxed);

@@ -57,7 +57,6 @@ db::Options Cluster::NodeStoreOptions(std::uint32_t node) const {
   } else {
     // Acked => durable: every mutation's WAL append fsyncs before the
     // response leaves the shard, so Abandon cannot lose an acked write.
-    o.enable_wal = true;
     o.group_commit = std::max<std::size_t>(1, o.group_commit);
     if (options_.replication_factor > 1) {
       // The ack barrier waits for the follower to cover THIS mutation's

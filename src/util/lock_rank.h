@@ -42,7 +42,6 @@ namespace smartstore::util {
 enum class LockRank : int {
   kLifecycle = 0,        ///< db::Store lifecycle shared_mutex
   kDbCheckpoint = 2,     ///< db::Store checkpoint serialization mutex
-  kCheckpointCoord = 4,  ///< persist::Checkpointer coordination mutex
   kCompactor = 6,        ///< delta-checkpoint engine / compactor mutex
                          ///< (held across begin_checkpoint: below kShape)
   kShape = 10,           ///< core structure (shape) shared_mutex
@@ -75,7 +74,6 @@ inline const char* lock_rank_name(LockRank r) {
   switch (r) {
     case LockRank::kLifecycle: return "lifecycle";
     case LockRank::kDbCheckpoint: return "db-checkpoint";
-    case LockRank::kCheckpointCoord: return "checkpoint-coord";
     case LockRank::kCompactor: return "compactor";
     case LockRank::kShape: return "shape";
     case LockRank::kUnit: return "unit";

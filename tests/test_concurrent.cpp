@@ -3,8 +3,8 @@
 // The contract under test (the PR's tentpole): any number of writer
 // threads may insert/erase concurrently — routing under the shared
 // structure lock, the mutation under the target unit's stripe — while
-// background checkpoints freeze, serialize and rebase the sharded WAL
-// underneath, and queries keep running throughout. Assertions run against
+// background delta cuts and folds slice, freeze, serialize and rebase the
+// sharded WAL underneath, and queries keep running throughout. Assertions run against
 // a map oracle after the threads join (every insert landed exactly once,
 // invariants hold, recovery reproduces the live state); the data-race
 // half of the contract is what the ThreadSanitizer build of this suite
@@ -18,11 +18,11 @@
 #include <thread>
 #include <vector>
 
-#include "persist/bg_checkpoint.h"
+#include "persist/compactor.h"
+#include "persist/delta_checkpoint.h"
 #include "persist/recovery.h"
 #include "persist/wal_shard.h"
 #include "trace/synth.h"
-#include "util/thread_pool.h"
 
 namespace smartstore::persist {
 namespace {
@@ -62,6 +62,22 @@ struct Deployment {
     store.build(trace.files());
   }
 };
+
+/// The db facade's write path: append under the routed unit's lock, group
+/// commit from the flush hook after that lock is released.
+void logged_insert(SmartStore& store, ShardedWal& wal, const FileMetadata& f) {
+  store.insert_file(
+      f, 0.0, [&](core::UnitId target) { return wal.append_insert(target, f); },
+      [&](core::UnitId target) { wal.maybe_commit(target); });
+}
+
+bool logged_erase(SmartStore& store, ShardedWal& wal,
+                  const std::string& name) {
+  return store.erase_file(
+      name,
+      [&](core::UnitId located) { return wal.append_remove(located, name); },
+      [&](core::UnitId located) { wal.maybe_commit(located); });
+}
 
 /// Splits [0, n) into `parts` contiguous ranges.
 std::vector<std::pair<std::size_t, std::size_t>> split(std::size_t n,
@@ -206,10 +222,10 @@ TEST(MultiWriter, ShardedWalBackgroundCheckpointsRecoverEverything) {
   SmartStore& store = d.store;
 
   ShardedWal wal(dir, store.units().size(), /*group_commit=*/4);
-  checkpoint(store, dir, wal);
-
-  util::ThreadPool pool(2);
-  BackgroundCheckpointer bg(store, dir, wal, pool);
+  DeltaEngine engine(store, wal, dir);
+  engine.fold();
+  // A short chain budget: the background slot alternates cuts and folds.
+  Compactor compactor(engine, /*max_chain_len=*/1, /*max_chain_bytes=*/0);
 
   const auto stream = d.trace.make_insert_stream(600, 31);
   const auto ranges = split(stream.size(), 4);
@@ -218,10 +234,12 @@ TEST(MultiWriter, ShardedWalBackgroundCheckpointsRecoverEverything) {
   for (const auto& [b, e] : ranges) {
     writers.emplace_back([&, b = b, e = e] {
       for (std::size_t i = b; i < e; ++i) {
-        bg.insert(stream[i]);
+        logged_insert(store, wal, stream[i]);
         // A third of each thread's files are erased again, through the
         // same sharded write-ahead discipline.
-        if ((i - b) % 3 == 2) EXPECT_TRUE(bg.erase(stream[i].name));
+        if ((i - b) % 3 == 2) {
+          EXPECT_TRUE(logged_erase(store, wal, stream[i].name));
+        }
       }
       done_writers.fetch_add(1, std::memory_order_release);
     });
@@ -230,8 +248,8 @@ TEST(MultiWriter, ShardedWalBackgroundCheckpointsRecoverEverything) {
   // Checkpoint continuously while the writers stream.
   std::size_t checkpoints = 0;
   while (done_writers.load(std::memory_order_acquire) < writers.size()) {
-    if (bg.trigger()) {
-      bg.wait();
+    if (compactor.trigger()) {
+      compactor.wait();
       ++checkpoints;
     } else {
       std::this_thread::yield();
@@ -239,14 +257,14 @@ TEST(MultiWriter, ShardedWalBackgroundCheckpointsRecoverEverything) {
   }
   for (auto& t : writers) t.join();
   while (checkpoints < 2) {
-    ASSERT_TRUE(bg.trigger());
-    bg.wait();
+    ASSERT_TRUE(compactor.trigger());
+    compactor.wait();
     ++checkpoints;
   }
   EXPECT_GE(checkpoints, 2u);
 
   // Acknowledge everything still pending, then recovery must reproduce
-  // the live store exactly: snapshot + merged shard tails.
+  // the live store exactly: base + delta chain + merged shard tails.
   wal.commit_all();
   const RecoveryResult rec = recover(dir);
   ASSERT_TRUE(rec.store);
@@ -263,23 +281,25 @@ TEST(MultiWriter, StructuralOpsBarrierAgainstConcurrentWriters) {
   SmartStore& store = d.store;
 
   ShardedWal wal(dir, store.units().size(), /*group_commit=*/4);
-  checkpoint(store, dir, wal);
-  util::ThreadPool pool(2);
-  BackgroundCheckpointer bg(store, dir, wal, pool);
+  DeltaEngine engine(store, wal, dir);
+  engine.fold();
 
   const auto stream = d.trace.make_insert_stream(300, 13);
   const auto ranges = split(stream.size(), 3);
   std::vector<std::thread> writers;
   for (const auto& [b, e] : ranges) {
     writers.emplace_back([&, b = b, e = e] {
-      for (std::size_t i = b; i < e; ++i) bg.insert(stream[i]);
+      for (std::size_t i = b; i < e; ++i) logged_insert(store, wal, stream[i]);
     });
   }
   // Topology changes race the writers: the structural barrier (commit all
   // shards, then log + commit the structural record) keeps the merged
   // replay order exact.
-  const core::UnitId added = bg.add_storage_unit();
-  bg.autoconfigure({metadata::AttrSubset::from_mask(0x7u)});
+  const core::UnitId added =
+      store.add_storage_unit([&] { return wal.log_add_unit(); });
+  const std::vector<metadata::AttrSubset> cands = {
+      metadata::AttrSubset::from_mask(0x7u)};
+  store.autoconfigure(cands, [&] { return wal.log_autoconfigure(cands); });
   for (auto& t : writers) t.join();
   EXPECT_GE(added, 6u);
 

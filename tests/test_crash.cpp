@@ -1,17 +1,21 @@
-// Crash-injection suite for the concurrent checkpoint protocol.
+// Crash-injection suite for the checkpoint protocol (sharded WAL + delta
+// cuts and folds).
 //
 // Three attack angles on the same contract — recover() always lands on a
 // consistent prefix of the acknowledged history, with no acknowledged
 // write lost and nothing applied twice:
 //
-//   1. a deterministic fault-point sweep: one fixed workload (inserts,
-//      a fuzzy checkpoint with mutations interleaved between its phases,
-//      a stop-the-world checkpoint) is killed at *every* snapshot section
-//      boundary, atomic-publish stage, WAL block boundary and rebase
-//      stage it passes, and recovery is verified from each crash state;
-//   2. a randomized oracle fuzz: insert/delete/reconfigure/checkpoint/
-//      crash/recover against an in-memory name-set oracle, with on-line
-//      point-query recall checked after every recovery;
+//   1. a deterministic fault-point sweep: one fixed workload (WAL-hooked
+//      inserts, delta cuts, folds, and a fold with inserts inside its
+//      frozen window and ahead of its rebase) is killed at *every* fault
+//      point it passes — every snapshot section boundary, atomic-publish
+//      stage, WAL block boundary, segment append and rebase stage — and
+//      recovery is verified from each crash state; the sweep must cross
+//      every fault point src/persist/ declares;
+//   2. a randomized oracle fuzz: insert/delete/reconfigure/cut/fold/
+//      crash/recover against an in-memory name-set oracle (folds include
+//      mutations landing mid-snapshot), with on-line point-query recall
+//      checked after every recovery;
 //   3. per-section snapshot corruption: one flipped bit in each
 //      CRC-protected section (and in each stored CRC) must fail the load
 //      cleanly with PersistError — no crash, no partially loaded store.
@@ -19,6 +23,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -60,141 +65,41 @@ std::set<std::string> unit_names(const SmartStore& s) {
   return out;
 }
 
-// ---- 1. deterministic fault-point sweep -------------------------------------
-
-struct ScenarioResult {
-  std::vector<std::string> insert_order;  ///< every attempted insert
-  std::set<std::string> acked;            ///< durable when last op returned
-  std::set<std::string> base;             ///< population from build()
-  bool completed = false;
-};
-
-/// One fixed workload covering every write path: WAL-logged inserts
-/// (group commit 2), a fuzzy checkpoint with inserts interleaved between
-/// freeze / snapshot / rebase, a stop-the-world checkpoint against the
-/// live writer, and a trailing batch. Single-threaded so the fault-point
-/// sequence is deterministic. The durable baseline (build + first
-/// checkpoint) is written with faults disarmed — a crash before any
-/// checkpoint ever completed has nothing to recover from, by design —
-/// then `arm_at` arms the injector for the workload (0 = stay disarmed
-/// and reset the pass counter, for enumeration). An injected fault
-/// abandons the WAL handle, freezing the on-disk bytes exactly as the
-/// crash left them, and returns completed = false.
-ScenarioResult run_crash_scenario(const std::string& dir,
-                                  std::uint64_t arm_at) {
-  ScenarioResult res;
-
-  fault_disarm();
-  const auto tr = trace::SyntheticTrace::generate(trace::msn_profile(), 1, 42,
-                                                  /*downscale=*/50);
-  Config cfg;
-  cfg.num_units = 6;
-  cfg.seed = 7;
-  SmartStore store(cfg);
-  store.build(tr.files());
-  res.base = unit_names(store);
-
-  const auto stream = tr.make_insert_stream(13, 77);
-  auto wal = std::make_unique<WalWriter>(wal_path(dir), /*group_commit=*/2);
-  checkpoint(store, dir, wal.get());
-
-  // Arm (or just reset the pass counter) only now: the baseline above is
-  // not part of the sweep, so the dry run's enumeration must start here.
-  if (arm_at > 0) {
-    fault_arm(arm_at);
-  } else {
-    fault_disarm();
-  }
+/// A fold stepped by hand through the phases DeltaEngine::fold runs back
+/// to back, so a test can mutate between them: `in_freeze` runs after the
+/// freeze and before the base image is written (its mutations copy on
+/// write and must stay out of the image), `before_rebase` after the
+/// manifest publish (its records join the tail the rebase splices past
+/// the fence). Returns the fence. A DeltaEngine caches the manifest, so
+/// the caller rebuilds its engine afterwards.
+WalFence stepped_fold(SmartStore& store, ShardedWal& wal,
+                      const std::string& dir,
+                      const std::function<void()>& in_freeze,
+                      const std::function<void()>& before_rebase) {
+  DeltaManifest next;
+  next.manifest_id = read_manifest(dir).manifest_id + 1;
+  next.base_id = next.manifest_id;
+  std::vector<std::size_t> fence_bytes;
+  store.begin_checkpoint([&] {
+    next.fence = wal.frontier(&fence_bytes);
+    next.last_cut_seq = store.last_commit_seq();
+  });
   try {
-    auto logged_insert = [&](const FileMetadata& f) {
-      res.insert_order.push_back(f.name);
-      wal->log_insert(f);  // may auto-commit (and crash) at the batch size
-      store.insert_file(f, 0.0);
-      const std::size_t durable =
-          res.insert_order.size() - wal->pending_records();
-      res.acked.clear();
-      for (std::size_t i = 0; i < durable; ++i)
-        res.acked.insert(res.insert_order[i]);
-    };
-
-    for (int i = 0; i < 4; ++i) logged_insert(stream[i]);
-
-    // Fuzzy checkpoint, phase by phase, with mutations in the gaps — the
-    // copy-on-write machinery and every publish stage are on the path.
-    wal->commit();
-    const WalFence fence{wal->generation(), wal->committed_records(), true};
-    const std::size_t fence_bytes = wal->committed_bytes();
-    store.begin_checkpoint();
-    logged_insert(stream[4]);
-    logged_insert(stream[5]);
-    save_snapshot_frozen(store, snapshot_path(dir), fence);
-    logged_insert(stream[6]);
-    wal->rebase(static_cast<std::size_t>(fence.records), fence_bytes);
+    in_freeze();
+    save_snapshot_frozen(store, base_path(dir, next.base_id), next.fence);
+    write_manifest(dir, next);
+    before_rebase();
+    wal.rebase_to(next.fence, fence_bytes);
+  } catch (...) {
     store.end_checkpoint();
-
-    logged_insert(stream[7]);
-    logged_insert(stream[8]);
-    checkpoint(store, dir, wal.get());
-    for (int i = 9; i < 13; ++i) logged_insert(stream[i]);
-    wal->commit();
-    res.acked.clear();
-    for (const auto& name : res.insert_order) res.acked.insert(name);
-    res.completed = true;
-  } catch (const FaultInjected&) {
-    wal->abandon();  // the process died: nothing may touch the files now
+    throw;
   }
-  return res;
+  store.end_checkpoint();
+  prune_ckpt_files(dir, next);
+  return next.fence;
 }
 
-TEST(CrashInjection, RecoveryIsConsistentAtEveryFaultPoint) {
-  // Dry run: enumerate the workload's fault points.
-  std::uint64_t total = 0;
-  {
-    const std::string dir = temp_dir("sweep_dry");
-    const ScenarioResult dry = run_crash_scenario(dir, 0);
-    ASSERT_TRUE(dry.completed);
-    total = fault_points_passed();
-    std::filesystem::remove_all(dir);
-  }
-  ASSERT_GT(total, 20u) << "the workload should cross many crash boundaries";
-
-  for (std::uint64_t k = 1; k <= total; ++k) {
-    const std::string dir = temp_dir("sweep_" + std::to_string(k));
-    const ScenarioResult r = run_crash_scenario(dir, k);
-    const std::string where = fault_last_fired();
-    fault_disarm();
-    ASSERT_FALSE(r.completed) << "fault " << k << " never fired";
-
-    RecoveryResult rec;
-    ASSERT_NO_THROW(rec = recover(dir))
-        << "recovery failed after crash at point " << k << " (" << where
-        << ")";
-    ASSERT_TRUE(rec.store) << where;
-    EXPECT_TRUE(rec.store->check_invariants()) << where;
-
-    // Consistent prefix: recovered = base + the first j attempted inserts,
-    // for some j covering at least every acknowledged one.
-    const std::set<std::string> got = unit_names(*rec.store);
-    std::set<std::string> expect = r.base;
-    std::size_t j = 0;
-    for (; j < r.insert_order.size(); ++j) {
-      if (!got.count(r.insert_order[j])) break;
-      expect.insert(r.insert_order[j]);
-    }
-    for (std::size_t t = j; t < r.insert_order.size(); ++t) {
-      EXPECT_FALSE(got.count(r.insert_order[t]))
-          << "non-prefix survivor " << r.insert_order[t] << " at point " << k
-          << " (" << where << ")";
-    }
-    EXPECT_EQ(got, expect) << "crash at point " << k << " (" << where << ")";
-    EXPECT_GE(j, r.acked.size())
-        << "lost an acknowledged write at point " << k << " (" << where
-        << ")";
-    std::filesystem::remove_all(dir);
-  }
-}
-
-// ---- 1b. sharded-WAL fault-point sweep --------------------------------------
+// ---- 1. deterministic fault-point sweep -------------------------------------
 
 /// One logged insert's coordinates in the sharded log: which shard it
 /// landed on and its position in that shard's record order.
@@ -210,17 +115,27 @@ struct ShardedScenarioResult {
                                              ///< when the crash hit
   std::set<std::string> base;
   bool completed = false;
+  /// Pieces the stepped fold's in-window inserts copied on write.
+  std::uint64_t cow_copies = 0;
+  /// The stepped fold's rebase dropped a fenced prefix from a shard whose
+  /// tail past the fence was non-empty.
+  bool tail_spliced = false;
 };
 
-/// The sharded counterpart of run_crash_scenario: WAL-hooked inserts over
-/// per-unit shards (group commit 2), a fuzzy checkpoint driven through the
-/// store's frozen section with inserts between its phases (per-shard
-/// frontier fence, concurrent-protocol rebase), a stop-the-world sharded
-/// checkpoint, and a trailing batch. Single-threaded so the fault-point
-/// sequence is deterministic — the multi-writer interleavings are
-/// test_concurrent's job; every crash boundary is the same either way.
-ShardedScenarioResult run_sharded_crash_scenario(const std::string& dir,
-                                                 std::uint64_t arm_at) {
+/// WAL-hooked inserts over per-unit shards (group commit 2), two delta
+/// cuts growing a chain on the baseline fold's base image, a compaction
+/// fold over that chain, a fold stepped by hand with inserts in its
+/// frozen window and between its manifest publish and its rebase, a
+/// third cut onto that base (slicing the spliced tail), a second engine
+/// fold, and a trailing batch — so the sweep crosses every WAL commit,
+/// segment-append, manifest-publish, image-write, rebase and prune
+/// boundary, the image sections and rebase stages also with writes in
+/// flight. Single-threaded for a deterministic fault sequence (the
+/// multi-writer interleavings are test_concurrent's job; every crash
+/// boundary is the same either way). The disarmed baseline fold gives
+/// every crash state a manifest to recover from.
+ShardedScenarioResult run_delta_crash_scenario(const std::string& dir,
+                                               std::uint64_t arm_at) {
   ShardedScenarioResult res;
 
   fault_disarm();
@@ -233,18 +148,19 @@ ShardedScenarioResult run_sharded_crash_scenario(const std::string& dir,
   store.build(tr.files());
   res.base = unit_names(store);
 
-  const auto stream = tr.make_insert_stream(13, 77);
+  const auto stream = tr.make_insert_stream(22, 77);
   auto wal = std::make_unique<ShardedWal>(dir, cfg.num_units,
                                           /*group_commit=*/2);
-  checkpoint(store, dir, *wal);
+  auto engine = std::make_unique<DeltaEngine>(store, *wal, dir);
+  engine->fold();  // baseline: ckpt/base-1.bin + an empty-chain manifest
 
-  // Durable frontiers are tracked CUMULATIVELY per shard: rebases and
-  // resets drop durable prefixes out of committed_records(), so the
-  // running `dropped` baseline is added back — `committed[s] > idx` then
-  // compares in the same coordinate system as the cumulative `logged`
-  // indices. The snapshots are taken only at points the scenario knows to
-  // be quiescent; a crash leaves the previous (conservative) value, which
-  // can only under-count acked writes, never over-count.
+  // Durable frontiers are tracked CUMULATIVELY per shard: rebases drop
+  // durable prefixes out of committed_records(), so the running `dropped`
+  // baseline is added back — `committed[s] > idx` then compares in the
+  // same coordinate system as the cumulative `logged` indices. The
+  // snapshots are taken only at points the scenario knows to be
+  // quiescent; a crash leaves the previous (conservative) value, which can
+  // only under-count acked writes, never over-count.
   std::vector<std::uint64_t> logged(cfg.num_units, 0);
   std::vector<std::uint64_t> dropped(cfg.num_units, 0);
   auto snapshot_committed = [&] {
@@ -252,6 +168,18 @@ ShardedScenarioResult run_sharded_crash_scenario(const std::string& dir,
     for (std::size_t s = 0; s < wal->num_shards(); ++s)
       res.committed[s] =
           (s < dropped.size() ? dropped[s] : 0) + wal->committed_records(s);
+  };
+  // A successful cut/fold committed every shard at its barrier, so
+  // everything logged so far is durable regardless of which shards the
+  // rebase touched.
+  auto mark_all_durable = [&] {
+    for (std::size_t s = 0; s < logged.size(); ++s) dropped[s] = logged[s];
+    for (std::size_t s = 0; s < wal->num_shards(); ++s) {
+      if (s >= dropped.size()) dropped.resize(s + 1, 0);
+    }
+    res.committed.assign(std::max(dropped.size(), wal->num_shards()), 0);
+    for (std::size_t s = 0; s < res.committed.size(); ++s)
+      res.committed[s] = s < dropped.size() ? dropped[s] : 0;
   };
 
   if (arm_at > 0) {
@@ -273,203 +201,48 @@ ShardedScenarioResult run_sharded_crash_scenario(const std::string& dir,
     };
 
     for (int i = 0; i < 4; ++i) logged_insert(stream[i]);
-
-    // Fuzzy checkpoint, phase by phase, mirroring the background
-    // protocol: frontier fence inside the frozen section, mutations in
-    // the gaps, per-shard rebase at the end.
-    WalFence fence;
-    std::vector<std::size_t> fence_bytes;
-    store.begin_checkpoint([&] { fence = wal->frontier(&fence_bytes); });
-    snapshot_committed();
-    logged_insert(stream[4]);
-    logged_insert(stream[5]);
-    save_snapshot_frozen(store, snapshot_path(dir), fence);
-    logged_insert(stream[6]);
-    wal->rebase_to(fence, fence_bytes);
-    for (const ShardFence& f : fence.shards) {
-      if (f.shard >= dropped.size()) dropped.resize(f.shard + 1, 0);
-      dropped[f.shard] += f.records;
-    }
-    store.end_checkpoint();
-    snapshot_committed();
-
-    logged_insert(stream[7]);
-    logged_insert(stream[8]);
-    checkpoint(store, dir, *wal);
-    // The stop-the-world checkpoint committed and subsumed everything.
-    for (std::size_t s = 0; s < logged.size(); ++s) dropped[s] = logged[s];
-    snapshot_committed();
-    for (int i = 9; i < 13; ++i) logged_insert(stream[i]);
-    wal->commit_all();
-    snapshot_committed();
-    res.completed = true;
-  } catch (const FaultInjected&) {
-    wal->abandon();  // the process died: nothing may touch the files now
-  }
-  return res;
-}
-
-TEST(CrashInjection, ShardedRecoveryLosesNoAckedWriteAtAnyFaultPoint) {
-  // Dry run: enumerate the workload's fault points.
-  std::uint64_t total = 0;
-  {
-    const std::string dir = temp_dir("shard_dry");
-    const ShardedScenarioResult dry = run_sharded_crash_scenario(dir, 0);
-    ASSERT_TRUE(dry.completed);
-    total = fault_points_passed();
-    std::filesystem::remove_all(dir);
-  }
-  ASSERT_GT(total, 25u) << "the sharded workload should cross many "
-                           "commit/rebase/reset boundaries";
-
-  for (std::uint64_t k = 1; k <= total; ++k) {
-    const std::string dir = temp_dir("shard_" + std::to_string(k));
-    const ShardedScenarioResult r = run_sharded_crash_scenario(dir, k);
-    const std::string where = fault_last_fired();
-    fault_disarm();
-    ASSERT_FALSE(r.completed) << "fault " << k << " never fired";
-
-    RecoveryResult rec;
-    ASSERT_NO_THROW(rec = recover(dir))
-        << "recovery failed after crash at point " << k << " (" << where
-        << ")";
-    ASSERT_TRUE(rec.store) << where;
-    EXPECT_TRUE(rec.store->check_invariants()) << where;
-    const std::set<std::string> got = unit_names(*rec.store);
-
-    // 1. No acknowledged write lost: an insert whose shard's durable
-    //    frontier passed it at crash time must survive recovery's
-    //    sequence-ordered merge replay.
-    for (const ShardedInsert& ins : r.inserts) {
-      const bool acked = ins.shard < r.committed.size() &&
-                         r.committed[ins.shard] > ins.idx;
-      if (acked) {
-        EXPECT_TRUE(got.count(ins.name))
-            << "lost acked write " << ins.name << " (shard " << ins.shard
-            << ") at point " << k << " (" << where << ")";
-      }
-    }
-    // 2. Nothing invented: every survivor is base population or an
-    //    attempted insert (applied exactly once — set semantics plus the
-    //    fence make a double replay a duplicate-id invariant failure).
-    std::set<std::string> attempted;
-    for (const ShardedInsert& ins : r.inserts) attempted.insert(ins.name);
-    for (const auto& name : got) {
-      EXPECT_TRUE(r.base.count(name) || attempted.count(name))
-          << "unexpected survivor " << name << " at point " << k << " ("
-          << where << ")";
-    }
-    // 3. Per-shard prefix: within one shard, survivors of this workload's
-    //    inserts form a prefix of that shard's log order (a torn tail
-    //    only ever drops a suffix).
-    std::map<std::size_t, std::vector<const ShardedInsert*>> by_shard;
-    for (const ShardedInsert& ins : r.inserts)
-      by_shard[ins.shard].push_back(&ins);
-    for (const auto& [shard, list] : by_shard) {
-      bool missing_seen = false;
-      for (const ShardedInsert* ins : list) {
-        const bool present = got.count(ins->name) > 0;
-        if (!present) missing_seen = true;
-        EXPECT_FALSE(present && missing_seen)
-            << "non-prefix survivor " << ins->name << " in shard " << shard
-            << " at point " << k << " (" << where << ")";
-      }
-    }
-    std::filesystem::remove_all(dir);
-  }
-}
-
-// ---- 1c. incremental-checkpoint fault-point sweep ---------------------------
-
-/// The delta-engine counterpart of run_sharded_crash_scenario: WAL-hooked
-/// inserts over per-unit shards, two delta cuts growing a chain on the
-/// baseline fold's base image, a compaction fold over that chain, a third
-/// cut onto the fresh base, and a quiesced full checkpoint over the delta
-/// state — so the sweep crosses every segment-append, manifest-publish,
-/// cut-rebase, fold-rebase, prune and manifest-clear boundary the
-/// incremental engine added. Single-threaded for a deterministic fault
-/// sequence. The disarmed baseline fold gives every crash state a
-/// manifest to recover from.
-ShardedScenarioResult run_delta_crash_scenario(const std::string& dir,
-                                               std::uint64_t arm_at) {
-  ShardedScenarioResult res;
-
-  fault_disarm();
-  const auto tr = trace::SyntheticTrace::generate(trace::msn_profile(), 1, 42,
-                                                  /*downscale=*/50);
-  Config cfg;
-  cfg.num_units = 6;
-  cfg.seed = 7;
-  SmartStore store(cfg);
-  store.build(tr.files());
-  res.base = unit_names(store);
-
-  const auto stream = tr.make_insert_stream(15, 77);
-  auto wal = std::make_unique<ShardedWal>(dir, cfg.num_units,
-                                          /*group_commit=*/2);
-  DeltaEngine engine(store, *wal, dir);
-  engine.fold();  // baseline: ckpt/base-1.bin + an empty-chain manifest
-
-  std::vector<std::uint64_t> logged(cfg.num_units, 0);
-  std::vector<std::uint64_t> dropped(cfg.num_units, 0);
-  auto snapshot_committed = [&] {
-    res.committed.assign(wal->num_shards(), 0);
-    for (std::size_t s = 0; s < wal->num_shards(); ++s)
-      res.committed[s] =
-          (s < dropped.size() ? dropped[s] : 0) + wal->committed_records(s);
-  };
-  // A successful cut/fold committed every shard at its barrier (and a
-  // quiesced checkpoint at its fence), so everything logged so far is
-  // durable regardless of which shards the rebase touched.
-  auto mark_all_durable = [&] {
-    for (std::size_t s = 0; s < logged.size(); ++s) dropped[s] = logged[s];
-    for (std::size_t s = 0; s < wal->num_shards(); ++s) {
-      if (s >= dropped.size()) dropped.resize(s + 1, 0);
-    }
-    res.committed.assign(std::max(dropped.size(), wal->num_shards()), 0);
-    for (std::size_t s = 0; s < res.committed.size(); ++s)
-      res.committed[s] = s < dropped.size() ? dropped[s] : 0;
-  };
-
-  if (arm_at > 0) {
-    fault_arm(arm_at);
-  } else {
-    fault_disarm();
-  }
-  try {
-    auto logged_insert = [&](const FileMetadata& f) {
-      store.insert_file(f, 0.0, [&](core::UnitId target) {
-        if (target >= logged.size()) logged.resize(target + 1, 0);
-        res.inserts.push_back({f.name, target, logged[target]++});
-        return wal->log_insert(target, f);
-      });
-      snapshot_committed();
-    };
-
-    for (int i = 0; i < 4; ++i) logged_insert(stream[i]);
-    engine.cut();  // cut #1: segment appends + manifest + rebase
+    engine->cut();  // cut #1: segment appends + manifest + rebase
     mark_all_durable();
 
     for (int i = 4; i < 7; ++i) logged_insert(stream[i]);
-    engine.cut();  // cut #2: the chain grows
+    engine->cut();  // cut #2: the chain grows
     mark_all_durable();
 
     for (int i = 7; i < 9; ++i) logged_insert(stream[i]);
-    engine.fold();  // compaction: fresh base, empty chain, prune
+    engine->fold();  // compaction: fresh base, empty chain, prune
     mark_all_durable();
 
-    for (int i = 9; i < 11; ++i) logged_insert(stream[i]);
-    engine.cut();  // cut #3: first cut onto the folded base
+    // A fold with writes inside it: two inserts land in the frozen window
+    // (copied on write, kept out of the image), one more after the
+    // manifest publish, so the rebase splices a non-empty tail.
+    for (int i = 9; i < 13; ++i) logged_insert(stream[i]);
+    const WalFence fence = stepped_fold(
+        store, *wal, dir,
+        [&] {
+          snapshot_committed();  // the freeze committed every shard
+          logged_insert(stream[13]);
+          logged_insert(stream[14]);
+          res.cow_copies = store.checkpoint_cow_copies();
+        },
+        [&] { logged_insert(stream[15]); });
+    for (const ShardFence& f : fence.shards) {
+      if (f.shard >= dropped.size()) dropped.resize(f.shard + 1, 0);
+      dropped[f.shard] += f.records;
+      res.tail_spliced = res.tail_spliced ||
+                         (f.records > 0 && wal->committed_records(f.shard) > 0);
+    }
+    snapshot_committed();
+    engine = std::make_unique<DeltaEngine>(store, *wal, dir);
+
+    for (int i = 16; i < 18; ++i) logged_insert(stream[i]);
+    engine->cut();  // cut #3: first cut onto the stepped fold's base
     mark_all_durable();
 
-    for (int i = 11; i < 13; ++i) logged_insert(stream[i]);
-    // Quiesced full checkpoint over a directory holding delta state: the
-    // manifest must be cleared AFTER the image publish and BEFORE the WAL
-    // reset (the checkpoint:pre-ckpt-clear window).
-    checkpoint(store, dir, *wal);
+    for (int i = 18; i < 20; ++i) logged_insert(stream[i]);
+    engine->fold();  // a second engine fold, over a non-empty chain
     mark_all_durable();
 
-    for (int i = 13; i < 15; ++i) logged_insert(stream[i]);
+    for (int i = 20; i < 22; ++i) logged_insert(stream[i]);
     wal->commit_all();
     snapshot_committed();
     res.completed = true;
@@ -486,6 +259,10 @@ TEST(CrashInjection, DeltaCheckpointLosesNoAckedWriteAtAnyFaultPoint) {
     const std::string dir = temp_dir("delta_dry");
     const ShardedScenarioResult dry = run_delta_crash_scenario(dir, 0);
     ASSERT_TRUE(dry.completed);
+    // The stepped fold must really have had writes in flight: copies made
+    // inside its frozen window, and a tail for its rebase to splice.
+    EXPECT_GT(dry.cow_copies, 0u);
+    EXPECT_TRUE(dry.tail_spliced);
     total = fault_points_passed();
     std::filesystem::remove_all(dir);
   }
@@ -551,87 +328,25 @@ TEST(CrashInjection, DeltaCheckpointLosesNoAckedWriteAtAnyFaultPoint) {
     std::filesystem::remove_all(dir);
   }
 
-  // The sweep must actually have crossed every publish stage the
-  // incremental engine added — a silently skipped stage would void the
-  // whole exercise.
-  for (const char* point :
-       {"ckpt:manifest:torn-temp", "ckpt:manifest:pre-rename",
-        "ckpt:manifest:pre-dirsync", "delta:seg:pre-truncate",
-        "delta:seg:pre-append", "delta:seg:pre-sync", "delta:pre-rebase",
-        "compact:pre-rebase", "compact:pre-prune",
-        "checkpoint:pre-ckpt-clear"}) {
+  // The sweep must actually have crossed every fault point src/persist/
+  // declares — a silently skipped stage would void the whole exercise.
+  // Keep this list in step with the fault_point() calls and the
+  // write_file_atomic_faulted() prefixes there.
+  for (const char* point : {
+           "wal:commit:torn-block", "wal:commit:pre-sync",
+           "wal:rebase:begin", "wal:rebase:torn-temp",
+           "wal:rebase:pre-rename", "wal:rebase:pre-dirsync",
+           "snapshot:section:config", "snapshot:section:standardizer",
+           "snapshot:section:units", "snapshot:section:tree",
+           "snapshot:section:variants", "snapshot:section:sync",
+           "snapshot:section:walfence", "snapshot:write:torn-temp",
+           "snapshot:write:pre-rename", "snapshot:write:pre-dirsync",
+           "ckpt:manifest:torn-temp", "ckpt:manifest:pre-rename",
+           "ckpt:manifest:pre-dirsync", "delta:seg:pre-truncate",
+           "delta:seg:pre-append", "delta:seg:pre-sync", "delta:pre-rebase",
+           "compact:pre-rebase", "compact:pre-prune"}) {
     EXPECT_TRUE(fired.count(point)) << "sweep never crossed " << point;
   }
-}
-
-// ---- 1d. single-log -> sharded migration ------------------------------------
-
-TEST(CrashInjection, ShardedCheckpointFencesLeftoverLegacyLog) {
-  // A PR-3-era deployment carries wal.bin; the first sharded checkpoint
-  // over that directory must FENCE the legacy records inside the snapshot
-  // it publishes — a crash between the snapshot rename and the legacy
-  // log's emptying would otherwise replay them over an image that already
-  // contains them (duplicate records, the exact double-apply the fence
-  // protocol exists to prevent).
-  const auto tr = trace::SyntheticTrace::generate(trace::msn_profile(), 1, 42,
-                                                  /*downscale=*/50);
-  Config cfg;
-  cfg.num_units = 6;
-  cfg.seed = 7;
-  const auto stream = tr.make_insert_stream(4, 77);
-
-  // Builds the legacy-era directory: quiesced single-log checkpoint, then
-  // four committed wal.bin records the snapshot does not contain.
-  const std::string dir = temp_dir("legacy_migrate");
-  auto make_legacy_dir = [&] {
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    SmartStore base(cfg);
-    base.build(tr.files());
-    auto lw = std::make_unique<WalWriter>(wal_path(dir), /*group_commit=*/2);
-    checkpoint(base, dir, lw.get());
-    for (const auto& f : stream) {
-      lw->log_insert(f);
-      base.insert_file(f, 0.0);
-    }
-    lw->commit();
-  };
-
-  // Sweep the sharded checkpoint's fault points until the classic window
-  // fires (snapshot published, logs not yet emptied), resetting the
-  // directory between attempts so every try crosses the same boundaries.
-  bool hit_window = false;
-  std::set<std::string> before;
-  for (std::uint64_t k = 1; k <= 64 && !hit_window; ++k) {
-    fault_disarm();
-    make_legacy_dir();
-    auto rec = recover(dir);  // replays the 4 legacy records
-    ASSERT_EQ(rec.wal_records, 4u);
-    before = unit_names(*rec.store);
-    ShardedWal wal(dir, cfg.num_units, /*group_commit=*/2);
-    fault_arm(k);
-    try {
-      checkpoint(*rec.store, dir, wal);
-      fault_disarm();
-      break;  // ran out of fault points without reaching the window
-    } catch (const FaultInjected&) {
-      hit_window = fault_last_fired() == "checkpoint:pre-wal-reset";
-      wal.abandon();
-    }
-  }
-  fault_disarm();
-  ASSERT_TRUE(hit_window) << "sweep never reached checkpoint:pre-wal-reset";
-
-  // Recovery from the window: the snapshot's fence must suppress the
-  // legacy records it already contains — same population, no duplicates.
-  const RecoveryResult after = recover(dir);
-  ASSERT_TRUE(after.store);
-  EXPECT_TRUE(after.store->check_invariants());
-  EXPECT_EQ(after.wal_records, 0u);
-  EXPECT_EQ(after.wal_fenced, 4u);
-  EXPECT_EQ(unit_names(*after.store), before);
-  EXPECT_EQ(after.store->total_files(), before.size());
-  std::filesystem::remove_all(dir);
 }
 
 // ---- 2. randomized oracle fuzz ----------------------------------------------
@@ -650,13 +365,34 @@ TEST(CrashOracle, RandomizedMutationsCrashesAndRecoveriesMatchOracle) {
   std::set<std::string> oracle = unit_names(*store);
   std::vector<std::string> live_names(oracle.begin(), oracle.end());
 
-  checkpoint(*store, dir);
-  auto wal = std::make_unique<WalWriter>(wal_path(dir), /*group_commit=*/3);
+  // The durable pair a deployment runs: per-unit WAL shards with the store
+  // hooks attached, and the delta engine over them. Opened the way
+  // db::Store::Open does after recovery.
+  std::unique_ptr<ShardedWal> wal;
+  std::unique_ptr<DeltaEngine> engine;
+  auto open_durable = [&] {
+    wal = std::make_unique<ShardedWal>(dir, store->units().size(),
+                                       /*group_commit=*/3);
+    wal->ensure_seq_at_least(store->last_commit_seq() + 1);
+    engine = std::make_unique<DeltaEngine>(*store, *wal, dir);
+  };
+  open_durable();
+  engine->fold();  // the base image every later crash recovers from
 
   const auto pool = tr.make_insert_stream(400, 123);
   std::size_t cursor = 0;
   util::Rng rng(2024);
-  std::size_t crashes = 0, checkpoints = 0;
+  std::size_t crashes = 0, cuts = 0, folds = 0, stepped_folds = 0;
+
+  auto insert_next = [&] {
+    if (cursor >= pool.size()) return;
+    const FileMetadata& f = pool[cursor++];
+    store->insert_file(f, 0.0, [&](core::UnitId target) {
+      return wal->log_insert(target, f);
+    });
+    oracle.insert(f.name);
+    live_names.push_back(f.name);
+  };
 
   auto verify_against_oracle = [&](const SmartStore& s) {
     ASSERT_EQ(unit_names(s), oracle);
@@ -667,11 +403,7 @@ TEST(CrashOracle, RandomizedMutationsCrashesAndRecoveriesMatchOracle) {
   for (int step = 0; step < 240; ++step) {
     const double r = rng.uniform();
     if (r < 0.55 && cursor < pool.size()) {
-      const FileMetadata& f = pool[cursor++];
-      wal->log_insert(f);
-      store->insert_file(f, 0.0);
-      oracle.insert(f.name);
-      live_names.push_back(f.name);
+      insert_next();
     } else if (r < 0.72 && !live_names.empty()) {
       const std::size_t pick =
           static_cast<std::size_t>(rng.uniform_u64(live_names.size()));
@@ -679,13 +411,15 @@ TEST(CrashOracle, RandomizedMutationsCrashesAndRecoveriesMatchOracle) {
       live_names.erase(live_names.begin() +
                        static_cast<std::ptrdiff_t>(pick));
       if (oracle.count(name)) {
-        ASSERT_TRUE(store->erase_file(name)) << name;
-        wal->log_remove(name);
+        ASSERT_TRUE(store->erase_file(name, [&](core::UnitId located) {
+          return wal->log_remove(located, name);
+        })) << name;
         oracle.erase(name);
       }
     } else if (r < 0.77) {
-      wal->log_add_unit();
-      store->add_storage_unit();
+      // Structural records ride the barrier: every shard commits before
+      // the record lands in shard 0.
+      store->add_storage_unit([&] { return wal->log_add_unit(); });
     } else if (r < 0.80) {
       // Remove a random active unit, keeping a quorum alive.
       std::vector<core::UnitId> active;
@@ -694,38 +428,40 @@ TEST(CrashOracle, RandomizedMutationsCrashesAndRecoveriesMatchOracle) {
       if (active.size() > 5) {
         const core::UnitId u = active[static_cast<std::size_t>(
             rng.uniform_u64(active.size()))];
-        wal->log_remove_unit(u);
-        store->remove_storage_unit(u);
+        store->remove_storage_unit(u,
+                                   [&] { return wal->log_remove_unit(u); });
       }
     } else if (r < 0.84) {
       const std::vector<AttrSubset> cands = {
           AttrSubset::from_mask(0x7u), AttrSubset::from_mask(0x1Fu)};
-      wal->log_autoconfigure(cands);
-      store->autoconfigure(cands);
+      store->autoconfigure(cands,
+                           [&] { return wal->log_autoconfigure(cands); });
     } else if (r < 0.92) {
-      // Fuzzy checkpoint with a mutation landing mid-snapshot (COW path).
-      wal->commit();
-      const WalFence fence{wal->generation(), wal->committed_records(), true};
-      store->begin_checkpoint();
-      if (cursor < pool.size()) {
-        const FileMetadata& f = pool[cursor++];
-        wal->log_insert(f);
-        store->insert_file(f, 0.0);
-        oracle.insert(f.name);
-        live_names.push_back(f.name);
+      // Checkpoint: mostly cuts growing the chain, sometimes a fold —
+      // the engine's, or one stepped by hand with a mutation landing
+      // mid-snapshot (COW path) and another ahead of the rebase (a tail
+      // it splices past the fence).
+      const double kind = rng.uniform();
+      if (kind < 0.6) {
+        engine->cut();
+        ++cuts;
+      } else if (kind < 0.8) {
+        engine->fold();
+        ++folds;
+      } else {
+        stepped_fold(*store, *wal, dir, insert_next, insert_next);
+        engine = std::make_unique<DeltaEngine>(*store, *wal, dir);
+        ++stepped_folds;
       }
-      save_snapshot_frozen(*store, snapshot_path(dir), fence);
-      wal->rebase(static_cast<std::size_t>(fence.records));
-      store->end_checkpoint();
-      ++checkpoints;
     } else {
       // Simulated crash at a commit boundary, then recovery.
-      wal->commit();
+      wal->commit_all();
+      engine.reset();
       wal.reset();
       store.reset();
       RecoveryResult rec = recover(dir);
       store = std::move(rec.store);
-      wal = std::make_unique<WalWriter>(wal_path(dir), /*group_commit=*/3);
+      open_durable();
       ++crashes;
       verify_against_oracle(*store);
 
@@ -740,14 +476,17 @@ TEST(CrashOracle, RandomizedMutationsCrashesAndRecoveriesMatchOracle) {
   }
 
   // Final crash + recovery + full comparison.
-  wal->commit();
+  wal->commit_all();
+  engine.reset();
   wal.reset();
   store.reset();
   RecoveryResult rec = recover(dir);
   ASSERT_TRUE(rec.store);
   verify_against_oracle(*rec.store);
   EXPECT_GE(crashes, 1u);
-  EXPECT_GE(checkpoints, 1u);
+  EXPECT_GE(cuts, 1u);
+  EXPECT_GE(folds, 1u);
+  EXPECT_GE(stepped_folds, 1u);
   std::filesystem::remove_all(dir);
 }
 
@@ -792,8 +531,11 @@ TEST(SnapshotCorruption, OneFlippedBitInAnySectionFailsLoadCleanly) {
   // Variants + a fence so the VARIANTS and WALFENCE sections are
   // non-trivial too.
   store.autoconfigure({AttrSubset::from_mask(0x7u)});
-  const std::string path = snapshot_path(dir);
-  save_snapshot(store, path, WalFence{99, 3, true});
+  const std::string path = dir + "/image.bin";
+  WalFence fence;
+  fence.present = true;
+  fence.shards.push_back({/*shard=*/0, /*generation=*/99, /*records=*/3});
+  save_snapshot(store, path, fence);
 
   const auto pristine = util::read_file_bytes(path);
   ASSERT_NO_THROW(load_snapshot(path));

@@ -18,6 +18,8 @@
 #include "persist/fault.h"
 #include "smartstore/smartstore.h"
 #include "trace/synth.h"
+#include "util/binary_io.h"
+#include "util/crc32.h"
 
 namespace {
 
@@ -65,7 +67,7 @@ TEST(DbApi, OpenRejectsBadOptions) {
 
   o = small_options();
   o.checkpoint_every = 10;
-  o.enable_wal = false;
+  o.in_memory = true;  // nothing to checkpoint
   EXPECT_TRUE(db::Store::Open(o, "x").status().IsInvalidArgument());
 
   o = small_options();
@@ -169,8 +171,8 @@ TEST(DbApi, OpenCorruptSnapshotIsTypedCorruption) {
     ASSERT_TRUE(store->Close().ok());
   }
   // Flip a byte in the middle of the checkpoint image: a section checksum
-  // fails. The first incremental checkpoint folds into ckpt/base-1.bin
-  // (there is no legacy snapshot.bin to adopt on a fresh store).
+  // fails. The first checkpoint of a fresh store folds into
+  // ckpt/base-1.bin.
   const auto snap = dir / "ckpt" / "base-1.bin";
   {
     std::fstream f(snap, std::ios::in | std::ios::out | std::ios::binary);
@@ -192,16 +194,71 @@ TEST(DbApi, OpenCorruptSnapshotIsTypedCorruption) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(DbApi, OpenGarbageSnapshotIsCorruptionNotCrash) {
+TEST(DbApi, OpenGarbageManifestIsCorruptionNotCrash) {
   const auto dir = temp_dir("garbage");
-  std::filesystem::create_directories(dir);
+  std::filesystem::create_directories(dir / "ckpt");
   {
-    std::ofstream f(dir / "snapshot.bin", std::ios::binary);
-    f << "this is not a snapshot at all";
+    std::ofstream f(dir / "ckpt" / "MANIFEST", std::ios::binary);
+    f << "this is not a manifest at all";
   }
   auto opened = db::Store::Open(small_options(), dir.string());
   ASSERT_FALSE(opened.ok());
   EXPECT_TRUE(opened.status().IsCorruption()) << opened.status().ToString();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(DbApi, OpenRefusesBarePreManifestLayout) {
+  // A snapshot.bin or wal.bin without ckpt/MANIFEST is the pre-manifest
+  // single-log layout. There is no importer: Open must refuse rather than
+  // build an empty store over it, and must leave the files untouched.
+  for (const char* legacy : {"snapshot.bin", "wal.bin"}) {
+    const auto dir = temp_dir("legacy");
+    std::filesystem::create_directories(dir);
+    {
+      std::ofstream f(dir / legacy, std::ios::binary);
+      f << "bytes from an older release";
+    }
+    auto opened = db::Store::Open(small_options(), dir.string());
+    ASSERT_FALSE(opened.ok()) << legacy;
+    EXPECT_TRUE(opened.status().IsFailedPrecondition())
+        << legacy << ": " << opened.status().ToString();
+    EXPECT_TRUE(std::filesystem::exists(dir / legacy));
+    EXPECT_FALSE(std::filesystem::exists(dir / "ckpt"));
+    std::filesystem::remove_all(dir);
+  }
+}
+
+TEST(DbApi, OpenRefusesManifestWithAdoptedBase) {
+  // Earlier builds adopted the pre-manifest layout's full image as the
+  // manifest's base (base kind 1) on the first cut after a Bulkload. Such
+  // a manifest is well formed, so Open must report the missing importer
+  // as FailedPrecondition, not as Corruption, and leave it untouched.
+  const auto dir = temp_dir("adopted_base");
+  {
+    auto store = open_or_die(small_options(), dir.string());
+    ASSERT_TRUE(store->Put(make_file(1)).ok());
+    ASSERT_TRUE(store->Checkpoint().ok());
+    ASSERT_TRUE(store->Close().ok());
+  }
+  // The base-kind byte follows the 8-byte magic, the u32 format version
+  // and the u64 manifest id; the trailing CRC covers everything between
+  // the magic and itself, so it is re-sealed over the edited byte.
+  const std::string manifest = (dir / "ckpt" / "MANIFEST").string();
+  std::vector<std::uint8_t> bytes = util::read_file_bytes(manifest);
+  constexpr std::size_t kKindOffset = 8 + 4 + 8;
+  ASSERT_GT(bytes.size(), kKindOffset + 4);
+  ASSERT_EQ(bytes[kKindOffset], 2u);
+  bytes[kKindOffset] = 1;
+  const std::uint32_t crc = util::crc32(bytes.data() + 8, bytes.size() - 12);
+  for (std::size_t i = 0; i < 4; ++i)
+    bytes[bytes.size() - 4 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+  util::write_file_atomic(manifest, bytes);
+
+  auto opened = db::Store::Open(small_options(), dir.string());
+  ASSERT_FALSE(opened.ok());
+  EXPECT_TRUE(opened.status().IsFailedPrecondition())
+      << opened.status().ToString();
+  EXPECT_EQ(util::read_file_bytes(manifest), bytes);
   std::filesystem::remove_all(dir);
 }
 

@@ -1,10 +1,11 @@
-// The incremental-checkpoint engine, end to end: delta cuts and recovery
-// round trips at the persist layer (DeltaEngine over a sharded WAL),
-// chain folds and pruning, offline reconstruction at the last cut, the
-// background Compactor's budget policy — and the db::Store facade wiring
-// (Checkpoint-as-cut, Compact(), DumpSnapshot rerouting, the
-// smartstore.ckpt.* properties, adaptive group commit, and the
-// cadence-counter coalescing regression).
+// The checkpoint engine, end to end: delta cuts and recovery round trips
+// at the persist layer (DeltaEngine over a sharded WAL), chain folds and
+// pruning, offline reconstruction at the last cut, the Compactor's budget
+// policy — and the db::Store facade wiring (Checkpoint-as-cut, Compact(),
+// DumpSnapshot rerouting, typed I/O errors, the smartstore.ckpt.*
+// properties, adaptive group commit, and the cadence-counter coalescing
+// regression). The Compactor's background slot under live writer threads
+// is test_bg_checkpoint.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,7 +13,6 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <vector>
 
 #include "core/smartstore.h"
 #include "persist/compactor.h"
@@ -21,7 +21,6 @@
 #include "persist/segment.h"
 #include "persist/wal_shard.h"
 #include "smartstore/smartstore.h"
-#include "util/thread_pool.h"
 
 namespace {
 
@@ -204,26 +203,23 @@ TEST(DeltaCkpt, CompactorFoldsWhenChainExceedsBudget) {
   const auto dir = temp_dir("compactor");
   EngineRig rig(dir);
   DeltaEngine engine(rig.store, rig.wal, rig.dir);
-  util::ThreadPool pool(2);
-  Compactor compactor(engine, pool, /*max_chain_len=*/2,
-                      /*max_chain_bytes=*/0);
+  Compactor compactor(engine, /*max_chain_len=*/2, /*max_chain_bytes=*/0);
 
   std::uint64_t next = 0;
-  auto churn_and_cut = [&] {
+  auto churn_and_checkpoint = [&] {
     for (int i = 0; i < 3; ++i) rig.insert(next++);
-    engine.cut();
+    EXPECT_TRUE(compactor.trigger());
+    EXPECT_TRUE(compactor.wait());
+    return engine.chain_len();
   };
-  churn_and_cut();  // fold #1 (no base yet), chain 0
-  churn_and_cut();  // chain 1
-  EXPECT_FALSE(compactor.maybe_schedule());  // under budget
-  churn_and_cut();  // chain 2 — still not PAST the budget (strict >)
-  EXPECT_FALSE(compactor.maybe_schedule());
-  churn_and_cut();  // chain 3 — over budget now
-  EXPECT_TRUE(compactor.maybe_schedule());
-  EXPECT_TRUE(compactor.wait());
-  EXPECT_EQ(engine.chain_len(), 0u);
-  EXPECT_GE(engine.folds(), 2u);
-  EXPECT_EQ(compactor.scheduled(), 1u);
+  EXPECT_EQ(churn_and_checkpoint(), 0u);  // fold #1 (no base yet)
+  EXPECT_EQ(churn_and_checkpoint(), 1u);  // under budget: the cut stays
+  EXPECT_EQ(churn_and_checkpoint(), 2u);  // not PAST the budget (strict >)
+  EXPECT_EQ(engine.folds(), 1u);
+  EXPECT_EQ(churn_and_checkpoint(), 0u);  // chain 3 > 2: cut, then fold
+  EXPECT_EQ(engine.folds(), 2u);
+  EXPECT_EQ(engine.cuts(), 3u);
+  EXPECT_EQ(engine.completed(), 5u);  // every cut and fold counts
 
   RecoveryResult rec = recover(dir.string());
   ASSERT_TRUE(rec.store);
@@ -266,8 +262,6 @@ TEST(DeltaDb, CheckpointCadenceCutsDeltasAndReopens) {
     EXPECT_GT(info.delta_chain_bytes, 0u);
 
     std::string v;
-    ASSERT_TRUE(store->GetProperty("smartstore.ckpt.delta-enabled", &v));
-    EXPECT_EQ(v, "1");
     ASSERT_TRUE(store->GetProperty("smartstore.ckpt.delta-chain-len", &v));
     EXPECT_EQ(v, std::to_string(info.delta_chain_len));
     ASSERT_TRUE(store->GetProperty("smartstore.ckpt.delta-total-bytes", &v));
@@ -313,21 +307,54 @@ TEST(DeltaDb, CompactFoldsTheChainAndSurvivesReopen) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(DeltaDb, FullCheckpointModeReportsDeltaDisabled) {
-  const auto dir = temp_dir("db_full_mode");
-  db::Options o = small_options();
-  o.incremental_checkpoints = false;
-  auto store = open_or_die(o, dir.string());
-  ASSERT_TRUE(store->Put(make_file(1)).ok());
-  ASSERT_TRUE(store->Checkpoint().ok());
-  std::string v;
-  ASSERT_TRUE(store->GetProperty("smartstore.ckpt.delta-enabled", &v));
-  EXPECT_EQ(v, "0");
-  ASSERT_TRUE(store->GetProperty("smartstore.ckpt.delta-cuts", &v));
-  EXPECT_EQ(v, "0");
-  // Compact() must degrade to a plain full checkpoint, not fail.
-  EXPECT_TRUE(store->Compact().ok());
-  ASSERT_TRUE(store->Close().ok());
+TEST(DeltaDb, CheckpointPublishFailureIsIOErrorAndLosesNothing) {
+  const auto dir = temp_dir("db_io_error");
+  // The manifest publish opens MANIFEST.tmp for writing; a directory there
+  // makes the OS refuse it, root or not.
+  const auto obstacle = dir / "ckpt" / "MANIFEST.tmp";
+  {
+    auto store = open_or_die(small_options(), dir.string());
+    for (std::uint64_t i = 0; i < 20; ++i)
+      ASSERT_TRUE(store->Put(make_file(i)).ok());
+    std::filesystem::create_directories(obstacle);
+    db::Status s = store->Checkpoint();  // the first checkpoint: a fold
+    EXPECT_TRUE(s.IsIOError()) << s.ToString();
+
+    // The store keeps serving; with the obstacle gone the fold publishes.
+    std::filesystem::remove_all(obstacle);
+    ASSERT_TRUE(store->Checkpoint().ok());
+    for (std::uint64_t i = 20; i < 30; ++i)
+      ASSERT_TRUE(store->Put(make_file(i)).ok());
+    std::filesystem::create_directories(obstacle);
+    s = store->Checkpoint();  // a cut this time
+    EXPECT_TRUE(s.IsIOError()) << s.ToString();
+    EXPECT_TRUE(store->Close().ok());
+  }
+  {
+    auto store = open_or_die(small_options(), dir.string());
+    std::string v;
+    ASSERT_TRUE(store->GetProperty("smartstore.total-files", &v));
+    EXPECT_EQ(v, "30");
+    db::QueryRequest q = db::QueryRequest::Point("file_25.dat");
+    q.routing = db::Routing::kOnline;
+    auto r = store->Query(q);
+    ASSERT_TRUE(r.ok());
+    EXPECT_TRUE(r->found);
+    // The next cut publishes past the orphan segment bytes the failed one
+    // left behind.
+    std::filesystem::remove_all(obstacle);
+    ASSERT_TRUE(store->Put(make_file(30)).ok());
+    ASSERT_TRUE(store->Checkpoint().ok());
+    ASSERT_TRUE(store->Close().ok());
+  }
+  {
+    auto store = open_or_die(small_options(), dir.string());
+    std::string v;
+    ASSERT_TRUE(store->GetProperty("smartstore.total-files", &v));
+    EXPECT_EQ(v, "31");
+    EXPECT_EQ(store->recovery_info().wal_records, 0u);
+    ASSERT_TRUE(store->Close().ok());
+  }
   std::filesystem::remove_all(dir);
 }
 

@@ -1,7 +1,8 @@
 // The crash-consistent persistence layer: binary io bounds checking, CRC32
 // vectors, snapshot round-trip fidelity (identical query results on an
 // HP-profile deployment), corruption detection, WAL group commit, torn-tail
-// recovery to the last commit boundary, and the checkpoint/recover protocol.
+// recovery to the last commit boundary, and the checkpoint/recover protocol
+// (a base fold plus the sharded WAL tail).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,9 +14,11 @@
 #include <string>
 
 #include "core/ground_truth.h"
+#include "persist/delta_checkpoint.h"
 #include "persist/recovery.h"
 #include "persist/snapshot.h"
 #include "persist/wal.h"
+#include "persist/wal_shard.h"
 #include "trace/query_gen.h"
 #include "trace/synth.h"
 #include "util/binary_io.h"
@@ -37,6 +40,15 @@ std::string temp_dir(const char* tag) {
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir.string();
+}
+
+std::string image_path(const std::string& dir) { return dir + "/image.bin"; }
+
+std::set<std::string> unit_names(const SmartStore& s) {
+  std::set<std::string> out;
+  for (const auto& u : s.units())
+    for (const auto& f : u.files()) out.insert(f.name);
+  return out;
 }
 
 // ---- binary io --------------------------------------------------------------
@@ -121,7 +133,7 @@ class SnapshotTest : public ::testing::Test {
 
 TEST_F(SnapshotTest, RoundTripPreservesStructure) {
   const std::string dir = temp_dir("structure");
-  const std::string path = snapshot_path(dir);
+  const std::string path = image_path(dir);
   save_snapshot(*store_, path);
 
   auto loaded = load_snapshot(path);
@@ -141,7 +153,7 @@ TEST_F(SnapshotTest, RoundTripPreservesStructure) {
 
 TEST_F(SnapshotTest, RoundTripYieldsIdenticalQueryResults) {
   const std::string dir = temp_dir("queries");
-  const std::string path = snapshot_path(dir);
+  const std::string path = image_path(dir);
   save_snapshot(*store_, path);
   auto loaded = load_snapshot(path);
 
@@ -196,8 +208,8 @@ TEST_F(SnapshotTest, SurvivesPostBuildMutations) {
   ASSERT_TRUE(store_->check_invariants());
 
   const std::string dir = temp_dir("mutated");
-  save_snapshot(*store_, snapshot_path(dir));
-  auto loaded = load_snapshot(snapshot_path(dir));
+  save_snapshot(*store_, image_path(dir));
+  auto loaded = load_snapshot(image_path(dir));
   EXPECT_TRUE(loaded->check_invariants());
   EXPECT_EQ(loaded->total_files(), store_->total_files());
   // The deleted files stay gone; the inserted ones stay present.
@@ -209,7 +221,7 @@ TEST_F(SnapshotTest, SurvivesPostBuildMutations) {
 
 TEST_F(SnapshotTest, CorruptedSectionFailsLoad) {
   const std::string dir = temp_dir("corrupt");
-  const std::string path = snapshot_path(dir);
+  const std::string path = image_path(dir);
   save_snapshot(*store_, path);
 
   auto bytes = util::read_file_bytes(path);
@@ -220,7 +232,7 @@ TEST_F(SnapshotTest, CorruptedSectionFailsLoad) {
 
 TEST_F(SnapshotTest, TruncatedFileFailsLoad) {
   const std::string dir = temp_dir("truncated");
-  const std::string path = snapshot_path(dir);
+  const std::string path = image_path(dir);
   save_snapshot(*store_, path);
 
   auto bytes = util::read_file_bytes(path);
@@ -231,7 +243,7 @@ TEST_F(SnapshotTest, TruncatedFileFailsLoad) {
 
 TEST_F(SnapshotTest, BadMagicFailsLoad) {
   const std::string dir = temp_dir("magic");
-  const std::string path = snapshot_path(dir);
+  const std::string path = image_path(dir);
   util::write_file_atomic(path, {'n', 'o', 't', 'a', 's', 'n', 'a', 'p',
                                  0, 0, 0, 0});
   EXPECT_THROW(load_snapshot(path), PersistError);
@@ -241,39 +253,39 @@ TEST_F(SnapshotTest, BadMagicFailsLoad) {
 
 TEST(Wal, GroupCommitBatchesRecords) {
   const std::string dir = temp_dir("wal_batch");
-  const std::string path = wal_path(dir);
   trace::SyntheticTrace tr = trace::SyntheticTrace::generate(
       trace::msn_profile(), 1, 42, /*downscale=*/50);
   const auto stream = tr.make_insert_stream(10, 5);
 
   {
-    WalWriter wal(path, /*group_commit=*/4);
-    for (const auto& f : stream) wal.log_insert(f);
+    ShardedWal wal(dir, 1, /*group_commit=*/4);
+    for (const auto& f : stream) wal.log_insert(0, f);
     // 10 records at batch 4: blocks of 4+4 committed, 2 still pending.
-    EXPECT_EQ(wal.committed_records(), 8u);
-    EXPECT_EQ(wal.pending_records(), 2u);
-  }  // destructor commits the tail batch
+    EXPECT_EQ(wal.committed_records(0), 8u);
+    EXPECT_EQ(wal.pending_records(0), 2u);
+  }  // the shard writer's destructor commits the tail batch
 
-  const WalScan scan = scan_wal(path);
+  const WalScan scan = scan_wal(ShardedWal::shard_path(dir, 0));
   EXPECT_FALSE(scan.torn_tail);
   EXPECT_EQ(scan.blocks, 3u);
   ASSERT_EQ(scan.records.size(), 10u);
   for (std::size_t i = 0; i < stream.size(); ++i) {
     EXPECT_EQ(scan.records[i].type, WalRecordType::kInsert);
+    EXPECT_EQ(scan.records[i].seq, i + 1);  // store-wide stamps, in order
     EXPECT_EQ(scan.records[i].file.id, stream[i].id);
     EXPECT_EQ(scan.records[i].file.name, stream[i].name);
   }
+  EXPECT_EQ(scan.max_seq, 10u);
 }
 
 TEST(Wal, RemoveRecordsRoundTrip) {
   const std::string dir = temp_dir("wal_remove");
-  const std::string path = wal_path(dir);
   {
-    WalWriter wal(path, 2);
-    wal.log_remove("some/file.txt");
-    wal.log_remove("other/file.bin");
+    ShardedWal wal(dir, 1, /*group_commit=*/2);
+    wal.log_remove(0, "some/file.txt");
+    wal.log_remove(0, "other/file.bin");
   }
-  const WalScan scan = scan_wal(path);
+  const WalScan scan = scan_wal(ShardedWal::shard_path(dir, 0));
   ASSERT_EQ(scan.records.size(), 2u);
   EXPECT_EQ(scan.records[0].type, WalRecordType::kRemove);
   EXPECT_EQ(scan.records[0].name, "some/file.txt");
@@ -282,14 +294,14 @@ TEST(Wal, RemoveRecordsRoundTrip) {
 
 TEST(Wal, TornTailRecoversToLastCommitBoundary) {
   const std::string dir = temp_dir("wal_torn");
-  const std::string path = wal_path(dir);
+  const std::string path = ShardedWal::shard_path(dir, 0);
   trace::SyntheticTrace tr = trace::SyntheticTrace::generate(
       trace::msn_profile(), 1, 42, /*downscale=*/50);
   const auto stream = tr.make_insert_stream(12, 5);
 
   {
-    WalWriter wal(path, /*group_commit=*/4);
-    for (const auto& f : stream) wal.log_insert(f);
+    ShardedWal wal(dir, 1, /*group_commit=*/4);
+    for (const auto& f : stream) wal.log_insert(0, f);
   }  // 3 complete blocks of 4
 
   // Crash mid-append: chop into the last block's payload.
@@ -304,25 +316,29 @@ TEST(Wal, TornTailRecoversToLastCommitBoundary) {
   // Reopening for append truncates the tear; new records land after the
   // valid prefix and the log scans clean again.
   {
-    WalWriter wal(path, 4);
+    WalWriter wal(path);
     EXPECT_EQ(wal.committed_records(), 8u);
-    wal.log_insert(stream[8]);
+    WalRecord rec;
+    rec.file = stream[8];
+    rec.seq = 100;
+    wal.append(rec);
     wal.commit();
   }
   const WalScan rescan = scan_wal(path);
   EXPECT_FALSE(rescan.torn_tail);
   EXPECT_EQ(rescan.records.size(), 9u);
+  EXPECT_EQ(rescan.records.back().seq, 100u);
 }
 
 TEST(Wal, CorruptedBlockChecksumStopsScan) {
   const std::string dir = temp_dir("wal_crc");
-  const std::string path = wal_path(dir);
+  const std::string path = ShardedWal::shard_path(dir, 0);
   trace::SyntheticTrace tr = trace::SyntheticTrace::generate(
       trace::msn_profile(), 1, 42, /*downscale=*/50);
   const auto stream = tr.make_insert_stream(8, 5);
   {
-    WalWriter wal(path, 4);
-    for (const auto& f : stream) wal.log_insert(f);
+    ShardedWal wal(dir, 1, /*group_commit=*/4);
+    for (const auto& f : stream) wal.log_insert(0, f);
   }
   auto bytes = util::read_file_bytes(path);
   bytes[bytes.size() - 10] ^= 0x01;  // corrupt the second block's payload
@@ -336,7 +352,7 @@ TEST(Wal, CorruptedBlockChecksumStopsScan) {
 
 TEST(Wal, MissingFileScansEmpty) {
   const std::string dir = temp_dir("wal_missing");
-  const WalScan scan = scan_wal(wal_path(dir));
+  const WalScan scan = scan_wal(ShardedWal::shard_path(dir, 0));
   EXPECT_EQ(scan.records.size(), 0u);
   EXPECT_FALSE(scan.torn_tail);
 }
@@ -346,7 +362,8 @@ TEST(Wal, CraftedHugeRecordCountIsCorruptionNotAllocation) {
   // a *valid* checksum: must be treated as a corrupt block (prefix kept),
   // not turned into a multi-gigabyte reserve.
   const std::string dir = temp_dir("wal_hugecount");
-  const std::string path = wal_path(dir);
+  const std::string path = ShardedWal::shard_path(dir, 0);
+  std::filesystem::create_directories(ShardedWal::shard_dir(dir));
   util::BinaryWriter w;
   w.write_bytes(kWalMagic, sizeof(kWalMagic));
   w.write_u64(12345);  // log generation
@@ -364,260 +381,195 @@ TEST(Wal, CraftedHugeRecordCountIsCorruptionNotAllocation) {
   EXPECT_EQ(scan.records.size(), 0u);
 }
 
+TEST(Wal, PreShardingLogMagicIsNotAWal) {
+  // Logs from before sharding carry no per-record seq; their magic is
+  // rejected instead of being misparsed as sequenced records.
+  const std::string dir = temp_dir("wal_v2");
+  const std::string path = dir + "/old.log";
+  util::BinaryWriter w;
+  w.write_bytes("SSWALv02", 8);
+  w.write_u64(7);
+  util::write_file_atomic(path, w.buffer());
+  EXPECT_THROW(scan_wal(path), PersistError);
+}
+
 TEST(Wal, RebaseDropsFencedPrefixKeepsTailUnderNextGeneration) {
   const std::string dir = temp_dir("wal_rebase");
-  const std::string path = wal_path(dir);
+  const std::string path = dir + "/0.log";
   trace::SyntheticTrace tr = trace::SyntheticTrace::generate(
       trace::msn_profile(), 1, 42, /*downscale=*/50);
   const auto stream = tr.make_insert_stream(7, 5);
 
-  WalWriter wal(path, /*group_commit=*/2);
-  for (const auto& f : stream) wal.log_insert(f);
+  WalWriter wal(path);
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    WalRecord rec;
+    rec.file = stream[i];
+    rec.seq = i + 1;
+    wal.append(rec);
+    if (i % 2 == 1) wal.commit();
+  }
   wal.commit();
   const std::uint64_t gen = wal.generation();
   ASSERT_EQ(wal.committed_records(), 7u);
 
-  wal.rebase(4);  // a snapshot fenced the first four records
+  wal.rebase(4);  // a checkpoint fenced the first four records
   EXPECT_EQ(wal.generation(), gen + 1);
   EXPECT_EQ(wal.committed_records(), 3u);
 
   const WalScan scan = scan_wal(path);
   EXPECT_EQ(scan.generation, gen + 1);
   ASSERT_EQ(scan.records.size(), 3u);
-  for (std::size_t i = 0; i < 3; ++i)
+  for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(scan.records[i].file.name, stream[4 + i].name);
+    EXPECT_EQ(scan.records[i].seq, 5 + i);
+  }
 
   // Appends keep working through the swapped handle.
-  wal.log_remove(stream[0].name);
+  WalRecord remove;
+  remove.type = WalRecordType::kRemove;
+  remove.name = stream[0].name;
+  remove.seq = 8;
+  wal.append(remove);
   wal.commit();
   EXPECT_EQ(scan_wal(path).records.size(), 4u);
 }
 
-TEST(Wal, LegacyV1LogIsUpgradedBeforeNewRecordTypesAppend) {
-  // A v01-magic log must not get v02-only record types appended behind its
-  // old header (a rolled-back binary would truncate them as corruption);
-  // the writer upgrades magic + preserves generation and records first.
-  const std::string dir = temp_dir("wal_v1");
-  const std::string path = wal_path(dir);
-  trace::SyntheticTrace tr = trace::SyntheticTrace::generate(
-      trace::msn_profile(), 1, 42, /*downscale=*/50);
-  const auto stream = tr.make_insert_stream(2, 5);
-
-  {  // Write a v02 log, then retro-stamp the v01 magic over it.
-    WalWriter wal(path, 2);
-    for (const auto& f : stream) wal.log_insert(f);
-  }
-  auto bytes = util::read_file_bytes(path);
-  std::memcpy(bytes.data(), kWalMagicV1, sizeof(kWalMagicV1));
-  util::write_file_atomic(path, bytes);
-  const WalScan legacy = scan_wal(path);
-  EXPECT_TRUE(legacy.v1_magic);
-  const std::uint64_t gen = legacy.generation;
-
-  {
-    WalWriter wal(path, 1);
-    EXPECT_EQ(wal.generation(), gen);
-    EXPECT_EQ(wal.committed_records(), 2u);
-    wal.log_add_unit();  // v02-only record type
-  }
-  const WalScan upgraded = scan_wal(path);
-  EXPECT_FALSE(upgraded.v1_magic);
-  EXPECT_EQ(upgraded.generation, gen);
-  ASSERT_EQ(upgraded.records.size(), 3u);
-  EXPECT_EQ(upgraded.records[0].file.name, stream[0].name);
-  EXPECT_EQ(upgraded.records[2].type, WalRecordType::kAddUnit);
-}
-
 // ---- checkpoint / recover ---------------------------------------------------
 
-TEST(Recovery, SnapshotPlusWalRestoresAllCommittedMutations) {
+/// A built store over a directory with the durable pair every deployment
+/// runs: per-unit WAL shards and the delta engine, whose first fold has
+/// published the base image.
+struct Durable {
+  Durable(const std::string& dir_in, const trace::SyntheticTrace& tr,
+          std::size_t units, std::size_t group_commit)
+      : dir(dir_in),
+        store([&] {
+          Config cfg;
+          cfg.num_units = units;
+          cfg.fanout = 5;
+          cfg.seed = 7;
+          return cfg;
+        }()),
+        wal(dir, units, group_commit),
+        engine(store, wal, dir) {
+    store.build(tr.files());
+    engine.fold();
+  }
+
+  /// Logs and applies one insert through the WAL hook.
+  void insert(const FileMetadata& f) {
+    store.insert_file(f, 0.0, [&](core::UnitId target) {
+      return wal.log_insert(target, f);
+    });
+  }
+
+  std::string dir;
+  SmartStore store;
+  ShardedWal wal;
+  DeltaEngine engine;
+};
+
+TEST(Recovery, CheckpointPlusWalTailRestoresAllCommittedMutations) {
   const std::string dir = temp_dir("recover");
   trace::SyntheticTrace tr = trace::SyntheticTrace::generate(
       trace::hp_profile(), 1, 42, /*downscale=*/20);
-  Config cfg;
-  cfg.num_units = 10;
-  cfg.fanout = 5;
-  cfg.seed = 7;
-  SmartStore store(cfg);
-  store.build(tr.files());
-
-  checkpoint(store, dir);
+  Durable d(dir, tr, 10, 4);
 
   // Post-checkpoint mutations, write-ahead logged as they apply.
-  const auto stream = tr.make_insert_stream(9, 77);
-  {
-    WalWriter wal(wal_path(dir), cfg.version_ratio);
-    for (const auto& f : stream) {
-      store.insert_file(f, 0.0);
-      wal.log_insert(f);
-    }
-    const std::string victim = tr.files()[3].name;
-    store.delete_file(victim, 0.0);
-    wal.log_remove(victim);
-    wal.commit();
-  }
+  for (const auto& f : tr.make_insert_stream(9, 77)) d.insert(f);
+  const std::string victim = tr.files()[3].name;
+  ASSERT_TRUE(d.store.erase_file(victim, [&](core::UnitId located) {
+    return d.wal.log_remove(located, victim);
+  }));
+  d.wal.commit_all();
 
   const RecoveryResult rec = recover(dir);
   ASSERT_TRUE(rec.store);
+  EXPECT_TRUE(rec.used_manifest);
   EXPECT_FALSE(rec.wal_tail_torn);
   EXPECT_EQ(rec.wal_records, 10u);
   EXPECT_TRUE(rec.store->check_invariants());
-  EXPECT_EQ(rec.store->total_files(), store.total_files());
-
-  // Exact membership: every unit-resident file name matches.
-  auto names = [](const SmartStore& s) {
-    std::set<std::string> out;
-    for (const auto& u : s.units())
-      for (const auto& f : u.files()) out.insert(f.name);
-    return out;
-  };
-  EXPECT_EQ(names(*rec.store), names(store));
+  EXPECT_EQ(rec.store->total_files(), d.store.total_files());
+  EXPECT_EQ(unit_names(*rec.store), unit_names(d.store));
 }
 
-TEST(Recovery, TornWalRecoversToCommitBoundary) {
+TEST(Recovery, TornShardTailRollsBackToItsCommitBoundary) {
   const std::string dir = temp_dir("recover_torn");
   trace::SyntheticTrace tr = trace::SyntheticTrace::generate(
       trace::hp_profile(), 1, 42, /*downscale=*/20);
-  Config cfg;
-  cfg.num_units = 10;
-  cfg.seed = 7;
-  SmartStore store(cfg);
-  store.build(tr.files());
-  checkpoint(store, dir);
-  const std::size_t base_files = store.total_files();
+  Durable d(dir, tr, 10, 4);
+  const std::size_t base_files = d.store.total_files();
 
+  // Eight logged inserts in one shard: two group-commit blocks of four.
+  // (Replay routes each record itself; the shard is only its log.)
   const auto stream = tr.make_insert_stream(8, 77);
-  {
-    WalWriter wal(wal_path(dir), /*group_commit=*/4);
-    for (const auto& f : stream) wal.log_insert(f);
-  }
+  for (const auto& f : stream) d.wal.log_insert(0, f);
   // Tear into the second block: only the first group commit must survive.
-  std::filesystem::resize_file(wal_path(dir),
-                               std::filesystem::file_size(wal_path(dir)) - 9);
+  const std::string shard = ShardedWal::shard_path(dir, 0);
+  std::filesystem::resize_file(shard, std::filesystem::file_size(shard) - 9);
 
   const RecoveryResult rec = recover(dir);
   EXPECT_TRUE(rec.wal_tail_torn);
   EXPECT_EQ(rec.wal_records, 4u);
   EXPECT_EQ(rec.store->total_files(), base_files + 4);
   EXPECT_TRUE(rec.store->check_invariants());
-  for (std::size_t i = 0; i < 4; ++i) {
-    bool present = false;
-    for (const auto& u : rec.store->units())
-      if (u.find_by_name(stream[i].name)) present = true;
-    EXPECT_TRUE(present) << stream[i].name;
-  }
-  for (std::size_t i = 4; i < 8; ++i) {
-    for (const auto& u : rec.store->units())
-      EXPECT_EQ(u.find_by_name(stream[i].name), nullptr);
-  }
+  const std::set<std::string> got = unit_names(*rec.store);
+  for (std::size_t i = 0; i < 4; ++i)
+    EXPECT_TRUE(got.count(stream[i].name)) << stream[i].name;
+  for (std::size_t i = 4; i < 8; ++i)
+    EXPECT_FALSE(got.count(stream[i].name)) << stream[i].name;
 }
 
-TEST(Recovery, CheckpointEmptiesWal) {
+TEST(Recovery, CutRebasesTheWalItSubsumes) {
   const std::string dir = temp_dir("checkpoint");
   trace::SyntheticTrace tr = trace::SyntheticTrace::generate(
       trace::msn_profile(), 1, 42, /*downscale=*/50);
-  Config cfg;
-  cfg.num_units = 6;
-  cfg.seed = 7;
-  SmartStore store(cfg);
-  store.build(tr.files());
+  Durable d(dir, tr, 6, 2);
 
-  WalWriter wal(wal_path(dir), 2);
-  const auto stream = tr.make_insert_stream(4, 3);
-  for (const auto& f : stream) {
-    store.insert_file(f, 0.0);
-    wal.log_insert(f);
-  }
-  wal.commit();
-  EXPECT_EQ(scan_wal(wal_path(dir)).records.size(), 4u);
+  for (const auto& f : tr.make_insert_stream(4, 3)) d.insert(f);
+  d.engine.cut();
+  for (std::size_t s = 0; s < d.wal.num_shards(); ++s)
+    EXPECT_EQ(d.wal.committed_records(s), 0u) << "shard " << s;
 
-  checkpoint(store, dir, &wal);
-  EXPECT_EQ(scan_wal(wal_path(dir)).records.size(), 0u);
-
-  // Recovery after the checkpoint sees the mutations exactly once.
+  // Recovery after the cut sees the mutations exactly once, from the chain.
   const RecoveryResult rec = recover(dir);
   EXPECT_EQ(rec.wal_records, 0u);
-  EXPECT_EQ(rec.store->total_files(), store.total_files());
+  EXPECT_EQ(rec.delta_records, 4u);
+  EXPECT_EQ(rec.store->total_files(), d.store.total_files());
 }
 
-TEST(Recovery, CrashBetweenSnapshotAndWalResetReplaysNothingTwice) {
-  // The checkpoint crash window: snapshot renamed into place, WAL not yet
-  // emptied. The snapshot's fence must suppress the duplicate replay.
+TEST(Recovery, CrashBetweenManifestAndRebaseReplaysNothingTwice) {
+  // The checkpoint crash window: manifest published, WAL not yet rebased.
+  // The manifest's fence must suppress the duplicate replay.
   const std::string dir = temp_dir("ckpt_crash");
   trace::SyntheticTrace tr = trace::SyntheticTrace::generate(
       trace::msn_profile(), 1, 42, /*downscale=*/50);
-  Config cfg;
-  cfg.num_units = 6;
-  cfg.seed = 7;
-  SmartStore store(cfg);
-  store.build(tr.files());
-  checkpoint(store, dir);
+  Durable d(dir, tr, 6, 1);
+  for (const auto& f : tr.make_insert_stream(5, 3)) d.insert(f);
 
-  const auto stream = tr.make_insert_stream(5, 3);
-  {
-    WalWriter wal(wal_path(dir), 1);
-    for (const auto& f : stream) {
-      store.insert_file(f, 0.0);
-      wal.log_insert(f);
-    }
-    // Simulate the crash: preserve the pre-checkpoint log, checkpoint
-    // (snapshot + fence land, WAL is reset), then restore the old log as
-    // if the reset never hit the disk.
-    const std::string saved = wal_path(dir) + ".saved";
-    std::filesystem::copy_file(wal_path(dir), saved);
-    checkpoint(store, dir, &wal);
-    std::filesystem::copy_file(saved, wal_path(dir),
-                               std::filesystem::copy_options::overwrite_existing);
-  }
+  // Simulate the crash: preserve the pre-cut logs, cut (segments +
+  // manifest land, shards are rebased), then restore the old logs as if
+  // the rebase never hit the disk.
+  const std::string wal_dir = ShardedWal::shard_dir(dir);
+  const std::string saved = dir + "/wal.saved";
+  std::filesystem::copy(wal_dir, saved);
+  d.engine.cut();
+  std::filesystem::remove_all(wal_dir);
+  std::filesystem::copy(saved, wal_dir);
 
   const RecoveryResult rec = recover(dir);
   EXPECT_EQ(rec.wal_fenced, 5u);   // all five suppressed by the fence
   EXPECT_EQ(rec.wal_records, 0u);  // nothing replayed on top
-  EXPECT_EQ(rec.store->total_files(), store.total_files());
+  EXPECT_EQ(rec.delta_records, 5u);
+  EXPECT_EQ(rec.store->total_files(), d.store.total_files());
   EXPECT_TRUE(rec.store->check_invariants());
-  // No duplicate records: per-unit name sets match the live store exactly.
+  // No duplicate records: per-unit name multisets match the live store.
   std::multiset<std::string> live, recovered;
-  for (const auto& u : store.units())
+  for (const auto& u : d.store.units())
     for (const auto& f : u.files()) live.insert(f.name);
   for (const auto& u : rec.store->units())
     for (const auto& f : u.files()) recovered.insert(f.name);
   EXPECT_EQ(live, recovered);
-}
-
-TEST(Recovery, CheckpointIntoOtherDirLeavesLiveWalIntact) {
-  // A writer logging into state/ while checkpointing into backup/: state's
-  // log pairs with state's snapshot and must survive; backup's stale log
-  // must be emptied (its records are subsumed by the fresh snapshot).
-  const std::string state = temp_dir("ckpt_state");
-  const std::string backup = temp_dir("ckpt_backup");
-  trace::SyntheticTrace tr = trace::SyntheticTrace::generate(
-      trace::msn_profile(), 1, 42, /*downscale=*/50);
-  Config cfg;
-  cfg.num_units = 6;
-  cfg.seed = 7;
-  SmartStore store(cfg);
-  store.build(tr.files());
-  checkpoint(store, state);
-
-  {
-    WalWriter stale(wal_path(backup), 1);
-    stale.log_remove("stale-record");
-  }
-
-  const auto stream = tr.make_insert_stream(3, 3);
-  WalWriter wal(wal_path(state), 1);
-  for (const auto& f : stream) {
-    store.insert_file(f, 0.0);
-    wal.log_insert(f);
-  }
-
-  checkpoint(store, backup, &wal);
-  // state/ still recovers through its own WAL records...
-  EXPECT_EQ(scan_wal(wal_path(state)).records.size(), 3u);
-  EXPECT_EQ(recover(state).store->total_files(), store.total_files());
-  // ...and backup/ replays nothing stale over the fresh snapshot.
-  EXPECT_EQ(scan_wal(wal_path(backup)).records.size(), 0u);
-  EXPECT_EQ(recover(backup).store->total_files(), store.total_files());
 }
 
 }  // namespace
