@@ -31,6 +31,8 @@ std::size_t bloom_probe_index(unsigned i, const std::uint32_t w[4],
 /// passing the digest in keeps the critical sections to pure bit-sets.
 struct ItemHash {
   std::array<std::uint32_t, 4> w{};
+
+  bool operator==(const ItemHash&) const = default;
 };
 
 ItemHash hash_item(std::string_view item);

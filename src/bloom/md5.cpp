@@ -108,18 +108,18 @@ void Md5::update(const void* data, std::size_t len) {
 }
 
 Md5Digest Md5::finalize() {
-  const std::uint64_t bits = bit_count_;
-  // Pad: 0x80 then zeros until length ≡ 56 (mod 64), then 8-byte LE length.
-  static const std::uint8_t pad_byte = 0x80;
-  update(&pad_byte, 1);
-  static const std::uint8_t zero = 0x00;
-  while (buffer_len_ != 56) update(&zero, 1);
-
-  std::uint8_t len_le[8];
+  // Pad: 0x80 then zeros until length ≡ 56 (mod 64), then 8-byte LE
+  // length. update() always leaves fewer than 64 bytes buffered.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    // No room for the length: zero-fill this block and pad a fresh one.
+    std::memset(buffer_ + buffer_len_, 0, 64 - buffer_len_);
+    process_block(buffer_);
+    buffer_len_ = 0;
+  }
+  std::memset(buffer_ + buffer_len_, 0, 56 - buffer_len_);
   for (int i = 0; i < 8; ++i)
-    len_le[i] = static_cast<std::uint8_t>((bits >> (8 * i)) & 0xff);
-  // Bypass update()'s bit counting for the length field.
-  std::memcpy(buffer_ + 56, len_le, 8);
+    buffer_[56 + i] = static_cast<std::uint8_t>((bit_count_ >> (8 * i)) & 0xff);
   process_block(buffer_);
   buffer_len_ = 0;
 

@@ -123,19 +123,19 @@ Grouping kmeans_cluster(const std::vector<la::Vector>& coords, std::size_t k,
   const std::size_t dims = coords[0].size();
   util::Rng rng(seed);
 
-  // k-means++ seeding.
+  // k-means++ seeding. d2[i] is point i's squared distance to its nearest
+  // center so far; each round folds in only the newest center, so seeding
+  // costs n distances per center rather than n per center already chosen.
   std::vector<la::Vector> centers;
   centers.reserve(k);
   centers.push_back(coords[rng.uniform_u64(n)]);
-  std::vector<double> d2(n, 0.0);
+  std::vector<double> d2(n, std::numeric_limits<double>::infinity());
   while (centers.size() < k) {
+    const la::Vector& newest = centers.back();
     double total = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-      double best = std::numeric_limits<double>::infinity();
-      for (const auto& c : centers)
-        best = std::min(best, la::squared_distance(coords[i], c));
-      d2[i] = best;
-      total += best;
+      d2[i] = std::min(d2[i], la::squared_distance(coords[i], newest));
+      total += d2[i];
     }
     if (total <= 0.0) {
       centers.push_back(coords[rng.uniform_u64(n)]);

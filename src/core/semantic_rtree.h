@@ -111,13 +111,12 @@ class SemanticRTree {
   /// before parent — so concurrent writers routed to different units only
   /// contend where their ancestor paths overlap. The updates are
   /// commutative (expand/insert/add), so per-node atomicity is all the
-  /// walk needs; the name is hashed once, outside every stripe.
-  /// `name_hash`, when given, is the precomputed digest of `name` (the
-  /// store hashes once per insert and shares it across trees/filters).
+  /// walk needs. `name_hash` is the file name's digest, computed once per
+  /// insert outside every stripe and shared across trees and filters.
   void on_file_inserted(UnitId unit, const la::Vector& raw,
-                        const la::Vector& std_coords, const std::string& name,
-                        const StripedMutexPool* locks = nullptr,
-                        const bloom::ItemHash* name_hash = nullptr);
+                        const la::Vector& std_coords,
+                        const bloom::ItemHash& name_hash,
+                        const StripedMutexPool* locks = nullptr);
 
   /// Propagates a deletion (sums/counts only; MBRs and Bloom filters stay
   /// conservative until reconfiguration). Same per-stripe walk as inserts.

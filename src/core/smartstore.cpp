@@ -20,6 +20,11 @@ constexpr std::size_t kQueryMsgBytes = 256;
 constexpr std::size_t kVersionMsgBytes = 2048;   // a sealed delta is small
 constexpr std::size_t kReplicaMsgBytes = 16384;  // a full summary refresh
 
+/// What a full synchronization copies out of first-level index unit `n`.
+GroupReplica::Base replica_base(const IndexUnit& n) {
+  return {n.centroid_raw(), n.attr_sum, n.file_count, n.box, n.name_filter};
+}
+
 }  // namespace
 
 namespace {
@@ -233,8 +238,10 @@ void SmartStore::build(const std::vector<FileMetadata>& files) {
     }
     for (std::size_t g = 0; g < place.groups.size(); ++g) {
       const UnitId u = g % cfg_.num_units;
-      for (std::size_t idx : place.groups[g])
-        units_[u].add_file(files[idx], std_coords(files[idx]));
+      for (std::size_t idx : place.groups[g]) {
+        units_[u].add_file(files[idx], std_coords(files[idx]),
+                           bloom::hash_item(files[idx].name));
+      }
     }
   }
   total_files_ = files.size();
@@ -256,19 +263,14 @@ void SmartStore::build(const std::vector<FileMetadata>& files) {
 
 void SmartStore::init_sync_state() {
   sync_.clear();
-  for (std::size_t g : tree_.groups()) {
-    GroupSync gs;
-    const IndexUnit& n = tree_.node(g);
-    gs.replica.centroid_raw = n.centroid_raw();
-    gs.replica.attr_sum = n.attr_sum;
-    gs.replica.file_count = n.file_count;
-    gs.replica.box = n.box;
-    gs.replica.name_filter = n.name_filter;
-    gs.pending.added_names =
-        bloom::BloomFilter(bloom_bits_, cfg_.bloom_hashes);
-    gs.pending.added_attr_sum.assign(kNumAttrs, 0.0);
-    sync_.emplace(g, std::move(gs));
-  }
+  refresh_sync_groups();
+}
+
+VersionDelta SmartStore::empty_delta() const {
+  VersionDelta v;
+  v.added_names = bloom::BloomFilter(bloom_bits_, cfg_.bloom_hashes);
+  v.added_attr_sum.assign(kNumAttrs, 0.0);
+  return v;
 }
 
 void SmartStore::refresh_sync_groups() {
@@ -284,15 +286,8 @@ void SmartStore::refresh_sync_groups() {
   for (std::size_t g : tree_.groups()) {
     if (sync_.count(g)) continue;
     GroupSync gs;
-    const IndexUnit& n = tree_.node(g);
-    gs.replica.centroid_raw = n.centroid_raw();
-    gs.replica.attr_sum = n.attr_sum;
-    gs.replica.file_count = n.file_count;
-    gs.replica.box = n.box;
-    gs.replica.name_filter = n.name_filter;
-    gs.pending.added_names =
-        bloom::BloomFilter(bloom_bits_, cfg_.bloom_hashes);
-    gs.pending.added_attr_sum.assign(kNumAttrs, 0.0);
+    gs.replica.reset(replica_base(tree_.node(g)));
+    gs.pending = empty_delta();
     sync_.emplace(g, std::move(gs));
   }
 }
@@ -453,7 +448,7 @@ std::vector<SmartStore::RankedGroup> SmartStore::rank_groups_range(
     if (main_tree) {
       const auto guard = maybe_lock(&sync_stripes_, &sync_.at(g));
       const GroupSync& gs = sync_.at(g);
-      version_cost += static_cast<double>(gs.replica.versions.size()) *
+      version_cost += static_cast<double>(gs.replica.versions().size()) *
                       cfg_.cost.per_bloom_check_s;
       box = gs.replica.effective_box(cfg_.versioning_enabled);
     } else {
@@ -490,7 +485,7 @@ std::vector<SmartStore::RankedGroup> SmartStore::rank_groups_topk(
     if (main_tree) {
       const auto guard = maybe_lock(&sync_stripes_, &sync_.at(g));
       const GroupSync& gs = sync_.at(g);
-      version_cost += static_cast<double>(gs.replica.versions.size()) *
+      version_cost += static_cast<double>(gs.replica.versions().size()) *
                       cfg_.cost.per_bloom_check_s;
       box = gs.replica.effective_box(cfg_.versioning_enabled);
     } else {
@@ -542,11 +537,8 @@ void SmartStore::seal_version(std::size_t g, double now, sim::Session* session) 
   GroupSync& gs = sync_.at(g);
   if (gs.pending.empty()) return;
   gs.pending.sealed_at = now;
-  gs.replica.versions.push_back(std::move(gs.pending));
-  gs.pending = VersionDelta{};
-  gs.pending.added_names =
-      bloom::BloomFilter(bloom_bits_, cfg_.bloom_hashes);
-  gs.pending.added_attr_sum.assign(kNumAttrs, 0.0);
+  gs.replica.seal(std::move(gs.pending));
+  gs.pending = empty_delta();
 
   // Multicast the sealed version to every other storage unit.
   if (session) {
@@ -572,31 +564,17 @@ void SmartStore::full_sync_group(std::size_t g, sim::Session* session) {
   // ordinary replica staleness, repaired by the next sync, and exactly the
   // error mode off-line routing already tolerates.
   const IndexUnit& n = tree_.node(g);
-  la::Vector centroid, attr_sum;
-  std::size_t file_count;
-  rtree::Mbr box;
-  bloom::BloomFilter name_filter;
+  GroupReplica::Base base;
   {
     const auto node_guard = maybe_lock(&summary_stripes_, &n);
-    centroid = n.centroid_raw();
-    attr_sum = n.attr_sum;
-    file_count = n.file_count;
-    box = n.box;
-    name_filter = n.name_filter;
+    base = replica_base(n);
   }
+  VersionDelta pending = empty_delta();
   {
     const auto sync_guard = maybe_lock(&sync_stripes_, &sync_.at(g));
     GroupSync& gs = sync_.at(g);
-    gs.replica.centroid_raw = std::move(centroid);
-    gs.replica.attr_sum = std::move(attr_sum);
-    gs.replica.file_count = file_count;
-    gs.replica.box = box;
-    gs.replica.name_filter = std::move(name_filter);
-    gs.replica.versions.clear();
-    gs.pending = VersionDelta{};
-    gs.pending.added_names =
-        bloom::BloomFilter(bloom_bits_, cfg_.bloom_hashes);
-    gs.pending.added_attr_sum.assign(kNumAttrs, 0.0);
+    gs.replica.reset(std::move(base));
+    gs.pending = std::move(pending);
     gs.changes_since_full_sync = 0;
   }
 
@@ -625,7 +603,8 @@ bool SmartStore::after_group_change(std::size_t g, double now,
   // changes exceed the threshold fraction of the group's population. The
   // refresh itself runs after the caller drops this group's sync stripe
   // (full_sync_group re-acquires it after reading the node summary).
-  const std::size_t base = std::max<std::size_t>(gs.replica.file_count, 200);
+  const std::size_t base =
+      std::max<std::size_t>(gs.replica.base().file_count, 200);
   return static_cast<double>(gs.changes_since_full_sync) >
          cfg_.lazy_update_threshold * static_cast<double>(base);
 }
@@ -723,7 +702,7 @@ QueryStats SmartStore::insert_file_impl(const FileMetadata& f, double arrival,
                                   ? forced_seq
                                   : commit_stamp(logged ? logged(target) : 0);
     cow_unit(target);
-    units_[target].add_file(f, std, seq);
+    units_[target].add_file(f, std, name_hash, seq);
     units_[target].prune_tombstones(gc_watermark());
     if (forced_seq == kAssignSeq) mark_unit_dirty(target, seq);
   }
@@ -733,9 +712,9 @@ QueryStats SmartStore::insert_file_impl(const FileMetadata& f, double arrival,
   // Ancestor summaries widen one stripe at a time (child before parent);
   // readers meanwhile see a box/filter that is at worst transiently
   // narrower up the path, the same staleness replicas already exhibit.
-  tree_.on_file_inserted(target, raw, std, f.name, &summary_stripes_, &name_hash);
+  tree_.on_file_inserted(target, raw, std, name_hash, &summary_stripes_);
   for (auto& v : variants_)
-    v.tree.on_file_inserted(target, raw, std, f.name, &summary_stripes_, &name_hash);
+    v.tree.on_file_inserted(target, raw, std, name_hash, &summary_stripes_);
   total_files_.fetch_add(1, std::memory_order_relaxed);
 
   bool want_full_sync;
@@ -762,19 +741,22 @@ QueryStats SmartStore::insert_file_impl(const FileMetadata& f, double arrival,
 
 std::optional<QueryStats> SmartStore::delete_file(const std::string& name,
                                                   double arrival) {
+  const bloom::ItemHash name_hash = bloom::hash_item(name);
   util::ReaderLock shared(structure_mu_);
-  PointResult located = point_query_impl({name}, Routing::kOffline, arrival);
+  PointResult located =
+      point_query_impl({name}, name_hash, Routing::kOffline, arrival);
   if (!located.found) return std::nullopt;
 
   // The locate and the removal are not atomic: a concurrent delete of the
   // same name can win in between, in which case this one reports "absent".
-  if (!remove_located(located.unit, located.id,
+  if (!remove_located(located.unit, located.id, name_hash,
                       located.stats.latency_s + arrival, nullptr, {}, {}))
     return std::nullopt;
   return located.stats;
 }
 
-bool SmartStore::remove_located(UnitId u, FileId id, double now,
+bool SmartStore::remove_located(UnitId u, FileId id,
+                                const bloom::ItemHash& name_hash, double now,
                                 sim::Session* session, const WalHook& logged,
                                 const WalFlush& flushed) {
   epoch_.fetch_add(1, std::memory_order_relaxed);
@@ -784,7 +766,7 @@ bool SmartStore::remove_located(UnitId u, FileId id, double now,
     if (!units_[u].find_by_id(id)) return false;  // lost a delete race
     const std::uint64_t seq = commit_stamp(logged ? logged(u) : 0);
     cow_unit(u);
-    auto removed = units_[u].remove_file(id, seq);
+    auto removed = units_[u].remove_file(id, name_hash, seq);
     assert(removed.has_value());
     raw = removed->full_vector();
     units_[u].prune_tombstones(gc_watermark());
@@ -816,6 +798,7 @@ bool SmartStore::erase_file(const std::string& name, const WalHook& logged,
 bool SmartStore::erase_file_impl(const std::string& name,
                                  const WalHook& logged,
                                  const WalFlush& flushed) {
+  const bloom::ItemHash name_hash = bloom::hash_item(name);
   for (UnitId u = 0; u < units_.size(); ++u) {
     if (!unit_active_[u]) continue;
     FileId id = 0;
@@ -831,7 +814,8 @@ bool SmartStore::erase_file_impl(const std::string& name,
     // The unit lock was dropped between locate and removal; remove_located
     // re-checks by id and reports a lost race, in which case the scan
     // continues (the name might also exist on a later unit).
-    if (remove_located(u, id, 0.0, nullptr, logged, flushed)) return true;
+    if (remove_located(u, id, name_hash, 0.0, nullptr, logged, flushed))
+      return true;
   }
   return false;
 }
@@ -840,15 +824,16 @@ bool SmartStore::erase_file_impl(const std::string& name,
 
 PointResult SmartStore::point_query(const metadata::PointQuery& q,
                                     Routing routing, double arrival) {
+  // One digest for every filter this query will consult.
+  const bloom::ItemHash qhash = bloom::hash_item(q.filename);
   util::ReaderLock shared(structure_mu_);
-  return point_query_impl(q, routing, arrival);
+  return point_query_impl(q, qhash, routing, arrival);
 }
 
 PointResult SmartStore::point_query_impl(const metadata::PointQuery& q,
+                                         const bloom::ItemHash& qhash,
                                          Routing routing, double arrival) {
   PointResult res;
-  // One digest for every filter this query will consult.
-  const bloom::ItemHash qhash = bloom::hash_item(q.filename);
   sim::Session session = cluster_->start_session(random_home(), arrival);
   const UnitId home = session.location();
 
@@ -962,9 +947,9 @@ PointResult SmartStore::point_query_impl(const metadata::PointQuery& q,
     for (std::size_t g : tree_.groups()) {
       const auto guard = maybe_lock(&sync_stripes_, &sync_.at(g));
       const GroupSync& gs = sync_.at(g);
-      version_cost += static_cast<double>(gs.replica.versions.size()) *
+      version_cost += static_cast<double>(gs.replica.versions().size()) *
                       cfg_.cost.per_bloom_check_s;
-      if (gs.replica.name_may_contain(q.filename, cfg_.versioning_enabled))
+      if (gs.replica.name_may_contain(qhash, cfg_.versioning_enabled))
         candidates.push_back(g);
     }
     session.visit(static_cast<double>(tree_.groups().size()) *
@@ -1325,7 +1310,7 @@ void SmartStore::remove_storage_unit(UnitId u, const StructuralHook& logged) {
   std::vector<FileMetadata> displaced = units_[u].files();
   std::vector<std::uint64_t> displaced_seqs = units_[u].added_seqs();
   for (const auto& f : displaced) {
-    auto removed = units_[u].remove_file(f.id);
+    auto removed = units_[u].remove_file(f.id, bloom::hash_item(f.name));
     tree_.on_file_removed(u, f.full_vector());
     for (auto& v : variants_) v.tree.on_file_removed(u, f.full_vector());
     total_files_.fetch_sub(1, std::memory_order_relaxed);

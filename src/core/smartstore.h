@@ -309,6 +309,11 @@ class SmartStore {
   sim::Cluster& cluster() { return *cluster_; }
   const std::vector<TreeVariant>& variants() const { return variants_; }
   std::size_t total_files() const { return total_files_; }
+  /// First-level index unit `g`'s replica, as every storage unit routes
+  /// on it (quiesced-only, as above).
+  const GroupReplica& group_replica(std::size_t g) const {
+    return sync_.at(g).replica;
+  }
 
   /// Standardized full-D coordinates of a record (quiesced-only, as above).
   la::Vector std_coords(const metadata::FileMetadata& f) const
@@ -487,10 +492,12 @@ class SmartStore {
   /// serializer's view of the live vector). Caller holds the exclusive
   /// structure lock, which is why no unit locks are needed here.
   void cow_all_units() SS_REQUIRES(structure_mu_);
-  /// Shared removal bookkeeping once a file has been located (unit, id).
-  /// Re-checks existence under the unit lock (a concurrent delete may
-  /// have won); returns whether the removal happened.
-  bool remove_located(UnitId u, metadata::FileId id, double now,
+  /// Shared removal bookkeeping once a file has been located (unit, id);
+  /// `name_hash` is the digest of its name. Re-checks existence under the
+  /// unit lock (a concurrent delete may have won); returns whether the
+  /// removal happened.
+  bool remove_located(UnitId u, metadata::FileId id,
+                      const bloom::ItemHash& name_hash, double now,
                       sim::Session* session, const WalHook& logged,
                       const WalFlush& flushed)
       SS_REQUIRES_SHARED(structure_mu_);
@@ -514,7 +521,10 @@ class SmartStore {
   bool erase_file_impl(const std::string& name, const WalHook& logged,
                        const WalFlush& flushed)
       SS_REQUIRES_SHARED(structure_mu_);
-  PointResult point_query_impl(const metadata::PointQuery& q, Routing routing,
+  /// `qhash` is the digest of q.filename: one per lookup, shared by every
+  /// filter the lookup consults.
+  PointResult point_query_impl(const metadata::PointQuery& q,
+                               const bloom::ItemHash& qhash, Routing routing,
                                double arrival)
       SS_REQUIRES_SHARED(structure_mu_);
   RangeResult range_query_impl(const metadata::RangeQuery& q, Routing routing,
@@ -547,6 +557,8 @@ class SmartStore {
 
   sim::NodeId random_home() SS_REQUIRES_SHARED(structure_mu_);
   void init_sync_state() SS_REQUIRES(structure_mu_);
+  /// An empty pending delta in the store's filter geometry.
+  VersionDelta empty_delta() const SS_REQUIRES_SHARED(structure_mu_);
   /// Snapshots group `g`'s current truth into its replica (full sync) and
   /// multicasts it; clears versions. Copies the authoritative node summary
   /// under the node's stripe, then installs it under the group's sync

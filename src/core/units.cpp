@@ -15,6 +15,7 @@ StorageUnit::StorageUnit(UnitId id, std::size_t bloom_bits,
       attr_sums_(kNumAttrs, 0.0) {}
 
 void StorageUnit::add_file(const FileMetadata& f, const la::Vector& std_coords,
+                           const bloom::ItemHash& name_hash,
                            std::uint64_t added_seq) {
   assert(std_coords.size() == kNumAttrs);
   by_name_[f.name] = files_.size();
@@ -22,14 +23,14 @@ void StorageUnit::add_file(const FileMetadata& f, const la::Vector& std_coords,
   files_.push_back(f);
   std_coords_.push_back(std_coords);
   added_seqs_.push_back(added_seq);
-  name_filter_.insert(f.name);
+  assert(name_hash == bloom::hash_item(f.name));
+  name_filter_.insert(name_hash);
   box_.expand(std_coords);
   for (std::size_t d = 0; d < kNumAttrs; ++d) attr_sums_[d] += f.attrs[d];
 }
 
-std::optional<FileMetadata> StorageUnit::remove_file(FileId id,
-                                                     std::uint64_t
-                                                         deleted_seq) {
+std::optional<FileMetadata> StorageUnit::remove_file(
+    FileId id, const bloom::ItemHash& name_hash, std::uint64_t deleted_seq) {
   auto it = by_id_.find(id);
   if (it == by_id_.end()) return std::nullopt;
   const std::size_t pos = it->second;
@@ -46,7 +47,8 @@ std::optional<FileMetadata> StorageUnit::remove_file(FileId id,
     tombstones_.push_back(std::move(t));
   }
 
-  name_filter_.remove(removed.name);
+  assert(name_hash == bloom::hash_item(removed.name));
+  name_filter_.remove(name_hash);
   by_name_.erase(removed.name);
   by_id_.erase(it);
   for (std::size_t d = 0; d < kNumAttrs; ++d)
@@ -121,49 +123,69 @@ std::size_t VersionDelta::byte_size() const {
          deleted.capacity() * sizeof(metadata::FileId);
 }
 
-rtree::Mbr GroupReplica::effective_box(bool with_versions) const {
-  rtree::Mbr b = box;
-  if (with_versions) {
-    for (const auto& v : versions) b.expand(v.added_box);
-  }
-  return b;
+void GroupReplica::reset(Base base) {
+  base_ = std::move(base);
+  versions_.clear();
+  names_ = base_.name_filter;
+  names_exact_ = true;
+  sum_ = base_.attr_sum;
+  count_ = base_.file_count;
+  centroid_.clear();
+  box_ = base_.box;
 }
 
-la::Vector GroupReplica::effective_centroid(bool with_versions) const {
-  if (!with_versions || versions.empty()) return centroid_raw;
-  la::Vector sum = attr_sum;
-  std::size_t count = file_count;
-  for (const auto& v : versions) {
-    if (v.added_count == 0) continue;
-    for (std::size_t d = 0; d < sum.size(); ++d) sum[d] += v.added_attr_sum[d];
-    count += v.added_count;
+void GroupReplica::seal(VersionDelta v) {
+  if (names_exact_ && v.added_names.bit_count() == names_.bit_count() &&
+      v.added_names.num_hashes() == names_.num_hashes()) {
+    names_.merge(v.added_names);
+  } else {
+    names_exact_ = false;
   }
-  if (count == 0) return centroid_raw;
-  for (auto& x : sum) x /= static_cast<double>(count);
-  return sum;
+  box_.expand(v.added_box);
+  if (v.added_count != 0) {
+    for (std::size_t d = 0; d < sum_.size(); ++d) sum_[d] += v.added_attr_sum[d];
+    count_ += v.added_count;
+  }
+  if (count_ == 0) {
+    centroid_ = base_.centroid_raw;
+  } else {
+    centroid_ = sum_;
+    for (auto& x : centroid_) x /= static_cast<double>(count_);
+  }
+  versions_.push_back(std::move(v));
 }
 
-bool GroupReplica::name_may_contain(const std::string& name,
+const rtree::Mbr& GroupReplica::effective_box(bool with_versions) const {
+  return with_versions ? box_ : base_.box;
+}
+
+const la::Vector& GroupReplica::effective_centroid(bool with_versions) const {
+  return with_versions && !versions_.empty() ? centroid_ : base_.centroid_raw;
+}
+
+bool GroupReplica::name_may_contain(const bloom::ItemHash& name,
                                     bool with_versions) const {
-  if (with_versions) {
-    // Rolling backward: newest version first, so the most recent insert or
-    // delete wins (Section 4.4).
-    for (auto it = versions.rbegin(); it != versions.rend(); ++it) {
+  if (with_versions && !versions_.empty()) {
+    // One probe settles a miss in every filter at once.
+    if (names_exact_ && !names_.may_contain(name)) return false;
+    // Rolling backward: newest version first (Section 4.4).
+    for (auto it = versions_.rbegin(); it != versions_.rend(); ++it) {
       if (it->added_names.may_contain(name)) return true;
     }
   }
-  return name_filter.may_contain(name);
+  return base_.name_filter.may_contain(name);
 }
 
 std::size_t GroupReplica::byte_size() const {
-  return sizeof(*this) + centroid_raw.capacity() * sizeof(double) +
-         attr_sum.capacity() * sizeof(double) + box.byte_size() +
-         name_filter.byte_size() + versions_byte_size();
+  return sizeof(Base) + sizeof(versions_) +
+         base_.centroid_raw.capacity() * sizeof(double) +
+         base_.attr_sum.capacity() * sizeof(double) + base_.box.byte_size() +
+         base_.name_filter.byte_size() + versions_byte_size();
 }
 
 std::size_t GroupReplica::versions_byte_size() const {
   std::size_t b = 0;
-  for (const auto& v : versions) b += v.byte_size();
+  for (const auto& v : versions_) b += v.byte_size();
   return b;
 }
 

@@ -62,21 +62,24 @@ class StorageUnit {
   bool empty() const { return files_.empty(); }
 
   /// Adds a record; `std_coords` is the file's standardized full-D vector
-  /// (the geometry every MBR in the store is expressed in). `added_seq` is
+  /// (the geometry every MBR in the store is expressed in) and `name_hash`
+  /// the digest of its name, which the caller computes once per operation
+  /// and shares with every filter the operation touches. `added_seq` is
   /// the commit sequence stamped on the mutation (0 = pre-history: bulk
   /// builds and legacy snapshots, visible to every snapshot).
   void add_file(const metadata::FileMetadata& f, const la::Vector& std_coords,
-                std::uint64_t added_seq = 0);
+                const bloom::ItemHash& name_hash, std::uint64_t added_seq = 0);
 
-  /// Removes by id; returns the removed record. MBRs are not shrunk on
-  /// delete (standard R-tree practice; bounds stay conservative until the
-  /// next reconfiguration). With `deleted_seq` > 0 the removed version is
-  /// kept on the unit's tombstone chain so pinned snapshots older than the
-  /// delete can still see it; `deleted_seq` == 0 drops it outright (bulk
-  /// moves that re-home a record under its original added_seq).
-  std::optional<metadata::FileMetadata> remove_file(metadata::FileId id,
-                                                    std::uint64_t deleted_seq =
-                                                        0);
+  /// Removes by id; returns the removed record. `name_hash` is the digest
+  /// of the record's name. MBRs are not shrunk on delete (standard R-tree
+  /// practice; bounds stay conservative until the next reconfiguration).
+  /// With `deleted_seq` > 0 the removed version is kept on the unit's
+  /// tombstone chain so pinned snapshots older than the delete can still
+  /// see it; `deleted_seq` == 0 drops it outright (bulk moves that re-home
+  /// a record under its original added_seq).
+  std::optional<metadata::FileMetadata> remove_file(
+      metadata::FileId id, const bloom::ItemHash& name_hash,
+      std::uint64_t deleted_seq = 0);
 
   /// Local filename lookup (exact).
   const metadata::FileMetadata* find_by_name(const std::string& name) const;
@@ -152,30 +155,73 @@ struct VersionDelta {
 };
 
 /// Replica of a first-level index unit's summary, as held by every storage
-/// unit for off-line query routing. `versions` are the sealed deltas
-/// received since the last full synchronization, newest last; queries scan
-/// them rolling backward (newest first, Section 4.4).
-struct GroupReplica {
-  la::Vector centroid_raw;         ///< as of last full sync
-  la::Vector attr_sum;             ///< sum form, for incremental centroids
-  std::size_t file_count = 0;
-  rtree::Mbr box;
-  bloom::BloomFilter name_filter;
-  std::vector<VersionDelta> versions;
+/// unit for off-line query routing: the base summary as of the last full
+/// synchronization plus the sealed deltas received since, newest last.
+/// Queries scan them rolling backward (newest first, Section 4.4).
+///
+/// The backlog changes only through reset() and seal(), which keep three
+/// derived views in step with it, so a lookup costs the same however many
+/// versions are attached: a union of the base and every sealed name
+/// filter, and the running effective attribute sum/count and box. Each
+/// view is built with the same operations, in the same order, as the walk
+/// over versions() it stands for, so every answer is bit-identical to the
+/// walk's. The simulated cost model still charges one Bloom check per
+/// sealed version (the paper's remote unit walks them).
+class GroupReplica {
+ public:
+  /// A group's summary at a full synchronization point.
+  struct Base {
+    la::Vector centroid_raw;
+    la::Vector attr_sum;  ///< sum form, for incremental centroids
+    std::size_t file_count = 0;
+    rtree::Mbr box;
+    bloom::BloomFilter name_filter;
+  };
+
+  /// Full synchronization: installs `base` and drops every sealed version
+  /// (Section 4.4 "removing versions").
+  void reset(Base base);
+
+  /// Attaches a sealed version as the newest one.
+  void seal(VersionDelta v);
+
+  const Base& base() const { return base_; }
+  const std::vector<VersionDelta>& versions() const { return versions_; }
 
   /// Effective MBR: the base box unioned with version deltas (when
   /// `with_versions`), i.e. what a remote unit can know about the group.
-  rtree::Mbr effective_box(bool with_versions) const;
+  const rtree::Mbr& effective_box(bool with_versions) const;
 
   /// Effective centroid including version deltas.
-  la::Vector effective_centroid(bool with_versions) const;
+  const la::Vector& effective_centroid(bool with_versions) const;
 
-  /// Filename may-contain check: base filter, then versions newest-first
-  /// (rolling backward); honours version deletions before older inserts.
-  bool name_may_contain(const std::string& name, bool with_versions) const;
+  /// Filename may-contain check against the base filter and (when
+  /// `with_versions`) every sealed version, newest first. `name` is the
+  /// digest of the queried filename.
+  bool name_may_contain(const bloom::ItemHash& name, bool with_versions) const;
 
+  /// The replicated summary and its versions (the paper's space
+  /// accounting, Figures 7 and 14a); the derived views are local caches
+  /// and are not counted.
   std::size_t byte_size() const;
   std::size_t versions_byte_size() const;
+
+ private:
+  Base base_;
+  std::vector<VersionDelta> versions_;
+
+  // Derived from base_ and versions_ by reset() and seal() alone.
+  /// base_.name_filter OR every sealed added_names; a bit clear here is
+  /// clear in each of them. Only meaningful while `names_exact_`: a
+  /// filter of another geometry cannot be merged, and the lookup then
+  /// walks the versions one by one.
+  bloom::BloomFilter names_;
+  bool names_exact_ = true;
+  la::Vector sum_;             ///< attr_sum + every inserting version's sum
+  std::size_t count_ = 0;      ///< file_count + every version's added_count
+  la::Vector centroid_;        ///< sum_ / count_ (base centroid at count_ 0);
+                               ///< read only while a version is sealed
+  rtree::Mbr box_;             ///< base box expanded by every added_box
 };
 
 }  // namespace smartstore::core

@@ -183,7 +183,7 @@ DeltaCutStats DeltaEngine::fold_locked() {
   // store stops paying the copy-on-write tax.
   try {
     const std::string base = base_path(dir_, next_id);
-    save_snapshot_frozen(store_, base, fence);
+    save_snapshot_frozen(store_, base);
     const auto sz = fs::file_size(base, ec);
     if (!ec) st.base_bytes = static_cast<std::size_t>(sz);
 

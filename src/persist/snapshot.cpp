@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
+#include <iterator>
 #include <mutex>
 #include <utility>
 
@@ -21,15 +22,17 @@ using util::BinaryReader;
 using util::BinaryWriter;
 
 // Section ids. New sections get new ids; readers skip unknown ids so old
-// binaries can open newer snapshots that only added sections.
+// binaries can open newer snapshots that only added sections. Id 7 is
+// retired: earlier builds wrote an informational WALFENCE section there,
+// which this reader checksums and skips like any unknown id. Never reuse
+// it.
 constexpr std::uint32_t kSecConfig = 1;
 constexpr std::uint32_t kSecStandardizer = 2;
 constexpr std::uint32_t kSecUnits = 3;
 constexpr std::uint32_t kSecTree = 4;
 constexpr std::uint32_t kSecVariants = 5;
 constexpr std::uint32_t kSecSync = 6;
-constexpr std::uint32_t kSecWalFence = 7;  // optional, written by a fold
-constexpr std::uint32_t kMaxSection = 7;
+constexpr std::uint32_t kMaxSection = 6;
 
 /// An index that is either < limit or the kInvalidIndex sentinel.
 std::size_t read_index(BinaryReader& r, std::size_t limit, const char* what) {
@@ -156,27 +159,42 @@ core::VersionDelta read_version_delta(BinaryReader& r) {
 }
 
 void write_replica(BinaryWriter& w, const core::GroupReplica& g) {
-  w.write_vec_f64(g.centroid_raw);
-  w.write_vec_f64(g.attr_sum);
-  w.write_u64(g.file_count);
-  write_mbr(w, g.box);
-  write_bloom(w, g.name_filter);
-  w.write_u64(g.versions.size());
-  for (const auto& v : g.versions) write_version_delta(w, v);
+  const core::GroupReplica::Base& b = g.base();
+  w.write_vec_f64(b.centroid_raw);
+  w.write_vec_f64(b.attr_sum);
+  w.write_u64(b.file_count);
+  write_mbr(w, b.box);
+  write_bloom(w, b.name_filter);
+  w.write_u64(g.versions().size());
+  for (const auto& v : g.versions()) write_version_delta(w, v);
 }
 
+/// Rebuilds the replica's derived routing state through the same reset()
+/// and seal() calls that built it live, so a loaded replica answers every
+/// lookup exactly as the saved one did.
 core::GroupReplica read_replica(BinaryReader& r) {
+  core::GroupReplica::Base b;
+  b.centroid_raw = r.read_vec_f64();
+  b.attr_sum = r.read_vec_f64();
+  b.file_count = static_cast<std::size_t>(r.read_u64());
+  b.box = read_mbr(r);
+  b.name_filter = read_bloom(r);
+  const std::size_t dims = b.attr_sum.size();
   core::GroupReplica g;
-  g.centroid_raw = r.read_vec_f64();
-  g.attr_sum = r.read_vec_f64();
-  g.file_count = static_cast<std::size_t>(r.read_u64());
-  g.box = read_mbr(r);
-  g.name_filter = read_bloom(r);
+  g.reset(std::move(b));
   const std::size_t n = static_cast<std::size_t>(
       r.read_u64_max(r.remaining(), "version count"));
-  g.versions.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    g.versions.push_back(read_version_delta(r));
+  for (std::size_t i = 0; i < n; ++i) {
+    core::VersionDelta v = read_version_delta(r);
+    // seal() folds the sum and box into running totals: a short vector
+    // must fail the load rather than be indexed past its end.
+    const rtree::Mbr& box = g.effective_box(true);
+    if ((v.added_count != 0 && v.added_attr_sum.size() < dims) ||
+        (box.valid() && v.added_box.valid() &&
+         v.added_box.dims() != box.dims()))
+      throw PersistError("sealed version dimension mismatch");
+    g.seal(std::move(v));
+  }
   return g;
 }
 
@@ -593,7 +611,7 @@ struct SnapshotAccess {
       for (std::size_t i = 0; i < nfiles; ++i) {
         s.units_.back().add_file(
             files[i], s.standardizer_.transform(files[i].full_vector()),
-            seqs[i]);
+            bloom::hash_item(files[i].name), seqs[i]);
       }
       if (version >= 2) {
         const std::size_t ntombs = static_cast<std::size_t>(
@@ -673,26 +691,12 @@ struct SectionView {
   bool present() const { return data != nullptr || size > 0; }
 };
 
-void append_fence_section(BinaryWriter& out, const WalFence& fence) {
-  BinaryWriter sec;
-  sec.write_u64(0);  // the pre-sharding (generation, records) pair
-  sec.write_u64(0);
-  sec.write_u64(fence.shards.size());
-  for (const ShardFence& s : fence.shards) {
-    sec.write_u64(s.shard);
-    sec.write_u64(s.generation);
-    sec.write_u64(s.records);
-  }
-  append_section(out, kSecWalFence, sec);
-}
-
 /// The one snapshot skeleton both save paths share: section order, crash
-/// boundaries, header/fence bytes and the atomic publish are identical by
+/// boundaries, header bytes and the atomic publish are identical by
 /// construction; only the per-section serializer differs (live state vs
 /// frozen-view resolution). `fill(id, w)` writes section `id`'s payload.
 template <typename FillSection>
-void save_snapshot_image(FillSection&& fill, const WalFence& fence,
-                         const std::string& path) {
+void save_snapshot_image(FillSection&& fill, const std::string& path) {
   static constexpr struct {
     std::uint32_t id;
     const char* fault;
@@ -708,7 +712,7 @@ void save_snapshot_image(FillSection&& fill, const WalFence& fence,
   BinaryWriter out;
   out.write_bytes(kSnapshotMagic, sizeof(kSnapshotMagic));
   out.write_u32(kSnapshotFormatVersion);
-  out.write_u32(fence.present ? 7 : 6);  // section count
+  out.write_u32(static_cast<std::uint32_t>(std::size(kSections)));
 
   BinaryWriter sec;
   for (const auto& s : kSections) {
@@ -717,18 +721,13 @@ void save_snapshot_image(FillSection&& fill, const WalFence& fence,
     fill(s.id, sec);
     append_section(out, s.id, sec);
   }
-  if (fence.present) {
-    fault_point("snapshot:section:walfence");
-    append_fence_section(out, fence);
-  }
 
   write_file_atomic_faulted(path, out.buffer(), "snapshot:write");
 }
 
 }  // namespace
 
-void save_snapshot(const core::SmartStore& store, const std::string& path,
-                   const WalFence& fence) {
+void save_snapshot(const core::SmartStore& store, const std::string& path) {
   save_snapshot_image(
       [&store](std::uint32_t id, BinaryWriter& w) {
         switch (id) {
@@ -742,11 +741,10 @@ void save_snapshot(const core::SmartStore& store, const std::string& path,
           case kSecSync: SnapshotAccess::save_sync(store, w); break;
         }
       },
-      fence, path);
+      path);
 }
 
-void save_snapshot_frozen(core::SmartStore& store, const std::string& path,
-                          const WalFence& fence) {
+void save_snapshot_frozen(core::SmartStore& store, const std::string& path) {
   SnapshotAccess::require_frozen(store);
   // Each piece is resolved (frozen copy vs untouched live object) under
   // the store's freeze lock, one section at a time.
@@ -765,7 +763,7 @@ void save_snapshot_frozen(core::SmartStore& store, const std::string& path,
           case kSecSync: SnapshotAccess::save_sync_frozen(store, w); break;
         }
       },
-      fence, path);
+      path);
 }
 
 std::unique_ptr<core::SmartStore> load_snapshot(const std::string& path) {
@@ -811,9 +809,7 @@ std::unique_ptr<core::SmartStore> load_snapshot(const std::string& path) {
     }
     // Unknown ids: checksummed and skipped (forward compatibility).
   }
-  // WALFENCE (7) is optional and informational: recovery takes the fence
-  // from the delta manifest.
-  for (std::uint32_t id = 1; id <= 6; ++id) {
+  for (std::uint32_t id = 1; id <= kMaxSection; ++id) {
     if (!sections[id].present())
       throw PersistError("snapshot missing section " + std::to_string(id));
   }

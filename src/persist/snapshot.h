@@ -15,10 +15,10 @@
 //
 // Sections: CONFIG (Config + rng state + active flags), STANDARDIZER,
 // UNITS (records per storage unit), TREE, VARIANTS, SYNC (group replicas,
-// sealed versions, pending deltas), and an optional WALFENCE written by a
-// checkpoint fold — the per-shard (generation, record count) frontier of
-// the WAL prefix this image already contains (the delta manifest carries
-// the same fence, and recovery reads it from there).
+// sealed versions, pending deltas). The WAL prefix an image contains is
+// recorded in the delta manifest, not here; images from earlier builds
+// that still carry a WALFENCE section (id 7) load, the section checksummed
+// and skipped like any unknown id.
 // Every section is independently checksummed; a flipped bit or truncation
 // anywhere fails the load with a PersistError instead of resurrecting a
 // corrupt deployment.
@@ -77,20 +77,18 @@ struct ShardFence {
 };
 
 /// The WAL prefix a checkpoint subsumes: one (generation, records)
-/// frontier entry per WAL shard. `present` is false when an image carries
-/// no fence (one saved outside the checkpoint protocol). The encodings
-/// (WALFENCE section, manifest) lead with a (generation, records) pair the
-/// pre-sharding single log used; it is written as zero and skipped on
-/// read.
+/// frontier entry per WAL shard. `present` is false when no fence was
+/// captured. The manifest encoding leads with a (generation, records)
+/// pair the pre-sharding single log used; it is written as zero and
+/// skipped on read.
 struct WalFence {
   bool present = false;
   std::vector<ShardFence> shards;
 };
 
 /// Serializes the deployment and writes it atomically (temp file + rename +
-/// directory fsync). A present `fence` is recorded in the WALFENCE section.
-void save_snapshot(const core::SmartStore& store, const std::string& path,
-                   const WalFence& fence = {});
+/// directory fsync).
+void save_snapshot(const core::SmartStore& store, const std::string& path);
 
 /// Serializes the frozen view of a store whose begin_checkpoint() is
 /// active, while a serving thread keeps mutating it. Pieces are resolved
@@ -100,8 +98,7 @@ void save_snapshot(const core::SmartStore& store, const std::string& path,
 /// Serialized pieces are marked done (their frozen copies are released and
 /// later writes stop copying), which is why the store reference is
 /// non-const. Publication is the same atomic temp+rename+dir-fsync.
-void save_snapshot_frozen(core::SmartStore& store, const std::string& path,
-                          const WalFence& fence);
+void save_snapshot_frozen(core::SmartStore& store, const std::string& path);
 
 /// Loads and verifies a snapshot, reassembling a ready-to-serve deployment.
 /// Throws PersistError (or util::BinaryIoError) on any corruption; the

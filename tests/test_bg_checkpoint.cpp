@@ -157,7 +157,7 @@ TEST(BgCheckpoint, FrozenViewExcludesMidFoldMutations) {
   EXPECT_GT(rig.store.checkpoint_cow_copies(), 0u);  // pieces were pending
 
   std::filesystem::create_directories(ckpt_dir(rig.dir));
-  save_snapshot_frozen(rig.store, base_path(rig.dir, 1), fence);
+  save_snapshot_frozen(rig.store, base_path(rig.dir, 1));
   DeltaManifest m;
   m.manifest_id = 1;
   m.base_id = 1;

@@ -39,6 +39,7 @@
 #include "persist/wal_shard.h"
 #include "trace/synth.h"
 #include "util/binary_io.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 
 namespace smartstore::persist {
@@ -86,7 +87,7 @@ WalFence stepped_fold(SmartStore& store, ShardedWal& wal,
   });
   try {
     in_freeze();
-    save_snapshot_frozen(store, base_path(dir, next.base_id), next.fence);
+    save_snapshot_frozen(store, base_path(dir, next.base_id));
     write_manifest(dir, next);
     before_rebase();
     wal.rebase_to(next.fence, fence_bytes);
@@ -339,7 +340,7 @@ TEST(CrashInjection, DeltaCheckpointLosesNoAckedWriteAtAnyFaultPoint) {
            "snapshot:section:config", "snapshot:section:standardizer",
            "snapshot:section:units", "snapshot:section:tree",
            "snapshot:section:variants", "snapshot:section:sync",
-           "snapshot:section:walfence", "snapshot:write:torn-temp",
+           "snapshot:write:torn-temp",
            "snapshot:write:pre-rename", "snapshot:write:pre-dirsync",
            "ckpt:manifest:torn-temp", "ckpt:manifest:pre-rename",
            "ckpt:manifest:pre-dirsync", "delta:seg:pre-truncate",
@@ -518,6 +519,23 @@ std::vector<SectionSpan> parse_sections(const std::vector<std::uint8_t>& b) {
   return out;
 }
 
+/// `image` with the WALFENCE section (id 7) earlier builds appended to
+/// every fold's base image: the zero legacy (generation, records) pair,
+/// then one (shard, generation, records) frontier entry.
+std::vector<std::uint8_t> with_legacy_walfence(std::vector<std::uint8_t> image) {
+  util::BinaryWriter payload;
+  for (std::uint64_t v : {0, 0, /*shards=*/1, 0, 99, 3}) payload.write_u64(v);
+  util::BinaryWriter sec;
+  sec.write_u32(7);
+  sec.write_u64(payload.size());
+  sec.write_bytes(payload.buffer().data(), payload.size());
+  sec.write_u32(util::crc32(payload.buffer().data(), payload.size()));
+  image.insert(image.end(), sec.buffer().begin(), sec.buffer().end());
+  // The little-endian u32 section count follows the magic and version.
+  ++image[sizeof(kSnapshotMagic) + 4];
+  return image;
+}
+
 TEST(SnapshotCorruption, OneFlippedBitInAnySectionFailsLoadCleanly) {
   fault_disarm();
   const std::string dir = temp_dir("corrupt_sections");
@@ -528,19 +546,21 @@ TEST(SnapshotCorruption, OneFlippedBitInAnySectionFailsLoadCleanly) {
   cfg.seed = 7;
   SmartStore store(cfg);
   store.build(tr.files());
-  // Variants + a fence so the VARIANTS and WALFENCE sections are
-  // non-trivial too.
+  // Variants so the VARIANTS section is non-trivial too.
   store.autoconfigure({AttrSubset::from_mask(0x7u)});
   const std::string path = dir + "/image.bin";
-  WalFence fence;
-  fence.present = true;
-  fence.shards.push_back({/*shard=*/0, /*generation=*/99, /*records=*/3});
-  save_snapshot(store, path, fence);
+  save_snapshot(store, path);
+  const auto image = util::read_file_bytes(path);
+  ASSERT_NO_THROW(load_snapshot(path));
+  ASSERT_EQ(parse_sections(image).size(), 6u);  // no WALFENCE written
 
-  const auto pristine = util::read_file_bytes(path);
+  // An image from an earlier build still carries the retired WALFENCE
+  // section: it must load, and that section must stay checksummed.
+  const auto pristine = with_legacy_walfence(image);
+  util::write_file_atomic(path, pristine);
   ASSERT_NO_THROW(load_snapshot(path));
   const auto sections = parse_sections(pristine);
-  ASSERT_EQ(sections.size(), 7u);  // 6 mandatory + WALFENCE
+  ASSERT_EQ(sections.size(), 7u);  // 6 mandatory + the retired WALFENCE
 
   for (const SectionSpan& s : sections) {
     // A flipped payload bit must trip the section checksum.

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <numeric>
 
 #include "util/rng.h"
 
@@ -103,6 +105,130 @@ TEST(Kmeans, Deterministic) {
   const Grouping a = kmeans_cluster(docs, 4, 5, 42);
   const Grouping b = kmeans_cluster(docs, 4, 5, 42);
   EXPECT_EQ(a.group_of, b.group_of);
+}
+
+/// kmeans_cluster as it was with k-means++ seeding that recomputed every
+/// point's distance to every chosen center each round (O(n·k²)); the
+/// placement must not change now that seeding folds in one center a round.
+std::vector<std::size_t> reference_kmeans(const std::vector<la::Vector>& coords,
+                                          std::size_t k, std::size_t iterations,
+                                          std::uint64_t seed,
+                                          std::size_t capacity) {
+  const std::size_t n = coords.size();
+  k = std::min(k, n);
+  const std::size_t dims = coords[0].size();
+  util::Rng rng(seed);
+  std::vector<la::Vector> centers;
+  centers.push_back(coords[rng.uniform_u64(n)]);
+  std::vector<double> d2(n, 0.0);
+  while (centers.size() < k) {
+    double total = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      double best = std::numeric_limits<double>::infinity();
+      for (const auto& c : centers)
+        best = std::min(best, la::squared_distance(coords[i], c));
+      d2[i] = best;
+      total += best;
+    }
+    if (total <= 0.0) {
+      centers.push_back(coords[rng.uniform_u64(n)]);
+      continue;
+    }
+    double pick = rng.uniform() * total;
+    std::size_t chosen = n - 1;
+    for (std::size_t i = 0; i < n; ++i) {
+      pick -= d2[i];
+      if (pick <= 0.0) {
+        chosen = i;
+        break;
+      }
+    }
+    centers.push_back(coords[chosen]);
+  }
+
+  std::vector<std::size_t> assign(n, 0);
+  const std::size_t cap = capacity == 0 ? n : capacity;
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  for (std::size_t iter = 0; iter < std::max<std::size_t>(1, iterations);
+       ++iter) {
+    rng.shuffle(order);
+    std::vector<std::size_t> load(k, 0);
+    for (std::size_t oi = 0; oi < n; ++oi) {
+      const std::size_t i = order[oi];
+      std::size_t best = k;
+      double best_d = std::numeric_limits<double>::infinity();
+      for (std::size_t c = 0; c < k; ++c) {
+        if (load[c] >= cap) continue;
+        const double d = la::squared_distance(coords[i], centers[c]);
+        if (d < best_d) {
+          best_d = d;
+          best = c;
+        }
+      }
+      if (best == k) best = oi % k;
+      assign[i] = best;
+      ++load[best];
+    }
+    std::vector<la::Vector> sums(k, la::Vector(dims, 0.0));
+    std::vector<std::size_t> counts(k, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t d = 0; d < dims; ++d) sums[assign[i]][d] += coords[i][d];
+      ++counts[assign[i]];
+    }
+    for (std::size_t c = 0; c < k; ++c) {
+      if (counts[c] == 0) continue;
+      for (std::size_t d = 0; d < dims; ++d)
+        centers[c][d] = sums[c][d] / static_cast<double>(counts[c]);
+    }
+  }
+
+  // Drop empty groups and number the rest in center order, as
+  // kmeans_cluster does.
+  std::vector<std::vector<std::size_t>> groups(k);
+  for (std::size_t i = 0; i < n; ++i) groups[assign[i]].push_back(i);
+  std::vector<std::size_t> group_of(n, 0);
+  std::size_t next = 0;
+  for (const auto& members : groups) {
+    if (members.empty()) continue;
+    for (std::size_t m : members) group_of[m] = next;
+    ++next;
+  }
+  return group_of;
+}
+
+TEST(Kmeans, SeedingMatchesReference) {
+  std::size_t cases = 0;
+  for (std::size_t n : {1u, 2u, 7u, 40u, 150u}) {
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+      util::Rng rng(seed * 1000 + n);
+      std::vector<la::Vector> clustered;
+      for (std::size_t i = 0; i < n; ++i) {
+        const double c = static_cast<double>(i % 4) * 5.0;
+        clustered.push_back(
+            {c + rng.gauss(0, 1), -c + rng.gauss(0, 1), rng.gauss(0, 3)});
+      }
+      // Heavy duplicates: seeding rounds whose total distance is zero.
+      std::vector<la::Vector> duplicated;
+      for (std::size_t i = 0; i < n; ++i)
+        duplicated.push_back({static_cast<double>(i % 2), 1.0, -1.0});
+      for (const auto* docs : {&clustered, &duplicated}) {
+        for (std::size_t k : {1u, 3u, 8u, 200u}) {  // k >= n included
+          // Unbounded, loose, and saturated (cap * k < n) capacities.
+          for (std::size_t cap : {std::size_t{0}, n / k + 2,
+                                  std::max<std::size_t>(1, n / (2 * k))}) {
+            const Grouping g = kmeans_cluster(*docs, k, 4, seed, cap);
+            ASSERT_TRUE(grouping_consistent(g, n));
+            EXPECT_EQ(g.group_of, reference_kmeans(*docs, k, 4, seed, cap))
+                << "n=" << n << " k=" << k << " cap=" << cap
+                << " seed=" << seed;
+            ++cases;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 5u * 3u * 2u * 4u * 3u);
 }
 
 TEST(RandomGrouping, EqualSizes) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 namespace smartstore::bloom {
 namespace {
@@ -51,6 +52,53 @@ TEST(Md5, ExactBlockLengths) {
     h.update(s);
     EXPECT_EQ(h.finalize(), md5(s)) << "len=" << len;
   }
+}
+
+std::string byte_pattern(std::size_t len) {
+  std::string s(len, '\0');
+  for (std::size_t i = 0; i < len; ++i)
+    s[i] = static_cast<char>((i * 7 + 3) & 0xff);
+  return s;
+}
+
+TEST(Md5, PaddingBoundariesOneShotMatchesTwoPieces) {
+  // Every length up to 200 crosses each padding case: the 0x80 byte and
+  // the length field in one block (L mod 64 < 56) or spilling into a
+  // second (55/56/63/64 are the edges).
+  for (std::size_t len = 0; len <= 200; ++len) {
+    const std::string s = byte_pattern(len);
+    const Md5Digest whole = md5(s);
+    for (std::size_t split : {std::size_t{0}, std::size_t{1}, len / 2,
+                              len == 0 ? 0 : len - 1}) {
+      if (split > len) continue;
+      Md5 h;
+      h.update(s.data(), split);
+      h.update(s.data() + split, len - split);
+      EXPECT_EQ(h.finalize(), whole) << "len=" << len << " split=" << split;
+    }
+  }
+}
+
+TEST(Md5, PaddingBoundaryVectors) {
+  // Digests of bytes (7i + 3) mod 256, i < L, from a standard MD5
+  // implementation (Python's hashlib), at and around each block edge.
+  const std::pair<std::size_t, const char*> kVectors[] = {
+      {0, "d41d8cd98f00b204e9800998ecf8427e"},
+      {1, "8666683506aacd900bbd5a74ac4edf68"},
+      {55, "52c0e574e1198de5fe3f8f11440dcb1b"},
+      {56, "46c9907fc908ee68b1e7b8e71286a518"},
+      {57, "1c805dd236c35cab25fcb1bc73802c51"},
+      {63, "a62f6d59e837867693f042f5b8f5a236"},
+      {64, "7160b8fb5e9e4023d549c3971fbaeead"},
+      {65, "70bd662e7aefbda85a0f7244167b7897"},
+      {119, "e84905d4214f4d1ca56c2cdcc152b143"},
+      {120, "e3eb5a6c8669ea01a8c185b8abc8a5dc"},
+      {127, "acce2474d6cc8302120d09c818d17ef7"},
+      {128, "10b2da1a82f16d99a81a7203fe9f02cb"},
+      {200, "4c79b81ac94bad7a875519ce6b964c66"},
+  };
+  for (const auto& [len, hex] : kVectors)
+    EXPECT_EQ(md5(byte_pattern(len)).hex(), hex) << "len=" << len;
 }
 
 TEST(Md5, WordsSplit128BitsIntoFour32Bit) {

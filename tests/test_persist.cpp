@@ -10,6 +10,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <optional>
 #include <set>
 #include <string>
 
@@ -19,6 +21,7 @@
 #include "persist/snapshot.h"
 #include "persist/wal.h"
 #include "persist/wal_shard.h"
+#include "replica_reference.h"
 #include "trace/query_gen.h"
 #include "trace/synth.h"
 #include "util/binary_io.h"
@@ -217,6 +220,204 @@ TEST_F(SnapshotTest, SurvivesPostBuildMutations) {
     const auto res = loaded->point_query({f.name}, Routing::kOnline, 0.0);
     EXPECT_TRUE(res.found) << f.name;
   }
+}
+
+// ---- replicas with sealed versions ------------------------------------------
+
+class SnapshotReplicas : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    trace_ = trace::SyntheticTrace::generate(trace::hp_profile(), /*tif=*/1,
+                                             /*seed=*/42, /*downscale=*/20);
+    Config cfg;
+    cfg.num_units = 12;
+    cfg.seed = 5;
+    cfg.lazy_update_threshold = 10.0;  // no full sync clears the versions
+    store_ = std::make_unique<SmartStore>(cfg);
+    store_->build(trace_.files());
+    // A run of deletes after the inserts seals delete-only versions too.
+    extra_ = trace_.make_insert_stream(120, 77);
+    for (const auto& f : extra_) store_->insert_file(f, 0.0);
+    for (std::size_t i = 0; i < 80; ++i)
+      store_->erase_file(trace_.files()[i * 7].name);
+  }
+
+  trace::SyntheticTrace trace_{};
+  std::vector<FileMetadata> extra_;
+  std::unique_ptr<SmartStore> store_;
+};
+
+TEST_F(SnapshotReplicas, LoadedReplicasRouteExactlyAsSaved) {
+  const SmartStore& store = *store_;
+  const auto& tr = trace_;
+  const auto& extra = extra_;
+  std::size_t versions = 0, delete_only = 0;
+  for (std::size_t g : store.tree().groups()) {
+    for (const auto& v : store.group_replica(g).versions()) {
+      ++versions;
+      if (v.added_count == 0) ++delete_only;
+    }
+  }
+  ASSERT_GT(versions, 0u);
+  ASSERT_GT(delete_only, 0u);
+
+  std::vector<bloom::ItemHash> probes;
+  for (const auto& f : extra) probes.push_back(bloom::hash_item(f.name));
+  for (std::size_t i = 0; i < 200; ++i)
+    probes.push_back(bloom::hash_item(tr.files()[i].name));
+  for (int i = 0; i < 200; ++i)
+    probes.push_back(bloom::hash_item("/absent/" + std::to_string(i)));
+
+  const std::string dir = temp_dir("replicas");
+  save_snapshot(store, image_path(dir));
+  auto loaded = load_snapshot(image_path(dir));
+  ASSERT_EQ(loaded->tree().groups(), store.tree().groups());
+  for (std::size_t g : store.tree().groups()) {
+    const core::GroupReplica& live = store.group_replica(g);
+    const core::GroupReplica& back = loaded->group_replica(g);
+    EXPECT_TRUE(core::reference::matches(back, probes)) << "group " << g;
+    ASSERT_EQ(back.versions().size(), live.versions().size());
+    for (const bool with : {false, true}) {
+      EXPECT_TRUE(core::reference::same_bits(back.effective_box(with),
+                                             live.effective_box(with)));
+      EXPECT_TRUE(core::reference::same_bits(back.effective_centroid(with),
+                                             live.effective_centroid(with)));
+      for (const auto& h : probes) {
+        EXPECT_EQ(back.name_may_contain(h, with),
+                  live.name_may_contain(h, with));
+      }
+    }
+  }
+  // The derived state is rebuilt, never stored: the image a loaded store
+  // writes is the image it was loaded from.
+  save_snapshot(*loaded, dir + "/again.bin");
+  EXPECT_EQ(util::read_file_bytes(dir + "/again.bin"),
+            util::read_file_bytes(image_path(dir)));
+  std::filesystem::remove_all(dir);
+}
+
+/// Rewrites section `id` of a snapshot image through `edit`, resealing
+/// every section's length and CRC, so the load sees well-formed framing
+/// around whatever the edit did to the payload.
+std::vector<std::uint8_t> edit_section(
+    const std::vector<std::uint8_t>& image, std::uint32_t id,
+    const std::function<void(std::vector<std::uint8_t>&)>& edit) {
+  util::BinaryReader r(image);
+  r.skip(sizeof(kSnapshotMagic) + 4);  // magic, format version
+  const std::uint32_t count = r.read_u32();
+  util::BinaryWriter out;
+  out.write_bytes(image.data(), r.position());
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const std::uint32_t sid = r.read_u32();
+    const auto len = static_cast<std::size_t>(r.read_u64());
+    const auto* begin = image.data() + r.position();
+    std::vector<std::uint8_t> payload(begin, begin + len);
+    r.skip(len);
+    r.read_u32();  // old CRC
+    if (sid == id) edit(payload);
+    out.write_u32(sid);
+    out.write_u64(payload.size());
+    out.write_bytes(payload.data(), payload.size());
+    out.write_u32(util::crc32(payload.data(), payload.size()));
+  }
+  return out.buffer();
+}
+
+void skip_mbr(util::BinaryReader& r) {
+  if (!r.read_bool()) return;
+  r.read_vec_f64();
+  r.read_vec_f64();
+}
+
+void skip_bloom(util::BinaryReader& r) {
+  r.read_u64();
+  r.read_u32();
+  r.read_vec_u64();
+}
+
+/// Payload offsets of the first sealed version that inserted files: its
+/// added_box's lo and hi vectors and its added_attr_sum.
+struct VersionOffsets {
+  std::size_t lo = 0, hi = 0, sum = 0;
+};
+
+std::optional<VersionOffsets> first_inserting_version(
+    const std::vector<std::uint8_t>& sync) {
+  util::BinaryReader r(sync);
+  const std::uint64_t groups = r.read_u64();
+  for (std::uint64_t g = 0; g < groups; ++g) {
+    r.read_u64();      // group id
+    r.read_vec_f64();  // base centroid
+    r.read_vec_f64();  // base attr_sum
+    r.read_u64();      // base file_count
+    skip_mbr(r);
+    skip_bloom(r);
+    const std::uint64_t versions = r.read_u64();
+    for (std::uint64_t v = 0; v < versions; ++v) {
+      VersionOffsets at;
+      if (r.read_bool()) {
+        at.lo = r.position();
+        r.read_vec_f64();
+        at.hi = r.position();
+        r.read_vec_f64();
+      }
+      skip_bloom(r);
+      at.sum = r.position();
+      r.read_vec_f64();
+      if (r.read_u64() != 0 && at.lo != 0) return at;
+      r.read_vec_u64();
+      r.read_f64();
+    }
+    skip_mbr(r);  // pending delta: box, names, sum, count, deleted, sealed_at
+    skip_bloom(r);
+    r.read_vec_f64();
+    r.read_u64();
+    r.read_vec_u64();
+    r.read_f64();
+    r.read_u64();  // changes_since_full_sync
+  }
+  return std::nullopt;
+}
+
+/// Drops the last element of the f64 vector encoded at `at`.
+void drop_last_f64(std::vector<std::uint8_t>& payload, std::size_t at) {
+  util::BinaryReader r(payload.data() + at, 8);
+  const std::uint64_t n = r.read_u64();
+  util::BinaryWriter w;
+  w.write_u64(n - 1);
+  std::copy(w.buffer().begin(), w.buffer().end(), payload.begin() + at);
+  const auto last = payload.begin() + static_cast<std::ptrdiff_t>(at + 8 * n);
+  payload.erase(last, last + 8);
+}
+
+TEST_F(SnapshotReplicas, ShortSealedVersionFailsLoadCleanly) {
+  // A load rebuilds each replica's running sum and box from its sealed
+  // versions: a version one attribute or one dimension short must fail
+  // the load, not be indexed past its end.
+  const std::string dir = temp_dir("short_version");
+  const std::string path = image_path(dir);
+  save_snapshot(*store_, path);
+  const auto image = util::read_file_bytes(path);
+  constexpr std::uint32_t kSync = 6;
+
+  util::write_file_atomic(path, edit_section(image, kSync, [](auto&) {}));
+  ASSERT_NO_THROW(load_snapshot(path));  // the resealing alone is harmless
+
+  for (const bool short_box : {false, true}) {
+    util::write_file_atomic(
+        path, edit_section(image, kSync, [&](std::vector<std::uint8_t>& sync) {
+          const auto at = first_inserting_version(sync);
+          ASSERT_TRUE(at.has_value());
+          if (short_box) {
+            drop_last_f64(sync, at->hi);  // the later offset first
+            drop_last_f64(sync, at->lo);
+          } else {
+            drop_last_f64(sync, at->sum);
+          }
+        }));
+    EXPECT_THROW(load_snapshot(path), PersistError) << "short_box=" << short_box;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(SnapshotTest, CorruptedSectionFailsLoad) {

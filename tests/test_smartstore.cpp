@@ -185,6 +185,31 @@ TEST_F(SmartStoreTest, InsertedFilesBecomeVisibleThroughVersions) {
   EXPECT_EQ(found, 200);
 }
 
+TEST_F(SmartStoreTest, OfflineLookupChargesEverySealedVersion) {
+  // The replica answers from derived state in O(1), but the simulated
+  // cost model still charges one Bloom check per sealed version: the
+  // paper's remote unit walks them (Section 4.4, Figure 14b).
+  const auto extra = trace_.make_insert_stream(200, 99);
+  for (std::size_t i = 0; i < extra.size(); ++i)
+    store_->insert_file(extra[i], static_cast<double>(i));
+  double expected = 0.0;
+  std::size_t versions = 0;
+  for (std::size_t g : store_->tree().groups()) {
+    const std::size_t n = store_->group_replica(g).versions().size();
+    expected += static_cast<double>(n) * small_config().cost.per_bloom_check_s;
+    versions += n;
+  }
+  ASSERT_GT(versions, 0u);
+  // An absent name never resolves at the home unit, so every lookup
+  // routes through the replicas.
+  for (int i = 0; i < 20; ++i) {
+    const auto res = store_->point_query(
+        {"/absent/" + std::to_string(i)}, Routing::kOffline, 0.0);
+    EXPECT_FALSE(res.found);
+    EXPECT_DOUBLE_EQ(res.stats.version_check_s, expected);
+  }
+}
+
 TEST_F(SmartStoreTest, DeleteFileRemoves) {
   const auto& f = trace_.files()[10];
   const auto st = store_->delete_file(f.name, 0.0);
