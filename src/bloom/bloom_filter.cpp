@@ -143,9 +143,17 @@ bool CountingBloomFilter::may_contain(const ItemHash& h) const {
 }
 
 BloomFilter CountingBloomFilter::to_bloom_filter() const {
+  // A whole word at a time: its 64 counters are 32 bytes, two per byte
+  // (even index in the low nibble).
   std::vector<std::uint64_t> words(bits_ / 64, 0);
-  for (std::size_t idx = 0; idx < bits_; ++idx) {
-    if (get_counter(idx) > 0) words[idx / 64] |= (1ULL << (idx % 64));
+  for (std::size_t w = 0; w < words.size(); ++w) {
+    const std::uint8_t* bytes = counters_.data() + w * 32;
+    std::uint64_t word = 0;
+    for (unsigned b = 0; b < 32; ++b) {
+      word |= static_cast<std::uint64_t>((bytes[b] & 0x0f) != 0) << (2 * b);
+      word |= static_cast<std::uint64_t>((bytes[b] >> 4) != 0) << (2 * b + 1);
+    }
+    words[w] = word;
   }
   return BloomFilter::from_words(bits_, k_, std::move(words));
 }

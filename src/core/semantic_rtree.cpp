@@ -104,6 +104,16 @@ void SemanticRTree::recompute_all(const std::vector<StorageUnit>& units) {
   }
 }
 
+void SemanticRTree::resize_filters(const std::vector<StorageUnit>& units,
+                                   std::size_t bits) {
+  params_.bloom_bits = bits;
+  for (IndexUnit& n : nodes_) {
+    if (n.node_id != kInvalidIndex)
+      n.name_filter = bloom::BloomFilter(bits, params_.bloom_hashes);
+  }
+  recompute_all(units);
+}
+
 std::vector<std::size_t> SemanticRTree::nodes_at_level(int level) const {
   std::vector<std::size_t> out;
   for (const auto& n : nodes_) {

@@ -139,6 +139,11 @@ class SemanticRTree {
   /// mutations and by tests).
   void recompute_all(const std::vector<StorageUnit>& units);
 
+  /// Re-creates every index-unit filter at `bits` (later splits follow)
+  /// and refills the tree bottom-up from `units`, whose name filters must
+  /// already have that geometry.
+  void resize_filters(const std::vector<StorageUnit>& units, std::size_t bits);
+
   // ---- mapping (Sections 4.2, 4.3) ---------------------------------------
 
   /// Bottom-up random mapping of index units onto storage units; each unit

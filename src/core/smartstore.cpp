@@ -25,6 +25,12 @@ GroupReplica::Base replica_base(const IndexUnit& n) {
   return {n.centroid_raw(), n.attr_sum, n.file_count, n.box, n.name_filter};
 }
 
+VersionDelta empty_delta() {
+  VersionDelta v;
+  v.added_attr_sum.assign(kNumAttrs, 0.0);
+  return v;
+}
+
 }  // namespace
 
 namespace {
@@ -193,18 +199,7 @@ void SmartStore::build(const std::vector<FileMetadata>& files) {
   epoch_.fetch_add(1, std::memory_order_relaxed);
   cow_all_units();
   standardizer_ = fit_standardizer(files);
-
-  // Size Bloom filters for the expected group population (~12 bits per
-  // name) so the filter hierarchy stays in a useful false-positive regime.
-  bloom_bits_ = cfg_.bloom_bits;
-  if (cfg_.bloom_auto_size && !files.empty()) {
-    const std::size_t per_group =
-        files.size() / std::max<std::size_t>(1, cfg_.num_units) *
-        std::max<std::size_t>(2, cfg_.fanout);
-    std::size_t bits = cfg_.bloom_bits;
-    while (bits < per_group * 12) bits *= 2;
-    bloom_bits_ = bits;
-  }
+  set_bloom_bits(sized_bloom_bits(files.size()));
 
   // Semantic placement (Section 2: "files are grouped and stored according
   // to their metadata semantics"): balanced k-means over LSI coordinates
@@ -266,11 +261,60 @@ void SmartStore::init_sync_state() {
   refresh_sync_groups();
 }
 
-VersionDelta SmartStore::empty_delta() const {
-  VersionDelta v;
-  v.added_names = bloom::BloomFilter(bloom_bits_, cfg_.bloom_hashes);
-  v.added_attr_sum.assign(kNumAttrs, 0.0);
-  return v;
+// ---- filter geometry ---------------------------------------------------------
+
+std::size_t SmartStore::sized_bloom_bits(std::size_t files) const {
+  // ~12 bits per name of the expected group population keeps the filter
+  // hierarchy in a useful false-positive regime.
+  std::size_t bits = cfg_.bloom_bits;
+  if (!cfg_.bloom_auto_size) return bits;
+  const std::size_t per_group = files /
+                                std::max<std::size_t>(1, cfg_.num_units) *
+                                std::max<std::size_t>(2, cfg_.fanout);
+  while (bits < per_group * 12) bits *= 2;
+  return bits;
+}
+
+void SmartStore::set_bloom_bits(std::size_t bits) {
+  bloom_bits_ = bits;
+  // sized_bloom_bits(n) exceeds `bits` exactly when
+  // n / num_units * fanout * 12 > bits, i.e. from the population below on.
+  std::size_t at = std::numeric_limits<std::size_t>::max();
+  if (cfg_.bloom_auto_size) {
+    const std::size_t per_unit =
+        bits / (12 * std::max<std::size_t>(2, cfg_.fanout));
+    at = (per_unit + 1) * std::max<std::size_t>(1, cfg_.num_units);
+  }
+  grow_at_.store(at, std::memory_order_relaxed);
+}
+
+std::size_t SmartStore::bloom_bits() const {
+  util::ReaderLock shared(structure_mu_);
+  return bloom_bits_;
+}
+
+void SmartStore::maybe_grow_filters() {
+  if (total_files_.load(std::memory_order_relaxed) <
+      grow_at_.load(std::memory_order_relaxed))
+    return;
+  // A structural operation like add_storage_unit: every serving thread is
+  // outside its operation, and units still pending in an active freeze
+  // are copied first (the index structures were captured at freeze time).
+  util::WriterLock ex(structure_mu_);
+  const std::size_t bits =
+      sized_bloom_bits(total_files_.load(std::memory_order_relaxed));
+  if (bits <= bloom_bits_) return;  // a concurrent writer grew them first
+  epoch_.fetch_add(1, std::memory_order_relaxed);
+  cow_all_units();
+  set_bloom_bits(bits);
+  for (StorageUnit& u : units_) u.resize_name_filter(bits);
+  tree_.resize_filters(units_, bits);
+  for (auto& v : variants_) v.tree.resize_filters(units_, bits);
+  // A replica base is a filter of the names its group held at the last
+  // sync, which are not kept apart: only a full sync (as reconfigure()
+  // runs) gives it the new geometry.
+  for (std::size_t g : tree_.groups()) full_sync_group(g, nullptr);
+  bloom_resizes_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void SmartStore::refresh_sync_groups() {
@@ -620,8 +664,13 @@ void SmartStore::reconfigure() {
 QueryStats SmartStore::insert_file(const FileMetadata& f, double arrival,
                                    const WalHook& logged,
                                    const WalFlush& flushed) {
-  util::ReaderLock shared(structure_mu_);
-  return insert_file_impl(f, arrival, logged, flushed);
+  QueryStats stats;
+  {
+    util::ReaderLock shared(structure_mu_);
+    stats = insert_file_impl(f, arrival, logged, flushed);
+  }
+  maybe_grow_filters();
+  return stats;
 }
 
 std::vector<QueryStats> SmartStore::insert_batch(
@@ -629,9 +678,12 @@ std::vector<QueryStats> SmartStore::insert_batch(
     const WalHook& logged, const WalFlush& flushed) {
   std::vector<QueryStats> out;
   out.reserve(files.size());
-  util::ReaderLock shared(structure_mu_);
-  for (const FileMetadata& f : files)
-    out.push_back(insert_file_impl(f, arrival, logged, flushed));
+  {
+    util::ReaderLock shared(structure_mu_);
+    for (const FileMetadata& f : files)
+      out.push_back(insert_file_impl(f, arrival, logged, flushed));
+  }
+  maybe_grow_filters();
   return out;
 }
 
@@ -722,7 +774,7 @@ QueryStats SmartStore::insert_file_impl(const FileMetadata& f, double arrival,
     const auto guard = maybe_lock(&sync_stripes_, &sync_.at(g));
     GroupSync& gs = sync_.at(g);
     gs.pending.added_box.expand(std);
-    gs.pending.added_names.insert(name_hash);
+    gs.pending.added_names.push_back(name_hash);
     for (std::size_t d = 0; d < kNumAttrs; ++d)
       gs.pending.added_attr_sum[d] += raw[d];
     ++gs.pending.added_count;
@@ -805,6 +857,9 @@ bool SmartStore::erase_file_impl(const std::string& name,
     bool found = false;
     {
       const util::MutexLock guard(unit_mutex(u));
+      // Saturated counters stick, so the filter never misses a live name:
+      // a unit it rules out needs no index probe.
+      if (!units_[u].name_filter().may_contain(name_hash)) continue;
       if (const metadata::FileMetadata* f = units_[u].find_by_name(name)) {
         id = f->id;
         found = true;

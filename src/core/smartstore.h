@@ -69,12 +69,15 @@ struct Config {
   std::size_t lsi_rank = 0;       ///< LSI rank p; 0 = auto (90% energy)
   std::size_t bloom_bits = 1024;  ///< per paper Section 5.1
   unsigned bloom_hashes = 7;      ///< k = 7
-  /// When true (default), filters are sized at build time for the expected
-  /// group population (~12 bits per name, next power of two, at least
-  /// `bloom_bits`). The paper's fixed 1024-bit filters saturate beyond a
-  /// few hundred names per group; auto-sizing keeps the false-positive
-  /// rate in the regime Figure 9 reports. Set false to reproduce the
-  /// paper's exact configuration (the Bloom ablation bench does).
+  /// When true (default), filters are sized for the expected group
+  /// population (~12 bits per name, `bloom_bits` doubled as often as
+  /// needed): at build time, and again whenever inserts outgrow the
+  /// current geometry, so a store grown from empty ends with the filters
+  /// a bulk build of the same files would have. Geometry only grows. The
+  /// paper's fixed 1024-bit filters saturate beyond a few hundred names
+  /// per group; auto-sizing keeps the false-positive rate in the regime
+  /// Figure 9 reports. Set false to reproduce the paper's exact
+  /// configuration (the Bloom ablation bench does).
   bool bloom_auto_size = true;
   std::size_t placement_iters = 4;       ///< balanced k-means iterations
   PlacementPolicy placement = PlacementPolicy::kSemantic;
@@ -170,7 +173,9 @@ class SmartStore {
   // (multi-writer serving): each takes the structure lock shared, routes
   // under striped summary locks, and mutates only the target unit under
   // that unit's dedicated lock. The reconfiguration block below and
-  // build() are exclusive and may run concurrently with anything.
+  // build() are exclusive and may run concurrently with anything. An
+  // insert that takes the population past the current filter geometry
+  // grows the filters on its way out, under the exclusive lock.
 
   /// Routes the file to its most correlated group and inserts it into the
   /// least-loaded member unit; updates the tree locally and the
@@ -309,6 +314,12 @@ class SmartStore {
   sim::Cluster& cluster() { return *cluster_; }
   const std::vector<TreeVariant>& variants() const { return variants_; }
   std::size_t total_files() const { return total_files_; }
+  /// Current name-filter geometry in bits (safe under concurrent serving).
+  std::size_t bloom_bits() const;
+  /// Filter-growth steps taken since this instance was created.
+  std::uint64_t bloom_resizes() const {
+    return bloom_resizes_.load(std::memory_order_relaxed);
+  }
   /// First-level index unit `g`'s replica, as every storage unit routes
   /// on it (quiesced-only, as above).
   const GroupReplica& group_replica(std::size_t g) const {
@@ -557,8 +568,20 @@ class SmartStore {
 
   sim::NodeId random_home() SS_REQUIRES_SHARED(structure_mu_);
   void init_sync_state() SS_REQUIRES(structure_mu_);
-  /// An empty pending delta in the store's filter geometry.
-  VersionDelta empty_delta() const SS_REQUIRES_SHARED(structure_mu_);
+
+  /// The filter sizing rule: ~12 bits per expected group member for a
+  /// population of `files`, i.e. `cfg_.bloom_bits` doubled until it
+  /// covers them (unchanged when auto-sizing is off).
+  std::size_t sized_bloom_bits(std::size_t files) const;
+  /// Installs `bits` as the geometry new filters get and arms the growth
+  /// check at the first population sized_bloom_bits() maps above it.
+  void set_bloom_bits(std::size_t bits) SS_REQUIRES(structure_mu_);
+  /// Run by the public insert paths after they release the shared lock:
+  /// one relaxed load against the armed population, and only on a
+  /// crossing the exclusive growth step — every unit's counting filter
+  /// rebuilt from its digests, every index-unit filter of the main tree
+  /// and the variants re-created and refilled, every group full-synced.
+  void maybe_grow_filters() SS_EXCLUDES(structure_mu_);
   /// Snapshots group `g`'s current truth into its replica (full sync) and
   /// multicasts it; clears versions. Copies the authoritative node summary
   /// under the node's stripe, then installs it under the group's sync
@@ -670,6 +693,10 @@ class SmartStore {
   std::uint64_t store_id_ = 0;
   std::atomic<std::size_t> total_files_{0};
   std::atomic<std::uint64_t> epoch_{0};  ///< mutation counter
+  /// Population at which the filters next grow (see set_bloom_bits);
+  /// written under the exclusive structure lock, read lock-free.
+  std::atomic<std::size_t> grow_at_{static_cast<std::size_t>(-1)};
+  std::atomic<std::uint64_t> bloom_resizes_{0};
 
   /// MVCC commit timestamp: advanced inside the mutating unit-lock
   /// critical section, AFTER the apply — so any value a reader loads names

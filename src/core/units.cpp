@@ -24,6 +24,7 @@ void StorageUnit::add_file(const FileMetadata& f, const la::Vector& std_coords,
   std_coords_.push_back(std_coords);
   added_seqs_.push_back(added_seq);
   assert(name_hash == bloom::hash_item(f.name));
+  name_hashes_.push_back(name_hash);
   name_filter_.insert(name_hash);
   box_.expand(std_coords);
   for (std::size_t d = 0; d < kNumAttrs; ++d) attr_sums_[d] += f.attrs[d];
@@ -60,13 +61,20 @@ std::optional<FileMetadata> StorageUnit::remove_file(
     files_[pos] = std::move(files_[last]);
     std_coords_[pos] = std::move(std_coords_[last]);
     added_seqs_[pos] = added_seqs_[last];
+    name_hashes_[pos] = name_hashes_[last];
     by_name_[files_[pos].name] = pos;
     by_id_[files_[pos].id] = pos;
   }
   files_.pop_back();
   std_coords_.pop_back();
   added_seqs_.pop_back();
+  name_hashes_.pop_back();
   return removed;
+}
+
+void StorageUnit::resize_name_filter(std::size_t bits) {
+  name_filter_ = bloom::CountingBloomFilter(bits, name_filter_.num_hashes());
+  for (const bloom::ItemHash& h : name_hashes_) name_filter_.insert(h);
 }
 
 std::size_t StorageUnit::prune_tombstones(std::uint64_t watermark) {
@@ -118,7 +126,8 @@ std::size_t StorageUnit::byte_size() const {
 }
 
 std::size_t VersionDelta::byte_size() const {
-  return sizeof(*this) + added_box.byte_size() + added_names.byte_size() +
+  return sizeof(*this) + added_box.byte_size() +
+         added_names.capacity() * sizeof(bloom::ItemHash) +
          added_attr_sum.capacity() * sizeof(double) +
          deleted.capacity() * sizeof(metadata::FileId);
 }
@@ -127,7 +136,6 @@ void GroupReplica::reset(Base base) {
   base_ = std::move(base);
   versions_.clear();
   names_ = base_.name_filter;
-  names_exact_ = true;
   sum_ = base_.attr_sum;
   count_ = base_.file_count;
   centroid_.clear();
@@ -135,12 +143,7 @@ void GroupReplica::reset(Base base) {
 }
 
 void GroupReplica::seal(VersionDelta v) {
-  if (names_exact_ && v.added_names.bit_count() == names_.bit_count() &&
-      v.added_names.num_hashes() == names_.num_hashes()) {
-    names_.merge(v.added_names);
-  } else {
-    names_exact_ = false;
-  }
+  for (const bloom::ItemHash& h : v.added_names) names_.insert(h);
   box_.expand(v.added_box);
   if (v.added_count != 0) {
     for (std::size_t d = 0; d < sum_.size(); ++d) sum_[d] += v.added_attr_sum[d];
@@ -166,12 +169,16 @@ const la::Vector& GroupReplica::effective_centroid(bool with_versions) const {
 bool GroupReplica::name_may_contain(const bloom::ItemHash& name,
                                     bool with_versions) const {
   if (with_versions && !versions_.empty()) {
-    // One probe settles a miss in every filter at once.
-    if (names_exact_ && !names_.may_contain(name)) return false;
+    // One probe settles a miss in the base and every version at once.
+    if (!names_.may_contain(name)) return false;
+    // The answer is an OR, so the cheap base probe may go first.
+    if (base_.name_filter.may_contain(name)) return true;
     // Rolling backward: newest version first (Section 4.4).
     for (auto it = versions_.rbegin(); it != versions_.rend(); ++it) {
-      if (it->added_names.may_contain(name)) return true;
+      for (const bloom::ItemHash& h : it->added_names)
+        if (h == name) return true;
     }
+    return false;
   }
   return base_.name_filter.may_contain(name);
 }

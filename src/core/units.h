@@ -110,11 +110,16 @@ class StorageUnit {
   std::size_t prune_tombstones(std::uint64_t watermark);
 
   /// Membership filter over local filenames (counting, so deletions work);
-  /// the plain view is what gets unioned into index units.
+  /// the plain view is what gets unioned into index units. Saturated
+  /// counters stick, so a live name is never reported absent.
   const bloom::CountingBloomFilter& name_filter() const { return name_filter_; }
   bloom::BloomFilter name_filter_view() const {
     return name_filter_.to_bloom_filter();
   }
+
+  /// Rebuilds the name filter at `bits` bits from the digests of the live
+  /// records (the store's filter-growth step; no name is rehashed).
+  void resize_name_filter(std::size_t bits);
 
   /// MBR over standardized coordinates of local files.
   const rtree::Mbr& box() const { return box_; }
@@ -131,6 +136,9 @@ class StorageUnit {
   std::vector<metadata::FileMetadata> files_;
   std::vector<la::Vector> std_coords_;        // parallel to files_
   std::vector<std::uint64_t> added_seqs_;     // parallel to files_
+  /// Name digests, parallel to files_: what resize_name_filter() refills
+  /// the filter from. Derived from the names, so not in byte_size().
+  std::vector<bloom::ItemHash> name_hashes_;
   std::vector<TombstoneRecord> tombstones_;   // MVCC version chain
   std::unordered_map<std::string, std::size_t> by_name_;  // name -> position
   std::unordered_map<metadata::FileId, std::size_t> by_id_;
@@ -141,10 +149,13 @@ class StorageUnit {
 
 /// Aggregated changes between two replica synchronization points
 /// (Section 4.4). Small by construction: only summaries of the changed
-/// files, kept in memory.
+/// files, kept in memory. A version seals after `version_ratio` changes,
+/// so it names its inserted files by their digests — a handful of 16-byte
+/// entries instead of a filter of the group's geometry, which grows with
+/// the store.
 struct VersionDelta {
   rtree::Mbr added_box;             ///< MBR of inserted files (standardized)
-  bloom::BloomFilter added_names;   ///< filenames inserted in this window
+  std::vector<bloom::ItemHash> added_names;  ///< digests of inserted names
   la::Vector added_attr_sum;        ///< raw-attribute sum of inserted files
   std::size_t added_count = 0;
   std::vector<metadata::FileId> deleted;
@@ -160,9 +171,9 @@ struct VersionDelta {
 /// Queries scan them rolling backward (newest first, Section 4.4).
 ///
 /// The backlog changes only through reset() and seal(), which keep three
-/// derived views in step with it, so a lookup costs the same however many
-/// versions are attached: a union of the base and every sealed name
-/// filter, and the running effective attribute sum/count and box. Each
+/// derived views in step with it, so a lookup costs one probe however
+/// many versions are attached: the base filter with every sealed digest's
+/// bits set, and the running effective attribute sum/count and box. Each
 /// view is built with the same operations, in the same order, as the walk
 /// over versions() it stands for, so every answer is bit-identical to the
 /// walk's. The simulated cost model still charges one Bloom check per
@@ -196,8 +207,8 @@ class GroupReplica {
   const la::Vector& effective_centroid(bool with_versions) const;
 
   /// Filename may-contain check against the base filter and (when
-  /// `with_versions`) every sealed version, newest first. `name` is the
-  /// digest of the queried filename.
+  /// `with_versions`) every sealed version's digests, newest first. `name`
+  /// is the digest of the queried filename.
   bool name_may_contain(const bloom::ItemHash& name, bool with_versions) const;
 
   /// The replicated summary and its versions (the paper's space
@@ -211,12 +222,9 @@ class GroupReplica {
   std::vector<VersionDelta> versions_;
 
   // Derived from base_ and versions_ by reset() and seal() alone.
-  /// base_.name_filter OR every sealed added_names; a bit clear here is
-  /// clear in each of them. Only meaningful while `names_exact_`: a
-  /// filter of another geometry cannot be merged, and the lookup then
-  /// walks the versions one by one.
+  /// base_.name_filter with the bits of every sealed digest set: a name
+  /// missing here is in no version and not in the base.
   bloom::BloomFilter names_;
-  bool names_exact_ = true;
   la::Vector sum_;             ///< attr_sum + every inserting version's sum
   std::size_t count_ = 0;      ///< file_count + every version's added_count
   la::Vector centroid_;        ///< sum_ / count_ (base centroid at count_ 0);

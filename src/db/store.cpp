@@ -1108,6 +1108,12 @@ bool Store::GetProperty(const std::string& name, std::string* value) {
       return u64(w);
     }
 
+    // Name-filter geometry (it grows with the population; see
+    // core::Config::bloom_auto_size) and the growth steps since Open.
+    if (name == "smartstore.bloom.bits") return u64(im.core->bloom_bits());
+    if (name == "smartstore.bloom.resizes")
+      return u64(im.core->bloom_resizes());
+
     // The current checkpoint base image (ckpt/base-<id>.bin).
     if (name == "smartstore.snapshot.path" ||
         name == "smartstore.snapshot.bytes") {

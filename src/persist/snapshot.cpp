@@ -140,17 +140,34 @@ lsi::LsiModel read_lsi(BinaryReader& r) {
 
 void write_version_delta(BinaryWriter& w, const core::VersionDelta& v) {
   write_mbr(w, v.added_box);
-  write_bloom(w, v.added_names);
+  w.write_u64(v.added_names.size());
+  for (const bloom::ItemHash& h : v.added_names)
+    for (std::uint32_t word : h.w) w.write_u32(word);
   w.write_vec_f64(v.added_attr_sum);
   w.write_u64(v.added_count);
   w.write_vec_u64(v.deleted);
   w.write_f64(v.sealed_at);
 }
 
-core::VersionDelta read_version_delta(BinaryReader& r) {
+/// Reads one version delta. Images before format version 3 stored the
+/// inserted names as a filter, which no digest list can be recovered
+/// from: it is read and dropped, and the caller full-syncs the group.
+core::VersionDelta read_version_delta(BinaryReader& r, std::uint32_t version) {
+  constexpr std::size_t kDigestBytes = sizeof(bloom::ItemHash::w);
   core::VersionDelta v;
   v.added_box = read_mbr(r);
-  v.added_names = read_bloom(r);
+  if (version >= 3) {
+    // Bounded by the payload before anything is allocated.
+    const std::uint64_t n = r.read_u64();
+    if (n > r.remaining() / kDigestBytes)
+      throw PersistError("version digest count " + std::to_string(n) +
+                         " exceeds the section payload");
+    v.added_names.resize(static_cast<std::size_t>(n));
+    for (bloom::ItemHash& h : v.added_names)
+      for (std::uint32_t& word : h.w) word = r.read_u32();
+  } else {
+    (void)read_bloom(r);
+  }
   v.added_attr_sum = r.read_vec_f64();
   v.added_count = static_cast<std::size_t>(r.read_u64());
   v.deleted = r.read_vec_u64();
@@ -172,7 +189,7 @@ void write_replica(BinaryWriter& w, const core::GroupReplica& g) {
 /// Rebuilds the replica's derived routing state through the same reset()
 /// and seal() calls that built it live, so a loaded replica answers every
 /// lookup exactly as the saved one did.
-core::GroupReplica read_replica(BinaryReader& r) {
+core::GroupReplica read_replica(BinaryReader& r, std::uint32_t version) {
   core::GroupReplica::Base b;
   b.centroid_raw = r.read_vec_f64();
   b.attr_sum = r.read_vec_f64();
@@ -185,7 +202,7 @@ core::GroupReplica read_replica(BinaryReader& r) {
   const std::size_t n = static_cast<std::size_t>(
       r.read_u64_max(r.remaining(), "version count"));
   for (std::size_t i = 0; i < n; ++i) {
-    core::VersionDelta v = read_version_delta(r);
+    core::VersionDelta v = read_version_delta(r, version);
     // seal() folds the sum and box into running totals: a short vector
     // must fail the load rather than be indexed past its end.
     const rtree::Mbr& box = g.effective_box(true);
@@ -560,7 +577,11 @@ struct SnapshotAccess {
     auto store = std::make_unique<Store>(cfg);
     Store& s = *store;
 
-    s.bloom_bits_ = static_cast<std::size_t>(config_r.read_u64());
+    // The geometry the image was written with; WAL replay grows it again
+    // as the population it re-derives crosses the sizing rule.
+    const auto bloom_bits = static_cast<std::size_t>(config_r.read_u64());
+    if (bloom_bits == 0) throw PersistError("bloom bits must be > 0");
+    s.set_bloom_bits(bloom_bits);
     s.total_files_ = static_cast<std::size_t>(config_r.read_u64());
     std::array<std::uint64_t, 4> rng_state;
     for (auto& word : rng_state) word = config_r.read_u64();
@@ -591,7 +612,6 @@ struct SnapshotAccess {
             units_r.remaining(), "unit count"));
     if (unit_count != num_units)
       throw PersistError("UNITS/CONFIG unit count mismatch");
-    if (s.bloom_bits_ == 0) throw PersistError("bloom bits must be > 0");
     s.units_.clear();
     s.units_.reserve(unit_count);
     for (std::size_t u = 0; u < unit_count; ++u) {
@@ -653,11 +673,14 @@ struct SnapshotAccess {
       const std::size_t g =
           read_index(sync_r, s.tree_.nodes_.size(), "sync group");
       Store::GroupSync gs;
-      gs.replica = read_replica(sync_r);
-      gs.pending = read_version_delta(sync_r);
+      gs.replica = read_replica(sync_r, version);
+      gs.pending = read_version_delta(sync_r, version);
       gs.changes_since_full_sync = static_cast<std::size_t>(sync_r.read_u64());
       s.sync_.emplace(g, std::move(gs));
     }
+    // Versions of a pre-3 image lost their names above: every group
+    // full-syncs, the state a live lazy-update refresh produces.
+    if (version < 3) s.init_sync_state();
 
     s.rebuild_unit_locks();
 

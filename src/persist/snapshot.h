@@ -13,12 +13,12 @@
 //   then per section:
 //   [u32 section id] [u64 payload length] [payload] [u32 CRC-32 of payload]
 //
-// Sections: CONFIG (Config + rng state + active flags), STANDARDIZER,
-// UNITS (records per storage unit), TREE, VARIANTS, SYNC (group replicas,
-// sealed versions, pending deltas). The WAL prefix an image contains is
-// recorded in the delta manifest, not here; images from earlier builds
-// that still carry a WALFENCE section (id 7) load, the section checksummed
-// and skipped like any unknown id.
+// Sections: CONFIG (Config + rng state + active flags + the current
+// filter geometry), STANDARDIZER, UNITS (records per storage unit), TREE,
+// VARIANTS, SYNC (group replicas, sealed versions, pending deltas). The
+// WAL prefix an image contains is recorded in the delta manifest, not
+// here; images from earlier builds that still carry a WALFENCE section
+// (id 7) load, the section checksummed and skipped like any unknown id.
 // Every section is independently checksummed; a flipped bit or truncation
 // anywhere fails the load with a PersistError instead of resurrecting a
 // corrupt deployment.
@@ -66,7 +66,11 @@ inline constexpr char kSnapshotMagic[8] = {'S', 'S', 'N', 'A',
 /// and each UNITS entry appends per-record added_seqs plus the tombstone
 /// chain still visible above the GC watermark at save time. The loader
 /// accepts version 1 (every record loads as pre-history, seq 0).
-inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
+/// Version 3 names each version delta's inserted files in SYNC by their
+/// digests (a u64 count, then four u32 words each) instead of a filter.
+/// A version 1 or 2 image loads with every group full-synced: its
+/// versions' filters are read and dropped.
+inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
 
 /// One shard's slice of a sharded-WAL fence: records [0, records) of
 /// wal/<shard>.log under `generation` are reflected in the snapshot.

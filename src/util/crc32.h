@@ -1,7 +1,8 @@
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), the checksum
 // guarding every snapshot section and WAL commit block in the persistence
-// layer. Table-driven, incremental: feed chunks via the running `state`
-// form, or use the one-shot helper.
+// layer and every RPC frame. Table-driven, eight bytes per step
+// (slicing-by-8), incremental: feed chunks via the running `state` form,
+// or use the one-shot helper.
 #pragma once
 
 #include <cstddef>

@@ -39,7 +39,8 @@ inline bool name_may_contain(const GroupReplica& r, const bloom::ItemHash& h,
                              bool with_versions) {
   if (with_versions) {
     for (auto it = r.versions().rbegin(); it != r.versions().rend(); ++it) {
-      if (it->added_names.may_contain(h)) return true;
+      for (const bloom::ItemHash& added : it->added_names)
+        if (added == h) return true;
     }
   }
   return r.base().name_filter.may_contain(h);

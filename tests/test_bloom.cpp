@@ -129,11 +129,15 @@ TEST(CountingBloomFilter, ToBloomFilterMatchesMembership) {
   for (const auto& n : names) cbf.insert(n);
   cbf.remove(names[5]);
   const BloomFilter bf = cbf.to_bloom_filter();
+  BloomFilter plain(1024, 7);
   for (std::size_t i = 0; i < names.size(); ++i) {
     if (i == 5) continue;
     EXPECT_TRUE(bf.may_contain(names[i]));
+    plain.insert(names[i]);
   }
   EXPECT_EQ(bf.bit_count(), cbf.bit_count());
+  // Bit for bit: a counter above zero is exactly a set bit.
+  EXPECT_EQ(bf, plain);
 }
 
 TEST(CountingBloomFilter, DuplicateInsertsNeedMatchingRemoves) {

@@ -275,6 +275,78 @@ TEST(MultiWriter, ShardedWalBackgroundCheckpointsRecoverEverything) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(MultiWriter, FiltersGrowFromEmptyUnderWritersReadersAndCheckpoints) {
+  // A store built empty, filled by concurrent logged writers while readers
+  // route and the background slot cuts and folds: every filter-growth step
+  // takes the structure lock exclusively in between, copying units still
+  // pending in an active freeze first.
+  const std::string dir = temp_dir("growth");
+  const auto tr = trace::SyntheticTrace::generate(trace::msn_profile(), 1, 42,
+                                                  /*downscale=*/10);
+  const std::vector<FileMetadata>& stream = tr.files();
+  Config cfg;
+  cfg.num_units = 8;
+  cfg.seed = 7;
+  SmartStore store(cfg);
+  store.build({});
+  ShardedWal wal(dir, store.units().size(), /*group_commit=*/4);
+  DeltaEngine engine(store, wal, dir);
+  engine.fold();
+  Compactor compactor(engine, /*max_chain_len=*/1, /*max_chain_bytes=*/0);
+
+  std::atomic<std::size_t> done_writers{0};
+  std::atomic<std::size_t> found{0};
+  std::thread reader([&] {
+    for (std::size_t i = 0;
+         done_writers.load(std::memory_order_acquire) < 3; ++i) {
+      const auto& f = stream[(i * 13) % stream.size()];
+      const Routing routing = i % 2 == 0 ? Routing::kOnline : Routing::kOffline;
+      if (store.point_query({f.name}, routing, 0.0).found)
+        found.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  const auto ranges = split(stream.size(), 3);
+  std::vector<std::thread> writers;
+  for (const auto& [b, e] : ranges) {
+    writers.emplace_back([&, b = b, e = e] {
+      for (std::size_t i = b; i < e; ++i) logged_insert(store, wal, stream[i]);
+      done_writers.fetch_add(1, std::memory_order_release);
+    });
+  }
+  while (done_writers.load(std::memory_order_acquire) < writers.size()) {
+    if (compactor.trigger()) {
+      compactor.wait();
+    } else {
+      std::this_thread::yield();
+    }
+  }
+  for (auto& t : writers) t.join();
+  reader.join();
+
+  // 1,250 files on 8 units double the 1024-bit filters four times.
+  EXPECT_GE(store.bloom_resizes(), 3u);
+  SmartStore bulk(cfg);
+  bulk.build(stream);
+  EXPECT_EQ(store.bloom_bits(), bulk.bloom_bits());
+  EXPECT_TRUE(store.check_invariants());
+  EXPECT_EQ(store.total_files(), stream.size());
+  std::set<std::string> expect;
+  for (const auto& f : stream) expect.insert(f.name);
+  EXPECT_EQ(unit_names(store), expect);
+  for (const auto& f : stream)
+    ASSERT_TRUE(store.point_query({f.name}, Routing::kOnline, 0.0).found)
+        << f.name;
+
+  // Recovery replays the same inserts and grows the filters again.
+  wal.commit_all();
+  const RecoveryResult rec = recover(dir);
+  ASSERT_TRUE(rec.store);
+  EXPECT_TRUE(rec.store->check_invariants());
+  EXPECT_EQ(rec.store->bloom_bits(), store.bloom_bits());
+  EXPECT_EQ(unit_names(*rec.store), expect);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(MultiWriter, StructuralOpsBarrierAgainstConcurrentWriters) {
   const std::string dir = temp_dir("structural");
   Deployment d(6, /*downscale=*/30);

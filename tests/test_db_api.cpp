@@ -550,6 +550,65 @@ TEST(DbApi, PropertiesReportCountersAndSpace) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(DbApi, BloomPropertiesTrackFilterGrowth) {
+  // A store that starts empty grows its name filters with the population:
+  // 6 units at fanout 8 double the paper's 1024 bits at 66, 132 and 264
+  // files, reaching 8192 bits (~12 per expected group member) at 400.
+  const auto dir = temp_dir("bloom_props");
+  auto store = open_or_die(small_options(), dir.string());
+  std::string v;
+  ASSERT_TRUE(store->GetProperty("smartstore.bloom.bits", &v));
+  EXPECT_EQ(v, "1024");
+  ASSERT_TRUE(store->GetProperty("smartstore.bloom.resizes", &v));
+  EXPECT_EQ(v, "0");
+  for (std::uint64_t i = 0; i < 400; ++i)
+    ASSERT_TRUE(store->Put(make_file(i)).ok());
+  ASSERT_TRUE(store->GetProperty("smartstore.bloom.bits", &v));
+  EXPECT_EQ(v, "8192");
+  ASSERT_TRUE(store->GetProperty("smartstore.bloom.resizes", &v));
+  EXPECT_EQ(v, "3");
+  ASSERT_TRUE(store->GetProperty("smartstore.invariants-ok", &v));
+  EXPECT_EQ(v, "1");
+  std::filesystem::remove_all(dir);
+}
+
+TEST(DbApi, FilterGrowthIsRederivedOnRecovery) {
+  // The checkpoint image keeps the geometry it was written with; the WAL
+  // tail replays through the same inserts, so it grows the filters again
+  // at the same populations.
+  const auto dir = temp_dir("bloom_recover");
+  std::string bits_before;
+  {
+    auto store = open_or_die(small_options(), dir.string());
+    for (std::uint64_t i = 0; i < 250; ++i)
+      ASSERT_TRUE(store->Put(make_file(i)).ok());
+    ASSERT_TRUE(store->Checkpoint().ok());
+    for (std::uint64_t i = 250; i < 600; ++i)
+      ASSERT_TRUE(store->Put(make_file(i)).ok());
+    std::string v;
+    ASSERT_TRUE(store->GetProperty("smartstore.bloom.resizes", &v));
+    EXPECT_GE(std::stoull(v), 2u);
+    ASSERT_TRUE(store->GetProperty("smartstore.bloom.bits", &bits_before));
+    ASSERT_TRUE(store->Flush().ok());
+    store->Abandon();  // crash: the growth past the checkpoint is unlogged
+  }
+  {
+    auto store = open_or_die(small_options(), dir.string());
+    EXPECT_GT(store->recovery_info().wal_records, 0u);
+    std::string v;
+    ASSERT_TRUE(store->GetProperty("smartstore.bloom.bits", &v));
+    EXPECT_EQ(v, bits_before);
+    for (std::uint64_t i = 0; i < 600; ++i) {
+      auto r = store->Query(db::QueryRequest::Point(make_file(i).name),
+                            db::ReadOptions{});
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_TRUE(r->found) << i;
+      EXPECT_EQ(r->id, i);
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
 // ---- MVCC snapshot reads / time travel --------------------------------------
 
 db::QueryRequest select_all() {

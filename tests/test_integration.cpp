@@ -137,7 +137,10 @@ TEST(Integration, VersionSpaceMonotoneInRatio) {
   for (const std::size_t ratio : {1u, 4u, 16u}) {
     Config cfg = lifecycle_config();
     cfg.version_ratio = ratio;
-    cfg.lazy_update_threshold = 10.0;  // let versions accumulate
+    // Let versions accumulate: no lazy full sync, and no filter growth
+    // (its full sync would clear them as the population crosses 1376).
+    cfg.lazy_update_threshold = 10.0;
+    cfg.bloom_auto_size = false;
     SmartStore store(cfg);
     store.build(tr.files());
     const auto extra = tr.make_insert_stream(128, 21);

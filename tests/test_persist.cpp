@@ -26,6 +26,7 @@
 #include "trace/synth.h"
 #include "util/binary_io.h"
 #include "util/crc32.h"
+#include "util/rng.h"
 
 namespace smartstore::persist {
 namespace {
@@ -112,6 +113,39 @@ TEST(Crc32, KnownVectors) {
   st = util::crc32_update(st, "1234", 4);
   st = util::crc32_update(st, "56789", 5);
   EXPECT_EQ(util::crc32_final(st), 0xCBF43926u);
+}
+
+/// Bit-at-a-time CRC-32 straight from the polynomial: the definition the
+/// table-driven code must reproduce.
+std::uint32_t crc32_bitwise(const std::uint8_t* p, std::size_t len) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < len; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return ~c;
+}
+
+TEST(Crc32, EveryLengthAndAlignmentMatchesBitwiseReference) {
+  // Slicing-by-8 takes eight bytes per step and finishes bytewise: cover
+  // every tail length and start alignment, one-shot and fed in two pieces
+  // split at a point that varies with both, against the reference.
+  std::vector<std::uint8_t> buf(300 + 8);
+  util::Rng rng(17);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.uniform_u64(256));
+  for (std::size_t align = 0; align < 8; ++align) {
+    const std::uint8_t* p = buf.data() + align;
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const std::uint32_t want = crc32_bitwise(p, len);
+      ASSERT_EQ(util::crc32(p, len), want) << "len " << len << " align " << align;
+      const std::size_t cut = len * (align + 1) / 9;
+      std::uint32_t st = util::crc32_init();
+      st = util::crc32_update(st, p, cut);
+      st = util::crc32_update(st, p + cut, len - cut);
+      ASSERT_EQ(util::crc32_final(st), want)
+          << "len " << len << " align " << align << " cut " << cut;
+    }
+  }
 }
 
 // ---- snapshot ---------------------------------------------------------------
@@ -335,10 +369,15 @@ void skip_bloom(util::BinaryReader& r) {
   r.read_vec_u64();
 }
 
+/// A version delta's digest list: a u64 count, then four u32 words each.
+void skip_digests(util::BinaryReader& r) {
+  r.skip(static_cast<std::size_t>(r.read_u64()) * 16);
+}
+
 /// Payload offsets of the first sealed version that inserted files: its
-/// added_box's lo and hi vectors and its added_attr_sum.
+/// added_box's lo and hi vectors, its digest count and its added_attr_sum.
 struct VersionOffsets {
-  std::size_t lo = 0, hi = 0, sum = 0;
+  std::size_t lo = 0, hi = 0, names = 0, sum = 0;
 };
 
 std::optional<VersionOffsets> first_inserting_version(
@@ -361,7 +400,8 @@ std::optional<VersionOffsets> first_inserting_version(
         at.hi = r.position();
         r.read_vec_f64();
       }
-      skip_bloom(r);
+      at.names = r.position();
+      skip_digests(r);
       at.sum = r.position();
       r.read_vec_f64();
       if (r.read_u64() != 0 && at.lo != 0) return at;
@@ -369,7 +409,7 @@ std::optional<VersionOffsets> first_inserting_version(
       r.read_f64();
     }
     skip_mbr(r);  // pending delta: box, names, sum, count, deleted, sealed_at
-    skip_bloom(r);
+    skip_digests(r);
     r.read_vec_f64();
     r.read_u64();
     r.read_vec_u64();
@@ -417,6 +457,172 @@ TEST_F(SnapshotReplicas, ShortSealedVersionFailsLoadCleanly) {
         }));
     EXPECT_THROW(load_snapshot(path), PersistError) << "short_box=" << short_box;
   }
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(SnapshotReplicas, OversizedDigestCountFailsWithoutAllocating) {
+  // A version's digest count is a length field like any other: bounded by
+  // what is left of the SYNC payload before anything is allocated.
+  const std::string dir = temp_dir("digest_count");
+  const std::string path = image_path(dir);
+  save_snapshot(*store_, path);
+  const auto image = util::read_file_bytes(path);
+  constexpr std::uint32_t kSync = 6;
+  for (const bool just_past : {true, false}) {
+    util::write_file_atomic(
+        path, edit_section(image, kSync, [&](std::vector<std::uint8_t>& sync) {
+          const auto at = first_inserting_version(sync);
+          ASSERT_TRUE(at.has_value());
+          const std::uint64_t left = sync.size() - at->names - 8;
+          util::BinaryWriter count;
+          count.write_u64(just_past ? left / 16 + 1 : std::uint64_t{1} << 60);
+          std::copy(count.buffer().begin(), count.buffer().end(),
+                    sync.begin() + static_cast<std::ptrdiff_t>(at->names));
+        }));
+    EXPECT_THROW(load_snapshot(path), PersistError) << "just_past=" << just_past;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+/// Re-encodes a format-3 SYNC payload the way format 2 wrote it: every
+/// version delta names its inserted files by a filter of the group's base
+/// geometry instead of a digest list.
+std::vector<std::uint8_t> sync_as_v2(const std::vector<std::uint8_t>& sync) {
+  util::BinaryReader r(sync);
+  util::BinaryWriter w;
+  auto copy_vec_f64 = [&] { w.write_vec_f64(r.read_vec_f64()); };
+  auto copy_mbr = [&] {
+    const bool valid = r.read_bool();
+    w.write_bool(valid);
+    if (!valid) return;
+    copy_vec_f64();
+    copy_vec_f64();
+  };
+  auto delta_as_v2 = [&](const bloom::BloomFilter& geometry) {
+    copy_mbr();
+    bloom::BloomFilter names(geometry.bit_count(), geometry.num_hashes());
+    for (std::uint64_t n = r.read_u64(); n > 0; --n) {
+      bloom::ItemHash h;
+      for (auto& word : h.w) word = r.read_u32();
+      names.insert(h);
+    }
+    w.write_u64(names.bit_count());
+    w.write_u32(names.num_hashes());
+    w.write_vec_u64(names.words());
+    copy_vec_f64();                     // added_attr_sum
+    w.write_u64(r.read_u64());          // added_count
+    w.write_vec_u64(r.read_vec_u64());  // deleted
+    w.write_f64(r.read_f64());          // sealed_at
+  };
+  const std::uint64_t groups = r.read_u64();
+  w.write_u64(groups);
+  for (std::uint64_t g = 0; g < groups; ++g) {
+    w.write_u64(r.read_u64());  // group id
+    copy_vec_f64();             // base centroid
+    copy_vec_f64();             // base attr_sum
+    w.write_u64(r.read_u64());  // base file_count
+    copy_mbr();
+    const std::uint64_t bits = r.read_u64();
+    const std::uint32_t k = r.read_u32();
+    const bloom::BloomFilter base =
+        bloom::BloomFilter::from_words(bits, k, r.read_vec_u64());
+    w.write_u64(bits);
+    w.write_u32(k);
+    w.write_vec_u64(base.words());
+    const std::uint64_t versions = r.read_u64();
+    w.write_u64(versions);
+    for (std::uint64_t v = 0; v < versions; ++v) delta_as_v2(base);
+    delta_as_v2(base);          // pending
+    w.write_u64(r.read_u64());  // changes_since_full_sync
+  }
+  EXPECT_TRUE(r.at_end());
+  return w.buffer();
+}
+
+TEST_F(SnapshotReplicas, Version2SyncLoadsWithGroupsFullSynced) {
+  // A format-2 image stored each version's names as a filter, from which
+  // no digest list can be recovered: it loads with every group
+  // full-synced, the state a live lazy-update refresh produces.
+  const std::string dir = temp_dir("sync_v2");
+  const std::string path = image_path(dir);
+  save_snapshot(*store_, path);
+  auto image = edit_section(util::read_file_bytes(path), /*kSync=*/6,
+                            [](std::vector<std::uint8_t>& sync) {
+                              sync = sync_as_v2(sync);
+                            });
+  image[sizeof(kSnapshotMagic)] = 2;  // little-endian u32 format version
+  util::write_file_atomic(path, image);
+
+  std::unique_ptr<SmartStore> loaded;
+  ASSERT_NO_THROW(loaded = load_snapshot(path));
+  EXPECT_TRUE(loaded->check_invariants());
+  EXPECT_EQ(loaded->total_files(), store_->total_files());
+  EXPECT_EQ(loaded->bloom_bits(), store_->bloom_bits());
+  for (std::size_t g : loaded->tree().groups()) {
+    const core::GroupReplica& r = loaded->group_replica(g);
+    const core::IndexUnit& node = loaded->tree().node(g);
+    EXPECT_TRUE(r.versions().empty()) << "group " << g;
+    EXPECT_EQ(r.base().file_count, node.file_count) << "group " << g;
+    EXPECT_EQ(r.base().name_filter, node.name_filter) << "group " << g;
+  }
+  // Full-synced replicas hold every inserted name in their bases.
+  for (const auto& f : extra_) {
+    const auto res = loaded->point_query({f.name}, Routing::kOnline, 0.0);
+    ASSERT_TRUE(res.found) << f.name;
+    const std::size_t g = loaded->tree().group_of_unit(res.unit);
+    EXPECT_TRUE(loaded->group_replica(g).name_may_contain(
+        bloom::hash_item(f.name), /*with_versions=*/false))
+        << f.name;
+  }
+  // Saved again, it is a format-3 image.
+  save_snapshot(*loaded, dir + "/again.bin");
+  EXPECT_NO_THROW(load_snapshot(dir + "/again.bin"));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SnapshotGrowth, GrownStoreRoundTripsByteIdentically) {
+  // A store grown from empty by inserts, as every routed shard and
+  // replication follower is: its filters grew several times, and the
+  // versions sealed since the last growth carry digests.
+  const auto tr = trace::SyntheticTrace::generate(trace::hp_profile(), 1, 42,
+                                                  /*downscale=*/20);
+  Config cfg;
+  cfg.num_units = 8;
+  cfg.seed = 5;
+  cfg.lazy_update_threshold = 10.0;  // only growth full-syncs
+  SmartStore store(cfg);
+  store.build({});
+  for (const auto& f : tr.files()) store.insert_file(f, 0.0);
+  ASSERT_GE(store.bloom_resizes(), 2u);
+  std::size_t versions = 0;
+  for (std::size_t g : store.tree().groups())
+    versions += store.group_replica(g).versions().size();
+  ASSERT_GT(versions, 0u);
+
+  std::vector<bloom::ItemHash> probes;
+  for (const auto& f : tr.files()) probes.push_back(bloom::hash_item(f.name));
+  for (int i = 0; i < 200; ++i)
+    probes.push_back(bloom::hash_item("/absent/" + std::to_string(i)));
+
+  const std::string dir = temp_dir("grown");
+  save_snapshot(store, image_path(dir));
+  auto loaded = load_snapshot(image_path(dir));
+  EXPECT_EQ(loaded->bloom_bits(), store.bloom_bits());
+  for (const auto& u : loaded->units())
+    EXPECT_EQ(u.name_filter().bit_count(), store.bloom_bits());
+  for (std::size_t g : store.tree().groups()) {
+    const core::GroupReplica& back = loaded->group_replica(g);
+    EXPECT_TRUE(core::reference::matches(back, probes)) << "group " << g;
+    ASSERT_EQ(back.versions().size(), store.group_replica(g).versions().size());
+    for (const auto& h : probes)
+      EXPECT_EQ(back.name_may_contain(h, true),
+                store.group_replica(g).name_may_contain(h, true));
+  }
+  for (const auto& f : tr.files())
+    EXPECT_TRUE(loaded->point_query({f.name}, Routing::kOnline, 0.0).found);
+  save_snapshot(*loaded, dir + "/again.bin");
+  EXPECT_EQ(util::read_file_bytes(dir + "/again.bin"),
+            util::read_file_bytes(image_path(dir)));
   std::filesystem::remove_all(dir);
 }
 

@@ -373,6 +373,129 @@ TEST_F(SmartStoreTest, LatencyAndMessagesArePositive) {
   EXPECT_GE(res.stats.groups_visited, 1u);
 }
 
+// ---- filter growth -------------------------------------------------------------
+
+/// Grows a store from empty, one insert at a time, as every routed shard
+/// and replication follower is grown.
+std::unique_ptr<SmartStore> grow_from_empty(
+    const Config& cfg, const std::vector<FileMetadata>& files) {
+  auto store = std::make_unique<SmartStore>(cfg);
+  store->build({});
+  for (const auto& f : files) store->insert_file(f, 0.0);
+  return store;
+}
+
+TEST(SmartStoreGrowth, GrownStoreMatchesBulkloadFilters) {
+  // A store built empty has no unit LSI model to route inserts by: every
+  // group scores the same and the first one takes every file (a placement
+  // gap of its own, see ROADMAP). With as many units as the fanout, each
+  // unit is its own group, so the group that takes the files holds exactly
+  // the population the sizing rule sizes a group's filter for.
+  Config cfg = small_config();
+  cfg.num_units = 8;
+  cfg.fanout = 8;
+  const auto tr = small_trace();
+  SmartStore bulk(cfg);
+  bulk.build(tr.files());
+  const auto grown = grow_from_empty(cfg, tr.files());
+
+  EXPECT_EQ(grown->bloom_bits(), bulk.bloom_bits());
+  EXPECT_GE(grown->bloom_resizes(), 2u);
+  EXPECT_EQ(bulk.bloom_resizes(), 0u);
+  EXPECT_TRUE(grown->check_invariants());
+  for (const auto& u : grown->units())
+    EXPECT_EQ(u.name_filter().bit_count(), bulk.bloom_bits());
+  for (std::size_t g : grown->tree().groups()) {
+    EXPECT_EQ(grown->tree().node(g).name_filter.bit_count(), bulk.bloom_bits());
+    EXPECT_EQ(grown->group_replica(g).base().name_filter.bit_count(),
+              bulk.bloom_bits());
+  }
+  for (const auto& f : tr.files()) {
+    const auto res = grown->point_query({f.name}, Routing::kOnline, 0.0);
+    ASSERT_TRUE(res.found) << f.name;
+    EXPECT_EQ(res.id, f.id);
+  }
+
+  // Off-line lookups of absent names stop at the filters. The sizing rule
+  // keeps a group filter's false-positive rate well under 1%, so at most
+  // one lookup in a hundred sends a message; filters that never grew
+  // would answer "maybe" for nearly every name and send one almost every
+  // time.
+  constexpr int kLookups = 2000;
+  int sent = 0;
+  for (int i = 0; i < kLookups; ++i) {
+    const auto res = grown->point_query({"/absent/" + std::to_string(i)},
+                                        Routing::kOffline, 0.0);
+    EXPECT_FALSE(res.found);
+    if (res.stats.messages > 0) ++sent;
+  }
+  EXPECT_LE(sent, kLookups / 100);
+}
+
+TEST(SmartStoreGrowth, FixedGeometryNeverGrows) {
+  Config cfg = small_config();
+  cfg.bloom_auto_size = false;
+  const auto tr = small_trace();
+  const auto grown = grow_from_empty(cfg, tr.files());
+  EXPECT_EQ(grown->bloom_bits(), cfg.bloom_bits);
+  EXPECT_EQ(grown->bloom_resizes(), 0u);
+}
+
+TEST(SmartStoreGrowth, GrowthIsAFunctionOfThePopulation) {
+  // The geometry is what build() picks for the population, at every size
+  // along the way, and growth stops once deletes shrink it (it never
+  // shrinks back).
+  Config cfg = small_config();
+  const auto tr = small_trace();
+  SmartStore store(cfg);
+  store.build({});
+  for (std::size_t i = 0; i < tr.files().size(); ++i) {
+    store.insert_file(tr.files()[i], 0.0);
+    if (i % 250 != 249) continue;
+    SmartStore bulk(cfg);
+    bulk.build({tr.files().begin(), tr.files().begin() +
+                                        static_cast<std::ptrdiff_t>(i + 1)});
+    ASSERT_EQ(store.bloom_bits(), bulk.bloom_bits()) << i + 1 << " files";
+  }
+  const std::size_t bits = store.bloom_bits();
+  for (std::size_t i = 0; i < tr.files().size() / 2; ++i)
+    ASSERT_TRUE(store.erase_file(tr.files()[i].name));
+  EXPECT_EQ(store.bloom_bits(), bits);
+}
+
+/// Erases every file by name, checking after each erase that exactly that
+/// record left the store.
+void erase_each_name(SmartStore& store, const std::vector<FileMetadata>& files) {
+  std::size_t live = store.total_files();
+  for (const auto& f : files) {
+    ASSERT_TRUE(store.erase_file(f.name)) << f.name;
+    ASSERT_EQ(store.total_files(), --live);
+    for (const auto& u : store.units())
+      ASSERT_EQ(u.find_by_name(f.name), nullptr) << f.name;
+    ASSERT_FALSE(store.erase_file(f.name)) << f.name;
+  }
+  for (const auto& u : store.units()) EXPECT_EQ(u.file_count(), 0u);
+  EXPECT_TRUE(store.check_invariants());
+}
+
+TEST(SmartStoreGrowth, EraseSkipsOnlyUnitsThatCannotHoldTheName) {
+  // erase_file consults each unit's counting filter before its name
+  // index. Saturated counters stick, so even a filter that answers
+  // "maybe" for everything never hides a live name...
+  const auto tr = small_trace();
+  std::vector<FileMetadata> files(tr.files().begin(), tr.files().begin() + 600);
+  Config saturated = small_config();
+  saturated.bloom_auto_size = false;
+  saturated.bloom_bits = 64;
+  SmartStore tiny(saturated);
+  tiny.build(files);
+  erase_each_name(tiny, files);
+  // ...and neither does a filter rebuilt by growth.
+  const auto grown = grow_from_empty(small_config(), files);
+  ASSERT_GE(grown->bloom_resizes(), 1u);
+  erase_each_name(*grown, files);
+}
+
 TEST(SmartStoreEdge, EmptyStoreQueries) {
   Config cfg;
   cfg.num_units = 4;

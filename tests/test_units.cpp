@@ -78,6 +78,26 @@ TEST(StorageUnit, RemoveSwapsIndexesCorrectly) {
   EXPECT_FALSE(remove(u, 2).has_value());
 }
 
+TEST(StorageUnit, ResizeNameFilterRefillsFromLiveRecords) {
+  // The growth step rebuilds a unit's counting filter from the digests of
+  // its live records: the result is the filter a unit built at the new
+  // geometry would hold, whatever the old one had saturated.
+  StorageUnit u(0, 64, 7);
+  for (int i = 1; i <= 200; ++i) add(u, make_file(i, i, i));
+  for (int i = 1; i <= 200; i += 3) remove(u, i);
+  u.resize_name_filter(8192);
+  EXPECT_EQ(u.name_filter().bit_count(), 8192u);
+
+  StorageUnit fresh(1, 8192, 7);
+  for (const auto& f : u.files()) add(fresh, f);
+  EXPECT_EQ(u.name_filter_view(), fresh.name_filter_view());
+  for (const auto& f : u.files()) EXPECT_TRUE(u.name_filter().may_contain(f.name));
+  std::size_t removed_hits = 0;
+  for (int i = 1; i <= 200; i += 3)
+    removed_hits += u.name_filter().may_contain("/t/f" + std::to_string(i));
+  EXPECT_LT(removed_hits, 3u);
+}
+
 TEST(StorageUnit, BoxCoversAllCoords) {
   StorageUnit u(0, 1024, 7);
   for (int i = 1; i <= 10; ++i) {
@@ -112,12 +132,17 @@ TEST(StorageUnit, ByteSizeGrows) {
 
 TEST(VersionDelta, EmptyAndByteSize) {
   VersionDelta v;
-  v.added_names = bloom::BloomFilter(1024, 7);
   v.added_attr_sum.assign(kNumAttrs, 0.0);
   EXPECT_TRUE(v.empty());
   v.deleted.push_back(4);
   EXPECT_FALSE(v.empty());
-  EXPECT_GT(v.byte_size(), 0u);
+  const std::size_t delete_only = v.byte_size();
+  EXPECT_GT(delete_only, 0u);
+  // An inserting version pays for its digests, not for a filter.
+  v.added_names.push_back(bloom::hash_item("/new/a"));
+  v.added_count = 1;
+  EXPECT_GE(v.byte_size(), delete_only + sizeof(bloom::ItemHash));
+  EXPECT_LT(v.byte_size(), delete_only + 1024 / 8);
 }
 
 GroupReplica make_replica() {
@@ -138,8 +163,7 @@ GroupReplica make_replica() {
 VersionDelta make_delta(double coord, const std::string& name, double sum0) {
   VersionDelta v;
   v.added_box = rtree::Mbr(la::Vector(kNumAttrs, coord));
-  v.added_names = bloom::BloomFilter(1024, 7);
-  v.added_names.insert(name);
+  v.added_names.push_back(bloom::hash_item(name));
   v.added_attr_sum.assign(kNumAttrs, 0.0);
   v.added_attr_sum[0] = sum0;
   v.added_count = 1;
@@ -199,12 +223,13 @@ TEST(GroupReplica, ByteSizeIncludesVersions) {
 }
 
 /// Random replica lifecycles — seal()s of inserting and delete-only
-/// versions, some in another filter geometry (which the union cannot
-/// absorb), and reset()s to random bases — with every derived view
-/// checked against the reference walk over versions() after each step.
+/// versions, and reset()s to random bases, some in a bigger geometry (the
+/// store's filters grew) — with every derived view checked against the
+/// reference walk over versions() after each step.
 TEST(GroupReplica, DerivedStateMatchesReferenceWalk) {
-  // Small filters fill up: many absent names hit the union of the
-  // filters while missing each one, so the walk behind the union decides.
+  // Small filters fill up: many absent names hit the union of the base
+  // and the sealed digests while matching no digest and missing the base,
+  // so the walk behind the union decides.
   constexpr std::size_t kBits = 256;
   constexpr unsigned kHashes = 3;
   std::size_t union_only_hits = 0;
@@ -213,10 +238,10 @@ TEST(GroupReplica, DerivedStateMatchesReferenceWalk) {
     std::vector<bloom::ItemHash> probes;
     for (int i = 0; i < 64; ++i)
       probes.push_back(bloom::hash_item("/absent/" + std::to_string(i)));
-    auto insert_fresh = [&](bloom::BloomFilter& filter) {
+    auto fresh_name = [&] {
       probes.push_back(
           bloom::hash_item("/n" + std::to_string(probes.size())));
-      filter.insert(probes.back());
+      return probes.back();
     };
     auto random_vector = [&](double scale) {
       la::Vector v(kNumAttrs);
@@ -234,12 +259,11 @@ TEST(GroupReplica, DerivedStateMatchesReferenceWalk) {
       if (rng.uniform_u64(4) != 0) b.box = rtree::Mbr(random_vector(10));
       b.name_filter = bloom::BloomFilter(filter_bits(6), kHashes);
       for (std::uint64_t i = rng.uniform_u64(12); i > 0; --i)
-        insert_fresh(b.name_filter);
+        b.name_filter.insert(fresh_name());
       return b;
     };
     auto random_delta = [&] {
       VersionDelta v;
-      v.added_names = bloom::BloomFilter(filter_bits(12), kHashes);
       v.added_attr_sum.assign(kNumAttrs, 0.0);
       if (rng.uniform_u64(3) == 0) {
         v.deleted.push_back(rng.uniform_u64(1000) + 1);  // delete-only
@@ -248,7 +272,7 @@ TEST(GroupReplica, DerivedStateMatchesReferenceWalk) {
       v.added_count = 1 + rng.uniform_u64(4);
       for (std::size_t i = 0; i < v.added_count; ++i) {
         v.added_box.expand(random_vector(20));
-        insert_fresh(v.added_names);
+        v.added_names.push_back(fresh_name());
         const la::Vector raw = random_vector(1e4);
         for (std::size_t d = 0; d < kNumAttrs; ++d) v.added_attr_sum[d] += raw[d];
       }
@@ -267,14 +291,10 @@ TEST(GroupReplica, DerivedStateMatchesReferenceWalk) {
           << "seed " << seed << " step " << step;
 
       bloom::BloomFilter all = r.base().name_filter;
-      bool mergeable = true;
-      for (const auto& v : r.versions()) {
-        mergeable = mergeable && v.added_names.bit_count() == all.bit_count();
-        if (mergeable) all.merge(v.added_names);
-      }
+      for (const auto& v : r.versions())
+        for (const auto& h : v.added_names) all.insert(h);
       for (const auto& h : probes) {
-        if (mergeable && all.may_contain(h) &&
-            !reference::name_may_contain(r, h, true))
+        if (all.may_contain(h) && !reference::name_may_contain(r, h, true))
           ++union_only_hits;
       }
     }
