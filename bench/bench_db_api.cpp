@@ -170,7 +170,9 @@ int main(int argc, char** argv) {
     for (const auto& f : stream) {
       raw.insert_file(
           f, 0.0,
-          [&](core::UnitId target) { return wal.append_insert(target, f); },
+          [&](core::UnitId target) {
+            return wal.append(target, persist::WalRecord::insert(f));
+          },
           [&](core::UnitId target) { wal.maybe_commit(target); });
     }
     wal.commit_all();

@@ -68,9 +68,9 @@ int RunServe(const ServeOptions& opt) {
   options.in_memory = opt.dir.empty();
   options.create_if_missing = true;
   if (!options.in_memory) {
-    // Acked implies durable: every mutation's WAL append fsyncs before the
-    // response frame leaves the shard.
-    options.group_commit = opt.group_commit > 0 ? opt.group_commit : 1;
+    // Acked implies durable: every mutation's WAL record is committed
+    // before the response frame leaves the shard.
+    options.group_commit = 1;
   }
 
   auto opened = db::Store::Open(options, opt.dir);

@@ -28,7 +28,6 @@ struct ServeOptions {
   std::size_t units = 4;
   std::size_t fanout = 8;
   std::uint64_t seed = 42;
-  std::size_t group_commit = 0;  ///< 0 = facade default
 };
 
 struct ConnectOptions {

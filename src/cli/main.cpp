@@ -150,8 +150,9 @@ void usage(const char* argv0) {
       "                             with one endpoint per shard, in shard\n"
       "                             order\n"
       "  --puts N                   client workload size (default 64)\n"
-      "  --units/--fanout/--seed/--group-commit also shape --serve's store;\n"
-      "  --seed also varies --connect's workload names.\n"
+      "  --units/--fanout/--seed also shape --serve's store (a durable\n"
+      "  shard commits every write before acking it); --seed also varies\n"
+      "  --connect's workload names.\n"
       "\n"
       "  --help                     this message\n",
       argv0);
@@ -303,6 +304,12 @@ CliOptions parse_args(int argc, char** argv) {
                  "--save/--load/--wal\n");
     std::exit(2);
   }
+  if (opt.serve && opt.group_commit > 1) {
+    std::fprintf(stderr,
+                 "error: --serve acks a write only once it is durable, so "
+                 "--group-commit above 1 is not allowed\n");
+    std::exit(2);
+  }
   if (opt.tif == 0 || opt.downscale == 0 || opt.units == 0 || opt.k == 0) {
     std::fprintf(stderr, "error: --tif/--downscale/--units/--k must be > 0\n");
     std::exit(2);
@@ -391,7 +398,6 @@ int main(int argc, char** argv) {
     opt.serve_opt.units = opt.units;
     opt.serve_opt.fanout = opt.fanout;
     opt.serve_opt.seed = opt.seed;
-    opt.serve_opt.group_commit = opt.group_commit;
     return cli::RunServe(opt.serve_opt);
   }
   if (opt.connect) {

@@ -63,11 +63,9 @@ std::uint64_t SmartStore::begin_checkpoint(
     freeze_.core.bloom_bits = bloom_bits_;
     freeze_.core.total_files = total_files_.load(std::memory_order_relaxed);
     freeze_.core.rng_state = rng_.state();
-    freeze_.core.rng_streams = rng_streams_.load(std::memory_order_relaxed);
     freeze_.core.unit_active = unit_active_;
     freeze_.core.standardizer = standardizer_;
     freeze_.core.unit_count = units_.size();
-    freeze_.core.group_order = tree_.groups();
     // The MVCC cut: no mutator runs (exclusive structure lock), so the
     // commit counter is the exact seq of the image being captured. The
     // watermark is what the UNITS serializer filters tombstones against —
@@ -83,14 +81,9 @@ std::uint64_t SmartStore::begin_checkpoint(
     freeze_.unit_state.assign(units_.size(), PieceState::kPending);
     freeze_.frozen_units.clear();
     freeze_.frozen_units.resize(units_.size());
-    freeze_.frozen_tree = std::make_unique<SemanticRTree>(tree_);
-    freeze_.tree_state = PieceState::kFrozen;
-    freeze_.frozen_variants =
-        std::make_unique<std::vector<TreeVariant>>(variants_);
-    freeze_.variants_state = PieceState::kFrozen;
-    freeze_.frozen_sync =
-        std::make_unique<std::unordered_map<std::size_t, GroupSync>>(sync_);
-    freeze_.sync_state = PieceState::kFrozen;
+    freeze_.core.tree = tree_;
+    freeze_.core.variants = variants_;
+    freeze_.core.sync = sync_;
     // Copied out under the lock: the post-freeze read at the bottom of
     // this function used to reach for freeze_.frozen_epoch directly, a
     // data race with a serializer that finishes (and a writer that begins
@@ -114,11 +107,9 @@ std::uint64_t SmartStore::begin_checkpoint(
 void SmartStore::end_checkpoint() {
   util::MutexLock lock(freeze_.mu);
   freeze_.active = false;
+  freeze_.core = FrozenCore{};
   freeze_.unit_state.clear();
   freeze_.frozen_units.clear();
-  freeze_.frozen_tree.reset();
-  freeze_.frozen_variants.reset();
-  freeze_.frozen_sync.reset();
 }
 
 void SmartStore::mutation_barrier(const std::function<void()>& fn) {
@@ -128,18 +119,6 @@ void SmartStore::mutation_barrier(const std::function<void()>& fn) {
   // preserved image (its image IS the WAL prefix the fence names).
   util::WriterLock ex(structure_mu_);
   if (fn) fn();
-}
-
-std::uint64_t SmartStore::unit_dirty_seq(UnitId u) const {
-  if (u >= unit_dirty_.size() || !unit_dirty_[u]) return 0;
-  return unit_dirty_[u]->load(std::memory_order_acquire);
-}
-
-void SmartStore::mark_unit_dirty(UnitId u, std::uint64_t seq) {
-  if (u >= unit_dirty_.size() || !unit_dirty_[u]) return;
-  // Monotonic by construction: writers hold the unit's lock, and the seq
-  // stamped inside a later critical section is strictly larger.
-  unit_dirty_[u]->store(seq, std::memory_order_release);
 }
 
 bool SmartStore::checkpoint_active() const {
@@ -181,9 +160,6 @@ void SmartStore::rebuild_unit_locks() {
   unit_mu_.resize(units_.size());
   for (auto& mu : unit_mu_)
     if (!mu) mu = std::make_unique<util::Mutex>(util::LockRank::kUnit);
-  unit_dirty_.resize(units_.size());
-  for (auto& d : unit_dirty_)
-    if (!d) d = std::make_unique<std::atomic<std::uint64_t>>(0);
 }
 
 la::Vector SmartStore::std_coords(const FileMetadata& f) const {
@@ -756,7 +732,6 @@ QueryStats SmartStore::insert_file_impl(const FileMetadata& f, double arrival,
     cow_unit(target);
     units_[target].add_file(f, std, name_hash, seq);
     units_[target].prune_tombstones(gc_watermark());
-    if (forced_seq == kAssignSeq) mark_unit_dirty(target, seq);
   }
   // The group-commit fsync (if the flush hook decides one is due) runs
   // here, off every store lock: it stalls only this shard's writers.
@@ -822,7 +797,6 @@ bool SmartStore::remove_located(UnitId u, FileId id,
     assert(removed.has_value());
     raw = removed->full_vector();
     units_[u].prune_tombstones(gc_watermark());
-    mark_unit_dirty(u, seq);
   }
   if (flushed) flushed(u);
   tree_.on_file_removed(u, raw, &summary_stripes_);
@@ -1583,21 +1557,6 @@ inline bool dead_visible(const TombstoneRecord& t, std::uint64_t seq) {
 }
 
 }  // namespace
-
-std::size_t SmartStore::snapshot_file_count(std::uint64_t seq) const {
-  util::ReaderLock shared(structure_mu_);
-  std::size_t n = 0;
-  for (UnitId u = 0; u < units_.size(); ++u) {
-    const util::MutexLock guard(unit_mutex(u));
-    const StorageUnit& unit = units_[u];
-    const auto& seqs = unit.added_seqs();
-    for (std::size_t i = 0; i < seqs.size(); ++i)
-      if (live_visible(seqs[i], seq)) ++n;
-    for (const auto& t : unit.tombstones())
-      if (dead_visible(t, seq)) ++n;
-  }
-  return n;
-}
 
 std::vector<metadata::FileMetadata> SmartStore::snapshot_dump(
     std::uint64_t seq) const {

@@ -264,9 +264,6 @@ class SmartStore {
   TopKResult snapshot_topk_query(const metadata::TopKQuery& q,
                                  std::uint64_t seq) const;
 
-  /// Records visible at `seq` (exhaustive count, same locking as above).
-  std::size_t snapshot_file_count(std::uint64_t seq) const;
-
   /// Every record visible at `seq` — live or tombstoned-later — in
   /// canonical (id, name) order; same per-unit locking as the snapshot
   /// queries. Replication bootstrap ships this dump to an empty follower,
@@ -372,7 +369,7 @@ class SmartStore {
   //
   // Threading contract: any number of serving threads may mutate and query
   // concurrently; begin_checkpoint() takes the structure lock exclusively
-  // (a bounded stop-the-world pause), captures the CONFIG scalars plus the
+  // (a bounded stop-the-world pause), copies the CONFIG scalars plus the
   // index structures (tree, variants, replica sync — cheap relative to the
   // file records), and returns. Storage units — the bulk of the state —
   // stay live: post-freeze mutators copy a still-unserialized unit on
@@ -393,22 +390,12 @@ class SmartStore {
   /// Runs `fn` under the exclusive structure lock: a bounded
   /// stop-the-world mutation barrier with NO freeze/COW attached. The
   /// incremental-checkpoint engine cuts each delta inside one — with every
-  /// serving thread excluded, the WAL frontier, the commit seq and the
-  /// per-unit dirty watermarks all describe the same instant, and every
-  /// record stamped before the barrier is in some shard's batch (so the
-  /// frontier commit makes the cut exact). Much cheaper than a full
-  /// freeze: no piece capture, no copy-on-write tax afterwards.
+  /// serving thread excluded, the WAL frontier and the commit seq describe
+  /// the same instant, and every record stamped before the barrier is in
+  /// some shard's batch (so the frontier commit makes the cut exact; which
+  /// units are cold is read off the per-shard fence counts). Much cheaper
+  /// than a full freeze: no piece capture, no copy-on-write tax afterwards.
   void mutation_barrier(const std::function<void()>& fn);
-
-  /// Commit seq of the last fresh-stamped mutation applied to storage
-  /// unit `u` (0 = untouched since build/load). Monotonic per unit,
-  /// updated inside the mutating unit-lock critical section; a
-  /// mutation_barrier therefore observes a consistent vector. Structural
-  /// moves that re-home a record under its ORIGINAL seq do not raise it —
-  /// they are replayed from the structural record, not from a per-unit
-  /// one, which is exactly the "records newer than the last cut"
-  /// semantics the delta checkpoint filters on.
-  std::uint64_t unit_dirty_seq(UnitId u) const;
 
   /// Releases frozen copies; mutations stop paying the copy-on-write tax.
   void end_checkpoint();
@@ -438,28 +425,27 @@ class SmartStore {
 
   // ---- checkpoint freeze state -------------------------------------------
 
-  /// Lifecycle of one freezable piece during an active checkpoint.
+  /// Lifecycle of one storage unit during an active checkpoint.
   enum class PieceState : std::uint8_t {
-    kPending,  ///< untouched since freeze: the live object IS the frozen view
+    kPending,  ///< untouched since freeze: the live unit IS the frozen view
     kFrozen,   ///< mutated since freeze: a copy preserves the frozen view
     kDone,     ///< serialized: mutations may write through without copying
   };
 
-  /// CONFIG/STANDARDIZER-section scalars, captured eagerly at freeze time
-  /// (the freeze holds the exclusive structure lock, so the capture is a
-  /// consistent cut; the per-thread query RNG streams are derived state
-  /// and never persisted — only the store rng is).
+  /// Everything in the image except the storage units, copied at freeze
+  /// time (the freeze holds the exclusive structure lock, so the capture
+  /// is a consistent cut; the per-thread query RNG streams are derived
+  /// state and never persisted — only the store rng is).
   struct FrozenCore {
     std::size_t bloom_bits = 0;
     std::size_t total_files = 0;
     std::array<std::uint64_t, 4> rng_state{};
-    std::uint64_t rng_streams = 0;  ///< thread streams handed out so far
     std::vector<bool> unit_active;
     la::RowStandardizer standardizer;
     std::size_t unit_count = 0;  ///< units_ size at freeze
-    /// Frozen-epoch group list, for the SYNC section's deterministic
-    /// ordering (the live tree may mutate while SYNC serializes).
-    std::vector<std::size_t> group_order;
+    SemanticRTree tree;
+    std::vector<TreeVariant> variants;
+    std::unordered_map<std::size_t, GroupSync> sync;
     /// MVCC cut at freeze: the snapshot image's commit seq and the GC
     /// watermark the UNITS serializer filters tombstones against
     /// ("checkpoint respects the watermark").
@@ -478,14 +464,6 @@ class SmartStore {
     FrozenCore core SS_GUARDED_BY(mu);
     std::vector<PieceState> unit_state SS_GUARDED_BY(mu);
     std::vector<std::unique_ptr<StorageUnit>> frozen_units SS_GUARDED_BY(mu);
-    PieceState tree_state SS_GUARDED_BY(mu) = PieceState::kPending;
-    std::unique_ptr<SemanticRTree> frozen_tree SS_GUARDED_BY(mu);
-    PieceState variants_state SS_GUARDED_BY(mu) = PieceState::kPending;
-    std::unique_ptr<std::vector<TreeVariant>> frozen_variants
-        SS_GUARDED_BY(mu);
-    PieceState sync_state SS_GUARDED_BY(mu) = PieceState::kPending;
-    std::unique_ptr<std::unordered_map<std::size_t, GroupSync>> frozen_sync
-        SS_GUARDED_BY(mu);
   };
 
   /// Lock-held body shared by cow_unit and cow_all_units.
@@ -749,16 +727,6 @@ class SmartStore {
   /// One mutex per storage unit, parallel to units_ (stable addresses;
   /// reshaped only under the exclusive structure lock).
   mutable std::vector<std::unique_ptr<util::Mutex>> unit_mu_;
-  /// Per-unit dirty watermark, parallel to unit_mu_ (heap-stable for the
-  /// same reason): commit seq of the unit's last fresh-stamped mutation.
-  /// Written under that unit's lock, read by the delta engine inside a
-  /// mutation_barrier (quiesced) or relaxed for introspection.
-  mutable std::vector<std::unique_ptr<std::atomic<std::uint64_t>>>
-      unit_dirty_;
-
-  /// Raises unit `u`'s dirty watermark to `seq` (caller holds the unit's
-  /// lock; monotonic, so a plain store under the lock suffices).
-  void mark_unit_dirty(UnitId u, std::uint64_t seq);
 
   util::Mutex& unit_mutex(UnitId u) const { return *unit_mu_[u]; }
   /// Re-sizes unit_mu_ to match units_ (build, snapshot assembly, unit

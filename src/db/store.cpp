@@ -73,20 +73,6 @@ QueryStats to_public(const core::QueryStats& s) {
   return out;
 }
 
-Status map_persist_error(const persist::PersistError& e) {
-  switch (e.code()) {
-    case persist::PersistError::Code::kNotFound:
-      return Status::NotFound(e.what());
-    case persist::PersistError::Code::kIo:
-      return Status::IOError(e.what());
-    case persist::PersistError::Code::kUnsupported:
-      return Status::FailedPrecondition(e.what());
-    case persist::PersistError::Code::kCorruption:
-      break;
-  }
-  return Status::Corruption(e.what());
-}
-
 }  // namespace
 
 struct Store::Impl {
@@ -162,7 +148,8 @@ struct Store::Impl {
       } catch (const persist::FaultInjected&) {
         fault = true;
       } catch (const persist::PersistError& e) {
-        if (deferred_ckpt_error.ok()) deferred_ckpt_error = map_persist_error(e);
+        if (deferred_ckpt_error.ok())
+          deferred_ckpt_error = persist::to_status(e);
       } catch (const std::exception& e) {
         if (deferred_ckpt_error.ok())
           deferred_ckpt_error = Status::Unknown(e.what());
@@ -228,7 +215,7 @@ struct Store::Impl {
       crash();  // ckpt_mu was released by the unwind above
       return Status::FaultInjected(e.what());
     } catch (const persist::PersistError& e) {
-      return map_persist_error(e);
+      return persist::to_status(e);
     } catch (const std::exception& e) {
       return Status::Unknown(e.what());
     }
@@ -242,7 +229,9 @@ struct Store::Impl {
     if (wal) {
       core->insert_file(
           f, 0.0,
-          [&](core::UnitId target) { return wal->append_insert(target, f); },
+          [&](core::UnitId target) {
+            return wal->append(target, persist::WalRecord::insert(f));
+          },
           [&](core::UnitId target) { wal->maybe_commit(target); });
     } else {
       core->insert_file(f, 0.0);
@@ -254,7 +243,7 @@ struct Store::Impl {
       return core->erase_file(
           name,
           [&](core::UnitId located) {
-            return wal->append_remove(located, name);
+            return wal->append(located, persist::WalRecord::remove(name));
           },
           [&](core::UnitId located) { wal->maybe_commit(located); });
     }
@@ -284,7 +273,8 @@ struct Store::Impl {
         core->insert_batch(
             chunk, 0.0,
             [&](core::UnitId target) {
-              return wal->append_insert(target, chunk[cursor++]);
+              return wal->append(target,
+                                 persist::WalRecord::insert(chunk[cursor++]));
             },
             [&](core::UnitId target) { wal->maybe_commit(target); });
       } else {
@@ -483,7 +473,7 @@ StatusOr<std::unique_ptr<Store>> Store::Open(const Options& options,
       // it first or a simulated power cut masquerades as corruption.
       return Status::FaultInjected(e.what());
     } catch (const persist::PersistError& e) {
-      return map_persist_error(e);
+      return persist::to_status(e);
     } catch (const util::BinaryIoError& e) {
       return Status::Corruption(e.what());
     } catch (const std::exception& e) {
@@ -513,7 +503,7 @@ StatusOr<std::unique_ptr<Store>> Store::Open(const Options& options,
   } catch (const persist::FaultInjected& e) {
     return Status::FaultInjected(e.what());  // before the PersistError
   } catch (const persist::PersistError& e) {  // catch: IS-A relationship
-    return map_persist_error(e);
+    return persist::to_status(e);
   } catch (const std::exception& e) {
     return Status::IOError(e.what());
   }
@@ -549,7 +539,7 @@ Status Store::Bulkload(const std::vector<metadata::FileMetadata>& files) {
     impl_->crash();  // safe under the exclusive lock: needs only ckpt_mu
     return Status::FaultInjected(e.what());
   } catch (const persist::PersistError& e) {
-    return map_persist_error(e);
+    return persist::to_status(e);
   } catch (const std::exception& e) {
     return Status::Unknown(e.what());
   }
@@ -570,7 +560,7 @@ Status Store::Put(const metadata::FileMetadata& file) {
     impl_->crash();  // safe under the shared lock: needs only ckpt_mu
     return Status::FaultInjected(e.what());
   } catch (const persist::PersistError& e) {
-    return map_persist_error(e);
+    return persist::to_status(e);
   } catch (const std::exception& e) {
     return Status::Unknown(e.what());
   }
@@ -591,7 +581,7 @@ Status Store::Delete(const std::string& name) {
     impl_->crash();  // safe under the shared lock: needs only ckpt_mu
     return Status::FaultInjected(e.what());
   } catch (const persist::PersistError& e) {
-    return map_persist_error(e);
+    return persist::to_status(e);
   } catch (const std::exception& e) {
     return Status::Unknown(e.what());
   }
@@ -633,7 +623,7 @@ Status Store::Write(WriteBatch&& batch) {
     impl_->crash();  // safe under the shared lock: needs only ckpt_mu
     return Status::FaultInjected(e.what());
   } catch (const persist::PersistError& e) {
-    return map_persist_error(e);
+    return persist::to_status(e);
   } catch (const std::exception& e) {
     return Status::Unknown(e.what());
   }
@@ -793,7 +783,7 @@ Status Store::Flush() {
     impl_->crash();  // safe under the shared lock: needs only ckpt_mu
     return Status::FaultInjected(e.what());
   } catch (const persist::PersistError& e) {
-    return map_persist_error(e);
+    return persist::to_status(e);
   } catch (const std::exception& e) {
     return Status::Unknown(e.what());
   }
@@ -876,7 +866,7 @@ Status Store::ApplyReplicated(const std::vector<ReplicatedOp>& ops,
         // record. Log it as an empty-name remove (replay tolerates
         // absence) so this seq survives a local restart too — otherwise a
         // promoted follower could re-stamp it for a different mutation.
-        im.wal->append_remove_at(0, std::string(), op.seq);
+        im.wal->append(0, persist::WalRecord::remove({}, op.seq));
         im.core->note_commit_seq(op.seq);
         ++applied;
         continue;
@@ -885,8 +875,8 @@ Status Store::ApplyReplicated(const std::vector<ReplicatedOp>& ops,
         im.core->insert_file(
             op.file, 0.0,
             [&](core::UnitId target) {
-              im.wal->append_insert_at(target, op.file, op.seq);
-              return op.seq;
+              return im.wal->append(
+                  target, persist::WalRecord::insert(op.file, op.seq));
             },
             [&](core::UnitId target) { im.wal->maybe_commit(target); });
       } else {
@@ -896,8 +886,8 @@ Status Store::ApplyReplicated(const std::vector<ReplicatedOp>& ops,
         const bool existed = im.core->erase_file(
             op.name,
             [&](core::UnitId located) {
-              im.wal->append_remove_at(located, op.name, op.seq);
-              return op.seq;
+              return im.wal->append(
+                  located, persist::WalRecord::remove(op.name, op.seq));
             },
             [&](core::UnitId located) { im.wal->maybe_commit(located); });
         if (!existed) {
@@ -905,7 +895,7 @@ Status Store::ApplyReplicated(const std::vector<ReplicatedOp>& ops,
           // the stream must neither stall the frontier nor let a restart
           // reuse op.seq for a different mutation — log the no-op remove
           // anyway (replay of a kRemove tolerates absence) and advance.
-          im.wal->append_remove_at(0, op.name, op.seq);
+          im.wal->append(0, persist::WalRecord::remove(op.name, op.seq));
           im.core->note_commit_seq(op.seq);
         }
       }
@@ -921,7 +911,7 @@ Status Store::ApplyReplicated(const std::vector<ReplicatedOp>& ops,
     im.crash();  // safe under the shared lock: needs only ckpt_mu
     return Status::FaultInjected(e.what());
   } catch (const persist::PersistError& e) {
-    return map_persist_error(e);
+    return persist::to_status(e);
   } catch (const std::exception& e) {
     return Status::Unknown(e.what());
   }
@@ -1000,7 +990,7 @@ Status Store::LoadBootstrap(std::uint64_t seq,
     im.crash();  // safe under the exclusive lock: needs only ckpt_mu
     return Status::FaultInjected(e.what());
   } catch (const persist::PersistError& e) {
-    return map_persist_error(e);
+    return persist::to_status(e);
   } catch (const std::exception& e) {
     return Status::Unknown(e.what());
   }
@@ -1254,7 +1244,7 @@ Status Store::Close() {
       im.wal->abandon();
       result = Status::FaultInjected(e.what());
     } catch (const persist::PersistError& e) {
-      if (result.ok()) result = map_persist_error(e);
+      if (result.ok()) result = persist::to_status(e);
     } catch (const std::exception& e) {
       if (result.ok()) result = Status::Unknown(e.what());
     }
@@ -1267,7 +1257,7 @@ Status Store::Close() {
       im.wal->abandon();
       result = Status::FaultInjected(e.what());
     } catch (const persist::PersistError& e) {
-      if (result.ok()) result = map_persist_error(e);
+      if (result.ok()) result = persist::to_status(e);
     } catch (const std::exception& e) {
       if (result.ok()) result = Status::Unknown(e.what());
     }

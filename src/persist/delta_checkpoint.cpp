@@ -63,14 +63,13 @@ DeltaCutStats DeltaEngine::cut() {
 
 DeltaCutStats DeltaEngine::cut_locked() {
   // The barrier: with every serving thread outside its operation, the
-  // frontier, the commit seq and the dirty watermarks describe one
-  // instant, and every stamped record is committed by the frontier.
+  // frontier and the commit seq describe one instant, and every stamped
+  // record is committed by the frontier.
   WalFence fence;
-  std::vector<std::size_t> fence_bytes;
   std::uint64_t cut_seq = 0;
   util::WallTimer phase;
   store_.mutation_barrier([&] {
-    fence = wal_.frontier(&fence_bytes);
+    fence = wal_.frontier();
     cut_seq = store_.last_commit_seq();
   });
 
@@ -84,10 +83,7 @@ DeltaCutStats DeltaEngine::cut_locked() {
   for (const ShardFence& f : fence.shards) {
     const std::uint64_t skip = manifest_.fenced_records(f.shard, f.generation);
     if (f.records <= skip) {
-      // Cold unit: no records since the previous cut. The per-unit dirty
-      // watermark (store_.unit_dirty_seq) says the same thing for data
-      // records; the fence count is authoritative because structural
-      // records in shard 0 never raise a unit watermark.
+      // Cold unit: no records (data or structural) since the previous cut.
       ++st.units_cold;
       continue;
     }
@@ -139,7 +135,7 @@ DeltaCutStats DeltaEngine::cut_locked() {
   // (generation match) makes recovery — and the next cut — skip exactly
   // the records the new delta carries.
   fault_point("delta:pre-rebase");
-  wal_.rebase_to(fence, fence_bytes);
+  wal_.rebase_to(fence);
   st.truncate_s = phase.seconds();
 
   st.chain_len = manifest_.cuts.size();
@@ -167,11 +163,10 @@ DeltaCutStats DeltaEngine::fold_locked() {
   // FREEZE: the frontier is taken inside the exclusive section, at exactly
   // the frozen mutation boundary.
   WalFence fence;
-  std::vector<std::size_t> fence_bytes;
   std::uint64_t cut_seq = 0;
   util::WallTimer phase;
   const std::uint64_t epoch = store_.begin_checkpoint([&] {
-    fence = wal_.frontier(&fence_bytes);
+    fence = wal_.frontier();
     cut_seq = store_.last_commit_seq();
   });
   st.freeze_s = phase.seconds();
@@ -201,7 +196,7 @@ DeltaCutStats DeltaEngine::fold_locked() {
     phase.reset();
 
     fault_point("compact:pre-rebase");
-    wal_.rebase_to(fence, fence_bytes);
+    wal_.rebase_to(fence);
     st.truncate_s = phase.seconds();
   } catch (...) {
     store_.end_checkpoint();

@@ -39,11 +39,6 @@ void apply_record(core::SmartStore& store, const WalRecord& rec) {
   }
 }
 
-std::size_t replay(core::SmartStore& store, const WalScan& scan) {
-  for (const WalRecord& rec : scan.records) apply_record(store, rec);
-  return scan.records.size();
-}
-
 void replay_dir_logs(core::SmartStore& store, const std::string& dir,
                      const WalFence& fence, RecoveryResult& res) {
   // Scan every shard, drop each shard's fenced prefix (matching
@@ -115,6 +110,20 @@ RecoveryResult recover(const std::string& dir) {
   return res;
 }
 
+db::Status to_status(const PersistError& e) {
+  switch (e.code()) {
+    case PersistError::Code::kNotFound:
+      return db::Status::NotFound(e.what());
+    case PersistError::Code::kIo:
+      return db::Status::IOError(e.what());
+    case PersistError::Code::kUnsupported:
+      return db::Status::FailedPrecondition(e.what());
+    case PersistError::Code::kCorruption:
+      break;
+  }
+  return db::Status::Corruption(e.what());
+}
+
 db::Status recover(const std::string& dir, RecoveryResult* out) noexcept {
   *out = RecoveryResult{};
   try {
@@ -127,17 +136,7 @@ db::Status recover(const std::string& dir, RecoveryResult* out) noexcept {
     return db::Status::FaultInjected(e.what());
   } catch (const PersistError& e) {
     *out = RecoveryResult{};
-    switch (e.code()) {
-      case PersistError::Code::kNotFound:
-        return db::Status::NotFound(e.what());
-      case PersistError::Code::kIo:
-        return db::Status::IOError(e.what());
-      case PersistError::Code::kUnsupported:
-        return db::Status::FailedPrecondition(e.what());
-      case PersistError::Code::kCorruption:
-        break;
-    }
-    return db::Status::Corruption(e.what());
+    return to_status(e);
   } catch (const util::BinaryIoError& e) {
     // The codecs' bounds checks fire on truncated or malformed payloads
     // inside checksum-valid framing — still corruption, just detected a

@@ -43,9 +43,6 @@ struct RecoveryResult {
 /// Applies one logged record through the store's mutation API.
 void apply_record(core::SmartStore& store, const WalRecord& rec);
 
-/// Replays a scanned log into `store`; returns the number of records applied.
-std::size_t replay(core::SmartStore& store, const WalScan& scan);
-
 /// recover()'s replay half, reusable without a checkpoint: replays the
 /// shard logs in `dir` (merged by sequence number) into `store`, skipping
 /// prefixes `fence` covers, and accumulates counts into `res`. The db
@@ -72,6 +69,12 @@ std::unique_ptr<core::SmartStore> load_delta_base(const std::string& dir,
 /// corrupt; a torn WAL tail is not an error (reported in the result,
 /// recovery keeps the prefix).
 RecoveryResult recover(const std::string& dir);
+
+/// The one PersistError → Status mapping: kNotFound, kIOError,
+/// kFailedPrecondition (a layout this release cannot read) or kCorruption.
+/// recover(dir, out) and the db facade both type persistence failures
+/// through it.
+db::Status to_status(const PersistError& e);
 
 /// Exception-free flavour: the one error path out of recovery, typed.
 /// Every failure mode that used to be a mixed bag of bools and throws maps

@@ -223,16 +223,56 @@ struct SnapshotAccess {
   using Store = core::SmartStore;
   using Tree = core::SemanticRTree;
 
-  // ---- encode ---------------------------------------------------------------
+  // ---- encode (the frozen view of an active checkpoint) ---------------------
+  //
+  // Every section but UNITS serializes a value begin_checkpoint() captured
+  // under the exclusive structure lock, so no writer reaches it. Units are
+  // resolved one at a time under the freeze lock: the copy made by the
+  // first post-freeze write where one exists, the untouched live unit
+  // otherwise. Marking a unit done releases its copy immediately (bounding
+  // COW memory to the not-yet-serialized units) and tells later mutations
+  // to write through without copying. A serving thread only ever blocks
+  // for the duration of one section or one unit.
 
-  /// CONFIG-section writer over explicit state, shared by the quiesced
-  /// path (live members) and the concurrent path (the eagerly frozen
-  /// scalars captured at begin_checkpoint()).
-  static void save_config_state(const core::Config& c, std::size_t bloom_bits,
-                                std::size_t total_files,
-                                const std::array<std::uint64_t, 4>& rng_state,
-                                const std::vector<bool>& unit_active,
-                                std::uint64_t commit_seq, BinaryWriter& w) {
+  static void require_frozen(Store& s) {
+    const util::MutexLock lock(s.freeze_.mu);
+    if (!s.freeze_.active)
+      throw PersistError(
+          "save_snapshot_frozen requires an active begin_checkpoint()");
+  }
+
+  /// Writes section `id`'s payload.
+  static void save_section(Store& s, std::uint32_t id, BinaryWriter& w) {
+    if (id == kSecUnits) {
+      save_units(s, w);
+      return;
+    }
+    const util::MutexLock lock(s.freeze_.mu);
+    const Store::FrozenCore& f = s.freeze_.core;
+    switch (id) {
+      // cfg_ never changes after construction.
+      case kSecConfig: save_config(s.cfg_, f, w); break;
+      case kSecStandardizer:
+        w.write_vec_f64(f.standardizer.means);
+        w.write_vec_f64(f.standardizer.inv_stdevs);
+        break;
+      case kSecTree: save_tree(f.tree, w); break;
+      case kSecVariants:
+        w.write_u64(f.variants.size());
+        for (const core::TreeVariant& v : f.variants) {
+          write_attr_subset(w, v.dims);
+          save_tree(v.tree, w);
+        }
+        break;
+      // The sync map pairs with the frozen tree, so its group list fixes
+      // the order. Entries are keyed by group id on the wire, so ordering
+      // is determinism, not correctness.
+      case kSecSync: save_sync(f.sync, f.tree.groups(), w); break;
+    }
+  }
+
+  static void save_config(const core::Config& c, const Store::FrozenCore& f,
+                          BinaryWriter& w) {
     w.write_u32(static_cast<std::uint32_t>(metadata::kNumAttrs));
     w.write_u64(c.num_units);
     w.write_u64(c.fanout);
@@ -257,35 +297,14 @@ struct SnapshotAccess {
     w.write_f64(c.cost.per_node_visit_s);
     w.write_f64(c.cost.per_bloom_check_s);
     // Store-level scalars that ride in the CONFIG section.
-    w.write_u64(bloom_bits);
-    w.write_u64(total_files);
-    for (std::uint64_t word : rng_state) w.write_u64(word);
-    w.write_u64(unit_active.size());
-    for (bool b : unit_active) w.write_bool(b);
+    w.write_u64(f.bloom_bits);
+    w.write_u64(f.total_files);
+    for (std::uint64_t word : f.rng_state) w.write_u64(word);
+    w.write_u64(f.unit_active.size());
+    for (bool b : f.unit_active) w.write_bool(b);
     // v2: the commit timestamp the image captures — recovery resumes the
     // MVCC clock here, then the WAL replay advances it record by record.
-    w.write_u64(commit_seq);
-  }
-
-  // The plain save_* readers run on the quiesced path (save_snapshot):
-  // the caller guarantees no concurrent mutation, so they read
-  // structure-guarded members without the shape lock and are exempted
-  // from analysis rather than given a lock they do not need.
-  static void save_config(const Store& s, BinaryWriter& w)
-      SS_NO_THREAD_SAFETY_ANALYSIS {
-    save_config_state(s.cfg_, s.bloom_bits_, s.total_files_, s.rng_.state(),
-                      s.unit_active_, s.last_commit_seq(), w);
-  }
-
-  static void save_standardizer_state(const la::RowStandardizer& st,
-                                      BinaryWriter& w) {
-    w.write_vec_f64(st.means);
-    w.write_vec_f64(st.inv_stdevs);
-  }
-
-  static void save_standardizer(const Store& s, BinaryWriter& w)
-      SS_NO_THREAD_SAFETY_ANALYSIS {
-    save_standardizer_state(s.standardizer_, w);
+    w.write_u64(f.commit_seq);
   }
 
   /// v2 unit entry: the v1 record block, then the parallel added_seq array
@@ -310,10 +329,23 @@ struct SnapshotAccess {
     }
   }
 
-  static void save_units(const Store& s, BinaryWriter& w) {
-    const std::uint64_t watermark = s.gc_watermark();
-    w.write_u64(s.units_.size());
-    for (const core::StorageUnit& u : s.units_) save_unit(u, watermark, w);
+  static void save_units(Store& s, BinaryWriter& w) {
+    const auto [count, watermark] = [&] {
+      const util::MutexLock lock(s.freeze_.mu);
+      return std::make_pair(s.freeze_.core.unit_count,
+                            s.freeze_.core.gc_watermark);
+    }();
+    w.write_u64(count);
+    for (std::size_t u = 0; u < count; ++u) {
+      const util::MutexLock lock(s.freeze_.mu);
+      if (s.freeze_.unit_state[u] == Store::PieceState::kFrozen) {
+        save_unit(*s.freeze_.frozen_units[u], watermark, w);
+        s.freeze_.frozen_units[u].reset();
+      } else {
+        save_unit(s.units_[u], watermark, w);
+      }
+      s.freeze_.unit_state[u] = Store::PieceState::kDone;
+    }
   }
 
   static void save_tree(const Tree& t, BinaryWriter& w) {
@@ -348,20 +380,7 @@ struct SnapshotAccess {
     w.write_vec_size(t.root_replicas_);
   }
 
-  static void save_variants_state(const std::vector<core::TreeVariant>& vars,
-                                  BinaryWriter& w) {
-    w.write_u64(vars.size());
-    for (const core::TreeVariant& v : vars) {
-      write_attr_subset(w, v.dims);
-      save_tree(v.tree, w);
-    }
-  }
-
-  static void save_variants(const Store& s, BinaryWriter& w) {
-    save_variants_state(s.variants_, w);
-  }
-
-  static void save_sync_state(
+  static void save_sync(
       const std::unordered_map<std::size_t, Store::GroupSync>& sync,
       const std::vector<std::size_t>& group_order, BinaryWriter& w) {
     w.write_u64(sync.size());
@@ -387,95 +406,6 @@ struct SnapshotAccess {
       write_version_delta(w, gs.pending);
       w.write_u64(gs.changes_since_full_sync);
     }
-  }
-
-  static void save_sync(const Store& s, BinaryWriter& w) {
-    save_sync_state(s.sync_, s.tree_.groups(), w);
-  }
-
-  // ---- encode from a frozen view (concurrent checkpoint) --------------------
-  //
-  // Each resolver holds the store's freeze lock while it serializes one
-  // piece: the copy made by the first post-freeze write where one exists,
-  // the untouched live object otherwise. Marking the piece done releases
-  // its copy immediately (bounding COW memory to the not-yet-serialized
-  // pieces) and tells later mutations to write through without copying.
-  // The serving thread only ever blocks for the duration of one piece.
-
-  static void require_frozen(Store& s) {
-    const util::MutexLock lock(s.freeze_.mu);
-    if (!s.freeze_.active)
-      throw PersistError(
-          "save_snapshot_frozen requires an active begin_checkpoint()");
-  }
-
-  static void save_config_frozen(Store& s, BinaryWriter& w) {
-    const util::MutexLock lock(s.freeze_.mu);
-    // cfg_ never changes after construction; the mutable scalars come from
-    // the eager capture at freeze time.
-    save_config_state(s.cfg_, s.freeze_.core.bloom_bits,
-                      s.freeze_.core.total_files, s.freeze_.core.rng_state,
-                      s.freeze_.core.unit_active, s.freeze_.core.commit_seq,
-                      w);
-  }
-
-  static void save_standardizer_frozen(Store& s, BinaryWriter& w) {
-    const util::MutexLock lock(s.freeze_.mu);
-    save_standardizer_state(s.freeze_.core.standardizer, w);
-  }
-
-  static void save_units_frozen(Store& s, BinaryWriter& w) {
-    const auto [count, watermark] = [&] {
-      const util::MutexLock lock(s.freeze_.mu);
-      return std::make_pair(s.freeze_.core.unit_count,
-                            s.freeze_.core.gc_watermark);
-    }();
-    w.write_u64(count);
-    for (std::size_t u = 0; u < count; ++u) {
-      const util::MutexLock lock(s.freeze_.mu);
-      if (s.freeze_.unit_state[u] == Store::PieceState::kFrozen) {
-        save_unit(*s.freeze_.frozen_units[u], watermark, w);
-        s.freeze_.frozen_units[u].reset();
-      } else {
-        save_unit(s.units_[u], watermark, w);
-      }
-      s.freeze_.unit_state[u] = Store::PieceState::kDone;
-    }
-  }
-
-  static void save_tree_frozen(Store& s, BinaryWriter& w) {
-    const util::MutexLock lock(s.freeze_.mu);
-    save_tree(s.freeze_.tree_state == Store::PieceState::kFrozen
-                  ? *s.freeze_.frozen_tree
-                  : s.tree_,
-              w);
-    s.freeze_.frozen_tree.reset();
-    s.freeze_.tree_state = Store::PieceState::kDone;
-  }
-
-  static void save_variants_frozen(Store& s, BinaryWriter& w) {
-    const util::MutexLock lock(s.freeze_.mu);
-    save_variants_state(s.freeze_.variants_state == Store::PieceState::kFrozen
-                            ? *s.freeze_.frozen_variants
-                            : s.variants_,
-                        w);
-    s.freeze_.frozen_variants.reset();
-    s.freeze_.variants_state = Store::PieceState::kDone;
-  }
-
-  static void save_sync_frozen(Store& s, BinaryWriter& w) {
-    const util::MutexLock lock(s.freeze_.mu);
-    // Order by the group list captured at freeze time: the live tree may
-    // be mutating concurrently (its section is already serialized, so
-    // writes go through uncopied), and the frozen sync map pairs with the
-    // frozen-epoch groups anyway. Entries are keyed by group id on the
-    // wire, so ordering is determinism, not correctness.
-    save_sync_state(s.freeze_.sync_state == Store::PieceState::kFrozen
-                        ? *s.freeze_.frozen_sync
-                        : s.sync_,
-                    s.freeze_.core.group_order, w);
-    s.freeze_.frozen_sync.reset();
-    s.freeze_.sync_state = Store::PieceState::kDone;
   }
 
   // ---- decode ---------------------------------------------------------------
@@ -714,12 +644,10 @@ struct SectionView {
   bool present() const { return data != nullptr || size > 0; }
 };
 
-/// The one snapshot skeleton both save paths share: section order, crash
-/// boundaries, header bytes and the atomic publish are identical by
-/// construction; only the per-section serializer differs (live state vs
-/// frozen-view resolution). `fill(id, w)` writes section `id`'s payload.
-template <typename FillSection>
-void save_snapshot_image(FillSection&& fill, const std::string& path) {
+}  // namespace
+
+void save_snapshot_frozen(core::SmartStore& store, const std::string& path) {
+  // Section order and crash boundaries: one table, one writer.
   static constexpr struct {
     std::uint32_t id;
     const char* fault;
@@ -732,6 +660,7 @@ void save_snapshot_image(FillSection&& fill, const std::string& path) {
       {kSecSync, "snapshot:section:sync"},
   };
 
+  SnapshotAccess::require_frozen(store);
   BinaryWriter out;
   out.write_bytes(kSnapshotMagic, sizeof(kSnapshotMagic));
   out.write_u32(kSnapshotFormatVersion);
@@ -741,52 +670,22 @@ void save_snapshot_image(FillSection&& fill, const std::string& path) {
   for (const auto& s : kSections) {
     fault_point(s.fault);
     sec.clear();
-    fill(s.id, sec);
+    SnapshotAccess::save_section(store, s.id, sec);
     append_section(out, s.id, sec);
   }
 
   write_file_atomic_faulted(path, out.buffer(), "snapshot:write");
 }
 
-}  // namespace
-
-void save_snapshot(const core::SmartStore& store, const std::string& path) {
-  save_snapshot_image(
-      [&store](std::uint32_t id, BinaryWriter& w) {
-        switch (id) {
-          case kSecConfig: SnapshotAccess::save_config(store, w); break;
-          case kSecStandardizer:
-            SnapshotAccess::save_standardizer(store, w);
-            break;
-          case kSecUnits: SnapshotAccess::save_units(store, w); break;
-          case kSecTree: SnapshotAccess::save_tree(store.tree(), w); break;
-          case kSecVariants: SnapshotAccess::save_variants(store, w); break;
-          case kSecSync: SnapshotAccess::save_sync(store, w); break;
-        }
-      },
-      path);
-}
-
-void save_snapshot_frozen(core::SmartStore& store, const std::string& path) {
-  SnapshotAccess::require_frozen(store);
-  // Each piece is resolved (frozen copy vs untouched live object) under
-  // the store's freeze lock, one section at a time.
-  save_snapshot_image(
-      [&store](std::uint32_t id, BinaryWriter& w) {
-        switch (id) {
-          case kSecConfig: SnapshotAccess::save_config_frozen(store, w); break;
-          case kSecStandardizer:
-            SnapshotAccess::save_standardizer_frozen(store, w);
-            break;
-          case kSecUnits: SnapshotAccess::save_units_frozen(store, w); break;
-          case kSecTree: SnapshotAccess::save_tree_frozen(store, w); break;
-          case kSecVariants:
-            SnapshotAccess::save_variants_frozen(store, w);
-            break;
-          case kSecSync: SnapshotAccess::save_sync_frozen(store, w); break;
-        }
-      },
-      path);
+void save_snapshot(core::SmartStore& store, const std::string& path) {
+  store.begin_checkpoint();
+  try {
+    save_snapshot_frozen(store, path);
+  } catch (...) {
+    store.end_checkpoint();
+    throw;
+  }
+  store.end_checkpoint();
 }
 
 std::unique_ptr<core::SmartStore> load_snapshot(const std::string& path) {

@@ -7,6 +7,12 @@
 // state — so a process restart resumes serving without re-running
 // SVD, balanced k-means or bottom-up tree construction.
 //
+// Every image has one writer, save_snapshot_frozen(): it serializes the
+// view a begin_checkpoint() froze, which is how each fold writes its base
+// image while serving threads keep mutating. save_snapshot() freezes,
+// writes and releases, so a quiesced store gets the same bytes a fold of
+// it would write.
+//
 // On-disk layout (all integers little-endian):
 //
 //   [8B magic "SSNAPv01"] [u32 format version] [u32 section count]
@@ -78,6 +84,10 @@ struct ShardFence {
   std::uint64_t shard = 0;
   std::uint64_t generation = 0;
   std::uint64_t records = 0;
+  /// The log's byte offset just past those records — what the rebase
+  /// splices the tail from. In memory only: the manifest encodes the
+  /// three fields above, so a fence read back from disk carries 0.
+  std::uint64_t bytes = 0;
 };
 
 /// The WAL prefix a checkpoint subsumes: one (generation, records)
@@ -90,19 +100,22 @@ struct WalFence {
   std::vector<ShardFence> shards;
 };
 
-/// Serializes the deployment and writes it atomically (temp file + rename +
-/// directory fsync).
-void save_snapshot(const core::SmartStore& store, const std::string& path);
-
 /// Serializes the frozen view of a store whose begin_checkpoint() is
-/// active, while a serving thread keeps mutating it. Pieces are resolved
-/// one at a time under the store's freeze lock — a copy made by the first
-/// post-freeze write where one exists, the untouched live object where
-/// not — so the written image is exactly the state at the freeze epoch.
-/// Serialized pieces are marked done (their frozen copies are released and
-/// later writes stop copying), which is why the store reference is
-/// non-const. Publication is the same atomic temp+rename+dir-fsync.
+/// active, while serving threads keep mutating it, and publishes it
+/// atomically (temp file + rename + directory fsync). The CONFIG scalars,
+/// the tree, the variants and the sync state come from the copies the
+/// freeze captured; each storage unit is resolved under the store's freeze
+/// lock — the copy its first post-freeze write made where one exists, the
+/// untouched live unit where not — so the written image is exactly the
+/// state at the freeze epoch. Serialized units are marked done (their
+/// copies are released and later writes stop copying), which is why the
+/// store reference is non-const. This is the one image writer: every fold
+/// runs it, and save_snapshot() below wraps it.
 void save_snapshot_frozen(core::SmartStore& store, const std::string& path);
+
+/// begin_checkpoint() → save_snapshot_frozen() → end_checkpoint(): the
+/// same image a fold of `store` would write as its base.
+void save_snapshot(core::SmartStore& store, const std::string& path);
 
 /// Loads and verifies a snapshot, reassembling a ready-to-serve deployment.
 /// Throws PersistError (or util::BinaryIoError) on any corruption; the

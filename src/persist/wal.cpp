@@ -24,33 +24,6 @@ void flush_and_sync(std::FILE* f) {
 #endif
 }
 
-/// Serializes `records` as one commit block appended to `out` (nothing
-/// when empty). The layout must stay byte-identical to commit()'s.
-void append_block(util::BinaryWriter& out,
-                  const std::vector<WalRecord>& records) {
-  if (records.empty()) return;
-  util::BinaryWriter payload;
-  for (const WalRecord& rec : records) encode_wal_record(payload, rec);
-  out.write_u32(kWalBlockMagic);
-  out.write_u32(static_cast<std::uint32_t>(records.size()));
-  out.write_u64(payload.size());
-  out.write_bytes(payload.buffer().data(), payload.size());
-  out.write_u32(util::crc32(payload.buffer().data(), payload.size()));
-}
-
-/// A complete log image: the magic, the given generation, then whatever
-/// `fill_blocks` appends. Published atomically through the shared
-/// fault-instrumented temp+rename+dir-fsync (fault prefix "wal:rebase").
-template <typename FillBlocks>
-void publish_log(const std::string& path, std::uint64_t generation,
-                 FillBlocks&& fill_blocks) {
-  util::BinaryWriter out;
-  out.write_bytes(kWalMagic, sizeof(kWalMagic));
-  out.write_u64(generation);
-  fill_blocks(out);
-  write_file_atomic_faulted(path, out.buffer(), "wal:rebase");
-}
-
 /// Overwrites `path` with a fresh, empty log carrying `generation` (header
 /// only, fsynced, directory entry synced).
 void write_empty_wal(const std::string& path, std::uint64_t generation) {
@@ -341,49 +314,43 @@ void WalWriter::commit() {
 }
 
 void WalWriter::rebase(std::size_t drop, std::size_t drop_bytes) {
+  const std::size_t header = sizeof(kWalMagic) + 8;
+  if (drop > committed_ || drop_bytes < header ||
+      drop_bytes > committed_bytes_) {
+    throw PersistError("WAL rebase past the committed log: " + path_ +
+                       " (drop " + std::to_string(drop) + " records at byte " +
+                       std::to_string(drop_bytes) + ", committed " +
+                       std::to_string(committed_) + " records, " +
+                       std::to_string(committed_bytes_) + " bytes)");
+  }
   commit();  // the rebased log must carry every acknowledged record
   if (drop == 0) return;  // fence covers nothing: the log already pairs
                           // exactly with the checkpoint, leave it be
   fault_point("wal:rebase:begin");
 
-  // Fast path: a checkpoint fence is always taken at a commit frontier of
-  // this writer, so when the caller kept the frontier's byte offset the
-  // tail splices over as raw block bytes — O(tail), no re-parse. (This
-  // runs under the shard's mutex; re-scanning the whole log here would
-  // stall that shard's writers for the full history since the last cut.)
-  const std::size_t header = sizeof(kWalMagic) + 8;
-  if (drop_bytes != kNoByteHint && drop_bytes >= header &&
-      drop_bytes <= committed_bytes_ && drop <= committed_) {
-    std::vector<std::uint8_t> tail(committed_bytes_ - drop_bytes);
-    if (!tail.empty()) {
-      std::FILE* in = std::fopen(path_.c_str(), "rb");
-      if (!in)
-        throw PersistError("cannot reopen WAL for rebase: " + path_,
-                           PersistError::Code::kIo);
-      if (std::fseek(in, static_cast<long>(drop_bytes), SEEK_SET) != 0 ||
-          std::fread(tail.data(), 1, tail.size(), in) != tail.size()) {
-        std::fclose(in);
-        throw PersistError("cannot read WAL tail for rebase: " + path_,
-                           PersistError::Code::kIo);
-      }
+  // The tail splices over as raw block bytes. (This runs under the shard's
+  // mutex; re-scanning the whole log here would stall that shard's writers
+  // for the full history since the last cut.)
+  std::vector<std::uint8_t> tail(committed_bytes_ - drop_bytes);
+  if (!tail.empty()) {
+    std::FILE* in = std::fopen(path_.c_str(), "rb");
+    if (!in)
+      throw PersistError("cannot reopen WAL for rebase: " + path_,
+                         PersistError::Code::kIo);
+    if (std::fseek(in, static_cast<long>(drop_bytes), SEEK_SET) != 0 ||
+        std::fread(tail.data(), 1, tail.size(), in) != tail.size()) {
       std::fclose(in);
+      throw PersistError("cannot read WAL tail for rebase: " + path_,
+                         PersistError::Code::kIo);
     }
-    publish_log(path_, generation_ + 1, [&](util::BinaryWriter& out) {
-      if (!tail.empty()) out.write_bytes(tail.data(), tail.size());
-    });
-    committed_ -= drop;
-  } else {
-    // No (usable) byte hint — e.g. a drop inside a commit block, which
-    // the checkpoint protocol never produces: re-encode the tail records.
-    const WalScan scan = scan_wal(path_);
-    const std::size_t keep_from = std::min(drop, scan.records.size());
-    const std::vector<WalRecord> tail(
-        scan.records.begin() + static_cast<std::ptrdiff_t>(keep_from),
-        scan.records.end());
-    publish_log(path_, generation_ + 1,
-                [&](util::BinaryWriter& out) { append_block(out, tail); });
-    committed_ = tail.size();
+    std::fclose(in);
   }
+  util::BinaryWriter out;
+  out.write_bytes(kWalMagic, sizeof(kWalMagic));
+  out.write_u64(generation_ + 1);
+  if (!tail.empty()) out.write_bytes(tail.data(), tail.size());
+  // Shared fault-instrumented temp+rename+dir-fsync (prefix "wal:rebase").
+  write_file_atomic_faulted(path_, out.buffer(), "wal:rebase");
 
   // Swap the append handle onto the new inode.
   if (file_) std::fclose(file_);
@@ -392,12 +359,8 @@ void WalWriter::rebase(std::size_t drop, std::size_t drop_bytes) {
     throw PersistError("cannot reopen WAL after rebase: " + path_,
                        PersistError::Code::kIo);
   ++generation_;
-  std::error_code ec;
-  const auto sz = std::filesystem::file_size(path_, ec);
-  if (ec)
-    throw PersistError("cannot stat rebased WAL: " + ec.message(),
-                       PersistError::Code::kIo);
-  committed_bytes_ = static_cast<std::size_t>(sz);
+  committed_ -= drop;
+  committed_bytes_ = out.size();
 }
 
 void WalWriter::abandon() {

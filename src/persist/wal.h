@@ -3,7 +3,7 @@
 // unit.
 //
 // Records mirror the store's mutation API — one kInsert per insert_file,
-// one kRemove per delete_file, plus the reconfiguration operations
+// one kRemove per erase_file, plus the reconfiguration operations
 // (add_storage_unit / remove_storage_unit / autoconfigure), so a crash
 // between a topology change and the next checkpoint replays into the new
 // topology, not the old one. Records are batched into group-commit blocks
@@ -37,7 +37,9 @@
 // records (generation, record count) per shard as a fence in its
 // manifest; recovery skips fenced records when the generations match, so
 // a crash landing between "manifest published" and "WAL rebased" replays
-// nothing twice (see persist/delta_checkpoint.h).
+// nothing twice (see persist/delta_checkpoint.h). The rebase copies the
+// tail's commit blocks byte for byte from the fence's offset, so a block
+// is written once, by commit(), and never re-encoded.
 #pragma once
 
 #include <cstdint>
@@ -70,6 +72,23 @@ struct WalRecord {
   std::string name;                             ///< kRemove payload
   std::uint64_t unit = 0;                       ///< kRemoveUnit payload
   std::vector<metadata::AttrSubset> subsets;    ///< kAutoconfigure payload
+
+  /// Data records. seq 0 asks ShardedWal::append to stamp a fresh one.
+  static WalRecord insert(const metadata::FileMetadata& f,
+                          std::uint64_t seq = 0) {
+    WalRecord rec;
+    rec.type = WalRecordType::kInsert;
+    rec.seq = seq;
+    rec.file = f;
+    return rec;
+  }
+  static WalRecord remove(std::string name, std::uint64_t seq = 0) {
+    WalRecord rec;
+    rec.type = WalRecordType::kRemove;
+    rec.seq = seq;
+    rec.name = std::move(name);
+    return rec;
+  }
 };
 
 /// Result of scanning a log: all records from complete, checksum-valid
@@ -89,9 +108,8 @@ struct WalScan {
 WalScan scan_wal(const std::string& path);
 
 /// Encodes one record in the block-payload layout — the exact bytes
-/// scan_wal parses. Shared by the live append path, the rebase re-encode
-/// and the incremental-checkpoint delta segments (persist/segment.h), so
-/// the layouts cannot drift.
+/// scan_wal parses. Shared by the live append path and the delta
+/// segments (persist/segment.h), so the layouts cannot drift.
 void encode_wal_record(util::BinaryWriter& w, const WalRecord& rec);
 
 /// Decodes one record from the block-payload layout. Returns false on an
@@ -121,23 +139,23 @@ class WalWriter {
   /// No-op when nothing is pending.
   void commit();
 
-  /// No byte hint: rebase() falls back to re-parsing the log.
-  static constexpr std::size_t kNoByteHint = static_cast<std::size_t>(-1);
-
   /// Drops the first `drop` committed records — the prefix a just-published
   /// checkpoint's fence subsumes — and keeps the tail under the next
-  /// generation. Pending records are committed first so the rebased log is
-  /// exact. The swap is atomic (temp + rename + directory fsync): a crash
-  /// at any instant leaves either the old log (the checkpoint's fence
-  /// skips the prefix) or the new one (generation mismatch replays the
-  /// whole tail), never a torn mixture. This is how a checkpoint truncates
-  /// the log without quiescing the writers appending behind it.
+  /// generation. `drop_bytes` is committed_bytes() observed at the same
+  /// instant the fence observed committed_records(): a fence is always
+  /// taken at a commit frontier, so the tail splices over as raw block
+  /// bytes, O(tail) with no re-parse. Pending records are committed first
+  /// so the rebased log is exact. The swap is atomic (temp + rename +
+  /// directory fsync): a crash at any instant leaves either the old log
+  /// (the checkpoint's fence skips the prefix) or the new one (generation
+  /// mismatch replays the whole tail), never a torn mixture. This is how a
+  /// checkpoint truncates the log without quiescing the writers appending
+  /// behind it.
   ///
-  /// `drop_bytes` — committed_bytes() observed at the same instant the
-  /// fence observed committed_records() — lets the tail splice over as raw
-  /// block bytes, O(tail) instead of an O(log) re-parse. Without it, or
-  /// with an out-of-range value, the slow re-encode path runs.
-  void rebase(std::size_t drop, std::size_t drop_bytes = kNoByteHint);
+  /// Throws PersistError, with the log untouched, when `drop` exceeds the
+  /// committed records or `drop_bytes` lies inside the header or past
+  /// committed_bytes().
+  void rebase(std::size_t drop, std::size_t drop_bytes);
 
   /// Drops the handle and the pending batch without committing — the
   /// in-process stand-in for the process dying with this writer open

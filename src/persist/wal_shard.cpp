@@ -151,93 +151,18 @@ void ShardedWal::drain_tap(Shard& s) {
                       s.tap_pending.begin() + static_cast<long>(committed));
 }
 
-std::uint64_t ShardedWal::log_insert(std::size_t shard_id,
-                                     const metadata::FileMetadata& f) {
+std::uint64_t ShardedWal::append(std::size_t shard_id, WalRecord rec) {
   Shard& s = shard(shard_id);
   const util::MutexLock lock(s.mu);
-  WalRecord rec;
-  rec.type = WalRecordType::kInsert;
-  rec.file = f;
-  rec.seq = stamp();
-  tap_append(s, rec);
-  note_append(s);
-  s.writer->append(rec);
-  if (s.writer->pending_records() >= shard_group_commit(s)) timed_commit(s);
-  drain_tap(s);
-  return rec.seq;
-}
-
-std::uint64_t ShardedWal::log_remove(std::size_t shard_id,
-                                     const std::string& name) {
-  Shard& s = shard(shard_id);
-  const util::MutexLock lock(s.mu);
-  WalRecord rec;
-  rec.type = WalRecordType::kRemove;
-  rec.name = name;
-  rec.seq = stamp();
-  tap_append(s, rec);
-  note_append(s);
-  s.writer->append(rec);
-  if (s.writer->pending_records() >= shard_group_commit(s)) timed_commit(s);
-  drain_tap(s);
-  return rec.seq;
-}
-
-std::uint64_t ShardedWal::append_insert(std::size_t shard_id,
-                                        const metadata::FileMetadata& f) {
-  Shard& s = shard(shard_id);
-  const util::MutexLock lock(s.mu);
-  WalRecord rec;
-  rec.type = WalRecordType::kInsert;
-  rec.file = f;
-  rec.seq = stamp();
+  if (rec.seq == 0) {
+    rec.seq = stamp();
+  } else {
+    ensure_seq_at_least(rec.seq + 1);
+  }
   tap_append(s, rec);
   note_append(s);
   s.writer->append(rec);
   return rec.seq;
-}
-
-std::uint64_t ShardedWal::append_remove(std::size_t shard_id,
-                                        const std::string& name) {
-  Shard& s = shard(shard_id);
-  const util::MutexLock lock(s.mu);
-  WalRecord rec;
-  rec.type = WalRecordType::kRemove;
-  rec.name = name;
-  rec.seq = stamp();
-  tap_append(s, rec);
-  note_append(s);
-  s.writer->append(rec);
-  return rec.seq;
-}
-
-void ShardedWal::append_insert_at(std::size_t shard_id,
-                                  const metadata::FileMetadata& f,
-                                  std::uint64_t seq) {
-  Shard& s = shard(shard_id);
-  const util::MutexLock lock(s.mu);
-  WalRecord rec;
-  rec.type = WalRecordType::kInsert;
-  rec.file = f;
-  rec.seq = seq;
-  tap_append(s, rec);
-  note_append(s);
-  s.writer->append(rec);
-  ensure_seq_at_least(seq + 1);
-}
-
-void ShardedWal::append_remove_at(std::size_t shard_id,
-                                  const std::string& name, std::uint64_t seq) {
-  Shard& s = shard(shard_id);
-  const util::MutexLock lock(s.mu);
-  WalRecord rec;
-  rec.type = WalRecordType::kRemove;
-  rec.name = name;
-  rec.seq = seq;
-  tap_append(s, rec);
-  note_append(s);
-  s.writer->append(rec);
-  ensure_seq_at_least(seq + 1);
 }
 
 void ShardedWal::maybe_commit(std::size_t shard_id) {
@@ -340,26 +265,24 @@ void ShardedWal::commit_all() {
   }
 }
 
-WalFence ShardedWal::frontier(std::vector<std::size_t>* bytes_out) {
+WalFence ShardedWal::frontier() {
   WalFence fence;
   fence.present = true;
   const std::size_t n = num_shards();
-  if (bytes_out) bytes_out->assign(n, WalWriter::kNoByteHint);
   for (std::size_t i = 0; i < n; ++i) {
     Shard* s = shard_if_exists(i);
     if (!s) continue;
     const util::MutexLock lock(s->mu);
     s->writer->commit();
     drain_tap(*s);
-    fence.shards.push_back(
-        {i, s->writer->generation(), s->writer->committed_records()});
-    if (bytes_out) (*bytes_out)[i] = s->writer->committed_bytes();
+    fence.shards.push_back({i, s->writer->generation(),
+                            s->writer->committed_records(),
+                            s->writer->committed_bytes()});
   }
   return fence;
 }
 
-void ShardedWal::rebase_to(const WalFence& fence,
-                           const std::vector<std::size_t>& bytes) {
+void ShardedWal::rebase_to(const WalFence& fence) {
   for (const ShardFence& f : fence.shards) {
     Shard* s = shard_if_exists(static_cast<std::size_t>(f.shard));
     if (!s) continue;
@@ -368,10 +291,8 @@ void ShardedWal::rebase_to(const WalFence& fence,
     // the fence was taken — dropping by count would discard
     // unfenced records.
     if (s->writer->generation() != f.generation) continue;
-    const std::size_t hint = f.shard < bytes.size()
-                                 ? bytes[static_cast<std::size_t>(f.shard)]
-                                 : WalWriter::kNoByteHint;
-    s->writer->rebase(static_cast<std::size_t>(f.records), hint);
+    s->writer->rebase(static_cast<std::size_t>(f.records),
+                      static_cast<std::size_t>(f.bytes));
   }
 }
 

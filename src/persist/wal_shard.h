@@ -3,15 +3,17 @@
 //
 // Layout on disk: <deploy dir>/wal/<unit id>.log, each a WalWriter log
 // (persist/wal.h) whose records carry a store-wide monotonic sequence
-// number. A record for storage unit u is appended to shard u under the
-// caller-held unit stripe (core::SmartStore::WalHook), which makes each
-// shard's record order equal that unit's in-memory apply order; shards
-// group-commit and fsync independently, so writers routed to different
-// units overlap their durability waits. Recovery (persist/recovery.h)
-// scans every shard and replays the merged record stream in sequence
-// order — records that cross shards are independent (they touch different
-// units), so losing an *unacknowledged* suffix of one shard never
-// invalidates an acknowledged record in another.
+// number. Every data record goes through one call, append(), run from the
+// store's WalHook under the routed unit's lock, which makes each shard's
+// record order equal that unit's in-memory apply order. The group commit
+// has one trigger too: maybe_commit(), run from the store's flush hook
+// after the unit lock is released, so an fsync stalls only the writers of
+// the shard it flushes. Shards group-commit and fsync independently, so
+// writers routed to different units overlap their durability waits.
+// Recovery (persist/recovery.h) scans every shard and replays the merged
+// record stream in sequence order — records that cross shards are
+// independent (they touch different units), so losing an *unacknowledged*
+// suffix of one shard never invalidates an acknowledged record in another.
 //
 // Structural operations (add/remove unit, autoconfigure) are logged under
 // the store's exclusive structure lock through a barrier: every shard is
@@ -22,13 +24,13 @@
 //
 // Checkpoint fencing is per shard: frontier() commits all shards at the
 // frozen mutation boundary and returns a WalFence carrying one
-// (generation, records) entry per shard (plus byte offsets for the O(tail)
-// rebase); rebase_to() drops each shard's fenced prefix under the next
-// generation, one shard mutex at a time, concurrent with live appends to
-// the other shards. A crash between per-shard rebases leaves some shards
-// fenced (generation matches: recovery skips the prefix) and some rebased
-// (generation changed: recovery replays the whole tail) — consistent
-// either way, shard by shard.
+// (generation, records, byte offset) entry per shard; rebase_to() splices
+// each shard's tail past that offset into the next generation, one shard
+// mutex at a time, concurrent with live appends to the other shards. A
+// crash between per-shard rebases leaves some shards fenced (generation
+// matches: recovery skips the prefix) and some rebased (generation
+// changed: recovery replays the whole tail) — consistent either way,
+// shard by shard.
 #pragma once
 
 #include <atomic>
@@ -87,36 +89,22 @@ class ShardedWal {
   static bool parse_shard_id(const std::filesystem::path& p,
                              std::uint64_t* id_out);
 
-  // ---- per-unit records (called from the store's WalHook, under that
-  // ---- unit's lock) ------------------------------------------------------
+  // ---- per-unit records ---------------------------------------------------
 
-  /// Append + group-commit in one call (fsync may run under the caller's
-  /// unit lock — fine for single-threaded drivers and the deterministic
-  /// crash sweeps). Returns the stamped sequence number: the store adopts
-  /// it as the mutation's commit timestamp (MVCC snapshot visibility).
-  std::uint64_t log_insert(std::size_t shard, const metadata::FileMetadata& f);
-  std::uint64_t log_remove(std::size_t shard, const std::string& name);
-
-  /// The two-phase flavour the concurrent ingest paths use: append_* runs
-  /// under the unit lock (cheap — encode + buffer), maybe_commit runs
-  /// from the store's flush hook AFTER the unit lock is released, so a
-  /// group-commit fsync never blocks another writer routed to the same
-  /// unit, only the shard it flushes. Returns the stamped seq, as above.
-  std::uint64_t append_insert(std::size_t shard,
-                              const metadata::FileMetadata& f);
-  std::uint64_t append_remove(std::size_t shard, const std::string& name);
-  /// Commits `shard` if its pending batch reached the group-commit size.
+  /// Buffers a data record (kInsert/kRemove) into shard `shard`'s pending
+  /// batch and returns its seq. Called from the store's WalHook, under the
+  /// routed unit's lock: encode and buffer only, never an fsync. A record
+  /// with seq 0 is stamped with the next store-wide seq — the store adopts
+  /// it as the mutation's commit timestamp (MVCC snapshot visibility). A
+  /// nonzero seq is kept and the counter raised past it: a replication
+  /// follower re-logs the PRIMARY's seq, so its log stays seq-identical to
+  /// what clients were acked and recovery on a promoted follower lines up.
+  std::uint64_t append(std::size_t shard, WalRecord rec);
+  /// Commits `shard` if its pending batch reached the group-commit size —
+  /// the only group-commit trigger. Called from the store's flush hook
+  /// after the unit lock is released, so the fsync never blocks another
+  /// writer routed to the same unit, only the shard it flushes.
   void maybe_commit(std::size_t shard);
-
-  /// Replication-apply flavour: appends a record carrying the PRIMARY's
-  /// sequence number instead of stamping a fresh one, then raises the
-  /// local counter past it. A follower's log thereby stays seq-identical
-  /// to the primary's stream, so recovery replay and MVCC visibility on a
-  /// promoted follower line up exactly with what clients were acked.
-  void append_insert_at(std::size_t shard, const metadata::FileMetadata& f,
-                        std::uint64_t seq);
-  void append_remove_at(std::size_t shard, const std::string& name,
-                        std::uint64_t seq);
 
   /// Arms (or, with nullptr, disarms) the commit tap. Disarming discards
   /// any tapped-but-uncommitted records. Safe to call concurrently with
@@ -136,19 +124,17 @@ class ShardedWal {
   void commit_all();
 
   /// Commits every shard and returns the sharded fence at that frontier:
-  /// one (generation, records) entry per shard, `present` set. When
-  /// `bytes_out` is given it receives each shard's committed byte offset,
-  /// the hint that makes the later rebase O(tail). Call at a mutation
-  /// boundary (the delta engine calls it from inside its cut barrier or
-  /// a fold's frozen section).
-  WalFence frontier(std::vector<std::size_t>* bytes_out = nullptr);
+  /// one (generation, records, byte offset) entry per shard, `present`
+  /// set. Call at a mutation boundary (the delta engine calls it from
+  /// inside its cut barrier or a fold's frozen section).
+  WalFence frontier();
 
-  /// Drops each shard's fenced prefix under its next generation. Safe to
-  /// run concurrently with live appends: each shard swaps under its own
-  /// mutex. `bytes` pairs with the fence from frontier() (may be empty —
-  /// the slow re-encode path then runs per shard).
-  void rebase_to(const WalFence& fence,
-                 const std::vector<std::size_t>& bytes = {});
+  /// Drops each shard's fenced prefix under its next generation, splicing
+  /// the tail from the fence's byte offset. Safe to run concurrently with
+  /// live appends: each shard swaps under its own mutex. `fence` must come
+  /// from frontier() — a fence decoded from a manifest carries no offsets,
+  /// and WalWriter::rebase rejects them.
+  void rebase_to(const WalFence& fence);
 
   /// Drops all handles and pending batches without committing — the
   /// in-process stand-in for the process dying (crash-injection tests).
@@ -206,8 +192,8 @@ class ShardedWal {
     /// committed. The drain invariant: the first
     /// `tap_pending.size() - writer->pending_records()` entries are
     /// durable and get delivered (works no matter where the commit
-    /// happened — group-commit inside log(), explicit commit(), or a
-    /// barrier), because tapped records commit strictly in append order.
+    /// happened — maybe_commit(), a frontier or a barrier), because
+    /// tapped records commit strictly in append order.
     std::vector<WalRecord> tap_pending SS_GUARDED_BY(mu);
   };
 

@@ -41,6 +41,7 @@
 #include "metadata/query.h"
 #include "smartstore/query.h"
 #include "smartstore/status.h"
+#include "smartstore/store.h"
 
 namespace smartstore::rpc {
 
@@ -214,20 +215,14 @@ db::Status decode_shard_stats(const std::vector<std::uint8_t>& in,
 
 // ---- replication stream (v3) ------------------------------------------------
 
-/// One committed WAL record on the wire: the primary's seq travels with
-/// the op so the follower's log (and MVCC visibility) stays seq-identical
-/// to what clients were acked. A NOOP op carries only the seq — it marks a
-/// sequence number the primary consumed on a replica-private structural
-/// record (unit split/merge); the follower must still account the seq or
-/// the contiguous stream (and a promoted follower's stamp counter) would
-/// hold a permanent hole.
-struct ReplOp {
-  bool is_insert = true;
-  bool is_noop = false;  ///< seq-hole marker: neither file nor name valid
-  std::uint64_t seq = 0;
-  metadata::FileMetadata file;  ///< inserts
-  std::string name;             ///< removes
-};
+/// One committed WAL record on the wire — the store's own replication
+/// record: the primary's seq travels with the op so the follower's log
+/// (and MVCC visibility) stays seq-identical to what clients were acked.
+/// A NOOP op carries only the seq — it marks a sequence number the primary
+/// consumed on a replica-private structural record (unit split/merge); the
+/// follower must still account the seq or the contiguous stream (and a
+/// promoted follower's stamp counter) would hold a permanent hole.
+using ReplOp = db::ReplicatedOp;
 
 /// kReplAppend request: a seq-contiguous run of committed records.
 /// `sync_engaged` is the primary's statement that this follower is fully

@@ -1,6 +1,5 @@
 #include "svc/cluster.h"
 
-#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <utility>
@@ -55,15 +54,12 @@ db::Options Cluster::NodeStoreOptions(std::uint32_t node) const {
     // In-memory stores reject durability knobs (nothing to checkpoint).
     o.checkpoint_every = 0;
   } else {
-    // Acked => durable: every mutation's WAL append fsyncs before the
-    // response leaves the shard, so Abandon cannot lose an acked write.
-    o.group_commit = std::max<std::size_t>(1, o.group_commit);
-    if (options_.replication_factor > 1) {
-      // The ack barrier waits for the follower to cover THIS mutation's
-      // seq; cross-request commit batching would couple one client's ack
-      // latency to another's arrival. Each mutation commits itself.
-      o.group_commit = 1;
-    }
+    // Acked => durable: every mutation's WAL record is committed before
+    // the response leaves the shard, so Abandon cannot lose an acked write.
+    // A batch above 1 (static or adaptive) would ack records still pending
+    // in the log. On a replicated shard the ack barrier also waits for the
+    // follower to cover THIS mutation's seq, which needs it committed.
+    o.group_commit = 1;
   }
   return o;
 }

@@ -533,18 +533,7 @@ void MetaService::HandleReplAppend(const rpc::Frame& req, rpc::Frame* resp) {
   }
   std::uint64_t frontier = store_->LatestSequence();
   if (!batch.ops.empty()) {
-    std::vector<db::ReplicatedOp> ops;
-    ops.reserve(batch.ops.size());
-    for (rpc::ReplOp& op : batch.ops) {
-      db::ReplicatedOp r;
-      r.is_insert = op.is_insert;
-      r.is_noop = op.is_noop;
-      r.seq = op.seq;
-      r.file = std::move(op.file);
-      r.name = std::move(op.name);
-      ops.push_back(std::move(r));
-    }
-    s = store_->ApplyReplicated(ops, &frontier);
+    s = store_->ApplyReplicated(batch.ops, &frontier);
     if (!s.ok()) {
       set_result(resp, s);  // store errors map to kUnavailable, not a depose
       return;

@@ -226,14 +226,7 @@ bool ReplicationSender::ShipOnce(util::UniqueLock& lock) {
   std::uint64_t expect = next_to_ship_;
   while (it != pending_.end() && it->first == expect &&
          batch.ops.size() < options_.max_batch) {
-    const db::ReplicatedOp& r = it->second;
-    rpc::ReplOp op;
-    op.is_insert = r.is_insert;
-    op.is_noop = r.is_noop;
-    op.seq = r.seq;
-    op.file = r.file;
-    op.name = r.name;
-    batch.ops.push_back(std::move(op));
+    batch.ops.push_back(it->second);
     ++expect;
     ++it;
   }
@@ -333,11 +326,6 @@ bool ReplicationSender::sync_engaged() const {
 bool ReplicationSender::deposed() const {
   const util::MutexLock lock(mu_);
   return deposed_;
-}
-
-bool ReplicationSender::have_follower() const {
-  const util::MutexLock lock(mu_);
-  return have_follower_;
 }
 
 }  // namespace smartstore::svc

@@ -124,7 +124,6 @@ class ReplicationSender {
   std::uint64_t ack_frontier() const;
   bool sync_engaged() const;
   bool deposed() const;
-  bool have_follower() const;
 
  private:
   void SenderLoop();

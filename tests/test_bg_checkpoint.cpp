@@ -72,7 +72,9 @@ struct BgRig {
   void insert(const metadata::FileMetadata& f) {
     store.insert_file(
         f, 0.0,
-        [&](core::UnitId target) { return wal.append_insert(target, f); },
+        [&](core::UnitId target) {
+          return wal.append(target, WalRecord::insert(f));
+        },
         [&](core::UnitId target) { wal.maybe_commit(target); });
   }
 
@@ -150,8 +152,7 @@ TEST(BgCheckpoint, FrozenViewExcludesMidFoldMutations) {
   const std::size_t files_at_freeze = rig.store.total_files();
 
   WalFence fence;
-  std::vector<std::size_t> fence_bytes;
-  rig.store.begin_checkpoint([&] { fence = rig.wal.frontier(&fence_bytes); });
+  rig.store.begin_checkpoint([&] { fence = rig.wal.frontier(); });
   const auto extra = rig.trace.make_insert_stream(3, 11);
   for (const auto& f : extra) rig.insert(f);
   EXPECT_GT(rig.store.checkpoint_cow_copies(), 0u);  // pieces were pending
@@ -163,7 +164,7 @@ TEST(BgCheckpoint, FrozenViewExcludesMidFoldMutations) {
   m.base_id = 1;
   m.fence = fence;
   write_manifest(rig.dir, m);
-  rig.wal.rebase_to(fence, fence_bytes);
+  rig.wal.rebase_to(fence);
   rig.store.end_checkpoint();
   rig.wal.commit_all();
 

@@ -67,7 +67,10 @@ struct Deployment {
 /// commit from the flush hook after that lock is released.
 void logged_insert(SmartStore& store, ShardedWal& wal, const FileMetadata& f) {
   store.insert_file(
-      f, 0.0, [&](core::UnitId target) { return wal.append_insert(target, f); },
+      f, 0.0,
+      [&](core::UnitId target) {
+        return wal.append(target, WalRecord::insert(f));
+      },
       [&](core::UnitId target) { wal.maybe_commit(target); });
 }
 
@@ -75,7 +78,9 @@ bool logged_erase(SmartStore& store, ShardedWal& wal,
                   const std::string& name) {
   return store.erase_file(
       name,
-      [&](core::UnitId located) { return wal.append_remove(located, name); },
+      [&](core::UnitId located) {
+        return wal.append(located, WalRecord::remove(name));
+      },
       [&](core::UnitId located) { wal.maybe_commit(located); });
 }
 

@@ -80,9 +80,8 @@ WalFence stepped_fold(SmartStore& store, ShardedWal& wal,
   DeltaManifest next;
   next.manifest_id = read_manifest(dir).manifest_id + 1;
   next.base_id = next.manifest_id;
-  std::vector<std::size_t> fence_bytes;
   store.begin_checkpoint([&] {
-    next.fence = wal.frontier(&fence_bytes);
+    next.fence = wal.frontier();
     next.last_cut_seq = store.last_commit_seq();
   });
   try {
@@ -90,7 +89,7 @@ WalFence stepped_fold(SmartStore& store, ShardedWal& wal,
     save_snapshot_frozen(store, base_path(dir, next.base_id));
     write_manifest(dir, next);
     before_rebase();
-    wal.rebase_to(next.fence, fence_bytes);
+    wal.rebase_to(next.fence);
   } catch (...) {
     store.end_checkpoint();
     throw;
@@ -190,14 +189,17 @@ ShardedScenarioResult run_delta_crash_scenario(const std::string& dir,
   }
   try {
     auto logged_insert = [&](const FileMetadata& f) {
-      store.insert_file(f, 0.0, [&](core::UnitId target) {
-        // Record the (shard, index) BEFORE the log append: if the append's
-        // group commit crashes, this attempt is on file but never counted
-        // durable (committed_records stays behind it).
-        if (target >= logged.size()) logged.resize(target + 1, 0);
-        res.inserts.push_back({f.name, target, logged[target]++});
-        return wal->log_insert(target, f);
-      });
+      store.insert_file(
+          f, 0.0,
+          [&](core::UnitId target) {
+            // Record the (shard, index) BEFORE the log append: if the
+            // group commit behind it crashes, this attempt is on file but
+            // never counted durable (committed_records stays behind it).
+            if (target >= logged.size()) logged.resize(target + 1, 0);
+            res.inserts.push_back({f.name, target, logged[target]++});
+            return wal->append(target, WalRecord::insert(f));
+          },
+          [&](core::UnitId target) { wal->maybe_commit(target); });
       snapshot_committed();
     };
 
@@ -388,9 +390,12 @@ TEST(CrashOracle, RandomizedMutationsCrashesAndRecoveriesMatchOracle) {
   auto insert_next = [&] {
     if (cursor >= pool.size()) return;
     const FileMetadata& f = pool[cursor++];
-    store->insert_file(f, 0.0, [&](core::UnitId target) {
-      return wal->log_insert(target, f);
-    });
+    store->insert_file(
+        f, 0.0,
+        [&](core::UnitId target) {
+          return wal->append(target, WalRecord::insert(f));
+        },
+        [&](core::UnitId target) { wal->maybe_commit(target); });
     oracle.insert(f.name);
     live_names.push_back(f.name);
   };
@@ -412,9 +417,13 @@ TEST(CrashOracle, RandomizedMutationsCrashesAndRecoveriesMatchOracle) {
       live_names.erase(live_names.begin() +
                        static_cast<std::ptrdiff_t>(pick));
       if (oracle.count(name)) {
-        ASSERT_TRUE(store->erase_file(name, [&](core::UnitId located) {
-          return wal->log_remove(located, name);
-        })) << name;
+        ASSERT_TRUE(store->erase_file(
+            name,
+            [&](core::UnitId located) {
+              return wal->append(located, WalRecord::remove(name));
+            },
+            [&](core::UnitId located) { wal->maybe_commit(located); }))
+            << name;
         oracle.erase(name);
       }
     } else if (r < 0.77) {

@@ -53,7 +53,8 @@ std::set<std::string> store_names(const core::SmartStore& s) {
 // ---- persist layer: DeltaEngine ---------------------------------------------
 
 /// A SmartStore + ShardedWal + DeltaEngine triple over a temp directory,
-/// with the WAL-hooked insert idiom the crash suite uses.
+/// with the db facade's WAL-hooked insert: append under the routed unit's
+/// lock, group commit from the flush hook after it is released.
 struct EngineRig {
   explicit EngineRig(const std::filesystem::path& dir_in)
       : dir(dir_in.string()), wal(dir, cfg().num_units, /*group_commit=*/2) {
@@ -68,9 +69,12 @@ struct EngineRig {
 
   void insert(std::uint64_t id) {
     const auto f = make_file(id);
-    store.insert_file(f, 0.0, [&](core::UnitId target) {
-      return wal.log_insert(target, f);
-    });
+    store.insert_file(
+        f, 0.0,
+        [&](core::UnitId target) {
+          return wal.append(target, WalRecord::insert(f));
+        },
+        [&](core::UnitId target) { wal.maybe_commit(target); });
     inserted.insert(f.name);
   }
 

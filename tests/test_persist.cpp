@@ -282,7 +282,7 @@ class SnapshotReplicas : public ::testing::Test {
 };
 
 TEST_F(SnapshotReplicas, LoadedReplicasRouteExactlyAsSaved) {
-  const SmartStore& store = *store_;
+  SmartStore& store = *store_;
   const auto& tr = trace_;
   const auto& extra = extra_;
   std::size_t versions = 0, delete_only = 0;
@@ -327,6 +327,34 @@ TEST_F(SnapshotReplicas, LoadedReplicasRouteExactlyAsSaved) {
   save_snapshot(*loaded, dir + "/again.bin");
   EXPECT_EQ(util::read_file_bytes(dir + "/again.bin"),
             util::read_file_bytes(image_path(dir)));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Snapshot, SaveSnapshotWritesTheImageAFoldWrites) {
+  const auto tr = trace::SyntheticTrace::generate(trace::hp_profile(), 1, 42,
+                                                  /*downscale=*/20);
+  Config cfg;
+  cfg.num_units = 8;
+  cfg.seed = 7;
+  cfg.autoconfig_threshold = 0.0;  // keep every variant that differs
+  SmartStore store(cfg);
+  store.build(tr.files());
+  ASSERT_GT(store.autoconfigure(
+                {AttrSubset::from_mask(0x7u), AttrSubset::from_mask(0x1Fu)}),
+            0u);
+  for (const auto& f : tr.make_insert_stream(300, 1234))
+    store.insert_file(f, 0.0);
+  for (std::size_t i = 0; i < 40; ++i)
+    ASSERT_TRUE(store.erase_file(tr.files()[i * 13].name));
+
+  const std::string dir = temp_dir("fold_image");
+  save_snapshot(store, image_path(dir));
+  ShardedWal wal(dir, store.units().size());
+  DeltaEngine engine(store, wal, dir);
+  ASSERT_TRUE(engine.fold().folded);
+  EXPECT_EQ(util::read_file_bytes(base_path(dir, engine.base_id())),
+            util::read_file_bytes(image_path(dir)));
+  EXPECT_FALSE(store.checkpoint_active());
   std::filesystem::remove_all(dir);
 }
 
@@ -658,6 +686,14 @@ TEST_F(SnapshotTest, BadMagicFailsLoad) {
 
 // ---- WAL --------------------------------------------------------------------
 
+/// One record through the shard log the way the store's hooks drive it:
+/// the append, then the group-commit trigger.
+std::uint64_t log_record(ShardedWal& wal, std::size_t shard, WalRecord rec) {
+  const std::uint64_t seq = wal.append(shard, std::move(rec));
+  wal.maybe_commit(shard);
+  return seq;
+}
+
 TEST(Wal, GroupCommitBatchesRecords) {
   const std::string dir = temp_dir("wal_batch");
   trace::SyntheticTrace tr = trace::SyntheticTrace::generate(
@@ -666,7 +702,7 @@ TEST(Wal, GroupCommitBatchesRecords) {
 
   {
     ShardedWal wal(dir, 1, /*group_commit=*/4);
-    for (const auto& f : stream) wal.log_insert(0, f);
+    for (const auto& f : stream) log_record(wal, 0, WalRecord::insert(f));
     // 10 records at batch 4: blocks of 4+4 committed, 2 still pending.
     EXPECT_EQ(wal.committed_records(0), 8u);
     EXPECT_EQ(wal.pending_records(0), 2u);
@@ -689,8 +725,8 @@ TEST(Wal, RemoveRecordsRoundTrip) {
   const std::string dir = temp_dir("wal_remove");
   {
     ShardedWal wal(dir, 1, /*group_commit=*/2);
-    wal.log_remove(0, "some/file.txt");
-    wal.log_remove(0, "other/file.bin");
+    log_record(wal, 0, WalRecord::remove("some/file.txt"));
+    log_record(wal, 0, WalRecord::remove("other/file.bin"));
   }
   const WalScan scan = scan_wal(ShardedWal::shard_path(dir, 0));
   ASSERT_EQ(scan.records.size(), 2u);
@@ -708,7 +744,7 @@ TEST(Wal, TornTailRecoversToLastCommitBoundary) {
 
   {
     ShardedWal wal(dir, 1, /*group_commit=*/4);
-    for (const auto& f : stream) wal.log_insert(0, f);
+    for (const auto& f : stream) log_record(wal, 0, WalRecord::insert(f));
   }  // 3 complete blocks of 4
 
   // Crash mid-append: chop into the last block's payload.
@@ -745,7 +781,7 @@ TEST(Wal, CorruptedBlockChecksumStopsScan) {
   const auto stream = tr.make_insert_stream(8, 5);
   {
     ShardedWal wal(dir, 1, /*group_commit=*/4);
-    for (const auto& f : stream) wal.log_insert(0, f);
+    for (const auto& f : stream) log_record(wal, 0, WalRecord::insert(f));
   }
   auto bytes = util::read_file_bytes(path);
   bytes[bytes.size() - 10] ^= 0x01;  // corrupt the second block's payload
@@ -808,18 +844,18 @@ TEST(Wal, RebaseDropsFencedPrefixKeepsTailUnderNextGeneration) {
   const auto stream = tr.make_insert_stream(7, 5);
 
   WalWriter wal(path);
+  std::size_t fence_bytes = 0;
   for (std::size_t i = 0; i < stream.size(); ++i) {
-    WalRecord rec;
-    rec.file = stream[i];
-    rec.seq = i + 1;
-    wal.append(rec);
+    wal.append(WalRecord::insert(stream[i], i + 1));
     if (i % 2 == 1) wal.commit();
+    if (i == 3) fence_bytes = wal.committed_bytes();
   }
   wal.commit();
   const std::uint64_t gen = wal.generation();
   ASSERT_EQ(wal.committed_records(), 7u);
 
-  wal.rebase(4);  // a checkpoint fenced the first four records
+  // A checkpoint fenced the first four records at this byte offset.
+  wal.rebase(4, fence_bytes);
   EXPECT_EQ(wal.generation(), gen + 1);
   EXPECT_EQ(wal.committed_records(), 3u);
 
@@ -832,13 +868,77 @@ TEST(Wal, RebaseDropsFencedPrefixKeepsTailUnderNextGeneration) {
   }
 
   // Appends keep working through the swapped handle.
-  WalRecord remove;
-  remove.type = WalRecordType::kRemove;
-  remove.name = stream[0].name;
-  remove.seq = 8;
-  wal.append(remove);
+  wal.append(WalRecord::remove(stream[0].name, 8));
   wal.commit();
   EXPECT_EQ(scan_wal(path).records.size(), 4u);
+}
+
+TEST(Wal, RebaseOutsideTheCommittedLogThrowsAndChangesNothing) {
+  const std::string dir = temp_dir("wal_rebase_range");
+  const std::string path = dir + "/0.log";
+  trace::SyntheticTrace tr = trace::SyntheticTrace::generate(
+      trace::msn_profile(), 1, 42, /*downscale=*/50);
+  const auto stream = tr.make_insert_stream(5, 5);
+
+  WalWriter wal(path);
+  for (std::size_t i = 0; i < 4; ++i) {
+    wal.append(WalRecord::insert(stream[i], i + 1));
+    wal.commit();
+  }
+  const std::uint64_t gen = wal.generation();
+  const std::size_t end = wal.committed_bytes();
+  const auto bytes_before = util::read_file_bytes(path);
+  // A pending record must stay pending: a rejected rebase writes nothing.
+  wal.append(WalRecord::insert(stream[4], 5));
+
+  EXPECT_THROW(wal.rebase(2, end + 1), PersistError);  // past the log
+  EXPECT_THROW(wal.rebase(2, 3), PersistError);        // inside the header
+  EXPECT_THROW(wal.rebase(5, end), PersistError);      // more than committed
+  EXPECT_EQ(wal.generation(), gen);
+  EXPECT_EQ(wal.committed_records(), 4u);
+  EXPECT_EQ(wal.committed_bytes(), end);
+  EXPECT_EQ(wal.pending_records(), 1u);
+  EXPECT_EQ(util::read_file_bytes(path), bytes_before);
+
+  // Later appends land behind the untouched prefix.
+  wal.commit();
+  const WalScan scan = scan_wal(path);
+  EXPECT_EQ(scan.generation, gen);
+  ASSERT_EQ(scan.records.size(), 5u);
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(scan.records[i].seq, i + 1);
+    EXPECT_EQ(scan.records[i].file.name, stream[i].name);
+  }
+}
+
+TEST(Wal, AppendStampsZeroSeqAndKeepsAGivenOne) {
+  const std::string dir = temp_dir("wal_append_seq");
+  {
+    ShardedWal wal(dir, 2, /*group_commit=*/1);
+    EXPECT_EQ(log_record(wal, 0, WalRecord::remove("a")), 1u);
+    EXPECT_EQ(log_record(wal, 1, WalRecord::remove("b")), 2u);
+    // A replicated apply carries the primary's seq: kept, counter raised.
+    EXPECT_EQ(log_record(wal, 1, WalRecord::remove("c", 10)), 10u);
+    EXPECT_EQ(wal.next_seq(), 11u);
+    EXPECT_EQ(log_record(wal, 0, WalRecord::remove("d")), 11u);
+    // A seq below the counter is kept too, and never lowers it.
+    EXPECT_EQ(log_record(wal, 0, WalRecord::remove("e", 4)), 4u);
+    EXPECT_EQ(log_record(wal, 1, WalRecord::remove("f")), 12u);
+  }
+  const WalScan s0 = scan_wal(ShardedWal::shard_path(dir, 0));
+  const WalScan s1 = scan_wal(ShardedWal::shard_path(dir, 1));
+  ASSERT_EQ(s0.records.size(), 3u);
+  ASSERT_EQ(s1.records.size(), 3u);
+  EXPECT_EQ(s0.records[0].seq, 1u);
+  EXPECT_EQ(s0.records[1].seq, 11u);
+  EXPECT_EQ(s0.records[2].seq, 4u);
+  EXPECT_EQ(s0.records[2].name, "e");
+  EXPECT_EQ(s1.records[0].seq, 2u);
+  EXPECT_EQ(s1.records[1].seq, 10u);
+  EXPECT_EQ(s1.records[2].seq, 12u);
+  // A reopened log resumes past every seq on disk.
+  ShardedWal reopened(dir, 2);
+  EXPECT_EQ(reopened.next_seq(), 13u);
 }
 
 // ---- checkpoint / recover ---------------------------------------------------
@@ -863,11 +963,14 @@ struct Durable {
     engine.fold();
   }
 
-  /// Logs and applies one insert through the WAL hook.
+  /// Logs and applies one insert through the WAL and flush hooks.
   void insert(const FileMetadata& f) {
-    store.insert_file(f, 0.0, [&](core::UnitId target) {
-      return wal.log_insert(target, f);
-    });
+    store.insert_file(
+        f, 0.0,
+        [&](core::UnitId target) {
+          return wal.append(target, WalRecord::insert(f));
+        },
+        [&](core::UnitId target) { wal.maybe_commit(target); });
   }
 
   std::string dir;
@@ -885,9 +988,12 @@ TEST(Recovery, CheckpointPlusWalTailRestoresAllCommittedMutations) {
   // Post-checkpoint mutations, write-ahead logged as they apply.
   for (const auto& f : tr.make_insert_stream(9, 77)) d.insert(f);
   const std::string victim = tr.files()[3].name;
-  ASSERT_TRUE(d.store.erase_file(victim, [&](core::UnitId located) {
-    return d.wal.log_remove(located, victim);
-  }));
+  ASSERT_TRUE(d.store.erase_file(
+      victim,
+      [&](core::UnitId located) {
+        return d.wal.append(located, WalRecord::remove(victim));
+      },
+      [&](core::UnitId located) { d.wal.maybe_commit(located); }));
   d.wal.commit_all();
 
   const RecoveryResult rec = recover(dir);
@@ -910,7 +1016,7 @@ TEST(Recovery, TornShardTailRollsBackToItsCommitBoundary) {
   // Eight logged inserts in one shard: two group-commit blocks of four.
   // (Replay routes each record itself; the shard is only its log.)
   const auto stream = tr.make_insert_stream(8, 77);
-  for (const auto& f : stream) d.wal.log_insert(0, f);
+  for (const auto& f : stream) log_record(d.wal, 0, WalRecord::insert(f));
   // Tear into the second block: only the first group commit must survive.
   const std::string shard = ShardedWal::shard_path(dir, 0);
   std::filesystem::resize_file(shard, std::filesystem::file_size(shard) - 9);

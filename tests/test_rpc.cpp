@@ -306,6 +306,52 @@ TEST(Wire, ShardStatsRoundTrip) {
   EXPECT_EQ(out.total_files, 1234u);
 }
 
+TEST(Wire, ReplBatchRoundTripAndTruncation) {
+  rpc::ReplBatch b;
+  b.sync_engaged = true;
+  b.ops.resize(3);
+  b.ops[0].is_insert = true;
+  b.ops[0].seq = 11;
+  b.ops[0].file = make_file(4);
+  b.ops[1].is_insert = false;
+  b.ops[1].seq = 12;
+  b.ops[1].name = "/sub0/u001/app002/f4.dat";
+  b.ops[2].is_noop = true;  // a seq the primary spent on a structural record
+  b.ops[2].seq = 13;
+  std::vector<std::uint8_t> bytes;
+  rpc::encode_repl_batch(b, &bytes);
+
+  rpc::ReplBatch out;
+  ASSERT_TRUE(rpc::decode_repl_batch(bytes, &out).ok());
+  EXPECT_TRUE(out.sync_engaged);
+  ASSERT_EQ(out.ops.size(), 3u);
+  EXPECT_TRUE(out.ops[0].is_insert);
+  EXPECT_FALSE(out.ops[0].is_noop);
+  EXPECT_EQ(out.ops[0].seq, 11u);
+  EXPECT_EQ(out.ops[0].file.id, 4u);
+  EXPECT_EQ(out.ops[0].file.name, b.ops[0].file.name);
+  EXPECT_EQ(out.ops[0].file.attrs, b.ops[0].file.attrs);
+  EXPECT_FALSE(out.ops[1].is_insert);
+  EXPECT_FALSE(out.ops[1].is_noop);
+  EXPECT_EQ(out.ops[1].seq, 12u);
+  EXPECT_EQ(out.ops[1].name, b.ops[1].name);
+  EXPECT_TRUE(out.ops[2].is_noop);
+  EXPECT_EQ(out.ops[2].seq, 13u);
+  EXPECT_TRUE(out.ops[2].name.empty());
+
+  // Every proper prefix is a truncated batch: kCorruption, never a crash
+  // or a short batch.
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    const std::vector<std::uint8_t> cut(bytes.begin(),
+                                        bytes.begin() +
+                                            static_cast<std::ptrdiff_t>(len));
+    rpc::ReplBatch partial;
+    EXPECT_EQ(rpc::decode_repl_batch(cut, &partial).code(),
+              db::StatusCode::kCorruption)
+        << "prefix of " << len << " bytes";
+  }
+}
+
 // ---- in-process transport ---------------------------------------------------
 
 rpc::Handler echo_handler(std::uint32_t shard) {
