@@ -766,25 +766,9 @@ QueryStats SmartStore::insert_file_impl(const FileMetadata& f, double arrival,
   return stats;
 }
 
-std::optional<QueryStats> SmartStore::delete_file(const std::string& name,
-                                                  double arrival) {
-  const bloom::ItemHash name_hash = bloom::hash_item(name);
-  util::ReaderLock shared(structure_mu_);
-  PointResult located =
-      point_query_impl({name}, name_hash, Routing::kOffline, arrival);
-  if (!located.found) return std::nullopt;
-
-  // The locate and the removal are not atomic: a concurrent delete of the
-  // same name can win in between, in which case this one reports "absent".
-  if (!remove_located(located.unit, located.id, name_hash,
-                      located.stats.latency_s + arrival, nullptr, {}, {}))
-    return std::nullopt;
-  return located.stats;
-}
-
 bool SmartStore::remove_located(UnitId u, FileId id,
-                                const bloom::ItemHash& name_hash, double now,
-                                sim::Session* session, const WalHook& logged,
+                                const bloom::ItemHash& name_hash,
+                                const WalHook& logged,
                                 const WalFlush& flushed) {
   epoch_.fetch_add(1, std::memory_order_relaxed);
   la::Vector raw;
@@ -809,9 +793,9 @@ bool SmartStore::remove_located(UnitId u, FileId id,
     const auto guard = maybe_lock(&sync_stripes_, &sync_.at(g));
     GroupSync& gs = sync_.at(g);
     gs.pending.deleted.push_back(id);
-    want_full_sync = after_group_change(g, now, session);
+    want_full_sync = after_group_change(g, 0.0, nullptr);
   }
-  if (want_full_sync) full_sync_group(g, session);
+  if (want_full_sync) full_sync_group(g, nullptr);
   return true;
 }
 
@@ -843,7 +827,7 @@ bool SmartStore::erase_file_impl(const std::string& name,
     // The unit lock was dropped between locate and removal; remove_located
     // re-checks by id and reports a lost race, in which case the scan
     // continues (the name might also exist on a later unit).
-    if (remove_located(u, id, name_hash, 0.0, nullptr, logged, flushed))
+    if (remove_located(u, id, name_hash, logged, flushed))
       return true;
   }
   return false;
@@ -1042,10 +1026,13 @@ RangeResult SmartStore::range_query_impl(const metadata::RangeQuery& q,
                                 ? tree_for_dims(q.dims)
                                 : tree_;
 
-  auto scan_group = [&](std::size_t g) {
+  // One group visit on session `s`, in either routing mode: reach the
+  // group's index unit, then scan its member units in parallel branches.
+  auto scan_group = [&](sim::Session& s, std::size_t g) {
     const IndexUnit& group = rt.node(g);
-    session.send_to(group.mapped_unit, kQueryMsgBytes);
-    session.visit(cfg_.cost.per_node_visit_s);
+    s.send_to(group.mapped_unit, kQueryMsgBytes);
+    s.visit(cfg_.cost.per_node_visit_s);
+    ++res.stats.groups_visited;
     const std::size_t before = res.ids.size();
     std::vector<sim::Session> branches;
     for (UnitId u : group.children) {
@@ -1053,13 +1040,13 @@ RangeResult SmartStore::range_query_impl(const metadata::RangeQuery& q,
       // coordinates stay consistent for the duration of the local scan.
       const util::MutexLock guard(unit_mutex(u));
       if (!box_intersects(units_[u].box(), dim_idx, lo, hi)) continue;
-      sim::Session b = session.fork();
+      sim::Session b = s.fork();
       b.send_to(u, kQueryMsgBytes);
       b.visit(cfg_.cost.per_node_visit_s, units_[u].file_count());
       unit_range_scan(units_[u], dim_idx, lo, hi, res.ids);
       branches.push_back(b);
     }
-    session.join(branches);
+    s.join(branches);
     if (res.ids.size() > before) result_groups.push_back(g);
   };
 
@@ -1072,8 +1059,7 @@ RangeResult SmartStore::range_query_impl(const metadata::RangeQuery& q,
     res.stats.version_check_s = version_cost;
     for (const auto& rg : ranked) {
       if (res.stats.groups_visited >= cfg_.max_groups_per_query) break;
-      ++res.stats.groups_visited;
-      scan_group(rg.node_id);
+      scan_group(session, rg.node_id);
     }
   } else {
     // On-line: multicast up from the home group to the root (father links),
@@ -1095,32 +1081,19 @@ RangeResult SmartStore::range_query_impl(const metadata::RangeQuery& q,
             const auto guard = maybe_lock(&summary_stripes_, &n);
             if (!box_intersects(n.box, dim_idx, lo, hi)) return;
           }
+          if (n.level == 1) {
+            scan_group(s, nid);
+            return;
+          }
           s.send_to(n.mapped_unit, kQueryMsgBytes);
           s.visit(cfg_.cost.per_node_visit_s);
-          if (n.level == 1) {
-            ++res.stats.groups_visited;
-            const std::size_t before = res.ids.size();
-            std::vector<sim::Session> branches;
-            for (UnitId u : n.children) {
-              const util::MutexLock guard(unit_mutex(u));
-              if (!box_intersects(units_[u].box(), dim_idx, lo, hi)) continue;
-              sim::Session b = s.fork();
-              b.send_to(u, kQueryMsgBytes);
-              b.visit(cfg_.cost.per_node_visit_s, units_[u].file_count());
-              unit_range_scan(units_[u], dim_idx, lo, hi, res.ids);
-              branches.push_back(b);
-            }
-            s.join(branches);
-            if (res.ids.size() > before) result_groups.push_back(nid);
-          } else {
-            std::vector<sim::Session> branches;
-            for (std::size_t c : n.children) {
-              sim::Session b = s.fork();
-              descend(b, c);
-              branches.push_back(b);
-            }
-            s.join(branches);
+          std::vector<sim::Session> branches;
+          for (std::size_t c : n.children) {
+            sim::Session b = s.fork();
+            descend(b, c);
+            branches.push_back(b);
           }
+          s.join(branches);
         };
     descend(session, node_id);
   }
@@ -1162,10 +1135,14 @@ TopKResult SmartStore::topk_query_impl(const metadata::TopKQuery& q,
                              : heap.front().first;
   };
 
-  auto scan_group = [&](std::size_t g) {
+  // One group visit on session `s`, in either routing mode: reach the
+  // group's index unit, then scan every member unit that could still
+  // improve MaxD in parallel branches.
+  auto scan_group = [&](sim::Session& s, std::size_t g) {
     const IndexUnit& group = rt.node(g);
-    session.send_to(group.mapped_unit, kQueryMsgBytes);
-    session.visit(cfg_.cost.per_node_visit_s);
+    s.send_to(group.mapped_unit, kQueryMsgBytes);
+    s.visit(cfg_.cost.per_node_visit_s);
+    ++res.stats.groups_visited;
     bool contributed = false;
     std::vector<sim::Session> branches;
     for (UnitId u : group.children) {
@@ -1173,7 +1150,7 @@ TopKResult SmartStore::topk_query_impl(const metadata::TopKQuery& q,
       if (box_min_dist2(units_[u].box(), dim_idx, point) >= max_d() &&
           heap.size() >= q.k)
         continue;
-      sim::Session b = session.fork();
+      sim::Session b = s.fork();
       b.send_to(u, kQueryMsgBytes);
       b.visit(cfg_.cost.per_node_visit_s, units_[u].file_count());
       const std::size_t before = heap.size();
@@ -1182,7 +1159,7 @@ TopKResult SmartStore::topk_query_impl(const metadata::TopKQuery& q,
       if (heap.size() > before || max_d() < before_worst) contributed = true;
       branches.push_back(b);
     }
-    session.join(branches);
+    s.join(branches);
     if (contributed) result_groups.push_back(g);
   };
 
@@ -1198,15 +1175,13 @@ TopKResult SmartStore::topk_query_impl(const metadata::TopKQuery& q,
       // MaxD pruning (Section 3.3.2): stop when no remaining group can
       // improve the current k-th best distance.
       if (heap.size() >= q.k && rg.score >= max_d()) break;
-      ++res.stats.groups_visited;
-      scan_group(rg.node_id);
+      scan_group(session, rg.node_id);
     }
   } else {
     // On-line: serve the home group first to seed MaxD, then climb toward
     // the root, descending into any subtree whose MBR could improve MaxD.
     std::size_t start = tree_.group_of_unit(home);
-    ++res.stats.groups_visited;
-    scan_group(start);
+    scan_group(session, start);
 
     std::function<void(sim::Session&, std::size_t)> descend =
         [&](sim::Session& s, std::size_t nid) {
@@ -1218,33 +1193,12 @@ TopKResult SmartStore::topk_query_impl(const metadata::TopKQuery& q,
               return;
           }
           if (n.level == 1) {
-            if (nid == start) return;  // already served
-            s.send_to(n.mapped_unit, kQueryMsgBytes);
-            s.visit(cfg_.cost.per_node_visit_s);
-            ++res.stats.groups_visited;
-            bool contributed = false;
-            std::vector<sim::Session> branches;
-            for (UnitId u : n.children) {
-              const util::MutexLock guard(unit_mutex(u));
-              if (box_min_dist2(units_[u].box(), dim_idx, point) >= max_d() &&
-                  heap.size() >= q.k)
-                continue;
-              sim::Session b = s.fork();
-              b.send_to(u, kQueryMsgBytes);
-              b.visit(cfg_.cost.per_node_visit_s, units_[u].file_count());
-              const std::size_t before = heap.size();
-              const double bw = max_d();
-              unit_topk_scan(units_[u], dim_idx, point, q.k, heap);
-              if (heap.size() > before || max_d() < bw) contributed = true;
-              branches.push_back(b);
-            }
-            s.join(branches);
-            if (contributed) result_groups.push_back(nid);
-          } else {
-            s.send_to(n.mapped_unit, kQueryMsgBytes);
-            s.visit(cfg_.cost.per_node_visit_s);
-            for (std::size_t c : n.children) descend(s, c);
+            if (nid != start) scan_group(s, nid);  // start already served
+            return;
           }
+          s.send_to(n.mapped_unit, kQueryMsgBytes);
+          s.visit(cfg_.cost.per_node_visit_s);
+          for (std::size_t c : n.children) descend(s, c);
         };
     // Climb: at each ancestor check the other subtrees.
     std::size_t cur = start;

@@ -29,7 +29,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <set>
 #include <shared_mutex>
 #include <string>
@@ -168,7 +167,7 @@ class SmartStore {
 
   // ---- dynamic operations (virtual arrival time in seconds) -------------
   //
-  // insert_file / insert_batch / delete_file / erase_file and the three
+  // insert_file / insert_batch / erase_file and the three
   // query methods may be called from any number of threads concurrently
   // (multi-writer serving): each takes the structure lock shared, routes
   // under striped summary locks, and mutates only the target unit under
@@ -189,10 +188,6 @@ class SmartStore {
   std::vector<QueryStats> insert_batch(
       const std::vector<metadata::FileMetadata>& files, double arrival,
       const WalHook& logged = {}, const WalFlush& flushed = {});
-
-  /// Locates by name and removes. Returns nullopt when absent.
-  std::optional<QueryStats> delete_file(const std::string& name,
-                                        double arrival);
 
   /// Authoritative removal: locates `name` by scanning the units' exact
   /// local indexes (no simulated routing, no replica staleness) and removes
@@ -486,8 +481,7 @@ class SmartStore {
   /// unit lock (a concurrent delete may have won); returns whether the
   /// removal happened.
   bool remove_located(UnitId u, metadata::FileId id,
-                      const bloom::ItemHash& name_hash, double now,
-                      sim::Session* session, const WalHook& logged,
+                      const bloom::ItemHash& name_hash, const WalHook& logged,
                       const WalFlush& flushed)
       SS_REQUIRES_SHARED(structure_mu_);
 

@@ -62,7 +62,7 @@ class StripedMutexPool {
 
   /// Runtime REQUIRES stand-in for the stripe TSA cannot name: aborts in
   /// validator builds unless the calling thread holds `p`'s stripe.
-  void assert_held(const void* p) const {
+  void assert_held([[maybe_unused]] const void* p) const {
 #ifdef SMARTSTORE_LOCK_RANK_ACTIVE
     if (!util::LockOrderValidator::holds(&for_ptr(p))) {
       std::fprintf(stderr,

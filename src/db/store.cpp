@@ -4,10 +4,14 @@
 // background slot) into a correctly-wired deployment — and how to take it
 // apart again in the right order.
 //
+// Every gated entry point runs through Impl::serve: take lifecycle_mu,
+// pass the serving gate, run the body, map what it throws to a Status.
+//
 // Lock architecture (outer to inner):
 //   lifecycle_mu (shared_mutex) — every operation holds it shared, so the
-//     store cannot close under a running Put/Query; Close/Abandon/Bulkload
-//     and the quiesced introspection reads hold it exclusively. This lock
+//     store cannot close under a running Put/Query; Close/Abandon/Bulkload/
+//     LoadBootstrap and the quiesced introspection reads hold it
+//     exclusively. This lock
 //     is ABOVE every core-store lock: an operation takes it before calling
 //     into the core and releases it after, so exclusive acquisition doubles
 //     as "no facade operation is in flight".
@@ -176,8 +180,7 @@ struct Store::Impl {
     return info;
   }
 
-  /// Gate run by every operation after taking lifecycle_mu (shared or
-  /// exclusive).
+  /// The serving gate: refuses a closed or crashed handle.
   Status check_serving() const SS_REQUIRES_SHARED(lifecycle_mu) {
     if (closed) return Status::FailedPrecondition("store is closed");
     if (crashed.load(std::memory_order_acquire)) {
@@ -188,6 +191,30 @@ struct Store::Impl {
     return Status::OK();
   }
 
+  /// The entry skeleton of every gated operation: takes lifecycle_mu as
+  /// `Lock` (util::ReaderLock, or util::WriterLock for the whole-store
+  /// operations), passes the serving gate, runs `fn` and maps what it
+  /// throws at the boundary. `fn` returns a Status or a StatusOr.
+  template <typename Lock, typename Fn>
+  auto serve(Fn&& fn) -> decltype(fn()) {
+    Lock lk(lifecycle_mu);
+    Status gate = check_serving();
+    if (!gate.ok()) return gate;
+    try {
+      return fn();
+    } catch (const persist::FaultInjected& e) {
+      // FaultInjected IS-A PersistError (default code kCorruption): caught
+      // first, or a simulated power cut masquerades as corruption. crash()
+      // needs only ckpt_mu, which the unwind out of `fn` released.
+      crash();
+      return Status::FaultInjected(e.what());
+    } catch (const persist::PersistError& e) {
+      return persist::to_status(e);
+    } catch (const std::exception& e) {
+      return Status::Unknown(e.what());
+    }
+  }
+
   bool durable() const { return !opts.in_memory; }
 
   /// Checkpoint()/Compact(): runs `action` on the compactor under ckpt_mu,
@@ -195,13 +222,10 @@ struct Store::Impl {
   /// parked earlier is surfaced once instead of checkpointing over it.
   template <typename Action>
   Status run_checkpoint(const char* what, Action&& action) {
-    util::ReaderLock lk(lifecycle_mu);
-    Status gate = check_serving();
-    if (!gate.ok()) return gate;
-    if (!durable())
-      return Status::FailedPrecondition(
-          std::string("ephemeral store cannot ") + what);
-    try {
+    return serve<util::ReaderLock>([&] {
+      if (!durable())
+        return Status::FailedPrecondition(
+            std::string("ephemeral store cannot ") + what);
       const util::MutexLock ck(ckpt_mu);
       if (!deferred_ckpt_error.ok()) {
         Status s = deferred_ckpt_error;
@@ -211,14 +235,68 @@ struct Store::Impl {
       action(*compactor);
       mutations_since_ckpt.store(0, std::memory_order_relaxed);
       return Status::OK();
-    } catch (const persist::FaultInjected& e) {
-      crash();  // ckpt_mu was released by the unwind above
-      return Status::FaultInjected(e.what());
-    } catch (const persist::PersistError& e) {
-      return persist::to_status(e);
-    } catch (const std::exception& e) {
-      return Status::Unknown(e.what());
+    });
+  }
+
+  /// The one query body: validates `request`, then runs the routed read
+  /// (null `seq`) or the exact snapshot scan at `*seq`. Only routed reads
+  /// count toward the smartstore.counters.* properties.
+  StatusOr<QueryResult> query(const QueryRequest& request,
+                              const std::uint64_t* seq) {
+    const core::Routing routing =
+        to_core(request.routing.value_or(opts.routing));
+    auto count = [seq](std::atomic<std::uint64_t>& queries,
+                       std::atomic<std::uint64_t>& hits, bool hit) {
+      if (seq) return;
+      queries.fetch_add(1, std::memory_order_relaxed);
+      if (hit) hits.fetch_add(1, std::memory_order_relaxed);
+    };
+    QueryResult out;
+    out.kind = request.kind();
+    if (const auto* p = std::get_if<metadata::PointQuery>(&request.op)) {
+      if (p->filename.empty())
+        return Status::InvalidArgument("point query needs a filename");
+      const core::PointResult r = seq
+                                      ? core->snapshot_point_query(*p, *seq)
+                                      : core->point_query(*p, routing, 0.0);
+      out.found = r.found;
+      out.id = r.id;
+      out.unit = r.unit;
+      out.first_try = r.first_try;
+      out.stats = to_public(r.stats);
+      count(point_queries, point_hits, r.found);
+    } else if (const auto* rq =
+                   std::get_if<metadata::RangeQuery>(&request.op)) {
+      if (rq->dims.empty())
+        return Status::InvalidArgument("range query needs >= 1 dimension");
+      if (rq->lo.size() != rq->dims.size() ||
+          rq->hi.size() != rq->dims.size()) {
+        return Status::InvalidArgument(
+            "range query lo/hi must match the dimension subset");
+      }
+      const core::RangeResult r = seq
+                                      ? core->snapshot_range_query(*rq, *seq)
+                                      : core->range_query(*rq, routing, 0.0);
+      out.ids = r.ids;
+      out.stats = to_public(r.stats);
+      count(range_queries, range_hits, !r.ids.empty());
+    } else {
+      const auto& tq = std::get<metadata::TopKQuery>(request.op);
+      if (tq.k == 0) return Status::InvalidArgument("top-k query needs k > 0");
+      if (tq.dims.empty())
+        return Status::InvalidArgument("top-k query needs >= 1 dimension");
+      if (tq.point.size() != tq.dims.size()) {
+        return Status::InvalidArgument(
+            "top-k query point must match the dimension subset");
+      }
+      const core::TopKResult r = seq ? core->snapshot_topk_query(tq, *seq)
+                                     : core->topk_query(tq, routing, 0.0);
+      out.hits = r.hits;
+      out.ids = r.ids();
+      out.stats = to_public(r.stats);
+      count(topk_queries, topk_hits, !r.hits.empty());
     }
+    return out;
   }
 
   /// One Put through the core with the WAL shard hooks attached: the
@@ -514,87 +592,57 @@ StatusOr<std::unique_ptr<Store>> Store::Open(const Options& options,
 // ---- bulk load --------------------------------------------------------------
 
 Status Store::Bulkload(const std::vector<metadata::FileMetadata>& files) {
-  util::WriterLock ex(impl_->lifecycle_mu);
-  Status gate = impl_->check_serving();
-  if (!gate.ok()) return gate;
-  if (impl_->core->total_files() != 0) {
-    return Status::FailedPrecondition(
-        "Bulkload requires an empty store (build() is a whole-deployment "
-        "operation); open a fresh directory or use Put/Write");
-  }
-  try {
-    const util::MutexLock ck(impl_->ckpt_mu);
+  Impl& im = *impl_;
+  return im.serve<util::WriterLock>([&] {
+    if (im.core->total_files() != 0) {
+      return Status::FailedPrecondition(
+          "Bulkload requires an empty store (build() is a whole-deployment "
+          "operation); open a fresh directory or use Put/Write");
+    }
+    const util::MutexLock ck(im.ckpt_mu);
     // No background cut may race the build.
-    if (impl_->compactor) impl_->compactor->wait();
-    impl_->core->build(files);
+    if (im.compactor) im.compactor->wait();
+    im.core->build(files);
     // Fold before returning (durable stores): Bulkload is not WAL-logged,
     // and the no-checkpoint recovery path assumes a log's base image is
     // the EMPTY build — without a base holding the population, a crash
     // before the first explicit Checkpoint would silently replay later
     // Puts onto an empty store and drop the bulkload. build() already
     // dwarfs the fold's cost.
-    if (impl_->delta && !files.empty()) impl_->delta->fold();
+    if (im.delta && !files.empty()) im.delta->fold();
     return Status::OK();
-  } catch (const persist::FaultInjected& e) {
-    impl_->crash();  // safe under the exclusive lock: needs only ckpt_mu
-    return Status::FaultInjected(e.what());
-  } catch (const persist::PersistError& e) {
-    return persist::to_status(e);
-  } catch (const std::exception& e) {
-    return Status::Unknown(e.what());
-  }
+  });
 }
 
 // ---- mutations --------------------------------------------------------------
 
 Status Store::Put(const metadata::FileMetadata& file) {
-  util::ReaderLock lk(impl_->lifecycle_mu);
-  Status gate = impl_->check_serving();
-  if (!gate.ok()) return gate;
-  try {
-    impl_->insert_one(file);
-    impl_->puts.fetch_add(1, std::memory_order_relaxed);
-    impl_->note_mutations(1);
+  Impl& im = *impl_;
+  return im.serve<util::ReaderLock>([&] {
+    im.insert_one(file);
+    im.puts.fetch_add(1, std::memory_order_relaxed);
+    im.note_mutations(1);
     return Status::OK();
-  } catch (const persist::FaultInjected& e) {
-    impl_->crash();  // safe under the shared lock: needs only ckpt_mu
-    return Status::FaultInjected(e.what());
-  } catch (const persist::PersistError& e) {
-    return persist::to_status(e);
-  } catch (const std::exception& e) {
-    return Status::Unknown(e.what());
-  }
+  });
 }
 
 Status Store::Delete(const std::string& name) {
   if (name.empty()) return Status::InvalidArgument("empty filename");
-  util::ReaderLock lk(impl_->lifecycle_mu);
-  Status gate = impl_->check_serving();
-  if (!gate.ok()) return gate;
-  try {
-    const bool existed = impl_->erase_one(name);
-    if (!existed) return Status::NotFound("no file named '" + name + "'");
-    impl_->deletes.fetch_add(1, std::memory_order_relaxed);
-    impl_->note_mutations(1);
+  Impl& im = *impl_;
+  return im.serve<util::ReaderLock>([&] {
+    if (!im.erase_one(name))
+      return Status::NotFound("no file named '" + name + "'");
+    im.deletes.fetch_add(1, std::memory_order_relaxed);
+    im.note_mutations(1);
     return Status::OK();
-  } catch (const persist::FaultInjected& e) {
-    impl_->crash();  // safe under the shared lock: needs only ckpt_mu
-    return Status::FaultInjected(e.what());
-  } catch (const persist::PersistError& e) {
-    return persist::to_status(e);
-  } catch (const std::exception& e) {
-    return Status::Unknown(e.what());
-  }
+  });
 }
 
 Status Store::Write(WriteBatch&& batch) {
   const std::vector<WriteBatch::Op> ops = std::move(batch).release();
   if (ops.empty()) return Status::OK();
-
-  util::ReaderLock lk(impl_->lifecycle_mu);
-  Status gate = impl_->check_serving();
-  if (!gate.ok()) return gate;
-  try {
+  Impl& im = *impl_;
+  return im.serve<util::ReaderLock>([&] {
     std::uint64_t applied_puts = 0;
     std::uint64_t applied_deletes = 0;
     std::size_t i = 0;
@@ -602,106 +650,43 @@ Status Store::Write(WriteBatch&& batch) {
       if (ops[i].type == WriteBatch::OpType::kPut) {
         std::size_t j = i;
         while (j < ops.size() && ops[j].type == WriteBatch::OpType::kPut) ++j;
-        impl_->apply_put_run(ops, i, j);
+        im.apply_put_run(ops, i, j);
         applied_puts += j - i;
         i = j;
       } else {
         // A Delete of an absent name inside a batch is not an error — the
         // batch's contract is "apply what exists", mirroring erase
         // replay's idempotence.
-        if (impl_->erase_one(ops[i].name)) {
+        if (im.erase_one(ops[i].name)) {
           ++applied_deletes;
-          impl_->note_mutations(1);
+          im.note_mutations(1);
         }
         ++i;
       }
     }
-    impl_->puts.fetch_add(applied_puts, std::memory_order_relaxed);
-    impl_->deletes.fetch_add(applied_deletes, std::memory_order_relaxed);
+    im.puts.fetch_add(applied_puts, std::memory_order_relaxed);
+    im.deletes.fetch_add(applied_deletes, std::memory_order_relaxed);
     return Status::OK();
-  } catch (const persist::FaultInjected& e) {
-    impl_->crash();  // safe under the shared lock: needs only ckpt_mu
-    return Status::FaultInjected(e.what());
-  } catch (const persist::PersistError& e) {
-    return persist::to_status(e);
-  } catch (const std::exception& e) {
-    return Status::Unknown(e.what());
-  }
+  });
 }
 
 // ---- queries ----------------------------------------------------------------
 
 StatusOr<QueryResult> Store::Query(const QueryRequest& request) {
-  util::ReaderLock lk(impl_->lifecycle_mu);
-  Status gate = impl_->check_serving();
-  if (!gate.ok()) return gate;
-
-  const core::Routing routing =
-      to_core(request.routing.value_or(impl_->opts.routing));
-  try {
-    QueryResult out;
-    if (const auto* p = std::get_if<metadata::PointQuery>(&request.op)) {
-      if (p->filename.empty())
-        return Status::InvalidArgument("point query needs a filename");
-      const core::PointResult r =
-          impl_->core->point_query(*p, routing, 0.0);
-      out.kind = QueryKind::kPoint;
-      out.found = r.found;
-      out.id = r.id;
-      out.unit = r.unit;
-      out.first_try = r.first_try;
-      out.stats = to_public(r.stats);
-      impl_->point_queries.fetch_add(1, std::memory_order_relaxed);
-      if (r.found) impl_->point_hits.fetch_add(1, std::memory_order_relaxed);
-    } else if (const auto* rq =
-                   std::get_if<metadata::RangeQuery>(&request.op)) {
-      if (rq->dims.empty())
-        return Status::InvalidArgument("range query needs >= 1 dimension");
-      if (rq->lo.size() != rq->dims.size() ||
-          rq->hi.size() != rq->dims.size()) {
-        return Status::InvalidArgument(
-            "range query lo/hi must match the dimension subset");
-      }
-      const core::RangeResult r = impl_->core->range_query(*rq, routing, 0.0);
-      out.kind = QueryKind::kRange;
-      out.ids = r.ids;
-      out.stats = to_public(r.stats);
-      impl_->range_queries.fetch_add(1, std::memory_order_relaxed);
-      if (!r.ids.empty())
-        impl_->range_hits.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      const auto& tq = std::get<metadata::TopKQuery>(request.op);
-      if (tq.k == 0) return Status::InvalidArgument("top-k query needs k > 0");
-      if (tq.dims.empty())
-        return Status::InvalidArgument("top-k query needs >= 1 dimension");
-      if (tq.point.size() != tq.dims.size()) {
-        return Status::InvalidArgument(
-            "top-k query point must match the dimension subset");
-      }
-      const core::TopKResult r = impl_->core->topk_query(tq, routing, 0.0);
-      out.kind = QueryKind::kTopK;
-      out.hits = r.hits;
-      out.ids = r.ids();
-      out.stats = to_public(r.stats);
-      impl_->topk_queries.fetch_add(1, std::memory_order_relaxed);
-      if (!r.hits.empty())
-        impl_->topk_hits.fetch_add(1, std::memory_order_relaxed);
-    }
-    return out;
-  } catch (const std::exception& e) {
-    return Status::Unknown(e.what());
-  }
+  Impl& im = *impl_;
+  return im.serve<util::ReaderLock>(
+      [&]() -> StatusOr<QueryResult> { return im.query(request, nullptr); });
 }
 
 // ---- snapshot reads / time travel -------------------------------------------
 
 StatusOr<Snapshot> Store::GetSnapshot() {
-  util::ReaderLock lk(impl_->lifecycle_mu);
-  Status gate = impl_->check_serving();
-  if (!gate.ok()) return gate;
-  std::uint64_t seq = 0;
-  std::shared_ptr<void> pin = impl_->core->pin_snapshot(&seq);
-  return Snapshot(seq, std::move(pin));
+  Impl& im = *impl_;
+  return im.serve<util::ReaderLock>([&]() -> StatusOr<Snapshot> {
+    std::uint64_t seq = 0;
+    std::shared_ptr<void> pin = im.core->pin_snapshot(&seq);
+    return Snapshot(seq, std::move(pin));
+  });
 }
 
 std::uint64_t Store::LatestSequence() const {
@@ -711,82 +696,27 @@ std::uint64_t Store::LatestSequence() const {
 
 StatusOr<QueryResult> Store::Query(const QueryRequest& request,
                                    const ReadOptions& options) {
-  util::ReaderLock lk(impl_->lifecycle_mu);
-  Status gate = impl_->check_serving();
-  if (!gate.ok()) return gate;
-
-  // Resolve the seq first: a kReadLatest read pins for the duration of
-  // this one scan so GC cannot reclaim a version out from under it.
-  std::uint64_t seq = options.snapshot_seq;
-  std::shared_ptr<void> pin;
-  if (seq == ReadOptions::kReadLatest)
-    pin = impl_->core->pin_snapshot(&seq);
-
-  try {
-    QueryResult out;
-    if (const auto* p = std::get_if<metadata::PointQuery>(&request.op)) {
-      if (p->filename.empty())
-        return Status::InvalidArgument("point query needs a filename");
-      const core::PointResult r = impl_->core->snapshot_point_query(*p, seq);
-      out.kind = QueryKind::kPoint;
-      out.found = r.found;
-      out.id = r.id;
-      out.unit = r.unit;
-      out.first_try = r.first_try;
-      out.stats = to_public(r.stats);
-    } else if (const auto* rq =
-                   std::get_if<metadata::RangeQuery>(&request.op)) {
-      if (rq->dims.empty())
-        return Status::InvalidArgument("range query needs >= 1 dimension");
-      if (rq->lo.size() != rq->dims.size() ||
-          rq->hi.size() != rq->dims.size()) {
-        return Status::InvalidArgument(
-            "range query lo/hi must match the dimension subset");
-      }
-      const core::RangeResult r = impl_->core->snapshot_range_query(*rq, seq);
-      out.kind = QueryKind::kRange;
-      out.ids = r.ids;
-      out.stats = to_public(r.stats);
-    } else {
-      const auto& tq = std::get<metadata::TopKQuery>(request.op);
-      if (tq.k == 0) return Status::InvalidArgument("top-k query needs k > 0");
-      if (tq.dims.empty())
-        return Status::InvalidArgument("top-k query needs >= 1 dimension");
-      if (tq.point.size() != tq.dims.size()) {
-        return Status::InvalidArgument(
-            "top-k query point must match the dimension subset");
-      }
-      const core::TopKResult r = impl_->core->snapshot_topk_query(tq, seq);
-      out.kind = QueryKind::kTopK;
-      out.hits = r.hits;
-      out.ids = r.ids();
-      out.stats = to_public(r.stats);
-    }
-    return out;
-  } catch (const std::exception& e) {
-    return Status::Unknown(e.what());
-  }
+  Impl& im = *impl_;
+  return im.serve<util::ReaderLock>([&]() -> StatusOr<QueryResult> {
+    // Resolve the seq first: a kReadLatest read pins for the duration of
+    // this one scan so GC cannot reclaim a version out from under it.
+    std::uint64_t seq = options.snapshot_seq;
+    std::shared_ptr<void> pin;
+    if (seq == ReadOptions::kReadLatest) pin = im.core->pin_snapshot(&seq);
+    return im.query(request, &seq);
+  });
 }
 
 // ---- durability control -----------------------------------------------------
 
 Status Store::Flush() {
-  util::ReaderLock lk(impl_->lifecycle_mu);
-  Status gate = impl_->check_serving();
-  if (!gate.ok()) return gate;
-  if (!impl_->durable())
-    return Status::FailedPrecondition("ephemeral store has no WAL");
-  try {
-    impl_->wal->commit_all();
+  Impl& im = *impl_;
+  return im.serve<util::ReaderLock>([&] {
+    if (!im.durable())
+      return Status::FailedPrecondition("ephemeral store has no WAL");
+    im.wal->commit_all();
     return Status::OK();
-  } catch (const persist::FaultInjected& e) {
-    impl_->crash();  // safe under the shared lock: needs only ckpt_mu
-    return Status::FaultInjected(e.what());
-  } catch (const persist::PersistError& e) {
-    return persist::to_status(e);
-  } catch (const std::exception& e) {
-    return Status::Unknown(e.what());
-  }
+  });
 }
 
 Status Store::Checkpoint() {
@@ -805,55 +735,51 @@ Status Store::Compact() {
 // ---- replication ------------------------------------------------------------
 
 Status Store::SetCommitTap(CommitTap tap) {
-  util::ReaderLock lk(impl_->lifecycle_mu);
-  Status gate = impl_->check_serving();
-  if (!gate.ok()) return gate;
-  if (!impl_->wal) {
-    return Status::FailedPrecondition(
-        "the commit tap observes WAL durability; this store has no WAL");
-  }
-  if (!tap) {
-    impl_->wal->set_commit_tap(nullptr);
+  Impl& im = *impl_;
+  return im.serve<util::ReaderLock>([&] {
+    if (!im.wal) {
+      return Status::FailedPrecondition(
+          "the commit tap observes WAL durability; this store has no WAL");
+    }
+    if (!tap) {
+      im.wal->set_commit_tap(nullptr);
+      return Status::OK();
+    }
+    im.wal->set_commit_tap([t = std::move(tap)](const persist::WalRecord& rec) {
+      ReplicatedOp op;
+      switch (rec.type) {
+        case persist::WalRecordType::kInsert:
+          op.is_insert = true;
+          op.file = rec.file;
+          break;
+        case persist::WalRecordType::kRemove:
+          op.is_insert = false;
+          op.name = rec.name;
+          break;
+        default:
+          // Structural records (unit split/merge) are replica-private —
+          // each replica grows its own topology — but they consume a
+          // stamp, so the stream ships the seq as an explicit hole
+          // marker or a seq-ordered consumer would wait on it forever.
+          op.is_noop = true;
+          break;
+      }
+      op.seq = rec.seq;
+      t(op);
+    });
     return Status::OK();
-  }
-  impl_->wal->set_commit_tap(
-      [t = std::move(tap)](const persist::WalRecord& rec) {
-        ReplicatedOp op;
-        switch (rec.type) {
-          case persist::WalRecordType::kInsert:
-            op.is_insert = true;
-            op.file = rec.file;
-            break;
-          case persist::WalRecordType::kRemove:
-            op.is_insert = false;
-            op.name = rec.name;
-            break;
-          default:
-            // Structural records (unit split/merge) are replica-private —
-            // each replica grows its own topology — but they consume a
-            // stamp, so the stream ships the seq as an explicit hole
-            // marker or a seq-ordered consumer would wait on it forever.
-            op.is_noop = true;
-            break;
-        }
-        op.seq = rec.seq;
-        t(op);
-      });
-  return Status::OK();
+  });
 }
 
 Status Store::ApplyReplicated(const std::vector<ReplicatedOp>& ops,
                               std::uint64_t* frontier_out) {
-  util::ReaderLock lk(impl_->lifecycle_mu);
-  Status gate = impl_->check_serving();
-  if (!gate.ok()) return gate;
   Impl& im = *impl_;
-  if (!im.wal) {
-    return Status::FailedPrecondition(
-        "replicated applies must be WAL-logged (a promoted follower has to "
-        "survive its own crash); this store has no WAL");
-  }
-  try {
+  return im.serve<util::ReaderLock>([&] {
+    if (!im.wal) {
+      return Status::FailedPrecondition(
+          "replicated applies must be WAL-logged (a promoted follower has "
+          "to survive its own crash); this store has no WAL");
+    }
     std::uint64_t applied = 0;
     for (const ReplicatedOp& op : ops) {
       // The frontier gate: applies run strictly in seq order, so anything
@@ -907,73 +833,34 @@ Status Store::ApplyReplicated(const std::vector<ReplicatedOp>& ops,
     if (frontier_out) *frontier_out = im.core->last_commit_seq();
     im.note_mutations(applied);
     return Status::OK();
-  } catch (const persist::FaultInjected& e) {
-    im.crash();  // safe under the shared lock: needs only ckpt_mu
-    return Status::FaultInjected(e.what());
-  } catch (const persist::PersistError& e) {
-    return persist::to_status(e);
-  } catch (const std::exception& e) {
-    return Status::Unknown(e.what());
-  }
+  });
 }
 
 StatusOr<std::vector<metadata::FileMetadata>> Store::DumpSnapshot(
     std::uint64_t* seq_out) {
-  util::ReaderLock lk(impl_->lifecycle_mu);
-  Status gate = impl_->check_serving();
-  if (!gate.ok()) return gate;
   Impl& im = *impl_;
-
-  // Durable stores bootstrap followers from the checkpoint artifacts
-  // instead of a forced full scan of the live structure: take a delta cut
-  // (cheap — only units dirtied since the last cut write anything), then
-  // rebuild the state at that cut OFFLINE from base + chain. The
-  // reconstruction never touches the serving store or its WAL, so live
-  // traffic proceeds untouched while the dump serializes.
-  if (im.delta) {
-    try {
-      std::unique_ptr<core::SmartStore> at_cut;
-      std::uint64_t cut_seq = 0;
-      {
-        const util::MutexLock ck(im.ckpt_mu);
-        im.compactor->wait();  // drain: the cut below owns the protocol
-        im.delta->cut();       // everything acked is now in base + chain
-        at_cut = im.delta->reconstruct_at_last_cut(&cut_seq);
-      }
-      if (seq_out) *seq_out = cut_seq;
-      return at_cut->snapshot_dump(cut_seq);
-    } catch (const persist::FaultInjected& e) {
-      im.crash();  // ckpt_mu was released by the unwind above
-      return Status::FaultInjected(e.what());
-    } catch (const std::exception&) {
-      // Any non-crash failure falls back to the live pinned dump below,
-      // which is always a self-consistent bootstrap payload (the delta
-      // path is an optimization that ships exactly the base+chain state).
-    }
-  }
-
-  std::uint64_t seq = 0;
-  const std::shared_ptr<void> pin = im.core->pin_snapshot(&seq);
-  if (seq_out) *seq_out = seq;
-  try {
-    return im.core->snapshot_dump(seq);
-  } catch (const std::exception& e) {
-    return Status::Unknown(e.what());
-  }
+  return im.serve<util::ReaderLock>(
+      [&]() -> StatusOr<std::vector<metadata::FileMetadata>> {
+        // The dump scans the live store at a pinned seq: writers keep
+        // landing at later seqs, and GC cannot reclaim a version the scan
+        // still needs. Nothing is cut or written, so bootstrapping a
+        // follower leaves the checkpoint chain alone.
+        std::uint64_t seq = 0;
+        const std::shared_ptr<void> pin = im.core->pin_snapshot(&seq);
+        if (seq_out) *seq_out = seq;
+        return im.core->snapshot_dump(seq);
+      });
 }
 
 Status Store::LoadBootstrap(std::uint64_t seq,
                             const std::vector<metadata::FileMetadata>& files) {
-  util::WriterLock ex(impl_->lifecycle_mu);
-  Status gate = impl_->check_serving();
-  if (!gate.ok()) return gate;
   Impl& im = *impl_;
-  if (im.core->total_files() != 0 || im.core->last_commit_seq() != 0) {
-    return Status::FailedPrecondition(
-        "LoadBootstrap requires a never-mutated store (a stale replica "
-        "must be wiped and reopened, not overwritten in place)");
-  }
-  try {
+  return im.serve<util::WriterLock>([&] {
+    if (im.core->total_files() != 0 || im.core->last_commit_seq() != 0) {
+      return Status::FailedPrecondition(
+          "LoadBootstrap requires a never-mutated store (a stale replica "
+          "must be wiped and reopened, not overwritten in place)");
+    }
     // Each record takes a fresh local stamp (the dump does not carry the
     // original per-record seqs); there are at most `seq` of them, so all
     // stamps land at or below `seq` — then the frontier jumps TO `seq`,
@@ -986,14 +873,7 @@ Status Store::LoadBootstrap(std::uint64_t seq,
     im.core->note_commit_seq(seq);
     im.note_mutations(files.size());
     return Status::OK();
-  } catch (const persist::FaultInjected& e) {
-    im.crash();  // safe under the exclusive lock: needs only ckpt_mu
-    return Status::FaultInjected(e.what());
-  } catch (const persist::PersistError& e) {
-    return persist::to_status(e);
-  } catch (const std::exception& e) {
-    return Status::Unknown(e.what());
-  }
+  });
 }
 
 // ---- introspection ----------------------------------------------------------

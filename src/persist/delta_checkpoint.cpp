@@ -6,7 +6,6 @@
 #include <system_error>
 
 #include "persist/fault.h"
-#include "persist/recovery.h"
 #include "util/timer.h"
 
 namespace smartstore::persist {
@@ -211,18 +210,6 @@ DeltaCutStats DeltaEngine::fold_locked() {
   fault_point("compact:pre-prune");
   prune_ckpt_files(dir_, manifest_);
   return st;
-}
-
-std::unique_ptr<core::SmartStore> DeltaEngine::reconstruct_at_last_cut(
-    std::uint64_t* seq_out) {
-  const util::MutexLock lock(mu_);
-  if (!loaded_)
-    throw PersistError("no checkpoint yet in " + dir_,
-                       PersistError::Code::kNotFound);
-  std::unique_ptr<core::SmartStore> store =
-      load_delta_base(dir_, manifest_, nullptr);
-  if (seq_out) *seq_out = manifest_.last_cut_seq;
-  return store;
 }
 
 }  // namespace smartstore::persist

@@ -92,15 +92,6 @@ class DeltaEngine {
   /// Folds the whole chain into a fresh base image (full compaction).
   DeltaCutStats fold();
 
-  /// Rebuilds the store exactly as of the last cut, OFFLINE, from the
-  /// manifest's base + delta chain only — no WAL scan, so it is immune to
-  /// concurrent appends. Replication bootstrap uses it to ship a
-  /// snapshot-at-cut without freezing the serving store. Throws
-  /// PersistError kNotFound when no checkpoint exists yet; `seq_out`
-  /// (optional) receives the chain's last cut seq.
-  std::unique_ptr<core::SmartStore> reconstruct_at_last_cut(
-      std::uint64_t* seq_out = nullptr);
-
   /// Stats of the last cut or fold that completed (waits out one in
   /// flight).
   DeltaCutStats last_stats() const;

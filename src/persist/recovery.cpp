@@ -19,9 +19,10 @@ void apply_record(core::SmartStore& store, const WalRecord& rec) {
       store.insert_file(rec.file, 0.0, replay_seq);
       break;
     case WalRecordType::kRemove:
-      // erase_file, not delete_file: the live delete was acknowledged, so
-      // replay must not depend on the off-line replicas (whose staleness
-      // evolves differently during recovery) re-locating the file.
+      // erase_file locates by the units' exact indexes: the live delete was
+      // acknowledged, so replay must not depend on the off-line replicas
+      // (whose staleness evolves differently during recovery) routing to
+      // the file.
       store.erase_file(rec.name, replay_seq);
       break;
     case WalRecordType::kAddUnit:
@@ -77,9 +78,17 @@ void replay_dir_logs(core::SmartStore& store, const std::string& dir,
   }
 }
 
+namespace {
+
+/// Reassembles the state a delta manifest describes at its last cut: the
+/// base image ckpt/base-<id>.bin with every cut's extents applied, merged
+/// across units by store-wide sequence number, and accumulates the
+/// delta_* counts into `res`. No WAL is read — recover() replays the tail
+/// past m.fence separately. Throws PersistError on a missing/corrupt
+/// base, segment, or extent.
 std::unique_ptr<core::SmartStore> load_delta_base(const std::string& dir,
                                                   const DeltaManifest& m,
-                                                  RecoveryResult* res) {
+                                                  RecoveryResult& res) {
   std::unique_ptr<core::SmartStore> store =
       load_snapshot(base_path(dir, m.base_id));
   std::vector<WalRecord> merged;
@@ -94,17 +103,17 @@ std::unique_ptr<core::SmartStore> load_delta_base(const std::string& dir,
                      return a.seq < b.seq;
                    });
   for (const WalRecord& rec : merged) apply_record(*store, rec);
-  if (res) {
-    res->delta_cuts = m.cuts.size();
-    res->delta_records = merged.size();
-  }
+  res.delta_cuts = m.cuts.size();
+  res.delta_records = merged.size();
   return store;
 }
+
+}  // namespace
 
 RecoveryResult recover(const std::string& dir) {
   RecoveryResult res;
   const DeltaManifest m = read_manifest(dir);
-  res.store = load_delta_base(dir, m, &res);
+  res.store = load_delta_base(dir, m, res);
   res.used_manifest = true;
   replay_dir_logs(*res.store, dir, m.fence, res);
   return res;

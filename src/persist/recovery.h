@@ -52,17 +52,6 @@ void apply_record(core::SmartStore& store, const WalRecord& rec);
 void replay_dir_logs(core::SmartStore& store, const std::string& dir,
                      const WalFence& fence, RecoveryResult& res);
 
-/// Reassembles the state a delta manifest describes at its last cut: the
-/// base image ckpt/base-<id>.bin with every cut's extents applied, merged across units by store-wide
-/// sequence number. No WAL is read — the caller replays the tail past
-/// m.fence separately (recover()), or wants exactly the state at the last
-/// cut (the replication bootstrap). `res`, when given, accumulates the
-/// delta_* counts. Throws PersistError on a missing/corrupt base,
-/// segment, or extent.
-std::unique_ptr<core::SmartStore> load_delta_base(const std::string& dir,
-                                                  const DeltaManifest& m,
-                                                  RecoveryResult* res);
-
 /// Loads the manifest's base + delta chain, then replays the WAL tail
 /// past the manifest's fence. Throws PersistError — kNotFound when `dir`
 /// holds no manifest, kCorruption when the manifest, base or a segment is

@@ -1,6 +1,7 @@
 #include "rpc/wire.h"
 
 #include <cstring>
+#include <utility>
 
 #include "util/binary_io.h"
 #include "util/crc32.h"
@@ -427,6 +428,13 @@ void encode_message(const std::string& msg, std::vector<std::uint8_t>* out) {
 db::Status decode_message(const std::vector<std::uint8_t>& in,
                           std::string* out) {
   return decode_name(in, out);
+}
+
+db::Status response_status(const Frame& f) {
+  if (f.status == db::StatusCode::kOk) return db::Status();
+  std::string msg;
+  (void)decode_message(f.payload, &msg);  // best-effort
+  return db::Status::FromCode(f.status, std::move(msg));
 }
 
 void encode_shard_stats(const ShardStats& s, std::vector<std::uint8_t>* out) {

@@ -200,6 +200,10 @@ void encode_message(const std::string& msg, std::vector<std::uint8_t>* out);
 db::Status decode_message(const std::vector<std::uint8_t>& in,
                           std::string* out);
 
+/// A response frame's in-band status as a db::Status; an error's message
+/// is decoded from the payload (best-effort).
+db::Status response_status(const Frame& f);
+
 /// Per-shard counters for Method::kStats.
 struct ShardStats {
   std::uint64_t applied_puts = 0;

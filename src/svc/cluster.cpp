@@ -19,12 +19,6 @@ std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t node) {
   return z ^ (z >> 31);
 }
 
-db::Status frame_error(const rpc::Frame& f) {
-  std::string msg;
-  (void)rpc::decode_message(f.payload, &msg);  // best-effort
-  return db::Status::FromCode(f.status, std::move(msg));
-}
-
 }  // namespace
 
 Cluster::Cluster(const ClusterOptions& options)
@@ -121,8 +115,7 @@ db::Status Cluster::DirectCall(std::uint32_t node, rpc::Method method,
   req.shard = node;
   const db::Status s = network_.Connect(node)->Call(req, resp);
   if (!s.ok()) return s;
-  if (resp->status != db::StatusCode::kOk) return frame_error(*resp);
-  return db::Status();
+  return rpc::response_status(*resp);
 }
 
 db::StatusOr<std::unique_ptr<Cluster>> Cluster::Start(

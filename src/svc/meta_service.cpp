@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <string>
 #include <utility>
+#include <variant>
 
 #include "svc/replication.h"
 
@@ -80,22 +81,14 @@ rpc::Frame MetaService::Handle(const rpc::Frame& req) {
       resp.payload = req.payload;  // echo
       break;
     case rpc::Method::kPut:
-      HandlePut(req, &resp);
-      break;
     case rpc::Method::kDelete:
-      HandleDelete(req, &resp);
-      break;
     case rpc::Method::kBatchWrite:
-      HandleBatch(req, &resp);
+      HandleMutation(req, &resp);
       break;
     case rpc::Method::kPointQuery:
-      HandlePointQuery(req, &resp);
-      break;
     case rpc::Method::kRangeQuery:
-      HandleRangeQuery(req, &resp);
-      break;
     case rpc::Method::kTopKQuery:
-      HandleTopKQuery(req, &resp);
+      HandleQuery(req, &resp);
       break;
     case rpc::Method::kFlush:
       HandleFlush(&resp);
@@ -204,26 +197,16 @@ db::Status MetaService::AckDurable() {
                              options_.repl_ack_timeout_ms);
 }
 
-bool MetaService::RejectNotPrimary(rpc::Frame* resp) {
-  const util::ReaderLock lock(map_mu_);
-  if (map_.primary_node_of(options_.shard_id) == options_.node_id) {
-    return false;
-  }
-  wrong_shard_.fetch_add(1, std::memory_order_relaxed);
-  resp->status = db::StatusCode::kWrongShard;
-  resp->payload.clear();
-  encode_partition_map(map_, &resp->payload);
-  return true;
-}
-
-bool MetaService::RejectWrongShard(const std::string& name,
+bool MetaService::RejectWrongShard(const std::string* name,
                                    rpc::Frame* resp) {
   const util::ReaderLock lock(map_mu_);
-  const std::uint32_t owner = map_.shard_of(name);
-  // Two ways this node must not serve the key: the owning shard is a
-  // different one (classic resharding), or it is THIS shard but this node
-  // is not its primary (a follower, or a deposed primary that already
-  // adopted the post-promotion map). Both answer with the installed map —
+  const std::uint32_t owner = name ? map_.shard_of(*name) : options_.shard_id;
+  // Two ways this node must not serve the request: the key's owning shard
+  // is a different one (classic resharding), or this node is not the
+  // shard's primary (a follower, or a deposed primary that already adopted
+  // the post-promotion map). A request without a key — a scatter slice, a
+  // snapshot pin — can only fail the second: a follower's view lags by the
+  // in-flight replication window. Both answer with the installed map —
   // the redirect teaches the stale client the authoritative routing (and
   // the new primary) in one round trip.
   if (owner == options_.shard_id &&
@@ -259,72 +242,29 @@ bool MetaService::RejectStaleEpoch(const rpc::Frame& req, rpc::Frame* resp) {
   return true;
 }
 
-void MetaService::HandlePut(const rpc::Frame& req, rpc::Frame* resp) {
-  metadata::FileMetadata file;
-  db::Status s = rpc::decode_file(req.payload, &file);
+void MetaService::HandleMutation(const rpc::Frame& req, rpc::Frame* resp) {
+  // Put and Delete travel as a one-op batch from here on.
+  std::vector<rpc::BatchOp> ops;
+  db::Status s;
+  if (req.method == rpc::Method::kBatchWrite) {
+    s = rpc::decode_batch(req.payload, &ops);
+  } else if (req.method == rpc::Method::kPut) {
+    s = rpc::decode_file(req.payload, &ops.emplace_back().file);
+  } else {
+    rpc::BatchOp& op = ops.emplace_back();
+    op.is_put = false;
+    s = rpc::decode_name(req.payload, &op.name);
+  }
   if (!s.ok()) {
     set_result(resp, s);
     return;
   }
   // Ownership before dedup: a wrong-shard rejection must not occupy a
-  // request id the client will reuse against the right shard.
-  if (RejectWrongShard(file.name, resp)) return;
-
-  const DedupKey key{req.client_id, req.seq};
-  db::StatusCode code = db::StatusCode::kOk;
-  std::vector<std::uint8_t> payload;
-  if (!Claim(key, &code, &payload)) {
-    resp->status = code;
-    resp->payload = std::move(payload);
-    return;
-  }
-  s = ApplyPut(file);  // no service lock held (store is rank 0)
-  // The ack barrier: the response may not leave until the write is as
-  // durable as the replication mode promises. A kTimeout here is NOT an
-  // ack — the dedup entry is published-then-erased, so the client's retry
-  // re-executes (idempotently) instead of replaying the failure.
-  if (s.ok()) s = AckDurable();
-  if (s.ok()) applied_puts_.fetch_add(1, std::memory_order_relaxed);
-  set_result(resp, s);
-  Publish(key, resp->status, resp->payload);
-}
-
-void MetaService::HandleDelete(const rpc::Frame& req, rpc::Frame* resp) {
-  std::string name;
-  db::Status s = rpc::decode_name(req.payload, &name);
-  if (!s.ok()) {
-    set_result(resp, s);
-    return;
-  }
-  if (RejectWrongShard(name, resp)) return;
-
-  const DedupKey key{req.client_id, req.seq};
-  db::StatusCode code = db::StatusCode::kOk;
-  std::vector<std::uint8_t> payload;
-  if (!Claim(key, &code, &payload)) {
-    resp->status = code;
-    resp->payload = std::move(payload);
-    return;
-  }
-  s = ApplyDelete(name);
-  if (s.ok()) s = AckDurable();  // see HandlePut
-  if (s.ok()) applied_deletes_.fetch_add(1, std::memory_order_relaxed);
-  set_result(resp, s);
-  Publish(key, resp->status, resp->payload);
-}
-
-void MetaService::HandleBatch(const rpc::Frame& req, rpc::Frame* resp) {
-  std::vector<rpc::BatchOp> ops;
-  db::Status s = rpc::decode_batch(req.payload, &ops);
-  if (!s.ok()) {
-    set_result(resp, s);
-    return;
-  }
-  // The whole batch must belong here; the router splits per shard, so a
-  // mixed batch means a stale map — reject before anything applies.
+  // request id the client will reuse against the right shard. The whole
+  // batch must belong here; the router splits per shard, so a mixed batch
+  // means a stale map — reject before anything applies.
   for (const rpc::BatchOp& op : ops) {
-    const std::string& name = op.is_put ? op.file.name : op.name;
-    if (RejectWrongShard(name, resp)) return;
+    if (RejectWrongShard(op.is_put ? &op.file.name : &op.name, resp)) return;
   }
 
   const DedupKey key{req.client_id, req.seq};
@@ -335,20 +275,21 @@ void MetaService::HandleBatch(const rpc::Frame& req, rpc::Frame* resp) {
     resp->payload = std::move(payload);
     return;
   }
-  // Applied op-by-op through the idempotent forms, in order, so a replay
-  // after a mid-batch crash re-converges instead of double-applying the
-  // prefix that made it to the WAL.
-  s = db::Status();
+  // Applied op-by-op through the idempotent forms, in order, with no
+  // service lock held (store is rank 0), so a replay after a mid-batch
+  // crash re-converges instead of double-applying the prefix that made it
+  // to the WAL.
   for (const rpc::BatchOp& op : ops) {
     s = op.is_put ? ApplyPut(op.file) : ApplyDelete(op.name);
     if (!s.ok()) break;
-    if (op.is_put) {
-      applied_puts_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      applied_deletes_.fetch_add(1, std::memory_order_relaxed);
-    }
+    (op.is_put ? applied_puts_ : applied_deletes_)
+        .fetch_add(1, std::memory_order_relaxed);
   }
-  // One barrier for the whole batch: LatestSequence covers every op.
+  // The ack barrier, one for the whole batch (LatestSequence covers every
+  // op): the response may not leave until the writes are as durable as
+  // the replication mode promises. A kTimeout here is NOT an ack — the
+  // dedup entry is published-then-erased, so the client's retry
+  // re-executes (idempotently) instead of replaying the failure.
   if (s.ok()) s = AckDurable();
   set_result(resp, s);
   Publish(key, resp->status, resp->payload);
@@ -356,70 +297,34 @@ void MetaService::HandleBatch(const rpc::Frame& req, rpc::Frame* resp) {
 
 // ---- queries ----------------------------------------------------------------
 
-void MetaService::HandlePointQuery(const rpc::Frame& req, rpc::Frame* resp) {
-  metadata::PointQuery q;
-  std::uint64_t as_of = 0;
-  db::Status s = rpc::decode_point_query(req.payload, &q, &as_of);
+void MetaService::HandleQuery(const rpc::Frame& req, rpc::Frame* resp) {
+  db::QueryRequest request;
+  std::uint64_t as_of = rpc::kAsOfLatest;
+  db::Status s;
+  if (req.method == rpc::Method::kPointQuery) {
+    s = rpc::decode_point_query(
+        req.payload, &request.op.emplace<metadata::PointQuery>(), &as_of);
+  } else if (req.method == rpc::Method::kRangeQuery) {
+    s = rpc::decode_range_query(
+        req.payload, &request.op.emplace<metadata::RangeQuery>(), &as_of);
+  } else {
+    s = rpc::decode_topk_query(
+        req.payload, &request.op.emplace<metadata::TopKQuery>(), &as_of);
+  }
   if (!s.ok()) {
     set_result(resp, s);
     return;
   }
-  if (RejectWrongShard(q.filename, resp)) return;
-  db::StatusOr<db::QueryResult> r =
-      as_of != rpc::kAsOfLatest
-          ? store_->Query(db::QueryRequest::Point(std::move(q)),
-                          db::ReadOptions{as_of - 1})
-          : store_->Query(db::QueryRequest::Point(std::move(q)));
-  if (!r.ok()) {
-    set_result(resp, r.status());
-    return;
-  }
-  resp->status = db::StatusCode::kOk;
-  resp->payload.clear();
-  rpc::encode_query_result(*r, &resp->payload);
-}
-
-void MetaService::HandleRangeQuery(const rpc::Frame& req, rpc::Frame* resp) {
-  metadata::RangeQuery q;
-  std::uint64_t as_of = 0;
-  db::Status s = rpc::decode_range_query(req.payload, &q, &as_of);
-  if (!s.ok()) {
-    set_result(resp, s);
-    return;
-  }
-  // Scatter slices must come from the primary: a follower's view lags by
-  // the in-flight replication window.
-  if (RejectNotPrimary(resp)) return;
+  // A point lookup is keyed (ownership by name); a range or top-k request
+  // is a scatter slice, which must come from the shard's primary.
+  const auto* point = std::get_if<metadata::PointQuery>(&request.op);
+  if (RejectWrongShard(point ? &point->filename : nullptr, resp)) return;
   // A pinned as-of token selects the exact snapshot scan (time travel /
   // pinned scatter-gather); kAsOfLatest keeps the routed read path.
   db::StatusOr<db::QueryResult> r =
       as_of != rpc::kAsOfLatest
-          ? store_->Query(db::QueryRequest::Range(std::move(q)),
-                          db::ReadOptions{as_of - 1})
-          : store_->Query(db::QueryRequest::Range(std::move(q)));
-  if (!r.ok()) {
-    set_result(resp, r.status());
-    return;
-  }
-  resp->status = db::StatusCode::kOk;
-  resp->payload.clear();
-  rpc::encode_query_result(*r, &resp->payload);
-}
-
-void MetaService::HandleTopKQuery(const rpc::Frame& req, rpc::Frame* resp) {
-  metadata::TopKQuery q;
-  std::uint64_t as_of = 0;
-  db::Status s = rpc::decode_topk_query(req.payload, &q, &as_of);
-  if (!s.ok()) {
-    set_result(resp, s);
-    return;
-  }
-  if (RejectNotPrimary(resp)) return;  // see HandleRangeQuery
-  db::StatusOr<db::QueryResult> r =
-      as_of != rpc::kAsOfLatest
-          ? store_->Query(db::QueryRequest::TopK(std::move(q)),
-                          db::ReadOptions{as_of - 1})
-          : store_->Query(db::QueryRequest::TopK(std::move(q)));
+          ? store_->Query(request, db::ReadOptions{as_of - 1})
+          : store_->Query(request);
   if (!r.ok()) {
     set_result(resp, r.status());
     return;
@@ -468,7 +373,7 @@ void MetaService::HandleStats(rpc::Frame* resp) {
 
 void MetaService::HandleSnapPin(rpc::Frame* resp) {
   // A follower's pin would anchor a lagging cut.
-  if (RejectNotPrimary(resp)) return;
+  if (RejectWrongShard(nullptr, resp)) return;
   // Pin first, with no service lock held: GetSnapshot enters the store
   // (rank 0), so taking lease_mu_ (rank kSvcLease) around it would invert
   // the lock order the validator enforces.

@@ -23,9 +23,14 @@
 //     therefore converges to the same state instead of failing.
 //   - queries are read-only and skip the table entirely.
 //
+// One handler per request kind: HandleMutation serves Put, Delete and
+// BatchWrite (a Put or Delete is a one-op batch), HandleQuery serves the
+// three query kinds, latest or as-of a pinned seq.
+//
 // Ownership: keyed requests are checked against the shard's current map
-// BEFORE dedup registration; a kWrongShard response carries the current
-// map in its payload so a stale client refreshes in one round trip.
+// BEFORE dedup registration; scatter slices and snapshot pins are checked
+// for the primary role. A kWrongShard response carries the current map in
+// its payload so a stale client refreshes in one round trip.
 //
 // Store error mapping: kFaultInjected / kFailedPrecondition from the store
 // mean the shard is mid-crash or already torn down — the client-visible
@@ -107,8 +112,6 @@ class MetaService {
   void InstallMap(PartitionMap map);
 
   PartitionMap map() const;  ///< copy of the installed map
-  std::uint32_t shard_id() const { return options_.shard_id; }
-  std::uint32_t node_id() const { return options_.node_id; }
 
   /// Promotion eligibility (followers): latched true when a kReplAppend
   /// batch arrives with the sync flag — the primary's statement that this
@@ -144,12 +147,14 @@ class MetaService {
                const std::vector<std::uint8_t>& payload);
 
   // Per-method handlers: fill the response's status + payload.
-  void HandlePut(const rpc::Frame& req, rpc::Frame* resp);
-  void HandleDelete(const rpc::Frame& req, rpc::Frame* resp);
-  void HandleBatch(const rpc::Frame& req, rpc::Frame* resp);
-  void HandlePointQuery(const rpc::Frame& req, rpc::Frame* resp);
-  void HandleRangeQuery(const rpc::Frame& req, rpc::Frame* resp);
-  void HandleTopKQuery(const rpc::Frame& req, rpc::Frame* resp);
+  /// Put / Delete / BatchWrite: decode into a batch, ownership-check every
+  /// op, claim the request id, apply the ops in order, one ack barrier,
+  /// publish.
+  void HandleMutation(const rpc::Frame& req, rpc::Frame* resp);
+  /// Point / Range / TopK: decode into a db::QueryRequest, check ownership
+  /// (by key for a point lookup, the primary role for a scatter slice),
+  /// read latest or as-of the frame's token.
+  void HandleQuery(const rpc::Frame& req, rpc::Frame* resp);
   void HandleFlush(rpc::Frame* resp);
   void HandleGetMap(rpc::Frame* resp);
   void HandleStats(rpc::Frame* resp);
@@ -170,20 +175,17 @@ class MetaService {
   db::Status AckDurable();
 
   /// True (and fills the kWrongShard response) when this NODE must not
-  /// serve `name` under the current map: the owning shard is different, or
-  /// this node is not that shard's primary (a follower redirects writers
-  /// to the promoted/current primary the same way a stale shard does).
-  bool RejectWrongShard(const std::string& name, rpc::Frame* resp);
+  /// serve the request under the current map: `name`'s owning shard is
+  /// different, or this node is not its shard's primary (a follower
+  /// redirects writers to the promoted/current primary the same way a
+  /// stale shard does). A null `name` (scatter slices, snapshot pins)
+  /// checks the primary role only — a follower would serve a lagging view.
+  bool RejectWrongShard(const std::string* name, rpc::Frame* resp);
 
   /// True (and fills a kFailedPrecondition response) when a replication
   /// frame carries an epoch older than the installed map's — the sender is
   /// a deposed primary and must never be applied or acked.
   bool RejectStaleEpoch(const rpc::Frame& req, rpc::Frame* resp);
-
-  /// True (and fills the kWrongShard response) when this node is not its
-  /// shard's primary under the installed map — scatter reads and snapshot
-  /// pins on a follower would serve a lagging view.
-  bool RejectNotPrimary(rpc::Frame* resp);
 
   db::Store* const store_;
   const MetaServiceOptions options_;

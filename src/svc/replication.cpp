@@ -5,17 +5,6 @@
 
 namespace smartstore::svc {
 
-namespace {
-
-db::Status frame_status(const rpc::Frame& f) {
-  if (f.status == db::StatusCode::kOk) return db::Status();
-  std::string msg;
-  (void)rpc::decode_message(f.payload, &msg);  // best-effort
-  return db::Status::FromCode(f.status, std::move(msg));
-}
-
-}  // namespace
-
 ReplicationSender::ReplicationSender(ReplicationOptions options)
     : options_(options), sender_([this] { SenderLoop(); }) {}
 
@@ -99,7 +88,7 @@ db::Status ReplicationSender::AttachFollower(
     rpc::encode_repl_bootstrap(boot, &req.payload);
     rpc::Frame resp;
     s = follower->Call(req, &resp);
-    if (s.ok()) s = frame_status(resp);
+    if (s.ok()) s = rpc::response_status(resp);
     if (s.ok()) s = rpc::decode_repl_status(resp.payload, &st);
     if (s.ok() && st.frontier != snap_seq) {
       s = db::Status::FailedPrecondition(
@@ -156,7 +145,7 @@ db::Status ReplicationSender::AttachFollower(
     rpc::encode_repl_batch(batch, &req.payload);
     rpc::Frame resp;
     db::Status shipped = attached->Call(req, &resp);
-    if (shipped.ok()) shipped = frame_status(resp);
+    if (shipped.ok()) shipped = rpc::response_status(resp);
     rpc::ReplStatus st;
     if (shipped.ok()) shipped = rpc::decode_repl_status(resp.payload, &st);
     if (shipped.ok()) {
@@ -254,14 +243,9 @@ bool ReplicationSender::ShipOnce(util::UniqueLock& lock) {
   bool stale_epoch = false;
   rpc::ReplStatus st;
   if (sent.ok()) {
-    if (resp.status == db::StatusCode::kFailedPrecondition) {
-      stale_epoch = true;
-      sent = frame_status(resp);
-    } else if (resp.status != db::StatusCode::kOk) {
-      sent = frame_status(resp);
-    } else {
-      sent = rpc::decode_repl_status(resp.payload, &st);
-    }
+    stale_epoch = resp.status == db::StatusCode::kFailedPrecondition;
+    sent = rpc::response_status(resp);
+    if (sent.ok()) sent = rpc::decode_repl_status(resp.payload, &st);
   }
   lock.lock();
 

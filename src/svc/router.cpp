@@ -10,15 +10,6 @@ namespace smartstore::svc {
 
 namespace {
 
-/// Lifts a response frame's in-band status into a db::Status (error
-/// messages ride in the payload).
-db::Status frame_status(const rpc::Frame& f) {
-  if (f.status == db::StatusCode::kOk) return db::Status();
-  std::string msg;
-  (void)rpc::decode_message(f.payload, &msg);  // best-effort
-  return db::Status::FromCode(f.status, std::move(msg));
-}
-
 bool retryable(db::StatusCode c) {
   return c == db::StatusCode::kUnavailable || c == db::StatusCode::kTimeout;
 }
@@ -63,10 +54,11 @@ bool Router::SpendRetry() {
   return true;
 }
 
-void Router::TryRefreshMap() {
+bool Router::TryRefreshMap() {
   // One direct probe per node, no retry loop (this runs INSIDE retry
   // loops): during a failover the dead primary cannot teach us the new
   // map, but any survivor can — the manager installs it everywhere.
+  bool answered = false;
   for (std::uint32_t node = 0; node < channels_.size(); ++node) {
     rpc::Frame req;
     req.type = rpc::MsgType::kRequest;
@@ -75,13 +67,10 @@ void Router::TryRefreshMap() {
     rpc::Frame resp;
     if (!channels_[node]->Call(req, &resp).ok()) continue;
     if (resp.status != db::StatusCode::kOk) continue;
+    answered = true;
     MaybeInstallMap(resp.payload);
   }
-}
-
-std::uint32_t Router::ShardOf(const std::string& key) const {
-  const util::ReaderLock lock(map_mu_);
-  return map_.shard_of(key);
+  return answered;
 }
 
 PartitionMap Router::map() const {
@@ -116,57 +105,43 @@ void Router::MaybeInstallMap(const std::vector<std::uint8_t>& encoded) {
   }
 }
 
-db::Status Router::CallKeyed(rpc::Method method, const std::string& key,
-                             std::vector<std::uint8_t> payload,
-                             rpc::Frame* resp) {
-  const std::uint64_t seq = NextSeq();
+db::Status Router::Call(rpc::Method method, const std::string* key,
+                        std::uint32_t shard, std::vector<std::uint8_t> payload,
+                        rpc::Frame* resp) {
+  rpc::Frame req;
+  req.type = rpc::MsgType::kRequest;
+  req.method = method;
+  req.client_id = options_.client_id;
+  req.seq = NextSeq();  // SAME id on every retry: the dedup contract
+  req.payload = std::move(payload);
   db::Status last = db::Status::Unavailable("no attempt made");
   // Redirects are re-routes, not failures: they get their own (generous)
   // bound instead of consuming retry attempts.
   const int max_redirects = static_cast<int>(channels_.size()) * 2 + 4;
   int redirects = 0;
   for (int attempt = 0; attempt < options_.max_attempts;) {
-    std::uint32_t shard;
     std::uint32_t node;
-    std::uint64_t map_version;
     {
       // Copy the routing decision out — no router lock across a Call.
       const util::ReaderLock lock(map_mu_);
-      shard = map_.shard_of(key);
-      node = map_.primary_node_of(shard);
-      map_version = map_.version;
+      req.shard = key ? map_.shard_of(*key) : shard;
+      node = map_.primary_node_of(req.shard);
+      req.map_version = map_.version;
     }
     if (node >= channels_.size()) {
       return db::Status::InvalidArgument(
-          "partition map routes shard " + std::to_string(shard) +
+          "partition map routes shard " + std::to_string(req.shard) +
           " to node " + std::to_string(node) + " but the router has " +
           std::to_string(channels_.size()) + " channels");
     }
-    rpc::Frame req;
-    req.type = rpc::MsgType::kRequest;
-    req.method = method;
-    req.shard = shard;
-    req.client_id = options_.client_id;
-    req.seq = seq;  // SAME id on every retry: the dedup contract
-    req.map_version = map_version;
-    req.payload = payload;
 
     sends_.fetch_add(1, std::memory_order_relaxed);
-    rpc::Frame r;
-    const db::Status sent = channels_[node]->Call(req, &r);
+    const db::Status sent = channels_[node]->Call(req, resp);
     if (!sent.ok()) {
       last = sent;
-      if (!SpendRetry()) break;
-      Backoff(attempt);
-      // The node we were told to use is not answering — maybe a failover
-      // already re-homed the shard. Ask the survivors before re-sending.
-      TryRefreshMap();
-      ++attempt;
-      continue;
-    }
-    if (r.status == db::StatusCode::kWrongShard) {
+    } else if (resp->status == db::StatusCode::kWrongShard) {
       redirects_.fetch_add(1, std::memory_order_relaxed);
-      MaybeInstallMap(r.payload);
+      MaybeInstallMap(resp->payload);
       if (++redirects > max_redirects) {
         gave_up_.fetch_add(1, std::memory_order_relaxed);
         return db::Status::Unavailable(
@@ -174,152 +149,31 @@ db::Status Router::CallKeyed(rpc::Method method, const std::string& key,
             "router can obtain");
       }
       {
-        // Re-route immediately only when the bounce changed the routing
-        // decision; otherwise (the bouncer's map is older than ours — a
-        // node that has not yet learned of a promotion) spinning on the
-        // same target is pointless: back off and probe for a newer map.
+        // Re-route immediately when the bounce changed the target node.
         const util::ReaderLock lock(map_mu_);
-        if (map_.primary_node_of(map_.shard_of(key)) != node) continue;
+        if (map_.primary_node_of(key ? map_.shard_of(*key) : shard) != node)
+          continue;
       }
-      last = frame_status(r);
-      if (!SpendRetry()) break;
-      Backoff(attempt);
-      TryRefreshMap();
-      ++attempt;
-      continue;
+      // The target stands. For a shard-addressed request the disagreement
+      // is about bucket OWNERSHIP, not node role: hand the answer back
+      // (Write re-splits its slice by key under the refreshed map, which a
+      // fixed-shard loop cannot do). For a keyed one the bouncer's map is
+      // older than ours — a node that has not yet learned of a promotion —
+      // so spinning on it is pointless: back off and probe for a newer map.
+      if (!key) return rpc::response_status(*resp);
+      last = rpc::response_status(*resp);
+    } else if (retryable(resp->status)) {
+      last = rpc::response_status(*resp);
+    } else {
+      return rpc::response_status(*resp);
     }
-    if (retryable(r.status)) {
-      last = frame_status(r);
-      if (!SpendRetry()) break;
-      Backoff(attempt);
-      TryRefreshMap();
-      ++attempt;
-      continue;
-    }
-    *resp = std::move(r);
-    return db::Status();
-  }
-  gave_up_.fetch_add(1, std::memory_order_relaxed);
-  return last;
-}
-
-db::Status Router::CallNode(std::uint32_t node, rpc::Method method,
-                            std::vector<std::uint8_t> payload,
-                            rpc::Frame* resp) {
-  if (node >= channels_.size()) {
-    return db::Status::InvalidArgument("no channel for node " +
-                                       std::to_string(node));
-  }
-  const std::uint64_t seq = NextSeq();
-  db::Status last = db::Status::Unavailable("no attempt made");
-  for (int attempt = 0; attempt < options_.max_attempts; ++attempt) {
-    rpc::Frame req;
-    req.type = rpc::MsgType::kRequest;
-    req.method = method;
-    req.shard = node;
-    req.client_id = options_.client_id;
-    req.seq = seq;
-    {
-      const util::ReaderLock lock(map_mu_);
-      req.map_version = map_.version;
-    }
-    req.payload = payload;
-
-    sends_.fetch_add(1, std::memory_order_relaxed);
-    rpc::Frame r;
-    const db::Status sent = channels_[node]->Call(req, &r);
-    if (!sent.ok()) {
-      last = sent;
-      if (!SpendRetry()) break;
-      Backoff(attempt);
-      continue;
-    }
-    if (retryable(r.status)) {
-      last = frame_status(r);
-      if (!SpendRetry()) break;
-      Backoff(attempt);
-      continue;
-    }
-    *resp = std::move(r);
-    return db::Status();
-  }
-  gave_up_.fetch_add(1, std::memory_order_relaxed);
-  return last;
-}
-
-db::Status Router::CallShard(std::uint32_t shard, rpc::Method method,
-                             std::vector<std::uint8_t> payload,
-                             rpc::Frame* resp) {
-  const std::uint64_t seq = NextSeq();
-  db::Status last = db::Status::Unavailable("no attempt made");
-  const int max_redirects = static_cast<int>(channels_.size()) * 2 + 4;
-  int redirects = 0;
-  for (int attempt = 0; attempt < options_.max_attempts;) {
-    std::uint32_t node;
-    std::uint64_t map_version;
-    {
-      const util::ReaderLock lock(map_mu_);
-      node = map_.primary_node_of(shard);
-      map_version = map_.version;
-    }
-    if (node >= channels_.size()) {
-      return db::Status::InvalidArgument(
-          "partition map routes shard " + std::to_string(shard) +
-          " to node " + std::to_string(node) + " but the router has " +
-          std::to_string(channels_.size()) + " channels");
-    }
-    rpc::Frame req;
-    req.type = rpc::MsgType::kRequest;
-    req.method = method;
-    req.shard = shard;
-    req.client_id = options_.client_id;
-    req.seq = seq;
-    req.map_version = map_version;
-    req.payload = payload;
-
-    sends_.fetch_add(1, std::memory_order_relaxed);
-    rpc::Frame r;
-    const db::Status sent = channels_[node]->Call(req, &r);
-    if (!sent.ok()) {
-      last = sent;
-      if (!SpendRetry()) break;
-      Backoff(attempt);
-      TryRefreshMap();  // a survivor may know the shard's new primary
-      ++attempt;
-      continue;
-    }
-    if (r.status == db::StatusCode::kWrongShard) {
-      // A follower (or a node mid-handover) bounced us: adopt its map and
-      // re-resolve the primary. When that changes the target node, retry
-      // here; when it does not, the disagreement is about bucket
-      // OWNERSHIP, not node role — hand the frame to the caller (Write
-      // re-splits its slice by key under the refreshed map, which a
-      // fixed-shard loop cannot do).
-      redirects_.fetch_add(1, std::memory_order_relaxed);
-      MaybeInstallMap(r.payload);
-      if (++redirects > max_redirects) {
-        gave_up_.fetch_add(1, std::memory_order_relaxed);
-        return db::Status::Unavailable(
-            "redirect loop: shard " + std::to_string(shard) +
-            " has no agreed primary under any obtainable map");
-      }
-      {
-        const util::ReaderLock lock(map_mu_);
-        if (map_.primary_node_of(shard) != node) continue;
-      }
-      *resp = std::move(r);
-      return db::Status();
-    }
-    if (retryable(r.status)) {
-      last = frame_status(r);
-      if (!SpendRetry()) break;
-      Backoff(attempt);
-      TryRefreshMap();
-      ++attempt;
-      continue;
-    }
-    *resp = std::move(r);
-    return db::Status();
+    if (!SpendRetry()) break;
+    Backoff(attempt);
+    // The node we were told to use is not answering (or not serving the
+    // key) — maybe a failover already re-homed the shard. Ask the
+    // survivors before re-sending.
+    TryRefreshMap();
+    ++attempt;
   }
   gave_up_.fetch_add(1, std::memory_order_relaxed);
   return last;
@@ -331,20 +185,14 @@ db::Status Router::Put(const metadata::FileMetadata& file) {
   std::vector<std::uint8_t> payload;
   rpc::encode_file(file, &payload);
   rpc::Frame resp;
-  const db::Status s =
-      CallKeyed(rpc::Method::kPut, file.name, std::move(payload), &resp);
-  if (!s.ok()) return s;
-  return frame_status(resp);
+  return Call(rpc::Method::kPut, &file.name, 0, std::move(payload), &resp);
 }
 
 db::Status Router::Delete(const std::string& name) {
   std::vector<std::uint8_t> payload;
   rpc::encode_name(name, &payload);
   rpc::Frame resp;
-  const db::Status s =
-      CallKeyed(rpc::Method::kDelete, name, std::move(payload), &resp);
-  if (!s.ok()) return s;
-  return frame_status(resp);
+  return Call(rpc::Method::kDelete, &name, 0, std::move(payload), &resp);
 }
 
 db::StatusOr<db::QueryResult> Router::Point(const std::string& filename) {
@@ -354,9 +202,7 @@ db::StatusOr<db::QueryResult> Router::Point(const std::string& filename) {
   rpc::encode_point_query(q, &payload);
   rpc::Frame resp;
   db::Status s =
-      CallKeyed(rpc::Method::kPointQuery, filename, std::move(payload), &resp);
-  if (!s.ok()) return s;
-  s = frame_status(resp);
+      Call(rpc::Method::kPointQuery, &filename, 0, std::move(payload), &resp);
   if (!s.ok()) return s;
   db::QueryResult result;
   s = rpc::decode_query_result(resp.payload, &result);
@@ -367,14 +213,11 @@ db::StatusOr<db::QueryResult> Router::Point(const std::string& filename) {
 db::Status Router::Write(const std::vector<rpc::BatchOp>& ops) {
   std::vector<rpc::BatchOp> pending = ops;
   // Each round splits the remaining ops by shard under the current map; a
-  // kWrongShard answer refreshes the map and sends that slice around
-  // again. Bounded: a round either applies slices or installs a newer map.
+  // kWrongShard answer (Call already installed the bouncer's map) sends
+  // that slice around again. Bounded: a round either applies slices or
+  // installs a newer map.
   for (int round = 0; round < 8 && !pending.empty(); ++round) {
-    PartitionMap snapshot;
-    {
-      const util::ReaderLock lock(map_mu_);
-      snapshot = map_;
-    }
+    const PartitionMap snapshot = map();
     std::unordered_map<std::uint32_t, std::vector<rpc::BatchOp>> by_shard;
     for (const rpc::BatchOp& op : pending) {
       const std::string& name = op.is_put ? op.file.name : op.name;
@@ -385,20 +228,15 @@ db::Status Router::Write(const std::vector<rpc::BatchOp>& ops) {
       std::vector<std::uint8_t> payload;
       rpc::encode_batch(slice, &payload);
       rpc::Frame resp;
-      const db::Status s =
-          CallShard(shard, rpc::Method::kBatchWrite, std::move(payload),
-                    &resp);
-      if (!s.ok()) return s;
-      if (resp.status == db::StatusCode::kWrongShard) {
+      const db::Status s = Call(rpc::Method::kBatchWrite, nullptr, shard,
+                                std::move(payload), &resp);
+      if (s.IsWrongShard()) {
         // Nothing applied (ownership precedes dedup and apply): safe to
         // re-split this slice under the refreshed map with fresh ids.
-        redirects_.fetch_add(1, std::memory_order_relaxed);
-        MaybeInstallMap(resp.payload);
         leftover.insert(leftover.end(), slice.begin(), slice.end());
         continue;
       }
-      const db::Status app = frame_status(resp);
-      if (!app.ok()) return app;
+      if (!s.ok()) return s;
     }
     pending = std::move(leftover);
   }
@@ -424,9 +262,7 @@ db::StatusOr<db::QueryResult> Router::Scatter(
     std::vector<std::uint8_t> payload;
     encode(shard, &payload);
     rpc::Frame resp;
-    db::Status s = CallShard(shard, method, std::move(payload), &resp);
-    if (!s.ok()) return s;
-    s = frame_status(resp);
+    db::Status s = Call(method, nullptr, shard, std::move(payload), &resp);
     if (!s.ok()) return s;
     db::QueryResult part;
     s = rpc::decode_query_result(resp.payload, &part);
@@ -512,8 +348,7 @@ db::StatusOr<ClusterSnapshot> Router::PinSnapshot() {
   snap.leases.resize(n);
   for (std::uint32_t shard = 0; shard < n; ++shard) {
     rpc::Frame resp;
-    db::Status s = CallShard(shard, rpc::Method::kSnapPin, {}, &resp);
-    if (s.ok()) s = frame_status(resp);
+    db::Status s = Call(rpc::Method::kSnapPin, nullptr, shard, {}, &resp);
     if (s.ok()) s = rpc::decode_snapshot_lease(resp.payload,
                                                &snap.leases[shard]);
     if (!s.ok()) {
@@ -536,9 +371,8 @@ db::Status Router::ReleaseSnapshot(const ClusterSnapshot& snapshot) {
     std::vector<std::uint8_t> payload;
     rpc::encode_snapshot_lease(snapshot.leases[shard], &payload);
     rpc::Frame resp;
-    db::Status s =
-        CallShard(shard, rpc::Method::kSnapRelease, std::move(payload), &resp);
-    if (s.ok()) s = frame_status(resp);
+    const db::Status s = Call(rpc::Method::kSnapRelease, nullptr, shard,
+                              std::move(payload), &resp);
     if (!s.ok() && first_error.ok()) first_error = s;
   }
   return first_error;
@@ -550,40 +384,28 @@ db::Status Router::Flush() {
   const std::uint32_t n = num_shards();
   for (std::uint32_t shard = 0; shard < n; ++shard) {
     rpc::Frame resp;
-    db::Status s = CallShard(shard, rpc::Method::kFlush, {}, &resp);
-    if (!s.ok()) return s;
-    s = frame_status(resp);
+    const db::Status s = Call(rpc::Method::kFlush, nullptr, shard, {}, &resp);
     if (!s.ok()) return s;
   }
   return db::Status();
 }
 
 db::Status Router::FetchMap() {
-  // Every NODE serves kGetMap (followers included) — ask each in turn.
-  db::Status last = db::Status::Unavailable("no nodes");
-  for (std::uint32_t node = 0; node < channels_.size(); ++node) {
-    rpc::Frame resp;
-    db::Status s = CallNode(node, rpc::Method::kGetMap, {}, &resp);
-    if (!s.ok()) {
-      last = s;
-      continue;
-    }
-    s = frame_status(resp);
-    if (!s.ok()) {
-      last = s;
-      continue;
-    }
-    MaybeInstallMap(resp.payload);
-    return db::Status();
+  // Every NODE serves kGetMap (followers included). One round asks each
+  // node once and installs the newest map any of them serves; only a
+  // round in which no node answers costs a retry.
+  for (int attempt = 0;; ++attempt) {
+    if (TryRefreshMap()) return db::Status();
+    if (attempt + 1 >= options_.max_attempts || !SpendRetry()) break;
+    Backoff(attempt);
   }
-  return last;
+  gave_up_.fetch_add(1, std::memory_order_relaxed);
+  return db::Status::Unavailable("no node answered kGetMap");
 }
 
 db::StatusOr<rpc::ShardStats> Router::Stats(std::uint32_t shard) {
   rpc::Frame resp;
-  db::Status s = CallShard(shard, rpc::Method::kStats, {}, &resp);
-  if (!s.ok()) return s;
-  s = frame_status(resp);
+  db::Status s = Call(rpc::Method::kStats, nullptr, shard, {}, &resp);
   if (!s.ok()) return s;
   rpc::ShardStats stats;
   s = rpc::decode_shard_stats(resp.payload, &stats);
@@ -593,9 +415,7 @@ db::StatusOr<rpc::ShardStats> Router::Stats(std::uint32_t shard) {
 
 db::Status Router::Ping(std::uint32_t shard) {
   rpc::Frame resp;
-  const db::Status s = CallShard(shard, rpc::Method::kPing, {}, &resp);
-  if (!s.ok()) return s;
-  return frame_status(resp);
+  return Call(rpc::Method::kPing, nullptr, shard, {}, &resp);
 }
 
 }  // namespace smartstore::svc

@@ -1,12 +1,18 @@
 // Router: the client half of the service tier — one object that makes a
 // sharded cluster look like a single Store-shaped endpoint.
 //
-// Routing contract (the mirror image of meta_service.h's server half):
-//   - keyed ops (Put / Delete / Point / per-shard batch slices) hash the
-//     filename through the CACHED partition map and go to one shard;
+// Routing contract (the mirror image of meta_service.h's server half).
+// Every request goes through one retry loop, Call():
+//   - keyed ops (Put / Delete / Point) hash the filename through the
+//     CACHED partition map; shard-addressed ops (batch slices, scatter
+//     slices, pins, control) name the shard. Either way the frame goes to
+//     the shard's primary node, re-resolved on every attempt;
 //   - a kWrongShard response carries the server's current map — the router
-//     installs it (if newer) and re-routes IMMEDIATELY, no backoff: the
-//     redirect is information, not congestion;
+//     installs it (if newer) and, when that moves the target node,
+//     re-routes IMMEDIATELY, no backoff: the redirect is information, not
+//     congestion. A bounce that leaves the target unchanged backs off and
+//     probes for a newer map (keyed) or is handed back to the caller
+//     (shard-addressed: Write re-splits the slice by key);
 //   - kUnavailable / kTimeout (transport or in-band) back off with bounded
 //     exponential delay and RETRY WITH THE SAME (client_id, seq) — reusing
 //     the id is what lets server dedup keep a maybe-applied mutation
@@ -140,8 +146,9 @@ class Router {
   /// Group-commits every shard's WAL.
   db::Status Flush();
 
-  /// Replaces the cached map with the authoritative one (asks each shard
-  /// in turn until one answers).
+  /// Replaces the cached map with the newest one any node serves (rounds
+  /// of TryRefreshMap, backing off between rounds in which no node
+  /// answers).
   db::Status FetchMap();
 
   db::StatusOr<rpc::ShardStats> Stats(std::uint32_t shard);
@@ -161,29 +168,24 @@ class Router {
     return seq_.fetch_add(1, std::memory_order_relaxed) + 1;
   }
 
-  /// The retry loop for one keyed request: route by cached map (owner
-  /// shard -> primary node), send, re-route on kWrongShard, back off and
-  /// resend the SAME id on kUnavailable/kTimeout (refreshing the map from
-  /// surviving nodes between attempts — during a failover the dead primary
-  /// cannot teach us the new map). On success `resp` holds the response.
-  db::Status CallKeyed(rpc::Method method, const std::string& key,
-                       std::vector<std::uint8_t> payload, rpc::Frame* resp);
-
-  /// One un-keyed request to an explicit NODE, with the same
-  /// backoff/retry loop (no redirect handling — the target is fixed).
-  db::Status CallNode(std::uint32_t node, rpc::Method method,
-                      std::vector<std::uint8_t> payload, rpc::Frame* resp);
-
-  /// One request addressed to a LOGICAL shard: resolves the shard's
-  /// primary node per attempt, follows kWrongShard redirects, refreshes
-  /// the map on unavailability — the shard-level call that survives a
-  /// failover mid-loop.
-  db::Status CallShard(std::uint32_t shard, rpc::Method method,
-                       std::vector<std::uint8_t> payload, rpc::Frame* resp);
+  /// The one retry loop. The target is the primary node of `*key`'s
+  /// owning shard, or of `shard` when `key` is null, re-resolved from the
+  /// cached map on every attempt; every attempt resends the SAME request
+  /// id. A kWrongShard bounce installs the bouncer's map and, when that
+  /// moves the target node, re-routes at once without spending an attempt.
+  /// A bounce that leaves the target unchanged backs off and probes the
+  /// map for a keyed request, and is handed back as kWrongShard for a
+  /// shard-addressed one (only Write can re-split by key). kUnavailable /
+  /// kTimeout back off and probe. When a node answers, `resp` holds its
+  /// frame and the result is the frame's in-band status.
+  db::Status Call(rpc::Method method, const std::string* key,
+                  std::uint32_t shard, std::vector<std::uint8_t> payload,
+                  rpc::Frame* resp);
 
   /// Best-effort map refresh: one kGetMap probe per node (direct, no
-  /// retry loop) installing whatever newer map any survivor advertises.
-  void TryRefreshMap();
+  /// retry loop) installing the newest map any survivor advertises.
+  /// Returns whether any node answered.
+  bool TryRefreshMap();
 
   /// True while the router-wide retry budget allows another retry.
   bool SpendRetry();
@@ -197,8 +199,6 @@ class Router {
 
   /// Adopts `encoded` (a partition map payload) if newer than the cache.
   void MaybeInstallMap(const std::vector<std::uint8_t>& encoded);
-
-  std::uint32_t ShardOf(const std::string& key) const;
 
   void Backoff(int attempt) const;
 

@@ -158,7 +158,9 @@ TEST_P(BtreeRandomTest, MatchesReferenceUnderRandomOps) {
       const bool ref_erased = ref.erase({key, val}) > 0;
       ASSERT_EQ(erased, ref_erased) << "op " << op;
     }
-    if (op % 500 == 0) ASSERT_TRUE(t.check_invariants()) << "op " << op;
+    if (op % 500 == 0) {
+      ASSERT_TRUE(t.check_invariants()) << "op " << op;
+    }
   }
   ASSERT_EQ(t.size(), ref.size());
   ASSERT_TRUE(t.check_invariants());

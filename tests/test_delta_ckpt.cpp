@@ -1,8 +1,8 @@
 // The checkpoint engine, end to end: delta cuts and recovery round trips
 // at the persist layer (DeltaEngine over a sharded WAL), chain folds and
-// pruning, offline reconstruction at the last cut, the Compactor's budget
-// policy — and the db::Store facade wiring (Checkpoint-as-cut, Compact(),
-// DumpSnapshot rerouting, typed I/O errors, the smartstore.ckpt.*
+// pruning, the Compactor's budget policy — and the db::Store facade
+// wiring (Checkpoint-as-cut, Compact(), the DumpSnapshot bootstrap
+// payload on a durable store, typed I/O errors, the smartstore.ckpt.*
 // properties, adaptive group commit, and the cadence-counter coalescing
 // regression). The Compactor's background slot under live writer threads
 // is test_bg_checkpoint.
@@ -181,28 +181,6 @@ TEST(DeltaCkpt, FoldCollapsesChainAndPrunesSupersededFiles) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(DeltaCkpt, ReconstructAtLastCutIgnoresRecordsAfterTheCut) {
-  const auto dir = temp_dir("reconstruct");
-  EngineRig rig(dir);
-  DeltaEngine engine(rig.store, rig.wal, rig.dir);
-  for (std::uint64_t i = 0; i < 7; ++i) rig.insert(i);
-  engine.cut();
-  const std::set<std::string> at_cut = rig.inserted;
-
-  // Records after the cut live only in the WAL; the offline
-  // reconstruction reads base + chain and must not see them.
-  for (std::uint64_t i = 7; i < 11; ++i) rig.insert(i);
-  rig.wal.commit_all();
-
-  std::uint64_t seq = 0;
-  auto rebuilt = engine.reconstruct_at_last_cut(&seq);
-  ASSERT_TRUE(rebuilt);
-  EXPECT_EQ(seq, engine.last_cut_seq());
-  EXPECT_TRUE(rebuilt->check_invariants());
-  EXPECT_EQ(store_names(*rebuilt), at_cut);
-  std::filesystem::remove_all(dir);
-}
-
 TEST(DeltaCkpt, CompactorFoldsWhenChainExceedsBudget) {
   const auto dir = temp_dir("compactor");
   EngineRig rig(dir);
@@ -362,7 +340,7 @@ TEST(DeltaDb, CheckpointPublishFailureIsIOErrorAndLosesNothing) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(DeltaDb, DumpSnapshotThroughDeltaCutMatchesContents) {
+TEST(DeltaDb, DumpSnapshotMatchesContents) {
   const auto dir = temp_dir("db_dump");
   auto store = open_or_die(small_options(), dir.string());
   std::set<std::string> expect;
@@ -377,11 +355,6 @@ TEST(DeltaDb, DumpSnapshotThroughDeltaCutMatchesContents) {
   std::set<std::string> got;
   for (const auto& f : *dump) got.insert(f.name);
   EXPECT_EQ(got, expect);
-  // The reroute cut a delta to reconstruct from: the engine's counters
-  // must show it.
-  std::string v;
-  ASSERT_TRUE(store->GetProperty("smartstore.ckpt.delta-last-cut-seq", &v));
-  EXPECT_EQ(v, std::to_string(seq));
   ASSERT_TRUE(store->Close().ok());
   std::filesystem::remove_all(dir);
 }

@@ -44,10 +44,13 @@ TEST(GroupBySimilarity, SeparatesClusters) {
   const Grouping g = group_by_similarity(m, 0.5, 32);
   ASSERT_TRUE(grouping_consistent(g, docs.size()));
   EXPECT_EQ(g.num_groups(), 2u);
-  for (std::size_t i = 0; i < docs.size(); ++i)
-    for (std::size_t j = 0; j < docs.size(); ++j)
-      if ((i % 2) == (j % 2))
+  for (std::size_t i = 0; i < docs.size(); ++i) {
+    for (std::size_t j = 0; j < docs.size(); ++j) {
+      if ((i % 2) == (j % 2)) {
         EXPECT_EQ(g.group_of[i], g.group_of[j]);
+      }
+    }
+  }
 }
 
 TEST(GroupBySimilarity, CapKeepsGroupSizesBounded) {

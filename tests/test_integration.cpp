@@ -45,9 +45,11 @@ TEST(Integration, FullLifecycleKeepsInvariants) {
     store.insert_file(extra[i], static_cast<double>(i));
     if (i % 3 == 2) {
       const auto& victim = tr.files()[i * 7 % tr.files().size()];
-      store.delete_file(victim.name, static_cast<double>(i));
+      store.erase_file(victim.name);
     }
-    if (i % 40 == 39) ASSERT_TRUE(store.check_invariants()) << i;
+    if (i % 40 == 39) {
+      ASSERT_TRUE(store.check_invariants()) << i;
+    }
   }
 
   // Reconfigure, then change membership.

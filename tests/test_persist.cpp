@@ -240,8 +240,7 @@ TEST_F(SnapshotTest, SurvivesPostBuildMutations) {
   // and conservative (unshrunk) MBRs all hit the codec.
   const auto extra = trace_.make_insert_stream(25, 1234);
   for (const auto& f : extra) store_->insert_file(f, 0.0);
-  for (int i = 0; i < 5; ++i)
-    store_->delete_file(trace_.files()[i * 31].name, 0.0);
+  for (int i = 0; i < 5; ++i) store_->erase_file(trace_.files()[i * 31].name);
   ASSERT_TRUE(store_->check_invariants());
 
   const std::string dir = temp_dir("mutated");

@@ -179,7 +179,9 @@ TEST_P(ZipfParamTest, CdfMonotoneAndSamplable) {
   for (int i = 0; i < 20000; ++i) ++counts[z.sample(r)];
   // Frequency must be (statistically) non-increasing in rank for the first
   // few ranks whenever theta > 0.
-  if (theta > 0.2) EXPECT_GE(counts[0], counts[128]);
+  if (theta > 0.2) {
+    EXPECT_GE(counts[0], counts[128]);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Thetas, ZipfParamTest,

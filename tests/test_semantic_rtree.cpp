@@ -266,7 +266,9 @@ TEST(SemanticRTree, MappingAssignsEveryIndexUnit) {
   // "In practice, the number of storage units is generally much larger
   // than that of index units, and thus each index unit can be mapped to a
   // different storage unit."
-  if (mapped <= units.size()) EXPECT_EQ(used.size(), mapped);
+  if (mapped <= units.size()) {
+    EXPECT_EQ(used.size(), mapped);
+  }
 }
 
 TEST(SemanticRTree, RootMultiMappingCoversSubtrees) {

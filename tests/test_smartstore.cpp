@@ -212,11 +212,10 @@ TEST_F(SmartStoreTest, OfflineLookupChargesEverySealedVersion) {
 
 TEST_F(SmartStoreTest, DeleteFileRemoves) {
   const auto& f = trace_.files()[10];
-  const auto st = store_->delete_file(f.name, 0.0);
-  ASSERT_TRUE(st.has_value());
+  ASSERT_TRUE(store_->erase_file(f.name));
   EXPECT_EQ(store_->total_files(), trace_.files().size() - 1);
   EXPECT_FALSE(store_->point_query({f.name}, Routing::kOffline, 0.0).found);
-  EXPECT_FALSE(store_->delete_file(f.name, 0.0).has_value());
+  EXPECT_FALSE(store_->erase_file(f.name));
   EXPECT_TRUE(store_->check_invariants());
 }
 

@@ -6,12 +6,15 @@
 //
 // Everything runs the real stack (Router -> wire format -> transport ->
 // MetaService -> db::Store) inside one process, so ASan, TSan, and the
-// lock-rank validator watch every test.
+// lock-rank validator watch every test. The RouterPolicy cases instead
+// drive the Router's retry loop against scripted channels, one branch of
+// its policy per case.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <filesystem>
 #include <map>
 #include <string>
@@ -413,6 +416,37 @@ TEST(Svc, StaleMapRedirectsAndInstallsAuthoritativeMap) {
     auto r = router.Point(trace_name(id));
     ASSERT_TRUE(r.ok());
     EXPECT_TRUE(r->found);
+  }
+}
+
+// A stale-map Write bounces once (every op rides one slice to node 0,
+// which owns only some of them) and re-splits under the map the bounce
+// carried: one bounce is one redirect, however many layers see it.
+TEST(Svc, StaleMapBatchWriteCountsOneRedirectPerBounce) {
+  svc::ClusterOptions co = in_memory_cluster(4);
+  co.map_version = 7;
+  auto cluster = start_or_die(co);
+  svc::RouterOptions ro;
+  ro.client_id = 3;
+  svc::Router router(cluster->ConnectAll(),
+                     svc::PartitionMap::RoundRobin(1, 1), ro);
+
+  std::vector<rpc::BatchOp> ops;
+  for (std::uint64_t id = 0; id < 40; ++id) {
+    rpc::BatchOp op;
+    op.is_put = true;
+    op.file = make_file(id);
+    ops.push_back(std::move(op));
+  }
+  ASSERT_TRUE(router.Write(ops).ok());
+  const svc::RouterStats stats = router.stats();
+  EXPECT_EQ(stats.redirects, 1u);
+  EXPECT_EQ(stats.map_installs, 1u);
+  EXPECT_EQ(router.map().version, 7u);
+  for (std::uint64_t id = 0; id < 40; ++id) {
+    auto r = router.Point(trace_name(id));
+    ASSERT_TRUE(r.ok());
+    EXPECT_TRUE(r->found) << trace_name(id);
   }
 }
 
@@ -904,6 +938,161 @@ TEST(Svc, RouterRetryBudgetBoundsRetryStorms) {
   // Recovery: first attempts don't draw on the budget at all.
   ASSERT_TRUE(cluster->Restart(0).ok());
   EXPECT_TRUE(router.Put(make_file(3)).ok());
+}
+
+// ---- router retry policy, case by case ---------------------------------------
+
+/// One scripted reply: an answer carrying `status`, a kWrongShard bounce
+/// carrying `map`, or a transport failure.
+struct Reply {
+  enum Kind { kAnswer, kBounce, kDrop } kind = kAnswer;
+  db::StatusCode status = db::StatusCode::kOk;
+  svc::PartitionMap map;
+
+  static Reply Answer(db::StatusCode c = db::StatusCode::kOk) {
+    return {kAnswer, c, {}};
+  }
+  static Reply Bounce(svc::PartitionMap m) {
+    return {kBounce, db::StatusCode::kWrongShard, std::move(m)};
+  }
+  static Reply Drop() { return {kDrop, db::StatusCode::kOk, {}}; }
+};
+
+/// A node that answers from a script: every request but kGetMap pops the
+/// next reply (kOk once the script runs dry) and is recorded; kGetMap
+/// answers with `served_map`. A `down` node fails every call in transport.
+class ScriptedChannel : public rpc::Channel {
+ public:
+  std::deque<Reply> script;
+  svc::PartitionMap served_map = svc::PartitionMap::RoundRobin(2, 1);
+  bool down = false;
+  std::vector<rpc::Frame> requests;
+
+  db::Status Call(const rpc::Frame& req, rpc::Frame* resp) override {
+    if (down) return db::Status::Unavailable("node is down");
+    resp->type = rpc::MsgType::kResponse;
+    resp->method = req.method;
+    resp->client_id = req.client_id;
+    resp->seq = req.seq;
+    resp->status = db::StatusCode::kOk;
+    resp->payload.clear();
+    if (req.method == rpc::Method::kGetMap) {
+      svc::encode_partition_map(served_map, &resp->payload);
+      return db::Status();
+    }
+    requests.push_back(req);
+    Reply r = Reply::Answer();
+    if (!script.empty()) {
+      r = script.front();
+      script.pop_front();
+    }
+    if (r.kind == Reply::kDrop) return db::Status::Unavailable("dropped");
+    resp->status = r.status;
+    if (r.kind == Reply::kBounce) {
+      svc::encode_partition_map(r.map, &resp->payload);
+    }
+    return db::Status();
+  }
+};
+
+struct PolicyRig {
+  std::shared_ptr<ScriptedChannel> node0 = std::make_shared<ScriptedChannel>();
+  std::shared_ptr<ScriptedChannel> node1 = std::make_shared<ScriptedChannel>();
+
+  svc::Router router(svc::PartitionMap initial) {
+    svc::RouterOptions o;
+    o.client_id = 42;
+    o.backoff_init_us = 10;
+    o.backoff_max_us = 100;
+    return svc::Router({node0, node1}, std::move(initial), o);
+  }
+};
+
+/// A file whose name `map` routes to `shard`.
+metadata::FileMetadata file_on(const svc::PartitionMap& map,
+                               std::uint32_t shard) {
+  for (std::uint64_t id = 0;; ++id) {
+    metadata::FileMetadata f = make_file(id);
+    if (map.shard_of(f.name) == shard) return f;
+  }
+}
+
+TEST(RouterPolicy, BounceThatMovesTheKeyReroutesWithoutRetry) {
+  PolicyRig rig;
+  const svc::PartitionMap fresh = svc::PartitionMap::RoundRobin(2, 2);
+  const metadata::FileMetadata f = file_on(fresh, 1);
+  rig.node0->script.push_back(Reply::Bounce(fresh));
+  svc::Router router = rig.router(svc::PartitionMap::RoundRobin(1, 1));
+
+  ASSERT_TRUE(router.Put(f).ok());
+  const svc::RouterStats st = router.stats();
+  EXPECT_EQ(st.retries, 0u);
+  EXPECT_EQ(st.redirects, 1u);
+  EXPECT_EQ(st.map_installs, 1u);
+  ASSERT_EQ(rig.node0->requests.size(), 1u);
+  ASSERT_EQ(rig.node1->requests.size(), 1u);
+  EXPECT_EQ(rig.node0->requests[0].client_id, 42u);
+  EXPECT_EQ(rig.node1->requests[0].client_id, 42u);
+  EXPECT_EQ(rig.node0->requests[0].seq, rig.node1->requests[0].seq);
+}
+
+TEST(RouterPolicy, KeyedBounceFromAnOlderMapBacksOffAndResends) {
+  PolicyRig rig;
+  const svc::PartitionMap current = svc::PartitionMap::RoundRobin(2, 5);
+  const metadata::FileMetadata f = file_on(current, 0);
+  rig.node0->script.push_back(
+      Reply::Bounce(svc::PartitionMap::RoundRobin(2, 3)));
+  svc::Router router = rig.router(current);
+
+  ASSERT_TRUE(router.Put(f).ok());
+  const svc::RouterStats st = router.stats();
+  EXPECT_EQ(st.retries, 1u);
+  EXPECT_EQ(st.redirects, 1u);
+  EXPECT_EQ(st.map_installs, 0u);
+  ASSERT_EQ(rig.node0->requests.size(), 2u);
+  EXPECT_TRUE(rig.node1->requests.empty());
+  EXPECT_EQ(rig.node0->requests[0].seq, rig.node0->requests[1].seq);
+}
+
+TEST(RouterPolicy, ShardAddressedBounceWithUnchangedTargetIsHandedBack) {
+  PolicyRig rig;
+  rig.node0->script.push_back(
+      Reply::Bounce(svc::PartitionMap::RoundRobin(2, 3)));
+  svc::Router router = rig.router(svc::PartitionMap::RoundRobin(2, 5));
+
+  EXPECT_TRUE(router.Ping(0).IsWrongShard());
+  const svc::RouterStats st = router.stats();
+  EXPECT_EQ(st.retries, 0u);
+  EXPECT_EQ(st.redirects, 1u);
+  EXPECT_EQ(rig.node0->requests.size(), 1u);
+}
+
+TEST(RouterPolicy, TransportFailureResendsTheSameId) {
+  PolicyRig rig;
+  const svc::PartitionMap current = svc::PartitionMap::RoundRobin(2, 5);
+  const metadata::FileMetadata f = file_on(current, 0);
+  rig.node0->script.push_back(Reply::Drop());
+  svc::Router router = rig.router(current);
+
+  ASSERT_TRUE(router.Put(f).ok());
+  const svc::RouterStats st = router.stats();
+  EXPECT_EQ(st.retries, 1u);
+  EXPECT_EQ(st.gave_up, 0u);
+  ASSERT_EQ(rig.node0->requests.size(), 2u);
+  EXPECT_EQ(rig.node0->requests[0].seq, rig.node0->requests[1].seq);
+}
+
+TEST(RouterPolicy, FetchMapSkipsADeadNodeAnotherCovers) {
+  PolicyRig rig;
+  rig.node0->down = true;
+  rig.node1->served_map = svc::PartitionMap::RoundRobin(2, 9);
+  svc::Router router = rig.router(svc::PartitionMap::RoundRobin(2, 1));
+
+  ASSERT_TRUE(router.FetchMap().ok());
+  const svc::RouterStats st = router.stats();
+  EXPECT_EQ(st.retries, 0u);
+  EXPECT_EQ(st.gave_up, 0u);
+  EXPECT_EQ(router.map().version, 9u);
 }
 
 // ---- control plane ----------------------------------------------------------
