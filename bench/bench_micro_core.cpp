@@ -1,11 +1,13 @@
 // Micro-benchmarks (google-benchmark) for the core operations: MD5
 // hashing, Bloom filter ops, B+-tree ops, SVD/LSI fitting and projection,
-// R-tree insert/search, SmartStore query paths.
+// R-tree insert/search, SmartStore bulk build and query paths.
 #include <benchmark/benchmark.h>
 
 #include "bloom/bloom_filter.h"
 #include "bloom/md5.h"
 #include "btree/bplus_tree.h"
+#include "core/ground_truth.h"
+#include "core/grouping.h"
 #include "core/smartstore.h"
 #include "la/svd.h"
 #include "lsi/lsi.h"
@@ -13,6 +15,7 @@
 #include "trace/query_gen.h"
 #include "trace/synth.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 using namespace smartstore;
 
@@ -147,6 +150,73 @@ void BM_RtreeKnn(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RtreeKnn);
+
+// ---- bulk build -------------------------------------------------------------
+
+/// The two bulkloaded populations of the repository benchmark (perfbench):
+/// HP at TIF 4 (80,000 files, 60 units) and MSN at TIF 1 (12,500 files,
+/// 16 units), from its dataset seed.
+const trace::SyntheticTrace& bulk_trace(bool hp) {
+  if (hp) {
+    static const trace::SyntheticTrace tr =
+        trace::SyntheticTrace::generate(trace::hp_profile(), 4, 42, 1);
+    return tr;
+  }
+  static const trace::SyntheticTrace tr =
+      trace::SyntheticTrace::generate(trace::msn_profile(), 1, 42, 1);
+  return tr;
+}
+
+/// SmartStore::build (placement fit, k-means, unit population, tree) as
+/// Store::Bulkload runs it; Arg 0 = HP on 60 units, 1 = MSN on 16.
+void BM_Bulkload(benchmark::State& state) {
+  const bool hp = state.range(0) == 0;
+  const trace::SyntheticTrace& tr = bulk_trace(hp);
+  core::Config cfg;
+  cfg.num_units = hp ? 60 : 16;
+  cfg.fanout = 8;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto store = std::make_unique<core::SmartStore>(cfg);
+    state.ResumeTiming();
+    store->build(tr.files());
+    state.PauseTiming();
+    store.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(tr.files().size()));
+  state.SetLabel(hp ? "hp_tif4_60_units" : "msn_tif1_16_units");
+}
+BENCHMARK(BM_Bulkload)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+/// The build's file placement alone: balanced k-means of the HP TIF 4
+/// population's LSI coordinates onto 60 units; Arg = pool workers (0 =
+/// the calling thread only). The placement is the same for every Arg.
+void BM_KmeansCluster(benchmark::State& state) {
+  static const lsi::LsiModel model = lsi::LsiModel::fit_columns(
+      core::attribute_matrix(bulk_trace(true).files()), 0);
+  const std::size_t n = model.num_docs(), k = 60;
+  const std::size_t cap = (n + k - 1) / k + 1 + n / (k * 8);
+  std::unique_ptr<util::ThreadPool> pool;
+  if (state.range(0) > 0)
+    pool = std::make_unique<util::ThreadPool>(
+        static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::kmeans_cluster(model.all_doc_coords(), k,
+                                                  4, 42, cap, pool.get()));
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_KmeansCluster)
+    ->Arg(0)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // ---- SmartStore query paths --------------------------------------------------
 

@@ -85,6 +85,58 @@ double BloomFilter::estimated_fpp() const {
   return std::pow(fill_ratio(), static_cast<double>(k_));
 }
 
+AtomicBloomFilter::AtomicBloomFilter(const AtomicBloomFilter& other)
+    : bits_(other.bits_), k_(other.k_), words_(other.words_.size()) {
+  for (std::size_t i = 0; i < words_.size(); ++i)
+    words_[i].store(other.words_[i].load(std::memory_order_relaxed),
+                    std::memory_order_relaxed);
+}
+
+AtomicBloomFilter& AtomicBloomFilter::operator=(
+    const AtomicBloomFilter& other) {
+  if (this == &other) return *this;
+  bits_ = other.bits_;
+  k_ = other.k_;
+  words_ = std::vector<std::atomic<std::uint64_t>>(other.words_.size());
+  for (std::size_t i = 0; i < words_.size(); ++i)
+    words_[i].store(other.words_[i].load(std::memory_order_relaxed),
+                    std::memory_order_relaxed);
+  return *this;
+}
+
+void AtomicBloomFilter::assign(const BloomFilter& f) {
+  const std::vector<std::uint64_t>& src = f.words();
+  if (f.bit_count() != bits_ || f.num_hashes() != k_) {
+    bits_ = f.bit_count();
+    k_ = f.num_hashes();
+    words_ = std::vector<std::atomic<std::uint64_t>>(src.size());
+  }
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    if (words_[i].load(std::memory_order_relaxed) != src[i])
+      words_[i].store(src[i], std::memory_order_relaxed);
+  }
+}
+
+void AtomicBloomFilter::insert(const ItemHash& h) {
+  for (unsigned i = 0; i < k_; ++i) {
+    const std::size_t idx = bloom_probe_index(i, h.w.data(), bits_);
+    std::atomic<std::uint64_t>& word = words_[idx / 64];
+    const std::uint64_t old = word.load(std::memory_order_relaxed);
+    const std::uint64_t set = old | (1ULL << (idx % 64));
+    if (set != old) word.store(set, std::memory_order_relaxed);
+  }
+}
+
+bool AtomicBloomFilter::may_contain(const ItemHash& h) const {
+  for (unsigned i = 0; i < k_; ++i) {
+    const std::size_t idx = bloom_probe_index(i, h.w.data(), bits_);
+    if ((words_[idx / 64].load(std::memory_order_relaxed) &
+         (1ULL << (idx % 64))) == 0)
+      return false;
+  }
+  return true;
+}
+
 CountingBloomFilter::CountingBloomFilter(std::size_t bits, unsigned num_hashes)
     : bits_((bits + 63) / 64 * 64), k_(num_hashes),
       counters_((bits_ + 1) / 2, 0) {

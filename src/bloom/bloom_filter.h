@@ -9,6 +9,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <cstddef>
 #include <string_view>
@@ -86,6 +87,32 @@ class BloomFilter {
   std::size_t bits_;
   unsigned k_;
   std::vector<std::uint64_t> words_;
+};
+
+/// A plain Bloom filter that probes may read while one writer at a time
+/// (serialized by the caller) inserts into it or overwrites it: probes
+/// read every word with a relaxed atomic load, and the writer stores only
+/// the words it changes. A probe racing a write sees each word either
+/// before or after it, so an item whose bits are set both before and
+/// after the write is never reported absent. The geometry changes only
+/// when assign() is given a filter of another geometry, or by copying;
+/// both need the caller to exclude every probe.
+class AtomicBloomFilter {
+ public:
+  /// The default geometry, all bits clear.
+  AtomicBloomFilter() { assign(BloomFilter()); }
+  AtomicBloomFilter(const AtomicBloomFilter& other);
+  AtomicBloomFilter& operator=(const AtomicBloomFilter& other);
+
+  /// Makes the contents equal `f`'s, storing only the words that differ.
+  void assign(const BloomFilter& f);
+  void insert(const ItemHash& h);
+  bool may_contain(const ItemHash& h) const;
+
+ private:
+  std::size_t bits_ = 0;
+  unsigned k_ = 0;
+  std::vector<std::atomic<std::uint64_t>> words_;
 };
 
 /// Counting Bloom filter: supports deletion and exports a plain BloomFilter

@@ -9,11 +9,15 @@ using metadata::FileId;
 using metadata::FileMetadata;
 using metadata::kNumAttrs;
 
-la::RowStandardizer fit_standardizer(const std::vector<FileMetadata>& files) {
+la::Matrix attribute_matrix(const std::vector<FileMetadata>& files) {
   la::Matrix a(kNumAttrs, files.size());
   for (std::size_t j = 0; j < files.size(); ++j)
     for (std::size_t d = 0; d < kNumAttrs; ++d) a(d, j) = files[j].attrs[d];
-  return la::RowStandardizer::fit(a);
+  return a;
+}
+
+la::RowStandardizer fit_standardizer(const std::vector<FileMetadata>& files) {
+  return la::RowStandardizer::fit(attribute_matrix(files));
 }
 
 std::vector<FileId> brute_force_range(const std::vector<FileMetadata>& files,

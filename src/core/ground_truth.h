@@ -14,6 +14,10 @@
 
 namespace smartstore::core {
 
+/// The population's raw attribute-document matrix: D x N, file j's
+/// attributes in column j.
+la::Matrix attribute_matrix(const std::vector<metadata::FileMetadata>& files);
+
 /// Fits the standardizer all stores and ground truth share: z-score per
 /// attribute over the population.
 la::RowStandardizer fit_standardizer(

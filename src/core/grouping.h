@@ -21,6 +21,10 @@
 #include "la/matrix.h"
 #include "lsi/lsi.h"
 
+namespace smartstore::util {
+class ThreadPool;
+}
+
 namespace smartstore::core {
 
 struct Grouping {
@@ -48,9 +52,13 @@ Grouping group_vectors_by_similarity(const std::vector<la::Vector>& coords,
 /// Lloyd's K-means with k-means++ seeding over arbitrary coordinates.
 /// `capacity` == 0 means unbounded; otherwise assignments respect the cap
 /// (balanced variant used for file placement). Deterministic in `seed`.
+/// With a `pool`, the distance passes run on its workers; the result is
+/// bit-identical for any pool size, and to a null pool (the caller's
+/// thread only): every floating-point reduction keeps its serial order.
 Grouping kmeans_cluster(const std::vector<la::Vector>& coords, std::size_t k,
                         std::size_t iterations, std::uint64_t seed,
-                        std::size_t capacity = 0);
+                        std::size_t capacity = 0,
+                        util::ThreadPool* pool = nullptr);
 
 /// Random assignment into k equal groups (the no-semantics control in the
 /// grouping ablation).

@@ -7,6 +7,7 @@
 #include <numeric>
 
 #include "metadata/schema.h"
+#include "util/thread_pool.h"
 
 namespace smartstore::core {
 
@@ -95,13 +96,22 @@ void SemanticRTree::recompute_upward(const std::vector<StorageUnit>& units,
   }
 }
 
+void SemanticRTree::recompute_level(const std::vector<StorageUnit>& units,
+                                    const std::vector<std::size_t>& ids,
+                                    util::ThreadPool* pool) {
+  util::for_each_chunk(pool, ids.size(), 1,
+                       [&](std::size_t lo, std::size_t hi) {
+                         for (std::size_t i = lo; i < hi; ++i)
+                           recompute_node(units, ids[i]);
+                       });
+}
+
 void SemanticRTree::recompute_all(const std::vector<StorageUnit>& units) {
   // Bottom-up by level so parents see refreshed children.
   if (!built()) return;
   const int h = nodes_[root_].level;
-  for (int level = 1; level <= h; ++level) {
-    for (std::size_t id : nodes_at_level(level)) recompute_node(units, id);
-  }
+  for (int level = 1; level <= h; ++level)
+    recompute_level(units, nodes_at_level(level), nullptr);
 }
 
 void SemanticRTree::resize_filters(const std::vector<StorageUnit>& units,
@@ -164,7 +174,7 @@ Grouping chunk_grouping(const std::vector<la::Vector>& docs,
 }  // namespace
 
 void SemanticRTree::build(const std::vector<StorageUnit>& units,
-                          const BuildParams& params) {
+                          const BuildParams& params, util::ThreadPool* pool) {
   params_ = params;
   nodes_.clear();
   free_list_.clear();
@@ -195,14 +205,16 @@ void SemanticRTree::build(const std::vector<StorageUnit>& units,
   }
   level_epsilons_.push_back(eps1);
 
+  // Each level's nodes are all created before any is summarized, so the
+  // node array no longer moves while the summaries are computed.
   std::vector<std::size_t> current;
   for (const auto& members : g.groups) {
     const std::size_t id = new_node(/*level=*/1);
     nodes_[id].children = members;
     for (std::size_t u : members) unit_group_[u] = id;
-    recompute_node(units, id);
     current.push_back(id);
   }
+  recompute_level(units, current, pool);
 
   // Recursive aggregation to the root (Section 3.1.1: level (i-1) nodes
   // aggregate into level-i nodes with threshold ε_i).
@@ -241,9 +253,9 @@ void SemanticRTree::build(const std::vector<StorageUnit>& units,
         nodes_[id].children.push_back(current[m]);
         nodes_[current[m]].parent = id;
       }
-      recompute_node(units, id);
       next.push_back(id);
     }
+    recompute_level(units, next, pool);
     current = std::move(next);
   }
   root_ = current.front();

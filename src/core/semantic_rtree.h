@@ -38,6 +38,9 @@
 namespace smartstore::persist {
 struct SnapshotAccess;  // persistence-layer serialization hook
 }
+namespace smartstore::util {
+class ThreadPool;
+}
 
 namespace smartstore::core {
 
@@ -75,8 +78,11 @@ class SemanticRTree {
     std::vector<std::size_t> lsi_dims;
   };
 
-  /// Builds the tree bottom-up over the current unit contents.
-  void build(const std::vector<StorageUnit>& units, const BuildParams& params);
+  /// Builds the tree bottom-up over the current unit contents. With a
+  /// `pool`, the summaries of each level's nodes are computed on its
+  /// workers; the tree is the same for any pool size, or none.
+  void build(const std::vector<StorageUnit>& units, const BuildParams& params,
+             util::ThreadPool* pool = nullptr);
 
   bool built() const { return root_ != kInvalidIndex; }
   std::size_t root_id() const { return root_; }
@@ -178,6 +184,11 @@ class SemanticRTree {
   void map_new_nodes();
   /// Recomputes one node's summary from its children.
   void recompute_node(const std::vector<StorageUnit>& units, std::size_t id);
+  /// recompute_node over `ids`, nodes of one level (on `pool` if given):
+  /// each reads only its own children, so they are independent.
+  void recompute_level(const std::vector<StorageUnit>& units,
+                       const std::vector<std::size_t>& ids,
+                       util::ThreadPool* pool);
   void recompute_upward(const std::vector<StorageUnit>& units, std::size_t id);
   /// Splits an overflowing group/index node; recurses upward on overflow.
   void split_node(const std::vector<StorageUnit>& units, std::size_t id);

@@ -5,6 +5,9 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <thread>
+
+#include "util/thread_pool.h"
 
 namespace smartstore::core {
 
@@ -34,6 +37,13 @@ VersionDelta empty_delta() {
 }  // namespace
 
 namespace {
+/// Smallest population whose build() runs on a thread pool: below it the
+/// pool's start-up and hand-offs cost more than they save.
+constexpr std::size_t kParallelBuildFiles = 4096;
+/// Upper bound on the build pool's workers (the pool takes
+/// min(hardware threads, this)).
+constexpr std::size_t kMaxBuildWorkers = 8;
+
 /// Process-wide store instance ids, so per-thread RNG streams can tell
 /// apart two stores that happen to occupy the same address over time.
 std::atomic<std::uint64_t> g_next_store_id{1};
@@ -163,7 +173,7 @@ void SmartStore::rebuild_unit_locks() {
 }
 
 la::Vector SmartStore::std_coords(const FileMetadata& f) const {
-  return standardizer_.transform(f.full_vector());
+  return standardizer_.transform(f.attrs);
 }
 
 void SmartStore::build(const std::vector<FileMetadata>& files) {
@@ -174,8 +184,20 @@ void SmartStore::build(const std::vector<FileMetadata>& files) {
   util::WriterLock ex(structure_mu_);
   epoch_.fetch_add(1, std::memory_order_relaxed);
   cow_all_units();
-  standardizer_ = fit_standardizer(files);
+  la::Matrix attrs = attribute_matrix(files);
+  standardizer_ = la::RowStandardizer::fit(attrs);
   set_bloom_bits(sized_bloom_bits(files.size()));
+
+  // A large population is built on a pool that lives for this call. Its
+  // work splits only independent outputs and keeps every floating-point
+  // reduction in its serial order, so the store is the same for any
+  // worker count; below the threshold (an empty Open, small stores) no
+  // thread starts.
+  std::unique_ptr<util::ThreadPool> pool;
+  const std::size_t workers = std::min<std::size_t>(
+      std::thread::hardware_concurrency(), kMaxBuildWorkers);
+  if (files.size() >= kParallelBuildFiles && workers > 1)
+    pool = std::make_unique<util::ThreadPool>(workers);
 
   // Semantic placement (Section 2: "files are grouped and stored according
   // to their metadata semantics"): balanced k-means over LSI coordinates
@@ -190,30 +212,38 @@ void SmartStore::build(const std::vector<FileMetadata>& files) {
   if (!files.empty()) {
     Grouping place;
     if (cfg_.placement == PlacementPolicy::kSemantic) {
-      std::vector<la::Vector> docs;
-      docs.reserve(files.size());
-      for (const auto& f : files) docs.push_back(f.full_vector());
-      lsi::LsiModel placement = lsi::LsiModel::fit(docs, cfg_.lsi_rank);
-      std::vector<la::Vector> coords;
-      coords.reserve(files.size());
-      for (std::size_t i = 0; i < files.size(); ++i)
-        coords.push_back(placement.doc_coords(i));
-
+      const lsi::LsiModel placement =
+          lsi::LsiModel::fit_columns(std::move(attrs), cfg_.lsi_rank);
       const std::size_t cap =
           (files.size() + cfg_.num_units - 1) / cfg_.num_units + 1 +
           files.size() / (cfg_.num_units * 8);
-      place = kmeans_cluster(coords, cfg_.num_units, cfg_.placement_iters,
-                             cfg_.seed, cap);
-    } else {
+      place = kmeans_cluster(placement.all_doc_coords(), cfg_.num_units,
+                             cfg_.placement_iters, cfg_.seed, cap, pool.get());
+    }
+    // Random placement; also when no LSI model fits (every attribute is
+    // constant, as for a single file), which leaves nothing to cluster.
+    if (place.groups.empty())
       place = random_grouping(files.size(), cfg_.num_units, cfg_.seed);
-    }
-    for (std::size_t g = 0; g < place.groups.size(); ++g) {
-      const UnitId u = g % cfg_.num_units;
-      for (std::size_t idx : place.groups[g]) {
-        units_[u].add_file(files[idx], std_coords(files[idx]),
-                           bloom::hash_item(files[idx].name));
-      }
-    }
+    // Unit g % num_units receives group g, members in order. Both
+    // groupings make at most num_units groups, so each unit is filled by
+    // one task and no other: the exclusive structure lock stands in for
+    // the unit locks. Workers read the standardizer through this
+    // reference, not the guarded member.
+    assert(place.groups.size() <= units_.size());
+    const la::RowStandardizer& standardizer = standardizer_;
+    std::vector<StorageUnit>& units = units_;
+    util::for_each_chunk(pool.get(), place.groups.size(), 1,
+                         [&](std::size_t lo, std::size_t hi) {
+                           for (std::size_t g = lo; g < hi; ++g) {
+                             StorageUnit& unit = units[g % units.size()];
+                             unit.reserve(place.groups[g].size());
+                             for (std::size_t idx : place.groups[g]) {
+                               const FileMetadata& f = files[idx];
+                               unit.add_file(f, standardizer.transform(f.attrs),
+                                             bloom::hash_item(f.name));
+                             }
+                           }
+                         });
   }
   total_files_ = files.size();
 
@@ -224,7 +254,7 @@ void SmartStore::build(const std::vector<FileMetadata>& files) {
   params.lsi_rank = cfg_.lsi_rank;
   params.bloom_bits = bloom_bits_;
   params.bloom_hashes = cfg_.bloom_hashes;
-  tree_.build(units_, params);
+  tree_.build(units_, params, pool.get());
   tree_.map_index_units(rng_);
 
   cluster_ = std::make_unique<sim::Cluster>(cfg_.num_units, cfg_.cost);
@@ -954,15 +984,18 @@ PointResult SmartStore::point_query_impl(const metadata::PointQuery& q,
   };
 
   if (routing == Routing::kOffline) {
-    // Candidate groups from the replicated Bloom filters (+versions).
+    // Candidate groups from the replicated Bloom filters (+versions). The
+    // union probe and the version count need no lock; the group's stripe
+    // is taken only to confirm a name its union admits.
     double version_cost = 0.0;
     std::vector<std::size_t> candidates;
     for (std::size_t g : tree_.groups()) {
-      const auto guard = maybe_lock(&sync_stripes_, &sync_.at(g));
       const GroupSync& gs = sync_.at(g);
-      version_cost += static_cast<double>(gs.replica.versions().size()) *
+      version_cost += static_cast<double>(gs.replica.version_count()) *
                       cfg_.cost.per_bloom_check_s;
-      if (gs.replica.name_may_contain(qhash, cfg_.versioning_enabled))
+      if (!gs.replica.union_may_contain(qhash)) continue;
+      const auto guard = maybe_lock(&sync_stripes_, &gs);
+      if (gs.replica.confirm_name(qhash, cfg_.versioning_enabled))
         candidates.push_back(g);
     }
     session.visit(static_cast<double>(tree_.groups().size()) *

@@ -14,20 +14,29 @@ StorageUnit::StorageUnit(UnitId id, std::size_t bloom_bits,
     : id_(id), name_filter_(bloom_bits, bloom_hashes),
       attr_sums_(kNumAttrs, 0.0) {}
 
-void StorageUnit::add_file(const FileMetadata& f, const la::Vector& std_coords,
+void StorageUnit::add_file(const FileMetadata& f, la::Vector std_coords,
                            const bloom::ItemHash& name_hash,
                            std::uint64_t added_seq) {
   assert(std_coords.size() == kNumAttrs);
   by_name_[f.name] = files_.size();
   by_id_[f.id] = files_.size();
   files_.push_back(f);
-  std_coords_.push_back(std_coords);
+  box_.expand(std_coords);
+  std_coords_.push_back(std::move(std_coords));
   added_seqs_.push_back(added_seq);
   assert(name_hash == bloom::hash_item(f.name));
   name_hashes_.push_back(name_hash);
   name_filter_.insert(name_hash);
-  box_.expand(std_coords);
   for (std::size_t d = 0; d < kNumAttrs; ++d) attr_sums_[d] += f.attrs[d];
+}
+
+void StorageUnit::reserve(std::size_t n) {
+  files_.reserve(n);
+  std_coords_.reserve(n);
+  added_seqs_.reserve(n);
+  name_hashes_.reserve(n);
+  by_name_.reserve(n);
+  by_id_.reserve(n);
 }
 
 std::optional<FileMetadata> StorageUnit::remove_file(
@@ -135,7 +144,8 @@ std::size_t VersionDelta::byte_size() const {
 void GroupReplica::reset(Base base) {
   base_ = std::move(base);
   versions_.clear();
-  names_ = base_.name_filter;
+  version_count_.n.store(0, std::memory_order_relaxed);
+  names_.assign(base_.name_filter);
   sum_ = base_.attr_sum;
   count_ = base_.file_count;
   centroid_.clear();
@@ -156,6 +166,7 @@ void GroupReplica::seal(VersionDelta v) {
     for (auto& x : centroid_) x /= static_cast<double>(count_);
   }
   versions_.push_back(std::move(v));
+  version_count_.n.store(versions_.size(), std::memory_order_relaxed);
 }
 
 const rtree::Mbr& GroupReplica::effective_box(bool with_versions) const {
@@ -168,19 +179,22 @@ const la::Vector& GroupReplica::effective_centroid(bool with_versions) const {
 
 bool GroupReplica::name_may_contain(const bloom::ItemHash& name,
                                     bool with_versions) const {
-  if (with_versions && !versions_.empty()) {
-    // One probe settles a miss in the base and every version at once.
-    if (!names_.may_contain(name)) return false;
-    // The answer is an OR, so the cheap base probe may go first.
-    if (base_.name_filter.may_contain(name)) return true;
-    // Rolling backward: newest version first (Section 4.4).
-    for (auto it = versions_.rbegin(); it != versions_.rend(); ++it) {
-      for (const bloom::ItemHash& h : it->added_names)
-        if (h == name) return true;
-    }
-    return false;
+  // One probe settles a miss in the base and every version at once.
+  if (!names_.may_contain(name)) return false;
+  return confirm_name(name, with_versions);
+}
+
+bool GroupReplica::confirm_name(const bloom::ItemHash& name,
+                                bool with_versions) const {
+  // The answer is an OR, so the cheap base probe may go first.
+  if (base_.name_filter.may_contain(name)) return true;
+  if (!with_versions) return false;
+  // Rolling backward: newest version first (Section 4.4).
+  for (auto it = versions_.rbegin(); it != versions_.rend(); ++it) {
+    for (const bloom::ItemHash& h : it->added_names)
+      if (h == name) return true;
   }
-  return base_.name_filter.may_contain(name);
+  return false;
 }
 
 std::size_t GroupReplica::byte_size() const {

@@ -15,6 +15,7 @@
 // rolling-backward at query time.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -67,8 +68,12 @@ class StorageUnit {
   /// and shares with every filter the operation touches. `added_seq` is
   /// the commit sequence stamped on the mutation (0 = pre-history: bulk
   /// builds and legacy snapshots, visible to every snapshot).
-  void add_file(const metadata::FileMetadata& f, const la::Vector& std_coords,
+  void add_file(const metadata::FileMetadata& f, la::Vector std_coords,
                 const bloom::ItemHash& name_hash, std::uint64_t added_seq = 0);
+
+  /// Sizes the record arrays and both name/id indexes for `n` records, so
+  /// a bulk fill of that many adds neither reallocates nor rehashes.
+  void reserve(std::size_t n);
 
   /// Removes by id; returns the removed record. `name_hash` is the digest
   /// of the record's name. MBRs are not shrunk on delete (standard R-tree
@@ -178,6 +183,15 @@ struct VersionDelta {
 /// over versions() it stands for, so every answer is bit-identical to the
 /// walk's. The simulated cost model still charges one Bloom check per
 /// sealed version (the paper's remote unit walks them).
+///
+/// Concurrency: the store serializes reset() and seal() and every other
+/// read under the group's sync stripe, except two reads that need none —
+/// union_may_contain() and version_count() — so a lookup takes the stripe
+/// only for the groups whose union admits its name. Racing a reset() or
+/// seal(), union_may_contain() answers for the old or the new union, or a
+/// word-wise mix of the two: a name in both has its bits set in every mix,
+/// and a name only in the new one is a change the lookup may miss, as an
+/// off-line lookup may miss any change not yet synchronized.
 class GroupReplica {
  public:
   /// A group's summary at a full synchronization point.
@@ -208,8 +222,25 @@ class GroupReplica {
 
   /// Filename may-contain check against the base filter and (when
   /// `with_versions`) every sealed version's digests, newest first. `name`
-  /// is the digest of the queried filename.
+  /// is the digest of the queried filename. Equals union_may_contain()
+  /// followed, on "maybe", by confirm_name().
   bool name_may_contain(const bloom::ItemHash& name, bool with_versions) const;
+
+  /// One probe of the union of the base filter and every sealed digest:
+  /// false means name_may_contain() is false with or without versions.
+  /// Needs no lock (see the class comment).
+  bool union_may_contain(const bloom::ItemHash& name) const {
+    return names_.may_contain(name);
+  }
+
+  /// name_may_contain() for a name the union admitted: the base probe,
+  /// then (when `with_versions`) the digest walk, newest first.
+  bool confirm_name(const bloom::ItemHash& name, bool with_versions) const;
+
+  /// versions().size(), readable without a lock (see the class comment).
+  std::size_t version_count() const {
+    return version_count_.n.load(std::memory_order_relaxed);
+  }
 
   /// The replicated summary and its versions (the paper's space
   /// accounting, Figures 7 and 14a); the derived views are local caches
@@ -221,10 +252,23 @@ class GroupReplica {
   Base base_;
   std::vector<VersionDelta> versions_;
 
+  /// versions_.size() as a relaxed atomic; copies read it once.
+  struct AtomicCount {
+    std::atomic<std::size_t> n{0};
+    AtomicCount() = default;
+    AtomicCount(const AtomicCount& o)
+        : n(o.n.load(std::memory_order_relaxed)) {}
+    AtomicCount& operator=(const AtomicCount& o) {
+      n.store(o.n.load(std::memory_order_relaxed), std::memory_order_relaxed);
+      return *this;
+    }
+  };
+
   // Derived from base_ and versions_ by reset() and seal() alone.
   /// base_.name_filter with the bits of every sealed digest set: a name
   /// missing here is in no version and not in the base.
-  bloom::BloomFilter names_;
+  bloom::AtomicBloomFilter names_;
+  AtomicCount version_count_;
   la::Vector sum_;             ///< attr_sum + every inserting version's sum
   std::size_t count_ = 0;      ///< file_count + every version's added_count
   la::Vector centroid_;        ///< sum_ / count_ (base centroid at count_ 0);

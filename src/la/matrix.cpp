@@ -85,14 +85,25 @@ Matrix Matrix::gram() const {
 
 Matrix Matrix::outer_gram() const {
   Matrix g(rows_, rows_, 0.0);
+  // Each entry is one dot product summed in column order. Four entries of
+  // a row walk the columns together, so their dependency chains overlap
+  // instead of queueing; past the last row the spare lanes repeat it and
+  // are dropped.
+  constexpr std::size_t kLanes = 4;
   for (std::size_t i = 0; i < rows_; ++i) {
     const double* ri = row_ptr(i);
-    for (std::size_t j = i; j < rows_; ++j) {
-      const double* rj = row_ptr(j);
-      double acc = 0.0;
-      for (std::size_t c = 0; c < cols_; ++c) acc += ri[c] * rj[c];
-      g(i, j) = acc;
-      g(j, i) = acc;
+    for (std::size_t j0 = i; j0 < rows_; j0 += kLanes) {
+      const double* rj[kLanes];
+      for (std::size_t t = 0; t < kLanes; ++t)
+        rj[t] = row_ptr(std::min(j0 + t, rows_ - 1));
+      double acc[kLanes] = {};
+      for (std::size_t c = 0; c < cols_; ++c) {
+        for (std::size_t t = 0; t < kLanes; ++t) acc[t] += ri[c] * rj[t][c];
+      }
+      for (std::size_t t = 0; t < kLanes && j0 + t < rows_; ++t) {
+        g(i, j0 + t) = acc[t];
+        g(j0 + t, i) = acc[t];
+      }
     }
   }
   return g;

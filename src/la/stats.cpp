@@ -35,13 +35,29 @@ double percentile(Vector v, double p) {
 }
 
 RowStandardizer RowStandardizer::fit(const Matrix& a) {
+  // mean() and stdev() of every row, with their arithmetic: each row's sums
+  // run in column order. The rows walk the columns together, so their
+  // dependency chains overlap instead of queueing.
+  const std::size_t rows = a.rows(), n = a.cols();
   RowStandardizer s;
-  s.means.resize(a.rows());
-  s.inv_stdevs.resize(a.rows());
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    Vector row = a.row(r);
-    s.means[r] = mean(row);
-    const double sd = stdev(row);
+  s.means.assign(rows, 0.0);
+  s.inv_stdevs.assign(rows, 0.0);
+  if (n == 0) return s;
+  Vector acc(rows, 0.0);
+  for (std::size_t c = 0; c < n; ++c)
+    for (std::size_t r = 0; r < rows; ++r) acc[r] += a(r, c);
+  for (std::size_t r = 0; r < rows; ++r)
+    s.means[r] = acc[r] / static_cast<double>(n);
+  if (n < 2) return s;  // stdev 0
+  std::fill(acc.begin(), acc.end(), 0.0);
+  for (std::size_t c = 0; c < n; ++c) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      const double d = a(r, c) - s.means[r];
+      acc[r] += d * d;
+    }
+  }
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double sd = std::sqrt(acc[r] / static_cast<double>(n));
     s.inv_stdevs[r] = sd > 0.0 ? 1.0 / sd : 0.0;
   }
   return s;
@@ -56,7 +72,7 @@ void RowStandardizer::apply(Matrix& a) const {
   }
 }
 
-Vector RowStandardizer::transform(const Vector& raw) const {
+Vector RowStandardizer::transform(std::span<const double> raw) const {
   assert(raw.size() == means.size());
   Vector out(raw.size());
   for (std::size_t i = 0; i < raw.size(); ++i)

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 
 #include "la/matrix.h"
 
@@ -29,7 +30,10 @@ struct RowStandardizer {
 
   /// Standardizes a single attribute vector (one value per row of the
   /// original matrix).
-  Vector transform(const Vector& raw) const;
+  Vector transform(std::span<const double> raw) const;
+  Vector transform(const Vector& raw) const {
+    return transform(std::span<const double>(raw));
+  }
 };
 
 }  // namespace smartstore::la

@@ -96,8 +96,10 @@ SymmetricEigenResult eigen_symmetric(const Matrix& a, double tol,
 namespace {
 
 /// Gram route when rows <= cols: eig(A A^T) gives U and sigma^2; then
-/// v_k = A^T u_k / sigma_k.
-SvdResult svd_via_rows(const Matrix& a, double rank_tol) {
+/// v_k = A^T u_k / sigma_k for the `keep(sigma)` kept triplets only.
+SvdResult svd_via_rows(
+    const Matrix& a, double rank_tol,
+    const std::function<std::size_t(const Vector&)>& keep) {
   const std::size_t m = a.rows(), n = a.cols();
   SymmetricEigenResult eig = eigen_symmetric(a.outer_gram());
 
@@ -114,11 +116,14 @@ SvdResult svd_via_rows(const Matrix& a, double rank_tol) {
 
   SvdResult out;
   out.sigma.resize(r);
+  for (std::size_t k = 0; k < r; ++k)
+    out.sigma[k] = std::sqrt(eig.eigenvalues[k]);
+  if (keep) out.sigma.resize(std::min(r, keep(out.sigma)));
+  r = out.sigma.size();
   out.u = Matrix(m, r);
   out.v = Matrix(n, r);
   for (std::size_t k = 0; k < r; ++k) {
-    const double s = std::sqrt(eig.eigenvalues[k]);
-    out.sigma[k] = s;
+    const double s = out.sigma[k];
     for (std::size_t i = 0; i < m; ++i) out.u(i, k) = eig.eigenvectors(i, k);
     // v_k = A^T u_k / s
     for (std::size_t j = 0; j < n; ++j) {
@@ -132,10 +137,11 @@ SvdResult svd_via_rows(const Matrix& a, double rank_tol) {
 
 }  // namespace
 
-SvdResult svd_thin(const Matrix& a, double rank_tol) {
-  if (a.rows() <= a.cols()) return svd_via_rows(a, rank_tol);
+SvdResult svd_thin(const Matrix& a, double rank_tol,
+                   const std::function<std::size_t(const Vector&)>& keep) {
+  if (a.rows() <= a.cols()) return svd_via_rows(a, rank_tol, keep);
   // Tall matrix: decompose the transpose and swap factors.
-  SvdResult t = svd_via_rows(a.transposed(), rank_tol);
+  SvdResult t = svd_via_rows(a.transposed(), rank_tol, keep);
   SvdResult out;
   out.u = std::move(t.v);
   out.v = std::move(t.u);

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 
 #include "la/matrix.h"
 
@@ -42,8 +43,14 @@ SymmetricEigenResult eigen_symmetric(const Matrix& a, double tol = 1e-12,
                                      int max_sweeps = 64);
 
 /// Thin SVD via the Gram matrix on the smaller side. Singular values below
-/// `rank_tol * sigma_max` are dropped (rank revealing).
-SvdResult svd_thin(const Matrix& a, double rank_tol = 1e-10);
+/// `rank_tol * sigma_max` are dropped (rank revealing). A `keep` rule
+/// truncates to the keep(sigma) largest triplets, `sigma` holding every
+/// singular value: it sees the spectrum before any singular vector is
+/// formed, so discarded columns are never computed, and the kept ones are
+/// bit-identical to the untruncated result followed by truncate().
+SvdResult svd_thin(
+    const Matrix& a, double rank_tol = 1e-10,
+    const std::function<std::size_t(const Vector&)>& keep = {});
 
 /// One-sided Jacobi SVD (Hestenes). Reference implementation for testing.
 SvdResult svd_jacobi_one_sided(const Matrix& a, double tol = 1e-12,

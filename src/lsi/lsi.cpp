@@ -7,39 +7,41 @@ namespace smartstore::lsi {
 
 LsiModel LsiModel::fit(const std::vector<la::Vector>& docs, std::size_t rank_p,
                        double energy) {
-  LsiModel m;
-  if (docs.empty()) return m;
+  if (docs.empty()) return LsiModel();
   const std::size_t d = docs[0].size();
-  const std::size_t n = docs.size();
-
-  la::Matrix a(d, n);
-  for (std::size_t j = 0; j < n; ++j) {
+  la::Matrix a(d, docs.size());
+  for (std::size_t j = 0; j < docs.size(); ++j) {
     assert(docs[j].size() == d);
     for (std::size_t i = 0; i < d; ++i) a(i, j) = docs[j][i];
   }
+  return fit_columns(std::move(a), rank_p, energy);
+}
+
+LsiModel LsiModel::fit_columns(la::Matrix a, std::size_t rank_p,
+                               double energy) {
+  LsiModel m;
+  const std::size_t n = a.cols();
+  if (n == 0) return m;
   m.standardizer_ = la::RowStandardizer::fit(a);
   m.standardizer_.apply(a);
 
-  la::SvdResult svd = la::svd_thin(a);
+  // The rank rule reads the whole spectrum; only the kept columns of V
+  // (one row per document) are then formed.
+  la::SvdResult svd =
+      la::svd_thin(a, 1e-10, [&](const la::Vector& sigma) -> std::size_t {
+        if (rank_p != 0) return rank_p;
+        // Smallest rank capturing `energy` of sigma_i^2 mass.
+        double total = 0.0;
+        for (double s : sigma) total += s * s;
+        double acc = 0.0;
+        for (std::size_t i = 0; i < sigma.size(); ++i) {
+          acc += sigma[i] * sigma[i];
+          if (acc >= energy * total) return i + 1;
+        }
+        return sigma.size();
+      });
   if (svd.sigma.empty()) return m;
-
-  std::size_t p = rank_p;
-  if (p == 0) {
-    // Smallest rank capturing `energy` of sigma_i^2 mass.
-    double total = 0.0;
-    for (double s : svd.sigma) total += s * s;
-    double acc = 0.0;
-    p = svd.sigma.size();
-    for (std::size_t i = 0; i < svd.sigma.size(); ++i) {
-      acc += svd.sigma[i] * svd.sigma[i];
-      if (acc >= energy * total) {
-        p = i + 1;
-        break;
-      }
-    }
-  }
-  p = std::min(p, svd.sigma.size());
-  svd.truncate(p);
+  const std::size_t p = svd.sigma.size();
 
   m.rank_ = p;
   m.u_p_ = std::move(svd.u);

@@ -37,6 +37,11 @@ class LsiModel {
   static LsiModel fit(const std::vector<la::Vector>& docs, std::size_t rank_p,
                       double energy = 0.9);
 
+  /// The same fit over the attribute-document matrix itself: D x N, one
+  /// raw document per column (standardized in place).
+  static LsiModel fit_columns(la::Matrix a, std::size_t rank_p,
+                              double energy = 0.9);
+
   /// Reassembles a fitted model from its persisted parts (the persistence
   /// layer's deserialization hook; no refitting, no SVD).
   static LsiModel from_parts(la::RowStandardizer standardizer, la::Matrix u_p,
@@ -64,6 +69,8 @@ class LsiModel {
   /// The i-th document's semantic coordinates (row i of V_p Σ_p, which
   /// equals project() applied to the document's own attribute vector).
   const la::Vector& doc_coords(std::size_t i) const { return doc_coords_[i]; }
+  /// Every document's coordinates, in document order.
+  const std::vector<la::Vector>& all_doc_coords() const { return doc_coords_; }
 
   /// Cosine similarity of two projected vectors, in [-1, 1].
   static double similarity(const la::Vector& a, const la::Vector& b) {

@@ -1,6 +1,8 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
 
 namespace smartstore::util {
 
@@ -39,22 +41,51 @@ void ThreadPool::worker_loop() {
   }
 }
 
+void ThreadPool::parallel_for(
+    std::size_t n, std::size_t grain,
+    const std::function<void(std::size_t, std::size_t)>& fn) {
+  if (n == 0) return;
+  grain = std::max<std::size_t>(1, grain);
+  const std::size_t chunks = (n + grain - 1) / grain;
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
+  // Written once, by the claimer that flips `failed`; read after every
+  // claimer's future is ready, which orders the write before the read.
+  std::exception_ptr first_error;
+  auto claim = [&] {
+    while (!failed.load(std::memory_order_relaxed)) {
+      const std::size_t c = next.fetch_add(1, std::memory_order_relaxed);
+      if (c >= chunks) return;
+      try {
+        fn(c * grain, std::min(n, (c + 1) * grain));
+      } catch (...) {
+        if (!failed.exchange(true)) first_error = std::current_exception();
+      }
+    }
+  };
+  std::vector<std::future<void>> claimers;
+  const std::size_t tasks = std::min(chunks, workers_.size());
+  claimers.reserve(tasks);
+  for (std::size_t t = 0; t < tasks; ++t) claimers.push_back(submit(claim));
+  for (auto& c : claimers) c.wait();
+  if (first_error) std::rethrow_exception(first_error);
+}
+
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  const std::size_t chunks = std::min(n, workers_.size());
-  const std::size_t per = (n + chunks - 1) / chunks;
-  std::vector<std::future<void>> futs;
-  futs.reserve(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t lo = c * per;
-    const std::size_t hi = std::min(n, lo + per);
-    if (lo >= hi) break;
-    futs.push_back(submit([lo, hi, &fn] {
-      for (std::size_t i = lo; i < hi; ++i) fn(i);
-    }));
+  const std::size_t per = (n + workers_.size() - 1) / workers_.size();
+  parallel_for(n, per, [&fn](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) fn(i);
+  });
+}
+
+void for_each_chunk(ThreadPool* pool, std::size_t n, std::size_t grain,
+                    const std::function<void(std::size_t, std::size_t)>& fn) {
+  if (pool == nullptr) {
+    if (n > 0) fn(0, n);
+    return;
   }
-  for (auto& f : futs) f.get();
+  pool->parallel_for(n, grain, fn);
 }
 
 }  // namespace smartstore::util

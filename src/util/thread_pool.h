@@ -1,9 +1,11 @@
 // Minimal fixed-size thread pool with a parallel_for helper.
 //
-// Used for embarrassingly parallel work (ground-truth brute-force scans in
-// the recall experiments). The pool follows the share-nothing decomposition
-// idiom: tasks communicate only through their captured inputs and the
-// returned futures.
+// Used for embarrassingly parallel work: SmartStore's bulk build (the
+// k-means placement's distance passes, unit population and the tree's
+// per-level summaries) and the facade's multi-writer ingest. The pool
+// follows the share-nothing decomposition idiom: tasks communicate only
+// through their captured inputs and the returned futures, and every
+// parallel_for chunk writes outputs no other chunk touches.
 #pragma once
 
 #include <condition_variable>
@@ -45,8 +47,16 @@ class ThreadPool {
     return fut;
   }
 
-  /// Runs fn(i) for i in [0, n), partitioned into contiguous chunks across
-  /// the pool; blocks until all iterations finish.
+  /// Runs fn(lo, hi) over [0, n) cut into consecutive chunks of `grain`
+  /// indices (the last may be shorter), which the workers claim in index
+  /// order. Blocks until every chunk that started has finished — also when
+  /// one throws: no chunk starts after the first failure, and that first
+  /// exception is rethrown here, so `fn` never outlives the call.
+  void parallel_for(std::size_t n, std::size_t grain,
+                    const std::function<void(std::size_t, std::size_t)>& fn);
+
+  /// Runs fn(i) for i in [0, n), one contiguous chunk per worker, with the
+  /// same completion and failure contract as above.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:
@@ -62,5 +72,11 @@ class ThreadPool {
   std::condition_variable_any cv_;
   bool stop_ SS_GUARDED_BY(mu_) = false;
 };
+
+/// fn(lo, hi) over [0, n) in chunks of `grain` on `pool`, or as one call
+/// fn(0, n) on the calling thread when `pool` is null — the form callers
+/// use when whether to fan out is decided elsewhere.
+void for_each_chunk(ThreadPool* pool, std::size_t n, std::size_t grain,
+                    const std::function<void(std::size_t, std::size_t)>& fn);
 
 }  // namespace smartstore::util

@@ -68,12 +68,20 @@ inline ::testing::AssertionResult matches(
       return ::testing::AssertionFailure()
              << "centroid, with_versions=" << with;
     for (std::size_t i = 0; i < probes.size(); ++i) {
-      if (r.name_may_contain(probes[i], with) !=
-          name_may_contain(r, probes[i], with))
+      const bool want = name_may_contain(r, probes[i], with);
+      if (r.name_may_contain(probes[i], with) != want)
         return ::testing::AssertionFailure()
                << "probe " << i << ", with_versions=" << with;
+      // The store's two-step form: the unlocked union probe, then the
+      // exact check only on "maybe".
+      if ((r.union_may_contain(probes[i]) &&
+           r.confirm_name(probes[i], with)) != want)
+        return ::testing::AssertionFailure()
+               << "unlocked probe " << i << ", with_versions=" << with;
     }
   }
+  if (r.version_count() != r.versions().size())
+    return ::testing::AssertionFailure() << "version count";
   return ::testing::AssertionSuccess();
 }
 

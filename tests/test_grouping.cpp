@@ -7,8 +7,10 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace smartstore::core {
 namespace {
@@ -232,6 +234,42 @@ TEST(Kmeans, SeedingMatchesReference) {
     }
   }
   EXPECT_EQ(cases, 5u * 3u * 2u * 4u * 3u);
+
+  // Populations as large as the ones a store's build runs on a pool: the
+  // placement must not depend on the pool or its size. Nine dimensions
+  // take the path for ranks without a specialized kernel.
+  util::ThreadPool pool1(1), pool2(2), pool3(3), pool8(8);
+  const std::vector<util::ThreadPool*> pools{nullptr, &pool1, &pool2, &pool3,
+                                             &pool8};
+  std::size_t large_cases = 0;
+  for (const auto& [n, dims] : {std::pair<std::size_t, std::size_t>{5000, 4},
+                                {20000, 4},
+                                {5000, 9}}) {
+    util::Rng rng(n + dims);
+    std::vector<la::Vector> docs;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double c = static_cast<double>(i % 7) * 3.0;
+      la::Vector v(dims);
+      for (std::size_t d = 0; d < dims; ++d)
+        v[d] = (d % 2 == 0 ? c : -c) +
+               rng.gauss(0, 1.0 + static_cast<double>(d));
+      docs.push_back(std::move(v));
+    }
+    for (std::size_t k : {16u, 60u}) {
+      for (std::size_t cap :
+           {std::size_t{0}, n / k + 2, std::max<std::size_t>(1, n / (2 * k))}) {
+        const std::vector<std::size_t> expected =
+            reference_kmeans(docs, k, 4, 9, cap);
+        for (util::ThreadPool* pool : pools) {
+          EXPECT_EQ(kmeans_cluster(docs, k, 4, 9, cap, pool).group_of, expected)
+              << "n=" << n << " dims=" << dims << " k=" << k << " cap=" << cap
+              << " workers=" << (pool == nullptr ? 0 : pool->size());
+          ++large_cases;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(large_cases, 3u * 2u * 3u * 5u);
 }
 
 TEST(RandomGrouping, EqualSizes) {

@@ -15,6 +15,7 @@
 #include <set>
 #include <string>
 
+#include "bloom/md5.h"
 #include "core/ground_truth.h"
 #include "persist/delta_checkpoint.h"
 #include "persist/recovery.h"
@@ -354,6 +355,28 @@ TEST(Snapshot, SaveSnapshotWritesTheImageAFoldWrites) {
   EXPECT_EQ(util::read_file_bytes(base_path(dir, engine.base_id())),
             util::read_file_bytes(image_path(dir)));
   EXPECT_FALSE(store.checkpoint_active());
+  std::filesystem::remove_all(dir);
+}
+
+/// A bulk build large enough to run on a thread pool (when the machine has
+/// more than one hardware thread) writes exactly the image the serial
+/// build wrote, on any core count. Only a change meant to move the
+/// build's output may update this digest.
+TEST(Snapshot, BulkBuildImageIsPinned) {
+  const auto tr = trace::SyntheticTrace::generate(trace::hp_profile(), 1, 42,
+                                                  /*downscale=*/4);
+  ASSERT_EQ(tr.files().size(), 5000u);
+  Config cfg;
+  cfg.num_units = 20;
+  cfg.fanout = 5;
+  SmartStore store(cfg);
+  store.build(tr.files());
+  const std::string dir = temp_dir("pinned_image");
+  save_snapshot(store, image_path(dir));
+  const std::vector<std::uint8_t> image =
+      util::read_file_bytes(image_path(dir));
+  EXPECT_EQ(bloom::md5(image.data(), image.size()).hex(),
+            "01a44ad28713810a4c6348a58027e8ef");
   std::filesystem::remove_all(dir);
 }
 

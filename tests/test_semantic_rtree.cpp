@@ -8,6 +8,7 @@
 
 #include "metadata/schema.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace smartstore::core {
 namespace {
@@ -51,6 +52,31 @@ SemanticRTree::BuildParams params(std::size_t fanout = 4) {
   p.fanout = fanout;
   p.min_fill = 2;
   return p;
+}
+
+TEST(SemanticRTree, BuildOnAPoolEqualsTheSerialBuild) {
+  const auto units = make_units(30, 5, 40, 11);
+  SemanticRTree serial;
+  serial.build(units, params());
+  for (std::size_t workers : {1u, 3u}) {
+    util::ThreadPool pool(workers);
+    SemanticRTree pooled;
+    pooled.build(units, params(), &pool);
+    ASSERT_EQ(pooled.num_nodes(), serial.num_nodes());
+    EXPECT_EQ(pooled.root_id(), serial.root_id());
+    EXPECT_EQ(pooled.level_epsilons(), serial.level_epsilons());
+    for (std::size_t id = 0; id < serial.num_nodes(); ++id) {
+      const IndexUnit& a = pooled.node(id);
+      const IndexUnit& b = serial.node(id);
+      EXPECT_EQ(a.level, b.level) << id;
+      EXPECT_EQ(a.parent, b.parent) << id;
+      EXPECT_EQ(a.children, b.children) << id;
+      EXPECT_TRUE(a.box == b.box) << id;
+      EXPECT_TRUE(a.name_filter == b.name_filter) << id;
+      EXPECT_EQ(a.attr_sum, b.attr_sum) << id;
+      EXPECT_EQ(a.file_count, b.file_count) << id;
+    }
+  }
 }
 
 TEST(SemanticRTree, BuildProducesValidTree) {

@@ -523,5 +523,29 @@ TEST(SmartStoreEdge, MoreUnitsThanFiles) {
     EXPECT_TRUE(store.point_query({f.name}, Routing::kOnline, 0.0).found);
 }
 
+TEST(SmartStoreEdge, ConstantAttributesStillPlaceEveryFile) {
+  // A single file, or files whose attributes are all equal, standardize to
+  // zero: no LSI model fits, and placement must still put every file on a
+  // unit (it used to read the model's missing coordinates and crash).
+  for (std::size_t n : {1u, 3u}) {
+    std::vector<FileMetadata> files(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      files[i].id = i + 1;
+      files[i].name = "/same/f" + std::to_string(i);
+    }
+    Config cfg;
+    cfg.num_units = 4;
+    cfg.fanout = 2;
+    SmartStore store(cfg);
+    store.build(files);
+    std::size_t placed = 0;
+    for (const auto& u : store.units()) placed += u.file_count();
+    EXPECT_EQ(placed, n);
+    EXPECT_TRUE(store.check_invariants());
+    for (const auto& f : files)
+      EXPECT_TRUE(store.point_query({f.name}, Routing::kOnline, 0.0).found);
+  }
+}
+
 }  // namespace
 }  // namespace smartstore::core

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 namespace smartstore::la {
 namespace {
 
@@ -68,6 +70,31 @@ TEST(RowStandardizer, TransformMatchesApply) {
     const Vector col = s.transform(a.col(j));
     for (std::size_t i = 0; i < a.rows(); ++i)
       EXPECT_NEAR(col[i], b(i, j), 1e-12);
+  }
+}
+
+TEST(RowStandardizer, FitEqualsPerRowMeanAndStdevBitForBit) {
+  // fit() walks all rows at once; each row's parameters must still be
+  // exactly mean() and stdev() of that row (the column sums run in order).
+  for (std::size_t cols : {0u, 1u, 2u, 7u, 5000u}) {
+    Matrix a(10, cols);
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+      for (std::size_t j = 0; j < cols; ++j) {
+        const double x = static_cast<double>(j * (i + 3) % 101);
+        a(i, j) = i == 3 ? 4.0  // a constant row
+                         : static_cast<double>(i) * 1e3 +
+                               std::sin(x) * (1.0 + static_cast<double>(i) * 7);
+      }
+    }
+    const RowStandardizer s = RowStandardizer::fit(a);
+    ASSERT_EQ(s.means.size(), a.rows());
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+      const Vector row = a.row(i);
+      const double sd = stdev(row);
+      EXPECT_EQ(s.means[i], mean(row)) << "cols=" << cols << " row " << i;
+      EXPECT_EQ(s.inv_stdevs[i], sd > 0.0 ? 1.0 / sd : 0.0)
+          << "cols=" << cols << " row " << i;
+    }
   }
 }
 

@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <utility>
 
 #include "util/rng.h"
 
@@ -153,6 +157,88 @@ TEST(Svd, SingularValuesOfOrthogonalColumnsAreNorms) {
   ASSERT_EQ(svd.sigma.size(), 2u);
   EXPECT_NEAR(svd.sigma[0], 7, 1e-10);
   EXPECT_NEAR(svd.sigma[1], 3, 1e-10);
+}
+
+/// svd_thin as it was before the rank rule could read the spectrum first:
+/// the Gram matrix one dot product at a time, every one of the r triplets
+/// formed, then truncate(p). The kept-columns route must equal it bit for
+/// bit (LSI keeps p of r and used to form all r columns of V).
+SvdResult reference_svd_truncated(const Matrix& a, std::size_t p) {
+  const bool wide = a.rows() <= a.cols();
+  const Matrix m = wide ? a : a.transposed();
+  const std::size_t rows = m.rows(), cols = m.cols();
+  Matrix gram(rows, rows, 0.0);
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t j = i; j < rows; ++j) {
+      double acc = 0.0;
+      for (std::size_t c = 0; c < cols; ++c) acc += m(i, c) * m(j, c);
+      gram(i, j) = acc;
+      gram(j, i) = acc;
+    }
+  }
+  const SymmetricEigenResult eig = eigen_symmetric(gram);
+  const double smax = std::sqrt(std::max(0.0, eig.eigenvalues[0]));
+  const double cutoff = 1e-10 * std::max(smax, 1e-300);
+  std::size_t r = 0;
+  for (std::size_t k = 0; k < rows; ++k) {
+    const double lk = eig.eigenvalues[k];
+    if (lk > 0.0 && std::sqrt(lk) > cutoff) ++r;
+  }
+  SvdResult out;
+  out.sigma.resize(r);
+  out.u = Matrix(rows, r);
+  out.v = Matrix(cols, r);
+  for (std::size_t k = 0; k < r; ++k) {
+    const double s = std::sqrt(eig.eigenvalues[k]);
+    out.sigma[k] = s;
+    for (std::size_t i = 0; i < rows; ++i) out.u(i, k) = eig.eigenvectors(i, k);
+    for (std::size_t j = 0; j < cols; ++j) {
+      double acc = 0.0;
+      for (std::size_t i = 0; i < rows; ++i) acc += m(i, j) * out.u(i, k);
+      out.v(j, k) = acc / s;
+    }
+  }
+  out.truncate(p);
+  if (!wide) std::swap(out.u, out.v);
+  return out;
+}
+
+bool same_bits(const Matrix& x, const Matrix& y) {
+  if (x.rows() != y.rows() || x.cols() != y.cols()) return false;
+  for (std::size_t i = 0; i < x.rows(); ++i)
+    if (std::memcmp(x.row_ptr(i), y.row_ptr(i), x.cols() * sizeof(double)) != 0)
+      return false;
+  return true;
+}
+
+TEST(Svd, KeptColumnsEqualTheTruncatedFullDecomposition) {
+  std::size_t cases = 0;
+  // Wide (the LSI placement shape: attributes x documents), tall, square.
+  for (const auto& [m, n] : {std::pair<std::size_t, std::size_t>{10, 2000},
+                             {10, 37},
+                             {40, 12},
+                             {6, 6}}) {
+    const Matrix a = random_matrix(m, n, 1000 * m + n);
+    const Vector full_sigma = svd_thin(a).sigma;
+    for (std::size_t keep : {std::size_t{1}, std::size_t{4}, std::size_t{99}}) {
+      Vector seen;
+      const SvdResult got =
+          svd_thin(a, 1e-10, [&](const Vector& sigma) -> std::size_t {
+            seen = sigma;
+            return keep;
+          });
+      EXPECT_EQ(seen, full_sigma);  // the rule reads the whole spectrum
+      const SvdResult want = reference_svd_truncated(a, keep);
+      const std::string where =
+          std::to_string(m) + "x" + std::to_string(n) + " keep " +
+          std::to_string(keep);
+      EXPECT_EQ(got.sigma, want.sigma) << where;
+      EXPECT_TRUE(same_bits(got.u, want.u)) << where;
+      EXPECT_TRUE(same_bits(got.v, want.v)) << where;
+      ++cases;
+    }
+  }
+  EXPECT_EQ(cases, 12u);
 }
 
 TEST(Svd, EmptyAndTinyInputs) {

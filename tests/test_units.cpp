@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "metadata/schema.h"
 #include "replica_reference.h"
 #include "util/rng.h"
@@ -300,6 +304,66 @@ TEST(GroupReplica, DerivedStateMatchesReferenceWalk) {
     }
   }
   EXPECT_GT(union_only_hits, 0u);
+}
+
+/// The store probes a replica's union and reads its version count without
+/// the group's stripe while a writer seals versions and full-syncs the
+/// group. Under TSan a plain access in that race is a report. A name every
+/// base holds must probe positive throughout: its bits are set in the old
+/// union, the new one and every word-wise mix of the two.
+TEST(GroupReplica, UnlockedProbesRaceSealAndReset) {
+  const bloom::ItemHash always = bloom::hash_item("/always/here");
+  auto base = [&](std::uint64_t salt) {
+    GroupReplica::Base b;
+    b.centroid_raw.assign(kNumAttrs, 0.0);
+    b.attr_sum.assign(kNumAttrs, 0.0);
+    b.name_filter = bloom::BloomFilter(1024, 7);
+    b.name_filter.insert(always);
+    for (int i = 0; i < 20; ++i)
+      b.name_filter.insert(bloom::hash_item("/b" + std::to_string(salt) + "/" +
+                                            std::to_string(i)));
+    return b;
+  };
+  std::vector<bloom::ItemHash> others;
+  for (int i = 0; i < 64; ++i)
+    others.push_back(bloom::hash_item("/probe/" + std::to_string(i)));
+
+  GroupReplica r;
+  r.reset(base(0));
+  std::atomic<bool> stop{false};
+  std::atomic<std::size_t> misses{0};
+  std::atomic<std::size_t> probes{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      std::size_t i = static_cast<std::size_t>(t), maybes = 0;
+      while (!stop.load(std::memory_order_relaxed)) {
+        if (!r.union_may_contain(always)) misses.fetch_add(1);
+        maybes += r.union_may_contain(others[i++ % others.size()]);
+        maybes += r.version_count();
+        probes.fetch_add(1, std::memory_order_relaxed);
+      }
+      EXPECT_GE(maybes, 0u);
+    });
+  }
+  // One writer, as the group's stripe serializes them in the store.
+  for (std::uint64_t step = 1; step <= 3000; ++step) {
+    if (step % 16 == 0) {
+      r.reset(base(step));
+      continue;
+    }
+    VersionDelta v;
+    v.added_attr_sum.assign(kNumAttrs, 1.0);
+    v.added_count = 1;
+    v.added_box = rtree::Mbr(la::Vector(kNumAttrs, static_cast<double>(step)));
+    v.added_names.push_back(bloom::hash_item("/v/" + std::to_string(step)));
+    r.seal(std::move(v));
+  }
+  while (probes.load() < 1000) std::this_thread::yield();
+  stop.store(true);
+  for (auto& th : readers) th.join();
+  EXPECT_EQ(misses.load(), 0u);
+  EXPECT_TRUE(reference::matches(r, others));
 }
 
 }  // namespace
