@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the core operations: MD5
 // hashing, Bloom filter ops, B+-tree ops, SVD/LSI fitting and projection,
-// R-tree insert/search, SmartStore bulk build and query paths.
+// R-tree insert/search, SmartStore bulk build, record encoding and CRC-32,
+// and query paths.
 #include <benchmark/benchmark.h>
 
 #include "bloom/bloom_filter.h"
@@ -11,9 +12,12 @@
 #include "core/smartstore.h"
 #include "la/svd.h"
 #include "lsi/lsi.h"
+#include "persist/codec.h"
 #include "rtree/rtree.h"
 #include "trace/query_gen.h"
 #include "trace/synth.h"
+#include "util/binary_io.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -217,6 +221,44 @@ BENCHMARK(BM_KmeansCluster)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+// ---- image encoding ---------------------------------------------------------
+
+/// persist::write_file_meta over the MSN TIF 1 population (the 12,500
+/// files ingest_durable bulkloads) into one BinaryWriter, as the base
+/// image's UNITS section and WAL inserts encode records. The writer is
+/// cleared, not freed, between iterations: this times the encoder, not
+/// malloc.
+void BM_EncodeFileRecords(benchmark::State& state) {
+  const auto& files = bulk_trace(false).files();
+  util::BinaryWriter w;
+  for (auto _ : state) {
+    w.clear();
+    for (const auto& f : files) persist::write_file_meta(w, f);
+    benchmark::DoNotOptimize(w.buffer().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(w.size()));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(files.size()));
+}
+BENCHMARK(BM_EncodeFileRecords)->Unit(benchmark::kMicrosecond);
+
+/// The CRC-32 every image section, WAL block and RPC frame carries, over
+/// the bytes BM_EncodeFileRecords writes.
+void BM_Crc32(benchmark::State& state) {
+  util::BinaryWriter w;
+  for (const auto& f : bulk_trace(false).files())
+    persist::write_file_meta(w, f);
+  const std::vector<std::uint8_t>& bytes = w.buffer();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(util::crc32(bytes.data(), bytes.size()));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes.size()));
+}
+BENCHMARK(BM_Crc32)->Unit(benchmark::kMicrosecond);
 
 // ---- SmartStore query paths --------------------------------------------------
 

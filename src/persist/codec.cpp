@@ -6,7 +6,7 @@ void write_file_meta(util::BinaryWriter& w, const metadata::FileMetadata& f) {
   w.write_u64(f.id);
   w.write_string(f.name);
   w.write_u32(static_cast<std::uint32_t>(metadata::kNumAttrs));
-  for (double a : f.attrs) w.write_f64(a);
+  w.write_f64_block(f.attrs.data(), f.attrs.size());
 }
 
 metadata::FileMetadata read_file_meta(util::BinaryReader& r) {

@@ -9,10 +9,6 @@
 #include "util/binary_io.h"
 #include "util/thread_annotations.h"
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#endif
-
 namespace smartstore::persist {
 
 namespace {
@@ -90,11 +86,12 @@ void write_file_atomic_faulted(const std::string& path,
     std::fclose(f);
     throw PersistError("short write: " + tmp, PersistError::Code::kIo);
   }
-  std::fflush(f);
-#if defined(__unix__) || defined(__APPLE__)
-  ::fsync(::fileno(f));
-#endif
-  std::fclose(f);
+  // A full disk often surfaces only here, when stdio hands its buffer to
+  // the OS: a temp that did not land whole is never renamed over `path`.
+  const bool synced = util::flush_and_sync(f);
+  if (std::fclose(f) != 0 || !synced)
+    throw PersistError("cannot flush, fsync or close: " + tmp,
+                       PersistError::Code::kIo);
 
   fault_point((fault_prefix + ":pre-rename").c_str());
   std::error_code ec;

@@ -57,11 +57,12 @@ void fault_point(const char* where);
 /// implementation, so their crash behavior cannot drift. It deliberately
 /// mirrors util::write_file_atomic rather than wrapping it — util/ stays
 /// free of persist dependencies, and the fault hooks need to fire inside
-/// the write. When the OS refuses the open, a write or the rename, it
-/// throws PersistError kIo. The one log write NOT routed here is a fresh
-/// shard log's header, which has no temp/rename stages; its sole crash
-/// window (a short header) is covered by scan_wal's torn-creation
-/// handling.
+/// the write. When the OS refuses the open, a write, the flush, the fsync,
+/// the close or the rename, it throws PersistError kIo; a failure before
+/// the rename leaves `path` as it was. The one log write NOT routed here
+/// is a fresh shard log's header, which has no temp/rename stages; its
+/// sole crash window (a short header) is covered by scan_wal's
+/// torn-creation handling.
 void write_file_atomic_faulted(const std::string& path,
                                const std::vector<std::uint8_t>& bytes,
                                const std::string& fault_prefix);

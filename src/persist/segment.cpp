@@ -10,10 +10,6 @@
 #include "util/binary_io.h"
 #include "util/crc32.h"
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#endif
-
 namespace smartstore::persist {
 
 namespace fs = std::filesystem;
@@ -21,14 +17,9 @@ namespace fs = std::filesystem;
 namespace {
 
 void sync_file(std::FILE* f, const std::string& path) {
-  if (std::fflush(f) != 0)
-    throw PersistError("cannot flush segment: " + path,
+  if (!util::flush_and_sync(f))
+    throw PersistError("cannot flush or fsync segment: " + path,
                        PersistError::Code::kIo);
-#if defined(__unix__) || defined(__APPLE__)
-  if (::fsync(::fileno(f)) != 0)
-    throw PersistError("cannot fsync segment: " + path,
-                       PersistError::Code::kIo);
-#endif
 }
 
 /// The manifest's base-kind byte: the base is ckpt/base-<id>.bin. Earlier

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <iterator>
 #include <mutex>
+#include <tuple>
 #include <utility>
 
 #include "persist/codec.h"
@@ -330,11 +331,23 @@ struct SnapshotAccess {
   }
 
   static void save_units(Store& s, BinaryWriter& w) {
-    const auto [count, watermark] = [&] {
+    const auto [count, watermark, files] = [&] {
       const util::MutexLock lock(s.freeze_.mu);
-      return std::make_pair(s.freeze_.core.unit_count,
-                            s.freeze_.core.gc_watermark);
+      const Store::FrozenCore& f = s.freeze_.core;
+      return std::make_tuple(f.unit_count, f.gc_watermark, f.total_files);
     }();
+    // Sized from the frozen counts before any unit is read: the unit
+    // count, each unit's id, file count and tombstone count, and each
+    // record's fixed bytes (write_file_meta's id, name length, attribute
+    // count and attributes, then its added_seq) plus an allowance for its
+    // name. With the synthetic traces' 29-byte names the allowance also
+    // covers the TREE and SYNC sections behind UNITS, so a 12,500-file,
+    // 16-unit base image (2.0 MB) is encoded without one reallocation.
+    // Reserved bytes a smaller image leaves over are never written.
+    constexpr std::size_t kRecordBytes =
+        8 + 8 + 4 + 8 * metadata::kNumAttrs + 8;
+    constexpr std::size_t kNameAllowance = 48;
+    w.reserve(8 + count * 24 + files * (kRecordBytes + kNameAllowance));
     w.write_u64(count);
     for (std::size_t u = 0; u < count; ++u) {
       const util::MutexLock lock(s.freeze_.mu);
@@ -630,14 +643,6 @@ struct SnapshotAccess {
 
 namespace {
 
-void append_section(BinaryWriter& out, std::uint32_t id,
-                    const BinaryWriter& payload) {
-  out.write_u32(id);
-  out.write_u64(payload.size());
-  out.write_bytes(payload.buffer().data(), payload.size());
-  out.write_u32(util::crc32(payload.buffer().data(), payload.size()));
-}
-
 struct SectionView {
   const std::uint8_t* data = nullptr;
   std::size_t size = 0;
@@ -666,12 +671,19 @@ void save_snapshot_frozen(core::SmartStore& store, const std::string& path) {
   out.write_u32(kSnapshotFormatVersion);
   out.write_u32(static_cast<std::uint32_t>(std::size(kSections)));
 
-  BinaryWriter sec;
+  // Each section is encoded in place, behind its id and a length that is
+  // patched once the payload is written; the CRC is taken where the
+  // payload lies.
   for (const auto& s : kSections) {
     fault_point(s.fault);
-    sec.clear();
-    SnapshotAccess::save_section(store, s.id, sec);
-    append_section(out, s.id, sec);
+    out.write_u32(s.id);
+    const std::size_t length_at = out.size();
+    out.write_u64(0);
+    const std::size_t begin = out.size();
+    SnapshotAccess::save_section(store, s.id, out);
+    const std::size_t len = out.size() - begin;
+    out.patch_u64(length_at, len);
+    out.write_u32(util::crc32(out.buffer().data() + begin, len));
   }
 
   write_file_atomic_faulted(path, out.buffer(), "snapshot:write");

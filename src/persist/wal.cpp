@@ -17,13 +17,6 @@ namespace smartstore::persist {
 
 namespace {
 
-void flush_and_sync(std::FILE* f) {
-  std::fflush(f);
-#if defined(__unix__) || defined(__APPLE__)
-  ::fsync(::fileno(f));
-#endif
-}
-
 /// Overwrites `path` with a fresh, empty log carrying `generation` (header
 /// only, fsynced, directory entry synced).
 void write_empty_wal(const std::string& path, std::uint64_t generation) {
@@ -33,14 +26,12 @@ void write_empty_wal(const std::string& path, std::uint64_t generation) {
   util::BinaryWriter header;
   header.write_bytes(kWalMagic, sizeof(kWalMagic));
   header.write_u64(generation);
-  if (std::fwrite(header.buffer().data(), 1, header.size(), f) !=
-      header.size()) {
-    std::fclose(f);
+  const bool written = std::fwrite(header.buffer().data(), 1, header.size(),
+                                   f) == header.size() &&
+                       util::flush_and_sync(f);
+  if (std::fclose(f) != 0 || !written)
     throw PersistError("cannot write WAL header: " + path,
                        PersistError::Code::kIo);
-  }
-  flush_and_sync(f);
-  std::fclose(f);
   util::fsync_parent_dir(path);
 }
 
@@ -254,6 +245,7 @@ void WalWriter::append(const WalRecord& rec) {
 void WalWriter::commit() {
   if (pending_ == 0 || !file_) return;
   util::BinaryWriter block;
+  block.reserve(4 + 4 + 8 + batch_.size() + 4);
   block.write_u32(kWalBlockMagic);
   block.write_u32(static_cast<std::uint32_t>(pending_));
   block.write_u64(batch_.size());
@@ -269,44 +261,50 @@ void WalWriter::commit() {
     file_ = nullptr;
   };
 
-  // Note the pre-commit boundary so a short write (disk full) can be rolled
-  // back: leaving a partial block with the position advanced would strand
-  // any retried commit behind garbage that recovery truncates away.
+  // Note the pre-commit boundary so a failed commit (disk full) can be
+  // rolled back: leaving a partial block with the position advanced would
+  // strand any retried commit behind garbage that recovery truncates away.
   std::fseek(file_, 0, SEEK_END);
   const long start = std::ftell(file_);
   // The block lands in two halves with a crash boundary between them: a
   // power cut does not respect block boundaries, and the torn tail this
   // leaves is exactly what scan_wal's checksum rollback must absorb.
   const std::size_t half = block.size() / 2;
-  bool short_write =
-      std::fwrite(block.buffer().data(), 1, half, file_) != half;
-  if (!short_write) {
+  bool failed = std::fwrite(block.buffer().data(), 1, half, file_) != half;
+  if (!failed) {
     try {
       fault_point("wal:commit:torn-block");
     } catch (...) {
       die_with_handle();
       throw;
     }
-    short_write = std::fwrite(block.buffer().data() + half, 1,
-                              block.size() - half,
-                              file_) != block.size() - half;
+    failed = std::fwrite(block.buffer().data() + half, 1,
+                         block.size() - half, file_) != block.size() - half;
   }
-  if (short_write) {
+  if (!failed) {
+    try {
+      fault_point("wal:commit:pre-sync");
+    } catch (...) {
+      die_with_handle();
+      throw;
+    }
+    // A full disk may fail only the flush; an I/O error, the fsync.
+    failed = !util::flush_and_sync(file_);
+  }
+  if (failed) {
+    // Not acknowledged: the batch stays pending for a retry, and the log
+    // is cut back to the block start. The flush first pushes out (or, when
+    // it fails, stdio drops) whatever of the block is still buffered, so
+    // nothing of it reaches the file behind the cut.
     std::fflush(file_);
+    std::clearerr(file_);
 #if defined(__unix__) || defined(__APPLE__)
     if (start >= 0 && ::ftruncate(::fileno(file_), start) == 0)
       std::fseek(file_, start, SEEK_SET);
 #endif
-    throw PersistError("short write appending WAL block: " + path_,
+    throw PersistError("cannot append, flush or fsync a WAL block: " + path_,
                        PersistError::Code::kIo);
   }
-  try {
-    fault_point("wal:commit:pre-sync");
-  } catch (...) {
-    die_with_handle();
-    throw;
-  }
-  flush_and_sync(file_);
   committed_ += pending_;
   pending_ = 0;
   batch_.clear();

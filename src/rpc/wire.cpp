@@ -36,9 +36,7 @@ std::uint32_t payload_crc(const std::vector<std::uint8_t>& p) {
 void write_file_fields(util::BinaryWriter& w, const metadata::FileMetadata& f) {
   w.write_u64(f.id);
   w.write_string(f.name);
-  for (std::size_t i = 0; i < metadata::kNumAttrs; ++i) {
-    w.write_f64(f.attrs[i]);
-  }
+  w.write_f64_block(f.attrs.data(), f.attrs.size());
 }
 
 void read_file_fields(util::BinaryReader& r, metadata::FileMetadata* f) {
@@ -98,6 +96,7 @@ const char* method_name(Method m) {
 
 std::vector<std::uint8_t> encode_frame(const Frame& f) {
   util::BinaryWriter w;
+  w.reserve(kFrameHeaderBytes + f.payload.size());
   w.write_u32(kWireMagic);
   // write_u32 is the only fixed-width integer writer below u64; the u16
   // version travels in a u32's low half (the header layout counts it as
@@ -114,9 +113,8 @@ std::vector<std::uint8_t> encode_frame(const Frame& f) {
   w.write_u64(f.map_version);
   w.write_u32(static_cast<std::uint32_t>(f.payload.size()));
   w.write_u32(payload_crc(f.payload));
-  std::vector<std::uint8_t> out = w.buffer();
-  out.insert(out.end(), f.payload.begin(), f.payload.end());
-  return out;
+  w.write_bytes(f.payload.data(), f.payload.size());
+  return w.release();
 }
 
 db::Status peek_payload_len(const std::uint8_t* header, std::size_t size,

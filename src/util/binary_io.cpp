@@ -1,7 +1,5 @@
 #include "util/binary_io.h"
 
-#include <bit>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 
@@ -14,41 +12,42 @@ namespace smartstore::util {
 
 // ---- BinaryWriter -----------------------------------------------------------
 
-void BinaryWriter::write_u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) buf_.push_back((v >> (8 * i)) & 0xFFu);
-}
-
-void BinaryWriter::write_u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) buf_.push_back((v >> (8 * i)) & 0xFFu);
-}
-
-void BinaryWriter::write_f64(double v) {
-  write_u64(std::bit_cast<std::uint64_t>(v));
-}
-
-void BinaryWriter::write_string(const std::string& s) {
-  write_u64(s.size());
-  write_bytes(s.data(), s.size());
-}
-
-void BinaryWriter::write_bytes(const void* data, std::size_t len) {
+void BinaryWriter::append(const void* data, std::size_t len) {
+  if (len == 0) return;  // data may be null for an empty source
   const auto* p = static_cast<const std::uint8_t*>(data);
   buf_.insert(buf_.end(), p, p + len);
 }
 
+void BinaryWriter::write_string(const std::string& s) {
+  write_u64(s.size());
+  append(s.data(), s.size());
+}
+
 void BinaryWriter::write_vec_f64(const std::vector<double>& v) {
   write_u64(v.size());
-  for (double x : v) write_f64(x);
+  append(v.data(), v.size() * sizeof(double));
 }
 
 void BinaryWriter::write_vec_u64(const std::vector<std::uint64_t>& v) {
   write_u64(v.size());
-  for (std::uint64_t x : v) write_u64(x);
+  append(v.data(), v.size() * sizeof(std::uint64_t));
 }
 
 void BinaryWriter::write_vec_size(const std::vector<std::size_t>& v) {
   write_u64(v.size());
-  for (std::size_t x : v) write_u64(x);
+  append(v.data(), v.size() * sizeof(std::size_t));
+}
+
+void BinaryWriter::patch_u64(std::size_t at, std::uint64_t v) {
+  if (at > buf_.size() || buf_.size() - at < sizeof v)
+    throw std::out_of_range("BinaryWriter::patch_u64 past the end");
+  std::memcpy(buf_.data() + at, &v, sizeof v);
+}
+
+std::vector<std::uint8_t> BinaryWriter::release() {
+  std::vector<std::uint8_t> out;
+  out.swap(buf_);
+  return out;
 }
 
 // ---- BinaryReader -----------------------------------------------------------
@@ -168,16 +167,22 @@ void write_file_atomic(const std::string& path,
     std::fclose(f);
     throw BinaryIoError("short write: " + tmp);
   }
-  std::fflush(f);
-#if defined(__unix__) || defined(__APPLE__)
-  ::fsync(::fileno(f));
-#endif
-  std::fclose(f);
+  const bool synced = flush_and_sync(f);
+  if (std::fclose(f) != 0 || !synced)
+    throw BinaryIoError("cannot flush, fsync or close: " + tmp);
   std::error_code ec;
   std::filesystem::rename(tmp, path, ec);
   if (ec) throw BinaryIoError("rename " + tmp + " -> " + path + ": " +
                               ec.message());
   fsync_parent_dir(path);
+}
+
+bool flush_and_sync(std::FILE* f) {
+  if (std::fflush(f) != 0) return false;
+#if defined(__unix__) || defined(__APPLE__)
+  if (::fsync(::fileno(f)) != 0) return false;
+#endif
+  return true;
 }
 
 void fsync_parent_dir(const std::string& path) {

@@ -10,15 +10,32 @@
 // The encoding is deliberately dumb: fixed-width integers, u64 length
 // prefixes, no varints, no alignment. Snapshot/WAL framing, versioning and
 // checksumming live one layer up in src/persist/.
+//
+// The writer copies each value's bytes as the host holds them, one copy
+// per value and one per vector's element block. That is the little-endian
+// wire encoding only on a little-endian host whose size_t is 8 bytes and
+// whose double is IEEE-754 binary64; the static_asserts below pin all
+// three, so a host that differs fails to compile rather than writing
+// images, logs and frames no other host can read.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace smartstore::util {
+
+static_assert(std::endian::native == std::endian::little,
+              "BinaryWriter copies host words: the wire is little-endian");
+static_assert(sizeof(std::size_t) == 8,
+              "std::size_t vectors are copied as u64 blocks");
+static_assert(std::numeric_limits<double>::is_iec559 && sizeof(double) == 8,
+              "doubles travel as IEEE-754 binary64 bit patterns");
 
 /// Raised on any malformed read: out-of-bounds access, implausible length
 /// prefix, or a value that fails a caller-declared sanity bound.
@@ -30,25 +47,43 @@ class BinaryIoError : public std::runtime_error {
 class BinaryWriter {
  public:
   void write_u8(std::uint8_t v) { buf_.push_back(v); }
-  void write_u32(std::uint32_t v);
-  void write_u64(std::uint64_t v);
+  void write_u32(std::uint32_t v) { append(&v, sizeof v); }
+  void write_u64(std::uint64_t v) { append(&v, sizeof v); }
   void write_i32(std::int32_t v) { write_u32(static_cast<std::uint32_t>(v)); }
-  void write_f64(double v);
+  void write_f64(double v) { append(&v, sizeof v); }
   void write_bool(bool v) { write_u8(v ? 1 : 0); }
   /// u64 length prefix + raw bytes.
   void write_string(const std::string& s);
-  void write_bytes(const void* data, std::size_t len);
+  void write_bytes(const void* data, std::size_t len) { append(data, len); }
+  /// `n` doubles as one block, with no count prefix (fixed-size arrays).
+  void write_f64_block(const double* v, std::size_t n) {
+    append(v, n * sizeof(double));
+  }
   /// u64 element count + elements.
   void write_vec_f64(const std::vector<double>& v);
   void write_vec_u64(const std::vector<std::uint64_t>& v);
   /// std::size_t vectors are widened to u64 on the wire.
   void write_vec_size(const std::vector<std::size_t>& v);
 
+  /// Overwrites the u64 at byte offset `at`, which an earlier write_u64
+  /// left there (a length prefix written before its payload was sized).
+  void patch_u64(std::size_t at, std::uint64_t v);
+  /// Makes room for `more` bytes past the current end, so the writes that
+  /// fill them do not reallocate.
+  void reserve(std::size_t more) { buf_.reserve(buf_.size() + more); }
+
   const std::vector<std::uint8_t>& buffer() const { return buf_; }
+  /// Moves the encoded bytes out, leaving the writer empty.
+  std::vector<std::uint8_t> release();
   std::size_t size() const { return buf_.size(); }
   void clear() { buf_.clear(); }
 
  private:
+  /// Copies `len` bytes to the end in one call. Out of line on purpose:
+  /// inlined into its callers, std::vector's growth path draws false
+  /// -Wstringop-overflow and -Warray-bounds warnings from GCC 12.
+  void append(const void* data, std::size_t len);
+
   std::vector<std::uint8_t> buf_;
 };
 
@@ -102,9 +137,15 @@ std::vector<std::uint8_t> read_file_bytes(const std::string& path);
 /// Writes atomically: a sibling temp file is written, flushed and renamed
 /// over `path`, so a crash mid-write never leaves a half snapshot behind.
 /// The containing directory is fsynced after the rename so the swap itself
-/// is durable, not just the bytes.
+/// is durable, not just the bytes. Throws BinaryIoError, renaming nothing,
+/// when a write, the flush, the fsync or the close fails.
 void write_file_atomic(const std::string& path,
                        const std::vector<std::uint8_t>& bytes);
+
+/// Pushes `f`'s stdio buffer to the OS and fsyncs the descriptor (the
+/// fsync on POSIX only); false when either fails, i.e. when the bytes
+/// written so far are not known to be durable.
+bool flush_and_sync(std::FILE* f);
 
 /// Best-effort fsync of the directory containing `path` (POSIX; no-op on
 /// other platforms): makes a just-created or just-renamed directory entry

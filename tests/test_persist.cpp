@@ -5,19 +5,29 @@
 // (a base fold plus the sharded WAL tail).
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <initializer_list>
+#include <limits>
 #include <optional>
 #include <set>
 #include <string>
 
 #include "bloom/md5.h"
 #include "core/ground_truth.h"
+#include "persist/codec.h"
 #include "persist/delta_checkpoint.h"
+#include "persist/fault.h"
 #include "persist/recovery.h"
 #include "persist/snapshot.h"
 #include "persist/wal.h"
@@ -103,6 +113,139 @@ TEST(BinaryIo, TruncatedStringThrows) {
   std::vector<std::uint8_t> cut(w.buffer().begin(), w.buffer().end() - 4);
   util::BinaryReader r(cut);
   EXPECT_THROW(r.read_string(), util::BinaryIoError);
+}
+
+/// Expected encodings, built byte by byte: `v` as 8 little-endian bytes.
+void put_le64(std::vector<std::uint8_t>& out, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i)
+    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+}
+
+void put(std::vector<std::uint8_t>& out,
+         std::initializer_list<std::uint8_t> bytes) {
+  out.insert(out.end(), bytes);
+}
+
+/// The little-endian value of `n` bytes at `p`, read byte by byte.
+std::uint64_t get_le(const std::uint8_t* p, int n) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < n; ++i)
+    v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+  return v;
+}
+
+TEST(BinaryIo, EncodingIsPinnedLittleEndian) {
+  // Images, WAL blocks, segments, manifests and frames all speak this
+  // encoding: each writer method against bytes written out by hand.
+  util::BinaryWriter w;
+  std::vector<std::uint8_t> want;
+  w.write_u8(0xAB);
+  put(want, {0xAB});
+  w.write_u32(0x01020304u);
+  put(want, {0x04, 0x03, 0x02, 0x01});
+  w.write_u64(0x0102030405060708ULL);
+  put(want, {0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01});
+  w.write_i32(-2);
+  put(want, {0xFE, 0xFF, 0xFF, 0xFF});
+  w.write_bool(true);
+  w.write_bool(false);
+  put(want, {0x01, 0x00});
+  // Doubles are their IEEE-754 bit patterns: sign, infinity and a NaN's
+  // payload survive.
+  w.write_f64(1.0);
+  put(want, {0, 0, 0, 0, 0, 0, 0xF0, 0x3F});
+  w.write_f64(-0.0);
+  put(want, {0, 0, 0, 0, 0, 0, 0, 0x80});
+  w.write_f64(std::numeric_limits<double>::infinity());
+  put(want, {0, 0, 0, 0, 0, 0, 0xF0, 0x7F});
+  w.write_f64(std::bit_cast<double>(0x7FF8000000000123ULL));
+  put(want, {0x23, 0x01, 0, 0, 0, 0, 0xF8, 0x7F});
+  w.write_string("ab");
+  put(want, {2, 0, 0, 0, 0, 0, 0, 0, 'a', 'b'});
+  w.write_string("");
+  put(want, {0, 0, 0, 0, 0, 0, 0, 0});
+  w.write_bytes("xyz", 3);
+  put(want, {'x', 'y', 'z'});
+  w.write_bytes(nullptr, 0);
+  const double block[] = {2.0, -1.5};
+  w.write_f64_block(block, 2);
+  put(want, {0, 0, 0, 0, 0, 0, 0, 0x40, 0, 0, 0, 0, 0, 0, 0xF8, 0xBF});
+  w.write_vec_f64({});
+  put(want, {0, 0, 0, 0, 0, 0, 0, 0});
+  w.write_vec_f64({0.5});
+  put(want, {1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xE0, 0x3F});
+  w.write_vec_u64({});
+  put(want, {0, 0, 0, 0, 0, 0, 0, 0});
+  w.write_vec_u64({0x0A0BULL});
+  put(want, {1, 0, 0, 0, 0, 0, 0, 0, 0x0B, 0x0A, 0, 0, 0, 0, 0, 0});
+  w.write_vec_size({});
+  put(want, {0, 0, 0, 0, 0, 0, 0, 0});
+  w.write_vec_size({7, std::numeric_limits<std::size_t>::max()});
+  put(want, {2, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0});
+  put(want, {0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF});
+  // A length written before its payload, patched in place.
+  const std::size_t at = w.size();
+  w.write_u64(0);
+  w.write_u8(0x42);
+  w.patch_u64(at, 0x1122334455667788ULL);
+  put(want, {0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11, 0x42});
+  EXPECT_THROW(w.patch_u64(w.size() - 4, 0), std::out_of_range);
+  w.reserve(1 << 16);  // room only: no bytes
+  EXPECT_EQ(w.buffer(), want);
+  EXPECT_EQ(w.release(), want);
+  EXPECT_EQ(w.size(), 0u);
+
+  // One file record, as the UNITS section and WAL inserts carry it: id,
+  // name, attribute count, then the attributes as one block.
+  FileMetadata f;
+  f.id = 0x0102;
+  f.name = "/a";
+  for (std::size_t i = 0; i < metadata::kNumAttrs; ++i)
+    f.attrs[i] = static_cast<double>(i);
+  write_file_meta(w, f);
+  want.clear();
+  put(want, {0x02, 0x01, 0, 0, 0, 0, 0, 0});
+  put(want, {2, 0, 0, 0, 0, 0, 0, 0, '/', 'a'});
+  put(want, {10, 0, 0, 0});
+  for (const std::uint64_t bits :
+       {0x0000000000000000ULL, 0x3FF0000000000000ULL, 0x4000000000000000ULL,
+        0x4008000000000000ULL, 0x4010000000000000ULL, 0x4014000000000000ULL,
+        0x4018000000000000ULL, 0x401C000000000000ULL, 0x4020000000000000ULL,
+        0x4022000000000000ULL})
+    put_le64(want, bits);
+  EXPECT_EQ(w.buffer(), want);
+
+  // Every section of an image is framed as id u32, length u64, payload,
+  // CRC-32 u32 of the payload, in id order, and the frames tile the file.
+  const auto tr = trace::SyntheticTrace::generate(trace::hp_profile(), 1, 42,
+                                                  /*downscale=*/50);
+  Config cfg;
+  cfg.num_units = 4;
+  SmartStore store(cfg);
+  store.build(tr.files());
+  const std::string dir = temp_dir("pinned_frames");
+  save_snapshot(store, image_path(dir));
+  const std::vector<std::uint8_t> image =
+      util::read_file_bytes(image_path(dir));
+  ASSERT_GE(image.size(), 16u);
+  EXPECT_EQ(std::memcmp(image.data(), kSnapshotMagic, 8), 0);
+  EXPECT_EQ(get_le(image.data() + 8, 4), kSnapshotFormatVersion);
+  const std::uint64_t sections = get_le(image.data() + 12, 4);
+  EXPECT_EQ(sections, 6u);
+  std::size_t pos = 16;
+  for (std::uint64_t id = 1; id <= sections; ++id) {
+    ASSERT_LE(pos + 12, image.size());
+    EXPECT_EQ(get_le(image.data() + pos, 4), id);
+    const std::uint64_t len = get_le(image.data() + pos + 4, 8);
+    pos += 12;
+    ASSERT_LE(len + 4, image.size() - pos) << "section " << id;
+    EXPECT_EQ(get_le(image.data() + pos + len, 4),
+              util::crc32(image.data() + pos, len))
+        << "section " << id;
+    pos += len + 4;
+  }
+  EXPECT_EQ(pos, image.size());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Crc32, KnownVectors) {
@@ -706,6 +849,31 @@ TEST_F(SnapshotTest, BadMagicFailsLoad) {
   EXPECT_THROW(load_snapshot(path), PersistError);
 }
 
+// ---- durable writes on a full device ----------------------------------------
+
+TEST(Persist, AtomicWriteToAFullDeviceThrowsAndPublishesNothing) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const std::string dir = temp_dir("full_device");
+  const std::string path = dir + "/MANIFEST";
+  const std::vector<std::uint8_t> published = {'o', 'l', 'd'};
+  util::write_file_atomic(path, published);
+  // The temp file lands on a device with no space left. stdio buffers a
+  // write this small, so the failure shows only when the buffer is
+  // flushed.
+  std::filesystem::create_symlink("/dev/full", path + ".tmp");
+  const std::vector<std::uint8_t> bytes(458, 0x5A);
+  try {
+    write_file_atomic_faulted(path, bytes, "ckpt:manifest");
+    ADD_FAILURE() << "a write to a full device was published";
+  } catch (const PersistError& e) {
+    EXPECT_EQ(e.code(), PersistError::Code::kIo) << e.what();
+  }
+  EXPECT_THROW(util::write_file_atomic(path, bytes), util::BinaryIoError);
+  EXPECT_FALSE(std::filesystem::is_symlink(path));
+  EXPECT_EQ(util::read_file_bytes(path), published);
+  std::filesystem::remove_all(dir);
+}
+
 // ---- WAL --------------------------------------------------------------------
 
 /// One record through the shard log the way the store's hooks drive it:
@@ -961,6 +1129,74 @@ TEST(Wal, AppendStampsZeroSeqAndKeepsAGivenOne) {
   // A reopened log resumes past every seq on disk.
   ShardedWal reopened(dir, 2);
   EXPECT_EQ(reopened.next_seq(), 13u);
+}
+
+/// The descriptor this process holds open on `path` (the WalWriter's
+/// append handle), or -1.
+int open_descriptor_of(const std::string& path) {
+  struct stat want {};
+  if (::stat(path.c_str(), &want) != 0) return -1;
+  for (int fd = 3; fd < 1024; ++fd) {
+    struct stat st {};
+    if (::fstat(fd, &st) == 0 && st.st_dev == want.st_dev &&
+        st.st_ino == want.st_ino)
+      return fd;
+  }
+  return -1;
+}
+
+/// Swaps what descriptor `fd` refers to for a fresh open of `path`.
+bool reopen_descriptor(int fd, const char* path, int flags) {
+  const int other = ::open(path, flags);
+  if (other < 0) return false;
+  const bool ok = ::dup2(other, fd) == fd;
+  ::close(other);
+  return ok;
+}
+
+TEST(Wal, CommitToAFullDeviceIsNotAcknowledged) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const std::string dir = temp_dir("wal_full");
+  trace::SyntheticTrace tr = trace::SyntheticTrace::generate(
+      trace::msn_profile(), 1, 42, /*downscale=*/50);
+  const auto stream = tr.make_insert_stream(2, 5);
+
+  // A fresh log whose header cannot land is refused, not opened.
+  const std::string full_log = dir + "/full.log";
+  std::filesystem::create_symlink("/dev/full", full_log);
+  EXPECT_THROW(WalWriter{full_log}, PersistError);
+
+  // A healthy log whose device fills up under the open writer.
+  const std::string path = dir + "/0.log";
+  WalWriter wal(path);
+  wal.append(WalRecord::insert(stream[0], 1));
+  wal.commit();
+  const std::size_t committed_bytes = wal.committed_bytes();
+  const int fd = open_descriptor_of(path);
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(reopen_descriptor(fd, "/dev/full", O_WRONLY));
+  wal.append(WalRecord::insert(stream[1], 2));
+  try {
+    wal.commit();
+    ADD_FAILURE() << "a commit to a full device was acknowledged";
+  } catch (const PersistError& e) {
+    EXPECT_EQ(e.code(), PersistError::Code::kIo) << e.what();
+  }
+  EXPECT_EQ(wal.committed_records(), 1u);
+  EXPECT_EQ(wal.committed_bytes(), committed_bytes);
+  EXPECT_EQ(wal.pending_records(), 1u);
+
+  // Space comes back: the retried batch lands right behind the first
+  // block, and the log scans clean.
+  ASSERT_TRUE(reopen_descriptor(fd, path.c_str(), O_WRONLY | O_APPEND));
+  wal.commit();
+  EXPECT_EQ(wal.committed_records(), 2u);
+  const WalScan scan = scan_wal(path);
+  EXPECT_FALSE(scan.torn_tail);
+  ASSERT_EQ(scan.records.size(), 2u);
+  EXPECT_EQ(scan.records[1].file.name, stream[1].name);
+  EXPECT_EQ(scan.valid_bytes, wal.committed_bytes());
+  std::filesystem::remove_all(dir);
 }
 
 // ---- checkpoint / recover ---------------------------------------------------
