@@ -34,7 +34,6 @@ struct Options {
 
   // ---- open semantics ----------------------------------------------------
   bool create_if_missing = true;  ///< build an empty deployment on a fresh dir
-  bool error_if_exists = false;   ///< refuse to open an existing deployment
 
   /// Ephemeral mode: no data directory, no LOCK file, no WAL, no
   /// checkpoints (Checkpoint()/Flush() return kFailedPrecondition). The

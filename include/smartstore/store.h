@@ -125,18 +125,15 @@ struct CheckpointInfo {
   std::uint64_t last_delta_units_cold = 0;  ///< fenced units with nothing new
 };
 
-/// One record of the replication stream: a committed mutation together
-/// with its store-wide commit sequence number. The primary's commit tap
-/// emits these; a follower feeds them back through ApplyReplicated, which
-/// re-applies each under the SAME seq so MVCC visibility and the durable
-/// frontier line up across replicas.
+/// One record of the replication stream: a committed insert or remove
+/// together with its store-wide commit sequence number — the same two
+/// kinds, under the same seqs, as the primary's WAL records, so the stream
+/// has no holes. The primary's commit tap emits these; a follower feeds
+/// them back through ApplyReplicated, which re-applies each under the SAME
+/// seq so MVCC visibility and the durable frontier line up across
+/// replicas.
 struct ReplicatedOp {
   bool is_insert = true;
-  /// Seq-hole marker: the primary consumed this seq on a replica-private
-  /// structural record (unit split/merge). The follower applies no data
-  /// but still logs and accounts the seq, keeping the stream contiguous
-  /// and a promoted follower's stamp counter past every consumed seq.
-  bool is_noop = false;
   std::uint64_t seq = 0;
   metadata::FileMetadata file;  ///< inserts
   std::string name;             ///< removes
@@ -145,7 +142,7 @@ struct ReplicatedOp {
 class Store {
  public:
   /// Opens (building or recovering) the deployment at `path`. Errors:
-  ///   kInvalidArgument  bad Options, empty path, or error_if_exists hit
+  ///   kInvalidArgument  bad Options or an empty path
   ///   kBusy             another handle holds the directory's LOCK file
   ///   kNotFound         no checkpoint and create_if_missing is false
   ///   kCorruption       checkpoint/WAL failed a checksum or format check
@@ -156,6 +153,8 @@ class Store {
   ///                     ckpt/MANIFEST, or a manifest whose base is an
   ///                     adopted snapshot.bin (base kind 1); there is no
   ///                     importer
+  ///   kFaultInjected    an Options::crash_at fault point fired
+  ///   kUnknown          any other failure
   static StatusOr<std::unique_ptr<Store>> Open(const Options& options,
                                                const std::string& path);
 

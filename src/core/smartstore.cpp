@@ -1293,13 +1293,12 @@ int SmartStore::routing_distance(
 
 // ---- reconfiguration ops -------------------------------------------------------
 
-UnitId SmartStore::add_storage_unit(const StructuralHook& logged) {
+UnitId SmartStore::add_storage_unit() {
   // Exclusive: appending to units_ can reallocate the vector concurrent
   // serving threads and the snapshot serializer index into; any units still
   // pending in an active freeze are copied first.
   util::WriterLock ex(structure_mu_);
   epoch_.fetch_add(1, std::memory_order_relaxed);
-  if (logged) note_commit_seq(logged());
   cow_all_units();
   const UnitId id = units_.size();
   units_.emplace_back(id, bloom_bits_, cfg_.bloom_hashes);
@@ -1312,11 +1311,10 @@ UnitId SmartStore::add_storage_unit(const StructuralHook& logged) {
   return id;
 }
 
-void SmartStore::remove_storage_unit(UnitId u, const StructuralHook& logged) {
+void SmartStore::remove_storage_unit(UnitId u) {
   util::WriterLock ex(structure_mu_);
   assert(u < units_.size() && unit_active_[u]);
   epoch_.fetch_add(1, std::memory_order_relaxed);
-  if (logged) note_commit_seq(logged());
   cow_all_units();
   // Capture the records WITH their commit seqs: re-homing must be invisible
   // to snapshots, so each displaced file re-inserts under its original
@@ -1337,11 +1335,11 @@ void SmartStore::remove_storage_unit(UnitId u, const StructuralHook& logged) {
   cluster_->set_node_alive(u, false);
   refresh_sync_groups();
   // Displaced files re-insert through the impl: the public insert_file
-  // takes the structure lock shared and would self-deadlock here. The
-  // redistribution is part of the logged structural record, so replay
-  // reproduces it without per-file WAL records. forced_seq keeps each
-  // record's visibility window unchanged across the move (seq 0 =
-  // pre-history records stay pre-history).
+  // takes the structure lock shared and would self-deadlock here. Like
+  // the removal itself, the moves write no WAL record: the next fold
+  // captures them. forced_seq keeps each record's visibility window
+  // unchanged across the move (seq 0 = pre-history records stay
+  // pre-history).
   for (std::size_t i = 0; i < displaced.size(); ++i)
     insert_file_impl(displaced[i], 0.0, {}, {}, displaced_seqs[i]);
 }
@@ -1349,10 +1347,9 @@ void SmartStore::remove_storage_unit(UnitId u, const StructuralHook& logged) {
 // ---- automatic configuration (Section 2.4) -------------------------------------
 
 std::size_t SmartStore::autoconfigure(
-    const std::vector<AttrSubset>& candidates, const StructuralHook& logged) {
+    const std::vector<AttrSubset>& candidates) {
   util::WriterLock ex(structure_mu_);
   epoch_.fetch_add(1, std::memory_order_relaxed);
-  if (logged) note_commit_seq(logged());
   variants_.clear();
   const double full_count = static_cast<double>(tree_.num_nodes());
   for (const auto& dims : candidates) {

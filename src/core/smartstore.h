@@ -151,12 +151,6 @@ class SmartStore {
   /// so a flush stalls only writers of the same shard, never a writer
   /// that merely routed to the same unit or collided on a stripe.
   using WalFlush = std::function<void(UnitId target)>;
-  /// Structural-op hook: invoked under the exclusive structure lock before
-  /// the reconfiguration applies (the sharded WAL barrier-commits every
-  /// shard and then logs the structural record, so no later per-unit
-  /// record can be durable while the structural one it followed is not).
-  /// Returns the stamped sequence number (0 = unsequenced, as above).
-  using StructuralHook = std::function<std::uint64_t()>;
 
   explicit SmartStore(Config cfg);
 
@@ -269,23 +263,27 @@ class SmartStore {
   std::size_t tombstone_count() const;
 
   // ---- reconfiguration (exclusive: blocks all serving threads) -----------
+  //
+  // These change the store in memory only and log nothing, like build():
+  // on a durable core the next fold's base image captures the new shape
+  // (persist/delta_checkpoint.h); a crash before that fold recovers the
+  // shape of the last base, with every logged mutation replayed into it.
 
   /// Full replica synchronization: applies and removes all versions
   /// (Section 4.4 "removing versions"), refreshing every group replica.
   void reconfigure();
 
   /// Admits a new (empty) storage unit into the system (Section 3.2.1).
-  UnitId add_storage_unit(const StructuralHook& logged = {});
+  UnitId add_storage_unit();
 
   /// Removes a storage unit, redistributing its files (Section 3.2.2).
-  void remove_storage_unit(UnitId u, const StructuralHook& logged = {});
+  void remove_storage_unit(UnitId u);
 
   /// Enumerates candidate attribute subsets and keeps tree variants whose
   /// index-unit count differs from the full tree's by more than the
   /// configured threshold (Section 2.4). Returns number of variants kept.
   std::size_t autoconfigure(
-      const std::vector<metadata::AttrSubset>& candidates,
-      const StructuralHook& logged = {});
+      const std::vector<metadata::AttrSubset>& candidates);
 
   // ---- accessors ---------------------------------------------------------
 

@@ -35,7 +35,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <exception>
 #include <filesystem>
 #include <mutex>
 #include <shared_mutex>
@@ -51,7 +50,6 @@
 #include "persist/snapshot.h"
 #include "persist/wal_shard.h"
 #include "util/annotated_mutex.h"
-#include "util/binary_io.h"
 #include "util/thread_annotations.h"
 #include "util/thread_pool.h"
 
@@ -149,14 +147,13 @@ struct Store::Impl {
       if (!compactor) return info;
       try {
         compactor->wait();  // drain: report the finished job's stats
-      } catch (const persist::FaultInjected&) {
-        fault = true;
-      } catch (const persist::PersistError& e) {
-        if (deferred_ckpt_error.ok())
-          deferred_ckpt_error = persist::to_status(e);
-      } catch (const std::exception& e) {
-        if (deferred_ckpt_error.ok())
-          deferred_ckpt_error = Status::Unknown(e.what());
+      } catch (...) {
+        Status s = persist::current_exception_status();
+        if (s.IsFaultInjected()) {
+          fault = true;
+        } else if (deferred_ckpt_error.ok()) {
+          deferred_ckpt_error = std::move(s);
+        }
       }
       const persist::DeltaCutStats st = delta->last_stats();
       info.completed = delta->completed();
@@ -202,16 +199,11 @@ struct Store::Impl {
     if (!gate.ok()) return gate;
     try {
       return fn();
-    } catch (const persist::FaultInjected& e) {
-      // FaultInjected IS-A PersistError (default code kCorruption): caught
-      // first, or a simulated power cut masquerades as corruption. crash()
-      // needs only ckpt_mu, which the unwind out of `fn` released.
-      crash();
-      return Status::FaultInjected(e.what());
-    } catch (const persist::PersistError& e) {
-      return persist::to_status(e);
-    } catch (const std::exception& e) {
-      return Status::Unknown(e.what());
+    } catch (...) {
+      Status s = persist::current_exception_status();
+      // crash() needs only ckpt_mu, which the unwind out of `fn` released.
+      if (s.IsFaultInjected()) crash();
+      return s;
     }
   }
 
@@ -302,13 +294,14 @@ struct Store::Impl {
   /// One Put through the core with the WAL shard hooks attached: the
   /// append fires under the routed unit's lock (shard log order == that
   /// unit's apply order), the group-commit fsync from the flush hook after
-  /// the lock is released.
-  void insert_one(const metadata::FileMetadata& f) {
+  /// the lock is released. `seq` 0 stamps a fresh seq; a replicated apply
+  /// passes the primary's.
+  void insert_one(const metadata::FileMetadata& f, std::uint64_t seq = 0) {
     if (wal) {
       core->insert_file(
           f, 0.0,
           [&](core::UnitId target) {
-            return wal->append(target, persist::WalRecord::insert(f));
+            return wal->append(target, persist::WalRecord::insert(f, seq));
           },
           [&](core::UnitId target) { wal->maybe_commit(target); });
     } else {
@@ -316,12 +309,12 @@ struct Store::Impl {
     }
   }
 
-  bool erase_one(const std::string& name) {
+  bool erase_one(const std::string& name, std::uint64_t seq = 0) {
     if (wal) {
       return core->erase_file(
           name,
           [&](core::UnitId located) {
-            return wal->append(located, persist::WalRecord::remove(name));
+            return wal->append(located, persist::WalRecord::remove(name, seq));
           },
           [&](core::UnitId located) { wal->maybe_commit(located); });
     }
@@ -449,122 +442,98 @@ StatusOr<std::unique_ptr<Store>> Store::Open(const Options& options,
   cfg.fanout = options.fanout;
   cfg.seed = options.seed;
 
-  if (options.in_memory) {
-    try {
+  try {
+    if (options.in_memory) {
       im.core = std::make_unique<core::SmartStore>(cfg);
       im.core->build({});
-    } catch (const std::exception& e) {
-      return Status::Unknown(e.what());
-    }
-    fault_guard.active = false;  // the live handle owns the countdown now
-    return store;
-  }
+    } else {
+      im.dir = path;
+      std::error_code ec;
+      std::filesystem::create_directories(path, ec);
+      if (ec)
+        return Status::IOError("cannot create " + path + ": " + ec.message());
 
-  im.dir = path;
-  std::error_code ec;
-  std::filesystem::create_directories(path, ec);
-  if (ec)
-    return Status::IOError("cannot create " + path + ": " + ec.message());
+      // The LOCK file: two handles on one data directory would interleave
+      // WAL shards and race checkpoints silently. flock is per open file
+      // description, so this also catches a double-open within one process.
+      Status ls = im.lock.Acquire(path);
+      if (!ls.ok()) return ls;
 
-  // The LOCK file: two handles on one data directory would interleave WAL
-  // shards and race checkpoints silently. flock is per open file
-  // description, so this also catches a double-open within one process.
-  Status ls = im.lock.Acquire(path);
-  if (!ls.ok()) return ls;
-
-  // The manifest is the one marker of an existing deployment. Files of
-  // the pre-manifest single-log layout are refused rather than silently
-  // buried under an empty store: this release has no importer for them.
-  // (A manifest that adopted such an image is refused by recovery, with
-  // the same FailedPrecondition.)
-  const bool have_checkpoint = persist::manifest_exists(path);
-  if (!have_checkpoint) {
-    for (const char* legacy : {"snapshot.bin", "wal.bin"}) {
-      if (std::filesystem::exists(std::filesystem::path(path) / legacy, ec)) {
-        return Status::FailedPrecondition(
-            path + " holds a " + legacy +
-            " from the pre-manifest single-log layout and no ckpt/MANIFEST; "
-            "this release reads only wal/<unit>.log + ckpt/ and has no "
-            "importer");
+      // The manifest is the one marker of an existing deployment. Files of
+      // the pre-manifest single-log layout are refused rather than silently
+      // buried under an empty store: this release has no importer for
+      // them. (A manifest that adopted such an image is refused by
+      // recovery, with the same FailedPrecondition.)
+      const bool have_checkpoint = persist::manifest_exists(path);
+      if (!have_checkpoint) {
+        for (const char* legacy : {"snapshot.bin", "wal.bin"}) {
+          if (std::filesystem::exists(std::filesystem::path(path) / legacy,
+                                      ec)) {
+            return Status::FailedPrecondition(
+                path + " holds a " + legacy +
+                " from the pre-manifest single-log layout and no "
+                "ckpt/MANIFEST; this release reads only wal/<unit>.log + "
+                "ckpt/ and has no importer");
+          }
+        }
       }
-    }
-  }
 
-  if (have_checkpoint && options.error_if_exists) {
-    return Status::InvalidArgument("deployment already exists: " + path);
-  }
-
-  if (have_checkpoint) {
-    persist::RecoveryResult rec;
-    Status rs = persist::recover(path, &rec);
-    if (!rs.ok()) return rs;
-    im.core = std::move(rec.store);
-    im.recovery.recovered = true;
-    im.recovery.wal_records = rec.wal_records;
-    im.recovery.wal_blocks = rec.wal_blocks;
-    im.recovery.wal_fenced = rec.wal_fenced;
-    im.recovery.wal_shards = rec.wal_shards;
-    im.recovery.wal_tail_torn = rec.wal_tail_torn;
-    im.recovery.used_manifest = rec.used_manifest;
-    im.recovery.delta_cuts = rec.delta_cuts;
-    im.recovery.delta_records = rec.delta_records;
-  } else {
-    if (!options.create_if_missing)
-      return Status::NotFound("no checkpoint in " + path);
-    try {
-      im.core = std::make_unique<core::SmartStore>(cfg);
-      im.core->build({});
-      // A deployment that crashed before its first checkpoint has WAL
-      // records but no manifest; their base image is exactly the empty
-      // build above (assuming the same Options), so the full log replays.
-      if (std::filesystem::is_directory(persist::ShardedWal::shard_dir(path),
-                                        ec)) {
+      if (have_checkpoint) {
         persist::RecoveryResult rec;
-        persist::replay_dir_logs(*im.core, path, persist::WalFence{}, rec);
-        im.recovery.recovered = rec.wal_records > 0;
+        Status rs = persist::recover(path, &rec);
+        if (!rs.ok()) return rs;
+        im.core = std::move(rec.store);
+        im.recovery.recovered = true;
         im.recovery.wal_records = rec.wal_records;
         im.recovery.wal_blocks = rec.wal_blocks;
+        im.recovery.wal_fenced = rec.wal_fenced;
         im.recovery.wal_shards = rec.wal_shards;
         im.recovery.wal_tail_torn = rec.wal_tail_torn;
+        im.recovery.used_manifest = rec.used_manifest;
+        im.recovery.delta_cuts = rec.delta_cuts;
+        im.recovery.delta_records = rec.delta_records;
+      } else {
+        if (!options.create_if_missing)
+          return Status::NotFound("no checkpoint in " + path);
+        im.core = std::make_unique<core::SmartStore>(cfg);
+        im.core->build({});
+        // A deployment that crashed before its first checkpoint has WAL
+        // records but no manifest; their base image is exactly the empty
+        // build above (assuming the same Options), so the full log replays.
+        if (std::filesystem::is_directory(
+                persist::ShardedWal::shard_dir(path), ec)) {
+          persist::RecoveryResult rec;
+          persist::replay_dir_logs(*im.core, path, persist::WalFence{}, rec);
+          im.recovery.recovered = rec.wal_records > 0;
+          im.recovery.wal_records = rec.wal_records;
+          im.recovery.wal_blocks = rec.wal_blocks;
+          im.recovery.wal_shards = rec.wal_shards;
+          im.recovery.wal_tail_torn = rec.wal_tail_torn;
+        }
       }
-    } catch (const persist::FaultInjected& e) {
-      // FaultInjected IS-A PersistError (default code kCorruption): catch
-      // it first or a simulated power cut masquerades as corruption.
-      return Status::FaultInjected(e.what());
-    } catch (const persist::PersistError& e) {
-      return persist::to_status(e);
-    } catch (const util::BinaryIoError& e) {
-      return Status::Corruption(e.what());
-    } catch (const std::exception& e) {
-      return Status::Unknown(e.what());
-    }
-  }
 
-  try {
-    // group_commit == 0 means adaptive sizing: each shard converges on its
-    // own batch from fsync-latency and arrival-rate EWMAs, seeded from the
-    // paper's aggregation factor until the estimates warm up.
-    im.wal = std::make_unique<persist::ShardedWal>(
-        path, im.core->units().size(),
-        options.group_commit > 0 ? options.group_commit
-                                 : im.core->config().version_ratio,
-        /*adaptive=*/options.group_commit == 0);
-    // A rebased shard dir restarts its on-disk seq counter; the checkpoint
-    // remembers the commit frontier, so fresh stamps must start strictly
-    // past everything already applied or time-travel reads would see two
-    // mutations share a timestamp.
-    im.wal->ensure_seq_at_least(im.core->last_commit_seq() + 1);
-    im.delta =
-        std::make_unique<persist::DeltaEngine>(*im.core, *im.wal, path);
-    // No thread until the first background trigger.
-    im.compactor = std::make_unique<persist::Compactor>(
-        *im.delta, options.compaction_trigger, options.compaction_byte_budget);
-  } catch (const persist::FaultInjected& e) {
-    return Status::FaultInjected(e.what());  // before the PersistError
-  } catch (const persist::PersistError& e) {  // catch: IS-A relationship
-    return persist::to_status(e);
-  } catch (const std::exception& e) {
-    return Status::IOError(e.what());
+      // group_commit == 0 means adaptive sizing: each shard converges on
+      // its own batch from fsync-latency and arrival-rate EWMAs, seeded
+      // from the paper's aggregation factor until the estimates warm up.
+      im.wal = std::make_unique<persist::ShardedWal>(
+          path, im.core->units().size(),
+          options.group_commit > 0 ? options.group_commit
+                                   : im.core->config().version_ratio,
+          /*adaptive=*/options.group_commit == 0);
+      // A rebased shard dir restarts its on-disk seq counter; the
+      // checkpoint remembers the commit frontier, so fresh stamps must
+      // start strictly past everything already applied or time-travel
+      // reads would see two mutations share a timestamp.
+      im.wal->ensure_seq_at_least(im.core->last_commit_seq() + 1);
+      im.delta =
+          std::make_unique<persist::DeltaEngine>(*im.core, *im.wal, path);
+      // No thread until the first background trigger.
+      im.compactor = std::make_unique<persist::Compactor>(
+          *im.delta, options.compaction_trigger,
+          options.compaction_byte_budget);
+    }
+  } catch (...) {
+    return persist::current_exception_status();
   }
   fault_guard.active = false;  // the live handle owns the countdown now
   return store;
@@ -624,9 +593,9 @@ Status Store::Delete(const std::string& name) {
 
 Status Store::Write(WriteBatch&& batch) {
   const std::vector<WriteBatch::Op> ops = std::move(batch).release();
-  if (ops.empty()) return Status::OK();
   Impl& im = *impl_;
   return im.serve<util::ReaderLock>([&] {
+    if (ops.empty()) return Status::OK();
     std::uint64_t applied_puts = 0;
     std::uint64_t applied_deletes = 0;
     std::size_t i = 0;
@@ -731,24 +700,13 @@ Status Store::SetCommitTap(CommitTap tap) {
     }
     im.wal->set_commit_tap([t = std::move(tap)](const persist::WalRecord& rec) {
       ReplicatedOp op;
-      switch (rec.type) {
-        case persist::WalRecordType::kInsert:
-          op.is_insert = true;
-          op.file = rec.file;
-          break;
-        case persist::WalRecordType::kRemove:
-          op.is_insert = false;
-          op.name = rec.name;
-          break;
-        default:
-          // Structural records (unit split/merge) are replica-private —
-          // each replica grows its own topology — but they consume a
-          // stamp, so the stream ships the seq as an explicit hole
-          // marker or a seq-ordered consumer would wait on it forever.
-          op.is_noop = true;
-          break;
-      }
+      op.is_insert = rec.type == persist::WalRecordType::kInsert;
       op.seq = rec.seq;
+      if (op.is_insert) {
+        op.file = rec.file;
+      } else {
+        op.name = rec.name;
+      }
       t(op);
     });
     return Status::OK();
@@ -771,43 +729,18 @@ Status Store::ApplyReplicated(const std::vector<ReplicatedOp>& ops,
       // batches from a retrying sender and bootstrap overlap re-sends are
       // no-ops, not double-applies.
       if (op.seq <= im.core->last_commit_seq()) continue;
-      if (op.is_noop) {
-        // A seq the primary consumed on a replica-private structural
-        // record. Log it as an empty-name remove (replay tolerates
-        // absence) so this seq survives a local restart too — otherwise a
-        // promoted follower could re-stamp it for a different mutation.
-        im.wal->append(0, persist::WalRecord::remove({}, op.seq));
-        im.core->note_commit_seq(op.seq);
-        ++applied;
-        continue;
-      }
       if (op.is_insert) {
-        im.core->insert_file(
-            op.file, 0.0,
-            [&](core::UnitId target) {
-              return im.wal->append(
-                  target, persist::WalRecord::insert(op.file, op.seq));
-            },
-            [&](core::UnitId target) { im.wal->maybe_commit(target); });
-      } else {
+        im.insert_one(op.file, op.seq);
+      } else if (!im.erase_one(op.name, op.seq)) {
         // Absent-name removes are fine: mirrors recovery replay's
         // idempotence (the delete was acked somewhere; re-applying onto a
         // state that never saw the insert must not fail the stream).
-        const bool existed = im.core->erase_file(
-            op.name,
-            [&](core::UnitId located) {
-              return im.wal->append(
-                  located, persist::WalRecord::remove(op.name, op.seq));
-            },
-            [&](core::UnitId located) { im.wal->maybe_commit(located); });
-        if (!existed) {
-          // Identical histories mean the name always exists here; still,
-          // the stream must neither stall the frontier nor let a restart
-          // reuse op.seq for a different mutation — log the no-op remove
-          // anyway (replay of a kRemove tolerates absence) and advance.
-          im.wal->append(0, persist::WalRecord::remove(op.name, op.seq));
-          im.core->note_commit_seq(op.seq);
-        }
+        // Identical histories mean the name always exists here; still,
+        // the stream must neither stall the frontier nor let a restart
+        // reuse op.seq for a different mutation — log the no-op remove
+        // anyway (replay of a kRemove tolerates absence) and advance.
+        im.wal->append(0, persist::WalRecord::remove(op.name, op.seq));
+        im.core->note_commit_seq(op.seq);
       }
       ++applied;
     }
@@ -1100,31 +1033,28 @@ Status Store::Close() {
       im.deferred_ckpt_error = Status::OK();
     }
   }
-  if (im.compactor) {
+  // An injected fault in either step below is the power cut: every WAL
+  // handle is abandoned and the fault is the result. Any other failure is
+  // kept unless an earlier one already is.
+  auto settle = [&](auto&& step) {
     try {
-      im.compactor->wait();  // drain the in-flight checkpoint before
-    } catch (const persist::FaultInjected& e) {  // anything it references
-      im.crashed.store(true, std::memory_order_release);  // goes away
-      im.wal->abandon();
-      result = Status::FaultInjected(e.what());
-    } catch (const persist::PersistError& e) {
-      if (result.ok()) result = persist::to_status(e);
-    } catch (const std::exception& e) {
-      if (result.ok()) result = Status::Unknown(e.what());
+      step();
+    } catch (...) {
+      Status s = persist::current_exception_status();
+      if (s.IsFaultInjected()) {
+        im.crashed.store(true, std::memory_order_release);
+        im.wal->abandon();
+        result = std::move(s);
+      } else if (result.ok()) {
+        result = std::move(s);
+      }
     }
-  }
+  };
+  // Drain the in-flight checkpoint before anything it references goes away.
+  if (im.compactor) settle([&] { im.compactor->wait(); });
   if (im.wal && !crashed && !im.crashed.load(std::memory_order_acquire)) {
-    try {
-      im.wal->commit_all();  // acknowledged-but-unflushed tail -> durable
-    } catch (const persist::FaultInjected& e) {
-      im.crashed.store(true, std::memory_order_release);
-      im.wal->abandon();
-      result = Status::FaultInjected(e.what());
-    } catch (const persist::PersistError& e) {
-      if (result.ok()) result = persist::to_status(e);
-    } catch (const std::exception& e) {
-      if (result.ok()) result = Status::Unknown(e.what());
-    }
+    // The acknowledged-but-unflushed tail becomes durable.
+    settle([&] { im.wal->commit_all(); });
   }
 
   // Teardown order: the compactor's (drained) job ran through the engine,

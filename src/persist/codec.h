@@ -1,8 +1,7 @@
 // Shared wire codecs for the persistence layer: the FileMetadata record
 // encoding is the unit both the snapshot UNITS section and every WAL insert
-// record speak, and the AttrSubset encoding is shared by the snapshot
-// VARIANTS section and WAL autoconfigure records — so both live here
-// rather than in either format.
+// record speak, so it lives here rather than in either format; the
+// AttrSubset encoding (the snapshot VARIANTS section's) sits beside it.
 #pragma once
 
 #include "metadata/file_metadata.h"

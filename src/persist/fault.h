@@ -48,18 +48,18 @@ std::string fault_last_fired();
 /// this is the armed occurrence.
 void fault_point(const char* where);
 
-/// util::write_file_atomic with crash boundaries at each durability stage
-/// — "<prefix>:torn-temp" after half the temp file (flushed, so a fresh
-/// scan sees the tear), "<prefix>:pre-rename" with the full temp
-/// unpublished, "<prefix>:pre-dirsync" after the rename but before the
-/// directory entry is durable. Every temp+rename publish in src/persist/
-/// (base images, manifests, WAL rebases) goes through this one
-/// implementation, so their crash behavior cannot drift. It deliberately
-/// mirrors util::write_file_atomic rather than wrapping it — util/ stays
-/// free of persist dependencies, and the fault hooks need to fire inside
-/// the write. When the OS refuses the open, a write, the flush, the fsync,
-/// the close or the rename, it throws PersistError kIo; a failure before
-/// the rename leaves `path` as it was. The one log write NOT routed here
+/// The one atomic file publish: writes a sibling temp file, flushes and
+/// fsyncs it, renames it over `path` and fsyncs the directory, with crash
+/// boundaries at each durability stage — "<prefix>:torn-temp" after half
+/// the temp file (flushed, so a fresh scan sees the tear),
+/// "<prefix>:pre-rename" with the full temp unpublished,
+/// "<prefix>:pre-dirsync" after the rename but before the directory entry
+/// is durable. Every temp+rename publish (base images, manifests, WAL
+/// rebases) goes through this one implementation, so their crash behavior
+/// cannot drift; tests write their on-disk fixtures through it too. When
+/// the OS refuses the open, a write, the flush, the fsync, the close or
+/// the rename, it throws PersistError kIo; a failure before the rename
+/// leaves `path` as it was. The one log write NOT routed here
 /// is a fresh shard log's header, which has no temp/rename stages; its
 /// sole crash window (a short header) is covered by scan_wal's
 /// torn-creation handling.

@@ -25,18 +25,6 @@ void apply_record(core::SmartStore& store, const WalRecord& rec) {
       // the file.
       store.erase_file(rec.name, replay_seq);
       break;
-    case WalRecordType::kAddUnit:
-      store.add_storage_unit([&rec] { return rec.seq; });
-      break;
-    case WalRecordType::kRemoveUnit: {
-      const auto u = static_cast<core::UnitId>(rec.unit);
-      if (u < store.units().size() && store.unit_active(u))
-        store.remove_storage_unit(u, [&rec] { return rec.seq; });
-      break;
-    }
-    case WalRecordType::kAutoconfigure:
-      store.autoconfigure(rec.subsets, [&rec] { return rec.seq; });
-      break;
   }
 }
 
@@ -133,31 +121,36 @@ db::Status to_status(const PersistError& e) {
   return db::Status::Corruption(e.what());
 }
 
-db::Status recover(const std::string& dir, RecoveryResult* out) noexcept {
-  *out = RecoveryResult{};
+db::Status current_exception_status() {
   try {
-    *out = recover(dir);
-    return db::Status::OK();
+    throw;
   } catch (const FaultInjected& e) {
     // IS-A PersistError (default code kCorruption); type it first so a
     // simulated power cut never reads as on-disk corruption.
-    *out = RecoveryResult{};
     return db::Status::FaultInjected(e.what());
   } catch (const PersistError& e) {
-    *out = RecoveryResult{};
     return to_status(e);
   } catch (const util::BinaryIoError& e) {
     // The codecs' bounds checks fire on truncated or malformed payloads
     // inside checksum-valid framing — still corruption, just detected a
     // layer lower.
-    *out = RecoveryResult{};
     return db::Status::Corruption(e.what());
   } catch (const std::filesystem::filesystem_error& e) {
-    *out = RecoveryResult{};
     return db::Status::IOError(e.what());
   } catch (const std::exception& e) {
-    *out = RecoveryResult{};
     return db::Status::Unknown(e.what());
+  } catch (...) {
+    return db::Status::Unknown("non-standard exception");
+  }
+}
+
+db::Status recover(const std::string& dir, RecoveryResult* out) noexcept {
+  *out = RecoveryResult{};
+  try {
+    *out = recover(dir);
+    return db::Status::OK();
+  } catch (...) {
+    return current_exception_status();  // *out is still the empty result
   }
 }
 

@@ -61,15 +61,21 @@ RecoveryResult recover(const std::string& dir);
 
 /// The one PersistError → Status mapping: kNotFound, kIOError,
 /// kFailedPrecondition (a layout this release cannot read) or kCorruption.
-/// recover(dir, out) and the db facade both type persistence failures
-/// through it.
 db::Status to_status(const PersistError& e);
 
-/// Exception-free flavour: the one error path out of recovery, typed.
-/// Every failure mode that used to be a mixed bag of bools and throws maps
-/// onto one Status code — kNotFound (no checkpoint in `dir`), kCorruption
-/// (bad magic / checksum / truncated section / malformed record),
-/// kIOError (the OS failed an open/stat/write), kUnknown (anything else).
+/// The one exception boundary of the persistence layer and the db facade:
+/// maps the exception in flight to a Status. FaultInjected →
+/// kFaultInjected, PersistError → to_status, util::BinaryIoError →
+/// kCorruption, std::filesystem::filesystem_error → kIOError, anything
+/// else → kUnknown. Call it only inside a catch block (with no exception
+/// in flight it calls std::terminate).
+db::Status current_exception_status();
+
+/// Exception-free flavour: the one error path out of recovery, typed by
+/// current_exception_status() — kNotFound (no checkpoint in `dir`),
+/// kCorruption (bad magic / checksum / truncated section / malformed
+/// record), kIOError (the OS failed an open/stat/write), kUnknown
+/// (anything else).
 /// A torn WAL tail is still NOT an error: recovery keeps the valid prefix
 /// and reports it via out->wal_tail_torn, exactly like the throwing
 /// flavour. On failure `*out` is left default-constructed (no store).

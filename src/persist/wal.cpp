@@ -57,15 +57,6 @@ void encode_wal_record(util::BinaryWriter& w, const WalRecord& rec) {
     case WalRecordType::kRemove:
       w.write_string(rec.name);
       break;
-    case WalRecordType::kAddUnit:
-      break;  // no payload
-    case WalRecordType::kRemoveUnit:
-      w.write_u64(rec.unit);
-      break;
-    case WalRecordType::kAutoconfigure:
-      w.write_u64(rec.subsets.size());
-      for (const auto& s : rec.subsets) write_attr_subset(w, s);
-      break;
   }
 }
 
@@ -81,22 +72,6 @@ bool decode_wal_record(util::BinaryReader& r, WalRecord* out) {
       out->type = WalRecordType::kRemove;
       out->name = r.read_string();
       return true;
-    case static_cast<std::uint8_t>(WalRecordType::kAddUnit):
-      out->type = WalRecordType::kAddUnit;
-      return true;
-    case static_cast<std::uint8_t>(WalRecordType::kRemoveUnit):
-      out->type = WalRecordType::kRemoveUnit;
-      out->unit = r.read_u64();
-      return true;
-    case static_cast<std::uint8_t>(WalRecordType::kAutoconfigure): {
-      out->type = WalRecordType::kAutoconfigure;
-      const std::size_t nsub = static_cast<std::size_t>(
-          r.read_u64_max(r.remaining(), "autoconfigure subset count"));
-      out->subsets.reserve(nsub);
-      for (std::size_t s = 0; s < nsub; ++s)
-        out->subsets.push_back(read_attr_subset(r));
-      return true;
-    }
     default:
       return false;
   }

@@ -2,11 +2,11 @@
 // format the sharded WAL (persist/wal_shard.h) keeps one of per storage
 // unit.
 //
-// Records mirror the store's mutation API — one kInsert per insert_file,
-// one kRemove per erase_file, plus the reconfiguration operations
-// (add_storage_unit / remove_storage_unit / autoconfigure), so a crash
-// between a topology change and the next checkpoint replays into the new
-// topology, not the old one. Records are batched into group-commit blocks
+// Records mirror the store's data mutations — one kInsert per
+// insert_file, one kRemove per erase_file — and nothing else: a
+// whole-store change (a bulk build, a topology change, new tree variants)
+// is made durable by the next fold's base image, never by a log record
+// (persist/delta_checkpoint.h). Records are batched into group-commit blocks
 // the same way Section 4.4 aggregates changes into sealed VersionDeltas:
 // one atomic, CRC-checksummed block per commit, flushed and fsynced
 // together. Recovery is load-latest-checkpoint + replay; a torn or
@@ -24,10 +24,10 @@
 // Payload: `record count` records, each [u64 seq] [u8 type] then
 //              type 1 (insert): FileMetadata record (persist/codec.h)
 //              type 2 (remove): u64-length-prefixed filename
-//              type 3 (add unit): no payload
-//              type 4 (remove unit): u64 unit id
-//              type 5 (autoconfigure): u64 count + attribute subsets
-//                                      (persist/codec.h)
+//          Types 3, 4 and 5 are retired: they logged add unit, remove
+//          unit and autoconfigure, which no db::Store ever wrote. They
+//          decode like any unknown type, so a scan ends the valid log at
+//          the block holding one and keeps the prefix.
 //
 // The seq is the store-wide monotonic sequence number, so recovery can
 // merge the shards back into one mutation order. Logs from before
@@ -48,7 +48,6 @@
 #include <vector>
 
 #include "metadata/file_metadata.h"
-#include "metadata/schema.h"
 #include "persist/snapshot.h"
 #include "util/binary_io.h"
 
@@ -60,20 +59,15 @@ inline constexpr std::uint32_t kWalBlockMagic = 0x4B4C4257;  // "WBLK"
 enum class WalRecordType : std::uint8_t {
   kInsert = 1,
   kRemove = 2,
-  kAddUnit = 3,        ///< add_storage_unit()
-  kRemoveUnit = 4,     ///< remove_storage_unit(unit)
-  kAutoconfigure = 5,  ///< autoconfigure(subsets)
 };
 
 struct WalRecord {
   WalRecordType type = WalRecordType::kInsert;
   std::uint64_t seq = 0;  ///< store-wide monotonic sequence number
-  metadata::FileMetadata file;                  ///< kInsert payload
-  std::string name;                             ///< kRemove payload
-  std::uint64_t unit = 0;                       ///< kRemoveUnit payload
-  std::vector<metadata::AttrSubset> subsets;    ///< kAutoconfigure payload
+  metadata::FileMetadata file;  ///< kInsert payload
+  std::string name;             ///< kRemove payload
 
-  /// Data records. seq 0 asks ShardedWal::append to stamp a fresh one.
+  /// seq 0 asks ShardedWal::append to stamp a fresh one.
   static WalRecord insert(const metadata::FileMetadata& f,
                           std::uint64_t seq = 0) {
     WalRecord rec;

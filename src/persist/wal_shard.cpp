@@ -214,46 +214,6 @@ std::size_t ShardedWal::effective_group_commit() const {
   return n == 0 ? group_commit_ : sum / n;
 }
 
-std::uint64_t ShardedWal::log_structural(const WalRecord& rec_in) {
-  // Barrier: everything logged so far becomes durable before the
-  // structural record does, so the merged replay can never see a durable
-  // structural record ahead of a lost earlier per-unit record.
-  commit_all();
-  Shard& s = shard(0);
-  const util::MutexLock lock(s.mu);
-  WalRecord rec = rec_in;
-  rec.seq = stamp();
-  // Structural records ARE tapped (the consumer maps them to seq-hole
-  // markers): they consume a stamp, and a seq-ordered replication stream
-  // would otherwise wait forever on the hole.
-  tap_append(s, rec);
-  s.writer->append(rec);
-  s.writer->commit();
-  drain_tap(s);
-  return rec.seq;
-}
-
-std::uint64_t ShardedWal::log_add_unit() {
-  WalRecord rec;
-  rec.type = WalRecordType::kAddUnit;
-  return log_structural(rec);
-}
-
-std::uint64_t ShardedWal::log_remove_unit(std::uint64_t unit) {
-  WalRecord rec;
-  rec.type = WalRecordType::kRemoveUnit;
-  rec.unit = unit;
-  return log_structural(rec);
-}
-
-std::uint64_t ShardedWal::log_autoconfigure(
-    const std::vector<metadata::AttrSubset>& subsets) {
-  WalRecord rec;
-  rec.type = WalRecordType::kAutoconfigure;
-  rec.subsets = subsets;
-  return log_structural(rec);
-}
-
 void ShardedWal::commit_all() {
   const std::size_t n = num_shards();
   for (std::size_t i = 0; i < n; ++i) {

@@ -3,7 +3,7 @@
 //
 // Layout on disk: <deploy dir>/wal/<unit id>.log, each a WalWriter log
 // (persist/wal.h) whose records carry a store-wide monotonic sequence
-// number. Every data record goes through one call, append(), run from the
+// number. Every record goes through one call, append(), run from the
 // store's WalHook under the routed unit's lock, which makes each shard's
 // record order equal that unit's in-memory apply order. The group commit
 // has one trigger too: maybe_commit(), run from the store's flush hook
@@ -15,12 +15,9 @@
 // independent (they touch different units), so losing an *unacknowledged*
 // suffix of one shard never invalidates an acknowledged record in another.
 //
-// Structural operations (add/remove unit, autoconfigure) are logged under
-// the store's exclusive structure lock through a barrier: every shard is
-// committed first, then the structural record lands in shard 0 and is
-// committed immediately. No per-unit record logged before the structural
-// op can therefore be less durable than the structural record itself, so
-// the merged replay order around topology changes is exact.
+// Only data records are logged. A topology change (add/remove unit,
+// autoconfigure) writes nothing here; the next fold's base image captures
+// it (persist/delta_checkpoint.h).
 //
 // Checkpoint fencing is per shard: frontier() commits all shards at the
 // frozen mutation boundary and returns a WalFence carrying one
@@ -54,10 +51,8 @@ class ShardedWal {
   /// log. Invoked under the owning shard's mutex (rank kWalShard), one
   /// record at a time in that shard's commit order; the callee may take
   /// locks ranked above kWalShard only (the replication buffer uses
-  /// kReplBuffer). Every record that consumes a stamp is delivered — data
-  /// records (kInsert/kRemove) AND structural records; the consumer maps
-  /// structural records (replica-private unit topology) to seq-hole
-  /// markers so a seq-ordered stream never waits on a consumed seq.
+  /// kReplBuffer). Every record that consumes a stamp is delivered, so a
+  /// seq-ordered stream never waits on a consumed seq.
   using CommitTap = std::function<void(const WalRecord&)>;
 
   /// Opens (creating if needed) the shard directory under `deploy_dir` and
@@ -89,9 +84,7 @@ class ShardedWal {
   static bool parse_shard_id(const std::filesystem::path& p,
                              std::uint64_t* id_out);
 
-  // ---- per-unit records ---------------------------------------------------
-
-  /// Buffers a data record (kInsert/kRemove) into shard `shard`'s pending
+  /// Buffers a record (kInsert/kRemove) into shard `shard`'s pending
   /// batch and returns its seq. Called from the store's WalHook, under the
   /// routed unit's lock: encode and buffer only, never an fsync. A record
   /// with seq 0 is stamped with the next store-wide seq — the store adopts
@@ -111,14 +104,6 @@ class ShardedWal {
   /// appends: the pointer swap is atomic under a leaf lock and each
   /// shard's pending tap queue is guarded by that shard's mutex.
   void set_commit_tap(CommitTap tap);
-
-  // ---- structural records (caller holds the store's exclusive structure
-  // ---- lock; all shards are barrier-committed first) ---------------------
-
-  std::uint64_t log_add_unit();
-  std::uint64_t log_remove_unit(std::uint64_t unit);
-  std::uint64_t log_autoconfigure(
-      const std::vector<metadata::AttrSubset>& subsets);
 
   /// Commits every shard's pending batch (fsync per dirty shard).
   void commit_all();
@@ -188,11 +173,11 @@ class ShardedWal {
     double ewma_gap_s SS_GUARDED_BY(mu) = 0;
     double last_append_s SS_GUARDED_BY(mu) = -1;  ///< steady-clock seconds
     std::size_t target SS_GUARDED_BY(mu) = 0;     ///< 0 = not yet converged
-    /// Data records appended while the tap was armed but not yet known
+    /// Records appended while the tap was armed but not yet known
     /// committed. The drain invariant: the first
     /// `tap_pending.size() - writer->pending_records()` entries are
     /// durable and get delivered (works no matter where the commit
-    /// happened — maybe_commit(), a frontier or a barrier), because
+    /// happened — maybe_commit(), commit_all() or a frontier), because
     /// tapped records commit strictly in append order.
     std::vector<WalRecord> tap_pending SS_GUARDED_BY(mu);
   };
@@ -204,7 +189,6 @@ class ShardedWal {
   std::uint64_t stamp() {
     return next_seq_.fetch_add(1, std::memory_order_relaxed);
   }
-  std::uint64_t log_structural(const WalRecord& rec);
   /// Copies `rec` into the shard's tap queue iff the tap is armed.
   void tap_append(Shard& s, const WalRecord& rec) SS_REQUIRES(s.mu);
   /// Delivers the committed prefix of the shard's tap queue (see the

@@ -464,10 +464,9 @@ void encode_repl_batch(const ReplBatch& b, std::vector<std::uint8_t>* out) {
   w.write_bool(b.sync_engaged);
   w.write_u64(b.ops.size());
   for (const ReplOp& op : b.ops) {
-    // Tag: 0 = remove, 1 = insert, 2 = noop (seq-hole marker, seq only).
-    w.write_u8(op.is_noop ? 2 : (op.is_insert ? 1 : 0));
+    // Tag: 0 = remove, 1 = insert; the decoder refuses any other.
+    w.write_u8(op.is_insert ? 1 : 0);
     w.write_u64(op.seq);
-    if (op.is_noop) continue;
     if (op.is_insert) {
       write_file_fields(w, op.file);
     } else {
@@ -490,16 +489,13 @@ db::Status decode_repl_batch(const std::vector<std::uint8_t>& in,
     for (std::uint64_t i = 0; i < n; ++i) {
       ReplOp op;
       const std::uint8_t tag = r.read_u8();
-      if (tag > 2) throw util::BinaryIoError("bad repl op tag");
-      op.is_noop = tag == 2;
+      if (tag > 1) throw util::BinaryIoError("bad repl op tag");
       op.is_insert = tag == 1;
       op.seq = r.read_u64();
-      if (!op.is_noop) {
-        if (op.is_insert) {
-          read_file_fields(r, &op.file);
-        } else {
-          op.name = r.read_string();
-        }
+      if (op.is_insert) {
+        read_file_fields(r, &op.file);
+      } else {
+        op.name = r.read_string();
       }
       out->ops.push_back(std::move(op));
     }

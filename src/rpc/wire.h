@@ -222,10 +222,9 @@ db::Status decode_shard_stats(const std::vector<std::uint8_t>& in,
 /// One committed WAL record on the wire — the store's own replication
 /// record: the primary's seq travels with the op so the follower's log
 /// (and MVCC visibility) stays seq-identical to what clients were acked.
-/// A NOOP op carries only the seq — it marks a sequence number the primary
-/// consumed on a replica-private structural record (unit split/merge); the
-/// follower must still account the seq or the contiguous stream (and a
-/// promoted follower's stamp counter) would hold a permanent hole.
+/// Encoded as [u8 tag: 0 remove, 1 insert] [u64 seq] then the filename
+/// (remove) or the file fields (insert). Tag 2, a retired seq-hole marker
+/// for structural records, decodes as kCorruption like any other tag.
 using ReplOp = db::ReplicatedOp;
 
 /// kReplAppend request: a seq-contiguous run of committed records.

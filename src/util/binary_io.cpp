@@ -157,26 +157,6 @@ std::vector<std::uint8_t> read_file_bytes(const std::string& path) {
   return bytes;
 }
 
-void write_file_atomic(const std::string& path,
-                       const std::vector<std::uint8_t>& bytes) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (!f) throw BinaryIoError("cannot open for writing: " + tmp);
-  if (!bytes.empty() &&
-      std::fwrite(bytes.data(), 1, bytes.size(), f) != bytes.size()) {
-    std::fclose(f);
-    throw BinaryIoError("short write: " + tmp);
-  }
-  const bool synced = flush_and_sync(f);
-  if (std::fclose(f) != 0 || !synced)
-    throw BinaryIoError("cannot flush, fsync or close: " + tmp);
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) throw BinaryIoError("rename " + tmp + " -> " + path + ": " +
-                              ec.message());
-  fsync_parent_dir(path);
-}
-
 bool flush_and_sync(std::FILE* f) {
   if (std::fflush(f) != 0) return false;
 #if defined(__unix__) || defined(__APPLE__)

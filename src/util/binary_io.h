@@ -134,14 +134,6 @@ class BinaryReader {
 /// Reads an entire file; throws BinaryIoError when absent or unreadable.
 std::vector<std::uint8_t> read_file_bytes(const std::string& path);
 
-/// Writes atomically: a sibling temp file is written, flushed and renamed
-/// over `path`, so a crash mid-write never leaves a half snapshot behind.
-/// The containing directory is fsynced after the rename so the swap itself
-/// is durable, not just the bytes. Throws BinaryIoError, renaming nothing,
-/// when a write, the flush, the fsync or the close fails.
-void write_file_atomic(const std::string& path,
-                       const std::vector<std::uint8_t>& bytes);
-
 /// Pushes `f`'s stdio buffer to the OS and fsyncs the descriptor (the
 /// fsync on POSIX only); false when either fails, i.e. when the bytes
 /// written so far are not known to be durable.

@@ -217,24 +217,22 @@ TEST(BgCheckpoint, ServesQueriesOnTheWritingThreadDuringCheckpoints) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(BgCheckpoint, LoggedReconfigurationReplaysIntoNewTopology) {
+TEST(BgCheckpoint, FoldCapturesReconfiguredTopology) {
   const auto dir = temp_dir("bg_reconf");
   BgRig rig(dir, 6, /*downscale=*/40);
   rig.engine.fold();
   core::SmartStore& store = rig.store;
   const std::size_t base_units = store.units().size();
 
-  // Reconfigure and mutate, never checkpointing afterwards: recovery must
-  // replay the topology changes from the log alone.
-  const core::UnitId added =
-      store.add_storage_unit([&] { return rig.wal.log_add_unit(); });
+  // Reconfigure and mutate. A topology change writes no log record, so
+  // the fold that follows is what makes the new shape durable: recovery
+  // must come back in it.
+  const core::UnitId added = store.add_storage_unit();
   EXPECT_EQ(added, base_units);
   for (const auto& f : rig.trace.make_insert_stream(12, 9)) rig.insert(f);
-  store.remove_storage_unit(1, [&] { return rig.wal.log_remove_unit(1); });
-  const std::vector<metadata::AttrSubset> cands = {
-      metadata::AttrSubset::from_mask(0x7u)};
-  store.autoconfigure(cands, [&] { return rig.wal.log_autoconfigure(cands); });
-  rig.wal.commit_all();
+  store.remove_storage_unit(1);
+  store.autoconfigure({metadata::AttrSubset::from_mask(0x7u)});
+  rig.engine.fold();
 
   // No index unit may stay hosted on the removed server: routing would
   // send every query crossing it to a dead node forever.

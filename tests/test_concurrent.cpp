@@ -352,7 +352,7 @@ TEST(MultiWriter, FiltersGrowFromEmptyUnderWritersReadersAndCheckpoints) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(MultiWriter, StructuralOpsBarrierAgainstConcurrentWriters) {
+TEST(MultiWriter, ReconfigurationRacesWritersThenFoldCapturesIt) {
   const std::string dir = temp_dir("structural");
   Deployment d(6, /*downscale=*/30);
   SmartStore& store = d.store;
@@ -369,18 +369,15 @@ TEST(MultiWriter, StructuralOpsBarrierAgainstConcurrentWriters) {
       for (std::size_t i = b; i < e; ++i) logged_insert(store, wal, stream[i]);
     });
   }
-  // Topology changes race the writers: the structural barrier (commit all
-  // shards, then log + commit the structural record) keeps the merged
-  // replay order exact.
-  const core::UnitId added =
-      store.add_storage_unit([&] { return wal.log_add_unit(); });
-  const std::vector<metadata::AttrSubset> cands = {
-      metadata::AttrSubset::from_mask(0x7u)};
-  store.autoconfigure(cands, [&] { return wal.log_autoconfigure(cands); });
+  // Topology changes race the writers under the exclusive structure lock.
+  // They log nothing; the fold after the join captures them, and every
+  // insert the writers logged meanwhile.
+  const core::UnitId added = store.add_storage_unit();
+  store.autoconfigure({metadata::AttrSubset::from_mask(0x7u)});
   for (auto& t : writers) t.join();
   EXPECT_GE(added, 6u);
 
-  wal.commit_all();
+  engine.fold();
   const RecoveryResult rec = recover(dir);
   ASSERT_TRUE(rec.store);
   EXPECT_TRUE(rec.store->check_invariants());

@@ -427,9 +427,10 @@ TEST(CrashOracle, RandomizedMutationsCrashesAndRecoveriesMatchOracle) {
         oracle.erase(name);
       }
     } else if (r < 0.77) {
-      // Structural records ride the barrier: every shard commits before
-      // the record lands in shard 0.
-      store->add_storage_unit([&] { return wal->log_add_unit(); });
+      // Topology changes log nothing: a crash before the next fold
+      // recovers the last base's shape with every logged mutation
+      // replayed into it, which leaves names and file count unchanged.
+      store->add_storage_unit();
     } else if (r < 0.80) {
       // Remove a random active unit, keeping a quorum alive.
       std::vector<core::UnitId> active;
@@ -438,14 +439,11 @@ TEST(CrashOracle, RandomizedMutationsCrashesAndRecoveriesMatchOracle) {
       if (active.size() > 5) {
         const core::UnitId u = active[static_cast<std::size_t>(
             rng.uniform_u64(active.size()))];
-        store->remove_storage_unit(u,
-                                   [&] { return wal->log_remove_unit(u); });
+        store->remove_storage_unit(u);
       }
     } else if (r < 0.84) {
-      const std::vector<AttrSubset> cands = {
-          AttrSubset::from_mask(0x7u), AttrSubset::from_mask(0x1Fu)};
-      store->autoconfigure(cands,
-                           [&] { return wal->log_autoconfigure(cands); });
+      store->autoconfigure(
+          {AttrSubset::from_mask(0x7u), AttrSubset::from_mask(0x1Fu)});
     } else if (r < 0.92) {
       // Checkpoint: mostly cuts growing the chain, sometimes a fold —
       // the engine's, or one stepped by hand with a mutation landing
@@ -566,7 +564,7 @@ TEST(SnapshotCorruption, OneFlippedBitInAnySectionFailsLoadCleanly) {
   // An image from an earlier build still carries the retired WALFENCE
   // section: it must load, and that section must stay checksummed.
   const auto pristine = with_legacy_walfence(image);
-  util::write_file_atomic(path, pristine);
+  write_file_atomic_faulted(path, pristine, "fixture");
   ASSERT_NO_THROW(load_snapshot(path));
   const auto sections = parse_sections(pristine);
   ASSERT_EQ(sections.size(), 7u);  // 6 mandatory + the retired WALFENCE
@@ -576,21 +574,21 @@ TEST(SnapshotCorruption, OneFlippedBitInAnySectionFailsLoadCleanly) {
     if (s.payload_len > 0) {
       auto bytes = pristine;
       bytes[s.payload_off + s.payload_len / 2] ^= 0x10;
-      util::write_file_atomic(path, bytes);
+      write_file_atomic_faulted(path, bytes, "fixture");
       EXPECT_THROW(load_snapshot(path), PersistError)
           << "payload flip in section " << s.id;
     }
     // A flipped bit in the stored CRC itself must fail identically.
     auto bytes = pristine;
     bytes[s.crc_off] ^= 0x01;
-    util::write_file_atomic(path, bytes);
+    write_file_atomic_faulted(path, bytes, "fixture");
     EXPECT_THROW(load_snapshot(path), PersistError)
         << "crc flip in section " << s.id;
   }
 
   // The pristine bytes still load: corruption detection has no side
   // effects on the on-disk image.
-  util::write_file_atomic(path, pristine);
+  write_file_atomic_faulted(path, pristine, "fixture");
   EXPECT_NO_THROW(load_snapshot(path));
   std::filesystem::remove_all(dir);
 }

@@ -252,7 +252,7 @@ TEST(DbApi, OpenRefusesManifestWithAdoptedBase) {
   const std::uint32_t crc = util::crc32(bytes.data() + 8, bytes.size() - 12);
   for (std::size_t i = 0; i < 4; ++i)
     bytes[bytes.size() - 4 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
-  util::write_file_atomic(manifest, bytes);
+  persist::write_file_atomic_faulted(manifest, bytes, "fixture");
 
   auto opened = db::Store::Open(small_options(), dir.string());
   ASSERT_FALSE(opened.ok());
@@ -312,6 +312,9 @@ TEST(DbApi, OperationsAfterCloseFailTyped) {
   db::WriteBatch batch;
   batch.Put(make_file(3));
   EXPECT_TRUE(store->Write(std::move(batch)).IsFailedPrecondition());
+  // An empty batch passes the same gate: a closed store acknowledges
+  // nothing.
+  EXPECT_TRUE(store->Write(db::WriteBatch{}).IsFailedPrecondition());
   EXPECT_TRUE(
       store->Query(db::QueryRequest::Point("x")).status()
           .IsFailedPrecondition());

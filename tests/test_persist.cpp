@@ -21,7 +21,9 @@
 #include <limits>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <system_error>
 
 #include "bloom/md5.h"
 #include "core/ground_truth.h"
@@ -633,11 +635,12 @@ TEST_F(SnapshotReplicas, ShortSealedVersionFailsLoadCleanly) {
   const auto image = util::read_file_bytes(path);
   constexpr std::uint32_t kSync = 6;
 
-  util::write_file_atomic(path, edit_section(image, kSync, [](auto&) {}));
+  write_file_atomic_faulted(path, edit_section(image, kSync, [](auto&) {}),
+                            "fixture");
   ASSERT_NO_THROW(load_snapshot(path));  // the resealing alone is harmless
 
   for (const bool short_box : {false, true}) {
-    util::write_file_atomic(
+    write_file_atomic_faulted(
         path, edit_section(image, kSync, [&](std::vector<std::uint8_t>& sync) {
           const auto at = first_inserting_version(sync);
           ASSERT_TRUE(at.has_value());
@@ -647,7 +650,8 @@ TEST_F(SnapshotReplicas, ShortSealedVersionFailsLoadCleanly) {
           } else {
             drop_last_f64(sync, at->sum);
           }
-        }));
+        }),
+        "fixture");
     EXPECT_THROW(load_snapshot(path), PersistError) << "short_box=" << short_box;
   }
   std::filesystem::remove_all(dir);
@@ -662,7 +666,7 @@ TEST_F(SnapshotReplicas, OversizedDigestCountFailsWithoutAllocating) {
   const auto image = util::read_file_bytes(path);
   constexpr std::uint32_t kSync = 6;
   for (const bool just_past : {true, false}) {
-    util::write_file_atomic(
+    write_file_atomic_faulted(
         path, edit_section(image, kSync, [&](std::vector<std::uint8_t>& sync) {
           const auto at = first_inserting_version(sync);
           ASSERT_TRUE(at.has_value());
@@ -671,7 +675,8 @@ TEST_F(SnapshotReplicas, OversizedDigestCountFailsWithoutAllocating) {
           count.write_u64(just_past ? left / 16 + 1 : std::uint64_t{1} << 60);
           std::copy(count.buffer().begin(), count.buffer().end(),
                     sync.begin() + static_cast<std::ptrdiff_t>(at->names));
-        }));
+        }),
+        "fixture");
     EXPECT_THROW(load_snapshot(path), PersistError) << "just_past=" << just_past;
   }
   std::filesystem::remove_all(dir);
@@ -744,7 +749,7 @@ TEST_F(SnapshotReplicas, Version2SyncLoadsWithGroupsFullSynced) {
                               sync = sync_as_v2(sync);
                             });
   image[sizeof(kSnapshotMagic)] = 2;  // little-endian u32 format version
-  util::write_file_atomic(path, image);
+  write_file_atomic_faulted(path, image, "fixture");
 
   std::unique_ptr<SmartStore> loaded;
   ASSERT_NO_THROW(loaded = load_snapshot(path));
@@ -826,7 +831,7 @@ TEST_F(SnapshotTest, CorruptedSectionFailsLoad) {
 
   auto bytes = util::read_file_bytes(path);
   bytes[bytes.size() / 2] ^= 0x40;  // flip one bit mid-file
-  util::write_file_atomic(path, bytes);
+  write_file_atomic_faulted(path, bytes, "fixture");
   EXPECT_THROW(load_snapshot(path), PersistError);
 }
 
@@ -837,16 +842,63 @@ TEST_F(SnapshotTest, TruncatedFileFailsLoad) {
 
   auto bytes = util::read_file_bytes(path);
   bytes.resize(bytes.size() * 3 / 4);
-  util::write_file_atomic(path, bytes);
+  write_file_atomic_faulted(path, bytes, "fixture");
   EXPECT_THROW(load_snapshot(path), PersistError);
 }
 
 TEST_F(SnapshotTest, BadMagicFailsLoad) {
   const std::string dir = temp_dir("magic");
   const std::string path = image_path(dir);
-  util::write_file_atomic(path, {'n', 'o', 't', 'a', 's', 'n', 'a', 'p',
-                                 0, 0, 0, 0});
+  write_file_atomic_faulted(
+      path, {'n', 'o', 't', 'a', 's', 'n', 'a', 'p', 0, 0, 0, 0}, "fixture");
   EXPECT_THROW(load_snapshot(path), PersistError);
+}
+
+// ---- the exception boundary -------------------------------------------------
+
+db::StatusCode code_of_thrown(const std::function<void()>& thrower) {
+  try {
+    thrower();
+  } catch (...) {
+    return current_exception_status().code();
+  }
+  return db::StatusCode::kOk;
+}
+
+TEST(Persist, CurrentExceptionStatusTypesEachException) {
+  using db::StatusCode;
+  using Code = PersistError::Code;
+  // FaultInjected IS-A PersistError with code kCorruption: a power cut
+  // must not read as corruption.
+  EXPECT_EQ(code_of_thrown([] { throw FaultInjected("wal:commit"); }),
+            StatusCode::kFaultInjected);
+  // A PersistError keeps its own code.
+  EXPECT_EQ(code_of_thrown([] { throw PersistError("crc"); }),
+            StatusCode::kCorruption);
+  EXPECT_EQ(code_of_thrown([] { throw PersistError("x", Code::kNotFound); }),
+            StatusCode::kNotFound);
+  EXPECT_EQ(code_of_thrown([] { throw PersistError("x", Code::kIo); }),
+            StatusCode::kIOError);
+  EXPECT_EQ(
+      code_of_thrown([] { throw PersistError("x", Code::kUnsupported); }),
+      StatusCode::kFailedPrecondition);
+  EXPECT_EQ(code_of_thrown([] { throw util::BinaryIoError("short read"); }),
+            StatusCode::kCorruption);
+  EXPECT_EQ(code_of_thrown([] {
+              throw std::filesystem::filesystem_error(
+                  "rename", std::make_error_code(std::errc::io_error));
+            }),
+            StatusCode::kIOError);
+  EXPECT_EQ(code_of_thrown([] { throw std::runtime_error("other"); }),
+            StatusCode::kUnknown);
+  EXPECT_EQ(code_of_thrown([] { throw 7; }), StatusCode::kUnknown);
+
+  try {
+    throw FaultInjected("wal:commit");
+  } catch (...) {
+    EXPECT_NE(current_exception_status().message().find("wal:commit"),
+              std::string::npos);
+  }
 }
 
 // ---- durable writes on a full device ----------------------------------------
@@ -856,7 +908,7 @@ TEST(Persist, AtomicWriteToAFullDeviceThrowsAndPublishesNothing) {
   const std::string dir = temp_dir("full_device");
   const std::string path = dir + "/MANIFEST";
   const std::vector<std::uint8_t> published = {'o', 'l', 'd'};
-  util::write_file_atomic(path, published);
+  write_file_atomic_faulted(path, published, "fixture");
   // The temp file lands on a device with no space left. stdio buffers a
   // write this small, so the failure shows only when the buffer is
   // flushed.
@@ -868,7 +920,6 @@ TEST(Persist, AtomicWriteToAFullDeviceThrowsAndPublishesNothing) {
   } catch (const PersistError& e) {
     EXPECT_EQ(e.code(), PersistError::Code::kIo) << e.what();
   }
-  EXPECT_THROW(util::write_file_atomic(path, bytes), util::BinaryIoError);
   EXPECT_FALSE(std::filesystem::is_symlink(path));
   EXPECT_EQ(util::read_file_bytes(path), published);
   std::filesystem::remove_all(dir);
@@ -975,7 +1026,7 @@ TEST(Wal, CorruptedBlockChecksumStopsScan) {
   }
   auto bytes = util::read_file_bytes(path);
   bytes[bytes.size() - 10] ^= 0x01;  // corrupt the second block's payload
-  util::write_file_atomic(path, bytes);
+  write_file_atomic_faulted(path, bytes, "fixture");
 
   const WalScan scan = scan_wal(path);
   EXPECT_TRUE(scan.torn_tail);
@@ -1006,12 +1057,66 @@ TEST(Wal, CraftedHugeRecordCountIsCorruptionNotAllocation) {
   const std::uint8_t payload = 0x01;
   w.write_u8(payload);
   w.write_u32(util::crc32(&payload, 1));
-  util::write_file_atomic(path, w.buffer());
+  write_file_atomic_faulted(path, w.buffer(), "fixture");
 
   const WalScan scan = scan_wal(path);
   EXPECT_TRUE(scan.torn_tail);
   EXPECT_EQ(scan.blocks, 0u);
   EXPECT_EQ(scan.records.size(), 0u);
+}
+
+TEST(Wal, RetiredStructuralRecordEndsTheValidLog) {
+  // Types 3-5 once logged add unit, remove unit and autoconfigure. A
+  // checksum-valid block holding one is no log this build writes: the scan
+  // keeps the prefix before it and stops there, however valid what
+  // follows, and a writer reopening the log cuts it back to that prefix.
+  const std::string dir = temp_dir("wal_retired");
+  const std::string path = ShardedWal::shard_path(dir, 0);
+  trace::SyntheticTrace tr = trace::SyntheticTrace::generate(
+      trace::msn_profile(), 1, 42, /*downscale=*/50);
+  const auto stream = tr.make_insert_stream(6, 5);
+  {
+    ShardedWal wal(dir, 1, /*group_commit=*/3);
+    for (std::size_t i = 0; i < 3; ++i)
+      log_record(wal, 0, WalRecord::insert(stream[i]));
+  }
+  auto bytes = util::read_file_bytes(path);
+  const std::size_t prefix = bytes.size();
+
+  util::BinaryWriter payload;
+  payload.write_u64(4);  // seq
+  payload.write_u8(3);   // the retired add-unit type, which had no payload
+  util::BinaryWriter block;
+  block.write_u32(kWalBlockMagic);
+  block.write_u32(1);
+  block.write_u64(payload.size());
+  block.write_bytes(payload.buffer().data(), payload.size());
+  block.write_u32(util::crc32(payload.buffer().data(), payload.size()));
+  bytes.insert(bytes.end(), block.buffer().begin(), block.buffer().end());
+  // Then a valid block of three more inserts, taken from a second log
+  // without its 16-byte header.
+  const std::string other = temp_dir("wal_retired_tail");
+  {
+    ShardedWal wal(other, 1, /*group_commit=*/3);
+    for (std::size_t i = 3; i < 6; ++i)
+      log_record(wal, 0, WalRecord::insert(stream[i], /*seq=*/2 + i));
+  }
+  const auto tail = util::read_file_bytes(ShardedWal::shard_path(other, 0));
+  ASSERT_GT(tail.size(), 16u);
+  bytes.insert(bytes.end(), tail.begin() + 16, tail.end());
+  write_file_atomic_faulted(path, bytes, "fixture");
+
+  const WalScan scan = scan_wal(path);
+  EXPECT_TRUE(scan.torn_tail);
+  EXPECT_EQ(scan.blocks, 1u);
+  ASSERT_EQ(scan.records.size(), 3u);
+  EXPECT_EQ(scan.records.back().file.name, stream[2].name);
+  EXPECT_EQ(scan.valid_bytes, prefix);
+  {
+    WalWriter reopened(path);
+    EXPECT_EQ(reopened.committed_records(), 3u);
+  }
+  EXPECT_EQ(std::filesystem::file_size(path), prefix);
 }
 
 TEST(Wal, PreShardingLogMagicIsNotAWal) {
@@ -1022,7 +1127,7 @@ TEST(Wal, PreShardingLogMagicIsNotAWal) {
   util::BinaryWriter w;
   w.write_bytes("SSWALv02", 8);
   w.write_u64(7);
-  util::write_file_atomic(path, w.buffer());
+  write_file_atomic_faulted(path, w.buffer(), "fixture");
   EXPECT_THROW(scan_wal(path), PersistError);
 }
 

@@ -22,6 +22,7 @@
 #include "rpc/inproc.h"
 #include "rpc/socket.h"
 #include "rpc/wire.h"
+#include "util/binary_io.h"
 
 namespace {
 
@@ -309,35 +310,28 @@ TEST(Wire, ShardStatsRoundTrip) {
 TEST(Wire, ReplBatchRoundTripAndTruncation) {
   rpc::ReplBatch b;
   b.sync_engaged = true;
-  b.ops.resize(3);
+  b.ops.resize(2);
   b.ops[0].is_insert = true;
   b.ops[0].seq = 11;
   b.ops[0].file = make_file(4);
   b.ops[1].is_insert = false;
   b.ops[1].seq = 12;
   b.ops[1].name = "/sub0/u001/app002/f4.dat";
-  b.ops[2].is_noop = true;  // a seq the primary spent on a structural record
-  b.ops[2].seq = 13;
   std::vector<std::uint8_t> bytes;
   rpc::encode_repl_batch(b, &bytes);
 
   rpc::ReplBatch out;
   ASSERT_TRUE(rpc::decode_repl_batch(bytes, &out).ok());
   EXPECT_TRUE(out.sync_engaged);
-  ASSERT_EQ(out.ops.size(), 3u);
+  ASSERT_EQ(out.ops.size(), 2u);
   EXPECT_TRUE(out.ops[0].is_insert);
-  EXPECT_FALSE(out.ops[0].is_noop);
   EXPECT_EQ(out.ops[0].seq, 11u);
   EXPECT_EQ(out.ops[0].file.id, 4u);
   EXPECT_EQ(out.ops[0].file.name, b.ops[0].file.name);
   EXPECT_EQ(out.ops[0].file.attrs, b.ops[0].file.attrs);
   EXPECT_FALSE(out.ops[1].is_insert);
-  EXPECT_FALSE(out.ops[1].is_noop);
   EXPECT_EQ(out.ops[1].seq, 12u);
   EXPECT_EQ(out.ops[1].name, b.ops[1].name);
-  EXPECT_TRUE(out.ops[2].is_noop);
-  EXPECT_EQ(out.ops[2].seq, 13u);
-  EXPECT_TRUE(out.ops[2].name.empty());
 
   // Every proper prefix is a truncated batch: kCorruption, never a crash
   // or a short batch.
@@ -350,6 +344,20 @@ TEST(Wire, ReplBatchRoundTripAndTruncation) {
               db::StatusCode::kCorruption)
         << "prefix of " << len << " bytes";
   }
+}
+
+TEST(Wire, ReplBatchRetiredNoopTagIsCorruption) {
+  // Tag 2 once marked a seq spent on a structural WAL record, encoded as
+  // the tag and the seq alone. Neither is written any more, so a batch
+  // carrying one is not a stream this build produces.
+  util::BinaryWriter w;
+  w.write_bool(false);
+  w.write_u64(1);   // one op
+  w.write_u8(2);    // the retired seq-hole tag
+  w.write_u64(13);  // its seq
+  rpc::ReplBatch out;
+  EXPECT_EQ(rpc::decode_repl_batch(w.buffer(), &out).code(),
+            db::StatusCode::kCorruption);
 }
 
 // ---- in-process transport ---------------------------------------------------
