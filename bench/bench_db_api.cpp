@@ -7,9 +7,10 @@
 //   put     facade Put() (in-memory store: no WAL, so the measured delta
 //           is the boundary itself — status plumbing, lifecycle lock,
 //           counters) vs raw insert_file on a bare core store;
-//   batch   facade Write(WriteBatch of 64) vs raw insert_batch(64);
+//   batch   facade Write(WriteBatch of 64) vs 64 raw insert_file calls;
 //   durable facade Put() with the sharded WAL attached vs raw insert_file
-//           with hand-wired WAL hooks (the composition Open() replaces).
+//           on a core with the WAL attached by hand (the composition
+//           Open() replaces).
 // Plus the lifecycle numbers embedders plan capacity around: fresh
 // Open+Bulkload, Checkpoint, reopen (snapshot load), reopen after a crash
 // (snapshot load + shard-merged replay).
@@ -105,7 +106,7 @@ int main(int argc, char** argv) {
     put.raw_per_sec = static_cast<double>(stream.size()) / t.seconds();
   }
 
-  // ---- batch: Write(64-Put batches) vs insert_batch(64) --------------------
+  // ---- batch: Write(64-Put batches) vs 64 raw inserts ---------------------
   Rates batch;
   const std::size_t kBatch = 64;
   {
@@ -126,13 +127,7 @@ int main(int argc, char** argv) {
     core::SmartStore raw(cfg);
     raw.build(tr.files());
     util::WallTimer t;
-    for (std::size_t b = 0; b < stream.size(); b += kBatch) {
-      const std::size_t e = std::min(b + kBatch, stream.size());
-      const std::vector<metadata::FileMetadata> chunk(
-          stream.begin() + static_cast<std::ptrdiff_t>(b),
-          stream.begin() + static_cast<std::ptrdiff_t>(e));
-      raw.insert_batch(chunk, 0.0);
-    }
+    for (const auto& f : stream) raw.insert_file(f, 0.0);
     batch.raw_per_sec = static_cast<double>(stream.size()) / t.seconds();
   }
 
@@ -166,16 +161,11 @@ int main(int argc, char** argv) {
     core::SmartStore raw(cfg);
     raw.build(tr.files());
     persist::ShardedWal wal(dir, units, raw.config().version_ratio);
+    raw.attach_journal(&wal);
     util::WallTimer t;
-    for (const auto& f : stream) {
-      raw.insert_file(
-          f, 0.0,
-          [&](core::UnitId target) {
-            return wal.append(target, persist::WalRecord::insert(f));
-          },
-          [&](core::UnitId target) { wal.maybe_commit(target); });
-    }
+    for (const auto& f : stream) raw.insert_file(f, 0.0);
     wal.commit_all();
+    raw.attach_journal(nullptr);
     durable.raw_per_sec = static_cast<double>(stream.size()) / t.seconds();
   }
 

@@ -70,14 +70,6 @@ struct Options {
   /// 0 = never by bytes. Both 0 = compact only on explicit Compact().
   std::uint64_t compaction_byte_budget = 64ull << 20;
 
-  // ---- ingest ------------------------------------------------------------
-  /// Writer threads Write() may fan a large all-Put batch across
-  /// (work-stealing over insert_batch, the bulk-ingest fast path). 1 =
-  /// apply every batch on the calling thread. Callers may always run
-  /// their own threads instead — every mutation entry point is
-  /// thread-safe.
-  std::size_t ingest_threads = 1;
-
   // ---- test/bench harness support ---------------------------------------
   /// Arms persist::fault_arm(K): the K-th persistence write boundary this
   /// process crosses "crashes the process" — the store abandons its WAL

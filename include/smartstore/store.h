@@ -5,7 +5,7 @@
 // or recovers the core store (checkpoint base + delta chain, then the
 // sequence-merged WAL-shard tail), takes an exclusive LOCK file against a
 // second process opening the same data directory, attaches the per-unit
-// WAL shard hooks to every mutation, and arms the background checkpoint
+// WAL shards as the core's journal, and arms the background checkpoint
 // slot at the configured cadence. Close() (or the destructor) tears it
 // all down in the only safe order: drain the in-flight checkpoint,
 // group-commit the WAL shards, release the lock. No caller ever
@@ -26,7 +26,8 @@
 // pinned MVCC snapshot (only "smartstore.invariants-ok" still quiesces).
 //
 // MVCC: every acknowledged mutation carries a store-wide commit sequence
-// number (the WAL stamp on durable stores). GetSnapshot() pins the current
+// number from the core's one commit clock (the WAL records it on durable
+// stores, and it survives a reopen). GetSnapshot() pins the current
 // seq; Query with ReadOptions scans at a pinned (or historical) seq and is
 // bit-identical no matter what writers do in between. Tombstoned versions
 // are garbage-collected up to the oldest live Snapshot, so time-travel
@@ -178,13 +179,16 @@ class Store {
 
   // ---- mutations ---------------------------------------------------------
 
+  /// kInvalidArgument for an empty filename.
   Status Put(const metadata::FileMetadata& file);
 
-  /// kNotFound when no file of that name exists.
+  /// kNotFound when no file of that name exists; kInvalidArgument for an
+  /// empty filename.
   Status Delete(const std::string& name);
 
-  /// Applies the batch in order (see write_batch.h for the insert_batch
-  /// fast path and the Options::ingest_threads fan-out).
+  /// Applies the batch in order, each op as Put or Delete would (see
+  /// write_batch.h). A Delete of an absent name inside a batch is not an
+  /// error.
   Status Write(WriteBatch&& batch);
 
   // ---- queries -----------------------------------------------------------

@@ -1,11 +1,10 @@
 // An ordered batch of mutations, applied through one Store::Write call.
 //
-// Consecutive Puts are applied through the core's insert_batch bulk-ingest
-// fast path (one structure-lock acquisition per run) with each record
-// write-ahead logged to its routed unit's WAL shard in apply order —
-// Write(batch) has exactly the durability of the same Puts issued one by
-// one, just cheaper. Deletes break the run and apply in place, preserving
-// the batch's total order.
+// Every op applies through the same path as Put and Delete, in batch
+// order, each write-ahead logged to its routed unit's WAL shard —
+// Write(batch) has exactly the durability of the same Puts and Deletes
+// issued one by one. Every op's name is checked before any op applies: an
+// empty name refuses the whole batch with kInvalidArgument.
 #pragma once
 
 #include <cstddef>

@@ -11,8 +11,7 @@
 // name the data directory (when more than one is given they must agree —
 // a deployment lives in ONE directory), Open() recovers whatever
 // checkpoint (ckpt/) + WAL shards (wal/) it finds there, --churn N inserts
-// ride the sharded WAL, --ingest-threads N fans the churn batch across
-// writer threads inside Write(), --group-commit M tunes records-per-fsync
+// ride the sharded WAL, --group-commit M tunes records-per-fsync
 // per shard, and --bg-checkpoint N sets the background-checkpoint cadence
 // (a delta cut every N acknowledged mutations, concurrent with the insert
 // stream).
@@ -24,8 +23,8 @@
 //   smartstore_cli --trace hp --load state/ --point 200   # restart, no build
 //   smartstore_cli --trace hp --load state/ --churn 5000
 //       --save state/ --bg-checkpoint 1000       # checkpoint under load
-//   smartstore_cli --trace hp --churn 20000 --ingest-threads 4
-//       --wal state/ --group-commit 64           # parallel durable ingest
+//   smartstore_cli --trace hp --churn 20000
+//       --wal state/ --group-commit 64           # durable ingest
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
@@ -58,7 +57,6 @@ struct CliOptions {
   std::size_t k = 8;
   std::uint64_t seed = 42;
   std::size_t churn = 0;
-  std::size_t ingest_threads = 1;  ///< writer threads over the churn stream
   std::size_t group_commit = 0;    ///< WAL records per fsync (0 = default)
   std::string save_dir;
   std::string load_dir;
@@ -99,8 +97,6 @@ void usage(const char* argv0) {
       "  --k K                      k for top-k queries (default 8)\n"
       "  --seed S                   rng seed (default 42)\n"
       "  --churn N                  insert N extra files before querying\n"
-      "  --ingest-threads N         writer threads the facade fans the churn\n"
-      "                             batch across (default 1)\n"
       "  --group-commit M           WAL records per group-commit fsync,\n"
       "                             per shard (default: version ratio)\n"
       "  --save DIR                 checkpoint the deployment into DIR\n"
@@ -231,8 +227,6 @@ CliOptions parse_args(int argc, char** argv) {
       opt.seed = parse_size(i++);
     } else if (a == "--churn") {
       opt.churn = parse_size(i++);
-    } else if (a == "--ingest-threads") {
-      opt.ingest_threads = parse_size(i++);
     } else if (a == "--group-commit") {
       opt.group_commit = parse_size(i++);
     } else if (a == "--save") {
@@ -312,10 +306,6 @@ CliOptions parse_args(int argc, char** argv) {
   }
   if (opt.tif == 0 || opt.downscale == 0 || opt.units == 0 || opt.k == 0) {
     std::fprintf(stderr, "error: --tif/--downscale/--units/--k must be > 0\n");
-    std::exit(2);
-  }
-  if (opt.ingest_threads == 0) {
-    std::fprintf(stderr, "error: --ingest-threads must be > 0\n");
     std::exit(2);
   }
   if (opt.bg_checkpoint > 0 && opt.save_dir.empty()) {
@@ -421,7 +411,6 @@ int main(int argc, char** argv) {
   options.fanout = opt.fanout;
   options.seed = opt.seed;
   options.routing = opt.routing;
-  options.ingest_threads = opt.ingest_threads;
   options.group_commit = opt.group_commit;
   options.checkpoint_every = opt.bg_checkpoint;
   options.compaction_trigger = opt.compaction_trigger;
@@ -470,18 +459,16 @@ int main(int argc, char** argv) {
 
   if (opt.churn > 0) {
     const auto stream = tr.make_insert_stream(opt.churn, opt.seed + 99);
-    // The facade fans the batch across Options::ingest_threads writer
-    // threads (work-stealing over insert_batch), write-ahead logs each
-    // record to its routed unit's WAL shard, and triggers background
-    // checkpoints at the --bg-checkpoint cadence while inserts continue.
+    // The facade write-ahead logs each record to its routed unit's WAL
+    // shard and triggers background checkpoints at the --bg-checkpoint
+    // cadence while inserts continue.
     db::WriteBatch batch;
     batch.reserve(stream.size());
     for (const auto& f : stream) batch.Put(f);
     db::Status ws = store->Write(std::move(batch));
     if (!ws.ok()) die(ws, opt.crash_at);
     std::printf(
-        "churn    : %zu files inserted (%zu thread%s)%s\n", stream.size(),
-        opt.ingest_threads, opt.ingest_threads == 1 ? "" : "s",
+        "churn    : %zu files inserted%s\n", stream.size(),
         opt.bg_checkpoint > 0
             ? " (write-ahead logged, background checkpoints)"
             : (options.in_memory ? "" : " (write-ahead logged, sharded)"));

@@ -668,35 +668,19 @@ void SmartStore::reconfigure() {
 // ---- dynamic operations ------------------------------------------------------
 
 QueryStats SmartStore::insert_file(const FileMetadata& f, double arrival,
-                                   const WalHook& logged,
-                                   const WalFlush& flushed) {
+                                   std::uint64_t seq) {
   QueryStats stats;
   {
     util::ReaderLock shared(structure_mu_);
-    stats = insert_file_impl(f, arrival, logged, flushed);
+    stats = insert_file_impl(f, arrival, seq == 0 ? kAssignSeq : seq,
+                             journal_.load(std::memory_order_acquire));
   }
   maybe_grow_filters();
   return stats;
 }
 
-std::vector<QueryStats> SmartStore::insert_batch(
-    const std::vector<FileMetadata>& files, double arrival,
-    const WalHook& logged, const WalFlush& flushed) {
-  std::vector<QueryStats> out;
-  out.reserve(files.size());
-  {
-    util::ReaderLock shared(structure_mu_);
-    for (const FileMetadata& f : files)
-      out.push_back(insert_file_impl(f, arrival, logged, flushed));
-  }
-  maybe_grow_filters();
-  return out;
-}
-
 QueryStats SmartStore::insert_file_impl(const FileMetadata& f, double arrival,
-                                        const WalHook& logged,
-                                        const WalFlush& flushed,
-                                        std::uint64_t forced_seq) {
+                                        std::uint64_t seq, Journal* journal) {
   QueryStats stats;
   sim::Session session = cluster_->start_session(random_home(), arrival);
 
@@ -756,16 +740,15 @@ QueryStats SmartStore::insert_file_impl(const FileMetadata& f, double arrival,
     // record) or runs after the apply — no mutation with seq <= S can land
     // in a unit the reader already scanned, because stamps issued after the
     // pin are strictly greater than S.
-    const std::uint64_t seq = forced_seq != kAssignSeq
-                                  ? forced_seq
-                                  : commit_stamp(logged ? logged(target) : 0);
+    const std::uint64_t stamped = commit_stamp(seq);
+    if (journal) journal->log_insert(target, f, stamped);
     cow_unit(target);
-    units_[target].add_file(f, std, name_hash, seq);
+    units_[target].add_file(f, std, name_hash, stamped);
     units_[target].prune_tombstones(gc_watermark());
   }
-  // The group-commit fsync (if the flush hook decides one is due) runs
-  // here, off every store lock: it stalls only this shard's writers.
-  if (flushed) flushed(target);
+  // The group-commit fsync (if the journal decides one is due) runs here,
+  // off every store lock: it stalls only this unit's writers.
+  if (journal) journal->commit(target);
   // Ancestor summaries widen one stripe at a time (child before parent);
   // readers meanwhile see a box/filter that is at worst transiently
   // narrower up the path, the same staleness replicas already exhibit.
@@ -796,23 +779,23 @@ QueryStats SmartStore::insert_file_impl(const FileMetadata& f, double arrival,
   return stats;
 }
 
-bool SmartStore::remove_located(UnitId u, FileId id,
+bool SmartStore::remove_located(UnitId u, FileId id, const std::string& name,
                                 const bloom::ItemHash& name_hash,
-                                const WalHook& logged,
-                                const WalFlush& flushed) {
+                                std::uint64_t seq, Journal* journal) {
   epoch_.fetch_add(1, std::memory_order_relaxed);
   la::Vector raw;
   {
     const util::MutexLock guard(unit_mutex(u));
     if (!units_[u].find_by_id(id)) return false;  // lost a delete race
-    const std::uint64_t seq = commit_stamp(logged ? logged(u) : 0);
+    const std::uint64_t stamped = commit_stamp(seq);
+    if (journal) journal->log_remove(u, name, stamped);
     cow_unit(u);
-    auto removed = units_[u].remove_file(id, name_hash, seq);
+    auto removed = units_[u].remove_file(id, name_hash, stamped);
     assert(removed.has_value());
     raw = removed->full_vector();
     units_[u].prune_tombstones(gc_watermark());
   }
-  if (flushed) flushed(u);
+  if (journal) journal->commit(u);
   tree_.on_file_removed(u, raw, &summary_stripes_);
   for (auto& v : variants_) v.tree.on_file_removed(u, raw, &summary_stripes_);
   total_files_.fetch_sub(1, std::memory_order_relaxed);
@@ -829,15 +812,13 @@ bool SmartStore::remove_located(UnitId u, FileId id,
   return true;
 }
 
-bool SmartStore::erase_file(const std::string& name, const WalHook& logged,
-                            const WalFlush& flushed) {
+bool SmartStore::erase_file(const std::string& name, std::uint64_t seq) {
   util::ReaderLock shared(structure_mu_);
-  return erase_file_impl(name, logged, flushed);
+  return erase_file_impl(name, seq == 0 ? kAssignSeq : seq);
 }
 
-bool SmartStore::erase_file_impl(const std::string& name,
-                                 const WalHook& logged,
-                                 const WalFlush& flushed) {
+bool SmartStore::erase_file_impl(const std::string& name, std::uint64_t seq) {
+  Journal* const journal = journal_.load(std::memory_order_acquire);
   const bloom::ItemHash name_hash = bloom::hash_item(name);
   for (UnitId u = 0; u < units_.size(); ++u) {
     if (!unit_active_[u]) continue;
@@ -857,9 +838,10 @@ bool SmartStore::erase_file_impl(const std::string& name,
     // The unit lock was dropped between locate and removal; remove_located
     // re-checks by id and reports a lost race, in which case the scan
     // continues (the name might also exist on a later unit).
-    if (remove_located(u, id, name_hash, logged, flushed))
-      return true;
+    if (remove_located(u, id, name, name_hash, seq, journal)) return true;
   }
+  // Absent: nothing to log, but a given seq is consumed all the same.
+  if (seq != kAssignSeq) note_commit_seq(seq);
   return false;
 }
 
@@ -1318,7 +1300,7 @@ void SmartStore::remove_storage_unit(UnitId u) {
   cow_all_units();
   // Capture the records WITH their commit seqs: re-homing must be invisible
   // to snapshots, so each displaced file re-inserts under its original
-  // added_seq (forced_seq below) and the removal leaves no tombstone
+  // added_seq and the removal leaves no tombstone
   // (deleted_seq 0). Pre-existing tombstones stay on the deactivated unit,
   // where snapshot scans (which visit inactive units too) still find them.
   std::vector<FileMetadata> displaced = units_[u].files();
@@ -1336,12 +1318,12 @@ void SmartStore::remove_storage_unit(UnitId u) {
   refresh_sync_groups();
   // Displaced files re-insert through the impl: the public insert_file
   // takes the structure lock shared and would self-deadlock here. Like
-  // the removal itself, the moves write no WAL record: the next fold
-  // captures them. forced_seq keeps each record's visibility window
+  // the removal itself, the moves go to no journal: the next fold
+  // captures them. The original seq keeps each record's visibility window
   // unchanged across the move (seq 0 = pre-history records stay
   // pre-history).
   for (std::size_t i = 0; i < displaced.size(); ++i)
-    insert_file_impl(displaced[i], 0.0, {}, {}, displaced_seqs[i]);
+    insert_file_impl(displaced[i], 0.0, displaced_seqs[i], nullptr);
 }
 
 // ---- automatic configuration (Section 2.4) -------------------------------------
@@ -1467,23 +1449,16 @@ bool SmartStore::check_invariants() const {
 
 // ---- MVCC snapshots ------------------------------------------------------------
 
-std::uint64_t SmartStore::commit_stamp(std::uint64_t wal_seq) {
-  if (wal_seq == 0) {
-    // No WAL stamp (in-memory store): self-assign the next counter value.
+std::uint64_t SmartStore::commit_stamp(std::uint64_t seq) {
+  if (seq == kAssignSeq)
     return commit_seq_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  }
-  // Adopt the WAL stamp via CAS-max: shards hand out stamps concurrently,
-  // so a smaller stamp can arrive here after a larger one was adopted.
-  std::uint64_t cur = commit_seq_.load(std::memory_order_relaxed);
-  while (cur < wal_seq &&
-         !commit_seq_.compare_exchange_weak(cur, wal_seq,
-                                            std::memory_order_acq_rel,
-                                            std::memory_order_relaxed)) {
-  }
-  return wal_seq;
+  note_commit_seq(seq);
+  return seq;
 }
 
 void SmartStore::note_commit_seq(std::uint64_t seq) {
+  // CAS-max: given seqs can arrive out of order (a re-homed record's is
+  // already behind the clock), and the clock never runs backwards.
   std::uint64_t cur = commit_seq_.load(std::memory_order_relaxed);
   while (cur < seq &&
          !commit_seq_.compare_exchange_weak(cur, seq,

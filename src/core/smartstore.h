@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "core/ground_truth.h"
+#include "core/journal.h"
 #include "core/semantic_rtree.h"
 #include "core/striped_locks.h"
 #include "core/units.h"
@@ -135,23 +136,6 @@ struct TreeVariant {
 
 class SmartStore {
  public:
-  /// Write-ahead hook: invoked with the routed target storage unit while
-  /// that unit's stripe lock is held, after routing and before the
-  /// in-memory apply. This is where the persistence layer appends the
-  /// record to the target unit's WAL shard — under the same lock that
-  /// orders the apply, so per-shard log order always equals per-unit apply
-  /// order, the invariant sharded recovery's sequence merge relies on.
-  /// Returns the store-wide sequence number the WAL stamped on the record
-  /// (the commit timestamp MVCC snapshot reads pin); 0 means "unsequenced"
-  /// and the store self-assigns from its own commit counter.
-  using WalHook = std::function<std::uint64_t(UnitId target)>;
-  /// Write-behind flush hook: invoked with the same target AFTER the unit
-  /// lock is released (mutation applied, record appended). This is where
-  /// the sharded WAL runs its group-commit fsync — off every store lock,
-  /// so a flush stalls only writers of the same shard, never a writer
-  /// that merely routed to the same unit or collided on a stripe.
-  using WalFlush = std::function<void(UnitId target)>;
-
   explicit SmartStore(Config cfg);
 
   /// Bulk-loads a population: semantic placement of files onto storage
@@ -159,38 +143,47 @@ class SmartStore {
   /// index-unit mapping, replica initialization.
   void build(const std::vector<metadata::FileMetadata>& files);
 
+  /// Attaches the journal every later insert_file/erase_file logs through
+  /// (core/journal.h); nullptr detaches. Each mutation reads the pointer
+  /// once, so it logs and commits through the same journal. The caller
+  /// keeps the journal alive until it is detached and no mutation that
+  /// read it is still running. Recovery replays with none attached.
+  void attach_journal(Journal* journal) {
+    journal_.store(journal, std::memory_order_release);
+  }
+
   // ---- dynamic operations (virtual arrival time in seconds) -------------
   //
-  // insert_file / insert_batch / erase_file and the three
-  // query methods may be called from any number of threads concurrently
-  // (multi-writer serving): each takes the structure lock shared, routes
-  // under striped summary locks, and mutates only the target unit under
-  // that unit's dedicated lock. The reconfiguration block below and
+  // insert_file / erase_file and the three query methods may be called
+  // from any number of threads concurrently (multi-writer serving): each
+  // takes the structure lock shared, routes under striped summary locks,
+  // and mutates only the target unit under that unit's dedicated lock. The reconfiguration block below and
   // build() are exclusive and may run concurrently with anything. An
   // insert that takes the population past the current filter geometry
   // grows the filters on its way out, under the exclusive lock.
+  //
+  // `seq` is the mutation's commit seq: 0 stamps the next value of the
+  // commit clock; any other value is used as given (recovery replays a
+  // persisted seq, a replication follower the primary's) and the clock
+  // is raised to it. Under the target unit's lock the core stamps, logs
+  // the record through the attached journal and applies it; after the
+  // lock is released it calls the journal's commit for that unit.
 
   /// Routes the file to its most correlated group and inserts it into the
   /// least-loaded member unit; updates the tree locally and the
   /// versioning/lazy-update machinery (Sections 3.2.1, 3.4, 4.4).
   QueryStats insert_file(const metadata::FileMetadata& f, double arrival,
-                         const WalHook& logged = {},
-                         const WalFlush& flushed = {});
-
-  /// Inserts a batch under one structure-lock acquisition (the bulk-ingest
-  /// fast path the CLI's --ingest-threads partitions work into).
-  std::vector<QueryStats> insert_batch(
-      const std::vector<metadata::FileMetadata>& files, double arrival,
-      const WalHook& logged = {}, const WalFlush& flushed = {});
+                         std::uint64_t seq = 0);
 
   /// Authoritative removal: locates `name` by scanning the units' exact
   /// local indexes (no simulated routing, no replica staleness) and removes
   /// it with full tree/sync bookkeeping. This is the WAL-replay path — a
   /// delete that was acknowledged live must always re-apply on recovery,
   /// even when the off-line replicas that located it then have since gone
-  /// stale. Returns false when the file does not exist.
-  bool erase_file(const std::string& name, const WalHook& logged = {},
-                  const WalFlush& flushed = {});
+  /// stale. Returns false when the file does not exist; that logs nothing,
+  /// but a nonzero `seq` still raises the clock to it, so replay advances
+  /// past every record it reads.
+  bool erase_file(const std::string& name, std::uint64_t seq = 0);
 
   PointResult point_query(const metadata::PointQuery& q, Routing routing,
                           double arrival);
@@ -201,15 +194,14 @@ class SmartStore {
 
   // ---- MVCC snapshot reads ----------------------------------------------
   //
-  // Every mutation carries a store-wide commit sequence number (the WAL
-  // v03 stamp for durable stores, a private counter otherwise). A reader
-  // pins the current commit seq and scans against it: a record is visible
-  // at snapshot S iff added_seq <= S and (still live, or tombstoned with
-  // deleted_seq > S). Because the seq is stamped and the in-memory apply
-  // happens inside the SAME unit-lock critical section (and the commit
-  // counter advances only after the apply), acquiring each unit lock in
-  // turn observes every mutation with seq <= S — any pinned S is a
-  // consistent cut with no quiescing and no stripe-wide exclusion.
+  // Every mutation carries a store-wide commit sequence number from the
+  // one commit clock below (the attached journal records the seq it is
+  // handed). A reader pins the current commit seq and scans against it: a
+  // record is visible at snapshot S iff added_seq <= S and (still live,
+  // or tombstoned with deleted_seq > S). Because the seq is stamped and the in-memory apply
+  // happen inside the SAME unit-lock critical section, acquiring each
+  // unit lock in turn observes every mutation with seq <= S — any pinned
+  // S is a consistent cut with no quiescing and no stripe-wide exclusion.
   //
   // Tombstones are reclaimed against the GC watermark (the oldest pinned
   // snapshot; everything is reclaimable when nothing is pinned), so the
@@ -222,8 +214,9 @@ class SmartStore {
     return commit_seq_.load(std::memory_order_acquire);
   }
 
-  /// Advances the commit counter to at least `seq` (recovery replay and
-  /// snapshot load call this with persisted stamps).
+  /// Advances the commit clock to at least `seq` (recovery resumes it at
+  /// the manifest's last cut; a follower's bootstrap jumps it to the
+  /// primary's frontier).
   void note_commit_seq(std::uint64_t seq);
 
   /// Pins the current commit seq against tombstone GC. `*seq_out` receives
@@ -475,13 +468,12 @@ class SmartStore {
   /// structure lock, which is why no unit locks are needed here.
   void cow_all_units() SS_REQUIRES(structure_mu_);
   /// Shared removal bookkeeping once a file has been located (unit, id);
-  /// `name_hash` is the digest of its name. Re-checks existence under the
+  /// `name_hash` is the digest of `name`. Re-checks existence under the
   /// unit lock (a concurrent delete may have won); returns whether the
-  /// removal happened.
-  bool remove_located(UnitId u, metadata::FileId id,
-                      const bloom::ItemHash& name_hash, const WalHook& logged,
-                      const WalFlush& flushed)
-      SS_REQUIRES_SHARED(structure_mu_);
+  /// removal happened. `seq` and `journal` as in insert_file_impl.
+  bool remove_located(UnitId u, metadata::FileId id, const std::string& name,
+                      const bloom::ItemHash& name_hash, std::uint64_t seq,
+                      Journal* journal) SS_REQUIRES_SHARED(structure_mu_);
 
   // ---- internals ---------------------------------------------------------
   //
@@ -490,17 +482,16 @@ class SmartStore {
   // insert_file_impl for displaced files while holding it exclusively —
   // the shared-acquiring public method would self-deadlock there.
 
-  /// `forced_seq` != kAssignSeq re-homes a record under its ORIGINAL
-  /// added_seq (remove_storage_unit re-inserting displaced files): the move
-  /// is invisible to every snapshot — the record stays visible at exactly
-  /// the seqs it was visible at before, just in a different unit. 0 forces
-  /// pre-history; the kAssignSeq default stamps a fresh commit seq.
+  /// `seq` kAssignSeq stamps a fresh commit seq; any other value is used
+  /// as given (see commit_stamp). remove_storage_unit re-homes displaced
+  /// files under their ORIGINAL added_seq with no journal: the move is
+  /// invisible to every snapshot — the record stays visible at exactly
+  /// the seqs it was visible at before, just in a different unit — and
+  /// logs nothing. 0 keeps a pre-history record pre-history.
   QueryStats insert_file_impl(const metadata::FileMetadata& f, double arrival,
-                              const WalHook& logged, const WalFlush& flushed,
-                              std::uint64_t forced_seq = kAssignSeq)
+                              std::uint64_t seq, Journal* journal)
       SS_REQUIRES_SHARED(structure_mu_);
-  bool erase_file_impl(const std::string& name, const WalHook& logged,
-                       const WalFlush& flushed)
+  bool erase_file_impl(const std::string& name, std::uint64_t seq)
       SS_REQUIRES_SHARED(structure_mu_);
   /// `qhash` is the digest of q.filename: one per lookup, shared by every
   /// filter the lookup consults.
@@ -526,9 +517,9 @@ class SmartStore {
       SS_REQUIRES_SHARED(structure_mu_);
 
   /// Resolves the commit seq for one mutation inside its unit-lock
-  /// critical section: adopts the WAL stamp when one exists (advancing the
-  /// commit counter to it), otherwise self-assigns the next counter value.
-  std::uint64_t commit_stamp(std::uint64_t wal_seq);
+  /// critical section: kAssignSeq takes the next clock value; any other
+  /// seq is kept and the clock raised to it.
+  std::uint64_t commit_stamp(std::uint64_t seq);
 
   /// The calling thread's private RNG stream, lazily seeded from the store
   /// seed and a monotonic stream id — queries draw home units without
@@ -668,11 +659,13 @@ class SmartStore {
   std::atomic<std::size_t> grow_at_{static_cast<std::size_t>(-1)};
   std::atomic<std::uint64_t> bloom_resizes_{0};
 
-  /// MVCC commit timestamp: advanced inside the mutating unit-lock
-  /// critical section, AFTER the apply — so any value a reader loads names
-  /// a cut where every mutation with seq <= it is (or is about to be,
-  /// behind that unit's lock) applied.
+  /// The commit clock (MVCC timestamp): advanced inside the mutating
+  /// unit-lock critical section, before the apply — so any value a reader
+  /// loads names a cut where every mutation with seq <= it is (or is about
+  /// to be, behind that unit's lock) applied.
   std::atomic<std::uint64_t> commit_seq_{0};
+  /// The attached journal (attach_journal); null logs nothing.
+  std::atomic<Journal*> journal_{nullptr};
 
   /// Pinned-snapshot registry. Shared-owned so a pin handle released after
   /// the store is gone unpins against a still-live registry. The mutex is
@@ -700,8 +693,9 @@ class SmartStore {
   // a rank. Structural operations take structure_mu_ exclusively and then
   // need no finer locks at all.
   //
-  // Units get DEDICATED locks (not pool stripes) because the WAL hook
-  // fsyncs under them: a shared stripe would make an unrelated hot index
+  // Units get DEDICATED locks (not pool stripes) because the journal logs
+  // under them, and a log can wait out its shard's group-commit fsync: a
+  // shared stripe would make an unrelated hot index
   // node or replica — every insert touches the root and its group's sync
   // state — collide with an in-flight fsync and serialize the whole
   // ingest path on one disk flush. The stripe pools only ever protect

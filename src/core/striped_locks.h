@@ -3,11 +3,12 @@
 //
 // The store's coarse shape (which units exist, tree topology, the variant
 // list) is guarded by a reader/writer structure lock; storage-unit records
-// get DEDICATED per-unit mutexes (the WAL hook may fsync under them, so
-// they must never alias anything else); the remaining shared state every
-// insert touches is guarded here, striped by object address, in two pools
-// with distinct ranks: an index unit's MBR/Bloom/centroid sums
-// (kSummaryStripe) and a group's replica sync state (kSyncStripe).
+// get DEDICATED per-unit mutexes (the journal logs under them and may wait
+// out a shard fsync, so they must never alias anything else); the
+// remaining shared state every insert touches is guarded here, striped by
+// object address, in two pools with distinct ranks: an index unit's
+// MBR/Bloom/centroid sums (kSummaryStripe) and a group's replica sync
+// state (kSyncStripe).
 // Writers routed to different storage units then only ever contend where
 // their ancestor paths overlap (the root stripe), and that critical
 // section is a few bit-sets and adds — never I/O.

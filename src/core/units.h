@@ -38,8 +38,9 @@ inline constexpr std::size_t kInvalidIndex = static_cast<std::size_t>(-1);
 inline constexpr std::uint64_t kNoWatermark =
     static_cast<std::uint64_t>(-1);
 
-/// Sentinel "no forced seq" for insert paths: stamp a fresh commit seq
-/// instead of re-homing under a preserved one.
+/// Sentinel seq of the core's internal mutation paths: stamp the next
+/// commit-clock value. The public insert_file/erase_file spell it 0; the
+/// internal paths keep 0 for re-homing a pre-history record.
 inline constexpr std::uint64_t kAssignSeq = static_cast<std::uint64_t>(-1);
 
 /// A record version that has been deleted but is still visible to some

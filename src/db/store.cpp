@@ -51,7 +51,6 @@
 #include "persist/wal_shard.h"
 #include "util/annotated_mutex.h"
 #include "util/thread_annotations.h"
-#include "util/thread_pool.h"
 
 namespace smartstore::db {
 
@@ -129,7 +128,10 @@ struct Store::Impl {
           // whatever prefix its crash point left.
         }
       }
-      if (wal) wal->abandon();  // pending batches were never acknowledged
+      if (wal) {
+        core->attach_journal(nullptr);
+        wal->abandon();  // pending batches were never acknowledged
+      }
     });
   }
 
@@ -291,81 +293,20 @@ struct Store::Impl {
     return out;
   }
 
-  /// One Put through the core with the WAL shard hooks attached: the
-  /// append fires under the routed unit's lock (shard log order == that
-  /// unit's apply order), the group-commit fsync from the flush hook after
-  /// the lock is released. `seq` 0 stamps a fresh seq; a replicated apply
-  /// passes the primary's.
-  void insert_one(const metadata::FileMetadata& f, std::uint64_t seq = 0) {
-    if (wal) {
-      core->insert_file(
-          f, 0.0,
-          [&](core::UnitId target) {
-            return wal->append(target, persist::WalRecord::insert(f, seq));
-          },
-          [&](core::UnitId target) { wal->maybe_commit(target); });
-    } else {
-      core->insert_file(f, 0.0);
-    }
+  /// The one mutation path of Put, Delete and Write: the attached WAL
+  /// logs the record under the routed unit's lock and group-commits it
+  /// after that lock is released. erase() reports an absent name.
+  void put(const metadata::FileMetadata& f) {
+    core->insert_file(f, 0.0);
+    puts.fetch_add(1, std::memory_order_relaxed);
+    note_mutations(1);
   }
 
-  bool erase_one(const std::string& name, std::uint64_t seq = 0) {
-    if (wal) {
-      return core->erase_file(
-          name,
-          [&](core::UnitId located) {
-            return wal->append(located, persist::WalRecord::remove(name, seq));
-          },
-          [&](core::UnitId located) { wal->maybe_commit(located); });
-    }
-    return core->erase_file(name);
-  }
-
-  /// Applies ops[b, e) — a run of consecutive Puts — through insert_batch,
-  /// fanned across Options::ingest_threads when the run is large enough to
-  /// amortize thread startup. Throws through (callers map at the boundary);
-  /// with multiple workers the first failure wins, no chunk starts after
-  /// it, and the call returns once the running chunks have finished.
-  void apply_put_run(const std::vector<WriteBatch::Op>& ops, std::size_t b,
-                     std::size_t e) {
-    const std::size_t n = e - b;
-    const std::size_t kChunk = 64;
-    const std::size_t nthreads =
-        std::min({opts.ingest_threads, n / kChunk, std::size_t{16}});
-
-    auto apply_chunk = [&](std::size_t cb, std::size_t ce) {
-      std::vector<metadata::FileMetadata> chunk;
-      chunk.reserve(ce - cb);
-      for (std::size_t i = cb; i < ce; ++i) chunk.push_back(ops[i].file);
-      if (wal) {
-        // The append hook fires once per file, in chunk order, on this
-        // thread, under the routed unit's lock — the cursor pairs each
-        // callback with its file.
-        std::size_t cursor = 0;
-        core->insert_batch(
-            chunk, 0.0,
-            [&](core::UnitId target) {
-              return wal->append(target,
-                                 persist::WalRecord::insert(chunk[cursor++]));
-            },
-            [&](core::UnitId target) { wal->maybe_commit(target); });
-      } else {
-        core->insert_batch(chunk, 0.0);
-      }
-      // Cadence per chunk, not per batch: one huge Write must still take
-      // its background checkpoints mid-stream.
-      note_mutations(ce - cb);
-    };
-
-    if (nthreads <= 1) {
-      for (std::size_t cb = b; cb < e; cb += kChunk)
-        apply_chunk(cb, std::min(cb + kChunk, e));
-      return;
-    }
-    util::ThreadPool pool(nthreads);
-    pool.parallel_for(n, kChunk, [&](std::size_t lo, std::size_t hi) {
-      apply_chunk(b + lo, b + hi);
-    });
+  bool erase(const std::string& name) {
+    if (!core->erase_file(name)) return false;
+    deletes.fetch_add(1, std::memory_order_relaxed);
+    note_mutations(1);
+    return true;
   }
 
   /// Cadence accounting: every acknowledged mutation counts toward the
@@ -410,8 +351,6 @@ StatusOr<std::unique_ptr<Store>> Store::Open(const Options& options,
     return Status::InvalidArgument("num_units must be > 0");
   if (options.fanout < 2)
     return Status::InvalidArgument("fanout must be >= 2");
-  if (options.ingest_threads == 0)
-    return Status::InvalidArgument("ingest_threads must be > 0");
   if (!options.in_memory && path.empty())
     return Status::InvalidArgument("path must be non-empty (or set in_memory)");
   if (options.checkpoint_every > 0 && options.in_memory)
@@ -520,11 +459,7 @@ StatusOr<std::unique_ptr<Store>> Store::Open(const Options& options,
           options.group_commit > 0 ? options.group_commit
                                    : im.core->config().version_ratio,
           /*adaptive=*/options.group_commit == 0);
-      // A rebased shard dir restarts its on-disk seq counter; the
-      // checkpoint remembers the commit frontier, so fresh stamps must
-      // start strictly past everything already applied or time-travel
-      // reads would see two mutations share a timestamp.
-      im.wal->ensure_seq_at_least(im.core->last_commit_seq() + 1);
+      im.core->attach_journal(im.wal.get());
       im.delta =
           std::make_unique<persist::DeltaEngine>(*im.core, *im.wal, path);
       // No thread until the first background trigger.
@@ -569,56 +504,59 @@ Status Store::Bulkload(const std::vector<metadata::FileMetadata>& files) {
 
 // ---- mutations --------------------------------------------------------------
 
+namespace {
+
+/// The one name rule of every mutation: a record under an empty name could
+/// be stored but never deleted or looked up.
+Status check_name(const std::string& name) {
+  return name.empty() ? Status::InvalidArgument("empty filename")
+                      : Status::OK();
+}
+
+}  // namespace
+
 Status Store::Put(const metadata::FileMetadata& file) {
+  Status s = check_name(file.name);
+  if (!s.ok()) return s;
   Impl& im = *impl_;
   return im.serve<util::ReaderLock>([&] {
-    im.insert_one(file);
-    im.puts.fetch_add(1, std::memory_order_relaxed);
-    im.note_mutations(1);
+    im.put(file);
     return Status::OK();
   });
 }
 
 Status Store::Delete(const std::string& name) {
-  if (name.empty()) return Status::InvalidArgument("empty filename");
+  Status s = check_name(name);
+  if (!s.ok()) return s;
   Impl& im = *impl_;
   return im.serve<util::ReaderLock>([&] {
-    if (!im.erase_one(name))
+    if (!im.erase(name))
       return Status::NotFound("no file named '" + name + "'");
-    im.deletes.fetch_add(1, std::memory_order_relaxed);
-    im.note_mutations(1);
     return Status::OK();
   });
 }
 
 Status Store::Write(WriteBatch&& batch) {
   const std::vector<WriteBatch::Op> ops = std::move(batch).release();
+  // Every op passes the name rule before any applies: a refused batch
+  // changes nothing.
+  for (const WriteBatch::Op& op : ops) {
+    Status s = check_name(op.type == WriteBatch::OpType::kPut ? op.file.name
+                                                              : op.name);
+    if (!s.ok()) return s;
+  }
   Impl& im = *impl_;
   return im.serve<util::ReaderLock>([&] {
-    if (ops.empty()) return Status::OK();
-    std::uint64_t applied_puts = 0;
-    std::uint64_t applied_deletes = 0;
-    std::size_t i = 0;
-    while (i < ops.size()) {
-      if (ops[i].type == WriteBatch::OpType::kPut) {
-        std::size_t j = i;
-        while (j < ops.size() && ops[j].type == WriteBatch::OpType::kPut) ++j;
-        im.apply_put_run(ops, i, j);
-        applied_puts += j - i;
-        i = j;
+    for (const WriteBatch::Op& op : ops) {
+      if (op.type == WriteBatch::OpType::kPut) {
+        im.put(op.file);
       } else {
         // A Delete of an absent name inside a batch is not an error — the
         // batch's contract is "apply what exists", mirroring erase
         // replay's idempotence.
-        if (im.erase_one(ops[i].name)) {
-          ++applied_deletes;
-          im.note_mutations(1);
-        }
-        ++i;
+        im.erase(op.name);
       }
     }
-    im.puts.fetch_add(applied_puts, std::memory_order_relaxed);
-    im.deletes.fetch_add(applied_deletes, std::memory_order_relaxed);
     return Status::OK();
   });
 }
@@ -730,17 +668,17 @@ Status Store::ApplyReplicated(const std::vector<ReplicatedOp>& ops,
       // no-ops, not double-applies.
       if (op.seq <= im.core->last_commit_seq()) continue;
       if (op.is_insert) {
-        im.insert_one(op.file, op.seq);
-      } else if (!im.erase_one(op.name, op.seq)) {
+        im.core->insert_file(op.file, 0.0, op.seq);
+      } else if (!im.core->erase_file(op.name, op.seq)) {
         // Absent-name removes are fine: mirrors recovery replay's
         // idempotence (the delete was acked somewhere; re-applying onto a
         // state that never saw the insert must not fail the stream).
         // Identical histories mean the name always exists here; still,
         // the stream must neither stall the frontier nor let a restart
-        // reuse op.seq for a different mutation — log the no-op remove
-        // anyway (replay of a kRemove tolerates absence) and advance.
-        im.wal->append(0, persist::WalRecord::remove(op.name, op.seq));
-        im.core->note_commit_seq(op.seq);
+        // reuse op.seq for a different mutation — the erase advanced the
+        // clock to op.seq, and the no-op remove is logged anyway (replay
+        // of a kRemove tolerates absence).
+        im.wal->log_remove(0, op.name, op.seq);
       }
       ++applied;
     }
@@ -780,13 +718,10 @@ Status Store::LoadBootstrap(std::uint64_t seq,
     }
     // Each record takes a fresh local stamp (the dump does not carry the
     // original per-record seqs); there are at most `seq` of them, so all
-    // stamps land at or below `seq` — then the frontier jumps TO `seq`,
-    // and the resumed stream (> seq) passes the ApplyReplicated gate.
-    for (const metadata::FileMetadata& f : files) im.insert_one(f);
-    if (im.wal) {
-      im.wal->commit_all();  // durable before the follower acks `seq`
-      im.wal->ensure_seq_at_least(seq + 1);
-    }
+    // stamps land at or below `seq` — then the clock jumps TO `seq`, and
+    // the resumed stream (> seq) passes the ApplyReplicated gate.
+    for (const metadata::FileMetadata& f : files) im.core->insert_file(f, 0.0);
+    if (im.wal) im.wal->commit_all();  // durable before the follower acks
     im.core->note_commit_seq(seq);
     im.note_mutations(files.size());
     return Status::OK();
@@ -842,7 +777,7 @@ bool Store::GetProperty(const std::string& name, std::string* value) {
     if (name == "smartstore.wal.shards")
       return u64(im.wal ? im.wal->num_shards() : 0);
     if (name == "smartstore.wal.next-seq")
-      return u64(im.wal ? im.wal->next_seq() : 0);
+      return u64(im.wal ? im.core->last_commit_seq() + 1 : 0);
     if (name == "smartstore.wal.committed-records") {
       std::uint64_t total = 0;
       if (im.wal) {
@@ -1061,6 +996,7 @@ Status Store::Close() {
   // the engine references the WAL, the WAL holds the shard files, and the
   // LOCK releases last — nothing of this handle touches the directory
   // afterwards.
+  if (im.wal) im.core->attach_journal(nullptr);
   im.compactor.reset();
   im.delta.reset();
   im.wal.reset();
@@ -1086,7 +1022,10 @@ void Store::Abandon() {
     } catch (...) {          // boundaries lands — "the power dies an
     }                        // instant later"
   }
-  if (im.wal) im.wal->abandon();
+  if (im.wal) {
+    im.core->attach_journal(nullptr);
+    im.wal->abandon();
+  }
   im.compactor.reset();
   im.delta.reset();
   im.wal.reset();

@@ -9,21 +9,20 @@ namespace smartstore::persist {
 
 void apply_record(core::SmartStore& store, const WalRecord& rec) {
   // Replay runs at virtual time zero: queue state is not part of recovery,
-  // only the logical outcome of each mutation. The hooks do not re-log —
-  // they hand the record's persisted seq back to the store, so the
-  // replayed mutation lands under the SAME commit timestamp it carried
+  // only the logical outcome of each mutation. No journal is attached, so
+  // nothing re-logs; the record's persisted seq goes back to the store, so
+  // the replayed mutation lands under the SAME commit timestamp it carried
   // live and time-travel reads replay identically across a restart.
-  const auto replay_seq = [&rec](core::UnitId) { return rec.seq; };
   switch (rec.type) {
     case WalRecordType::kInsert:
-      store.insert_file(rec.file, 0.0, replay_seq);
+      store.insert_file(rec.file, 0.0, rec.seq);
       break;
     case WalRecordType::kRemove:
       // erase_file locates by the units' exact indexes: the live delete was
       // acknowledged, so replay must not depend on the off-line replicas
       // (whose staleness evolves differently during recovery) routing to
-      // the file.
-      store.erase_file(rec.name, replay_seq);
+      // the file. A remove of an absent name still advances the clock.
+      store.erase_file(rec.name, rec.seq);
       break;
   }
 }
@@ -102,6 +101,10 @@ RecoveryResult recover(const std::string& dir) {
   RecoveryResult res;
   const DeltaManifest m = read_manifest(dir);
   res.store = load_delta_base(dir, m, res);
+  // The clock resumes at no less than the last cut: the cut recorded the
+  // clock, and not every seq it covers left a record (a follower's
+  // bootstrap jump writes none).
+  res.store->note_commit_seq(m.last_cut_seq);
   res.used_manifest = true;
   replay_dir_logs(*res.store, dir, m.fence, res);
   return res;

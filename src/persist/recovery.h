@@ -5,7 +5,8 @@
 //   <dir>/wal/<u>.log  one write-ahead log per storage unit
 //                      (persist/wal_shard.h)
 //
-// recover() loads the manifest's base, applies the delta chain, then
+// recover() loads the manifest's base, applies the delta chain, resumes
+// the commit clock at no less than the manifest's last cut seq, then
 // replays the valid prefix of every shard log past the manifest's fence,
 // skipping each shard's fenced prefix when generations match. Records are
 // merged across shards by their store-wide sequence number first,
@@ -40,7 +41,9 @@ struct RecoveryResult {
   std::size_t delta_records = 0; ///< delta records applied before the tail
 };
 
-/// Applies one logged record through the store's mutation API.
+/// Applies one logged record through the store's mutation API under its
+/// persisted seq, with no journal attached; the store's commit clock ends
+/// at least at that seq, applied or not.
 void apply_record(core::SmartStore& store, const WalRecord& rec);
 
 /// recover()'s replay half, reusable without a checkpoint: replays the

@@ -144,7 +144,6 @@ WalScan scan_wal(const std::string& path) {
           parsed = false;
           break;
         }
-        scan.max_seq = std::max(scan.max_seq, rec.seq);
         block_records.push_back(std::move(rec));
       }
       if (!pr.at_end()) parsed = false;
@@ -186,7 +185,6 @@ void WalWriter::open_truncated_to_valid_prefix() {
   const WalScan scan = scan_wal(path_);  // throws on non-WAL content
   committed_ = scan.records.size();
   generation_ = scan.generation;
-  opened_max_seq_ = scan.max_seq;
   committed_bytes_ = scan.valid_bytes;
 
   if (scan.valid_bytes > 0) {

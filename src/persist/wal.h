@@ -29,8 +29,9 @@
 //          decode like any unknown type, so a scan ends the valid log at
 //          the block holding one and keeps the prefix.
 //
-// The seq is the store-wide monotonic sequence number, so recovery can
-// merge the shards back into one mutation order. Logs from before
+// The seq is the store-wide commit seq the core stamped on the mutation
+// (core::SmartStore's commit clock), so recovery can merge the shards
+// back into one mutation order. Logs from before
 // sharding (magic v01/v02, no per-record seq) are not read.
 //
 // The generation changes every time the log is rebased. A checkpoint
@@ -63,20 +64,19 @@ enum class WalRecordType : std::uint8_t {
 
 struct WalRecord {
   WalRecordType type = WalRecordType::kInsert;
-  std::uint64_t seq = 0;  ///< store-wide monotonic sequence number
+  std::uint64_t seq = 0;  ///< the core's commit seq for this mutation
   metadata::FileMetadata file;  ///< kInsert payload
   std::string name;             ///< kRemove payload
 
-  /// seq 0 asks ShardedWal::append to stamp a fresh one.
   static WalRecord insert(const metadata::FileMetadata& f,
-                          std::uint64_t seq = 0) {
+                          std::uint64_t seq) {
     WalRecord rec;
     rec.type = WalRecordType::kInsert;
     rec.seq = seq;
     rec.file = f;
     return rec;
   }
-  static WalRecord remove(std::string name, std::uint64_t seq = 0) {
+  static WalRecord remove(std::string name, std::uint64_t seq) {
     WalRecord rec;
     rec.type = WalRecordType::kRemove;
     rec.seq = seq;
@@ -93,7 +93,6 @@ struct WalScan {
   std::size_t blocks = 0;
   std::size_t valid_bytes = 0;  ///< file offset just past the last good block
   bool torn_tail = false;       ///< trailing partial/corrupt block dropped
-  std::uint64_t max_seq = 0;    ///< largest record seq seen
 };
 
 /// Scans a WAL, stopping (not failing) at the first torn or corrupt block.
@@ -126,7 +125,8 @@ class WalWriter {
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
-  /// Buffers a record (its seq already stamped) into the pending batch.
+  /// Buffers a record (its seq already stamped by the core) into the
+  /// pending batch.
   void append(const WalRecord& rec);
 
   /// Seals the pending batch into one commit block: write, flush, fsync.
@@ -163,8 +163,6 @@ class WalWriter {
   /// commit frontier (pair it with committed_records() for rebase()).
   std::size_t committed_bytes() const { return committed_bytes_; }
   std::uint64_t generation() const { return generation_; }
-  /// Largest record sequence number found when the log was opened.
-  std::uint64_t opened_max_seq() const { return opened_max_seq_; }
   const std::string& path() const { return path_; }
 
  private:
@@ -176,7 +174,6 @@ class WalWriter {
   std::size_t pending_ = 0;
   std::uint64_t committed_ = 0;
   std::uint64_t generation_ = 0;
-  std::uint64_t opened_max_seq_ = 0;
   std::size_t committed_bytes_ = 0;  ///< offset past the last block
 };
 

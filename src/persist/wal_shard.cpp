@@ -62,9 +62,9 @@ ShardedWal::ShardedWal(std::string deploy_dir, std::size_t num_shards,
       adaptive_(adaptive) {
   fs::create_directories(dir_);
 
-  // Open every shard already on disk (a restart must resume the sequence
-  // counter past everything it ever stamped, even shards for units that
-  // have since been removed), then make sure [0, num_shards) exist.
+  // Open every shard already on disk (a shard whose unit the recovered
+  // shape lacks still holds replayed records the next checkpoint must
+  // fence), then make sure [0, num_shards) exist.
   std::size_t max_existing = 0;
   bool any = false;
   for (const auto& entry : fs::directory_iterator(dir_)) {
@@ -75,15 +75,11 @@ ShardedWal::ShardedWal(std::string deploy_dir, std::size_t num_shards,
   }
   const std::size_t open_up_to =
       std::max(num_shards, any ? max_existing + 1 : 0);
-  std::uint64_t max_seq = 0;
   for (std::size_t i = 0; i < open_up_to; ++i) {
     const bool on_disk = fs::exists(shard_path(deploy_dir_, i));
     if (!on_disk && i >= num_shards) continue;  // sparse ids stay sparse
-    Shard& s = shard(i);
-    const util::MutexLock lock(s.mu);
-    max_seq = std::max(max_seq, s.writer->opened_max_seq());
+    shard(i);
   }
-  next_seq_.store(max_seq + 1, std::memory_order_relaxed);
 }
 
 ShardedWal::Shard& ShardedWal::shard(std::size_t i) {
@@ -151,21 +147,15 @@ void ShardedWal::drain_tap(Shard& s) {
                       s.tap_pending.begin() + static_cast<long>(committed));
 }
 
-std::uint64_t ShardedWal::append(std::size_t shard_id, WalRecord rec) {
+void ShardedWal::append(std::size_t shard_id, const WalRecord& rec) {
   Shard& s = shard(shard_id);
   const util::MutexLock lock(s.mu);
-  if (rec.seq == 0) {
-    rec.seq = stamp();
-  } else {
-    ensure_seq_at_least(rec.seq + 1);
-  }
   tap_append(s, rec);
   note_append(s);
   s.writer->append(rec);
-  return rec.seq;
 }
 
-void ShardedWal::maybe_commit(std::size_t shard_id) {
+void ShardedWal::commit(core::UnitId shard_id) {
   Shard* s = shard_if_exists(shard_id);
   if (!s) return;
   const util::MutexLock lock(s->mu);

@@ -2,14 +2,16 @@
 // writers stop serializing on a single append/fsync point.
 //
 // Layout on disk: <deploy dir>/wal/<unit id>.log, each a WalWriter log
-// (persist/wal.h) whose records carry a store-wide monotonic sequence
-// number. Every record goes through one call, append(), run from the
-// store's WalHook under the routed unit's lock, which makes each shard's
-// record order equal that unit's in-memory apply order. The group commit
-// has one trigger too: maybe_commit(), run from the store's flush hook
-// after the unit lock is released, so an fsync stalls only the writers of
-// the shard it flushes. Shards group-commit and fsync independently, so
-// writers routed to different units overlap their durability waits.
+// (persist/wal.h) whose records carry the store-wide commit seq the core
+// stamped: the WAL records the seq it is handed and counts nothing
+// itself. The log is the store's core::Journal (core/journal.h), attached
+// once per store. Every record goes through one call, append(), run from
+// log_insert/log_remove under the routed unit's lock, which makes each
+// shard's record order equal that unit's in-memory apply order. The group
+// commit has one trigger too: commit(unit), run after the unit lock is
+// released, so an fsync stalls only the writers of the shard it flushes.
+// Shards group-commit and fsync independently, so writers routed to
+// different units overlap their durability waits.
 // Recovery (persist/recovery.h) scans every shard and replays the merged
 // record stream in sequence order — records that cross shards are
 // independent (they touch different units), so losing an *unacknowledged*
@@ -30,7 +32,6 @@
 // shard by shard.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <functional>
@@ -39,25 +40,27 @@
 #include <string>
 #include <vector>
 
+#include "core/journal.h"
 #include "persist/wal.h"
 #include "util/annotated_mutex.h"
 #include "util/thread_annotations.h"
 
 namespace smartstore::persist {
 
-class ShardedWal {
+class ShardedWal final : public core::Journal {
  public:
   /// Observer for records that have become COMMITTED (durable) in this
   /// log. Invoked under the owning shard's mutex (rank kWalShard), one
   /// record at a time in that shard's commit order; the callee may take
   /// locks ranked above kWalShard only (the replication buffer uses
-  /// kReplBuffer). Every record that consumes a stamp is delivered, so a
-  /// seq-ordered stream never waits on a consumed seq.
+  /// kReplBuffer). Every logged record is delivered, so a seq-ordered
+  /// stream never waits on a consumed seq.
   using CommitTap = std::function<void(const WalRecord&)>;
 
   /// Opens (creating if needed) the shard directory under `deploy_dir` and
-  /// every existing shard log in it, plus shards [0, num_shards). The
-  /// store-wide sequence counter resumes past the largest sequence found.
+  /// every existing shard log in it, plus shards [0, num_shards). A shard
+  /// of a unit the recovered shape no longer has is opened too: its
+  /// records were replayed, so the next checkpoint must fence them.
   ///
   /// With `adaptive` set, `group_commit` is only the starting point: each
   /// shard re-sizes its own batch from an EWMA of its fsync latency and
@@ -84,20 +87,26 @@ class ShardedWal {
   static bool parse_shard_id(const std::filesystem::path& p,
                              std::uint64_t* id_out);
 
-  /// Buffers a record (kInsert/kRemove) into shard `shard`'s pending
-  /// batch and returns its seq. Called from the store's WalHook, under the
-  /// routed unit's lock: encode and buffer only, never an fsync. A record
-  /// with seq 0 is stamped with the next store-wide seq — the store adopts
-  /// it as the mutation's commit timestamp (MVCC snapshot visibility). A
-  /// nonzero seq is kept and the counter raised past it: a replication
-  /// follower re-logs the PRIMARY's seq, so its log stays seq-identical to
-  /// what clients were acked and recovery on a promoted follower lines up.
-  std::uint64_t append(std::size_t shard, WalRecord rec);
-  /// Commits `shard` if its pending batch reached the group-commit size —
-  /// the only group-commit trigger. Called from the store's flush hook
-  /// after the unit lock is released, so the fsync never blocks another
-  /// writer routed to the same unit, only the shard it flushes.
-  void maybe_commit(std::size_t shard);
+  // ---- core::Journal ------------------------------------------------------
+  /// Buffer one record into shard `unit`'s pending batch under exactly
+  /// `seq`: encode and buffer only, never an fsync. The core calls them
+  /// under the routed unit's lock. A replication follower also logs the
+  /// remove of a name it does not hold under the PRIMARY's seq, so its log
+  /// stays seq-identical to what clients were acked and recovery on a
+  /// promoted follower lines up.
+  void log_insert(core::UnitId unit, const metadata::FileMetadata& f,
+                  std::uint64_t seq) override {
+    append(unit, WalRecord::insert(f, seq));
+  }
+  void log_remove(core::UnitId unit, const std::string& name,
+                  std::uint64_t seq) override {
+    append(unit, WalRecord::remove(name, seq));
+  }
+  /// Commits shard `unit` if its pending batch reached the group-commit
+  /// size — the only group-commit trigger. The core calls it after the
+  /// unit lock is released, so the fsync never blocks another writer
+  /// routed to the same unit, only the shard it flushes.
+  void commit(core::UnitId unit) override;
 
   /// Arms (or, with nullptr, disarms) the commit tap. Disarming discards
   /// any tapped-but-uncommitted records. Safe to call concurrently with
@@ -129,22 +138,6 @@ class ShardedWal {
   std::uint64_t committed_records(std::size_t shard) const;
   std::uint64_t pending_records(std::size_t shard) const;
   std::uint64_t generation(std::size_t shard) const;
-  /// Next sequence number to be stamped (monotonic across all shards).
-  std::uint64_t next_seq() const {
-    return next_seq_.load(std::memory_order_relaxed);
-  }
-
-  /// Raises the sequence counter so the next stamp is at least `floor`.
-  /// Store::Open calls this with last_commit_seq() + 1 after recovery:
-  /// rebases drop replayed records, so the directory scan alone can
-  /// under-resume the counter and reuse seqs a loaded checkpoint already
-  /// carries.
-  void ensure_seq_at_least(std::uint64_t floor) {
-    std::uint64_t cur = next_seq_.load(std::memory_order_relaxed);
-    while (cur < floor && !next_seq_.compare_exchange_weak(
-                              cur, floor, std::memory_order_relaxed)) {
-    }
-  }
   std::size_t group_commit() const { return group_commit_; }
   bool adaptive() const { return adaptive_; }
   /// The group-commit size actually in force: the static configuration
@@ -177,7 +170,7 @@ class ShardedWal {
     /// committed. The drain invariant: the first
     /// `tap_pending.size() - writer->pending_records()` entries are
     /// durable and get delivered (works no matter where the commit
-    /// happened — maybe_commit(), commit_all() or a frontier), because
+    /// happened — commit(), commit_all() or a frontier), because
     /// tapped records commit strictly in append order.
     std::vector<WalRecord> tap_pending SS_GUARDED_BY(mu);
   };
@@ -186,9 +179,8 @@ class ShardedWal {
   /// their shard on first record). Returned reference is stable.
   Shard& shard(std::size_t i);
   Shard* shard_if_exists(std::size_t i) const;
-  std::uint64_t stamp() {
-    return next_seq_.fetch_add(1, std::memory_order_relaxed);
-  }
+  /// The one record path of log_insert and log_remove.
+  void append(std::size_t shard, const WalRecord& rec);
   /// Copies `rec` into the shard's tap queue iff the tap is armed.
   void tap_append(Shard& s, const WalRecord& rec) SS_REQUIRES(s.mu);
   /// Delivers the committed prefix of the shard's tap queue (see the
@@ -217,7 +209,6 @@ class ShardedWal {
   /// one — shard()/shard_if_exists() release it before returning).
   mutable util::Mutex map_mu_{util::LockRank::kWalShardMap};
   std::vector<std::unique_ptr<Shard>> shards_ SS_GUARDED_BY(map_mu_);
-  std::atomic<std::uint64_t> next_seq_{1};
   /// Leaf-ranked: guards only the shared_ptr swap/copy (never held while
   /// invoking the tap), so it may be taken from under any shard mutex.
   mutable util::Mutex tap_mu_{util::LockRank::kLeaf};

@@ -65,18 +65,10 @@ struct BgRig {
         wal(dir, units, /*group_commit=*/4),
         engine(store, wal, dir) {
     store.build(trace.files());
+    store.attach_journal(&wal);
   }
 
-  /// The db facade's write path: append under the routed unit's lock,
-  /// group commit from the flush hook after it is released.
-  void insert(const metadata::FileMetadata& f) {
-    store.insert_file(
-        f, 0.0,
-        [&](core::UnitId target) {
-          return wal.append(target, WalRecord::insert(f));
-        },
-        [&](core::UnitId target) { wal.maybe_commit(target); });
-  }
+  void insert(const metadata::FileMetadata& f) { store.insert_file(f, 0.0); }
 
   std::string dir;
   trace::SyntheticTrace trace;

@@ -63,27 +63,6 @@ struct Deployment {
   }
 };
 
-/// The db facade's write path: append under the routed unit's lock, group
-/// commit from the flush hook after that lock is released.
-void logged_insert(SmartStore& store, ShardedWal& wal, const FileMetadata& f) {
-  store.insert_file(
-      f, 0.0,
-      [&](core::UnitId target) {
-        return wal.append(target, WalRecord::insert(f));
-      },
-      [&](core::UnitId target) { wal.maybe_commit(target); });
-}
-
-bool logged_erase(SmartStore& store, ShardedWal& wal,
-                  const std::string& name) {
-  return store.erase_file(
-      name,
-      [&](core::UnitId located) {
-        return wal.append(located, WalRecord::remove(name));
-      },
-      [&](core::UnitId located) { wal.maybe_commit(located); });
-}
-
 /// Splits [0, n) into `parts` contiguous ranges.
 std::vector<std::pair<std::size_t, std::size_t>> split(std::size_t n,
                                                        std::size_t parts) {
@@ -105,10 +84,7 @@ TEST(MultiWriter, ConcurrentInsertsAllLandExactlyOnce) {
   std::vector<std::thread> writers;
   for (const auto& [b, e] : ranges) {
     writers.emplace_back([&, b = b, e = e] {
-      const std::vector<FileMetadata> chunk(
-          stream.begin() + static_cast<std::ptrdiff_t>(b),
-          stream.begin() + static_cast<std::ptrdiff_t>(e));
-      store.insert_batch(chunk, 0.0);
+      for (std::size_t i = b; i < e; ++i) store.insert_file(stream[i], 0.0);
     });
   }
   for (auto& t : writers) t.join();
@@ -227,6 +203,7 @@ TEST(MultiWriter, ShardedWalBackgroundCheckpointsRecoverEverything) {
   SmartStore& store = d.store;
 
   ShardedWal wal(dir, store.units().size(), /*group_commit=*/4);
+  store.attach_journal(&wal);
   DeltaEngine engine(store, wal, dir);
   engine.fold();
   // A short chain budget: the background slot alternates cuts and folds.
@@ -239,11 +216,11 @@ TEST(MultiWriter, ShardedWalBackgroundCheckpointsRecoverEverything) {
   for (const auto& [b, e] : ranges) {
     writers.emplace_back([&, b = b, e = e] {
       for (std::size_t i = b; i < e; ++i) {
-        logged_insert(store, wal, stream[i]);
+        store.insert_file(stream[i], 0.0);
         // A third of each thread's files are erased again, through the
         // same sharded write-ahead discipline.
         if ((i - b) % 3 == 2) {
-          EXPECT_TRUE(logged_erase(store, wal, stream[i].name));
+          EXPECT_TRUE(store.erase_file(stream[i].name));
         }
       }
       done_writers.fetch_add(1, std::memory_order_release);
@@ -295,6 +272,7 @@ TEST(MultiWriter, FiltersGrowFromEmptyUnderWritersReadersAndCheckpoints) {
   SmartStore store(cfg);
   store.build({});
   ShardedWal wal(dir, store.units().size(), /*group_commit=*/4);
+  store.attach_journal(&wal);
   DeltaEngine engine(store, wal, dir);
   engine.fold();
   Compactor compactor(engine, /*max_chain_len=*/1, /*max_chain_bytes=*/0);
@@ -314,7 +292,7 @@ TEST(MultiWriter, FiltersGrowFromEmptyUnderWritersReadersAndCheckpoints) {
   std::vector<std::thread> writers;
   for (const auto& [b, e] : ranges) {
     writers.emplace_back([&, b = b, e = e] {
-      for (std::size_t i = b; i < e; ++i) logged_insert(store, wal, stream[i]);
+      for (std::size_t i = b; i < e; ++i) store.insert_file(stream[i], 0.0);
       done_writers.fetch_add(1, std::memory_order_release);
     });
   }
@@ -358,6 +336,7 @@ TEST(MultiWriter, ReconfigurationRacesWritersThenFoldCapturesIt) {
   SmartStore& store = d.store;
 
   ShardedWal wal(dir, store.units().size(), /*group_commit=*/4);
+  store.attach_journal(&wal);
   DeltaEngine engine(store, wal, dir);
   engine.fold();
 
@@ -366,7 +345,7 @@ TEST(MultiWriter, ReconfigurationRacesWritersThenFoldCapturesIt) {
   std::vector<std::thread> writers;
   for (const auto& [b, e] : ranges) {
     writers.emplace_back([&, b = b, e = e] {
-      for (std::size_t i = b; i < e; ++i) logged_insert(store, wal, stream[i]);
+      for (std::size_t i = b; i < e; ++i) store.insert_file(stream[i], 0.0);
     });
   }
   // Topology changes race the writers under the exclusive structure lock.

@@ -5,7 +5,7 @@
 // consistent prefix of the acknowledged history, with no acknowledged
 // write lost and nothing applied twice:
 //
-//   1. a deterministic fault-point sweep: one fixed workload (WAL-hooked
+//   1. a deterministic fault-point sweep: one fixed workload (WAL-logged
 //      inserts, delta cuts, folds, and a fold with inserts inside its
 //      frozen window and ahead of its rebase) is killed at *every* fault
 //      point it passes — every snapshot section boundary, atomic-publish
@@ -37,6 +37,7 @@
 #include "persist/snapshot.h"
 #include "persist/wal.h"
 #include "persist/wal_shard.h"
+#include "recording_journal.h"
 #include "trace/synth.h"
 #include "util/binary_io.h"
 #include "util/crc32.h"
@@ -122,7 +123,7 @@ struct ShardedScenarioResult {
   bool tail_spliced = false;
 };
 
-/// WAL-hooked inserts over per-unit shards (group commit 2), two delta
+/// WAL-logged inserts over per-unit shards (group commit 2), two delta
 /// cuts growing a chain on the baseline fold's base image, a compaction
 /// fold over that chain, a fold stepped by hand with inserts in its
 /// frozen window and between its manifest publish and its rebase, a
@@ -151,17 +152,21 @@ ShardedScenarioResult run_delta_crash_scenario(const std::string& dir,
   const auto stream = tr.make_insert_stream(22, 77);
   auto wal = std::make_unique<ShardedWal>(dir, cfg.num_units,
                                           /*group_commit=*/2);
+  // The journal records each insert's (shard, index) BEFORE the log
+  // append: if the group commit behind it crashes, the attempt is on file
+  // but never counted durable (committed_records stays behind it).
+  RecordingJournal journal(*wal);
+  store.attach_journal(&journal);
   auto engine = std::make_unique<DeltaEngine>(store, *wal, dir);
   engine->fold();  // baseline: ckpt/base-1.bin + an empty-chain manifest
 
   // Durable frontiers are tracked CUMULATIVELY per shard: rebases drop
   // durable prefixes out of committed_records(), so the running `dropped`
   // baseline is added back — `committed[s] > idx` then compares in the
-  // same coordinate system as the cumulative `logged` indices. The
+  // same coordinate system as the journal's cumulative indices. The
   // snapshots are taken only at points the scenario knows to be
   // quiescent; a crash leaves the previous (conservative) value, which can
   // only under-count acked writes, never over-count.
-  std::vector<std::uint64_t> logged(cfg.num_units, 0);
   std::vector<std::uint64_t> dropped(cfg.num_units, 0);
   auto snapshot_committed = [&] {
     res.committed.assign(wal->num_shards(), 0);
@@ -173,10 +178,9 @@ ShardedScenarioResult run_delta_crash_scenario(const std::string& dir,
   // everything logged so far is durable regardless of which shards the
   // rebase touched.
   auto mark_all_durable = [&] {
-    for (std::size_t s = 0; s < logged.size(); ++s) dropped[s] = logged[s];
-    for (std::size_t s = 0; s < wal->num_shards(); ++s) {
-      if (s >= dropped.size()) dropped.resize(s + 1, 0);
-    }
+    if (dropped.size() < wal->num_shards()) dropped.resize(wal->num_shards());
+    for (std::size_t s = 0; s < dropped.size(); ++s)
+      dropped[s] = journal.logged(s);
     res.committed.assign(std::max(dropped.size(), wal->num_shards()), 0);
     for (std::size_t s = 0; s < res.committed.size(); ++s)
       res.committed[s] = s < dropped.size() ? dropped[s] : 0;
@@ -189,17 +193,7 @@ ShardedScenarioResult run_delta_crash_scenario(const std::string& dir,
   }
   try {
     auto logged_insert = [&](const FileMetadata& f) {
-      store.insert_file(
-          f, 0.0,
-          [&](core::UnitId target) {
-            // Record the (shard, index) BEFORE the log append: if the
-            // group commit behind it crashes, this attempt is on file but
-            // never counted durable (committed_records stays behind it).
-            if (target >= logged.size()) logged.resize(target + 1, 0);
-            res.inserts.push_back({f.name, target, logged[target]++});
-            return wal->append(target, WalRecord::insert(f));
-          },
-          [&](core::UnitId target) { wal->maybe_commit(target); });
+      store.insert_file(f, 0.0);
       snapshot_committed();
     };
 
@@ -251,6 +245,11 @@ ShardedScenarioResult run_delta_crash_scenario(const std::string& dir,
     res.completed = true;
   } catch (const FaultInjected&) {
     wal->abandon();  // the process died: nothing may touch the files now
+  }
+  // Every attempted insert, from the journal's call log.
+  for (const RecordingJournal::Call& c : journal.calls()) {
+    if (c.kind == RecordingJournal::Kind::kInsert)
+      res.inserts.push_back({c.name, c.unit, c.idx});
   }
   return res;
 }
@@ -368,15 +367,15 @@ TEST(CrashOracle, RandomizedMutationsCrashesAndRecoveriesMatchOracle) {
   std::set<std::string> oracle = unit_names(*store);
   std::vector<std::string> live_names(oracle.begin(), oracle.end());
 
-  // The durable pair a deployment runs: per-unit WAL shards with the store
-  // hooks attached, and the delta engine over them. Opened the way
+  // The durable pair a deployment runs: per-unit WAL shards attached as
+  // the store's journal, and the delta engine over them. Opened the way
   // db::Store::Open does after recovery.
   std::unique_ptr<ShardedWal> wal;
   std::unique_ptr<DeltaEngine> engine;
   auto open_durable = [&] {
     wal = std::make_unique<ShardedWal>(dir, store->units().size(),
                                        /*group_commit=*/3);
-    wal->ensure_seq_at_least(store->last_commit_seq() + 1);
+    store->attach_journal(wal.get());
     engine = std::make_unique<DeltaEngine>(*store, *wal, dir);
   };
   open_durable();
@@ -390,12 +389,7 @@ TEST(CrashOracle, RandomizedMutationsCrashesAndRecoveriesMatchOracle) {
   auto insert_next = [&] {
     if (cursor >= pool.size()) return;
     const FileMetadata& f = pool[cursor++];
-    store->insert_file(
-        f, 0.0,
-        [&](core::UnitId target) {
-          return wal->append(target, WalRecord::insert(f));
-        },
-        [&](core::UnitId target) { wal->maybe_commit(target); });
+    store->insert_file(f, 0.0);
     oracle.insert(f.name);
     live_names.push_back(f.name);
   };
@@ -417,13 +411,7 @@ TEST(CrashOracle, RandomizedMutationsCrashesAndRecoveriesMatchOracle) {
       live_names.erase(live_names.begin() +
                        static_cast<std::ptrdiff_t>(pick));
       if (oracle.count(name)) {
-        ASSERT_TRUE(store->erase_file(
-            name,
-            [&](core::UnitId located) {
-              return wal->append(located, WalRecord::remove(name));
-            },
-            [&](core::UnitId located) { wal->maybe_commit(located); }))
-            << name;
+        ASSERT_TRUE(store->erase_file(name)) << name;
         oracle.erase(name);
       }
     } else if (r < 0.77) {

@@ -69,10 +69,6 @@ TEST(DbApi, OpenRejectsBadOptions) {
   o.checkpoint_every = 10;
   o.in_memory = true;  // nothing to checkpoint
   EXPECT_TRUE(db::Store::Open(o, "x").status().IsInvalidArgument());
-
-  o = small_options();
-  o.ingest_threads = 0;
-  EXPECT_TRUE(db::Store::Open(o, "x").status().IsInvalidArgument());
 }
 
 // ---- open / recover round trip ---------------------------------------------
@@ -327,9 +323,7 @@ TEST(DbApi, OperationsAfterCloseFailTyped) {
 
 TEST(DbApi, WriteBatchAppliesInOrder) {
   const auto dir = temp_dir("batch");
-  db::Options o = small_options();
-  o.ingest_threads = 4;  // exercise the fan-out path too
-  auto store = open_or_die(o, dir.string());
+  auto store = open_or_die(small_options(), dir.string());
 
   db::WriteBatch batch;
   for (std::uint64_t i = 0; i < 300; ++i) batch.Put(make_file(i));
@@ -366,6 +360,22 @@ TEST(DbApi, QueryValidation) {
 
   EXPECT_TRUE(store->Query(db::QueryRequest::Point(""))
                   .status().IsInvalidArgument());
+
+  // An empty filename is refused by every mutation: a record under it
+  // could never be deleted or looked up. A batch holding one is refused
+  // whole, before any op applies.
+  metadata::FileMetadata unnamed = make_file(1);
+  unnamed.name.clear();
+  EXPECT_TRUE(store->Put(unnamed).IsInvalidArgument());
+  EXPECT_TRUE(store->Delete("").IsInvalidArgument());
+  db::WriteBatch batch;
+  batch.Put(make_file(2));
+  batch.Put(unnamed);
+  EXPECT_TRUE(store->Write(std::move(batch)).IsInvalidArgument());
+  std::string files;
+  ASSERT_TRUE(store->GetProperty("smartstore.total-files", &files));
+  EXPECT_EQ(files, "0");
+  EXPECT_EQ(store->LatestSequence(), 0u);
 
   metadata::RangeQuery rq;
   rq.dims = metadata::AttrSubset::all();
@@ -717,6 +727,44 @@ TEST(DbApi, QueryAsOfReplaysAcrossCheckpointBoundary) {
     ASSERT_TRUE(now_pt.ok());
     EXPECT_TRUE(now_pt->found);
   }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(DbApi, CommitClockSurvivesReopenPastACutNoOpRemove) {
+  // A replicated remove of an absent name consumes its seq without
+  // applying anything. Once a cut has moved it into a segment and rebased
+  // the WAL, no log record is left to resume the clock from: replay must
+  // advance past every record it reads, applied or not, and recovery must
+  // resume at no less than the manifest's last cut seq.
+  const auto dir = temp_dir("clock_resume");
+  {
+    auto store = open_or_die(small_options(), dir.string());
+    ASSERT_TRUE(store->Checkpoint().ok());  // the first checkpoint folds
+    std::vector<db::ReplicatedOp> ops(2);
+    ops[0].seq = 1;
+    ops[0].file = make_file(1);
+    ops[1].is_insert = false;
+    ops[1].seq = 2;
+    ops[1].name = "never_inserted.dat";
+    ASSERT_TRUE(store->ApplyReplicated(ops, nullptr).ok());
+    EXPECT_EQ(store->LatestSequence(), 2u);
+    ASSERT_TRUE(store->Checkpoint().ok());  // a cut: both into segments
+    std::string cuts;
+    ASSERT_TRUE(store->GetProperty("smartstore.ckpt.delta-cuts", &cuts));
+    EXPECT_EQ(cuts, "1");
+    ASSERT_TRUE(store->Close().ok());
+  }
+  auto store = open_or_die(small_options(), dir.string());
+  EXPECT_EQ(store->LatestSequence(), 2u);
+  std::string next;
+  ASSERT_TRUE(store->GetProperty("smartstore.wal.next-seq", &next));
+  EXPECT_EQ(next, "3");
+  ASSERT_TRUE(store->Put(make_file(3)).ok());
+  EXPECT_EQ(store->LatestSequence(), 3u);
+  // An as-of-2 read answers as it did before the restart.
+  auto at2 = store->Query(select_all(), db::ReadOptions{2});
+  ASSERT_TRUE(at2.ok());
+  EXPECT_EQ(at2->ids, std::vector<metadata::FileId>{1});
   std::filesystem::remove_all(dir);
 }
 

@@ -53,12 +53,12 @@ std::set<std::string> store_names(const core::SmartStore& s) {
 // ---- persist layer: DeltaEngine ---------------------------------------------
 
 /// A SmartStore + ShardedWal + DeltaEngine triple over a temp directory,
-/// with the db facade's WAL-hooked insert: append under the routed unit's
-/// lock, group commit from the flush hook after it is released.
+/// with the WAL attached as the store's journal, as db::Store::Open does.
 struct EngineRig {
   explicit EngineRig(const std::filesystem::path& dir_in)
       : dir(dir_in.string()), wal(dir, cfg().num_units, /*group_commit=*/2) {
     store.build({});
+    store.attach_journal(&wal);
   }
   static core::Config cfg() {
     core::Config c;
@@ -69,12 +69,7 @@ struct EngineRig {
 
   void insert(std::uint64_t id) {
     const auto f = make_file(id);
-    store.insert_file(
-        f, 0.0,
-        [&](core::UnitId target) {
-          return wal.append(target, WalRecord::insert(f));
-        },
-        [&](core::UnitId target) { wal.maybe_commit(target); });
+    store.insert_file(f, 0.0);
     inserted.insert(f.name);
   }
 

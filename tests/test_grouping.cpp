@@ -115,15 +115,22 @@ TEST(Kmeans, Deterministic) {
 /// kmeans_cluster as it was with k-means++ seeding that recomputed every
 /// point's distance to every chosen center each round (O(n·k²)); the
 /// placement must not change now that seeding folds in one center a round.
-std::vector<std::size_t> reference_kmeans(const std::vector<la::Vector>& coords,
-                                          std::size_t k, std::size_t iterations,
-                                          std::uint64_t seed,
-                                          std::size_t capacity) {
+/// Seeding does not depend on the capacity, so the reference is split in
+/// two: reference_seeding runs once per (population, k, seed), and
+/// reference_assign continues from its centers and rng state for each
+/// capacity.
+struct ReferenceSeeds {
+  std::vector<la::Vector> centers;
+  util::Rng rng;  ///< the state the assignment rounds draw from
+};
+
+ReferenceSeeds reference_seeding(const std::vector<la::Vector>& coords,
+                                 std::size_t k, std::uint64_t seed) {
   const std::size_t n = coords.size();
   k = std::min(k, n);
-  const std::size_t dims = coords[0].size();
-  util::Rng rng(seed);
-  std::vector<la::Vector> centers;
+  ReferenceSeeds out{{}, util::Rng(seed)};
+  util::Rng& rng = out.rng;
+  std::vector<la::Vector>& centers = out.centers;
   centers.push_back(coords[rng.uniform_u64(n)]);
   std::vector<double> d2(n, 0.0);
   while (centers.size() < k) {
@@ -150,7 +157,18 @@ std::vector<std::size_t> reference_kmeans(const std::vector<la::Vector>& coords,
     }
     centers.push_back(coords[chosen]);
   }
+  return out;
+}
 
+std::vector<std::size_t> reference_assign(const std::vector<la::Vector>& coords,
+                                          ReferenceSeeds seeds,
+                                          std::size_t iterations,
+                                          std::size_t capacity) {
+  const std::size_t n = coords.size();
+  const std::size_t dims = coords[0].size();
+  std::vector<la::Vector>& centers = seeds.centers;
+  util::Rng& rng = seeds.rng;
+  const std::size_t k = centers.size();
   std::vector<std::size_t> assign(n, 0);
   const std::size_t cap = capacity == 0 ? n : capacity;
   std::vector<std::size_t> order(n);
@@ -219,12 +237,13 @@ TEST(Kmeans, SeedingMatchesReference) {
         duplicated.push_back({static_cast<double>(i % 2), 1.0, -1.0});
       for (const auto* docs : {&clustered, &duplicated}) {
         for (std::size_t k : {1u, 3u, 8u, 200u}) {  // k >= n included
+          const ReferenceSeeds seeds = reference_seeding(*docs, k, seed);
           // Unbounded, loose, and saturated (cap * k < n) capacities.
           for (std::size_t cap : {std::size_t{0}, n / k + 2,
                                   std::max<std::size_t>(1, n / (2 * k))}) {
             const Grouping g = kmeans_cluster(*docs, k, 4, seed, cap);
             ASSERT_TRUE(grouping_consistent(g, n));
-            EXPECT_EQ(g.group_of, reference_kmeans(*docs, k, 4, seed, cap))
+            EXPECT_EQ(g.group_of, reference_assign(*docs, seeds, 4, cap))
                 << "n=" << n << " k=" << k << " cap=" << cap
                 << " seed=" << seed;
             ++cases;
@@ -256,10 +275,11 @@ TEST(Kmeans, SeedingMatchesReference) {
       docs.push_back(std::move(v));
     }
     for (std::size_t k : {16u, 60u}) {
+      const ReferenceSeeds seeds = reference_seeding(docs, k, 9);
       for (std::size_t cap :
            {std::size_t{0}, n / k + 2, std::max<std::size_t>(1, n / (2 * k))}) {
         const std::vector<std::size_t> expected =
-            reference_kmeans(docs, k, 4, 9, cap);
+            reference_assign(docs, seeds, 4, cap);
         for (util::ThreadPool* pool : pools) {
           EXPECT_EQ(kmeans_cluster(docs, k, 4, 9, cap, pool).group_of, expected)
               << "n=" << n << " dims=" << dims << " k=" << k << " cap=" << cap

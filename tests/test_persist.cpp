@@ -34,6 +34,7 @@
 #include "persist/snapshot.h"
 #include "persist/wal.h"
 #include "persist/wal_shard.h"
+#include "recording_journal.h"
 #include "replica_reference.h"
 #include "trace/query_gen.h"
 #include "trace/synth.h"
@@ -927,12 +928,15 @@ TEST(Persist, AtomicWriteToAFullDeviceThrowsAndPublishesNothing) {
 
 // ---- WAL --------------------------------------------------------------------
 
-/// One record through the shard log the way the store's hooks drive it:
-/// the append, then the group-commit trigger.
-std::uint64_t log_record(ShardedWal& wal, std::size_t shard, WalRecord rec) {
-  const std::uint64_t seq = wal.append(shard, std::move(rec));
-  wal.maybe_commit(shard);
-  return seq;
+/// One record through the shard log the way the store's journal calls
+/// drive it: the log, then the group-commit trigger.
+void log_record(ShardedWal& wal, std::size_t shard, const WalRecord& rec) {
+  if (rec.type == WalRecordType::kInsert) {
+    wal.log_insert(shard, rec.file, rec.seq);
+  } else {
+    wal.log_remove(shard, rec.name, rec.seq);
+  }
+  wal.commit(shard);
 }
 
 TEST(Wal, GroupCommitBatchesRecords) {
@@ -943,7 +947,8 @@ TEST(Wal, GroupCommitBatchesRecords) {
 
   {
     ShardedWal wal(dir, 1, /*group_commit=*/4);
-    for (const auto& f : stream) log_record(wal, 0, WalRecord::insert(f));
+    for (std::size_t i = 0; i < stream.size(); ++i)
+      log_record(wal, 0, WalRecord::insert(stream[i], i + 1));
     // 10 records at batch 4: blocks of 4+4 committed, 2 still pending.
     EXPECT_EQ(wal.committed_records(0), 8u);
     EXPECT_EQ(wal.pending_records(0), 2u);
@@ -955,19 +960,18 @@ TEST(Wal, GroupCommitBatchesRecords) {
   ASSERT_EQ(scan.records.size(), 10u);
   for (std::size_t i = 0; i < stream.size(); ++i) {
     EXPECT_EQ(scan.records[i].type, WalRecordType::kInsert);
-    EXPECT_EQ(scan.records[i].seq, i + 1);  // store-wide stamps, in order
+    EXPECT_EQ(scan.records[i].seq, i + 1);  // the seqs it was handed
     EXPECT_EQ(scan.records[i].file.id, stream[i].id);
     EXPECT_EQ(scan.records[i].file.name, stream[i].name);
   }
-  EXPECT_EQ(scan.max_seq, 10u);
 }
 
 TEST(Wal, RemoveRecordsRoundTrip) {
   const std::string dir = temp_dir("wal_remove");
   {
     ShardedWal wal(dir, 1, /*group_commit=*/2);
-    log_record(wal, 0, WalRecord::remove("some/file.txt"));
-    log_record(wal, 0, WalRecord::remove("other/file.bin"));
+    log_record(wal, 0, WalRecord::remove("some/file.txt", 1));
+    log_record(wal, 0, WalRecord::remove("other/file.bin", 2));
   }
   const WalScan scan = scan_wal(ShardedWal::shard_path(dir, 0));
   ASSERT_EQ(scan.records.size(), 2u);
@@ -985,7 +989,8 @@ TEST(Wal, TornTailRecoversToLastCommitBoundary) {
 
   {
     ShardedWal wal(dir, 1, /*group_commit=*/4);
-    for (const auto& f : stream) log_record(wal, 0, WalRecord::insert(f));
+    for (std::size_t i = 0; i < stream.size(); ++i)
+      log_record(wal, 0, WalRecord::insert(stream[i], i + 1));
   }  // 3 complete blocks of 4
 
   // Crash mid-append: chop into the last block's payload.
@@ -1022,7 +1027,8 @@ TEST(Wal, CorruptedBlockChecksumStopsScan) {
   const auto stream = tr.make_insert_stream(8, 5);
   {
     ShardedWal wal(dir, 1, /*group_commit=*/4);
-    for (const auto& f : stream) log_record(wal, 0, WalRecord::insert(f));
+    for (std::size_t i = 0; i < stream.size(); ++i)
+      log_record(wal, 0, WalRecord::insert(stream[i], i + 1));
   }
   auto bytes = util::read_file_bytes(path);
   bytes[bytes.size() - 10] ^= 0x01;  // corrupt the second block's payload
@@ -1078,7 +1084,7 @@ TEST(Wal, RetiredStructuralRecordEndsTheValidLog) {
   {
     ShardedWal wal(dir, 1, /*group_commit=*/3);
     for (std::size_t i = 0; i < 3; ++i)
-      log_record(wal, 0, WalRecord::insert(stream[i]));
+      log_record(wal, 0, WalRecord::insert(stream[i], i + 1));
   }
   auto bytes = util::read_file_bytes(path);
   const std::size_t prefix = bytes.size();
@@ -1206,19 +1212,22 @@ TEST(Wal, RebaseOutsideTheCommittedLogThrowsAndChangesNothing) {
   }
 }
 
-TEST(Wal, AppendStampsZeroSeqAndKeepsAGivenOne) {
-  const std::string dir = temp_dir("wal_append_seq");
+TEST(Wal, RecordsTheSeqItIsGiven) {
+  // The core stamps every seq; the WAL keeps no counter. Whatever seq a
+  // record is handed, in whatever order across or within shards, is the
+  // seq it scans back with — also after a reopen.
+  const std::string dir = temp_dir("wal_given_seq");
   {
     ShardedWal wal(dir, 2, /*group_commit=*/1);
-    EXPECT_EQ(log_record(wal, 0, WalRecord::remove("a")), 1u);
-    EXPECT_EQ(log_record(wal, 1, WalRecord::remove("b")), 2u);
-    // A replicated apply carries the primary's seq: kept, counter raised.
-    EXPECT_EQ(log_record(wal, 1, WalRecord::remove("c", 10)), 10u);
-    EXPECT_EQ(wal.next_seq(), 11u);
-    EXPECT_EQ(log_record(wal, 0, WalRecord::remove("d")), 11u);
-    // A seq below the counter is kept too, and never lowers it.
-    EXPECT_EQ(log_record(wal, 0, WalRecord::remove("e", 4)), 4u);
-    EXPECT_EQ(log_record(wal, 1, WalRecord::remove("f")), 12u);
+    log_record(wal, 0, WalRecord::remove("a", 1));
+    log_record(wal, 1, WalRecord::remove("b", 2));
+    log_record(wal, 1, WalRecord::remove("c", 10));
+    log_record(wal, 0, WalRecord::remove("d", 11));
+    log_record(wal, 0, WalRecord::remove("e", 4));
+  }
+  {
+    ShardedWal reopened(dir, 2, /*group_commit=*/1);
+    log_record(reopened, 1, WalRecord::remove("f", 3));
   }
   const WalScan s0 = scan_wal(ShardedWal::shard_path(dir, 0));
   const WalScan s1 = scan_wal(ShardedWal::shard_path(dir, 1));
@@ -1230,10 +1239,8 @@ TEST(Wal, AppendStampsZeroSeqAndKeepsAGivenOne) {
   EXPECT_EQ(s0.records[2].name, "e");
   EXPECT_EQ(s1.records[0].seq, 2u);
   EXPECT_EQ(s1.records[1].seq, 10u);
-  EXPECT_EQ(s1.records[2].seq, 12u);
-  // A reopened log resumes past every seq on disk.
-  ShardedWal reopened(dir, 2);
-  EXPECT_EQ(reopened.next_seq(), 13u);
+  EXPECT_EQ(s1.records[2].seq, 3u);
+  EXPECT_EQ(s1.records[2].name, "f");
 }
 
 /// The descriptor this process holds open on `path` (the WalWriter's
@@ -1323,18 +1330,12 @@ struct Durable {
         wal(dir, units, group_commit),
         engine(store, wal, dir) {
     store.build(tr.files());
+    store.attach_journal(&wal);
     engine.fold();
   }
 
-  /// Logs and applies one insert through the WAL and flush hooks.
-  void insert(const FileMetadata& f) {
-    store.insert_file(
-        f, 0.0,
-        [&](core::UnitId target) {
-          return wal.append(target, WalRecord::insert(f));
-        },
-        [&](core::UnitId target) { wal.maybe_commit(target); });
-  }
+  /// Logs and applies one insert through the attached WAL.
+  void insert(const FileMetadata& f) { store.insert_file(f, 0.0); }
 
   std::string dir;
   SmartStore store;
@@ -1351,12 +1352,7 @@ TEST(Recovery, CheckpointPlusWalTailRestoresAllCommittedMutations) {
   // Post-checkpoint mutations, write-ahead logged as they apply.
   for (const auto& f : tr.make_insert_stream(9, 77)) d.insert(f);
   const std::string victim = tr.files()[3].name;
-  ASSERT_TRUE(d.store.erase_file(
-      victim,
-      [&](core::UnitId located) {
-        return d.wal.append(located, WalRecord::remove(victim));
-      },
-      [&](core::UnitId located) { d.wal.maybe_commit(located); }));
+  ASSERT_TRUE(d.store.erase_file(victim));
   d.wal.commit_all();
 
   const RecoveryResult rec = recover(dir);
@@ -1379,7 +1375,8 @@ TEST(Recovery, TornShardTailRollsBackToItsCommitBoundary) {
   // Eight logged inserts in one shard: two group-commit blocks of four.
   // (Replay routes each record itself; the shard is only its log.)
   const auto stream = tr.make_insert_stream(8, 77);
-  for (const auto& f : stream) log_record(d.wal, 0, WalRecord::insert(f));
+  for (std::size_t i = 0; i < stream.size(); ++i)
+    log_record(d.wal, 0, WalRecord::insert(stream[i], i + 1));
   // Tear into the second block: only the first group commit must survive.
   const std::string shard = ShardedWal::shard_path(dir, 0);
   std::filesystem::resize_file(shard, std::filesystem::file_size(shard) - 9);
@@ -1446,6 +1443,150 @@ TEST(Recovery, CrashBetweenManifestAndRebaseReplaysNothingTwice) {
   for (const auto& u : rec.store->units())
     for (const auto& f : u.files()) recovered.insert(f.name);
   EXPECT_EQ(live, recovered);
+}
+
+// ---- the journal seam ------------------------------------------------------
+
+/// A built store with its WAL attached through a RecordingJournal: the
+/// seam db::Store::Open wires, observed call by call.
+struct Seam {
+  Seam(const std::string& dir, const trace::SyntheticTrace& tr)
+      : store([] {
+          Config cfg;
+          cfg.num_units = 6;
+          cfg.fanout = 5;
+          cfg.seed = 7;
+          return cfg;
+        }()),
+        wal(dir, 6, /*group_commit=*/2),
+        journal(wal) {
+    store.build(tr.files());
+    store.attach_journal(&journal);
+  }
+
+  /// Whether `name` is visible to an exact as-of read at `seq`.
+  bool visible(const std::string& name, std::uint64_t seq) const {
+    return store.snapshot_point_query({name}, seq).found;
+  }
+
+  SmartStore store;
+  ShardedWal wal;
+  RecordingJournal journal;
+};
+
+using Kind = RecordingJournal::Kind;
+
+TEST(Journal, EachLogIsFollowedByACommitOfTheSameUnit) {
+  const std::string dir = temp_dir("journal_pairs");
+  const auto tr = trace::SyntheticTrace::generate(trace::msn_profile(), 1, 42,
+                                                  /*downscale=*/50);
+  Seam s(dir, tr);
+  const auto stream = tr.make_insert_stream(12, 9);
+  for (const auto& f : stream) s.store.insert_file(f, 0.0);
+  for (std::size_t i = 0; i < 4; ++i)
+    ASSERT_TRUE(s.store.erase_file(stream[i].name));
+  EXPECT_FALSE(s.store.erase_file("no/such/file"));  // absent: no call
+
+  const auto& calls = s.journal.calls();
+  ASSERT_EQ(calls.size(), 2 * (stream.size() + 4));
+  for (std::size_t i = 0; i < calls.size(); i += 2) {
+    const std::size_t op = i / 2;  // 12 inserts, then 4 removes
+    const bool insert = op < stream.size();
+    EXPECT_EQ(calls[i].kind, insert ? Kind::kInsert : Kind::kRemove) << i;
+    EXPECT_EQ(calls[i].name, stream[insert ? op : op - stream.size()].name)
+        << i;
+    EXPECT_EQ(calls[i + 1].kind, Kind::kCommit) << i;
+    EXPECT_EQ(calls[i + 1].unit, calls[i].unit) << i;
+  }
+  // What the journal was handed is what the WAL holds.
+  s.wal.commit_all();
+  std::size_t logged = 0;
+  for (std::size_t u = 0; u < s.wal.num_shards(); ++u)
+    logged += s.wal.committed_records(u);
+  EXPECT_EQ(logged, stream.size() + 4);
+}
+
+TEST(Journal, LoggedSeqIsTheRecordsCommitTimestamp) {
+  const std::string dir = temp_dir("journal_seq");
+  const auto tr = trace::SyntheticTrace::generate(trace::msn_profile(), 1, 42,
+                                                  /*downscale=*/50);
+  Seam s(dir, tr);
+  const auto stream = tr.make_insert_stream(6, 9);
+  for (const auto& f : stream) s.store.insert_file(f, 0.0);
+  // A pin keeps the removed versions visible to the as-of reads below.
+  std::uint64_t pinned = 0;
+  const auto pin = s.store.pin_snapshot(&pinned);
+  ASSERT_TRUE(s.store.erase_file(stream[0].name));
+  ASSERT_TRUE(s.store.erase_file(stream[3].name));
+
+  std::uint64_t expect_seq = 0;
+  for (const auto& c : s.journal.calls()) {
+    if (c.kind == Kind::kCommit) continue;
+    EXPECT_EQ(c.seq, ++expect_seq) << c.name;  // the core's clock, in order
+    const bool added = c.kind == Kind::kInsert;
+    EXPECT_EQ(s.visible(c.name, c.seq - 1), !added) << c.name;
+    EXPECT_EQ(s.visible(c.name, c.seq), added) << c.name;
+  }
+  EXPECT_EQ(expect_seq, 8u);
+  EXPECT_EQ(s.store.last_commit_seq(), expect_seq);
+}
+
+TEST(Journal, ExplicitSeqIsLoggedUnchanged) {
+  const std::string dir = temp_dir("journal_explicit");
+  const auto tr = trace::SyntheticTrace::generate(trace::msn_profile(), 1, 42,
+                                                  /*downscale=*/50);
+  Seam s(dir, tr);
+  const auto stream = tr.make_insert_stream(3, 9);
+  s.store.insert_file(stream[0], 0.0, 1000);
+  EXPECT_EQ(s.store.last_commit_seq(), 1000u);
+  s.store.insert_file(stream[1], 0.0);  // stamps past the given seq
+  // A given seq behind the clock is kept and never lowers the clock.
+  s.store.insert_file(stream[2], 0.0, 500);
+  ASSERT_TRUE(s.store.erase_file(stream[0].name, 2000));
+  // An absent name logs nothing, yet its seq is consumed.
+  EXPECT_FALSE(s.store.erase_file("no/such/file", 3000));
+  EXPECT_EQ(s.store.last_commit_seq(), 3000u);
+
+  std::vector<std::pair<Kind, std::uint64_t>> logged;
+  for (const auto& c : s.journal.calls())
+    if (c.kind != Kind::kCommit) logged.emplace_back(c.kind, c.seq);
+  const std::vector<std::pair<Kind, std::uint64_t>> want = {
+      {Kind::kInsert, 1000},
+      {Kind::kInsert, 1001},
+      {Kind::kInsert, 500},
+      {Kind::kRemove, 2000}};
+  EXPECT_EQ(logged, want);
+}
+
+TEST(Journal, ReconfigurationMakesNoJournalCall) {
+  const std::string dir = temp_dir("journal_reconfig");
+  const auto tr = trace::SyntheticTrace::generate(trace::msn_profile(), 1, 42,
+                                                  /*downscale=*/50);
+  Seam s(dir, tr);
+  const auto stream = tr.make_insert_stream(4, 9);
+  for (const auto& f : stream) s.store.insert_file(f, 0.0);
+  const std::size_t calls = s.journal.calls().size();
+  const std::uint64_t clock = s.store.last_commit_seq();
+  const core::UnitId home =
+      s.store.point_query({stream[1].name}, Routing::kOnline, 0.0).unit;
+  std::set<std::string> inserted;
+  for (const auto& f : stream) inserted.insert(f.name);
+  std::string prehistory;  // a built file of the same unit
+  for (const auto& f : s.store.units()[home].files())
+    if (!inserted.count(f.name)) prehistory = f.name;
+  ASSERT_FALSE(prehistory.empty());
+
+  s.store.add_storage_unit();
+  s.store.remove_storage_unit(home);
+  s.store.autoconfigure({AttrSubset::from_mask(0x7u)});
+  EXPECT_EQ(s.journal.calls().size(), calls);
+  EXPECT_EQ(s.store.last_commit_seq(), clock);
+  // The removed unit's files were re-homed under their original seqs: a
+  // logged insert is still invisible just before its seq, and a built
+  // file (seq 0) is visible at 0.
+  EXPECT_FALSE(s.visible(stream[1].name, 1));
+  EXPECT_TRUE(s.visible(stream[1].name, 2));
+  EXPECT_TRUE(s.visible(prehistory, 0));
 }
 
 }  // namespace
