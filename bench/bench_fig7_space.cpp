@@ -33,7 +33,7 @@ int main() {
     // three systems). Baselines: everything on the central node.
     const double dbms_node = static_cast<double>(dbms.index_bytes());
     const double rtree_node = static_cast<double>(rtree.index_bytes());
-    const auto sp = smart.avg_unit_space();
+    const auto sp = smart.introspect(smart.last_commit_seq()).avg_space;
     const double smart_node = static_cast<double>(
         sp.index_bytes + sp.replica_bytes + sp.version_bytes);
 

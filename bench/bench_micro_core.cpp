@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the core operations: MD5
 // hashing, Bloom filter ops, B+-tree ops, SVD/LSI fitting and projection,
 // R-tree insert/search, SmartStore bulk build, record encoding and CRC-32,
-// and query paths.
+// and query paths (routed, and exact at a pinned seq).
 #include <benchmark/benchmark.h>
 
 #include "bloom/bloom_filter.h"
@@ -312,6 +312,35 @@ void BM_SmartStoreTopKQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SmartStoreTopKQuery);
+
+// The exact scans a read at a pinned seq runs (db::Store's as-of queries,
+// which routed_mix's pinned Range and TopK send to every shard): the same
+// store and query draws as the routed pair above, every record visited.
+
+void BM_SmartStoreExactRangeQuery(benchmark::State& state) {
+  auto& f = fixture();
+  std::uint64_t seq = 0;
+  const auto pin = f.store->pin_snapshot(&seq);
+  const auto dims = metadata::AttrSubset(
+      {metadata::Attr::kModificationTime, metadata::Attr::kReadBytes});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        f.store->snapshot_range_query(f.gen->gen_range(dims, 0.05), seq));
+  }
+}
+BENCHMARK(BM_SmartStoreExactRangeQuery);
+
+void BM_SmartStoreExactTopKQuery(benchmark::State& state) {
+  auto& f = fixture();
+  std::uint64_t seq = 0;
+  const auto pin = f.store->pin_snapshot(&seq);
+  const auto dims = metadata::AttrSubset::all();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        f.store->snapshot_topk_query(f.gen->gen_topk(dims, 8), seq));
+  }
+}
+BENCHMARK(BM_SmartStoreExactTopKQuery);
 
 }  // namespace
 

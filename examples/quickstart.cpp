@@ -94,7 +94,7 @@ int main() {
                                  static_cast<double>(online_msgs)));
 
   // 5. Space accounting (what Figure 7 reports).
-  const auto space = store.avg_unit_space();
+  const auto space = store.introspect(store.last_commit_seq()).avg_space;
   std::printf("\nper-unit space: metadata %zu B, hosted index %zu B, "
               "replicas %zu B, versions %zu B\n",
               space.metadata_bytes, space.index_bytes, space.replica_bytes,

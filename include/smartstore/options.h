@@ -33,7 +33,9 @@ struct Options {
   Routing routing = Routing::kOffline;
 
   // ---- open semantics ----------------------------------------------------
-  bool create_if_missing = true;  ///< build an empty deployment on a fresh dir
+  /// Build an empty deployment on a fresh dir; when false, Open answers
+  /// kNotFound for a path holding neither a checkpoint nor a WAL log.
+  bool create_if_missing = true;
 
   /// Ephemeral mode: no data directory, no LOCK file, no WAL, no
   /// checkpoints (Checkpoint()/Flush() return kFailedPrecondition). The

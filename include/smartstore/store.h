@@ -145,7 +145,9 @@ class Store {
   /// Opens (building or recovering) the deployment at `path`. Errors:
   ///   kInvalidArgument  bad Options or an empty path
   ///   kBusy             another handle holds the directory's LOCK file
-  ///   kNotFound         no checkpoint and create_if_missing is false
+  ///   kNotFound         create_if_missing is false and `path` holds
+  ///                     neither ckpt/MANIFEST nor a WAL shard log
+  ///                     (nothing is created)
   ///   kCorruption       checkpoint/WAL failed a checksum or format check
   ///   kIOError          the filesystem said no
   ///   kFailedPrecondition  the directory holds a layout of earlier
@@ -266,8 +268,10 @@ class Store {
 
   /// Installs a DumpSnapshot taken elsewhere at commit seq `seq` into
   /// this EMPTY store, then advances the local frontier to `seq` so the
-  /// replication stream resumes cleanly at seq+1. kFailedPrecondition if
-  /// the store has ever applied a mutation.
+  /// replication stream resumes cleanly at seq+1. A durable store with
+  /// `seq` > 0 folds before returning, as Bulkload does, so the frontier
+  /// survives a restart. kFailedPrecondition if the store has ever
+  /// applied a mutation.
   Status LoadBootstrap(std::uint64_t seq,
                        const std::vector<metadata::FileMetadata>& files);
 

@@ -34,6 +34,15 @@ VersionDelta empty_delta() {
   return v;
 }
 
+/// Closes an operation's simulated session into its stats: latency since
+/// `arrival`, the messages and hops it sent, whether it met a dead node.
+void close_session(const sim::Session& s, double arrival, QueryStats& stats) {
+  stats.latency_s = s.clock() - arrival;
+  stats.messages = s.messages();
+  stats.hops = s.hops();
+  stats.failed = s.failed();
+}
+
 }  // namespace
 
 namespace {
@@ -374,103 +383,94 @@ sim::NodeId SmartStore::random_home() {
   return 0;
 }
 
-// ---- geometry helpers -------------------------------------------------------
+// ---- query geometry ---------------------------------------------------------
 
-std::vector<std::size_t> SmartStore::dim_indices(const AttrSubset& dims) const {
-  std::vector<std::size_t> idx(dims.size());
-  for (std::size_t i = 0; i < dims.size(); ++i)
-    idx[i] = static_cast<std::size_t>(dims[i]);
-  return idx;
-}
-
-void SmartStore::standardize_range(const metadata::RangeQuery& q,
-                                   std::vector<std::size_t>& dim_idx,
-                                   la::Vector& lo, la::Vector& hi) const {
-  dim_idx = dim_indices(q.dims);
-  lo.resize(dim_idx.size());
-  hi.resize(dim_idx.size());
-  for (std::size_t i = 0; i < dim_idx.size(); ++i) {
-    const std::size_t d = dim_idx[i];
+SmartStore::StdBox SmartStore::standardize(
+    const metadata::RangeQuery& q) const {
+  const std::size_t n = q.dims.size();
+  StdBox box{std::vector<std::size_t>(n), la::Vector(n), la::Vector(n)};
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto d = static_cast<std::size_t>(q.dims[i]);
+    box.dims[i] = d;
     const double a = (q.lo[i] - standardizer_.means[d]) *
                      standardizer_.inv_stdevs[d];
     const double b = (q.hi[i] - standardizer_.means[d]) *
                      standardizer_.inv_stdevs[d];
-    lo[i] = std::min(a, b);
-    hi[i] = std::max(a, b);
+    box.lo[i] = std::min(a, b);
+    box.hi[i] = std::max(a, b);
   }
+  return box;
 }
 
-la::Vector SmartStore::standardize_point(const metadata::TopKQuery& q,
-                                         std::vector<std::size_t>& dim_idx)
-    const {
-  dim_idx = dim_indices(q.dims);
-  la::Vector p(dim_idx.size());
-  for (std::size_t i = 0; i < dim_idx.size(); ++i) {
-    const std::size_t d = dim_idx[i];
-    p[i] = (q.point[i] - standardizer_.means[d]) * standardizer_.inv_stdevs[d];
+SmartStore::StdPoint SmartStore::standardize(
+    const metadata::TopKQuery& q) const {
+  const std::size_t n = q.dims.size();
+  StdPoint p{std::vector<std::size_t>(n), la::Vector(n)};
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto d = static_cast<std::size_t>(q.dims[i]);
+    p.dims[i] = d;
+    p.at[i] =
+        (q.point[i] - standardizer_.means[d]) * standardizer_.inv_stdevs[d];
   }
   return p;
 }
 
-bool SmartStore::box_intersects(const rtree::Mbr& box,
-                                const std::vector<std::size_t>& dim_idx,
-                                const la::Vector& lo, const la::Vector& hi) {
-  if (!box.valid()) return false;
-  for (std::size_t i = 0; i < dim_idx.size(); ++i) {
-    const std::size_t d = dim_idx[i];
-    if (box.hi()[d] < lo[i] || box.lo()[d] > hi[i]) return false;
+bool SmartStore::StdBox::contains(const la::Vector& coords) const {
+  for (std::size_t j = 0; j < dims.size(); ++j) {
+    const double v = coords[dims[j]];
+    if (v < lo[j] || v > hi[j]) return false;
   }
   return true;
 }
 
-double SmartStore::box_min_dist2(const rtree::Mbr& box,
-                                 const std::vector<std::size_t>& dim_idx,
-                                 const la::Vector& point) {
-  if (!box.valid()) return std::numeric_limits<double>::infinity();
+bool SmartStore::StdBox::intersects(const rtree::Mbr& mbr) const {
+  if (!mbr.valid()) return false;
+  for (std::size_t i = 0; i < dims.size(); ++i) {
+    const std::size_t d = dims[i];
+    if (mbr.hi()[d] < lo[i] || mbr.lo()[d] > hi[i]) return false;
+  }
+  return true;
+}
+
+double SmartStore::StdPoint::dist2(const la::Vector& coords) const {
   double acc = 0.0;
-  for (std::size_t i = 0; i < dim_idx.size(); ++i) {
-    const std::size_t d = dim_idx[i];
+  for (std::size_t j = 0; j < dims.size(); ++j) {
+    const double delta = coords[dims[j]] - at[j];
+    acc += delta * delta;
+  }
+  return acc;
+}
+
+double SmartStore::StdPoint::min_dist2(const rtree::Mbr& mbr) const {
+  if (!mbr.valid()) return std::numeric_limits<double>::infinity();
+  double acc = 0.0;
+  for (std::size_t i = 0; i < dims.size(); ++i) {
+    const std::size_t d = dims[i];
     double delta = 0.0;
-    if (point[i] < box.lo()[d]) {
-      delta = box.lo()[d] - point[i];
-    } else if (point[i] > box.hi()[d]) {
-      delta = point[i] - box.hi()[d];
+    if (at[i] < mbr.lo()[d]) {
+      delta = mbr.lo()[d] - at[i];
+    } else if (at[i] > mbr.hi()[d]) {
+      delta = at[i] - mbr.hi()[d];
     }
     acc += delta * delta;
   }
   return acc;
 }
 
-void SmartStore::unit_range_scan(const StorageUnit& u,
-                                 const std::vector<std::size_t>& dim_idx,
-                                 const la::Vector& lo, const la::Vector& hi,
-                                 std::vector<FileId>& out) const {
+void SmartStore::unit_range_scan(const StorageUnit& u, const StdBox& box,
+                                 std::vector<FileId>& out) {
   const auto& coords = u.std_coords();
-  for (std::size_t i = 0; i < coords.size(); ++i) {
-    bool ok = true;
-    for (std::size_t j = 0; j < dim_idx.size(); ++j) {
-      const double v = coords[i][dim_idx[j]];
-      if (v < lo[j] || v > hi[j]) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) out.push_back(u.files()[i].id);
-  }
+  for (std::size_t i = 0; i < coords.size(); ++i)
+    if (box.contains(coords[i])) out.push_back(u.files()[i].id);
 }
 
-void SmartStore::unit_topk_scan(
-    const StorageUnit& u, const std::vector<std::size_t>& dim_idx,
-    const la::Vector& point, std::size_t k,
-    std::vector<std::pair<double, FileId>>& heap) const {
+void SmartStore::unit_topk_scan(const StorageUnit& u, const StdPoint& point,
+                                std::size_t k,
+                                std::vector<std::pair<double, FileId>>& heap) {
   // `heap` is a max-heap of the best k candidates found so far.
   const auto& coords = u.std_coords();
   for (std::size_t i = 0; i < coords.size(); ++i) {
-    double dist = 0.0;
-    for (std::size_t j = 0; j < dim_idx.size(); ++j) {
-      const double delta = coords[i][dim_idx[j]] - point[j];
-      dist += delta * delta;
-    }
+    const double dist = point.dist2(coords[i]);
     if (heap.size() < k) {
       heap.emplace_back(dist, u.files()[i].id);
       std::push_heap(heap.begin(), heap.end());
@@ -484,71 +484,60 @@ void SmartStore::unit_topk_scan(
 
 // ---- routing ---------------------------------------------------------------
 
-std::vector<SmartStore::RankedGroup> SmartStore::rank_groups_range(
-    const SemanticRTree& t, const metadata::RangeQuery& q,
-    double& version_cost) const {
-  std::vector<std::size_t> dim_idx;
-  la::Vector lo, hi;
-  standardize_range(q, dim_idx, lo, hi);
+namespace {
 
-  const bool main_tree = &t == &tree_;
+/// Best first: ascending score, ties by node id.
+template <typename Ranked>
+void sort_best_first(std::vector<Ranked>& ranked) {
+  std::sort(ranked.begin(), ranked.end(), [](const Ranked& a, const Ranked& b) {
+    if (a.score != b.score) return a.score < b.score;
+    return a.node_id < b.node_id;
+  });
+}
+
+}  // namespace
+
+rtree::Mbr SmartStore::group_box(const SemanticRTree& t, std::size_t g,
+                                 double& version_cost) const {
+  if (&t != &tree_) {
+    const auto guard = maybe_lock(&summary_stripes_, &t.node(g));
+    return t.node(g).box;  // variants route on fresh summaries
+  }
+  const auto guard = maybe_lock(&sync_stripes_, &sync_.at(g));
+  const GroupSync& gs = sync_.at(g);
+  version_cost += static_cast<double>(gs.replica.versions().size()) *
+                  cfg_.cost.per_bloom_check_s;
+  return gs.replica.effective_box(cfg_.versioning_enabled);
+}
+
+std::vector<SmartStore::RankedGroup> SmartStore::rank_groups_range(
+    const SemanticRTree& t, const StdBox& box, double& version_cost) const {
   std::vector<RankedGroup> out;
   for (std::size_t g : t.groups()) {
-    rtree::Mbr box;
-    if (main_tree) {
-      const auto guard = maybe_lock(&sync_stripes_, &sync_.at(g));
-      const GroupSync& gs = sync_.at(g);
-      version_cost += static_cast<double>(gs.replica.versions().size()) *
-                      cfg_.cost.per_bloom_check_s;
-      box = gs.replica.effective_box(cfg_.versioning_enabled);
-    } else {
-      const auto guard = maybe_lock(&summary_stripes_, &t.node(g));
-      box = t.node(g).box;  // variants route on fresh summaries
-    }
-    if (!box_intersects(box, dim_idx, lo, hi)) continue;
+    const rtree::Mbr mbr = group_box(t, g, version_cost);
+    if (!box.intersects(mbr)) continue;
     // Score: negative overlap fraction, so bigger overlaps rank first.
     double overlap = 1.0;
-    for (std::size_t i = 0; i < dim_idx.size(); ++i) {
-      const std::size_t d = dim_idx[i];
-      const double len = std::max(1e-12, box.hi()[d] - box.lo()[d]);
-      const double o = std::min(hi[i], box.hi()[d]) -
-                       std::max(lo[i], box.lo()[d]);
+    for (std::size_t i = 0; i < box.dims.size(); ++i) {
+      const std::size_t d = box.dims[i];
+      const double len = std::max(1e-12, mbr.hi()[d] - mbr.lo()[d]);
+      const double o = std::min(box.hi[i], mbr.hi()[d]) -
+                       std::max(box.lo[i], mbr.lo()[d]);
       overlap *= std::max(0.0, o) / len;
     }
     out.push_back({g, -overlap});
   }
-  std::sort(out.begin(), out.end(), [](const RankedGroup& a,
-                                       const RankedGroup& b) {
-    if (a.score != b.score) return a.score < b.score;
-    return a.node_id < b.node_id;
-  });
+  sort_best_first(out);
   return out;
 }
 
 std::vector<SmartStore::RankedGroup> SmartStore::rank_groups_topk(
-    const SemanticRTree& t, const la::Vector& std_point,
-    const std::vector<std::size_t>& dim_idx, double& version_cost) const {
-  const bool main_tree = &t == &tree_;
+    const SemanticRTree& t, const StdPoint& point,
+    double& version_cost) const {
   std::vector<RankedGroup> out;
-  for (std::size_t g : t.groups()) {
-    rtree::Mbr box;
-    if (main_tree) {
-      const auto guard = maybe_lock(&sync_stripes_, &sync_.at(g));
-      const GroupSync& gs = sync_.at(g);
-      version_cost += static_cast<double>(gs.replica.versions().size()) *
-                      cfg_.cost.per_bloom_check_s;
-      box = gs.replica.effective_box(cfg_.versioning_enabled);
-    } else {
-      const auto guard = maybe_lock(&summary_stripes_, &t.node(g));
-      box = t.node(g).box;
-    }
-    out.push_back({g, box_min_dist2(box, dim_idx, std_point)});
-  }
-  std::sort(out.begin(), out.end(), [](const RankedGroup& a,
-                                       const RankedGroup& b) {
-    if (a.score != b.score) return a.score < b.score;
-    return a.node_id < b.node_id;
-  });
+  for (std::size_t g : t.groups())
+    out.push_back({g, point.min_dist2(group_box(t, g, version_cost))});
+  sort_best_first(out);
   return out;
 }
 
@@ -770,12 +759,8 @@ QueryStats SmartStore::insert_file_impl(const FileMetadata& f, double arrival,
   }
   if (want_full_sync) full_sync_group(g, &session);
 
-  stats.latency_s = session.clock() - arrival;
-  stats.messages = session.messages();
-  stats.hops = session.hops();
-  stats.routing_hops = 0;
+  close_session(session, arrival, stats);
   stats.groups_visited = 1;
-  stats.failed = session.failed();
   return stats;
 }
 
@@ -814,10 +799,6 @@ bool SmartStore::remove_located(UnitId u, FileId id, const std::string& name,
 
 bool SmartStore::erase_file(const std::string& name, std::uint64_t seq) {
   util::ReaderLock shared(structure_mu_);
-  return erase_file_impl(name, seq == 0 ? kAssignSeq : seq);
-}
-
-bool SmartStore::erase_file_impl(const std::string& name, std::uint64_t seq) {
   Journal* const journal = journal_.load(std::memory_order_acquire);
   const bloom::ItemHash name_hash = bloom::hash_item(name);
   for (UnitId u = 0; u < units_.size(); ++u) {
@@ -838,10 +819,12 @@ bool SmartStore::erase_file_impl(const std::string& name, std::uint64_t seq) {
     // The unit lock was dropped between locate and removal; remove_located
     // re-checks by id and reports a lost race, in which case the scan
     // continues (the name might also exist on a later unit).
-    if (remove_located(u, id, name, name_hash, seq, journal)) return true;
+    if (remove_located(u, id, name, name_hash, seq == 0 ? kAssignSeq : seq,
+                       journal))
+      return true;
   }
   // Absent: nothing to log, but a given seq is consumed all the same.
-  if (seq != kAssignSeq) note_commit_seq(seq);
+  if (seq != 0) note_commit_seq(seq);
   return false;
 }
 
@@ -852,12 +835,6 @@ PointResult SmartStore::point_query(const metadata::PointQuery& q,
   // One digest for every filter this query will consult.
   const bloom::ItemHash qhash = bloom::hash_item(q.filename);
   util::ReaderLock shared(structure_mu_);
-  return point_query_impl(q, qhash, routing, arrival);
-}
-
-PointResult SmartStore::point_query_impl(const metadata::PointQuery& q,
-                                         const bloom::ItemHash& qhash,
-                                         Routing routing, double arrival) {
   PointResult res;
   sim::Session session = cluster_->start_session(random_home(), arrival);
   const UnitId home = session.location();
@@ -875,8 +852,7 @@ PointResult SmartStore::point_query_impl(const metadata::PointQuery& q,
         res.id = f->id;
         res.first_try = true;
         res.stats.groups_visited = 1;
-        res.stats.latency_s = session.clock() - arrival;
-        res.stats.failed = session.failed();
+        close_session(session, arrival, res.stats);
         return res;
       }
     }
@@ -1009,10 +985,7 @@ PointResult SmartStore::point_query_impl(const metadata::PointQuery& q,
   }
 
   res.stats.groups_visited = groups_visited;
-  res.stats.latency_s = session.clock() - arrival;
-  res.stats.messages = session.messages();
-  res.stats.hops = session.hops();
-  res.stats.failed = session.failed();
+  close_session(session, arrival, res.stats);
   return res;
 }
 
@@ -1021,15 +994,8 @@ PointResult SmartStore::point_query_impl(const metadata::PointQuery& q,
 RangeResult SmartStore::range_query(const metadata::RangeQuery& q,
                                     Routing routing, double arrival) {
   util::ReaderLock shared(structure_mu_);
-  return range_query_impl(q, routing, arrival);
-}
-
-RangeResult SmartStore::range_query_impl(const metadata::RangeQuery& q,
-                                         Routing routing, double arrival) {
   RangeResult res;
-  std::vector<std::size_t> dim_idx;
-  la::Vector lo, hi;
-  standardize_range(q, dim_idx, lo, hi);
+  const StdBox box = standardize(q);
 
   sim::Session session = cluster_->start_session(random_home(), arrival);
   const UnitId home = session.location();
@@ -1054,11 +1020,11 @@ RangeResult SmartStore::range_query_impl(const metadata::RangeQuery& q,
       // Box check and scan under one stripe hold: the records and their
       // coordinates stay consistent for the duration of the local scan.
       const util::MutexLock guard(unit_mutex(u));
-      if (!box_intersects(units_[u].box(), dim_idx, lo, hi)) continue;
+      if (!box.intersects(units_[u].box())) continue;
       sim::Session b = s.fork();
       b.send_to(u, kQueryMsgBytes);
       b.visit(cfg_.cost.per_node_visit_s, units_[u].file_count());
-      unit_range_scan(units_[u], dim_idx, lo, hi, res.ids);
+      unit_range_scan(units_[u], box, res.ids);
       branches.push_back(b);
     }
     s.join(branches);
@@ -1067,7 +1033,7 @@ RangeResult SmartStore::range_query_impl(const metadata::RangeQuery& q,
 
   if (routing == Routing::kOffline) {
     double version_cost = 0.0;
-    const auto ranked = rank_groups_range(rt, q, version_cost);
+    const auto ranked = rank_groups_range(rt, box, version_cost);
     session.visit(static_cast<double>(rt.groups().size()) *
                       cfg_.cost.per_node_visit_s * 0.1 +
                   version_cost);
@@ -1094,7 +1060,7 @@ RangeResult SmartStore::range_query_impl(const metadata::RangeQuery& q,
           const IndexUnit& n = tree_.node(nid);
           {
             const auto guard = maybe_lock(&summary_stripes_, &n);
-            if (!box_intersects(n.box, dim_idx, lo, hi)) return;
+            if (!box.intersects(n.box)) return;
           }
           if (n.level == 1) {
             scan_group(s, nid);
@@ -1114,11 +1080,8 @@ RangeResult SmartStore::range_query_impl(const metadata::RangeQuery& q,
   }
 
   res.stats.routing_hops = routing_distance(rt, result_groups);
-  res.stats.latency_s = session.clock() - arrival;
-  res.stats.messages = session.messages();
-  res.stats.hops = session.hops();
   res.stats.records_scanned = res.ids.size();
-  res.stats.failed = session.failed();
+  close_session(session, arrival, res.stats);
   return res;
 }
 
@@ -1127,14 +1090,8 @@ RangeResult SmartStore::range_query_impl(const metadata::RangeQuery& q,
 TopKResult SmartStore::topk_query(const metadata::TopKQuery& q,
                                   Routing routing, double arrival) {
   util::ReaderLock shared(structure_mu_);
-  return topk_query_impl(q, routing, arrival);
-}
-
-TopKResult SmartStore::topk_query_impl(const metadata::TopKQuery& q,
-                                       Routing routing, double arrival) {
   TopKResult res;
-  std::vector<std::size_t> dim_idx;
-  const la::Vector point = standardize_point(q, dim_idx);
+  const StdPoint point = standardize(q);
 
   sim::Session session = cluster_->start_session(random_home(), arrival);
   const UnitId home = session.location();
@@ -1162,15 +1119,14 @@ TopKResult SmartStore::topk_query_impl(const metadata::TopKQuery& q,
     std::vector<sim::Session> branches;
     for (UnitId u : group.children) {
       const util::MutexLock guard(unit_mutex(u));
-      if (box_min_dist2(units_[u].box(), dim_idx, point) >= max_d() &&
-          heap.size() >= q.k)
+      if (point.min_dist2(units_[u].box()) >= max_d() && heap.size() >= q.k)
         continue;
       sim::Session b = s.fork();
       b.send_to(u, kQueryMsgBytes);
       b.visit(cfg_.cost.per_node_visit_s, units_[u].file_count());
       const std::size_t before = heap.size();
       const double before_worst = max_d();
-      unit_topk_scan(units_[u], dim_idx, point, q.k, heap);
+      unit_topk_scan(units_[u], point, q.k, heap);
       if (heap.size() > before || max_d() < before_worst) contributed = true;
       branches.push_back(b);
     }
@@ -1180,7 +1136,7 @@ TopKResult SmartStore::topk_query_impl(const metadata::TopKQuery& q,
 
   if (routing == Routing::kOffline) {
     double version_cost = 0.0;
-    const auto ranked = rank_groups_topk(rt, point, dim_idx, version_cost);
+    const auto ranked = rank_groups_topk(rt, point, version_cost);
     session.visit(static_cast<double>(rt.groups().size()) *
                       cfg_.cost.per_node_visit_s * 0.1 +
                   version_cost);
@@ -1203,8 +1159,7 @@ TopKResult SmartStore::topk_query_impl(const metadata::TopKQuery& q,
           const IndexUnit& n = tree_.node(nid);
           {
             const auto guard = maybe_lock(&summary_stripes_, &n);
-            if (box_min_dist2(n.box, dim_idx, point) >= max_d() &&
-                heap.size() >= q.k)
+            if (point.min_dist2(n.box) >= max_d() && heap.size() >= q.k)
               return;
           }
           if (n.level == 1) {
@@ -1234,10 +1189,7 @@ TopKResult SmartStore::topk_query_impl(const metadata::TopKQuery& q,
   if (heap.size() > q.k) heap.resize(q.k);
   res.hits = std::move(heap);
   res.stats.routing_hops = routing_distance(rt, result_groups);
-  res.stats.latency_s = session.clock() - arrival;
-  res.stats.messages = session.messages();
-  res.stats.hops = session.hops();
-  res.stats.failed = session.failed();
+  close_session(session, arrival, res.stats);
   return res;
 }
 
@@ -1387,40 +1339,6 @@ const SemanticRTree& SmartStore::tree_for_dims(const AttrSubset& dims) const {
 
 // ---- space accounting ----------------------------------------------------------
 
-SmartStore::SpaceBreakdown SmartStore::unit_space(UnitId u) const {
-  SpaceBreakdown s;
-  s.metadata_bytes = units_[u].byte_size();
-  s.index_bytes = tree_.hosted_bytes(u);
-  for (const auto& v : variants_) s.index_bytes += v.tree.hosted_bytes(u);
-  for (const auto& [g, gs] : sync_) {
-    (void)g;
-    s.replica_bytes += gs.replica.byte_size() - gs.replica.versions_byte_size();
-    s.version_bytes += gs.replica.versions_byte_size();
-    if (!gs.pending.empty()) s.version_bytes += gs.pending.byte_size();
-  }
-  return s;
-}
-
-SmartStore::SpaceBreakdown SmartStore::avg_unit_space() const {
-  SpaceBreakdown total;
-  std::size_t active = 0;
-  for (UnitId u = 0; u < units_.size(); ++u) {
-    if (!unit_active_[u]) continue;
-    ++active;
-    const SpaceBreakdown s = unit_space(u);
-    total.metadata_bytes += s.metadata_bytes;
-    total.index_bytes += s.index_bytes;
-    total.replica_bytes += s.replica_bytes;
-    total.version_bytes += s.version_bytes;
-  }
-  if (active == 0) return total;
-  total.metadata_bytes /= active;
-  total.index_bytes /= active;
-  total.replica_bytes /= active;
-  total.version_bytes /= active;
-  return total;
-}
-
 double SmartStore::avg_version_bytes_per_group() const {
   if (sync_.empty()) return 0.0;
   double total = 0.0;
@@ -1517,20 +1435,27 @@ inline bool dead_visible(const TombstoneRecord& t, std::uint64_t seq) {
 
 }  // namespace
 
-std::vector<metadata::FileMetadata> SmartStore::snapshot_dump(
-    std::uint64_t seq) const {
-  util::ReaderLock shared(structure_mu_);
-  std::vector<metadata::FileMetadata> out;
+template <typename Fn>
+void SmartStore::for_each_visible(std::uint64_t seq, Fn&& fn) const {
   for (UnitId u = 0; u < units_.size(); ++u) {
     const util::MutexLock guard(unit_mutex(u));
     const StorageUnit& unit = units_[u];
     const auto& files = unit.files();
+    const auto& coords = unit.std_coords();
     const auto& seqs = unit.added_seqs();
     for (std::size_t i = 0; i < files.size(); ++i)
-      if (live_visible(seqs[i], seq)) out.push_back(files[i]);
-    for (const auto& t : unit.tombstones())
-      if (dead_visible(t, seq)) out.push_back(t.file);
+      if (live_visible(seqs[i], seq)) fn(u, files[i], coords[i], seqs[i]);
+    for (const TombstoneRecord& t : unit.tombstones())
+      if (dead_visible(t, seq)) fn(u, t.file, t.std_coords, t.added_seq);
   }
+}
+
+std::vector<metadata::FileMetadata> SmartStore::snapshot_dump(
+    std::uint64_t seq) const {
+  util::ReaderLock shared(structure_mu_);
+  std::vector<metadata::FileMetadata> out;
+  for_each_visible(seq, [&](UnitId, const FileMetadata& f, const la::Vector&,
+                            std::uint64_t) { out.push_back(f); });
   // Canonical order, like the snapshot queries: two dumps at the same seq
   // (even across different stores with different placement) compare ==.
   std::sort(out.begin(), out.end(),
@@ -1543,38 +1468,21 @@ std::vector<metadata::FileMetadata> SmartStore::snapshot_dump(
 PointResult SmartStore::snapshot_point_query(const metadata::PointQuery& q,
                                              std::uint64_t seq) const {
   util::ReaderLock shared(structure_mu_);
-  return snapshot_point_impl(q, seq);
-}
-
-PointResult SmartStore::snapshot_point_impl(const metadata::PointQuery& q,
-                                            std::uint64_t seq) const {
   PointResult res;
   // Deterministic version pick: newest visible added_seq wins, ties broken
   // by smallest id — independent of unit visit order and writer timing.
   std::uint64_t best_added = 0;
-  for (UnitId u = 0; u < units_.size(); ++u) {
-    const util::MutexLock guard(unit_mutex(u));
-    const StorageUnit& unit = units_[u];
-    const auto& files = unit.files();
-    const auto& seqs = unit.added_seqs();
-    auto consider = [&](std::uint64_t added, FileId id, UnitId where) {
-      if (res.found &&
-          (added < best_added || (added == best_added && id >= res.id)))
-        return;
-      res.found = true;
-      res.unit = where;
-      res.id = id;
-      best_added = added;
-    };
-    for (std::size_t i = 0; i < files.size(); ++i) {
-      if (!live_visible(seqs[i], seq)) continue;
-      if (files[i].name == q.filename) consider(seqs[i], files[i].id, u);
-    }
-    for (const auto& t : unit.tombstones()) {
-      if (!dead_visible(t, seq)) continue;
-      if (t.file.name == q.filename) consider(t.added_seq, t.file.id, u);
-    }
-  }
+  for_each_visible(seq, [&](UnitId u, const FileMetadata& f,
+                            const la::Vector&, std::uint64_t added) {
+    if (f.name != q.filename) return;
+    if (res.found &&
+        (added < best_added || (added == best_added && f.id >= res.id)))
+      return;
+    res.found = true;
+    res.unit = u;
+    res.id = f.id;
+    best_added = added;
+  });
   res.first_try = true;
   res.stats.groups_visited = res.found ? 1 : 0;
   return res;
@@ -1583,38 +1491,12 @@ PointResult SmartStore::snapshot_point_impl(const metadata::PointQuery& q,
 RangeResult SmartStore::snapshot_range_query(const metadata::RangeQuery& q,
                                              std::uint64_t seq) const {
   util::ReaderLock shared(structure_mu_);
-  return snapshot_range_impl(q, seq);
-}
-
-RangeResult SmartStore::snapshot_range_impl(const metadata::RangeQuery& q,
-                                            std::uint64_t seq) const {
   RangeResult res;
-  std::vector<std::size_t> dim_idx;
-  la::Vector lo, hi;
-  standardize_range(q, dim_idx, lo, hi);
-
-  auto in_box = [&](const la::Vector& c) {
-    for (std::size_t j = 0; j < dim_idx.size(); ++j) {
-      const double v = c[dim_idx[j]];
-      if (v < lo[j] || v > hi[j]) return false;
-    }
-    return true;
-  };
-
-  for (UnitId u = 0; u < units_.size(); ++u) {
-    const util::MutexLock guard(unit_mutex(u));
-    const StorageUnit& unit = units_[u];
-    const auto& coords = unit.std_coords();
-    const auto& seqs = unit.added_seqs();
-    for (std::size_t i = 0; i < coords.size(); ++i) {
-      if (!live_visible(seqs[i], seq)) continue;
-      if (in_box(coords[i])) res.ids.push_back(unit.files()[i].id);
-    }
-    for (const auto& t : unit.tombstones()) {
-      if (!dead_visible(t, seq)) continue;
-      if (in_box(t.std_coords)) res.ids.push_back(t.file.id);
-    }
-  }
+  const StdBox box = standardize(q);
+  for_each_visible(seq, [&](UnitId, const FileMetadata& f,
+                            const la::Vector& coords, std::uint64_t) {
+    if (box.contains(coords)) res.ids.push_back(f.id);
+  });
   // Canonical order: sorted ids, so two scans at the same seq compare ==.
   std::sort(res.ids.begin(), res.ids.end());
   res.stats.records_scanned = res.ids.size();
@@ -1624,43 +1506,15 @@ RangeResult SmartStore::snapshot_range_impl(const metadata::RangeQuery& q,
 TopKResult SmartStore::snapshot_topk_query(const metadata::TopKQuery& q,
                                            std::uint64_t seq) const {
   util::ReaderLock shared(structure_mu_);
-  return snapshot_topk_impl(q, seq);
-}
-
-TopKResult SmartStore::snapshot_topk_impl(const metadata::TopKQuery& q,
-                                          std::uint64_t seq) const {
   TopKResult res;
-  std::vector<std::size_t> dim_idx;
-  const la::Vector point = standardize_point(q, dim_idx);
-
-  auto dist2 = [&](const la::Vector& c) {
-    double d = 0.0;
-    for (std::size_t j = 0; j < dim_idx.size(); ++j) {
-      const double delta = c[dim_idx[j]] - point[j];
-      d += delta * delta;
-    }
-    return d;
-  };
-
-  std::vector<std::pair<double, FileId>> all;
-  for (UnitId u = 0; u < units_.size(); ++u) {
-    const util::MutexLock guard(unit_mutex(u));
-    const StorageUnit& unit = units_[u];
-    const auto& coords = unit.std_coords();
-    const auto& seqs = unit.added_seqs();
-    for (std::size_t i = 0; i < coords.size(); ++i) {
-      if (!live_visible(seqs[i], seq)) continue;
-      all.emplace_back(dist2(coords[i]), unit.files()[i].id);
-    }
-    for (const auto& t : unit.tombstones()) {
-      if (!dead_visible(t, seq)) continue;
-      all.emplace_back(dist2(t.std_coords), t.file.id);
-    }
-  }
+  const StdPoint point = standardize(q);
+  for_each_visible(seq, [&](UnitId, const FileMetadata& f,
+                            const la::Vector& coords, std::uint64_t) {
+    res.hits.emplace_back(point.dist2(coords), f.id);
+  });
   // Exact global order with (dist, id) tie-break, then truncate: canonical.
-  std::sort(all.begin(), all.end());
-  if (all.size() > q.k) all.resize(q.k);
-  res.hits = std::move(all);
+  std::sort(res.hits.begin(), res.hits.end());
+  if (res.hits.size() > q.k) res.hits.resize(q.k);
   return res;
 }
 
@@ -1674,19 +1528,17 @@ SmartStore::Introspection SmartStore::introspect(std::uint64_t seq) const {
   out.tree_height = static_cast<std::size_t>(tree_.height());
   out.tree_groups = tree_.groups().size();
   out.index_units = tree_.num_nodes();
+  for_each_visible(seq, [&](UnitId, const FileMetadata&, const la::Vector&,
+                            std::uint64_t) { ++out.files; });
 
   std::size_t active = 0;
   for (UnitId u = 0; u < units_.size(); ++u) {
-    const util::MutexLock guard(unit_mutex(u));
-    const StorageUnit& unit = units_[u];
-    const auto& seqs = unit.added_seqs();
-    for (std::size_t i = 0; i < seqs.size(); ++i)
-      if (live_visible(seqs[i], seq)) ++out.files;
-    for (const auto& t : unit.tombstones())
-      if (dead_visible(t, seq)) ++out.files;
     if (!unit_active_[u]) continue;
     ++active;
-    out.avg_space.metadata_bytes += unit.byte_size();
+    {
+      const util::MutexLock guard(unit_mutex(u));
+      out.avg_space.metadata_bytes += units_[u].byte_size();
+    }
     out.avg_space.index_bytes += tree_.hosted_bytes(u);
     for (const auto& v : variants_)
       out.avg_space.index_bytes += v.tree.hosted_bytes(u);

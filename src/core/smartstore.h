@@ -238,7 +238,8 @@ class SmartStore {
   /// (including deactivated ones, whose tombstone chains may still be
   /// visible) under that unit's lock, one at a time, and returns canonical
   /// (sorted) results — two scans at the same seq are bit-identical no
-  /// matter what writers do in between.
+  /// matter what writers do in between. A range or top-k scan tests each
+  /// record with the same predicate its routed counterpart uses.
   PointResult snapshot_point_query(const metadata::PointQuery& q,
                                    std::uint64_t seq) const;
   RangeResult snapshot_range_query(const metadata::RangeQuery& q,
@@ -324,20 +325,17 @@ class SmartStore {
       return metadata_bytes + index_bytes + replica_bytes + version_bytes;
     }
   };
-  /// Space on one storage unit.
-  SpaceBreakdown unit_space(UnitId u) const;
-  /// Average space per storage unit (quiesced-only, as above).
-  SpaceBreakdown avg_unit_space() const SS_NO_THREAD_SAFETY_ANALYSIS;
   /// Average attached-version bytes per first-level index unit (Fig. 14a).
   double avg_version_bytes_per_group() const;
 
-  /// One snapshot-consistent introspection pass, concurrent with serving
-  /// threads: topology counters read under the shared structure lock
-  /// (they change only under the exclusive one), the file count and
-  /// per-unit bytes under each unit's lock at the pinned seq, replica and
-  /// version bytes under each group's sync stripe. The space numbers
-  /// describe the CURRENT unit contents (space is accounting, not
-  /// versioned data) — only the file count is an as-of read.
+  /// One introspection pass under the shared structure lock, concurrent
+  /// with serving threads — the store's one space accounting (Figure 7):
+  /// topology counters (they change only under the exclusive lock), the
+  /// count of records visible at `seq` (the exact-read walk) and each
+  /// active unit's bytes under that unit's lock, replica and version
+  /// bytes under each group's sync stripe. The space numbers describe
+  /// the CURRENT unit contents (space is accounting, not versioned data)
+  /// — only the file count is an as-of read.
   struct Introspection {
     std::size_t files = 0;       ///< records visible at the pinned seq
     std::size_t num_units = 0;
@@ -476,44 +474,28 @@ class SmartStore {
                       Journal* journal) SS_REQUIRES_SHARED(structure_mu_);
 
   // ---- internals ---------------------------------------------------------
-  //
-  // *_impl bodies assume the structure lock is already held (shared or
-  // exclusive); the public wrappers acquire it. remove_storage_unit calls
-  // insert_file_impl for displaced files while holding it exclusively —
-  // the shared-acquiring public method would self-deadlock there.
 
-  /// `seq` kAssignSeq stamps a fresh commit seq; any other value is used
-  /// as given (see commit_stamp). remove_storage_unit re-homes displaced
-  /// files under their ORIGINAL added_seq with no journal: the move is
-  /// invisible to every snapshot — the record stays visible at exactly
-  /// the seqs it was visible at before, just in a different unit — and
-  /// logs nothing. 0 keeps a pre-history record pre-history.
+  /// insert_file's body; the caller holds the structure lock (shared, or
+  /// exclusive in remove_storage_unit, where the shared-acquiring public
+  /// method would self-deadlock). `seq` kAssignSeq stamps a fresh commit
+  /// seq; any other value is used as given (see commit_stamp).
+  /// remove_storage_unit re-homes displaced files under their ORIGINAL
+  /// added_seq with no journal: the move is invisible to every snapshot —
+  /// the record stays visible at exactly the seqs it was visible at
+  /// before, just in a different unit — and logs nothing. 0 keeps a
+  /// pre-history record pre-history.
   QueryStats insert_file_impl(const metadata::FileMetadata& f, double arrival,
                               std::uint64_t seq, Journal* journal)
       SS_REQUIRES_SHARED(structure_mu_);
-  bool erase_file_impl(const std::string& name, std::uint64_t seq)
-      SS_REQUIRES_SHARED(structure_mu_);
-  /// `qhash` is the digest of q.filename: one per lookup, shared by every
-  /// filter the lookup consults.
-  PointResult point_query_impl(const metadata::PointQuery& q,
-                               const bloom::ItemHash& qhash, Routing routing,
-                               double arrival)
-      SS_REQUIRES_SHARED(structure_mu_);
-  RangeResult range_query_impl(const metadata::RangeQuery& q, Routing routing,
-                               double arrival)
-      SS_REQUIRES_SHARED(structure_mu_);
-  TopKResult topk_query_impl(const metadata::TopKQuery& q, Routing routing,
-                             double arrival)
-      SS_REQUIRES_SHARED(structure_mu_);
 
-  PointResult snapshot_point_impl(const metadata::PointQuery& q,
-                                  std::uint64_t seq) const
-      SS_REQUIRES_SHARED(structure_mu_);
-  RangeResult snapshot_range_impl(const metadata::RangeQuery& q,
-                                  std::uint64_t seq) const
-      SS_REQUIRES_SHARED(structure_mu_);
-  TopKResult snapshot_topk_impl(const metadata::TopKQuery& q,
-                                std::uint64_t seq) const
+  /// The one exact read, and the one place the MVCC visibility rule is
+  /// applied: visits every unit (deactivated ones too — their tombstone
+  /// chains may still be visible) under that unit's lock, one at a time,
+  /// and calls fn(unit, record, standardized coords, added_seq) for each
+  /// record visible at `seq`, live records before the unit's tombstones.
+  /// The caller holds the structure lock shared for the whole walk.
+  template <typename Fn>
+  void for_each_visible(std::uint64_t seq, Fn&& fn) const
       SS_REQUIRES_SHARED(structure_mu_);
 
   /// Resolves the commit seq for one mutation inside its unit-lock
@@ -561,56 +543,67 @@ class SmartStore {
   bool after_group_change(std::size_t g, double now, sim::Session* session)
       SS_REQUIRES_SHARED(structure_mu_);
 
+  // ---- query geometry ------------------------------------------------------
+  //
+  // One predicate per query kind, shared by the routed scans and the exact
+  // ones: a range query is a box, a top-k query a point, both in
+  // standardized coordinates on the query's dimensions.
+
+  struct StdBox {
+    std::vector<std::size_t> dims;  ///< attribute index of each query dim
+    la::Vector lo, hi;              ///< standardized bounds, lo <= hi
+    /// The record predicate: full-D standardized `coords` inside the box.
+    bool contains(const la::Vector& coords) const;
+    /// Could a unit or group summarized by `mbr` hold a matching record?
+    bool intersects(const rtree::Mbr& mbr) const;
+  };
+  struct StdPoint {
+    std::vector<std::size_t> dims;  ///< attribute index of each query dim
+    la::Vector at;                  ///< the standardized query point
+    /// The record distance: squared Euclidean on the dims.
+    double dist2(const la::Vector& coords) const;
+    /// Lower bound of dist2 over `mbr` (infinite for an empty box).
+    double min_dist2(const rtree::Mbr& mbr) const;
+  };
+  StdBox standardize(const metadata::RangeQuery& q) const
+      SS_REQUIRES_SHARED(structure_mu_);
+  StdPoint standardize(const metadata::TopKQuery& q) const
+      SS_REQUIRES_SHARED(structure_mu_);
+
+  /// Scans one unit's live records for range matches (fresh, exact).
+  static void unit_range_scan(const StorageUnit& u, const StdBox& box,
+                              std::vector<metadata::FileId>& out);
+  /// Local exact top-k within a unit's live records.
+  static void unit_topk_scan(
+      const StorageUnit& u, const StdPoint& point, std::size_t k,
+      std::vector<std::pair<double, metadata::FileId>>& heap);
+
+  // ---- off-line routing ----------------------------------------------------
+
   struct RankedGroup {
     std::size_t node_id;
     double score;  ///< lower is better (distance-like)
   };
-  /// Ranks groups of `t` for a range query by MBR intersection. For the
-  /// main tree the (possibly stale) replicas + versions are consulted; for
-  /// auto-configured variants the fresh node summaries are used.
+  /// What off-line routing knows of group `g` of `t`: on the main tree the
+  /// (possibly stale) replica box with its versions, charging one Bloom
+  /// check per sealed version to `version_cost`; on an auto-configured
+  /// variant the fresh node summary.
+  rtree::Mbr group_box(const SemanticRTree& t, std::size_t g,
+                       double& version_cost) const
+      SS_REQUIRES_SHARED(structure_mu_);
+  /// Ranks the groups of `t` whose box meets `box`, biggest overlap first.
   std::vector<RankedGroup> rank_groups_range(const SemanticRTree& t,
-                                             const metadata::RangeQuery& q,
+                                             const StdBox& box,
                                              double& version_cost) const
       SS_REQUIRES_SHARED(structure_mu_);
-  /// Ranks groups of `t` for a top-k query by MBR min-distance.
+  /// Ranks the groups of `t` for a top-k query by MBR min-distance.
   std::vector<RankedGroup> rank_groups_topk(const SemanticRTree& t,
-                                            const la::Vector& std_point,
-                                            const std::vector<std::size_t>&
-                                                dim_idx,
+                                            const StdPoint& point,
                                             double& version_cost) const
       SS_REQUIRES_SHARED(structure_mu_);
   /// Ranks groups for an insertion by LSI similarity of centroids.
   std::size_t best_group_for_vector(const la::Vector& raw) const
       SS_REQUIRES_SHARED(structure_mu_);
-
-  /// Standardized query-geometry helpers (full-D boxes, subset dims).
-  std::vector<std::size_t> dim_indices(const metadata::AttrSubset& dims) const;
-  void standardize_range(const metadata::RangeQuery& q,
-                         std::vector<std::size_t>& dim_idx, la::Vector& lo,
-                         la::Vector& hi) const
-      SS_REQUIRES_SHARED(structure_mu_);
-  la::Vector standardize_point(const metadata::TopKQuery& q,
-                               std::vector<std::size_t>& dim_idx) const
-      SS_REQUIRES_SHARED(structure_mu_);
-
-  static bool box_intersects(const rtree::Mbr& box,
-                             const std::vector<std::size_t>& dim_idx,
-                             const la::Vector& lo, const la::Vector& hi);
-  static double box_min_dist2(const rtree::Mbr& box,
-                              const std::vector<std::size_t>& dim_idx,
-                              const la::Vector& point);
-
-  /// Scans one unit for range matches (fresh, exact).
-  void unit_range_scan(const StorageUnit& u,
-                       const std::vector<std::size_t>& dim_idx,
-                       const la::Vector& lo, const la::Vector& hi,
-                       std::vector<metadata::FileId>& out) const;
-  /// Local exact top-k within a unit.
-  void unit_topk_scan(const StorageUnit& u,
-                      const std::vector<std::size_t>& dim_idx,
-                      const la::Vector& point, std::size_t k,
-                      std::vector<std::pair<double, metadata::FileId>>& heap)
-      const;
 
   /// Figure 8 metric: tree distance between the primary result group and
   /// the farthest other result group (0 when a single group sufficed).
@@ -634,7 +627,7 @@ class SmartStore {
   std::size_t bloom_bits_ SS_GUARDED_BY(structure_mu_) = 1024;
   // units_/tree_/variants_/sync_ follow the two-level scheme GUARDED_BY
   // cannot express (shape shared + a per-unit lock or stripe for interior
-  // mutation): the REQUIRES_SHARED annotations on the *_impl helpers plus
+  // mutation): the REQUIRES_SHARED annotations on the private helpers plus
   // the stripe pools' runtime assertions police them instead.
   std::vector<StorageUnit> units_;
   std::vector<bool> unit_active_ SS_GUARDED_BY(structure_mu_);

@@ -74,6 +74,19 @@ QueryStats to_public(const core::QueryStats& s) {
   return out;
 }
 
+/// Does `dir` hold a deployment: a manifest, or a WAL shard log (a store
+/// that crashed before its first checkpoint has only those)?
+bool holds_deployment(const std::string& dir) {
+  if (persist::manifest_exists(dir)) return true;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           persist::ShardedWal::shard_dir(dir), ec)) {
+    std::uint64_t shard = 0;
+    if (persist::ShardedWal::parse_shard_id(entry.path(), &shard)) return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 struct Store::Impl {
@@ -387,6 +400,9 @@ StatusOr<std::unique_ptr<Store>> Store::Open(const Options& options,
       im.core->build({});
     } else {
       im.dir = path;
+      // Refused before anything (the directory, its LOCK) is created.
+      if (!options.create_if_missing && !holds_deployment(path))
+        return Status::NotFound("no checkpoint or WAL log in " + path);
       std::error_code ec;
       std::filesystem::create_directories(path, ec);
       if (ec)
@@ -432,8 +448,6 @@ StatusOr<std::unique_ptr<Store>> Store::Open(const Options& options,
         im.recovery.delta_cuts = rec.delta_cuts;
         im.recovery.delta_records = rec.delta_records;
       } else {
-        if (!options.create_if_missing)
-          return Status::NotFound("no checkpoint in " + path);
         im.core = std::make_unique<core::SmartStore>(cfg);
         im.core->build({});
         // A deployment that crashed before its first checkpoint has WAL
@@ -723,7 +737,19 @@ Status Store::LoadBootstrap(std::uint64_t seq,
     for (const metadata::FileMetadata& f : files) im.core->insert_file(f, 0.0);
     if (im.wal) im.wal->commit_all();  // durable before the follower acks
     im.core->note_commit_seq(seq);
-    im.note_mutations(files.size());
+    if (!im.delta || seq == 0) {
+      im.note_mutations(files.size());
+      return Status::OK();
+    }
+    // Fold before returning, as Bulkload does: the jump to `seq` writes no
+    // log record, so only a base image and the manifest's last_cut_seq
+    // keep it across a restart (a cut would not: on a store with a
+    // manifest and no new records it is a no-op). Without it the clock
+    // would resume at the last record's local stamp, and the
+    // ApplyReplicated gate would re-apply ops the dump already holds.
+    const util::MutexLock ck(im.ckpt_mu);
+    im.compactor->wait();
+    im.delta->fold();
     return Status::OK();
   });
 }

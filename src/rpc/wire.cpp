@@ -24,10 +24,6 @@ db::Status decode_guard(const char* what, Fn&& fn) {
   }
 }
 
-void append(const util::BinaryWriter& w, std::vector<std::uint8_t>* out) {
-  out->insert(out->end(), w.buffer().begin(), w.buffer().end());
-}
-
 std::uint32_t payload_crc(const std::vector<std::uint8_t>& p) {
   return p.empty() ? util::crc32_final(util::crc32_init())
                    : util::crc32(p.data(), p.size());
@@ -206,9 +202,9 @@ db::Status decode_frame(const std::vector<std::uint8_t>& bytes, Frame* out) {
 
 void encode_file(const metadata::FileMetadata& f,
                  std::vector<std::uint8_t>* out) {
-  util::BinaryWriter w;
+  util::BinaryWriter w(std::move(*out));
   write_file_fields(w, f);
-  append(w, out);
+  *out = w.release();
 }
 
 db::Status decode_file(const std::vector<std::uint8_t>& in,
@@ -220,9 +216,9 @@ db::Status decode_file(const std::vector<std::uint8_t>& in,
 }
 
 void encode_name(const std::string& name, std::vector<std::uint8_t>* out) {
-  util::BinaryWriter w;
+  util::BinaryWriter w(std::move(*out));
   w.write_string(name);
-  append(w, out);
+  *out = w.release();
 }
 
 db::Status decode_name(const std::vector<std::uint8_t>& in, std::string* out) {
@@ -244,10 +240,10 @@ std::uint64_t read_as_of_tail(util::BinaryReader& r) {
 
 void encode_point_query(const metadata::PointQuery& q,
                         std::vector<std::uint8_t>* out, std::uint64_t as_of) {
-  util::BinaryWriter w;
+  util::BinaryWriter w(std::move(*out));
   w.write_string(q.filename);
   w.write_u64(as_of);
-  append(w, out);
+  *out = w.release();
 }
 
 db::Status decode_point_query(const std::vector<std::uint8_t>& in,
@@ -263,12 +259,12 @@ db::Status decode_point_query(const std::vector<std::uint8_t>& in,
 
 void encode_range_query(const metadata::RangeQuery& q,
                         std::vector<std::uint8_t>* out, std::uint64_t as_of) {
-  util::BinaryWriter w;
+  util::BinaryWriter w(std::move(*out));
   write_dims(w, q.dims);
   w.write_vec_f64(q.lo);
   w.write_vec_f64(q.hi);
   w.write_u64(as_of);
-  append(w, out);
+  *out = w.release();
 }
 
 db::Status decode_range_query(const std::vector<std::uint8_t>& in,
@@ -286,12 +282,12 @@ db::Status decode_range_query(const std::vector<std::uint8_t>& in,
 
 void encode_topk_query(const metadata::TopKQuery& q,
                        std::vector<std::uint8_t>* out, std::uint64_t as_of) {
-  util::BinaryWriter w;
+  util::BinaryWriter w(std::move(*out));
   write_dims(w, q.dims);
   w.write_vec_f64(q.point);
   w.write_u64(q.k);
   w.write_u64(as_of);
-  append(w, out);
+  *out = w.release();
 }
 
 db::Status decode_topk_query(const std::vector<std::uint8_t>& in,
@@ -308,10 +304,10 @@ db::Status decode_topk_query(const std::vector<std::uint8_t>& in,
 
 void encode_snapshot_lease(const SnapshotLease& l,
                            std::vector<std::uint8_t>* out) {
-  util::BinaryWriter w;
+  util::BinaryWriter w(std::move(*out));
   w.write_u64(l.lease_id);
   w.write_u64(l.seq);
-  append(w, out);
+  *out = w.release();
 }
 
 db::Status decode_snapshot_lease(const std::vector<std::uint8_t>& in,
@@ -325,7 +321,7 @@ db::Status decode_snapshot_lease(const std::vector<std::uint8_t>& in,
 
 void encode_batch(const std::vector<BatchOp>& ops,
                   std::vector<std::uint8_t>* out) {
-  util::BinaryWriter w;
+  util::BinaryWriter w(std::move(*out));
   w.write_u64(ops.size());
   for (const BatchOp& op : ops) {
     w.write_u8(op.is_put ? 1 : 0);
@@ -335,7 +331,7 @@ void encode_batch(const std::vector<BatchOp>& ops,
       w.write_string(op.name);
     }
   }
-  append(w, out);
+  *out = w.release();
 }
 
 db::Status decode_batch(const std::vector<std::uint8_t>& in,
@@ -362,7 +358,7 @@ db::Status decode_batch(const std::vector<std::uint8_t>& in,
 
 void encode_query_result(const db::QueryResult& r,
                          std::vector<std::uint8_t>* out) {
-  util::BinaryWriter w;
+  util::BinaryWriter w(std::move(*out));
   w.write_u8(static_cast<std::uint8_t>(r.kind));
   w.write_bool(r.found);
   w.write_u64(r.id);
@@ -382,7 +378,7 @@ void encode_query_result(const db::QueryResult& r,
   w.write_u64(r.stats.records_scanned);
   w.write_f64(r.stats.version_check_s);
   w.write_bool(r.stats.failed);
-  append(w, out);
+  *out = w.release();
 }
 
 db::Status decode_query_result(const std::vector<std::uint8_t>& in,
@@ -436,13 +432,13 @@ db::Status response_status(const Frame& f) {
 }
 
 void encode_shard_stats(const ShardStats& s, std::vector<std::uint8_t>* out) {
-  util::BinaryWriter w;
+  util::BinaryWriter w(std::move(*out));
   w.write_u64(s.applied_puts);
   w.write_u64(s.applied_deletes);
   w.write_u64(s.dup_hits);
   w.write_u64(s.wrong_shard);
   w.write_u64(s.total_files);
-  append(w, out);
+  *out = w.release();
 }
 
 db::Status decode_shard_stats(const std::vector<std::uint8_t>& in,
@@ -460,7 +456,7 @@ db::Status decode_shard_stats(const std::vector<std::uint8_t>& in,
 // ---- replication stream (v3) ------------------------------------------------
 
 void encode_repl_batch(const ReplBatch& b, std::vector<std::uint8_t>* out) {
-  util::BinaryWriter w;
+  util::BinaryWriter w(std::move(*out));
   w.write_bool(b.sync_engaged);
   w.write_u64(b.ops.size());
   for (const ReplOp& op : b.ops) {
@@ -473,7 +469,7 @@ void encode_repl_batch(const ReplBatch& b, std::vector<std::uint8_t>* out) {
       w.write_string(op.name);
     }
   }
-  append(w, out);
+  *out = w.release();
 }
 
 db::Status decode_repl_batch(const std::vector<std::uint8_t>& in,
@@ -503,10 +499,10 @@ db::Status decode_repl_batch(const std::vector<std::uint8_t>& in,
 }
 
 void encode_repl_status(const ReplStatus& s, std::vector<std::uint8_t>* out) {
-  util::BinaryWriter w;
+  util::BinaryWriter w(std::move(*out));
   w.write_u64(s.frontier);
   w.write_bool(s.ready);
-  append(w, out);
+  *out = w.release();
 }
 
 db::Status decode_repl_status(const std::vector<std::uint8_t>& in,
@@ -520,13 +516,13 @@ db::Status decode_repl_status(const std::vector<std::uint8_t>& in,
 
 void encode_repl_bootstrap(const ReplBootstrap& b,
                            std::vector<std::uint8_t>* out) {
-  util::BinaryWriter w;
+  util::BinaryWriter w(std::move(*out));
   w.write_u64(b.seq);
   w.write_u64(b.files.size());
   for (const metadata::FileMetadata& f : b.files) {
     write_file_fields(w, f);
   }
-  append(w, out);
+  *out = w.release();
 }
 
 db::Status decode_repl_bootstrap(const std::vector<std::uint8_t>& in,

@@ -26,6 +26,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace smartstore::util {
@@ -46,6 +47,12 @@ class BinaryIoError : public std::runtime_error {
 
 class BinaryWriter {
  public:
+  BinaryWriter() = default;
+  /// Adopts `buf`: writes land after the bytes it holds, and release()
+  /// hands the vector back — a payload codec encodes straight into its
+  /// caller's buffer.
+  explicit BinaryWriter(std::vector<std::uint8_t> buf) : buf_(std::move(buf)) {}
+
   void write_u8(std::uint8_t v) { buf_.push_back(v); }
   void write_u32(std::uint32_t v) { append(&v, sizeof v); }
   void write_u64(std::uint64_t v) { append(&v, sizeof v); }
@@ -73,7 +80,8 @@ class BinaryWriter {
   void reserve(std::size_t more) { buf_.reserve(buf_.size() + more); }
 
   const std::vector<std::uint8_t>& buffer() const { return buf_; }
-  /// Moves the encoded bytes out, leaving the writer empty.
+  /// Moves the buffer out (an adopted one with its earlier bytes),
+  /// leaving the writer empty.
   std::vector<std::uint8_t> release();
   std::size_t size() const { return buf_.size(); }
   void clear() { buf_.clear(); }

@@ -265,6 +265,25 @@ TEST(DbApi, OpenMissingSnapshotWithoutCreateIsNotFound) {
   auto opened = db::Store::Open(o, dir.string());
   ASSERT_FALSE(opened.ok());
   EXPECT_TRUE(opened.status().IsNotFound()) << opened.status().ToString();
+  // The refusal creates nothing: no directory, no LOCK file.
+  EXPECT_FALSE(std::filesystem::exists(dir));
+
+  // A store that crashed before its first checkpoint holds WAL shards and
+  // no manifest: that is a deployment, and it recovers without create.
+  {
+    auto store = open_or_die(small_options(), dir.string());
+    for (std::uint64_t i = 0; i < 25; ++i)
+      ASSERT_TRUE(store->Put(make_file(i)).ok());
+    ASSERT_TRUE(store->Flush().ok());
+    store->Abandon();
+  }
+  auto reopened = db::Store::Open(o, dir.string());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->recovery_info().wal_records, 25u);
+  std::string v;
+  ASSERT_TRUE((*reopened)->GetProperty("smartstore.total-files", &v));
+  EXPECT_EQ(v, "25");
+  ASSERT_TRUE((*reopened)->Close().ok());
   std::filesystem::remove_all(dir);
 }
 
@@ -765,6 +784,38 @@ TEST(DbApi, CommitClockSurvivesReopenPastACutNoOpRemove) {
   auto at2 = store->Query(select_all(), db::ReadOptions{2});
   ASSERT_TRUE(at2.ok());
   EXPECT_EQ(at2->ids, std::vector<metadata::FileId>{1});
+  std::filesystem::remove_all(dir);
+}
+
+TEST(DbApi, BootstrapFrontierSurvivesReopen) {
+  // A follower's bootstrap jumps its clock to the primary's frontier with
+  // no log record of its own. The jump must outlive a restart, or the
+  // ApplyReplicated gate would re-apply ops the dump already holds.
+  const auto dir = temp_dir("bootstrap_frontier");
+  const std::vector<metadata::FileMetadata> dump = {make_file(1), make_file(2),
+                                                    make_file(3)};
+  {
+    auto store = open_or_die(small_options(), dir.string());
+    ASSERT_TRUE(store->LoadBootstrap(10, dump).ok());
+    EXPECT_EQ(store->LatestSequence(), 10u);
+    ASSERT_TRUE(store->Close().ok());
+  }
+  auto store = open_or_die(small_options(), dir.string());
+  EXPECT_EQ(store->LatestSequence(), 10u);
+  std::string v;
+  ASSERT_TRUE(store->GetProperty("smartstore.total-files", &v));
+  EXPECT_EQ(v, "3");
+  // A replayed op the dump already covers is skipped; the next one lands.
+  std::vector<db::ReplicatedOp> ops(2);
+  ops[0].seq = 9;
+  ops[0].file = make_file(9);
+  ops[1].seq = 11;
+  ops[1].file = make_file(11);
+  std::uint64_t frontier = 0;
+  ASSERT_TRUE(store->ApplyReplicated(ops, &frontier).ok());
+  EXPECT_EQ(frontier, 11u);
+  ASSERT_TRUE(store->GetProperty("smartstore.total-files", &v));
+  EXPECT_EQ(v, "4");
   std::filesystem::remove_all(dir);
 }
 

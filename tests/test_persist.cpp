@@ -251,6 +251,22 @@ TEST(BinaryIo, EncodingIsPinnedLittleEndian) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(BinaryIo, AdoptedBufferKeepsItsBytesAndComesBack) {
+  // A payload codec hands its caller's vector to the writer and takes it
+  // back: the earlier bytes stay in front, and no copy is made.
+  std::vector<std::uint8_t> buf = {0x01, 0x02};
+  buf.reserve(64);
+  const std::uint8_t* const storage = buf.data();
+  util::BinaryWriter w(std::move(buf));
+  EXPECT_EQ(w.size(), 2u);
+  w.write_u32(0x0A0B0C0Du);
+  const std::vector<std::uint8_t> out = w.release();
+  EXPECT_EQ(out, (std::vector<std::uint8_t>{0x01, 0x02, 0x0D, 0x0C, 0x0B,
+                                            0x0A}));
+  EXPECT_EQ(out.data(), storage);
+  EXPECT_EQ(w.size(), 0u);
+}
+
 TEST(Crc32, KnownVectors) {
   // The canonical CRC-32 check value.
   EXPECT_EQ(util::crc32("123456789", 9), 0xCBF43926u);

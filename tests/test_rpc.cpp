@@ -4,6 +4,7 @@
 // round trip over loopback TCP (same Channel contract, real kernel).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -139,6 +140,22 @@ TEST(Wire, FilePayloadRoundTrip) {
   EXPECT_EQ(out.id, f.id);
   EXPECT_EQ(out.name, f.name);
   EXPECT_EQ(out.attrs, f.attrs);
+}
+
+TEST(Wire, PayloadCodecsAppendToTheCallersBuffer) {
+  // A codec writes after whatever its output vector already holds.
+  const std::vector<std::uint8_t> prefix = {0xAA, 0xBB, 0xCC};
+  std::vector<std::uint8_t> alone;
+  rpc::encode_file(make_file(5), &alone);
+  rpc::encode_name("x.dat", &alone);
+  std::vector<std::uint8_t> bytes = prefix;
+  rpc::encode_file(make_file(5), &bytes);
+  rpc::encode_name("x.dat", &bytes);
+  ASSERT_EQ(bytes.size(), prefix.size() + alone.size());
+  EXPECT_TRUE(std::equal(prefix.begin(), prefix.end(), bytes.begin()));
+  EXPECT_TRUE(std::equal(alone.begin(), alone.end(),
+                         bytes.begin() + static_cast<std::ptrdiff_t>(
+                                             prefix.size())));
 }
 
 TEST(Wire, QueryPayloadRoundTrips) {

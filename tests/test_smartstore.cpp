@@ -6,7 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
 #include <set>
+#include <string>
+#include <thread>
+#include <unordered_map>
+#include <vector>
 
 #include "core/ground_truth.h"
 #include "trace/query_gen.h"
@@ -272,7 +278,7 @@ TEST_F(SmartStoreTest, ReconfigureClearsVersions) {
 }
 
 TEST_F(SmartStoreTest, SpaceAccountingNonTrivial) {
-  const auto s = store_->avg_unit_space();
+  const auto s = store_->introspect(store_->last_commit_seq()).avg_space;
   EXPECT_GT(s.metadata_bytes, 0u);
   EXPECT_GT(s.index_bytes, 0u);
   EXPECT_GT(s.replica_bytes, 0u);
@@ -545,6 +551,188 @@ TEST(SmartStoreEdge, ConstantAttributesStillPlaceEveryFile) {
     for (const auto& f : files)
       EXPECT_TRUE(store.point_query({f.name}, Routing::kOnline, 0.0).found);
   }
+}
+
+// ---- exact reads at a pinned seq --------------------------------------------
+
+/// One version of a record in the test's own MVCC reference: the seq it
+/// was added at (0 for the bulk build) and the seq it was deleted at (0
+/// while live).
+struct Version {
+  FileMetadata file;
+  std::uint64_t added = 0;
+  std::uint64_t deleted = 0;
+};
+
+/// The reference visibility rule, in (id, name) order like snapshot_dump.
+std::vector<FileMetadata> visible_at(const std::vector<Version>& history,
+                                     std::uint64_t seq) {
+  std::vector<FileMetadata> out;
+  for (const Version& v : history)
+    if (v.added <= seq && (v.deleted == 0 || seq < v.deleted))
+      out.push_back(v.file);
+  std::sort(out.begin(), out.end(),
+            [](const FileMetadata& a, const FileMetadata& b) {
+              return a.id != b.id ? a.id < b.id : a.name < b.name;
+            });
+  return out;
+}
+
+bool same_records(const std::vector<FileMetadata>& a,
+                  const std::vector<FileMetadata>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const FileMetadata& x, const FileMetadata& y) {
+                      return x.id == y.id && x.name == y.name &&
+                             x.attrs == y.attrs;
+                    });
+}
+
+TEST(SmartStoreExact, ScansAtPinnedSeqsMatchTheVisibilityReference) {
+  const auto tr = small_trace();
+  SmartStore store(small_config());
+  store.build(tr.files());
+  std::vector<Version> history;
+  std::unordered_map<std::string, std::size_t> live;  // name -> version
+  for (const auto& f : tr.files()) {
+    live[f.name] = history.size();
+    history.push_back({f, 0, 0});
+  }
+  // The first pin is taken before any mutation, so it keeps every
+  // tombstone the history makes: each later pin sees its own past.
+  std::vector<std::shared_ptr<void>> pins;
+  std::vector<std::uint64_t> seqs(1);
+  pins.push_back(store.pin_snapshot(&seqs[0]));
+
+  auto insert = [&](const FileMetadata& f) {
+    store.insert_file(f, 0.0);
+    live[f.name] = history.size();
+    history.push_back({f, store.last_commit_seq(), 0});
+  };
+  std::vector<FileMetadata> erased;
+  auto erase = [&](const std::string& name) {
+    const auto it = live.find(name);
+    ASSERT_NE(it, live.end()) << name;
+    ASSERT_TRUE(store.erase_file(name)) << name;
+    history[it->second].deleted = store.last_commit_seq();
+    erased.push_back(history[it->second].file);
+    live.erase(it);
+  };
+  const auto extra = tr.make_insert_stream(240, 17);
+  for (std::size_t i = 0; i < extra.size(); ++i) {
+    insert(extra[i]);
+    if (i % 3 == 1) erase(tr.files()[i * 7 % tr.files().size()].name);
+    if (i % 5 == 4) erase(extra[i - 2].name);
+    if (i % 40 == 20) {
+      // A deleted name comes back under a new id: at one seq its old
+      // version is visible, at a later one the new version.
+      FileMetadata again = erased.back();
+      again.id += 1000000;
+      insert(again);
+    }
+    if (i % 40 == 39) {
+      seqs.emplace_back();
+      pins.push_back(store.pin_snapshot(&seqs.back()));
+    }
+  }
+  ASSERT_EQ(seqs.size(), 7u);
+  ASSERT_GT(store.tombstone_count(), 0u);
+
+  trace::QueryGenerator gen(tr, trace::QueryDistribution::kZipf, 21);
+  const AttrSubset range_dims({Attr::kFileSize, Attr::kModificationTime});
+  for (const std::uint64_t seq : seqs) {
+    SCOPED_TRACE("seq " + std::to_string(seq));
+    const std::vector<FileMetadata> visible = visible_at(history, seq);
+    EXPECT_TRUE(same_records(store.snapshot_dump(seq), visible));
+    EXPECT_EQ(store.introspect(seq).files, visible.size());
+
+    // Names live now, names deleted at some point, never-created names.
+    std::vector<std::string> names = {"/never/created/1", "/never/created/2"};
+    for (std::size_t i = 0; i < erased.size(); i += 9)
+      names.push_back(erased[i].name);
+    for (std::size_t i = 0; i < extra.size(); i += 23)
+      names.push_back(extra[i].name);
+    for (const std::string& name : names) {
+      const auto want = std::find_if(
+          visible.begin(), visible.end(),
+          [&](const FileMetadata& f) { return f.name == name; });
+      const PointResult got = store.snapshot_point_query({name}, seq);
+      ASSERT_EQ(got.found, want != visible.end()) << name;
+      if (got.found) {
+        EXPECT_EQ(got.id, want->id) << name;
+      }
+    }
+
+    for (int i = 0; i < 6; ++i) {
+      const auto rq = gen.gen_range(range_dims, 0.2);
+      std::vector<FileId> want = brute_force_range(visible, rq);
+      std::sort(want.begin(), want.end());
+      EXPECT_EQ(store.snapshot_range_query(rq, seq).ids, want)
+          << "range " << i;
+
+      const auto tq = gen.gen_topk(AttrSubset::all(), 8);
+      const auto want_k = brute_force_topk(visible, store.standardizer(), tq);
+      const auto got_k = store.snapshot_topk_query(tq, seq).hits;
+      ASSERT_EQ(got_k.size(), want_k.size()) << "top-k " << i;
+      for (std::size_t r = 0; r < want_k.size(); ++r) {
+        EXPECT_NEAR(got_k[r].first, want_k[r].first, 1e-9) << "rank " << r;
+        EXPECT_EQ(got_k[r].second, want_k[r].second) << "rank " << r;
+      }
+    }
+  }
+  // At the latest seq an on-line routed range query, which tests records
+  // with the same predicate, returns exactly the exact scan's ids.
+  for (int i = 0; i < 6; ++i) {
+    const auto rq = gen.gen_range(range_dims, 0.2);
+    std::vector<FileId> routed =
+        store.range_query(rq, Routing::kOnline, 0.0).ids;
+    std::sort(routed.begin(), routed.end());
+    EXPECT_EQ(routed,
+              store.snapshot_range_query(rq, store.last_commit_seq()).ids)
+        << "range " << i;
+  }
+}
+
+TEST(SmartStoreExact, PinnedScansStayBitIdenticalUnderAWriter) {
+  const auto tr = small_trace();
+  SmartStore store(small_config());
+  store.build(tr.files());
+  std::uint64_t seq = 0;
+  const auto pin = store.pin_snapshot(&seq);
+
+  trace::QueryGenerator gen(tr, trace::QueryDistribution::kZipf, 22);
+  const auto rq =
+      gen.gen_range(AttrSubset({Attr::kFileSize, Attr::kReadBytes}), 0.2);
+  const auto tq = gen.gen_topk(AttrSubset::all(), 16);
+  // Names the writer deletes: their versions at `seq` must stay visible.
+  const std::string doomed = tr.files()[1].name;
+  const auto dump = store.snapshot_dump(seq);
+  const auto range = store.snapshot_range_query(rq, seq).ids;
+  const auto topk = store.snapshot_topk_query(tq, seq).hits;
+  const auto point = store.snapshot_point_query({doomed}, seq);
+  ASSERT_TRUE(point.found);
+
+  const auto extra = tr.make_insert_stream(150, 23);
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (std::size_t i = 0; i < extra.size(); ++i) {
+      store.insert_file(extra[i], 0.0);
+      store.erase_file(tr.files()[2 * i + 1].name);
+    }
+    done.store(true);
+  });
+  int rounds = 0;
+  bool stable = true;
+  for (; stable && (!done.load() || rounds < 3); ++rounds) {
+    const PointResult p = store.snapshot_point_query({doomed}, seq);
+    stable = same_records(store.snapshot_dump(seq), dump) &&
+             store.snapshot_range_query(rq, seq).ids == range &&
+             store.snapshot_topk_query(tq, seq).hits == topk && p.found &&
+             p.id == point.id && store.introspect(seq).files == dump.size();
+  }
+  writer.join();
+  EXPECT_TRUE(stable) << "scan " << rounds << " at seq " << seq << " moved";
+  EXPECT_GE(store.tombstone_count(), extra.size());
+  EXPECT_EQ(store.total_files(), tr.files().size());
 }
 
 }  // namespace
