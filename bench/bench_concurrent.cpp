@@ -9,7 +9,11 @@
 //      shard group-committing and fsyncing independently — writers routed
 //      to different units overlap their durability waits, which is the
 //      win even when cores are scarce);
-//   2. recovery time from the sharded logs: one Open = snapshot load + N
+//   2. off-line point lookups/sec of existing names at 1/2/4 reader
+//      threads on one in-memory store (HP profile at TIF 4, 80,000 files,
+//      on 60 units at fanout 8): a db::Store core serves (it runs no
+//      virtual-time simulator), so its readers take no simulator lock;
+//   3. recovery time from the sharded logs: one Open = snapshot load + N
 //      records merged across shards by sequence number and replayed.
 //
 // Every thread drives the same Store handle with small WriteBatches — the
@@ -58,6 +62,14 @@ struct IngestResult {
   double per_sec() const { return static_cast<double>(inserts) / seconds; }
 };
 
+struct LookupResult {
+  std::size_t threads = 0;
+  double seconds = 0;
+  std::size_t lookups = 0;
+  std::size_t found = 0;
+  double per_sec() const { return static_cast<double>(lookups) / seconds; }
+};
+
 std::size_t env_size(const char* name, std::size_t fallback) {
   const char* v = std::getenv(name);
   if (!v || !*v) return fallback;
@@ -104,6 +116,35 @@ double run_ingest(db::Store& store,
   return t.seconds();
 }
 
+/// One timed read run: `threads` readers share `lookups` off-line point
+/// lookups of the names in `files`, each reader striding through them
+/// from its own offset. Fills seconds and found.
+void run_lookups(db::Store& store,
+                 const std::vector<metadata::FileMetadata>& files,
+                 LookupResult& r) {
+  std::atomic<std::size_t> found{0};
+  auto reader = [&](std::size_t t) {
+    std::size_t hits = 0;
+    for (std::size_t i = t; i < r.lookups; i += r.threads) {
+      db::QueryRequest req =
+          db::QueryRequest::Point(files[(i * 7919) % files.size()].name);
+      req.routing = db::Routing::kOffline;
+      auto res = store.Query(req);
+      check(res.status(), "lookup");
+      if (res->found) ++hits;
+    }
+    found.fetch_add(hits, std::memory_order_relaxed);
+  };
+
+  util::WallTimer t;
+  std::vector<std::thread> readers;
+  readers.reserve(r.threads);
+  for (std::size_t i = 0; i < r.threads; ++i) readers.emplace_back(reader, i);
+  for (auto& w : readers) w.join();
+  r.seconds = t.seconds();
+  r.found = found.load();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -118,6 +159,7 @@ int main(int argc, char** argv) {
   const std::size_t inserts =
       env_size("BENCH_INSERTS", smoke ? 800 : 20000);
   const std::size_t group_commit = env_size("BENCH_GROUP_COMMIT", 4);
+  const std::size_t lookups = smoke ? 2000 : 400000;
 
   const auto tr = trace::SyntheticTrace::generate(
       trace::msn_profile(), 1, 42, /*downscale=*/smoke ? 50 : 10);
@@ -159,6 +201,39 @@ int main(int argc, char** argv) {
       results.push_back(r);
       check(store->Close(), "close");
     }
+  }
+
+  // ---- point-lookup scaling --------------------------------------------------
+  // One bulkloaded in-memory store, read by 1, 2 and 4 threads at once.
+  std::vector<LookupResult> reads;
+  {
+    const auto hp = trace::SyntheticTrace::generate(
+        trace::hp_profile(), smoke ? 1 : 4, 42, smoke ? 10 : 1);
+    db::Options o;
+    o.in_memory = true;
+    o.num_units = smoke ? 8 : 60;
+    o.fanout = 8;
+    auto opened = db::Store::Open(o, "");
+    check(opened.status(), "open");
+    std::unique_ptr<db::Store> store = std::move(opened).value();
+    check(store->Bulkload(hp.files()), "bulkload");
+    std::printf("\n%zu files on %zu units, %zu lookups/run\n",
+                hp.files().size(), o.num_units, lookups);
+    std::printf("%-8s %12s %12s %10s %8s\n", "readers", "seconds",
+                "lookups/s", "speedup", "found");
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      LookupResult r;
+      r.threads = threads;
+      r.lookups = lookups;
+      run_lookups(*store, hp.files(), r);
+      std::printf("%-8zu %12.3f %12.0f %9.2fx %7.1f%%\n", r.threads,
+                  r.seconds, r.per_sec(),
+                  r.per_sec() / (reads.empty() ? r : reads[0]).per_sec(),
+                  100.0 * static_cast<double>(r.found) /
+                      static_cast<double>(r.lookups));
+      reads.push_back(r);
+    }
+    check(store->Close(), "close");
   }
 
   // ---- recovery from sharded logs -------------------------------------------
@@ -213,8 +288,9 @@ int main(int argc, char** argv) {
                                : 0;  // wal-on: 4 threads vs 1
   std::printf(
       "\nsummary  : wal-on 4-writer speedup %.2fx vs 1 writer "
-      "(CPU-bound scaling needs cores; fsync overlap carries the rest)\n",
-      speedup4);
+      "(CPU-bound scaling needs cores; fsync overlap carries the rest); "
+      "4-reader lookup speedup %.2fx vs 1 reader\n",
+      speedup4, reads[2].per_sec() / reads[0].per_sec());
 
   if (!json_path.empty()) {
     std::FILE* f = std::fopen(json_path.c_str(), "w");
@@ -233,6 +309,15 @@ int main(int argc, char** argv) {
                    "\"seconds\": %.6f, \"inserts_per_sec\": %.1f}%s\n",
                    r.threads, r.wal ? "true" : "false", r.inserts, r.seconds,
                    r.per_sec(), i + 1 < results.size() ? "," : "");
+    }
+    std::fprintf(f, "  ],\n  \"lookups\": [\n");
+    for (std::size_t i = 0; i < reads.size(); ++i) {
+      const LookupResult& r = reads[i];
+      std::fprintf(f,
+                   "    {\"threads\": %zu, \"lookups\": %zu, \"found\": "
+                   "%zu, \"seconds\": %.6f, \"lookups_per_sec\": %.1f}%s\n",
+                   r.threads, r.lookups, r.found, r.seconds, r.per_sec(),
+                   i + 1 < reads.size() ? "," : "");
     }
     std::fprintf(f,
                  "  ],\n  \"recovery\": {\"records\": %zu, \"seconds\": "

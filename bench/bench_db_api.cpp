@@ -6,7 +6,8 @@
 // Three comparisons, same population and insert stream:
 //   put     facade Put() (in-memory store: no WAL, so the measured delta
 //           is the boundary itself — status plumbing, lifecycle lock,
-//           counters) vs raw insert_file on a bare core store;
+//           counters) vs raw insert_file on a bare core store that
+//           serves, like the facade's (core::SmartStore::serve);
 //   batch   facade Write(WriteBatch of 64) vs 64 raw insert_file calls;
 //   durable facade Put() with the sharded WAL attached vs raw insert_file
 //           on a core with the WAL attached by hand (the composition
@@ -100,6 +101,7 @@ int main(int argc, char** argv) {
   }
   {
     core::SmartStore raw(cfg);
+    raw.serve();  // as every db::Store core does
     raw.build(tr.files());
     util::WallTimer t;
     for (const auto& f : stream) raw.insert_file(f, 0.0);
@@ -125,6 +127,7 @@ int main(int argc, char** argv) {
   }
   {
     core::SmartStore raw(cfg);
+    raw.serve();  // as every db::Store core does
     raw.build(tr.files());
     util::WallTimer t;
     for (const auto& f : stream) raw.insert_file(f, 0.0);
@@ -159,6 +162,7 @@ int main(int argc, char** argv) {
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
     core::SmartStore raw(cfg);
+    raw.serve();  // as every db::Store core does
     raw.build(tr.files());
     persist::ShardedWal wal(dir, units, raw.config().version_ratio);
     raw.attach_journal(&wal);

@@ -45,9 +45,9 @@ int main() {
     std::fprintf(stderr, "query failed or file missing\n");
     return 1;
   }
-  std::printf("found file_42.dat on unit %llu (%.3f ms simulated)\n",
+  std::printf("found file_42.dat on unit %llu (%llu messages)\n",
               static_cast<unsigned long long>(result->unit),
-              result->stats.latency_s * 1e3);
+              static_cast<unsigned long long>(result->stats.messages));
 
   if (db::Status s = store->Checkpoint(); !s.ok()) {
     std::fprintf(stderr, "checkpoint: %s\n", s.ToString().c_str());

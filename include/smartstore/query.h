@@ -6,7 +6,9 @@
 // query structs — the same types the trace generators emit — plus an
 // optional per-request routing override. QueryResult mirrors the shape:
 // `kind` tags which members are meaningful, and every result carries the
-// QueryStats the virtual-time cluster accounted for the operation.
+// QueryStats the store counted for the operation: messages, hops and
+// groups, not time (the paper's virtual-time cost model belongs to its
+// experiments, not to a serving store).
 #pragma once
 
 #include <cstdint>
@@ -28,14 +30,14 @@ enum class QueryKind : std::uint8_t { kPoint, kRange, kTopK };
 /// QueryStats — the facade converts, so embedders never include core
 /// headers and the internal struct can evolve freely).
 struct QueryStats {
-  double latency_s = 0;        ///< completion - arrival (virtual time)
   std::uint64_t messages = 0;  ///< network messages this operation sent
   std::uint64_t hops = 0;      ///< inter-unit hops
   int routing_hops = 0;        ///< group-distance metric (0 = one group)
   std::size_t groups_visited = 0;
   std::size_t records_scanned = 0;
-  double version_check_s = 0;  ///< extra latency from version checks
-  bool failed = false;         ///< touched a crashed node
+  bool failed = false;         ///< touched an inactive storage unit
+
+  bool operator==(const QueryStats&) const = default;
 };
 
 struct QueryRequest {

@@ -206,7 +206,7 @@ class Store {
 
   /// Exact exhaustive scan at `options.snapshot_seq` (or at a freshly
   /// pinned seq for kReadLatest). Unlike the routed overload above it
-  /// simulates no network placement and returns canonical (sorted)
+  /// follows no semantic routing and returns canonical (sorted)
   /// results: two scans at the same seq are bit-identical no matter what
   /// writers do in between — this is the time-travel / audit read path.
   StatusOr<QueryResult> Query(const QueryRequest& request,

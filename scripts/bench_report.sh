@@ -6,9 +6,11 @@
 #                       optional — skipped when the library was absent at
 #                       configure time.
 #   BENCH_persist.json  multi-writer ingest throughput by thread count
-#                       (with and without the sharded WAL) and recovery
-#                       time from sharded logs (bench_concurrent, driven
-#                       through the db::Store facade).
+#                       (with and without the sharded WAL), off-line
+#                       point-lookup throughput at 1/2/4 readers of one
+#                       store, and recovery time from sharded logs
+#                       (bench_concurrent, driven through the db::Store
+#                       facade).
 #   BENCH_db.json       the facade boundary's overhead vs raw core calls
 #                       (put / batch / durable paths) and facade-level
 #                       open / bulkload / checkpoint / reopen /

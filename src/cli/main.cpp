@@ -3,7 +3,7 @@
 // Loads one of the paper's synthetic trace profiles (HP / MSN / EECS),
 // opens a smartstore::db::Store over it, and replays batches of point,
 // range and top-k queries end-to-end, reporting result counts and the
-// simulated latency/message/hop accounting. This is the user-facing entry
+// message/hop accounting. This is the user-facing entry
 // point for workload scenarios: every knob the experiments vary (trace,
 // TIF, unit count, routing mode, query distribution) is a flag.
 //
@@ -335,7 +335,6 @@ struct BatchTotals {
   std::size_t queries = 0;
   std::size_t successes = 0;  ///< found (point) / non-empty (range, top-k)
   std::size_t results = 0;
-  double latency_s = 0;
   std::uint64_t messages = 0;
   std::uint64_t hops = 0;
 
@@ -343,7 +342,6 @@ struct BatchTotals {
     ++queries;
     if (nresults > 0) ++successes;
     results += nresults;
-    latency_s += s.latency_s;
     messages += s.messages;
     hops += s.hops;
   }
@@ -353,10 +351,10 @@ struct BatchTotals {
     const double n = static_cast<double>(queries);
     std::printf(
         "%-6s %6zu queries | %5.1f%% hit | %6.2f results/q | "
-        "%8.3f ms/q | %6.1f msgs/q | %5.1f hops/q\n",
+        "%6.1f msgs/q | %5.1f hops/q\n",
         what, queries, 100.0 * static_cast<double>(successes) / n,
-        static_cast<double>(results) / n, latency_s / n * 1e3,
-        static_cast<double>(messages) / n, static_cast<double>(hops) / n);
+        static_cast<double>(results) / n, static_cast<double>(messages) / n,
+        static_cast<double>(hops) / n);
   }
 };
 
@@ -547,7 +545,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(store->LatestSequence()),
         property(*store, "smartstore.mvcc.gc-watermark").c_str());
   }
-  // Routed reads simulate the paper's network placement at latest;
+  // Routed reads follow the paper's semantic routing at latest;
   // --query-as-of replaces them with exact snapshot scans at one seq.
   const db::ReadOptions as_of{opt.as_of_seq};
   const auto run_query = [&](db::QueryRequest&& req) {

@@ -18,10 +18,8 @@ using metadata::kNumAttrs;
 
 namespace {
 
-/// Small fixed message sizes for the simulated protocol.
+/// Message size of the simulated protocol's requests.
 constexpr std::size_t kQueryMsgBytes = 256;
-constexpr std::size_t kVersionMsgBytes = 2048;   // a sealed delta is small
-constexpr std::size_t kReplicaMsgBytes = 16384;  // a full summary refresh
 
 /// What a full synchronization copies out of first-level index unit `n`.
 GroupReplica::Base replica_base(const IndexUnit& n) {
@@ -34,10 +32,15 @@ VersionDelta empty_delta() {
   return v;
 }
 
-/// Closes an operation's simulated session into its stats: latency since
-/// `arrival`, the messages and hops it sent, whether it met a dead node.
-void close_session(const sim::Session& s, double arrival, QueryStats& stats) {
-  stats.latency_s = s.clock() - arrival;
+/// Closes an operation's session into its stats: the messages and hops it
+/// sent, whether it met a dead node and, on a simulated session, its
+/// latency since `arrival` and the part of it version checks cost.
+void close_session(const sim::Session& s, double arrival, QueryStats& stats,
+                   double version_cost = 0.0) {
+  if (s.simulated()) {
+    stats.latency_s = s.clock() - arrival;
+    stats.version_check_s = version_cost;
+  }
   stats.messages = s.messages();
   stats.hops = s.hops();
   stats.failed = s.failed();
@@ -60,8 +63,14 @@ std::atomic<std::uint64_t> g_next_store_id{1};
 
 SmartStore::SmartStore(Config cfg)
     : cfg_(std::move(cfg)),
+      cluster_(std::make_unique<sim::Cluster>(cfg_.num_units, cfg_.cost)),
       rng_(cfg_.seed),
       store_id_(g_next_store_id.fetch_add(1, std::memory_order_relaxed)) {}
+
+void SmartStore::serve() {
+  util::WriterLock ex(structure_mu_);
+  cluster_.reset();
+}
 
 // ---- concurrent checkpointing (epoch freeze + copy-on-write) ----------------
 
@@ -266,7 +275,10 @@ void SmartStore::build(const std::vector<FileMetadata>& files) {
   tree_.build(units_, params, pool.get());
   tree_.map_index_units(rng_);
 
-  cluster_ = std::make_unique<sim::Cluster>(cfg_.num_units, cfg_.cost);
+  // A simulating core restarts its cluster idle at time zero, sized to the
+  // new units.
+  if (cluster_)
+    cluster_ = std::make_unique<sim::Cluster>(cfg_.num_units, cfg_.cost);
   variants_.clear();
   init_sync_state();
 }
@@ -328,7 +340,7 @@ void SmartStore::maybe_grow_filters() {
   // A replica base is a filter of the names its group held at the last
   // sync, which are not kept apart: only a full sync (as reconfigure()
   // runs) gives it the new geometry.
-  for (std::size_t g : tree_.groups()) full_sync_group(g, nullptr);
+  for (std::size_t g : tree_.groups()) full_sync_group(g);
   bloom_resizes_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -369,6 +381,12 @@ util::Rng& SmartStore::thread_rng() const {
     rng.reseed(cfg_.seed ^ (0x9E3779B97F4A7C15ULL * stream));
   }
   return rng;
+}
+
+sim::Session SmartStore::start_session(double arrival) {
+  const sim::NodeId home = random_home();
+  return cluster_ ? cluster_->start_session(home, arrival)
+                  : sim::Session::counting(home, unit_active_);
 }
 
 sim::NodeId SmartStore::random_home() {
@@ -571,30 +589,17 @@ std::size_t SmartStore::best_group_for_vector(const la::Vector& raw) const {
 
 // ---- versioning / sync ------------------------------------------------------
 
-void SmartStore::seal_version(std::size_t g, double now, sim::Session* session) {
+void SmartStore::seal_version(std::size_t g) {
+  // Every unit routes on the same replica, so sealing here is the version
+  // multicast; it is asynchronous and adds nothing to the writer's latency.
   sync_stripes_.assert_held(&sync_.at(g));
   GroupSync& gs = sync_.at(g);
   if (gs.pending.empty()) return;
-  gs.pending.sealed_at = now;
   gs.replica.seal(std::move(gs.pending));
   gs.pending = empty_delta();
-
-  // Multicast the sealed version to every other storage unit.
-  if (session) {
-    std::vector<sim::Session> branches;
-    const sim::NodeId origin = session->location();
-    for (UnitId u = 0; u < units_.size(); ++u) {
-      if (u == origin || !unit_active_[u]) continue;
-      sim::Session b = session->fork();
-      b.send_to(u, kVersionMsgBytes);
-      branches.push_back(b);
-    }
-    // Version multicast is asynchronous: it consumes bandwidth (counted)
-    // but does not extend the requester-visible latency, so no join here.
-  }
 }
 
-void SmartStore::full_sync_group(std::size_t g, sim::Session* session) {
+void SmartStore::full_sync_group(std::size_t g) {
   // Copy the authoritative node summary under the node's stripe, install
   // it under the group's sync stripe: two stripes, never held together
   // (the one-stripe-at-a-time discipline that keeps the pool
@@ -616,19 +621,9 @@ void SmartStore::full_sync_group(std::size_t g, sim::Session* session) {
     gs.pending = std::move(pending);
     gs.changes_since_full_sync = 0;
   }
-
-  if (session) {
-    const sim::NodeId origin = session->location();
-    for (UnitId u = 0; u < units_.size(); ++u) {
-      if (u == origin || !unit_active_[u]) continue;
-      sim::Session b = session->fork();
-      b.send_to(u, kReplicaMsgBytes);
-    }
-  }
 }
 
-bool SmartStore::after_group_change(std::size_t g, double now,
-                                    sim::Session* session) {
+bool SmartStore::after_group_change(std::size_t g) {
   sync_stripes_.assert_held(&sync_.at(g));
   GroupSync& gs = sync_.at(g);
   ++gs.changes_since_full_sync;
@@ -636,7 +631,7 @@ bool SmartStore::after_group_change(std::size_t g, double now,
   if (cfg_.versioning_enabled) {
     const std::size_t pending_changes =
         gs.pending.added_count + gs.pending.deleted.size();
-    if (pending_changes >= cfg_.version_ratio) seal_version(g, now, session);
+    if (pending_changes >= cfg_.version_ratio) seal_version(g);
   }
   // Lazy updating (Section 3.4): a full replica refresh once accumulated
   // changes exceed the threshold fraction of the group's population. The
@@ -651,7 +646,7 @@ bool SmartStore::after_group_change(std::size_t g, double now,
 void SmartStore::reconfigure() {
   util::WriterLock ex(structure_mu_);
   epoch_.fetch_add(1, std::memory_order_relaxed);
-  for (std::size_t g : tree_.groups()) full_sync_group(g, nullptr);
+  for (std::size_t g : tree_.groups()) full_sync_group(g);
 }
 
 // ---- dynamic operations ------------------------------------------------------
@@ -671,7 +666,7 @@ QueryStats SmartStore::insert_file(const FileMetadata& f, double arrival,
 QueryStats SmartStore::insert_file_impl(const FileMetadata& f, double arrival,
                                         std::uint64_t seq, Journal* journal) {
   QueryStats stats;
-  sim::Session session = cluster_->start_session(random_home(), arrival);
+  sim::Session session = start_session(arrival);
 
   // Home unit ranks groups from its local replicas (off-line routing).
   session.visit(cfg_.cost.per_node_visit_s +
@@ -755,9 +750,9 @@ QueryStats SmartStore::insert_file_impl(const FileMetadata& f, double arrival,
     for (std::size_t d = 0; d < kNumAttrs; ++d)
       gs.pending.added_attr_sum[d] += raw[d];
     ++gs.pending.added_count;
-    want_full_sync = after_group_change(g, session.clock(), &session);
+    want_full_sync = after_group_change(g);
   }
-  if (want_full_sync) full_sync_group(g, &session);
+  if (want_full_sync) full_sync_group(g);
 
   close_session(session, arrival, stats);
   stats.groups_visited = 1;
@@ -791,9 +786,9 @@ bool SmartStore::remove_located(UnitId u, FileId id, const std::string& name,
     const auto guard = maybe_lock(&sync_stripes_, &sync_.at(g));
     GroupSync& gs = sync_.at(g);
     gs.pending.deleted.push_back(id);
-    want_full_sync = after_group_change(g, 0.0, nullptr);
+    want_full_sync = after_group_change(g);
   }
-  if (want_full_sync) full_sync_group(g, nullptr);
+  if (want_full_sync) full_sync_group(g);
   return true;
 }
 
@@ -836,7 +831,7 @@ PointResult SmartStore::point_query(const metadata::PointQuery& q,
   const bloom::ItemHash qhash = bloom::hash_item(q.filename);
   util::ReaderLock shared(structure_mu_);
   PointResult res;
-  sim::Session session = cluster_->start_session(random_home(), arrival);
+  sim::Session session = start_session(arrival);
   const UnitId home = session.location();
 
   // The home unit always checks its own filter first: queries about files
@@ -859,6 +854,7 @@ PointResult SmartStore::point_query(const metadata::PointQuery& q,
   }
 
   std::size_t groups_visited = 0;
+  double version_cost = 0.0;  // off-line routing's version checks
 
   // Probes the member units of one group whose filter reported positive.
   auto probe_group = [&](std::size_t g) {
@@ -945,7 +941,6 @@ PointResult SmartStore::point_query(const metadata::PointQuery& q,
     // Candidate groups from the replicated Bloom filters (+versions). The
     // union probe and the version count need no lock; the group's stripe
     // is taken only to confirm a name its union admits.
-    double version_cost = 0.0;
     std::vector<std::size_t> candidates;
     for (std::size_t g : tree_.groups()) {
       const GroupSync& gs = sync_.at(g);
@@ -959,7 +954,6 @@ PointResult SmartStore::point_query(const metadata::PointQuery& q,
     session.visit(static_cast<double>(tree_.groups().size()) *
                       cfg_.cost.per_bloom_check_s +
                   version_cost);
-    res.stats.version_check_s = version_cost;
 
     for (std::size_t g : candidates) {
       if (groups_visited >= cfg_.max_groups_per_query) break;
@@ -985,7 +979,7 @@ PointResult SmartStore::point_query(const metadata::PointQuery& q,
   }
 
   res.stats.groups_visited = groups_visited;
-  close_session(session, arrival, res.stats);
+  close_session(session, arrival, res.stats, version_cost);
   return res;
 }
 
@@ -997,9 +991,10 @@ RangeResult SmartStore::range_query(const metadata::RangeQuery& q,
   RangeResult res;
   const StdBox box = standardize(q);
 
-  sim::Session session = cluster_->start_session(random_home(), arrival);
+  sim::Session session = start_session(arrival);
   const UnitId home = session.location();
   std::vector<std::size_t> result_groups;
+  double version_cost = 0.0;  // off-line routing's version checks
 
   // Auto-configuration (Section 2.4): pick the tree variant whose grouping
   // predicate best matches the queried attribute subset.
@@ -1032,12 +1027,10 @@ RangeResult SmartStore::range_query(const metadata::RangeQuery& q,
   };
 
   if (routing == Routing::kOffline) {
-    double version_cost = 0.0;
     const auto ranked = rank_groups_range(rt, box, version_cost);
     session.visit(static_cast<double>(rt.groups().size()) *
                       cfg_.cost.per_node_visit_s * 0.1 +
                   version_cost);
-    res.stats.version_check_s = version_cost;
     for (const auto& rg : ranked) {
       if (res.stats.groups_visited >= cfg_.max_groups_per_query) break;
       scan_group(session, rg.node_id);
@@ -1081,7 +1074,7 @@ RangeResult SmartStore::range_query(const metadata::RangeQuery& q,
 
   res.stats.routing_hops = routing_distance(rt, result_groups);
   res.stats.records_scanned = res.ids.size();
-  close_session(session, arrival, res.stats);
+  close_session(session, arrival, res.stats, version_cost);
   return res;
 }
 
@@ -1093,12 +1086,13 @@ TopKResult SmartStore::topk_query(const metadata::TopKQuery& q,
   TopKResult res;
   const StdPoint point = standardize(q);
 
-  sim::Session session = cluster_->start_session(random_home(), arrival);
+  sim::Session session = start_session(arrival);
   const UnitId home = session.location();
 
   // Max-heap of the best-k candidates with their originating groups.
   std::vector<std::pair<double, FileId>> heap;
   std::vector<std::size_t> result_groups;
+  double version_cost = 0.0;  // off-line routing's version checks
   const SemanticRTree& rt = routing == Routing::kOffline
                                 ? tree_for_dims(q.dims)
                                 : tree_;
@@ -1135,12 +1129,10 @@ TopKResult SmartStore::topk_query(const metadata::TopKQuery& q,
   };
 
   if (routing == Routing::kOffline) {
-    double version_cost = 0.0;
     const auto ranked = rank_groups_topk(rt, point, version_cost);
     session.visit(static_cast<double>(rt.groups().size()) *
                       cfg_.cost.per_node_visit_s * 0.1 +
                   version_cost);
-    res.stats.version_check_s = version_cost;
     for (const auto& rg : ranked) {
       if (res.stats.groups_visited >= cfg_.max_groups_per_query) break;
       // MaxD pruning (Section 3.3.2): stop when no remaining group can
@@ -1189,7 +1181,7 @@ TopKResult SmartStore::topk_query(const metadata::TopKQuery& q,
   if (heap.size() > q.k) heap.resize(q.k);
   res.hits = std::move(heap);
   res.stats.routing_hops = routing_distance(rt, result_groups);
-  close_session(session, arrival, res.stats);
+  close_session(session, arrival, res.stats, version_cost);
   return res;
 }
 
@@ -1238,7 +1230,7 @@ UnitId SmartStore::add_storage_unit() {
   units_.emplace_back(id, bloom_bits_, cfg_.bloom_hashes);
   unit_active_.push_back(true);
   rebuild_unit_locks();
-  cluster_->add_node();
+  if (cluster_) cluster_->add_node();
   tree_.admit_unit(units_, id);
   for (auto& v : variants_) v.tree.admit_unit(units_, id);
   refresh_sync_groups();
@@ -1266,7 +1258,7 @@ void SmartStore::remove_storage_unit(UnitId u) {
   tree_.remove_unit(units_, u);
   for (auto& v : variants_) v.tree.remove_unit(units_, u);
   unit_active_[u] = false;
-  cluster_->set_node_alive(u, false);
+  if (cluster_) cluster_->set_node_alive(u, false);
   refresh_sync_groups();
   // Displaced files re-insert through the impl: the public insert_file
   // takes the structure lock shared and would self-deadlock here. Like
@@ -1512,9 +1504,11 @@ TopKResult SmartStore::snapshot_topk_query(const metadata::TopKQuery& q,
                             const la::Vector& coords, std::uint64_t) {
     res.hits.emplace_back(point.dist2(coords), f.id);
   });
-  // Exact global order with (dist, id) tie-break, then truncate: canonical.
-  std::sort(res.hits.begin(), res.hits.end());
-  if (res.hits.size() > q.k) res.hits.resize(q.k);
+  // The k best in exact (dist, id) order — canonical — without ordering
+  // the rest.
+  const std::size_t k = std::min<std::size_t>(q.k, res.hits.size());
+  std::partial_sort(res.hits.begin(), res.hits.begin() + k, res.hits.end());
+  res.hits.resize(k);
   return res;
 }
 

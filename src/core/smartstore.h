@@ -5,8 +5,11 @@
 // servers), a main semantic R-tree over them, the off-line pre-processing
 // state (replicated first-level index-unit summaries with versioning), and
 // optional auto-configured tree variants for attribute-subset queries.
-// All operations run against a virtual-time cluster (sim::Cluster), which
-// yields the latency/message/hop numbers the paper's evaluation reports.
+// A core as constructed simulates: its operations run against a
+// virtual-time cluster (sim::Cluster), which yields the latencies the
+// paper's evaluation reports. A core that serve()s (every db::Store core)
+// reports the same answers and counts, but no time, and shares no
+// simulator state.
 //
 // Query semantics follow Section 3.3:
 //   * point queries walk the Bloom-filter hierarchy;
@@ -90,7 +93,8 @@ struct Config {
   sim::CostModel cost;
 };
 
-/// Per-operation accounting reported by every query/update.
+/// Per-operation accounting reported by every query/update. The two
+/// virtual-time fields stay 0 on a serving core (SmartStore::serve).
 struct QueryStats {
   double latency_s = 0;          ///< completion - arrival (virtual time)
   std::uint64_t messages = 0;    ///< network messages this operation sent
@@ -99,7 +103,7 @@ struct QueryStats {
   std::size_t groups_visited = 0;
   std::size_t records_scanned = 0;
   double version_check_s = 0;    ///< extra latency from version checks
-  bool failed = false;           ///< touched a crashed node
+  bool failed = false;           ///< touched a crashed (inactive) unit
 };
 
 struct PointResult {
@@ -143,6 +147,15 @@ class SmartStore {
   /// index-unit mapping, replica initialization.
   void build(const std::vector<metadata::FileMetadata>& files);
 
+  /// Makes this core serve instead of simulate; its owner calls it once,
+  /// before serving concurrent callers. Operations then run on counting
+  /// sessions (sim::Session::counting), with the answers and counts a
+  /// simulating core reports (`failed` read off the active units) but no
+  /// virtual clock, queue or simulator lock: latency_s and version_check_s
+  /// stay 0. Holds across build(); never persisted, so a loaded core
+  /// simulates until its owner calls this.
+  void serve();
+
   /// Attaches the journal every later insert_file/erase_file logs through
   /// (core/journal.h); nullptr detaches. Each mutation reads the pointer
   /// once, so it logs and commits through the same journal. The caller
@@ -152,7 +165,7 @@ class SmartStore {
     journal_.store(journal, std::memory_order_release);
   }
 
-  // ---- dynamic operations (virtual arrival time in seconds) -------------
+  // ---- dynamic operations (virtual arrival in seconds, if simulating) ----
   //
   // insert_file / erase_file and the three query methods may be called
   // from any number of threads concurrently (multi-writer serving): each
@@ -172,8 +185,8 @@ class SmartStore {
   /// Routes the file to its most correlated group and inserts it into the
   /// least-loaded member unit; updates the tree locally and the
   /// versioning/lazy-update machinery (Sections 3.2.1, 3.4, 4.4).
-  QueryStats insert_file(const metadata::FileMetadata& f, double arrival,
-                         std::uint64_t seq = 0);
+  QueryStats insert_file(const metadata::FileMetadata& f,
+                         double arrival = 0.0, std::uint64_t seq = 0);
 
   /// Authoritative removal: locates `name` by scanning the units' exact
   /// local indexes (no simulated routing, no replica staleness) and removes
@@ -186,11 +199,11 @@ class SmartStore {
   bool erase_file(const std::string& name, std::uint64_t seq = 0);
 
   PointResult point_query(const metadata::PointQuery& q, Routing routing,
-                          double arrival);
+                          double arrival = 0.0);
   RangeResult range_query(const metadata::RangeQuery& q, Routing routing,
-                          double arrival);
+                          double arrival = 0.0);
   TopKResult topk_query(const metadata::TopKQuery& q, Routing routing,
-                        double arrival);
+                        double arrival = 0.0);
 
   // ---- MVCC snapshot reads ----------------------------------------------
   //
@@ -295,7 +308,8 @@ class SmartStore {
       SS_NO_THREAD_SAFETY_ANALYSIS {
     return standardizer_;
   }
-  sim::Cluster& cluster() { return *cluster_; }
+  /// A simulating core's cluster (quiesced-only; a serving core has none).
+  sim::Cluster& cluster() SS_NO_THREAD_SAFETY_ANALYSIS { return *cluster_; }
   const std::vector<TreeVariant>& variants() const { return variants_; }
   std::size_t total_files() const { return total_files_; }
   /// Current name-filter geometry in bits (safe under concurrent serving).
@@ -510,6 +524,10 @@ class SmartStore {
   util::Rng& thread_rng() const;
 
   sim::NodeId random_home() SS_REQUIRES_SHARED(structure_mu_);
+  /// One operation's session at a random home unit: on the cluster when
+  /// this core simulates, counting over unit_active_ when it serves.
+  sim::Session start_session(double arrival)
+      SS_REQUIRES_SHARED(structure_mu_);
   void init_sync_state() SS_REQUIRES(structure_mu_);
 
   /// The filter sizing rule: ~12 bits per expected group member for a
@@ -525,22 +543,21 @@ class SmartStore {
   /// rebuilt from its digests, every index-unit filter of the main tree
   /// and the variants re-created and refilled, every group full-synced.
   void maybe_grow_filters() SS_EXCLUDES(structure_mu_);
-  /// Snapshots group `g`'s current truth into its replica (full sync) and
-  /// multicasts it; clears versions. Copies the authoritative node summary
-  /// under the node's stripe, then installs it under the group's sync
-  /// stripe — never holding two stripes at once.
-  void full_sync_group(std::size_t g, sim::Session* session)
-      SS_REQUIRES_SHARED(structure_mu_);
-  /// Seals the pending delta into a version and multicasts it. Caller
-  /// holds group `g`'s sync stripe (asserted at runtime — the stripe is
-  /// hash-picked, so TSA cannot name it).
-  void seal_version(std::size_t g, double now, sim::Session* session)
+  /// Snapshots group `g`'s current truth into its replica (full sync);
+  /// clears versions. Copies the authoritative node summary under the
+  /// node's stripe, then installs it under the group's sync stripe — never
+  /// holding two stripes at once.
+  void full_sync_group(std::size_t g) SS_REQUIRES_SHARED(structure_mu_);
+  /// Seals the pending delta into a version. Caller holds group `g`'s
+  /// sync stripe (asserted at runtime — the stripe is hash-picked, so TSA
+  /// cannot name it).
+  void seal_version(std::size_t g)
       SS_REQUIRES_SHARED(structure_mu_);
   /// Applies the versioning policy after a change to group g (caller holds
   /// the group's sync stripe, asserted at runtime); returns true when the
   /// lazy-update threshold tripped and the caller must run full_sync_group
   /// once the stripe is released.
-  bool after_group_change(std::size_t g, double now, sim::Session* session)
+  bool after_group_change(std::size_t g)
       SS_REQUIRES_SHARED(structure_mu_);
 
   // ---- query geometry ------------------------------------------------------
@@ -633,7 +650,8 @@ class SmartStore {
   std::vector<bool> unit_active_ SS_GUARDED_BY(structure_mu_);
   SemanticRTree tree_;
   std::vector<TreeVariant> variants_;
-  std::unique_ptr<sim::Cluster> cluster_;
+  /// The virtual-time cluster; null once serve() made this core serve.
+  std::unique_ptr<sim::Cluster> cluster_ SS_GUARDED_BY(structure_mu_);
   la::RowStandardizer standardizer_ SS_GUARDED_BY(structure_mu_);
   std::unordered_map<std::size_t, GroupSync> sync_;  // group node -> state
   /// Store rng: build-time placement and index-unit mapping only. Mutated
@@ -680,7 +698,7 @@ class SmartStore {
   // (kShape) -> one unit lock (kUnit) OR one summary stripe
   // (kSummaryStripe) OR one sync stripe (kSyncStripe) -> { freeze_.mu
   // (kFreeze) | WAL shard mutexes (kWalShardMap/kWalShard) | cluster mutex
-  // (kCluster) }. At most one unit-lock-or-stripe is ever held at a time
+  // (kCluster, simulating cores only) }. At most one unit-lock-or-stripe is ever held at a time
   // (see striped_locks.h) — the validator's strictly-increasing-rank rule
   // enforces exactly that, since unit locks and each pool's stripes share
   // a rank. Structural operations take structure_mu_ exclusively and then

@@ -165,7 +165,8 @@ struct VersionDelta {
   la::Vector added_attr_sum;        ///< raw-attribute sum of inserted files
   std::size_t added_count = 0;
   std::vector<metadata::FileId> deleted;
-  double sealed_at = 0;             ///< simulated seal time t_i
+  double sealed_at = 0;  ///< an image slot nothing reads: 0 unless loaded
+                         ///< from an image that stamped seal times
 
   bool empty() const { return added_count == 0 && deleted.empty(); }
   std::size_t byte_size() const;

@@ -63,13 +63,11 @@ core::Routing to_core(Routing r) {
 
 QueryStats to_public(const core::QueryStats& s) {
   QueryStats out;
-  out.latency_s = s.latency_s;
   out.messages = s.messages;
   out.hops = s.hops;
   out.routing_hops = s.routing_hops;
   out.groups_visited = s.groups_visited;
   out.records_scanned = s.records_scanned;
-  out.version_check_s = s.version_check_s;
   out.failed = s.failed;
   return out;
 }
@@ -265,7 +263,7 @@ struct Store::Impl {
         return Status::InvalidArgument("point query needs a filename");
       const core::PointResult r = seq
                                       ? core->snapshot_point_query(*p, *seq)
-                                      : core->point_query(*p, routing, 0.0);
+                                      : core->point_query(*p, routing);
       out.found = r.found;
       out.id = r.id;
       out.unit = r.unit;
@@ -283,7 +281,7 @@ struct Store::Impl {
       }
       const core::RangeResult r = seq
                                       ? core->snapshot_range_query(*rq, *seq)
-                                      : core->range_query(*rq, routing, 0.0);
+                                      : core->range_query(*rq, routing);
       out.ids = r.ids;
       out.stats = to_public(r.stats);
       count(range_queries, range_hits, !r.ids.empty());
@@ -297,7 +295,7 @@ struct Store::Impl {
             "top-k query point must match the dimension subset");
       }
       const core::TopKResult r = seq ? core->snapshot_topk_query(tq, *seq)
-                                     : core->topk_query(tq, routing, 0.0);
+                                     : core->topk_query(tq, routing);
       out.hits = r.hits;
       out.ids = r.ids();
       out.stats = to_public(r.stats);
@@ -310,7 +308,7 @@ struct Store::Impl {
   /// logs the record under the routed unit's lock and group-commits it
   /// after that lock is released. erase() reports an absent name.
   void put(const metadata::FileMetadata& f) {
-    core->insert_file(f, 0.0);
+    core->insert_file(f);
     puts.fetch_add(1, std::memory_order_relaxed);
     note_mutations(1);
   }
@@ -481,6 +479,9 @@ StatusOr<std::unique_ptr<Store>> Store::Open(const Options& options,
           *im.delta, options.compaction_trigger,
           options.compaction_byte_budget);
     }
+    // Every core a Store opens serves; a recovered one replayed its log
+    // before this, as the simulating core the loader makes.
+    im.core->serve();
   } catch (...) {
     return persist::current_exception_status();
   }
@@ -734,7 +735,7 @@ Status Store::LoadBootstrap(std::uint64_t seq,
     // original per-record seqs); there are at most `seq` of them, so all
     // stamps land at or below `seq` — then the clock jumps TO `seq`, and
     // the resumed stream (> seq) passes the ApplyReplicated gate.
-    for (const metadata::FileMetadata& f : files) im.core->insert_file(f, 0.0);
+    for (const metadata::FileMetadata& f : files) im.core->insert_file(f);
     if (im.wal) im.wal->commit_all();  // durable before the follower acks
     im.core->note_commit_seq(seq);
     if (!im.delta || seq == 0) {

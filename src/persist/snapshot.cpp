@@ -516,21 +516,27 @@ struct SnapshotAccess {
                                          BinaryReader& variants_r,
                                          BinaryReader& sync_r)
       SS_NO_THREAD_SAFETY_ANALYSIS {
-    core::Config cfg = load_config(config_r);
-    auto store = std::make_unique<Store>(cfg);
-    Store& s = *store;
-
+    const core::Config cfg = load_config(config_r);
     // The geometry the image was written with; WAL replay grows it again
     // as the population it re-derives crosses the sizing rule.
     const auto bloom_bits = static_cast<std::size_t>(config_r.read_u64());
     if (bloom_bits == 0) throw PersistError("bloom bits must be > 0");
-    s.set_bloom_bits(bloom_bits);
-    s.total_files_ = static_cast<std::size_t>(config_r.read_u64());
+    const auto total_files = static_cast<std::size_t>(config_r.read_u64());
     std::array<std::uint64_t, 4> rng_state;
     for (auto& word : rng_state) word = config_r.read_u64();
-    s.rng_.set_state(rng_state);
     const std::size_t num_units = static_cast<std::size_t>(
         config_r.read_u64_max(config_r.remaining(), "unit count"));
+    // The core sizes its cluster from cfg.num_units: bound it first. Units
+    // are only ever added, so a core holds at least the count it was built
+    // with.
+    if (cfg.num_units == 0 || cfg.num_units > num_units)
+      throw PersistError("configured unit count out of range");
+
+    auto store = std::make_unique<Store>(cfg);
+    Store& s = *store;
+    s.set_bloom_bits(bloom_bits);
+    s.total_files_ = total_files;
+    s.rng_.set_state(rng_state);
     s.unit_active_.resize(num_units);
     for (std::size_t u = 0; u < num_units; ++u)
       s.unit_active_[u] = config_r.read_bool();
@@ -628,7 +634,9 @@ struct SnapshotAccess {
     s.rebuild_unit_locks();
 
     // A fresh virtual-time cluster: queue occupancy is runtime state, a
-    // restarted deployment begins with idle queues at time zero.
+    // restarted deployment begins with idle queues at time zero. The
+    // serve-or-simulate choice is its owner's, not the image's: a loaded
+    // core simulates until the owner calls serve().
     s.cluster_ = std::make_unique<sim::Cluster>(unit_count, cfg.cost);
     for (std::size_t u = 0; u < unit_count; ++u)
       if (!s.unit_active_[u]) s.cluster_->set_node_alive(u, false);

@@ -370,13 +370,13 @@ void encode_query_result(const db::QueryResult& r,
     w.write_f64(dist);
     w.write_u64(id);
   }
-  w.write_f64(r.stats.latency_s);
+  w.write_f64(0.0);  // retired slot (see wire.h)
   w.write_u64(r.stats.messages);
   w.write_u64(r.stats.hops);
   w.write_i32(r.stats.routing_hops);
   w.write_u64(r.stats.groups_visited);
   w.write_u64(r.stats.records_scanned);
-  w.write_f64(r.stats.version_check_s);
+  w.write_f64(0.0);  // retired slot
   w.write_bool(r.stats.failed);
   *out = w.release();
 }
@@ -404,13 +404,13 @@ db::Status decode_query_result(const std::vector<std::uint8_t>& in,
       const std::uint64_t id = r.read_u64();
       out->hits.emplace_back(dist, id);
     }
-    out->stats.latency_s = r.read_f64();
+    r.skip(sizeof(double));  // retired slot
     out->stats.messages = r.read_u64();
     out->stats.hops = r.read_u64();
     out->stats.routing_hops = r.read_i32();
     out->stats.groups_visited = r.read_u64();
     out->stats.records_scanned = r.read_u64();
-    out->stats.version_check_s = r.read_f64();
+    r.skip(sizeof(double));  // retired slot
     out->stats.failed = r.read_bool();
   });
 }

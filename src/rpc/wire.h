@@ -189,7 +189,10 @@ db::Status decode_batch(const std::vector<std::uint8_t>& in,
 
 /// Query responses reuse the facade's public result type; the full shape
 /// (ids, hits, per-op stats) round-trips so the router can merge
-/// scatter-gather results and the bench can account redirect-free latency.
+/// scatter-gather results. The stats keep two retired f64 slots, before
+/// `messages` and after `records_scanned`, that carried a simulated
+/// latency and its version-check part: written as 0.0 and skipped on
+/// decode, so the layout stays v3 and older peers interoperate.
 void encode_query_result(const db::QueryResult& r,
                          std::vector<std::uint8_t>* out);
 db::Status decode_query_result(const std::vector<std::uint8_t>& in,

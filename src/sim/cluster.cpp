@@ -6,14 +6,13 @@
 namespace smartstore::sim {
 
 Cluster::Cluster(std::size_t num_nodes, CostModel cost)
-    : cost_(cost), free_at_(num_nodes, 0.0), busy_time_(num_nodes, 0.0),
-      alive_(num_nodes, true) {
+    : cost_(cost), free_at_(num_nodes, 0.0), alive_(num_nodes, true) {
   assert(num_nodes > 0);
 }
 
 Session Cluster::start_session(NodeId home, double arrival) {
   assert(home < size());
-  return Session(this, home, arrival);
+  return Session(this, nullptr, home, arrival);
 }
 
 void Cluster::set_node_alive(NodeId n, bool alive) {
@@ -25,19 +24,15 @@ void Cluster::set_node_alive(NodeId n, bool alive) {
 NodeId Cluster::add_node() {
   const util::MutexLock lock(mu_);
   free_at_.push_back(0.0);
-  busy_time_.push_back(0.0);
   alive_.push_back(true);
   return free_at_.size() - 1;
 }
 
-void Cluster::reset_queues() {
-  const util::MutexLock lock(mu_);
-  std::fill(free_at_.begin(), free_at_.end(), 0.0);
-  std::fill(busy_time_.begin(), busy_time_.end(), 0.0);
-}
-
 void Session::visit(double cpu_s, std::size_t records) {
-  assert(cluster_);
+  if (!cluster_) {
+    if (!(*alive_)[at_]) failed_ = true;
+    return;
+  }
   const util::MutexLock lock(cluster_->mu_);
   if (!cluster_->alive_[at_]) {
     failed_ = true;
@@ -49,28 +44,27 @@ void Session::visit(double cpu_s, std::size_t records) {
   const double start = std::max(clock_, free_at);
   const double end = start + work;
   free_at = end;
-  cluster_->busy_time_[at_] += work;
   clock_ = end;
-  ++cluster_->counters_.node_visits;
-  cluster_->counters_.records_scanned += records;
 }
 
 void Session::send_to(NodeId to, std::size_t bytes) {
-  assert(cluster_ && to < cluster_->size());
+  assert(to < (cluster_ ? cluster_->size() : alive_->size()));
   if (to == at_) return;  // local handoff
-  const util::MutexLock lock(cluster_->mu_);
-  if (!cluster_->alive_[to]) {
+  at_ = to;
+  if (cluster_) {
+    const util::MutexLock lock(cluster_->mu_);
+    if (!cluster_->alive_[to]) {
+      failed_ = true;
+      return;
+    }
+    clock_ += cluster_->cost_.transfer_time(bytes);
+    clock_ += cluster_->cost_.per_message_cpu_s;
+  } else if (!(*alive_)[to]) {
     failed_ = true;
-    at_ = to;
     return;
   }
-  clock_ += cluster_->cost_.transfer_time(bytes);
-  clock_ += cluster_->cost_.per_message_cpu_s;
-  at_ = to;
   ++hops_;
   ++messages_;
-  ++cluster_->counters_.messages;
-  ++cluster_->counters_.hops;
 }
 
 void Session::join(const std::vector<Session>& branches) {

@@ -10,12 +10,14 @@
 // so sessions touching a node must be *started in non-decreasing arrival
 // order*; a session processed later but with an earlier arrival would
 // queue behind work that logically hadn't arrived yet. Experiment drivers
-// interleave background load and queries chronologically. Under the
-// multi-writer serving contract, sessions from concurrent threads are
-// data-race-free (one internal mutex per queue/counter update), but the
-// FIFO model sees them in lock-acquisition order — virtual-time latency
-// numbers from concurrent runs are approximate; throughput benchmarks use
-// wall-clock time instead.
+// interleave background load and queries chronologically.
+//
+// Concurrency: sessions on concurrent threads are data-race-free (one
+// mutex per visit/send), but the FIFO model sees them in lock order, so
+// their latencies mean little, and the mutex serializes them. The
+// simulator is for the paper's experiments; a store serving concurrent
+// callers runs counting sessions (Session::counting) instead: no cluster,
+// clock or lock, the same message and hop counts.
 //
 // This captures the two effects the paper's evaluation hinges on:
 //   * centralization: baselines funnel every query through one node, so
@@ -42,19 +44,22 @@ namespace smartstore::sim {
 
 using NodeId = std::size_t;
 
-struct ClusterCounters {
-  std::uint64_t messages = 0;      ///< network messages sent
-  std::uint64_t hops = 0;          ///< inter-node hops (excludes self-sends)
-  std::uint64_t node_visits = 0;   ///< CPU service episodes
-  std::uint64_t records_scanned = 0;
-};
-
 class Cluster;
 
 /// One query/operation flowing through the cluster. Cheap to copy: forked
 /// copies share the cluster and diverge only in clock and location.
 class Session {
  public:
+  /// A session with no cluster, for a store that serves: its clock stays
+  /// 0, a visit costs nothing and a send only moves and counts, taking no
+  /// lock. Touching a node whose `alive` flag (indexed by node; outlives
+  /// the session unchanged) is false fails it, as a dead node would.
+  static Session counting(NodeId home, const std::vector<bool>& alive) {
+    return Session(nullptr, &alive, home, 0.0);
+  }
+
+  /// Whether this session runs on a cluster's virtual clock.
+  bool simulated() const { return cluster_ != nullptr; }
   double clock() const { return clock_; }
   NodeId location() const { return at_; }
   std::uint64_t hops() const { return hops_; }
@@ -62,11 +67,13 @@ class Session {
   bool failed() const { return failed_; }
 
   /// Performs `cpu_s` of work on the current node, waiting for the node to
-  /// free up first, then scans `records` metadata records.
+  /// free up first, then scans `records` metadata records (simulated
+  /// sessions; a counting session only checks that the node is alive).
   void visit(double cpu_s, std::size_t records = 0);
 
   /// Sends a `bytes`-sized message to `to` and moves the session there.
-  /// A send to the current node is local (no hop, no message).
+  /// A send to the current node is local (no hop, no message). A send to
+  /// a dead node moves the session and fails it, counting nothing.
   void send_to(NodeId to, std::size_t bytes = 256);
 
   /// Forks a branch that starts at the current clock and location. The
@@ -87,10 +94,11 @@ class Session {
 
  private:
   friend class Cluster;
-  Session(Cluster* c, NodeId at, double start)
-      : cluster_(c), at_(at), clock_(start) {}
+  Session(Cluster* c, const std::vector<bool>* alive, NodeId at, double start)
+      : cluster_(c), alive_(alive), at_(at), clock_(start) {}
 
-  Cluster* cluster_;
+  Cluster* cluster_;                 ///< null for a counting session
+  const std::vector<bool>* alive_;   ///< a counting session's node flags
   NodeId at_;
   double clock_;
   std::uint64_t hops_ = 0;
@@ -106,17 +114,6 @@ class Cluster {
     const util::MutexLock lock(mu_);
     return free_at_.size();
   }
-  const CostModel& cost() const { return cost_; }
-  /// Snapshot of the counters (by value: returning a reference would let
-  /// the caller read the struct while a concurrent session mutates it).
-  ClusterCounters counters() const {
-    const util::MutexLock lock(mu_);
-    return counters_;
-  }
-  void reset_counters() {
-    const util::MutexLock lock(mu_);
-    counters_ = {};
-  }
 
   /// Starts a session at `home` arriving at absolute time `arrival`.
   Session start_session(NodeId home, double arrival);
@@ -124,40 +121,22 @@ class Cluster {
   /// Crashes / revives a node. Visits and sends touching a dead node mark
   /// the session failed.
   void set_node_alive(NodeId n, bool alive);
-  bool node_alive(NodeId n) const {
-    const util::MutexLock lock(mu_);
-    return alive_[n];
-  }
 
   /// Adds a node to the cluster (used when a storage unit is admitted at
   /// runtime, Section 3.2.1). Returns its id.
   NodeId add_node();
 
-  /// Resets all node queues to idle at time zero (counters untouched).
-  void reset_queues();
-
-  /// Busy time accumulated per node (load-balance diagnostics). By value
-  /// for the same reason as counters().
-  std::vector<double> busy_time() const {
-    const util::MutexLock lock(mu_);
-    return busy_time_;
-  }
-
  private:
   friend class Session;
 
   CostModel cost_;
-  /// Sessions on concurrent serving threads race on the node queues and
-  /// counters; the critical sections are a handful of scalar updates, so
-  /// one mutex (taken per visit/send, not per session) is cheap relative
-  /// to the routing and indexing work around it. kCluster ranks above
-  /// every store lock: visits/sends fire from under unit locks and
-  /// stripes, and never call back out while holding this.
+  /// Guards the node queues and alive flags against sessions on
+  /// concurrent threads, taken per visit/send. kCluster ranks above every
+  /// store lock: visits/sends fire from under unit locks and stripes, and
+  /// never call back out while holding this.
   mutable util::Mutex mu_{util::LockRank::kCluster};
   std::vector<double> free_at_ SS_GUARDED_BY(mu_);
-  std::vector<double> busy_time_ SS_GUARDED_BY(mu_);
   std::vector<bool> alive_ SS_GUARDED_BY(mu_);
-  ClusterCounters counters_ SS_GUARDED_BY(mu_);
 };
 
 }  // namespace smartstore::sim

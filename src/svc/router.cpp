@@ -273,9 +273,6 @@ db::StatusOr<db::QueryResult> Router::Scatter(
     merged.stats.hops += part.stats.hops;
     merged.stats.groups_visited += part.stats.groups_visited;
     merged.stats.records_scanned += part.stats.records_scanned;
-    // The scatter completes when the slowest shard answers.
-    merged.stats.latency_s =
-        std::max(merged.stats.latency_s, part.stats.latency_s);
     merged.stats.failed = merged.stats.failed || part.stats.failed;
   }
   if (kind == db::QueryKind::kTopK) {

@@ -22,8 +22,7 @@
 // Range and top-k queries scatter to every shard and merge: shards hold
 // disjoint records, so range is a concatenation (re-sorted by id for a
 // canonical cross-shard answer) and top-k is a k-truncated merge globally
-// re-sorted by (distance, id). Per-shard query stats are summed (latency:
-// max — the scatter completes when the slowest shard answers).
+// re-sorted by (distance, id). Per-shard query stats are summed.
 //
 // Snapshot scatter: Range/TopK first pin one cluster-wide cut — a
 // kSnapPin round collects every shard's current commit seq under a lease

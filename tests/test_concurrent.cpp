@@ -137,63 +137,69 @@ TEST(MultiWriter, ConcurrentInsertAndEraseMatchOracle) {
 }
 
 TEST(MultiWriter, QueriesRunConcurrentlyWithWriters) {
-  Deployment d(8, /*downscale=*/20);
-  SmartStore& store = d.store;
-  const auto stream = d.trace.make_insert_stream(400, 55);
-  const auto dims = metadata::AttrSubset::all();
+  // Once on a simulating core (every visit and send takes the simulator's
+  // lock) and once on a serving one (they take none).
+  for (const bool serving : {false, true}) {
+    SCOPED_TRACE(serving ? "serving" : "simulating");
+    Deployment d(8, /*downscale=*/20);
+    SmartStore& store = d.store;
+    if (serving) store.serve();
+    const auto stream = d.trace.make_insert_stream(400, 55);
+    const auto dims = metadata::AttrSubset::all();
 
-  std::atomic<bool> done{false};
-  std::atomic<std::size_t> found{0};
-  // Two reader threads hammer all three query kinds in both routing modes
-  // while two writers insert; TSan is the judge, the counters just keep
-  // the work from being optimized away.
-  std::vector<std::thread> readers;
-  for (int r = 0; r < 2; ++r) {
-    readers.emplace_back([&, r] {
-      std::size_t i = 0;
-      while (!done.load(std::memory_order_acquire)) {
-        const auto& f = stream[(i * 13 + static_cast<std::size_t>(r)) %
-                               stream.size()];
-        const Routing routing = i % 2 == 0 ? Routing::kOnline
-                                           : Routing::kOffline;
-        if (store.point_query({f.name}, routing, 0.0).found)
-          found.fetch_add(1, std::memory_order_relaxed);
-        metadata::RangeQuery rq;
-        rq.dims = dims;
-        for (std::size_t a = 0; a < metadata::kNumAttrs; ++a) {
-          rq.lo.push_back(f.attr(static_cast<metadata::Attr>(a)) * 0.9 - 1);
-          rq.hi.push_back(f.attr(static_cast<metadata::Attr>(a)) * 1.1 + 1);
+    std::atomic<bool> done{false};
+    std::atomic<std::size_t> found{0};
+    // Two reader threads hammer all three query kinds in both routing
+    // modes while two writers insert; TSan is the judge, the counters just
+    // keep the work from being optimized away.
+    std::vector<std::thread> readers;
+    for (int r = 0; r < 2; ++r) {
+      readers.emplace_back([&, r] {
+        std::size_t i = 0;
+        while (!done.load(std::memory_order_acquire)) {
+          const auto& f = stream[(i * 13 + static_cast<std::size_t>(r)) %
+                                 stream.size()];
+          const Routing routing = i % 2 == 0 ? Routing::kOnline
+                                             : Routing::kOffline;
+          if (store.point_query({f.name}, routing, 0.0).found)
+            found.fetch_add(1, std::memory_order_relaxed);
+          metadata::RangeQuery rq;
+          rq.dims = dims;
+          for (std::size_t a = 0; a < metadata::kNumAttrs; ++a) {
+            rq.lo.push_back(f.attr(static_cast<metadata::Attr>(a)) * 0.9 - 1);
+            rq.hi.push_back(f.attr(static_cast<metadata::Attr>(a)) * 1.1 + 1);
+          }
+          found.fetch_add(store.range_query(rq, routing, 0.0).ids.size(),
+                          std::memory_order_relaxed);
+          metadata::TopKQuery tq;
+          tq.dims = dims;
+          tq.k = 4;
+          for (std::size_t a = 0; a < metadata::kNumAttrs; ++a)
+            tq.point.push_back(f.attr(static_cast<metadata::Attr>(a)));
+          found.fetch_add(store.topk_query(tq, routing, 0.0).hits.size(),
+                          std::memory_order_relaxed);
+          ++i;
         }
-        found.fetch_add(store.range_query(rq, routing, 0.0).ids.size(),
-                        std::memory_order_relaxed);
-        metadata::TopKQuery tq;
-        tq.dims = dims;
-        tq.k = 4;
-        for (std::size_t a = 0; a < metadata::kNumAttrs; ++a)
-          tq.point.push_back(f.attr(static_cast<metadata::Attr>(a)));
-        found.fetch_add(store.topk_query(tq, routing, 0.0).hits.size(),
-                        std::memory_order_relaxed);
-        ++i;
-      }
-    });
-  }
-  const auto ranges = split(stream.size(), 2);
-  std::vector<std::thread> writers;
-  for (const auto& [b, e] : ranges) {
-    writers.emplace_back([&, b = b, e = e] {
-      for (std::size_t i = b; i < e; ++i) store.insert_file(stream[i], 0.0);
-    });
-  }
-  for (auto& t : writers) t.join();
-  done.store(true, std::memory_order_release);
-  for (auto& t : readers) t.join();
+      });
+    }
+    const auto ranges = split(stream.size(), 2);
+    std::vector<std::thread> writers;
+    for (const auto& [b, e] : ranges) {
+      writers.emplace_back([&, b = b, e = e] {
+        for (std::size_t i = b; i < e; ++i) store.insert_file(stream[i], 0.0);
+      });
+    }
+    for (auto& t : writers) t.join();
+    done.store(true, std::memory_order_release);
+    for (auto& t : readers) t.join();
 
-  EXPECT_TRUE(store.check_invariants());
-  EXPECT_GT(found.load(), 0u);
-  // Every inserted file is visible to exact on-line routing afterwards.
-  for (std::size_t i = 0; i < 30; ++i) {
-    EXPECT_TRUE(
-        store.point_query({stream[i].name}, Routing::kOnline, 0.0).found);
+    EXPECT_TRUE(store.check_invariants());
+    EXPECT_GT(found.load(), 0u);
+    // Every inserted file is visible to exact on-line routing afterwards.
+    for (std::size_t i = 0; i < 30; ++i) {
+      EXPECT_TRUE(
+          store.point_query({stream[i].name}, Routing::kOnline, 0.0).found);
+    }
   }
 }
 

@@ -582,6 +582,32 @@ TEST(DbApi, PropertiesReportCountersAndSpace) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(DbApi, RepeatedLookupReportsTheSameStats) {
+  // A served lookup's stats describe that lookup alone: nothing in them
+  // accumulates with the ops before it (a simulated latency did — each
+  // op queued behind every earlier one on a clock that never drains). One
+  // unit makes every lookup start at the unit holding the name, so the
+  // 1st and the 20,000th are the same lookup.
+  db::Options o = small_options();
+  o.num_units = 1;
+  o.fanout = 2;
+  o.in_memory = true;
+  auto store = open_or_die(o, "");
+  const auto tr = trace::SyntheticTrace::generate(trace::msn_profile(), 1, 5,
+                                                  /*downscale=*/5);
+  ASSERT_TRUE(store->Bulkload(tr.files()).ok());
+  const db::QueryRequest q = db::QueryRequest::Point(tr.files()[7].name);
+  db::QueryStats first;
+  db::QueryStats last;
+  for (int i = 0; i < 20000; ++i) {
+    auto r = store->Query(q);
+    ASSERT_TRUE(r.ok() && r->found);
+    (i == 0 ? first : last) = r->stats;
+  }
+  EXPECT_EQ(first, last);
+  EXPECT_EQ(first.groups_visited, 1u);
+}
+
 TEST(DbApi, BloomPropertiesTrackFilterGrowth) {
   // A store that starts empty grows its name filters with the population:
   // 6 units at fanout 8 double the paper's 1024 bits at 66, 132 and 264

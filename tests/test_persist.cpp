@@ -852,6 +852,34 @@ TEST_F(SnapshotTest, CorruptedSectionFailsLoad) {
   EXPECT_THROW(load_snapshot(path), PersistError);
 }
 
+TEST_F(SnapshotTest, ConfiguredUnitCountOutOfRangeFailsWithoutAllocating) {
+  // The CONFIG section's num_units sizes the loaded core's cluster, so it
+  // is a length field like any other: checked against the image's unit
+  // count before anything is sized from it.
+  const std::string dir = temp_dir("config_units");
+  const std::string path = image_path(dir);
+  save_snapshot(*store_, path);
+  const auto image = util::read_file_bytes(path);
+  constexpr std::uint32_t kConfig = 1;
+  auto with_num_units = [&](std::uint64_t n) {
+    return edit_section(image, kConfig, [&](std::vector<std::uint8_t>& cfg) {
+      util::BinaryWriter w;
+      w.write_u64(n);
+      std::copy(w.buffer().begin(), w.buffer().end(),
+                cfg.begin() + 4);  // after the u32 attribute count
+    });
+  };
+
+  write_file_atomic_faulted(path, with_num_units(16), "fixture");
+  ASSERT_NO_THROW(load_snapshot(path));  // the resealing alone is harmless
+  for (const std::uint64_t n :
+       {std::uint64_t{0}, std::uint64_t{17}, std::uint64_t{1} << 60}) {
+    write_file_atomic_faulted(path, with_num_units(n), "fixture");
+    EXPECT_THROW(load_snapshot(path), PersistError) << "num_units=" << n;
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST_F(SnapshotTest, TruncatedFileFailsLoad) {
   const std::string dir = temp_dir("truncated");
   const std::string path = image_path(dir);

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -295,7 +296,6 @@ TEST(Wire, QueryResultRoundTrip) {
   r.kind = db::QueryKind::kTopK;
   r.ids = {5, 9};
   r.hits = {{0.25, 5}, {1.5, 9}};
-  r.stats.latency_s = 0.125;
   r.stats.messages = 7;
   r.stats.records_scanned = 99;
   std::vector<std::uint8_t> bytes;
@@ -308,6 +308,47 @@ TEST(Wire, QueryResultRoundTrip) {
   EXPECT_DOUBLE_EQ(out.hits[0].first, 0.25);
   EXPECT_EQ(out.stats.messages, 7u);
   EXPECT_EQ(out.stats.records_scanned, 99u);
+}
+
+TEST(Wire, QueryResultRetiredSlotsEncodeZeroAndAreSkipped) {
+  // The stats of a query result hold two retired f64 slots (a simulated
+  // latency and its version-check share): written as 0.0, skipped on
+  // decode whatever an older peer put there.
+  db::QueryResult r;
+  r.kind = db::QueryKind::kPoint;
+  r.found = true;
+  r.stats.messages = 3;
+  r.stats.hops = 2;
+  r.stats.routing_hops = 1;
+  r.stats.groups_visited = 4;
+  r.stats.records_scanned = 5;
+  r.stats.failed = true;
+  std::vector<std::uint8_t> bytes;
+  rpc::encode_query_result(r, &bytes);
+  // kind, found, id, unit, first_try, empty ids, empty hits: then stats.
+  const std::size_t stats_at = 1 + 1 + 8 + 8 + 1 + 8 + 8;
+  const std::size_t latency_at = stats_at;
+  const std::size_t version_at = stats_at + 8 + 8 + 8 + 4 + 8 + 8;
+  ASSERT_EQ(bytes.size(), version_at + 8 + 1);
+  auto f64_at = [&](std::size_t at) {
+    double v;
+    std::memcpy(&v, bytes.data() + at, sizeof v);
+    return v;
+  };
+  EXPECT_EQ(f64_at(latency_at), 0.0);
+  EXPECT_EQ(f64_at(version_at), 0.0);
+  std::uint64_t messages;
+  std::memcpy(&messages, bytes.data() + latency_at + 8, sizeof messages);
+  EXPECT_EQ(messages, 3u);
+
+  // An older peer's payload carries nonzero values there: it decodes.
+  const double old_latency = 0.125, old_version = 3e-7;
+  std::memcpy(bytes.data() + latency_at, &old_latency, sizeof old_latency);
+  std::memcpy(bytes.data() + version_at, &old_version, sizeof old_version);
+  db::QueryResult out;
+  ASSERT_TRUE(rpc::decode_query_result(bytes, &out).ok());
+  EXPECT_TRUE(out.found);
+  EXPECT_EQ(out.stats, r.stats);
 }
 
 TEST(Wire, ShardStatsRoundTrip) {

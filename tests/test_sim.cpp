@@ -1,5 +1,6 @@
 // Tests for the virtual-time cluster simulation: latency accounting,
-// FIFO queuing, multicast join semantics, failure injection.
+// FIFO queuing, multicast join semantics, failure injection — and for the
+// counting sessions a serving store runs instead.
 #include "sim/cluster.h"
 
 #include <gtest/gtest.h>
@@ -80,18 +81,21 @@ TEST(Cluster, ForkJoinTakesMaxOfBranches) {
 }
 
 TEST(Cluster, CountersAccumulate) {
+  // A session counts its own messages and hops; a forked branch counts
+  // from zero, and join() adds what it sent.
   Cluster c(3, test_cost());
-  c.reset_counters();
   Session s = c.start_session(0, 0.0);
   s.send_to(1);
   s.visit(0.1, 50);
   s.send_to(2);
-  EXPECT_EQ(c.counters().messages, 2u);
-  EXPECT_EQ(c.counters().hops, 2u);
-  EXPECT_EQ(c.counters().node_visits, 1u);
-  EXPECT_EQ(c.counters().records_scanned, 50u);
-  c.reset_counters();
-  EXPECT_EQ(c.counters().messages, 0u);
+  EXPECT_EQ(s.messages(), 2u);
+  EXPECT_EQ(s.hops(), 2u);
+  Session b = s.fork();
+  EXPECT_EQ(b.messages(), 0u);
+  b.send_to(0);
+  s.join({b});
+  EXPECT_EQ(s.messages(), 3u);
+  EXPECT_EQ(s.hops(), 3u);
 }
 
 TEST(Cluster, DeadNodeFailsSessions) {
@@ -131,18 +135,6 @@ TEST(Cluster, AddNodeGrowsCluster) {
   EXPECT_FALSE(s.failed());
 }
 
-TEST(Cluster, BusyTimeTracksLoad) {
-  Cluster c(2, test_cost());
-  Session s = c.start_session(0, 0.0);
-  s.visit(0.25);
-  s.send_to(1);
-  s.visit(0.5);
-  EXPECT_DOUBLE_EQ(c.busy_time()[0], 0.25);
-  EXPECT_DOUBLE_EQ(c.busy_time()[1], 0.5);
-  c.reset_queues();
-  EXPECT_DOUBLE_EQ(c.busy_time()[0], 0.0);
-}
-
 TEST(Cluster, TransferTimeScalesWithBytes) {
   CostModel cm = test_cost();
   EXPECT_DOUBLE_EQ(cm.transfer_time(0), 1e-3);
@@ -168,6 +160,50 @@ TEST(Cluster, CentralizationQueuesUnderLoad) {
     spread_done = std::max(spread_done, s.clock());
   }
   EXPECT_NEAR(central_done / spread_done, 10.0, 0.5);
+}
+
+TEST(CountingSession, CountsWhatASimulatedSessionCountsWithoutAClock) {
+  Cluster c(3, test_cost());
+  const std::vector<bool> alive(3, true);
+  Session simulated = c.start_session(0, 5.0);
+  Session counting = Session::counting(0, alive);
+  for (Session* s : {&simulated, &counting}) {
+    s->visit(0.5, 10);
+    s->send_to(1);
+    s->send_to(1);  // local: no message
+    Session b = s->fork();
+    b.send_to(2);
+    s->join({b});
+  }
+  EXPECT_TRUE(simulated.simulated());
+  EXPECT_FALSE(counting.simulated());
+  EXPECT_GT(simulated.clock(), 5.0);
+  EXPECT_DOUBLE_EQ(counting.clock(), 0.0);  // no clock to advance
+  EXPECT_EQ(counting.messages(), 2u);
+  EXPECT_EQ(counting.messages(), simulated.messages());
+  EXPECT_EQ(counting.hops(), simulated.hops());
+  EXPECT_EQ(counting.location(), simulated.location());
+  EXPECT_FALSE(counting.failed());
+}
+
+TEST(CountingSession, InactiveNodeFailsIt) {
+  const std::vector<bool> alive{true, false, true};
+  Session s = Session::counting(0, alive);
+  s.send_to(2);
+  EXPECT_FALSE(s.failed());
+  s.send_to(1);  // moves there, fails, counts nothing
+  EXPECT_TRUE(s.failed());
+  EXPECT_EQ(s.location(), 1u);
+  EXPECT_EQ(s.messages(), 1u);
+  Session v = Session::counting(1, alive);
+  v.visit(1.0);
+  EXPECT_TRUE(v.failed());
+  // Failure is sticky through joins, as on a cluster.
+  Session root = Session::counting(0, alive);
+  Session branch = root.fork();
+  branch.send_to(1);
+  root.join({branch});
+  EXPECT_TRUE(root.failed());
 }
 
 }  // namespace

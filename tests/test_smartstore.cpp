@@ -378,6 +378,117 @@ TEST_F(SmartStoreTest, LatencyAndMessagesArePositive) {
   EXPECT_GE(res.stats.groups_visited, 1u);
 }
 
+// ---- serving vs simulating -----------------------------------------------------
+
+/// One operation's answer and counts: everything it reports but time.
+struct OpRecord {
+  bool found = false;  ///< point: found; erase: erased
+  FileId id = 0;
+  UnitId unit = kInvalidIndex;
+  bool first_try = false;
+  std::vector<FileId> ids;
+  std::vector<std::pair<double, FileId>> hits;
+  std::uint64_t messages = 0;
+  std::uint64_t hops = 0;
+  int routing_hops = 0;
+  std::size_t groups_visited = 0;
+  std::size_t records_scanned = 0;
+  bool failed = false;
+  bool operator==(const OpRecord&) const = default;
+};
+
+/// Runs one fixed single-threaded stream on `store` — inserts, erases, a
+/// unit admission and a unit removal, and point, range and top-k queries
+/// in both routings — and records every operation. The virtual time the
+/// operations report is summed into `virtual_s`.
+std::vector<OpRecord> run_op_stream(SmartStore& store,
+                                    const trace::SyntheticTrace& trace,
+                                    double& virtual_s) {
+  std::vector<OpRecord> out;
+  auto note = [&](OpRecord r, const QueryStats& s) {
+    r.messages = s.messages;
+    r.hops = s.hops;
+    r.routing_hops = s.routing_hops;
+    r.groups_visited = s.groups_visited;
+    r.records_scanned = s.records_scanned;
+    r.failed = s.failed;
+    virtual_s += s.latency_s + s.version_check_s;
+    out.push_back(std::move(r));
+  };
+  trace::QueryGenerator gen(trace, trace::QueryDistribution::kGauss, 11);
+  const auto dims = AttrSubset({Attr::kFileSize, Attr::kModificationTime});
+  const auto extra = trace.make_insert_stream(240, 5);
+  double now = 0.0;
+  for (std::size_t i = 0; i < extra.size(); ++i) {
+    now += 1e-3;
+    note({}, store.insert_file(extra[i], now));
+    if (i % 20 == 19) {
+      OpRecord erased;
+      erased.found = store.erase_file(extra[i - 10].name);
+      out.push_back(erased);
+      erased.found = store.erase_file(trace.files()[i * 7].name);
+      out.push_back(erased);
+    }
+    if (i == 120) {
+      store.add_storage_unit();
+      store.remove_storage_unit(3);
+    }
+    if (i % 6 != 0) continue;
+    for (const Routing routing : {Routing::kOnline, Routing::kOffline}) {
+      now += 1e-3;
+      const auto p = store.point_query(gen.gen_point(), routing, now);
+      OpRecord pr;
+      pr.found = p.found;
+      pr.id = p.id;
+      pr.unit = p.unit;
+      pr.first_try = p.first_try;
+      note(std::move(pr), p.stats);
+      const auto r = store.range_query(gen.gen_range(dims, 0.1), routing, now);
+      OpRecord rr;
+      rr.ids = r.ids;
+      note(std::move(rr), r.stats);
+      const auto t = store.topk_query(gen.gen_topk(dims, 8), routing, now);
+      OpRecord tr;
+      tr.hits = t.hits;
+      note(std::move(tr), t.stats);
+    }
+  }
+  return out;
+}
+
+TEST(SmartStoreServe, ServingCountsExactlyWhatSimulationCounts) {
+  const auto trace = small_trace();
+  SmartStore simulating(small_config());
+  simulating.build(trace.files());
+  SmartStore serving(small_config());
+  serving.serve();  // before build(): the choice outlives it
+  serving.build(trace.files());
+
+  // One stream after the other on this thread: each store then draws its
+  // home units from the same per-thread stream.
+  double simulated_s = 0.0, served_s = 0.0;
+  const std::vector<OpRecord> expected =
+      run_op_stream(simulating, trace, simulated_s);
+  const std::vector<OpRecord> got = run_op_stream(serving, trace, served_s);
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t i = 0; i < got.size(); ++i)
+    EXPECT_EQ(got[i], expected[i]) << "operation " << i;
+  EXPECT_GT(simulated_s, 0.0);
+  EXPECT_EQ(served_s, 0.0);  // a serving core reports no virtual time
+
+  // The stream exercised what it is meant to pin.
+  std::size_t messages = 0, found = 0, hops = 0;
+  for (const OpRecord& r : got) {
+    messages += r.messages;
+    found += r.found ? 1 : 0;
+    hops += static_cast<std::size_t>(r.routing_hops);
+  }
+  EXPECT_GT(messages, 0u);
+  EXPECT_GT(found, 0u);
+  EXPECT_GT(hops, 0u);
+  EXPECT_TRUE(serving.check_invariants());
+}
+
 // ---- filter growth -------------------------------------------------------------
 
 /// Grows a store from empty, one insert at a time, as every routed shard
