@@ -6,9 +6,9 @@
 //   1. inserts/sec at 1/2/4/8 writer threads, without WAL (ephemeral
 //      in-memory store: routing under the shared structure lock, apply
 //      under the target unit's stripe) and with the sharded WAL (each
-//      shard group-committing and fsyncing independently — writers routed
-//      to different units overlap their durability waits, which is the
-//      win even when cores are scarce);
+//      insert committed and fsynced before it is acknowledged, each shard
+//      independently — writers routed to different units overlap their
+//      durability waits, which is the win even when cores are scarce);
 //   2. off-line point lookups/sec of existing names at 1/2/4 reader
 //      threads on one in-memory store (HP profile at TIF 4, 80,000 files,
 //      on 60 units at fanout 8): a db::Store core serves (it runs no
@@ -23,12 +23,12 @@
 // Wall-clock numbers depend on hardware: CPU-bound scaling needs cores
 // (std::thread::hardware_concurrency is printed with the results), the
 // WAL-bound configuration also needs independent fsyncs to overlap on the
-// backing device. Reference: on a 4+-core box with a real disk, 4 writers
-// with WAL clear 3x the single-writer rate.
+// backing device. Reference: on a 4-core x86-64 VM with ext4 on a virtio
+// disk, 4 writers with WAL ran at 1.6-2.2x the single-writer rate over
+// 10 runs (medians 20.6k and 10.5k inserts/s).
 //
 // Environment knobs:
 //   BENCH_SMOKE=1          tiny sizes (CI smoke: exercises every path)
-//   BENCH_GROUP_COMMIT=N   records per fsync per shard (default 4)
 //   BENCH_INSERTS=N        override the per-run insert count
 // Arguments:
 //   --json PATH            additionally emit machine-readable results
@@ -76,13 +76,11 @@ std::size_t env_size(const char* name, std::size_t fallback) {
   return static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
 }
 
-db::Options make_options(std::size_t units, bool wal_on,
-                         std::size_t group_commit) {
+db::Options make_options(std::size_t units, bool wal_on) {
   db::Options o;
   o.num_units = units;
   o.seed = 7;
   o.in_memory = !wal_on;
-  o.group_commit = group_commit;
   return o;
 }
 
@@ -110,9 +108,6 @@ double run_ingest(db::Store& store,
   workers.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) workers.emplace_back(worker);
   for (auto& w : workers) w.join();
-  // Ephemeral (in-memory) stores have nothing to flush and say so.
-  const db::Status fs = store.Flush();
-  if (!fs.ok() && !fs.IsFailedPrecondition()) check(fs, "flush");
   return t.seconds();
 }
 
@@ -158,7 +153,6 @@ int main(int argc, char** argv) {
   const std::size_t units = smoke ? 8 : 16;
   const std::size_t inserts =
       env_size("BENCH_INSERTS", smoke ? 800 : 20000);
-  const std::size_t group_commit = env_size("BENCH_GROUP_COMMIT", 4);
   const std::size_t lookups = smoke ? 2000 : 400000;
 
   const auto tr = trace::SyntheticTrace::generate(
@@ -167,8 +161,8 @@ int main(int argc, char** argv) {
 
   std::printf(
       "bench_concurrent: %zu base files, %zu inserts/run, %zu units, "
-      "group commit %zu, hardware threads %u\n\n",
-      tr.files().size(), stream.size(), units, group_commit,
+      "hardware threads %u\n\n",
+      tr.files().size(), stream.size(), units,
       std::thread::hardware_concurrency());
 
   const std::filesystem::path state =
@@ -183,8 +177,8 @@ int main(int argc, char** argv) {
     for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
       // Fresh deployment per run: identical starting state, no carry-over.
       if (wal_on) std::filesystem::remove_all(state);
-      auto opened = db::Store::Open(make_options(units, wal_on, group_commit),
-                                    state.string());
+      auto opened =
+          db::Store::Open(make_options(units, wal_on), state.string());
       check(opened.status(), "open");
       std::unique_ptr<db::Store> store = std::move(opened).value();
       check(store->Bulkload(tr.files()), "bulkload");
@@ -244,8 +238,7 @@ int main(int argc, char** argv) {
   double recover_seconds = 0;
   std::size_t recovered_records = 0;
   {
-    auto opened = db::Store::Open(make_options(units, true, group_commit),
-                                  state.string());
+    auto opened = db::Store::Open(make_options(units, true), state.string());
     check(opened.status(), "open");
     std::unique_ptr<db::Store> store = std::move(opened).value();
     check(store->Bulkload(tr.files()), "bulkload");
@@ -253,12 +246,12 @@ int main(int argc, char** argv) {
     run_ingest(*store, stream, 4);
     const std::uint64_t expected =
         int_property(*store, "smartstore.total-files");
-    store->Abandon();  // crash: acked tail flushed by run_ingest, process
-    store.reset();     // state dropped
+    store->Abandon();  // crash: every acked insert is already durable,
+    store.reset();     // process state dropped
 
     util::WallTimer t;
-    auto recovered = db::Store::Open(make_options(units, true, group_commit),
-                                     state.string());
+    auto recovered =
+        db::Store::Open(make_options(units, true), state.string());
     check(recovered.status(), "recover");
     recover_seconds = t.seconds();
     recovered_records = (*recovered)->recovery_info().wal_records;
@@ -300,8 +293,7 @@ int main(int argc, char** argv) {
     }
     std::fprintf(f, "{\n  \"hardware_threads\": %u,\n",
                  std::thread::hardware_concurrency());
-    std::fprintf(f, "  \"group_commit\": %zu,\n  \"ingest\": [\n",
-                 group_commit);
+    std::fprintf(f, "  \"ingest\": [\n");
     for (std::size_t i = 0; i < results.size(); ++i) {
       const IngestResult& r = results[i];
       std::fprintf(f,

@@ -164,7 +164,7 @@ int main(int argc, char** argv) {
     core::SmartStore raw(cfg);
     raw.serve();  // as every db::Store core does
     raw.build(tr.files());
-    persist::ShardedWal wal(dir, units, raw.config().version_ratio);
+    persist::ShardedWal wal(dir, units);
     raw.attach_journal(&wal);
     util::WallTimer t;
     for (const auto& f : stream) raw.insert_file(f, 0.0);

@@ -6,8 +6,9 @@
 // that recovers the snapshot instead of re-running SVD + balanced k-means
 // + bottom-up tree construction. Checkpoint/reopen are reported as
 // wall-clock time, on-disk size, and files per second; the WAL as facade
-// Puts per second at the store's group-commit batching, plus the replay
-// rate (a reopen after a simulated crash) that bounds recovery time.
+// Puts per second, each Put acknowledged only once its WAL commit is
+// fsynced, plus the replay rate (a reopen after a simulated crash) that
+// bounds recovery time.
 #include "bench_common.h"
 #include "bench_db_common.h"
 
@@ -36,9 +37,9 @@ db::Options bench_options(std::size_t units) {
 // Restart under load (the metric a production metadata service cares
 // about): writer threads stream TIF-intensified inserts through the facade
 // while background checkpoints run at the Options::checkpoint_every
-// cadence; the process "crashes" mid-stream (Store::Abandon after a
-// Flush), and we measure recovery time, time-to-first-query and the recall
-// of acknowledged inserts after reopening.
+// cadence; the process "crashes" mid-stream (Store::Abandon), and we
+// measure recovery time, time-to-first-query and the recall of
+// acknowledged inserts after reopening.
 void restart_under_load() {
   const std::string dir =
       (std::filesystem::temp_directory_path() / "smartstore_bench_restart")
@@ -69,11 +70,10 @@ void restart_under_load() {
     });
     writer.join();
 
-    // Crash: make the acknowledged tail durable, then drop the process
-    // state. Everything after this line sees only the on-disk pair.
-    // (Frontier first: GetCheckpointInfo drains the in-flight checkpoint,
-    // which would rebase the tail this column reports.)
-    check(store->Flush(), "flush");
+    // Crash: every acknowledged insert is durable already; drop the
+    // process state. Everything after this line sees only the on-disk
+    // pair. (Frontier first: GetCheckpointInfo drains the in-flight
+    // checkpoint, which would rebase the tail this column reports.)
     const std::uint64_t wal_tail =
         int_property(*store, "smartstore.wal.committed-records");
     const db::CheckpointInfo ck = store->GetCheckpointInfo();
@@ -156,14 +156,13 @@ int main() {
     store = std::move(reopened).value();
     const double nfiles = static_cast<double>(tr.files().size());
 
-    // WAL: Put a churn stream at the store's group-commit batching, crash
-    // (Flush + Abandon: acked tail durable, process state dropped), then
-    // time the reopen that replays it.
+    // WAL: Put a churn stream, crash (Abandon: every acked Put is
+    // durable, process state dropped), then time the reopen that replays
+    // it.
     const std::size_t churn = 2000;
     const auto stream = tr.make_insert_stream(churn, 99);
     t.reset();
     for (const auto& f : stream) check(store->Put(f), "put");
-    check(store->Flush(), "flush");
     const double append_s = t.seconds();
     store->Abandon();
     store.reset();
@@ -190,8 +189,8 @@ int main() {
   }
 
   std::printf(
-      "\nrestart speedup = build / reopen; WAL rates include group-commit "
-      "fsync. replay/s = reopen after crash, snapshot load + shard-merge "
+      "\nrestart speedup = build / reopen; WAL rates include one commit "
+      "fsync per Put. replay/s = reopen after crash, snapshot load + shard-merge "
       "replay.\n");
   std::filesystem::remove_all(dir);
 

@@ -1,14 +1,15 @@
 // Open-time configuration of the embedded store.
 //
 // Options is the one place where the durability/concurrency machinery the
-// lower layers export piecemeal (core striping, sharded WAL group commit,
+// lower layers export piecemeal (core striping, the sharded WAL,
 // background checkpoint cadence) is composed into a coherent deployment.
 // Everything has a safe default: Options{} opens a durable, write-ahead
 // logged store that checkpoints only when asked. A durable store has one
 // durability path: every mutation is logged to the sharded WAL
 // (<path>/wal/<unit>.log, one log per storage unit — writers routed to
-// different units commit and fsync independently), and every checkpoint
-// is a delta cut or fold under <path>/ckpt/.
+// different units commit and fsync independently) and committed before
+// it is acknowledged, and every checkpoint is a delta cut or fold under
+// <path>/ckpt/. No option trades that durability for speed.
 #pragma once
 
 #include <cstddef>
@@ -43,16 +44,7 @@ struct Options {
   /// tests that do not want disk state.
   bool in_memory = false;
 
-  // ---- durability --------------------------------------------------------
-  /// WAL records per group-commit fsync, per shard. 0 = adaptive: each
-  /// shard sizes its own batch from an EWMA of its fsync latency and
-  /// record arrival rate (batch ≈ sync cost / arrival gap, clamped to
-  /// [1, 64]), seeded from the store's version ratio (the paper's
-  /// Section 4.4 aggregation factor) until both estimates warm up.
-  /// Explicit values stay static — crash-injection sweeps that count
-  /// durability boundaries need a deterministic batch size.
-  std::size_t group_commit = 0;
-
+  // ---- checkpoints -------------------------------------------------------
   /// Background-checkpoint cadence: every N acknowledged mutations, take
   /// a delta CUT on a background thread, concurrent with serving — slice
   /// each storage unit's WAL shard since the last cut into an append-only
@@ -71,14 +63,6 @@ struct Options {
   /// ...or once the chain's segment extents exceed this many bytes.
   /// 0 = never by bytes. Both 0 = compact only on explicit Compact().
   std::uint64_t compaction_byte_budget = 64ull << 20;
-
-  // ---- test/bench harness support ---------------------------------------
-  /// Arms persist::fault_arm(K): the K-th persistence write boundary this
-  /// process crosses "crashes the process" — the store abandons its WAL
-  /// handles (pending records are NOT committed by destructors, exactly as
-  /// a power cut would leave them) and every later operation returns
-  /// kFaultInjected. 0 = disabled.
-  std::size_t crash_at = 0;
 };
 
 }  // namespace smartstore::db

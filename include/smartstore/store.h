@@ -8,14 +8,19 @@
 // WAL shards as the core's journal, and arms the background checkpoint
 // slot at the configured cadence. Close() (or the destructor) tears it
 // all down in the only safe order: drain the in-flight checkpoint,
-// group-commit the WAL shards, release the lock. No caller ever
-// re-derives the WAL-fencing protocol.
+// commit the WAL shards, release the lock. No caller ever re-derives the
+// WAL-fencing protocol.
+//
+// On a durable store an acknowledged mutation is a durable one: Put,
+// Delete, Write, ApplyReplicated and LoadBootstrap return only after the
+// WAL commit covering each record has been fsynced. A power cut loses
+// only mutations whose call had not returned.
 //
 // The boundary is exception-free: every operation returns Status (or
 // StatusOr), including the crash-injection harness's simulated power cuts
-// (kFaultInjected — after which the store is poisoned exactly as a dead
-// process's on-disk state would be: pending WAL batches are abandoned,
-// never committed by destructors).
+// (kFaultInjected, armed with persist::fault_arm — after which the store
+// is poisoned exactly as a dead process's on-disk state would be: pending
+// WAL records are abandoned, never committed by destructors).
 //
 // Thread safety: Put / Delete / Write / Query / Flush / Checkpoint may be
 // called from any number of threads concurrently (the core's striped
@@ -56,7 +61,7 @@ struct RecoveryInfo {
   std::size_t wal_fenced = 0;    ///< skipped: already in the checkpoint
   std::size_t wal_shards = 0;    ///< shard logs scanned
   bool wal_tail_torn = false;    ///< a torn tail was dropped at a
-                                 ///< group-commit boundary
+                                 ///< commit boundary
   bool used_manifest = false;    ///< a checkpoint manifest was loaded
                                  ///< (false: WAL replay onto an empty
                                  ///< build, no checkpoint yet)
@@ -156,7 +161,7 @@ class Store {
   ///                     ckpt/MANIFEST, or a manifest whose base is an
   ///                     adopted snapshot.bin (base kind 1); there is no
   ///                     importer
-  ///   kFaultInjected    an Options::crash_at fault point fired
+  ///   kFaultInjected    a fault point armed by persist::fault_arm fired
   ///   kUnknown          any other failure
   static StatusOr<std::unique_ptr<Store>> Open(const Options& options,
                                                const std::string& path);
@@ -181,16 +186,18 @@ class Store {
 
   // ---- mutations ---------------------------------------------------------
 
+  /// Returns once the insert is durable (on a durable store).
   /// kInvalidArgument for an empty filename.
   Status Put(const metadata::FileMetadata& file);
 
-  /// kNotFound when no file of that name exists; kInvalidArgument for an
-  /// empty filename.
+  /// Returns once the removal is durable (on a durable store). kNotFound
+  /// when no file of that name exists; kInvalidArgument for an empty
+  /// filename.
   Status Delete(const std::string& name);
 
   /// Applies the batch in order, each op as Put or Delete would (see
-  /// write_batch.h). A Delete of an absent name inside a batch is not an
-  /// error.
+  /// write_batch.h), so each op is durable before the next applies. A
+  /// Delete of an absent name inside a batch is not an error.
   Status Write(WriteBatch&& batch);
 
   // ---- queries -----------------------------------------------------------
@@ -217,8 +224,9 @@ class Store {
 
   // ---- durability control ------------------------------------------------
 
-  /// Group-commits every WAL shard: all acknowledged mutations become
-  /// durable.
+  /// Commits every WAL shard. Every acknowledged mutation is durable
+  /// already; this retries records whose commit failed (their callers
+  /// got the error), and returns once nothing is pending.
   Status Flush();
 
   /// Checkpoints the deployment into the data directory, concurrent with
@@ -250,8 +258,8 @@ class Store {
   /// not replayed — pair with DumpSnapshot to bootstrap a follower.
   Status SetCommitTap(CommitTap tap);
 
-  /// Applies a run of replicated records in seq order, WAL-logging each
-  /// under the primary's seq, then group-commits — on return every
+  /// Applies a run of replicated records in seq order, WAL-logging and
+  /// committing each under the primary's seq — on return every
   /// non-skipped record is durable HERE. Records at or below the current
   /// frontier are skipped (duplicate batches and bootstrap overlap are
   /// idempotent). `*frontier_out` receives the new durable frontier.
@@ -295,12 +303,12 @@ class Store {
   // ---- lifecycle ---------------------------------------------------------
 
   /// Waits out in-flight operations and the background checkpoint,
-  /// group-commits the WAL shards, releases the LOCK file. Idempotent.
+  /// commits the WAL shards, releases the LOCK file. Idempotent.
   /// Every operation after Close returns kFailedPrecondition.
   Status Close();
 
   /// Crash simulation (test/bench harness): drops every durability handle
-  /// WITHOUT committing pending WAL batches — the in-process stand-in for
+  /// WITHOUT committing pending WAL records — the in-process stand-in for
   /// the process dying — and releases the LOCK file so the directory can
   /// be re-Opened to exercise recovery. The handle is poisoned afterwards.
   void Abandon();

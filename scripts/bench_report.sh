@@ -32,7 +32,7 @@
 #
 # Honoured environment: BENCH_REPETITIONS (micro suite), BENCH_SMOKE=1
 # (tiny bench_concurrent/bench_scale sizes for CI smoke runs),
-# BENCH_INSERTS, BENCH_GROUP_COMMIT, BENCH_SCALE_FILES (scale-tier size;
+# BENCH_INSERTS, BENCH_SCALE_FILES (scale-tier size;
 # the nightly CI job sets 1000000).
 set -eu
 

@@ -67,11 +67,6 @@ int RunServe(const ServeOptions& opt) {
   options.routing = db::Routing::kOnline;
   options.in_memory = opt.dir.empty();
   options.create_if_missing = true;
-  if (!options.in_memory) {
-    // Acked implies durable: every mutation's WAL record is committed
-    // before the response frame leaves the shard.
-    options.group_commit = 1;
-  }
 
   auto opened = db::Store::Open(options, opt.dir);
   if (!opened.ok()) {

@@ -11,20 +11,19 @@
 // name the data directory (when more than one is given they must agree —
 // a deployment lives in ONE directory), Open() recovers whatever
 // checkpoint (ckpt/) + WAL shards (wal/) it finds there, --churn N inserts
-// ride the sharded WAL, --group-commit M tunes records-per-fsync
-// per shard, and --bg-checkpoint N sets the background-checkpoint cadence
-// (a delta cut every N acknowledged mutations, concurrent with the insert
-// stream).
-// --crash-at K arms the K-th persistence write boundary to simulate a
-// power cut (exit 3); recover by re-running with --load.
+// ride the sharded WAL (each one durable before the next is applied), and
+// --bg-checkpoint N sets the background-checkpoint cadence (a delta cut
+// every N acknowledged mutations, concurrent with the insert stream).
+// --crash-at K arms the K-th persistence write boundary
+// (persist::fault_arm) to simulate a power cut (exit 3); recover by
+// re-running with --load.
 //
 //   smartstore_cli --trace msn --units 20 --point 200 --range 50 --topk 50
 //   smartstore_cli --trace hp --save state/          # build once, persist
 //   smartstore_cli --trace hp --load state/ --point 200   # restart, no build
 //   smartstore_cli --trace hp --load state/ --churn 5000
 //       --save state/ --bg-checkpoint 1000       # checkpoint under load
-//   smartstore_cli --trace hp --churn 20000
-//       --wal state/ --group-commit 64           # durable ingest
+//   smartstore_cli --trace hp --churn 20000 --wal state/   # durable ingest
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
@@ -33,6 +32,7 @@
 #include <vector>
 
 #include "cli/cluster_mode.h"
+#include "persist/fault.h"
 #include "smartstore/smartstore.h"
 #include "trace/profiles.h"
 #include "trace/query_gen.h"
@@ -57,7 +57,6 @@ struct CliOptions {
   std::size_t k = 8;
   std::uint64_t seed = 42;
   std::size_t churn = 0;
-  std::size_t group_commit = 0;    ///< WAL records per fsync (0 = default)
   std::string save_dir;
   std::string load_dir;
   std::string wal_dir;
@@ -97,8 +96,6 @@ void usage(const char* argv0) {
       "  --k K                      k for top-k queries (default 8)\n"
       "  --seed S                   rng seed (default 42)\n"
       "  --churn N                  insert N extra files before querying\n"
-      "  --group-commit M           WAL records per group-commit fsync,\n"
-      "                             per shard (default: version ratio)\n"
       "  --save DIR                 checkpoint the deployment into DIR\n"
       "                             (base image + delta chain in DIR/ckpt/)\n"
       "  --load DIR                 restore DIR's checkpoint (+ WAL replay)\n"
@@ -227,8 +224,6 @@ CliOptions parse_args(int argc, char** argv) {
       opt.seed = parse_size(i++);
     } else if (a == "--churn") {
       opt.churn = parse_size(i++);
-    } else if (a == "--group-commit") {
-      opt.group_commit = parse_size(i++);
     } else if (a == "--save") {
       opt.save_dir = need_value(i++);
     } else if (a == "--load") {
@@ -296,12 +291,6 @@ CliOptions parse_args(int argc, char** argv) {
     std::fprintf(stderr,
                  "error: cluster modes take --serve DIR, not "
                  "--save/--load/--wal\n");
-    std::exit(2);
-  }
-  if (opt.serve && opt.group_commit > 1) {
-    std::fprintf(stderr,
-                 "error: --serve acks a write only once it is durable, so "
-                 "--group-commit above 1 is not allowed\n");
     std::exit(2);
   }
   if (opt.tif == 0 || opt.downscale == 0 || opt.units == 0 || opt.k == 0) {
@@ -409,11 +398,9 @@ int main(int argc, char** argv) {
   options.fanout = opt.fanout;
   options.seed = opt.seed;
   options.routing = opt.routing;
-  options.group_commit = opt.group_commit;
   options.checkpoint_every = opt.bg_checkpoint;
   options.compaction_trigger = opt.compaction_trigger;
   options.compaction_byte_budget = opt.compaction_bytes;
-  options.crash_at = opt.crash_at;
 
   std::string dir = !opt.load_dir.empty() ? opt.load_dir : opt.save_dir;
   if (dir.empty()) dir = opt.wal_dir;
@@ -421,6 +408,9 @@ int main(int argc, char** argv) {
   // --load expects an existing deployment; --save/--wal create one.
   options.create_if_missing = opt.load_dir.empty();
 
+  // The injector is process-global: armed here, it counts every
+  // persistence write boundary from the Open on.
+  if (opt.crash_at > 0) persist::fault_arm(opt.crash_at);
   auto opened = db::Store::Open(options, dir);
   if (!opened.ok()) die(opened.status(), opt.crash_at);
   std::unique_ptr<db::Store> store = std::move(opened).value();

@@ -6,8 +6,8 @@
 // Per mutation the core calls exactly one log_* and then commit() for the
 // same unit. The log runs under the routed unit's lock, after the commit
 // seq is stamped and before the in-memory apply, so a unit's log order is
-// its apply order. The commit runs after that lock is released, so a
-// group-commit fsync stalls only the writers of the unit it flushes.
+// its apply order. The commit runs after that lock is released, so its
+// fsync stalls only the writers of the unit it flushes.
 // Reconfiguration (add/remove unit, autoconfigure) and build() never call
 // the journal: the next checkpoint fold captures them.
 #pragma once
@@ -31,8 +31,9 @@ class Journal {
   /// Logs the removal of `name` from `unit` under commit seq `seq`.
   virtual void log_remove(UnitId unit, const std::string& name,
                           std::uint64_t seq) = 0;
-  /// The group-commit point for `unit`, once per logged mutation: the
-  /// journal makes the unit's batch durable when it decides one is due.
+  /// The commit point for `unit`, once per logged mutation: returns only
+  /// once the mutation's record is durable, so the caller may acknowledge
+  /// it.
   virtual void commit(UnitId unit) = 0;
 };
 

@@ -730,8 +730,8 @@ QueryStats SmartStore::insert_file_impl(const FileMetadata& f, double arrival,
     units_[target].add_file(f, std, name_hash, stamped);
     units_[target].prune_tombstones(gc_watermark());
   }
-  // The group-commit fsync (if the journal decides one is due) runs here,
-  // off every store lock: it stalls only this unit's writers.
+  // The commit's fsync runs here, off every store lock: it stalls only
+  // this unit's writers.
   if (journal) journal->commit(target);
   // Ancestor summaries widen one stripe at a time (child before parent);
   // readers meanwhile see a box/filter that is at worst transiently

@@ -705,7 +705,7 @@ class SmartStore {
   // need no finer locks at all.
   //
   // Units get DEDICATED locks (not pool stripes) because the journal logs
-  // under them, and a log can wait out its shard's group-commit fsync: a
+  // under them, and a log can wait out its shard's commit fsync: a
   // shared stripe would make an unrelated hot index
   // node or replica — every insert touches the root and its group's sync
   // state — collide with an in-flight fsync and serialize the whole

@@ -44,7 +44,6 @@
 #include "db/lock_file.h"
 #include "persist/compactor.h"
 #include "persist/delta_checkpoint.h"
-#include "persist/fault.h"
 #include "persist/recovery.h"
 #include "persist/segment.h"
 #include "persist/snapshot.h"
@@ -305,8 +304,9 @@ struct Store::Impl {
   }
 
   /// The one mutation path of Put, Delete and Write: the attached WAL
-  /// logs the record under the routed unit's lock and group-commits it
-  /// after that lock is released. erase() reports an absent name.
+  /// logs the record under the routed unit's lock and commits it after
+  /// that lock is released, so the mutation is durable on return.
+  /// erase() reports an absent name.
   void put(const metadata::FileMetadata& f) {
     core->insert_file(f);
     puts.fetch_add(1, std::memory_order_relaxed);
@@ -369,20 +369,6 @@ StatusOr<std::unique_ptr<Store>> Store::Open(const Options& options,
         "checkpoint_every requires a durable store (checkpoints fence "
         "against the WAL shards)");
 
-  // The fault injector is process-global; make sure a handle that never
-  // reaches its armed boundary (failed Open, early Close) cannot leave
-  // the countdown live to poison an unrelated later Store.
-  struct FaultGuard {
-    bool active = false;
-    ~FaultGuard() {
-      if (active) persist::fault_disarm();
-    }
-  } fault_guard;
-  if (options.crash_at > 0) {
-    persist::fault_arm(options.crash_at);
-    fault_guard.active = true;
-  }
-
   std::unique_ptr<Store> store(new Store());
   Impl& im = *store->impl_;
   im.opts = options;
@@ -392,10 +378,17 @@ StatusOr<std::unique_ptr<Store>> Store::Open(const Options& options,
   cfg.fanout = options.fanout;
   cfg.seed = options.seed;
 
+  // Every core a Store opens serves from before it is built or replays
+  // its log (persist::recover switches the cores it loads the same way).
+  auto serving_core = [&cfg] {
+    auto core = std::make_unique<core::SmartStore>(cfg);
+    core->serve();
+    core->build({});
+    return core;
+  };
   try {
     if (options.in_memory) {
-      im.core = std::make_unique<core::SmartStore>(cfg);
-      im.core->build({});
+      im.core = serving_core();
     } else {
       im.dir = path;
       // Refused before anything (the directory, its LOCK) is created.
@@ -446,8 +439,7 @@ StatusOr<std::unique_ptr<Store>> Store::Open(const Options& options,
         im.recovery.delta_cuts = rec.delta_cuts;
         im.recovery.delta_records = rec.delta_records;
       } else {
-        im.core = std::make_unique<core::SmartStore>(cfg);
-        im.core->build({});
+        im.core = serving_core();
         // A deployment that crashed before its first checkpoint has WAL
         // records but no manifest; their base image is exactly the empty
         // build above (assuming the same Options), so the full log replays.
@@ -463,14 +455,8 @@ StatusOr<std::unique_ptr<Store>> Store::Open(const Options& options,
         }
       }
 
-      // group_commit == 0 means adaptive sizing: each shard converges on
-      // its own batch from fsync-latency and arrival-rate EWMAs, seeded
-      // from the paper's aggregation factor until the estimates warm up.
-      im.wal = std::make_unique<persist::ShardedWal>(
-          path, im.core->units().size(),
-          options.group_commit > 0 ? options.group_commit
-                                   : im.core->config().version_ratio,
-          /*adaptive=*/options.group_commit == 0);
+      im.wal =
+          std::make_unique<persist::ShardedWal>(path, im.core->units().size());
       im.core->attach_journal(im.wal.get());
       im.delta =
           std::make_unique<persist::DeltaEngine>(*im.core, *im.wal, path);
@@ -479,13 +465,9 @@ StatusOr<std::unique_ptr<Store>> Store::Open(const Options& options,
           *im.delta, options.compaction_trigger,
           options.compaction_byte_budget);
     }
-    // Every core a Store opens serves; a recovered one replayed its log
-    // before this, as the simulating core the loader makes.
-    im.core->serve();
   } catch (...) {
     return persist::current_exception_status();
   }
-  fault_guard.active = false;  // the live handle owns the countdown now
   return store;
 }
 
@@ -692,14 +674,13 @@ Status Store::ApplyReplicated(const std::vector<ReplicatedOp>& ops,
         // the stream must neither stall the frontier nor let a restart
         // reuse op.seq for a different mutation — the erase advanced the
         // clock to op.seq, and the no-op remove is logged anyway (replay
-        // of a kRemove tolerates absence).
+        // of a kRemove tolerates absence), and committed like every
+        // applied op: the caller reports the returned frontier as durable.
         im.wal->log_remove(0, op.name, op.seq);
+        im.wal->commit(0);
       }
       ++applied;
     }
-    // Ack barrier: the caller reports the returned frontier as durable,
-    // so every record applied above must hit disk before we return.
-    im.wal->commit_all();
     if (frontier_out) *frontier_out = im.core->last_commit_seq();
     im.note_mutations(applied);
     return Status::OK();
@@ -736,7 +717,6 @@ Status Store::LoadBootstrap(std::uint64_t seq,
     // stamps land at or below `seq` — then the clock jumps TO `seq`, and
     // the resumed stream (> seq) passes the ApplyReplicated gate.
     for (const metadata::FileMetadata& f : files) im.core->insert_file(f);
-    if (im.wal) im.wal->commit_all();  // durable before the follower acks
     im.core->note_commit_seq(seq);
     if (!im.delta || seq == 0) {
       im.note_mutations(files.size());
@@ -814,9 +794,9 @@ bool Store::GetProperty(const std::string& name, std::string* value) {
       return u64(total);
     }
     if (name == "smartstore.wal.group-commit.effective") {
-      // Adaptive mode: mean of the per-shard EWMA-derived batch targets;
-      // static mode: the configured size. 0 on a store without a WAL.
-      return u64(im.wal ? im.wal->effective_group_commit() : 0);
+      // Measured: records per commit block since Open. 0 on a store
+      // without a WAL or before its first commit.
+      return u64(im.wal ? im.wal->records_per_commit() : 0);
     }
     if (name == "smartstore.wal.frontier") {
       if (!im.wal) {
@@ -1015,7 +995,8 @@ Status Store::Close() {
   // Drain the in-flight checkpoint before anything it references goes away.
   if (im.compactor) settle([&] { im.compactor->wait(); });
   if (im.wal && !crashed && !im.crashed.load(std::memory_order_acquire)) {
-    // The acknowledged-but-unflushed tail becomes durable.
+    // Every acknowledged mutation is already durable; a record whose
+    // commit failed (its caller got the error) gets one more try.
     settle([&] { im.wal->commit_all(); });
   }
 
@@ -1028,9 +1009,6 @@ Status Store::Close() {
   im.delta.reset();
   im.wal.reset();
   im.lock.Release();
-  // A countdown this handle armed but never reached must not fire inside
-  // an unrelated later Store (the injector is process-global).
-  if (im.opts.crash_at > 0) persist::fault_disarm();
   return result;
 }
 
@@ -1057,7 +1035,6 @@ void Store::Abandon() {
   im.delta.reset();
   im.wal.reset();
   im.lock.Release();
-  if (im.opts.crash_at > 0) persist::fault_disarm();
 }
 
 }  // namespace smartstore::db

@@ -8,11 +8,11 @@
 namespace smartstore::persist {
 
 void apply_record(core::SmartStore& store, const WalRecord& rec) {
-  // Replay runs at virtual time zero: queue state is not part of recovery,
-  // only the logical outcome of each mutation. No journal is attached, so
-  // nothing re-logs; the record's persisted seq goes back to the store, so
-  // the replayed mutation lands under the SAME commit timestamp it carried
-  // live and time-travel reads replay identically across a restart.
+  // Only the logical outcome of each mutation is recovered. No journal is
+  // attached, so nothing re-logs; the record's persisted seq goes back to
+  // the store, so the replayed mutation lands under the SAME commit
+  // timestamp it carried live and time-travel reads replay identically
+  // across a restart.
   switch (rec.type) {
     case WalRecordType::kInsert:
       store.insert_file(rec.file, 0.0, rec.seq);
@@ -78,6 +78,7 @@ std::unique_ptr<core::SmartStore> load_delta_base(const std::string& dir,
                                                   RecoveryResult& res) {
   std::unique_ptr<core::SmartStore> store =
       load_snapshot(base_path(dir, m.base_id));
+  store->serve();  // replays below run on counting sessions, as served ops do
   std::vector<WalRecord> merged;
   for (const DeltaCut& c : m.cuts)
     for (const DeltaExtent& e : c.extents) read_segment_extent(dir, e, &merged);

@@ -5,7 +5,8 @@
 //   <dir>/wal/<u>.log  one write-ahead log per storage unit
 //                      (persist/wal_shard.h)
 //
-// recover() loads the manifest's base, applies the delta chain, resumes
+// recover() loads the manifest's base into a serving core
+// (SmartStore::serve), applies the delta chain, resumes
 // the commit clock at no less than the manifest's last cut seq, then
 // replays the valid prefix of every shard log past the manifest's fence,
 // skipping each shard's fenced prefix when generations match. Records are
@@ -13,9 +14,9 @@
 // reconstructing one mutation order. The checkpoint protocol that keeps
 // every crash window consistent is DeltaEngine's
 // (persist/delta_checkpoint.h). A torn or truncated tail rolls a shard
-// back to its last group-commit boundary, which loses only
-// *unacknowledged* records of that shard, never an acknowledged record of
-// another shard.
+// back to its last commit boundary, which loses only *unacknowledged*
+// records of that shard (a mutation is acknowledged only once its commit
+// is fsynced), never an acknowledged record of any shard.
 #pragma once
 
 #include <memory>
@@ -56,10 +57,11 @@ void replay_dir_logs(core::SmartStore& store, const std::string& dir,
                      const WalFence& fence, RecoveryResult& res);
 
 /// Loads the manifest's base + delta chain, then replays the WAL tail
-/// past the manifest's fence. Throws PersistError — kNotFound when `dir`
-/// holds no manifest, kCorruption when the manifest, base or a segment is
-/// corrupt; a torn WAL tail is not an error (reported in the result,
-/// recovery keeps the prefix).
+/// past the manifest's fence. The returned core serves: it switched
+/// before its first replayed record. Throws PersistError — kNotFound when
+/// `dir` holds no manifest, kCorruption when the manifest, base or a
+/// segment is corrupt; a torn WAL tail is not an error (reported in the
+/// result, recovery keeps the prefix).
 RecoveryResult recover(const std::string& dir);
 
 /// The one PersistError → Status mapping: kNotFound, kIOError,

@@ -35,6 +35,9 @@ void write_empty_wal(const std::string& path, std::uint64_t generation) {
   util::fsync_parent_dir(path);
 }
 
+/// A commit block's header: magic, record count, payload length.
+constexpr std::size_t kBlockHeaderBytes = 4 + 4 + 8;
+
 /// A generation for a log with no usable predecessor: drawn from the
 /// system entropy source so it cannot collide with a fence some earlier
 /// checkpoint recorded against an unrelated log history.
@@ -168,6 +171,9 @@ WalScan scan_wal(const std::string& path) {
 // ---- writer -----------------------------------------------------------------
 
 WalWriter::WalWriter(std::string path) : path_(std::move(path)) {
+  batch_.write_u32(kWalBlockMagic);
+  batch_.write_u32(0);  // record count, patched at commit
+  batch_.write_u64(0);  // payload length, patched at commit
   open_truncated_to_valid_prefix();
 }
 
@@ -217,13 +223,12 @@ void WalWriter::append(const WalRecord& rec) {
 
 void WalWriter::commit() {
   if (pending_ == 0 || !file_) return;
-  util::BinaryWriter block;
-  block.reserve(4 + 4 + 8 + batch_.size() + 4);
-  block.write_u32(kWalBlockMagic);
-  block.write_u32(static_cast<std::uint32_t>(pending_));
-  block.write_u64(batch_.size());
-  block.write_bytes(batch_.buffer().data(), batch_.size());
-  block.write_u32(util::crc32(batch_.buffer().data(), batch_.size()));
+  const std::size_t payload = batch_.size() - kBlockHeaderBytes;
+  batch_.patch_u32(4, static_cast<std::uint32_t>(pending_));
+  batch_.patch_u64(8, payload);
+  batch_.write_u32(
+      util::crc32(batch_.buffer().data() + kBlockHeaderBytes, payload));
+  const std::vector<std::uint8_t>& block = batch_.buffer();
 
   // An injected crash abandons the handle: the half-written bytes are
   // flushed so a fresh scan sees the torn tail a power cut would leave,
@@ -243,7 +248,7 @@ void WalWriter::commit() {
   // power cut does not respect block boundaries, and the torn tail this
   // leaves is exactly what scan_wal's checksum rollback must absorb.
   const std::size_t half = block.size() / 2;
-  bool failed = std::fwrite(block.buffer().data(), 1, half, file_) != half;
+  bool failed = std::fwrite(block.data(), 1, half, file_) != half;
   if (!failed) {
     try {
       fault_point("wal:commit:torn-block");
@@ -251,8 +256,8 @@ void WalWriter::commit() {
       die_with_handle();
       throw;
     }
-    failed = std::fwrite(block.buffer().data() + half, 1,
-                         block.size() - half, file_) != block.size() - half;
+    failed = std::fwrite(block.data() + half, 1, block.size() - half,
+                         file_) != block.size() - half;
   }
   if (!failed) {
     try {
@@ -265,10 +270,11 @@ void WalWriter::commit() {
     failed = !util::flush_and_sync(file_);
   }
   if (failed) {
-    // Not acknowledged: the batch stays pending for a retry, and the log
-    // is cut back to the block start. The flush first pushes out (or, when
-    // it fails, stdio drops) whatever of the block is still buffered, so
-    // nothing of it reaches the file behind the cut.
+    // Not acknowledged: the batch (less its checksum) stays pending for a
+    // retry, and the log is cut back to the block start. The flush first
+    // pushes out (or, when it fails, stdio drops) whatever of the block is
+    // still buffered, so nothing of it reaches the file behind the cut.
+    batch_.truncate(kBlockHeaderBytes + payload);
     std::fflush(file_);
     std::clearerr(file_);
 #if defined(__unix__) || defined(__APPLE__)
@@ -278,10 +284,12 @@ void WalWriter::commit() {
     throw PersistError("cannot append, flush or fsync a WAL block: " + path_,
                        PersistError::Code::kIo);
   }
-  committed_ += pending_;
-  pending_ = 0;
-  batch_.clear();
   committed_bytes_ = static_cast<std::size_t>(start) + block.size();
+  committed_ += pending_;
+  records_written_ += pending_;
+  ++blocks_written_;
+  pending_ = 0;
+  batch_.truncate(kBlockHeaderBytes);
 }
 
 void WalWriter::rebase(std::size_t drop, std::size_t drop_bytes) {
@@ -336,7 +344,7 @@ void WalWriter::rebase(std::size_t drop, std::size_t drop_bytes) {
 
 void WalWriter::abandon() {
   pending_ = 0;
-  batch_.clear();
+  batch_.truncate(kBlockHeaderBytes);
   if (file_) std::fclose(file_);
   file_ = nullptr;
 }

@@ -6,13 +6,13 @@
 // insert_file, one kRemove per erase_file — and nothing else: a
 // whole-store change (a bulk build, a topology change, new tree variants)
 // is made durable by the next fold's base image, never by a log record
-// (persist/delta_checkpoint.h). Records are batched into group-commit blocks
-// the same way Section 4.4 aggregates changes into sealed VersionDeltas:
-// one atomic, CRC-checksummed block per commit, flushed and fsynced
-// together. Recovery is load-latest-checkpoint + replay; a torn or
-// truncated tail block (the crash window) is detected by its
-// checksum/length and dropped, rolling the log back to the last
-// group-commit boundary.
+// (persist/delta_checkpoint.h). A commit writes every record pending in
+// the log as one atomic, CRC-checksummed block, flushed and fsynced
+// together; the store commits after each mutation, so a block holds one
+// record unless writers of the same shard logged while a commit waited.
+// Recovery is load-latest-checkpoint + replay; a torn or truncated tail
+// block (the crash window) is detected by its checksum/length and
+// dropped, rolling the log back to the last commit boundary.
 //
 // On-disk layout (little-endian):
 //
@@ -130,7 +130,10 @@ class WalWriter {
   void append(const WalRecord& rec);
 
   /// Seals the pending batch into one commit block: write, flush, fsync.
-  /// No-op when nothing is pending.
+  /// No-op when nothing is pending. The block is written from the batch
+  /// buffer itself, whose front holds the block header's 16 bytes. A
+  /// failed commit keeps the batch pending and cuts the log back to the
+  /// block start.
   void commit();
 
   /// Drops the first `drop` committed records — the prefix a just-published
@@ -159,6 +162,9 @@ class WalWriter {
 
   std::size_t pending_records() const { return pending_; }
   std::uint64_t committed_records() const { return committed_; }
+  /// Blocks and records this writer committed since it was opened.
+  std::uint64_t blocks_written() const { return blocks_written_; }
+  std::uint64_t records_written() const { return records_written_; }
   /// File offset just past the last committed block — the byte-side of the
   /// commit frontier (pair it with committed_records() for rebase()).
   std::size_t committed_bytes() const { return committed_bytes_; }
@@ -170,11 +176,15 @@ class WalWriter {
 
   std::string path_;
   std::FILE* file_ = nullptr;
+  /// The next block: its header (magic, then count and length, patched
+  /// at commit) and the pending records' payload.
   util::BinaryWriter batch_;
   std::size_t pending_ = 0;
   std::uint64_t committed_ = 0;
   std::uint64_t generation_ = 0;
   std::size_t committed_bytes_ = 0;  ///< offset past the last block
+  std::uint64_t blocks_written_ = 0;
+  std::uint64_t records_written_ = 0;
 };
 
 }  // namespace smartstore::persist

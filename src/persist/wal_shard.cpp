@@ -2,32 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
-#include <chrono>
-#include <cmath>
 #include <filesystem>
 
 namespace smartstore::persist {
 
 namespace fs = std::filesystem;
-
-namespace {
-
-double steady_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// EWMA smoothing factor. 1/8 reacts within a few dozen records while a
-/// single outlier (one stalled fsync, one idle gap) moves the estimate
-/// by at most 12.5%.
-constexpr double kEwmaAlpha = 0.125;
-
-double ewma(double state, double sample) {
-  return state <= 0 ? sample : state + kEwmaAlpha * (sample - state);
-}
-
-}  // namespace
 
 std::string ShardedWal::shard_dir(const std::string& deploy_dir) {
   return (fs::path(deploy_dir) / "wal").string();
@@ -54,12 +33,8 @@ bool ShardedWal::parse_shard_id(const fs::path& p, std::uint64_t* id_out) {
   return true;
 }
 
-ShardedWal::ShardedWal(std::string deploy_dir, std::size_t num_shards,
-                       std::size_t group_commit, bool adaptive)
-    : deploy_dir_(std::move(deploy_dir)),
-      dir_(shard_dir(deploy_dir_)),
-      group_commit_(group_commit == 0 ? 1 : group_commit),
-      adaptive_(adaptive) {
+ShardedWal::ShardedWal(std::string deploy_dir, std::size_t num_shards)
+    : deploy_dir_(std::move(deploy_dir)), dir_(shard_dir(deploy_dir_)) {
   fs::create_directories(dir_);
 
   // Open every shard already on disk (a shard whose unit the recovered
@@ -151,7 +126,6 @@ void ShardedWal::append(std::size_t shard_id, const WalRecord& rec) {
   Shard& s = shard(shard_id);
   const util::MutexLock lock(s.mu);
   tap_append(s, rec);
-  note_append(s);
   s.writer->append(rec);
 }
 
@@ -159,60 +133,26 @@ void ShardedWal::commit(core::UnitId shard_id) {
   Shard* s = shard_if_exists(shard_id);
   if (!s) return;
   const util::MutexLock lock(s->mu);
-  if (s->writer->pending_records() >= shard_group_commit(*s))
-    timed_commit(*s);
+  s->writer->commit();
   drain_tap(*s);
-}
-
-void ShardedWal::note_append(Shard& s) {
-  if (!adaptive_) return;
-  const double now = steady_seconds();
-  if (s.last_append_s >= 0) s.ewma_gap_s = ewma(s.ewma_gap_s, now - s.last_append_s);
-  s.last_append_s = now;
-}
-
-void ShardedWal::timed_commit(Shard& s) {
-  if (!adaptive_) {
-    s.writer->commit();
-    return;
-  }
-  const double start = steady_seconds();
-  s.writer->commit();
-  s.ewma_sync_s = ewma(s.ewma_sync_s, steady_seconds() - start);
-  // Amortization balance point: batch until the fsync cost is spread at
-  // the rate records actually arrive on this shard. An idle shard (gap ≫
-  // sync) converges to 1 — latency-optimal; a hot one grows toward the
-  // ceiling.
-  if (s.ewma_gap_s > 0 && s.ewma_sync_s > 0) {
-    const double ratio = s.ewma_sync_s / s.ewma_gap_s;
-    s.target = static_cast<std::size_t>(std::clamp(
-        ratio, 1.0, static_cast<double>(kMaxAdaptiveGroupCommit)));
-  }
-}
-
-std::size_t ShardedWal::effective_group_commit() const {
-  if (!adaptive_) return group_commit_;
-  std::size_t sum = 0, n = 0;
-  const std::size_t shards = num_shards();
-  for (std::size_t i = 0; i < shards; ++i) {
-    Shard* s = shard_if_exists(i);
-    if (!s) continue;
-    const util::MutexLock lock(s->mu);
-    sum += s->target > 0 ? s->target : group_commit_;
-    ++n;
-  }
-  return n == 0 ? group_commit_ : sum / n;
 }
 
 void ShardedWal::commit_all() {
   const std::size_t n = num_shards();
+  for (std::size_t i = 0; i < n; ++i) commit(i);
+}
+
+std::uint64_t ShardedWal::records_per_commit() const {
+  std::uint64_t records = 0, blocks = 0;
+  const std::size_t n = num_shards();
   for (std::size_t i = 0; i < n; ++i) {
-    if (Shard* s = shard_if_exists(i)) {
-      const util::MutexLock lock(s->mu);
-      s->writer->commit();
-      drain_tap(*s);
-    }
+    Shard* s = shard_if_exists(i);
+    if (!s) continue;
+    const util::MutexLock lock(s->mu);
+    records += s->writer->records_written();
+    blocks += s->writer->blocks_written();
   }
+  return blocks == 0 ? 0 : (records + blocks / 2) / blocks;
 }
 
 WalFence ShardedWal::frontier() {

@@ -7,11 +7,13 @@
 // itself. The log is the store's core::Journal (core/journal.h), attached
 // once per store. Every record goes through one call, append(), run from
 // log_insert/log_remove under the routed unit's lock, which makes each
-// shard's record order equal that unit's in-memory apply order. The group
-// commit has one trigger too: commit(unit), run after the unit lock is
-// released, so an fsync stalls only the writers of the shard it flushes.
-// Shards group-commit and fsync independently, so writers routed to
-// different units overlap their durability waits.
+// shard's record order equal that unit's in-memory apply order. The
+// commit has one call too: commit(unit), run after the unit lock is
+// released once per mutation, which returns only when an fsync covers
+// everything the shard had logged, so every acknowledged mutation is
+// durable. The fsync stalls only the writers of the shard it flushes:
+// shards commit and fsync independently, so writers routed to different
+// units overlap their durability waits.
 // Recovery (persist/recovery.h) scans every shard and replays the merged
 // record stream in sequence order — records that cross shards are
 // independent (they touch different units), so losing an *unacknowledged*
@@ -61,16 +63,7 @@ class ShardedWal final : public core::Journal {
   /// every existing shard log in it, plus shards [0, num_shards). A shard
   /// of a unit the recovered shape no longer has is opened too: its
   /// records were replayed, so the next checkpoint must fence them.
-  ///
-  /// With `adaptive` set, `group_commit` is only the starting point: each
-  /// shard re-sizes its own batch from an EWMA of its fsync latency and
-  /// record inter-arrival gap — batch ≈ sync_cost / arrival_gap, clamped
-  /// to [1, kMaxAdaptiveGroupCommit] — so a hot shard amortizes the fsync
-  /// over more records while an idle one stays at latency-optimal 1.
-  /// Adaptive timing makes commit points wall-clock-dependent; the
-  /// deterministic crash sweeps pass explicit static sizes instead.
-  ShardedWal(std::string deploy_dir, std::size_t num_shards,
-             std::size_t group_commit = 4, bool adaptive = false);
+  ShardedWal(std::string deploy_dir, std::size_t num_shards);
 
   ShardedWal(const ShardedWal&) = delete;
   ShardedWal& operator=(const ShardedWal&) = delete;
@@ -102,10 +95,13 @@ class ShardedWal final : public core::Journal {
                   std::uint64_t seq) override {
     append(unit, WalRecord::remove(name, seq));
   }
-  /// Commits shard `unit` if its pending batch reached the group-commit
-  /// size — the only group-commit trigger. The core calls it after the
+  /// Commits shard `unit`'s pending records as one block and returns once
+  /// the fsync has completed, holding the shard mutex throughout. A
+  /// caller whose record a concurrent commit already covered finds
+  /// nothing pending and returns at once. The core calls it after the
   /// unit lock is released, so the fsync never blocks another writer
-  /// routed to the same unit, only the shard it flushes.
+  /// routed to the same unit from applying, only from logging to the
+  /// shard it flushes.
   void commit(core::UnitId unit) override;
 
   /// Arms (or, with nullptr, disarms) the commit tap. Disarming discards
@@ -114,7 +110,7 @@ class ShardedWal final : public core::Journal {
   /// shard's pending tap queue is guarded by that shard's mutex.
   void set_commit_tap(CommitTap tap);
 
-  /// Commits every shard's pending batch (fsync per dirty shard).
+  /// Commits every shard's pending records (fsync per dirty shard).
   void commit_all();
 
   /// Commits every shard and returns the sharded fence at that frontier:
@@ -138,18 +134,10 @@ class ShardedWal final : public core::Journal {
   std::uint64_t committed_records(std::size_t shard) const;
   std::uint64_t pending_records(std::size_t shard) const;
   std::uint64_t generation(std::size_t shard) const;
-  std::size_t group_commit() const { return group_commit_; }
-  bool adaptive() const { return adaptive_; }
-  /// The group-commit size actually in force: the static configuration
-  /// when not adaptive, else the mean of the per-shard adaptive targets
-  /// (shards that have not yet converged report the starting size).
-  std::size_t effective_group_commit() const;
+  /// Records per commit block across every shard since this log was
+  /// opened, rounded to the nearest integer; 0 before the first commit.
+  std::uint64_t records_per_commit() const;
   const std::string& dir() const { return dir_; }
-
-  /// Ceiling of the adaptive batch size: past this, the marginal fsync
-  /// amortization is negligible but the unacked-loss window on a torn
-  /// tail keeps growing.
-  static constexpr std::size_t kMaxAdaptiveGroupCommit = 64;
 
  private:
   struct Shard {
@@ -159,13 +147,6 @@ class ShardedWal final : public core::Journal {
     /// the freeze mutex — and must never be held while taking either.
     mutable util::Mutex mu{util::LockRank::kWalShard};
     std::unique_ptr<WalWriter> writer SS_GUARDED_BY(mu);
-    // Adaptive group-commit state (all under mu; unused when the log runs
-    // a static size). Gaps and sync costs are EWMA-smoothed so one slow
-    // fsync or one idle stretch does not whipsaw the batch size.
-    double ewma_sync_s SS_GUARDED_BY(mu) = 0;
-    double ewma_gap_s SS_GUARDED_BY(mu) = 0;
-    double last_append_s SS_GUARDED_BY(mu) = -1;  ///< steady-clock seconds
-    std::size_t target SS_GUARDED_BY(mu) = 0;     ///< 0 = not yet converged
     /// Records appended while the tap was armed but not yet known
     /// committed. The drain invariant: the first
     /// `tap_pending.size() - writer->pending_records()` entries are
@@ -188,22 +169,8 @@ class ShardedWal final : public core::Journal {
   void drain_tap(Shard& s) SS_REQUIRES(s.mu);
   std::shared_ptr<const CommitTap> tap_snapshot() const;
 
-  // ---- adaptive sizing (no-ops when adaptive_ is unset) -------------------
-  /// Folds the inter-arrival gap since the shard's previous append into
-  /// its EWMA. Call on every data append, under s.mu.
-  void note_append(Shard& s) SS_REQUIRES(s.mu);
-  /// Commits the shard's batch, timing the flush+fsync into the EWMA and
-  /// recomputing the target batch size.
-  void timed_commit(Shard& s) SS_REQUIRES(s.mu);
-  /// This shard's in-force batch size.
-  std::size_t shard_group_commit(const Shard& s) const SS_REQUIRES(s.mu) {
-    return adaptive_ && s.target > 0 ? s.target : group_commit_;
-  }
-
   std::string deploy_dir_;
   std::string dir_;  ///< <deploy_dir>/wal
-  std::size_t group_commit_;
-  bool adaptive_ = false;
   /// Guards the shard vector's SHAPE only; Shard objects themselves are
   /// heap-stable and carry their own mutex (never held together with this
   /// one — shard()/shard_if_exists() release it before returning).

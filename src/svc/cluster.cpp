@@ -44,17 +44,8 @@ db::Options Cluster::NodeStoreOptions(std::uint32_t node) const {
   o.in_memory = options_.in_memory;
   o.create_if_missing = true;
   o.seed = mix_seed(o.seed, node);  // distinct placement rngs per node
-  if (options_.in_memory) {
-    // In-memory stores reject durability knobs (nothing to checkpoint).
-    o.checkpoint_every = 0;
-  } else {
-    // Acked => durable: every mutation's WAL record is committed before
-    // the response leaves the shard, so Abandon cannot lose an acked write.
-    // A batch above 1 (static or adaptive) would ack records still pending
-    // in the log. On a replicated shard the ack barrier also waits for the
-    // follower to cover THIS mutation's seq, which needs it committed.
-    o.group_commit = 1;
-  }
+  // In-memory stores reject durability knobs (nothing to checkpoint).
+  if (options_.in_memory) o.checkpoint_every = 0;
   return o;
 }
 

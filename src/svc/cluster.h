@@ -10,8 +10,8 @@
 // streams every committed WAL record to it (svc/replication.h) and keyed
 // mutations are acked only once durable on BOTH replicas (sync mode) or
 // explicitly degraded-acked (solo primary). Replication requires a
-// durable cluster. Every durable node runs group_commit == 1, so each
-// mutation's ack waits on exactly its own commit.
+// durable cluster. A durable node's store commits each mutation before it
+// returns (db::Store), so an ack never leaves ahead of its WAL record.
 //
 // Failover: a manager thread pings every shard's primary each heartbeat
 // interval. After `heartbeat_misses` consecutive misses it promotes the
@@ -82,9 +82,7 @@ struct ClusterOptions {
   bool in_memory = true;
   /// Root directory for durable shards (ignored when in_memory).
   std::string dir;
-  /// Template for every node's store (per-node: path and seed differ;
-  /// durable clusters force group_commit == 1 so every acked write is
-  /// committed to the WAL before its ack leaves the shard).
+  /// Template for every node's store (per-node: path and seed differ).
   db::Options store_options;
   std::uint64_t map_version = 1;
   std::size_t dedup_capacity = 4096;

@@ -38,10 +38,10 @@ void BinaryWriter::write_vec_size(const std::vector<std::size_t>& v) {
   append(v.data(), v.size() * sizeof(std::size_t));
 }
 
-void BinaryWriter::patch_u64(std::size_t at, std::uint64_t v) {
-  if (at > buf_.size() || buf_.size() - at < sizeof v)
-    throw std::out_of_range("BinaryWriter::patch_u64 past the end");
-  std::memcpy(buf_.data() + at, &v, sizeof v);
+void BinaryWriter::patch(std::size_t at, const void* v, std::size_t len) {
+  if (at > buf_.size() || buf_.size() - at < len)
+    throw std::out_of_range("BinaryWriter::patch past the end");
+  std::memcpy(buf_.data() + at, v, len);
 }
 
 std::vector<std::uint8_t> BinaryWriter::release() {

@@ -72,9 +72,15 @@ class BinaryWriter {
   /// std::size_t vectors are widened to u64 on the wire.
   void write_vec_size(const std::vector<std::size_t>& v);
 
-  /// Overwrites the u64 at byte offset `at`, which an earlier write_u64
-  /// left there (a length prefix written before its payload was sized).
-  void patch_u64(std::size_t at, std::uint64_t v);
+  /// Overwrite the u32 / u64 at byte offset `at`, which an earlier write
+  /// of the same width left there (a count or length prefix written
+  /// before its payload was sized).
+  void patch_u32(std::size_t at, std::uint32_t v) { patch(at, &v, sizeof v); }
+  void patch_u64(std::size_t at, std::uint64_t v) { patch(at, &v, sizeof v); }
+  /// Drops every byte past the first `size` (none when it holds fewer).
+  void truncate(std::size_t size) {
+    if (size < buf_.size()) buf_.resize(size);
+  }
   /// Makes room for `more` bytes past the current end, so the writes that
   /// fill them do not reallocate.
   void reserve(std::size_t more) { buf_.reserve(buf_.size() + more); }
@@ -91,6 +97,7 @@ class BinaryWriter {
   /// inlined into its callers, std::vector's growth path draws false
   /// -Wstringop-overflow and -Warray-bounds warnings from GCC 12.
   void append(const void* data, std::size_t len);
+  void patch(std::size_t at, const void* v, std::size_t len);
 
   std::vector<std::uint8_t> buf_;
 };

@@ -1,7 +1,7 @@
 // A core::Journal that records every call the store makes on it, then
 // forwards the call to a persist::ShardedWal. The seam tests assert on the
 // call sequence; the crash sweep reads each insert's (shard, index) from
-// it, recorded before the WAL append, so an attempt whose append or group
+// it, recorded before the WAL append, so an attempt whose append or
 // commit crashes is still on file. Single-threaded use only: the call log
 // is unguarded.
 #pragma once

@@ -1,7 +1,7 @@
 // The Compactor's background slot under live traffic.
 //
 // A writer thread streams WAL-logged inserts through the db facade's write
-// path (append under the routed unit's lock, group commit after it is
+// path (append under the routed unit's lock, commit after it is
 // released) while DeltaEngine cuts run on the Compactor's background
 // thread and folds run on the test thread; the suite asserts the
 // paper-level contract — a checkpoint taken while a writer streams
@@ -62,7 +62,7 @@ struct BgRig {
           c.seed = 7;
           return c;
         }()),
-        wal(dir, units, /*group_commit=*/4),
+        wal(dir, units),
         engine(store, wal, dir) {
     store.build(trace.files());
     store.attach_journal(&wal);

@@ -208,7 +208,7 @@ TEST(MultiWriter, ShardedWalBackgroundCheckpointsRecoverEverything) {
   Deployment d(8, /*downscale=*/20);
   SmartStore& store = d.store;
 
-  ShardedWal wal(dir, store.units().size(), /*group_commit=*/4);
+  ShardedWal wal(dir, store.units().size());
   store.attach_journal(&wal);
   DeltaEngine engine(store, wal, dir);
   engine.fold();
@@ -277,7 +277,7 @@ TEST(MultiWriter, FiltersGrowFromEmptyUnderWritersReadersAndCheckpoints) {
   cfg.seed = 7;
   SmartStore store(cfg);
   store.build({});
-  ShardedWal wal(dir, store.units().size(), /*group_commit=*/4);
+  ShardedWal wal(dir, store.units().size());
   store.attach_journal(&wal);
   DeltaEngine engine(store, wal, dir);
   engine.fold();
@@ -341,7 +341,7 @@ TEST(MultiWriter, ReconfigurationRacesWritersThenFoldCapturesIt) {
   Deployment d(6, /*downscale=*/30);
   SmartStore& store = d.store;
 
-  ShardedWal wal(dir, store.units().size(), /*group_commit=*/4);
+  ShardedWal wal(dir, store.units().size());
   store.attach_journal(&wal);
   DeltaEngine engine(store, wal, dir);
   engine.fold();

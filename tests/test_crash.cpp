@@ -123,7 +123,7 @@ struct ShardedScenarioResult {
   bool tail_spliced = false;
 };
 
-/// WAL-logged inserts over per-unit shards (group commit 2), two delta
+/// WAL-logged inserts over per-unit shards (one commit each), two delta
 /// cuts growing a chain on the baseline fold's base image, a compaction
 /// fold over that chain, a fold stepped by hand with inserts in its
 /// frozen window and between its manifest publish and its rebase, a
@@ -150,10 +150,9 @@ ShardedScenarioResult run_delta_crash_scenario(const std::string& dir,
   res.base = unit_names(store);
 
   const auto stream = tr.make_insert_stream(22, 77);
-  auto wal = std::make_unique<ShardedWal>(dir, cfg.num_units,
-                                          /*group_commit=*/2);
+  auto wal = std::make_unique<ShardedWal>(dir, cfg.num_units);
   // The journal records each insert's (shard, index) BEFORE the log
-  // append: if the group commit behind it crashes, the attempt is on file
+  // append: if the commit behind it crashes, the attempt is on file
   // but never counted durable (committed_records stays behind it).
   RecordingJournal journal(*wal);
   store.attach_journal(&journal);
@@ -373,8 +372,7 @@ TEST(CrashOracle, RandomizedMutationsCrashesAndRecoveriesMatchOracle) {
   std::unique_ptr<ShardedWal> wal;
   std::unique_ptr<DeltaEngine> engine;
   auto open_durable = [&] {
-    wal = std::make_unique<ShardedWal>(dir, store->units().size(),
-                                       /*group_commit=*/3);
+    wal = std::make_unique<ShardedWal>(dir, store->units().size());
     store->attach_journal(wal.get());
     engine = std::make_unique<DeltaEngine>(*store, *wal, dir);
   };

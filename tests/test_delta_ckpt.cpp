@@ -3,9 +3,9 @@
 // pruning, the Compactor's budget policy — and the db::Store facade
 // wiring (Checkpoint-as-cut, Compact(), the DumpSnapshot bootstrap
 // payload on a durable store, typed I/O errors, the smartstore.ckpt.*
-// properties, adaptive group commit, and the cadence-counter coalescing
-// regression). The Compactor's background slot under live writer threads
-// is test_bg_checkpoint.
+// properties, the measured records per commit, and the cadence-counter
+// coalescing regression). The Compactor's background slot under live
+// writer threads is test_bg_checkpoint.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -56,7 +56,7 @@ std::set<std::string> store_names(const core::SmartStore& s) {
 /// with the WAL attached as the store's journal, as db::Store::Open does.
 struct EngineRig {
   explicit EngineRig(const std::filesystem::path& dir_in)
-      : dir(dir_in.string()), wal(dir, cfg().num_units, /*group_commit=*/2) {
+      : dir(dir_in.string()), wal(dir, cfg().num_units) {
     store.build({});
     store.attach_journal(&wal);
   }
@@ -354,27 +354,35 @@ TEST(DeltaDb, DumpSnapshotMatchesContents) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(DeltaDb, AdaptiveGroupCommitReportsEffectiveSize) {
-  const auto dir = temp_dir("db_adaptive");
-  db::Options o = small_options();
-  o.group_commit = 0;  // adaptive
-  auto store = open_or_die(o, dir.string());
+TEST(DeltaDb, GroupCommitEffectiveMeasuresRecordsPerCommit) {
+  // The property is a measurement: records per commit block since Open.
+  // A lone writer's Put commits its own record, so the blocks hold one.
+  const auto dir = temp_dir("db_effective");
+  auto store = open_or_die(small_options(), dir.string());
+  std::string v;
+  ASSERT_TRUE(store->GetProperty("smartstore.wal.group-commit.effective", &v));
+  EXPECT_EQ(v, "0");  // no commit yet
   for (std::uint64_t i = 0; i < 200; ++i)
     ASSERT_TRUE(store->Put(make_file(i)).ok());
-  std::string v;
-  ASSERT_TRUE(
-      store->GetProperty("smartstore.wal.group-commit.effective", &v));
-  const std::uint64_t effective = std::stoull(v);
-  EXPECT_GE(effective, 1u);
-  EXPECT_LE(effective, persist::ShardedWal::kMaxAdaptiveGroupCommit);
+  ASSERT_TRUE(store->GetProperty("smartstore.wal.group-commit.effective", &v));
+  EXPECT_EQ(v, "1");
   ASSERT_TRUE(store->Close().ok());
 
-  // Everything acked must survive reopen regardless of batch sizing.
-  auto reopened = open_or_die(o, dir.string());
+  auto reopened = open_or_die(small_options(), dir.string());
   ASSERT_TRUE(reopened->GetProperty("smartstore.total-files", &v));
   EXPECT_EQ(v, "200");
   ASSERT_TRUE(reopened->Close().ok());
   std::filesystem::remove_all(dir);
+
+  // Records logged before one commit share its block.
+  const auto wal_dir = temp_dir("wal_effective");
+  ShardedWal wal(wal_dir.string(), 1);
+  for (std::uint64_t i = 0; i < 3; ++i) wal.log_insert(0, make_file(i), i + 1);
+  EXPECT_EQ(wal.records_per_commit(), 0u);
+  wal.commit(0);
+  EXPECT_EQ(wal.records_per_commit(), 3u);
+  EXPECT_EQ(wal.committed_records(0), 3u);
+  std::filesystem::remove_all(wal_dir);
 }
 
 // Regression for the cadence-counter thundering herd: note_mutations used

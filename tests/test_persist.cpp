@@ -1,6 +1,6 @@
 // The crash-consistent persistence layer: binary io bounds checking, CRC32
 // vectors, snapshot round-trip fidelity (identical query results on an
-// HP-profile deployment), corruption detection, WAL group commit, torn-tail
+// HP-profile deployment), corruption detection, WAL commit blocks, torn-tail
 // recovery to the last commit boundary, and the checkpoint/recover protocol
 // (a base fold plus the sharded WAL tail).
 #include <gtest/gtest.h>
@@ -972,14 +972,30 @@ TEST(Persist, AtomicWriteToAFullDeviceThrowsAndPublishesNothing) {
 
 // ---- WAL --------------------------------------------------------------------
 
-/// One record through the shard log the way the store's journal calls
-/// drive it: the log, then the group-commit trigger.
-void log_record(ShardedWal& wal, std::size_t shard, const WalRecord& rec) {
+/// Logs one record to the shard, with no commit.
+void log_only(ShardedWal& wal, std::size_t shard, const WalRecord& rec) {
   if (rec.type == WalRecordType::kInsert) {
     wal.log_insert(shard, rec.file, rec.seq);
   } else {
     wal.log_remove(shard, rec.name, rec.seq);
   }
+}
+
+/// One record through the shard log the way the store's journal calls
+/// drive it: the log, then the commit. Each call writes one block.
+void log_record(ShardedWal& wal, std::size_t shard, const WalRecord& rec) {
+  log_only(wal, shard, rec);
+  wal.commit(shard);
+}
+
+/// Inserts stream[begin, end) under seqs begin+1.. as ONE commit block:
+/// every record logged, then one commit — the block a commit writes when
+/// writers logged while it waited.
+void log_block(ShardedWal& wal, std::size_t shard,
+               const std::vector<FileMetadata>& stream, std::size_t begin,
+               std::size_t end) {
+  for (std::size_t i = begin; i < end; ++i)
+    log_only(wal, shard, WalRecord::insert(stream[i], i + 1));
   wal.commit(shard);
 }
 
@@ -990,10 +1006,12 @@ TEST(Wal, GroupCommitBatchesRecords) {
   const auto stream = tr.make_insert_stream(10, 5);
 
   {
-    ShardedWal wal(dir, 1, /*group_commit=*/4);
-    for (std::size_t i = 0; i < stream.size(); ++i)
-      log_record(wal, 0, WalRecord::insert(stream[i], i + 1));
-    // 10 records at batch 4: blocks of 4+4 committed, 2 still pending.
+    ShardedWal wal(dir, 1);
+    log_block(wal, 0, stream, 0, 4);
+    log_block(wal, 0, stream, 4, 8);
+    for (std::size_t i = 8; i < stream.size(); ++i)
+      log_only(wal, 0, WalRecord::insert(stream[i], i + 1));
+    // Blocks of 4+4 committed, 2 still pending.
     EXPECT_EQ(wal.committed_records(0), 8u);
     EXPECT_EQ(wal.pending_records(0), 2u);
   }  // the shard writer's destructor commits the tail batch
@@ -1010,10 +1028,46 @@ TEST(Wal, GroupCommitBatchesRecords) {
   }
 }
 
+TEST(Wal, WriterBlockBytesArePinned) {
+  // A log written through WalWriter alone: two commit blocks of inserts
+  // and removes. The bytes past the 16-byte log header (whose generation
+  // is drawn at random) are pinned, so a change to how commit frames a
+  // block cannot move a byte unnoticed.
+  const std::string path = temp_dir("wal_pinned") + "/0.log";
+  auto file = [](std::uint64_t id) {
+    FileMetadata f;
+    f.id = id;
+    f.name = "dir/file_" + std::to_string(id) + ".dat";
+    for (std::size_t a = 0; a < metadata::kNumAttrs; ++a)
+      f.attrs[a] = static_cast<double>(id * 31 + a * 7) / 3.0;
+    return f;
+  };
+  {
+    WalWriter wal(path);
+    wal.append(WalRecord::insert(file(1), 1));
+    wal.append(WalRecord::insert(file(2), 2));
+    wal.append(WalRecord::remove(file(1).name, 3));
+    wal.commit();
+    wal.append(WalRecord::remove("dir/absent", 4));
+    wal.append(WalRecord::insert(file(3), 5));
+    wal.commit();
+    EXPECT_EQ(wal.committed_records(), 5u);
+    EXPECT_EQ(wal.committed_bytes(), 483u);
+  }
+  const auto bytes = util::read_file_bytes(path);
+  ASSERT_EQ(bytes.size(), 483u);
+  EXPECT_EQ(bloom::md5(bytes.data() + 16, bytes.size() - 16).hex(),
+            "081d1f03a283f7aa35cd4101d0c343f6");
+  const WalScan scan = scan_wal(path);
+  EXPECT_FALSE(scan.torn_tail);
+  EXPECT_EQ(scan.blocks, 2u);
+  EXPECT_EQ(scan.records.size(), 5u);
+}
+
 TEST(Wal, RemoveRecordsRoundTrip) {
   const std::string dir = temp_dir("wal_remove");
   {
-    ShardedWal wal(dir, 1, /*group_commit=*/2);
+    ShardedWal wal(dir, 1);
     log_record(wal, 0, WalRecord::remove("some/file.txt", 1));
     log_record(wal, 0, WalRecord::remove("other/file.bin", 2));
   }
@@ -1032,9 +1086,9 @@ TEST(Wal, TornTailRecoversToLastCommitBoundary) {
   const auto stream = tr.make_insert_stream(12, 5);
 
   {
-    ShardedWal wal(dir, 1, /*group_commit=*/4);
-    for (std::size_t i = 0; i < stream.size(); ++i)
-      log_record(wal, 0, WalRecord::insert(stream[i], i + 1));
+    ShardedWal wal(dir, 1);
+    for (std::size_t b = 0; b < stream.size(); b += 4)
+      log_block(wal, 0, stream, b, b + 4);
   }  // 3 complete blocks of 4
 
   // Crash mid-append: chop into the last block's payload.
@@ -1044,7 +1098,7 @@ TEST(Wal, TornTailRecoversToLastCommitBoundary) {
   const WalScan scan = scan_wal(path);
   EXPECT_TRUE(scan.torn_tail);
   EXPECT_EQ(scan.blocks, 2u);
-  EXPECT_EQ(scan.records.size(), 8u);  // the last group commit is the cutoff
+  EXPECT_EQ(scan.records.size(), 8u);  // the last commit is the cutoff
 
   // Reopening for append truncates the tear; new records land after the
   // valid prefix and the log scans clean again.
@@ -1070,9 +1124,9 @@ TEST(Wal, CorruptedBlockChecksumStopsScan) {
       trace::msn_profile(), 1, 42, /*downscale=*/50);
   const auto stream = tr.make_insert_stream(8, 5);
   {
-    ShardedWal wal(dir, 1, /*group_commit=*/4);
-    for (std::size_t i = 0; i < stream.size(); ++i)
-      log_record(wal, 0, WalRecord::insert(stream[i], i + 1));
+    ShardedWal wal(dir, 1);
+    log_block(wal, 0, stream, 0, 4);
+    log_block(wal, 0, stream, 4, 8);
   }
   auto bytes = util::read_file_bytes(path);
   bytes[bytes.size() - 10] ^= 0x01;  // corrupt the second block's payload
@@ -1126,9 +1180,8 @@ TEST(Wal, RetiredStructuralRecordEndsTheValidLog) {
       trace::msn_profile(), 1, 42, /*downscale=*/50);
   const auto stream = tr.make_insert_stream(6, 5);
   {
-    ShardedWal wal(dir, 1, /*group_commit=*/3);
-    for (std::size_t i = 0; i < 3; ++i)
-      log_record(wal, 0, WalRecord::insert(stream[i], i + 1));
+    ShardedWal wal(dir, 1);
+    log_block(wal, 0, stream, 0, 3);
   }
   auto bytes = util::read_file_bytes(path);
   const std::size_t prefix = bytes.size();
@@ -1147,9 +1200,10 @@ TEST(Wal, RetiredStructuralRecordEndsTheValidLog) {
   // without its 16-byte header.
   const std::string other = temp_dir("wal_retired_tail");
   {
-    ShardedWal wal(other, 1, /*group_commit=*/3);
+    ShardedWal wal(other, 1);
     for (std::size_t i = 3; i < 6; ++i)
-      log_record(wal, 0, WalRecord::insert(stream[i], /*seq=*/2 + i));
+      log_only(wal, 0, WalRecord::insert(stream[i], /*seq=*/2 + i));
+    wal.commit(0);
   }
   const auto tail = util::read_file_bytes(ShardedWal::shard_path(other, 0));
   ASSERT_GT(tail.size(), 16u);
@@ -1262,7 +1316,7 @@ TEST(Wal, RecordsTheSeqItIsGiven) {
   // seq it scans back with — also after a reopen.
   const std::string dir = temp_dir("wal_given_seq");
   {
-    ShardedWal wal(dir, 2, /*group_commit=*/1);
+    ShardedWal wal(dir, 2);
     log_record(wal, 0, WalRecord::remove("a", 1));
     log_record(wal, 1, WalRecord::remove("b", 2));
     log_record(wal, 1, WalRecord::remove("c", 10));
@@ -1270,7 +1324,7 @@ TEST(Wal, RecordsTheSeqItIsGiven) {
     log_record(wal, 0, WalRecord::remove("e", 4));
   }
   {
-    ShardedWal reopened(dir, 2, /*group_commit=*/1);
+    ShardedWal reopened(dir, 2);
     log_record(reopened, 1, WalRecord::remove("f", 3));
   }
   const WalScan s0 = scan_wal(ShardedWal::shard_path(dir, 0));
@@ -1362,7 +1416,7 @@ TEST(Wal, CommitToAFullDeviceIsNotAcknowledged) {
 /// published the base image.
 struct Durable {
   Durable(const std::string& dir_in, const trace::SyntheticTrace& tr,
-          std::size_t units, std::size_t group_commit)
+          std::size_t units)
       : dir(dir_in),
         store([&] {
           Config cfg;
@@ -1371,7 +1425,7 @@ struct Durable {
           cfg.seed = 7;
           return cfg;
         }()),
-        wal(dir, units, group_commit),
+        wal(dir, units),
         engine(store, wal, dir) {
     store.build(tr.files());
     store.attach_journal(&wal);
@@ -1391,7 +1445,7 @@ TEST(Recovery, CheckpointPlusWalTailRestoresAllCommittedMutations) {
   const std::string dir = temp_dir("recover");
   trace::SyntheticTrace tr = trace::SyntheticTrace::generate(
       trace::hp_profile(), 1, 42, /*downscale=*/20);
-  Durable d(dir, tr, 10, 4);
+  Durable d(dir, tr, 10);
 
   // Post-checkpoint mutations, write-ahead logged as they apply.
   for (const auto& f : tr.make_insert_stream(9, 77)) d.insert(f);
@@ -1413,15 +1467,15 @@ TEST(Recovery, TornShardTailRollsBackToItsCommitBoundary) {
   const std::string dir = temp_dir("recover_torn");
   trace::SyntheticTrace tr = trace::SyntheticTrace::generate(
       trace::hp_profile(), 1, 42, /*downscale=*/20);
-  Durable d(dir, tr, 10, 4);
+  Durable d(dir, tr, 10);
   const std::size_t base_files = d.store.total_files();
 
-  // Eight logged inserts in one shard: two group-commit blocks of four.
+  // Eight logged inserts in one shard: two commit blocks of four.
   // (Replay routes each record itself; the shard is only its log.)
   const auto stream = tr.make_insert_stream(8, 77);
-  for (std::size_t i = 0; i < stream.size(); ++i)
-    log_record(d.wal, 0, WalRecord::insert(stream[i], i + 1));
-  // Tear into the second block: only the first group commit must survive.
+  log_block(d.wal, 0, stream, 0, 4);
+  log_block(d.wal, 0, stream, 4, 8);
+  // Tear into the second block: only the first commit block must survive.
   const std::string shard = ShardedWal::shard_path(dir, 0);
   std::filesystem::resize_file(shard, std::filesystem::file_size(shard) - 9);
 
@@ -1437,11 +1491,30 @@ TEST(Recovery, TornShardTailRollsBackToItsCommitBoundary) {
     EXPECT_FALSE(got.count(stream[i].name)) << stream[i].name;
 }
 
+TEST(Recovery, RecoveredCoreServes) {
+  // recover() switches its core to serving before any replay, so the core
+  // it returns runs no virtual-time simulator: its ops report no time.
+  const std::string dir = temp_dir("recover_serves");
+  trace::SyntheticTrace tr = trace::SyntheticTrace::generate(
+      trace::msn_profile(), 1, 42, /*downscale=*/50);
+  Durable d(dir, tr, 6);
+  const auto stream = tr.make_insert_stream(5, 3);
+  for (const auto& f : stream) d.insert(f);
+
+  const RecoveryResult rec = recover(dir);
+  EXPECT_EQ(rec.wal_records, stream.size());
+  const core::PointResult r =
+      rec.store->point_query({stream[0].name}, Routing::kOnline, 0.0);
+  EXPECT_TRUE(r.found);
+  EXPECT_GT(r.stats.messages, 0u);
+  EXPECT_EQ(r.stats.latency_s, 0.0);
+}
+
 TEST(Recovery, CutRebasesTheWalItSubsumes) {
   const std::string dir = temp_dir("checkpoint");
   trace::SyntheticTrace tr = trace::SyntheticTrace::generate(
       trace::msn_profile(), 1, 42, /*downscale=*/50);
-  Durable d(dir, tr, 6, 2);
+  Durable d(dir, tr, 6);
 
   for (const auto& f : tr.make_insert_stream(4, 3)) d.insert(f);
   d.engine.cut();
@@ -1461,7 +1534,7 @@ TEST(Recovery, CrashBetweenManifestAndRebaseReplaysNothingTwice) {
   const std::string dir = temp_dir("ckpt_crash");
   trace::SyntheticTrace tr = trace::SyntheticTrace::generate(
       trace::msn_profile(), 1, 42, /*downscale=*/50);
-  Durable d(dir, tr, 6, 1);
+  Durable d(dir, tr, 6);
   for (const auto& f : tr.make_insert_stream(5, 3)) d.insert(f);
 
   // Simulate the crash: preserve the pre-cut logs, cut (segments +
@@ -1502,7 +1575,7 @@ struct Seam {
           cfg.seed = 7;
           return cfg;
         }()),
-        wal(dir, 6, /*group_commit=*/2),
+        wal(dir, 6),
         journal(wal) {
     store.build(tr.files());
     store.attach_journal(&journal);

@@ -536,46 +536,39 @@ TEST(Svc, ScatterGatherMatchesSingleStore) {
 // ---- crash / recover --------------------------------------------------------
 
 TEST(Svc, CrashRecoverLosesNoAckedWrite) {
-  // Whatever group commit the store template asks for — the adaptive
-  // default, or a static batch that would leave acked records pending in
-  // the log — a durable shard acks only committed writes.
-  for (const std::size_t group_commit : {0, 4, 64}) {
-    SCOPED_TRACE("group_commit " + std::to_string(group_commit));
-    const auto dir =
-        temp_dir(("crash_gc" + std::to_string(group_commit)).c_str());
-    svc::ClusterOptions co;
-    co.num_shards = 2;
-    co.in_memory = false;
-    co.dir = dir.string();
-    co.store_options = small_store_options();
-    co.store_options.group_commit = group_commit;
-    auto cluster = start_or_die(co);
-    svc::Router router = make_router(*cluster, 1, 32);
+  // A durable shard acks only committed writes.
+  const auto dir = temp_dir("crash");
+  svc::ClusterOptions co;
+  co.num_shards = 2;
+  co.in_memory = false;
+  co.dir = dir.string();
+  co.store_options = small_store_options();
+  auto cluster = start_or_die(co);
+  svc::Router router = make_router(*cluster, 1, 32);
 
-    constexpr std::uint64_t kAcked = 40;
-    for (std::uint64_t id = 0; id < kAcked; ++id) {
-      ASSERT_TRUE(router.Put(make_file(id)).ok());
-    }
-
-    // Power-cut BOTH shards, then recover them.
-    ASSERT_TRUE(cluster->Crash(0).ok());
-    ASSERT_TRUE(cluster->Crash(1).ok());
-    {
-      auto r = router.Point(trace_name(0));
-      EXPECT_FALSE(r.ok()) << "a crashed cluster must not answer";
-    }
-    ASSERT_TRUE(cluster->Restart(0).ok());
-    ASSERT_TRUE(cluster->Restart(1).ok());
-
-    // The no-lost-acked-write theorem: every acked put survived.
-    for (std::uint64_t id = 0; id < kAcked; ++id) {
-      auto r = router.Point(trace_name(id));
-      ASSERT_TRUE(r.ok()) << r.status().ToString();
-      EXPECT_TRUE(r->found) << trace_name(id) << " lost in the crash";
-      EXPECT_EQ(r->id, id);
-    }
-    std::filesystem::remove_all(dir);
+  constexpr std::uint64_t kAcked = 40;
+  for (std::uint64_t id = 0; id < kAcked; ++id) {
+    ASSERT_TRUE(router.Put(make_file(id)).ok());
   }
+
+  // Power-cut BOTH shards, then recover them.
+  ASSERT_TRUE(cluster->Crash(0).ok());
+  ASSERT_TRUE(cluster->Crash(1).ok());
+  {
+    auto r = router.Point(trace_name(0));
+    EXPECT_FALSE(r.ok()) << "a crashed cluster must not answer";
+  }
+  ASSERT_TRUE(cluster->Restart(0).ok());
+  ASSERT_TRUE(cluster->Restart(1).ok());
+
+  // The no-lost-acked-write theorem: every acked put survived.
+  for (std::uint64_t id = 0; id < kAcked; ++id) {
+    auto r = router.Point(trace_name(id));
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_TRUE(r->found) << trace_name(id) << " lost in the crash";
+    EXPECT_EQ(r->id, id);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Svc, WritesRideOutACrashRestartWindow) {
