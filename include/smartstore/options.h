@@ -8,8 +8,9 @@
 // durability path: every mutation is logged to the sharded WAL
 // (<path>/wal/<unit>.log, one log per storage unit — writers routed to
 // different units commit and fsync independently) and committed before
-// it is acknowledged, and every checkpoint is a delta cut or fold under
-// <path>/ckpt/. No option trades that durability for speed.
+// it is acknowledged, and a checkpoint folds the log into a base image
+// under <path>/ckpt/ once the log has grown to the base's size. No option
+// trades that durability for speed.
 #pragma once
 
 #include <cstddef>
@@ -45,24 +46,15 @@ struct Options {
   bool in_memory = false;
 
   // ---- checkpoints -------------------------------------------------------
-  /// Background-checkpoint cadence: every N acknowledged mutations, take
-  /// a delta CUT on a background thread, concurrent with serving — slice
-  /// each storage unit's WAL shard since the last cut into an append-only
-  /// segment file under <path>/ckpt/, publish a manifest chaining the cut
-  /// onto the base image, and rebase the shards. Cold units contribute
-  /// nothing; a wholly cold store cuts for free. Recovery loads base +
-  /// delta chain + WAL tail. 0 = checkpoint only on explicit Checkpoint()
-  /// calls. Requires a durable store.
+  /// Background-checkpoint cadence: every N acknowledged mutations, run
+  /// one checkpoint on a background thread, concurrent with serving. The
+  /// WAL is the delta: a checkpoint folds the deployment into a fresh base
+  /// image under <path>/ckpt/ (epoch freeze + copy-on-write) when there is
+  /// no base yet or when the shards hold at least as many records logged
+  /// since the base as the base holds, and writes nothing otherwise.
+  /// Recovery loads the base and replays the WAL tail. 0 = checkpoint only
+  /// on explicit Checkpoint() calls. Requires a durable store.
   std::size_t checkpoint_every = 0;
-
-  /// After a cut, fold the delta chain into a fresh base image (epoch
-  /// freeze + copy-on-write, concurrent with serving) once it exceeds this
-  /// many cuts. 0 = never by length.
-  std::size_t compaction_trigger = 4;
-
-  /// ...or once the chain's segment extents exceed this many bytes.
-  /// 0 = never by bytes. Both 0 = compact only on explicit Compact().
-  std::uint64_t compaction_byte_budget = 64ull << 20;
 };
 
 }  // namespace smartstore::db

@@ -2,7 +2,7 @@
 // SmartStore metadata system.
 //
 // One Open() composes the loose parts of the lower layers: it constructs
-// or recovers the core store (checkpoint base + delta chain, then the
+// or recovers the core store (checkpoint base image, then the
 // sequence-merged WAL-shard tail), takes an exclusive LOCK file against a
 // second process opening the same data directory, attaches the per-unit
 // WAL shards as the core's journal, and arms the background checkpoint
@@ -65,8 +65,11 @@ struct RecoveryInfo {
   bool used_manifest = false;    ///< a checkpoint manifest was loaded
                                  ///< (false: WAL replay onto an empty
                                  ///< build, no checkpoint yet)
-  std::size_t delta_cuts = 0;    ///< chain links applied under it
-  std::size_t delta_records = 0; ///< delta records applied before the tail
+  /// Always 0: the WAL is the delta, so no cut chain is applied before
+  /// the tail (every logged record counts in wal_records). Kept because
+  /// perfbench's ingest_durable workload reads them.
+  std::size_t delta_cuts = 0;
+  std::size_t delta_records = 0;
 };
 
 /// Average per-storage-unit space breakdown (see GetSpaceInfo).
@@ -109,26 +112,24 @@ struct ReadOptions {
       static_cast<std::uint64_t>(-1);
 };
 
-/// Checkpoint accounting since Open (see GetCheckpointInfo). Every
-/// checkpoint is a delta cut or a fold; the totals count both.
+/// Checkpoint accounting since Open (see GetCheckpointInfo). A
+/// checkpoint either folds or writes nothing; the last_* figures describe
+/// the last one that completed (all 0 when it wrote nothing).
 struct CheckpointInfo {
-  std::uint64_t completed = 0;  ///< cuts (no-ops included) + folds
+  /// Checkpoints (those that wrote nothing included) + Compact() folds.
+  std::uint64_t completed = 0;
   /// Mutations that rode along with a fold's frozen view, summed.
   std::uint64_t total_mutations_during = 0;
-  /// Pieces folds copied on write, summed (cuts never freeze).
+  /// Pieces folds copied on write, summed.
   std::uint64_t total_cow_copies = 0;
   double last_freeze_s = 0;    ///< serving threads excluded
-  double last_write_s = 0;     ///< segments or base image + manifest
+  double last_write_s = 0;     ///< base image + manifest
   double last_truncate_s = 0;  ///< per-shard WAL rebase
-  std::size_t last_snapshot_bytes = 0;  ///< base image or delta bytes
-  bool last_was_delta = false;      ///< last checkpoint was a delta cut
-  std::uint64_t delta_cuts = 0;     ///< cuts published since Open
-  std::uint64_t delta_folds = 0;    ///< chain folds (compactions) since Open
-  std::uint64_t delta_chain_len = 0;    ///< cuts chained on the current base
-  std::uint64_t delta_chain_bytes = 0;  ///< segment bytes in that chain
-  std::uint64_t last_delta_records = 0;  ///< records the last cut captured
-  std::uint64_t last_delta_units = 0;    ///< units contributing an extent
-  std::uint64_t last_delta_units_cold = 0;  ///< fenced units with nothing new
+  std::size_t last_snapshot_bytes = 0;  ///< base image bytes
+  /// Always 0: there are no delta cuts (the WAL is the delta). Kept
+  /// because perfbench's ingest_durable workload reads it.
+  std::uint64_t delta_cuts = 0;
+  std::uint64_t delta_folds = 0;  ///< folds since Open
 };
 
 /// One record of the replication stream: a committed insert or remove
@@ -158,9 +159,10 @@ class Store {
   ///   kFailedPrecondition  the directory holds a layout of earlier
   ///                     builds: a bare snapshot.bin or wal.bin (the
   ///                     pre-manifest single-log layout) and no
-  ///                     ckpt/MANIFEST, or a manifest whose base is an
-  ///                     adopted snapshot.bin (base kind 1); there is no
-  ///                     importer
+  ///                     ckpt/MANIFEST, a manifest whose base is an
+  ///                     adopted snapshot.bin (base kind 1), or a
+  ///                     manifest chaining delta cuts (a non-zero cut
+  ///                     count); there is no importer
   ///   kFaultInjected    a fault point armed by persist::fault_arm fired
   ///   kUnknown          any other failure
   static StatusOr<std::unique_ptr<Store>> Open(const Options& options,
@@ -230,17 +232,19 @@ class Store {
   Status Flush();
 
   /// Checkpoints the deployment into the data directory, concurrent with
-  /// serving threads: a delta CUT (per-unit WAL slices appended to segment
-  /// files, manifest published, shards rebased; cold units free) — the
-  /// first checkpoint of a fresh store is a fold — followed by a fold
-  /// when the cut leaves the chain over Options::compaction_trigger /
-  /// compaction_byte_budget. The same action the background cadence runs.
+  /// serving threads. The WAL is the delta, so a checkpoint folds (a
+  /// fresh base image, manifest published, shards rebased) when there is
+  /// no base yet or when the shards hold at least as many records logged
+  /// since the base as the base holds, and writes nothing otherwise. The
+  /// same action the background cadence runs. A background checkpoint's
+  /// failure that no caller could be told of is returned here first.
   Status Checkpoint();
 
-  /// Folds the delta chain into a fresh base image, concurrent with
-  /// serving (epoch freeze + copy-on-write), and prunes superseded delta
-  /// files. Runs even when the chain is short — this is the explicit
-  /// "compact now" knob.
+  /// Folds the WAL tail into a fresh base image however short it is,
+  /// concurrent with serving (epoch freeze + copy-on-write), and prunes
+  /// the superseded base — the explicit "compact now" call. Like
+  /// Checkpoint(), it returns a background checkpoint's untold failure
+  /// first.
   Status Compact();
 
   // ---- replication -------------------------------------------------------
@@ -303,7 +307,8 @@ class Store {
   // ---- lifecycle ---------------------------------------------------------
 
   /// Waits out in-flight operations and the background checkpoint,
-  /// commits the WAL shards, releases the LOCK file. Idempotent.
+  /// commits the WAL shards, releases the LOCK file. Returns a
+  /// background checkpoint failure no earlier call returned. Idempotent.
   /// Every operation after Close returns kFailedPrecondition.
   Status Close();
 

@@ -19,9 +19,10 @@
 #                       of the service tier at 1/2/4/8 shards
 #                       (bench_cluster, concurrent routed clients over
 #                       the in-process transport).
-#   BENCH_scale.json    incremental-checkpoint scale tier (bench_scale):
-#                       delta vs full-image checkpoint bytes at 1% churn,
-#                       recovery time, ingest-during-fold degradation.
+#   BENCH_scale.json    checkpoint scale tier (bench_scale): bytes a
+#                       Checkpoint() writes after 1% churn (0: the WAL is
+#                       the delta) vs a full-image fold, recovery time,
+#                       ingest-during-fold degradation.
 #   BENCH_trajectory.json
 #                       all of the above merged into one document keyed
 #                       by suite, stamped with the git commit — the

@@ -12,8 +12,9 @@
 // a deployment lives in ONE directory), Open() recovers whatever
 // checkpoint (ckpt/) + WAL shards (wal/) it finds there, --churn N inserts
 // ride the sharded WAL (each one durable before the next is applied), and
-// --bg-checkpoint N sets the background-checkpoint cadence (a delta cut
-// every N acknowledged mutations, concurrent with the insert stream).
+// --bg-checkpoint N sets the background-checkpoint cadence (one
+// checkpoint every N acknowledged mutations, concurrent with the insert
+// stream; it folds a fresh base once the WAL tail is the base's size).
 // --crash-at K arms the K-th persistence write boundary
 // (persist::fault_arm) to simulate a power cut (exit 3); recover by
 // re-running with --load.
@@ -61,9 +62,7 @@ struct CliOptions {
   std::string load_dir;
   std::string wal_dir;
   std::size_t bg_checkpoint = 0;  ///< checkpoint every N churn inserts
-  std::size_t compaction_trigger = 4;       ///< fold past N chained cuts
-  std::uint64_t compaction_bytes = 64ull << 20;  ///< ...or N delta bytes
-  bool compact = false;           ///< fold the delta chain before querying
+  bool compact = false;           ///< fold the WAL tail before querying
   std::size_t crash_at = 0;       ///< fault-injection point to die at
   bool time_travel = false;       ///< --query-as-of given
   std::uint64_t as_of_seq = 0;    ///< commit seq the query batches scan at
@@ -97,7 +96,8 @@ void usage(const char* argv0) {
       "  --seed S                   rng seed (default 42)\n"
       "  --churn N                  insert N extra files before querying\n"
       "  --save DIR                 checkpoint the deployment into DIR\n"
-      "                             (base image + delta chain in DIR/ckpt/)\n"
+      "                             (base image in DIR/ckpt/, the records\n"
+      "                             logged since it in DIR/wal/)\n"
       "  --load DIR                 restore DIR's checkpoint (+ WAL replay)\n"
       "                             instead of building; trace flags must\n"
       "                             match the saved deployment's\n"
@@ -105,16 +105,13 @@ void usage(const char* argv0) {
       "                             without a final checkpoint: churn\n"
       "                             inserts are write-ahead logged, one\n"
       "                             log per unit in DIR/wal/\n"
-      "  --bg-checkpoint N          take a delta cut in the background\n"
-      "                             every N churn inserts while inserting\n"
-      "                             continues (requires --save)\n"
-      "  --compaction-trigger N     fold the delta chain into a fresh base\n"
-      "                             past N chained cuts (default 4; 0 =\n"
-      "                             never by length)\n"
-      "  --compaction-bytes N       ...or past N chained delta bytes\n"
-      "                             (default 64 MiB; 0 = never by bytes)\n"
-      "  --compact                  fold the whole delta chain into a\n"
-      "                             fresh base image after the churn phase\n"
+      "  --bg-checkpoint N          checkpoint in the background every N\n"
+      "                             churn inserts while inserting continues;\n"
+      "                             a checkpoint folds a fresh base image\n"
+      "                             once the WAL holds as many records as\n"
+      "                             the base (requires --save)\n"
+      "  --compact                  fold the WAL tail into a fresh base\n"
+      "                             image after the churn phase\n"
       "  --crash-at K               kill the K-th persistence write boundary\n"
       "                             (exit 3); recover with --load afterwards\n"
       "  --query-as-of SEQ          time travel: run the query batches as\n"
@@ -232,10 +229,6 @@ CliOptions parse_args(int argc, char** argv) {
       opt.wal_dir = need_value(i++);
     } else if (a == "--bg-checkpoint") {
       opt.bg_checkpoint = parse_size(i++);
-    } else if (a == "--compaction-trigger") {
-      opt.compaction_trigger = parse_size(i++);
-    } else if (a == "--compaction-bytes") {
-      opt.compaction_bytes = parse_size(i++);
     } else if (a == "--compact") {
       opt.compact = true;
     } else if (a == "--crash-at") {
@@ -399,8 +392,6 @@ int main(int argc, char** argv) {
   options.seed = opt.seed;
   options.routing = opt.routing;
   options.checkpoint_every = opt.bg_checkpoint;
-  options.compaction_trigger = opt.compaction_trigger;
-  options.compaction_byte_budget = opt.compaction_bytes;
 
   std::string dir = !opt.load_dir.empty() ? opt.load_dir : opt.save_dir;
   if (dir.empty()) dir = opt.wal_dir;
@@ -418,11 +409,10 @@ int main(int argc, char** argv) {
   const db::RecoveryInfo& rec = store->recovery_info();
   if (rec.recovered) {
     if (rec.used_manifest) {
-      std::printf("restored : checkpoint (base + %zu cuts, %zu delta "
-                  "records), %zu WAL records replayed "
-                  "(%zu blocks, %zu fenced, %zu shards)%s\n",
-                  rec.delta_cuts, rec.delta_records, rec.wal_records,
-                  rec.wal_blocks, rec.wal_fenced, rec.wal_shards,
+      std::printf("restored : checkpoint (base image), %zu WAL records "
+                  "replayed (%zu blocks, %zu fenced, %zu shards)%s\n",
+                  rec.wal_records, rec.wal_blocks, rec.wal_fenced,
+                  rec.wal_shards,
                   rec.wal_tail_torn ? ", torn tail dropped" : "");
     } else {
       std::printf("restored : no checkpoint yet, %zu WAL records replayed "
@@ -463,27 +453,22 @@ int main(int argc, char** argv) {
     if (opt.bg_checkpoint > 0) {
       const db::CheckpointInfo ck = store->GetCheckpointInfo();
       if (ck.completed > 0) {
+        char last[160] = "wrote nothing (the tail stays in the WAL)";
+        if (ck.last_snapshot_bytes > 0) {
+          std::snprintf(last, sizeof(last),
+                        "folded: freeze %.1f ms, write %.1f ms, truncate "
+                        "%.1f ms, %s",
+                        ck.last_freeze_s * 1e3, ck.last_write_s * 1e3,
+                        ck.last_truncate_s * 1e3,
+                        util::format_bytes(ck.last_snapshot_bytes).c_str());
+        }
         std::printf(
-            "bg ckpt  : %llu checkpoints, cuts and folds (%llu mutations rode "
-            "along with folds, %llu COW copies); last: freeze %.1f ms, "
-            "write %.1f ms, truncate %.1f ms, %s\n",
+            "bg ckpt  : %llu checkpoints, %llu of them folds (%llu mutations "
+            "rode along with folds, %llu COW copies); last %s\n",
             static_cast<unsigned long long>(ck.completed),
-            static_cast<unsigned long long>(ck.total_mutations_during),
-            static_cast<unsigned long long>(ck.total_cow_copies),
-            ck.last_freeze_s * 1e3, ck.last_write_s * 1e3,
-            ck.last_truncate_s * 1e3,
-            util::format_bytes(ck.last_snapshot_bytes).c_str());
-      }
-      if (ck.delta_cuts > 0 || ck.delta_folds > 0) {
-        std::printf(
-            "delta    : %llu cuts, %llu folds; chain %llu cuts / %s "
-            "(total delta written %s)\n",
-            static_cast<unsigned long long>(ck.delta_cuts),
             static_cast<unsigned long long>(ck.delta_folds),
-            static_cast<unsigned long long>(ck.delta_chain_len),
-            util::format_bytes(static_cast<std::size_t>(ck.delta_chain_bytes))
-                .c_str(),
-            property(*store, "smartstore.ckpt.delta-total-bytes").c_str());
+            static_cast<unsigned long long>(ck.total_mutations_during),
+            static_cast<unsigned long long>(ck.total_cow_copies), last);
       }
     }
   }
@@ -491,28 +476,27 @@ int main(int argc, char** argv) {
   if (opt.compact && !options.in_memory) {
     db::Status comp = store->Compact();
     if (!comp.ok()) die(comp, opt.crash_at);
-    std::printf("compact  : delta chain folded into a fresh base image\n");
+    std::printf("compact  : WAL tail folded into a fresh base image\n");
   }
 
   if (!opt.save_dir.empty()) {
-    // Checkpoint() runs to completion: a delta cut onto the current base
-    // (a no-op when nothing changed since the last checkpoint).
+    // Checkpoint() runs to completion: a fold when the WAL tail has grown
+    // to the base's size, nothing otherwise (the tail stays in DIR/wal/).
+    const std::uint64_t folds = store->GetCheckpointInfo().delta_folds;
     db::Status cs = store->Checkpoint();
     if (!cs.ok()) die(cs, opt.crash_at);
-    const db::CheckpointInfo fin = store->GetCheckpointInfo();
+    const bool folded = store->GetCheckpointInfo().delta_folds > folds;
     std::printf(
-        "snapshot : checkpoint in %s/ckpt (base %s + chain %llu cuts / %s, "
-        "last cut %llu records)\n",
+        "snapshot : checkpoint in %s/ckpt (base %s%s, %s WAL records past "
+        "it)\n",
         opt.save_dir.c_str(),
         util::format_bytes(static_cast<std::size_t>(std::strtoull(
                                property(*store, "smartstore.snapshot.bytes")
                                    .c_str(),
                                nullptr, 10)))
             .c_str(),
-        static_cast<unsigned long long>(fin.delta_chain_len),
-        util::format_bytes(static_cast<std::size_t>(fin.delta_chain_bytes))
-            .c_str(),
-        static_cast<unsigned long long>(fin.last_delta_records));
+        folded ? ", folded now" : "",
+        property(*store, "smartstore.wal.committed-records").c_str());
   }
 
   std::printf(

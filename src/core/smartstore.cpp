@@ -140,15 +140,6 @@ void SmartStore::end_checkpoint() {
   freeze_.frozen_units.clear();
 }
 
-void SmartStore::mutation_barrier(const std::function<void()>& fn) {
-  // Exclusive, like begin_checkpoint's cut — every serving thread is
-  // outside its operation — but with no freeze state attached: the delta
-  // checkpoint needs only the instantaneous consistency of the cut, not a
-  // preserved image (its image IS the WAL prefix the fence names).
-  util::WriterLock ex(structure_mu_);
-  if (fn) fn();
-}
-
 bool SmartStore::checkpoint_active() const {
   util::MutexLock lock(freeze_.mu);
   return freeze_.active;

@@ -228,7 +228,7 @@ class SmartStore {
   }
 
   /// Advances the commit clock to at least `seq` (recovery resumes it at
-  /// the manifest's last cut; a follower's bootstrap jumps it to the
+  /// the manifest's fold seq; a follower's bootstrap jumps it to the
   /// primary's frontier).
   void note_commit_seq(std::uint64_t seq);
 
@@ -384,16 +384,6 @@ class SmartStore {
   /// exactly the frozen mutation boundary.
   std::uint64_t begin_checkpoint(
       const std::function<void()>& while_frozen = {});
-
-  /// Runs `fn` under the exclusive structure lock: a bounded
-  /// stop-the-world mutation barrier with NO freeze/COW attached. The
-  /// incremental-checkpoint engine cuts each delta inside one — with every
-  /// serving thread excluded, the WAL frontier and the commit seq describe
-  /// the same instant, and every record stamped before the barrier is in
-  /// some shard's batch (so the frontier commit makes the cut exact; which
-  /// units are cold is read off the per-shard fence counts). Much cheaper
-  /// than a full freeze: no piece capture, no copy-on-write tax afterwards.
-  void mutation_barrier(const std::function<void()>& fn);
 
   /// Releases frozen copies; mutations stop paying the copy-on-write tax.
   void end_checkpoint();

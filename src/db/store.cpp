@@ -17,8 +17,9 @@
 //     as "no facade operation is in flight".
 //   ckpt_mu (mutex) — serializes every interaction with the compactor's
 //     trigger/wait pair (two threads get()ing the same std::future is a
-//     data race). The auto-cadence path only try_locks it: if someone else
-//     is talking to the compactor, a cadence trigger is already redundant.
+//     data race) and guards the deferred checkpoint error. The
+//     auto-cadence path only try_locks it: if someone else is talking to
+//     the compactor, a cadence trigger is already redundant.
 //     Invariant: every wal/delta/compactor dereference happens under
 //     lifecycle_mu (shared suffices), so Close/Abandon — which hold it
 //     exclusively — may drain and reset them without ckpt_mu: no shared
@@ -38,6 +39,7 @@
 #include <filesystem>
 #include <mutex>
 #include <shared_mutex>
+#include <utility>
 #include <vector>
 
 #include "core/smartstore.h"
@@ -108,9 +110,10 @@ struct Store::Impl {
 
   util::Mutex ckpt_mu{util::LockRank::kDbCheckpoint};
   std::atomic<std::uint64_t> mutations_since_ckpt{0};
-  /// A non-crash checkpoint failure drained by an introspection read
-  /// (whose return type cannot carry it) parks here until the next
-  /// Checkpoint() or Close() surfaces it.
+  /// A non-crash background checkpoint failure that surfaced where it
+  /// cannot be returned (a mutation's cadence trigger, an introspection
+  /// read) parks here until the next Checkpoint(), Compact() or Close()
+  /// returns it. The first one wins.
   Status deferred_ckpt_error SS_GUARDED_BY(ckpt_mu);
 
   // Op/recall counters (the "smartstore.counters.*" properties).
@@ -145,12 +148,21 @@ struct Store::Impl {
     });
   }
 
+  /// Keeps a background checkpoint failure that surfaced where it cannot
+  /// be returned: wait()'s and trigger()'s rethrow is one-shot (the
+  /// future is consumed), so it must not vanish. Call inside a catch
+  /// block. Returns true for an injected fault, which the caller turns
+  /// into crash() once ckpt_mu is released; any other failure parks in
+  /// deferred_ckpt_error.
+  bool park_ckpt_failure() SS_REQUIRES(ckpt_mu) {
+    Status s = persist::current_exception_status();
+    if (s.IsFaultInjected()) return true;
+    if (deferred_ckpt_error.ok()) deferred_ckpt_error = std::move(s);
+    return false;
+  }
+
   /// Caller holds lifecycle_mu (shared suffices — this never changes the
-  /// pointers, and Close/Abandon reset them only under exclusive). A
-  /// checkpoint failure observed here must not vanish: wait()'s rethrow
-  /// is one-shot (the future is consumed), so an injected crash poisons
-  /// the handle via crash() and any other failure is deferred to the next
-  /// Checkpoint()/Close() through deferred_ckpt_error.
+  /// pointers, and Close/Abandon reset them only under exclusive).
   CheckpointInfo checkpoint_info_locked() SS_REQUIRES_SHARED(lifecycle_mu) {
     CheckpointInfo info;
     bool fault = false;
@@ -160,30 +172,17 @@ struct Store::Impl {
       try {
         compactor->wait();  // drain: report the finished job's stats
       } catch (...) {
-        Status s = persist::current_exception_status();
-        if (s.IsFaultInjected()) {
-          fault = true;
-        } else if (deferred_ckpt_error.ok()) {
-          deferred_ckpt_error = std::move(s);
-        }
+        fault = park_ckpt_failure();
       }
-      const persist::DeltaCutStats st = delta->last_stats();
+      const persist::CheckpointStats st = delta->last_stats();
       info.completed = delta->completed();
       info.total_mutations_during = delta->total_mutations_during();
       info.total_cow_copies = delta->total_cow_copies();
       info.last_freeze_s = st.freeze_s;
       info.last_write_s = st.write_s;
       info.last_truncate_s = st.truncate_s;
-      info.last_snapshot_bytes =
-          st.folded ? st.base_bytes : static_cast<std::size_t>(st.delta_bytes);
-      info.last_was_delta = info.completed > 0 && !st.folded;
-      info.last_delta_records = st.delta_records;
-      info.last_delta_units = st.units_contributing;
-      info.last_delta_units_cold = st.units_cold;
-      info.delta_cuts = delta->cuts();
+      info.last_snapshot_bytes = st.base_bytes;
       info.delta_folds = delta->folds();
-      info.delta_chain_len = delta->chain_len();
-      info.delta_chain_bytes = delta->chain_bytes();
     }
     if (fault) crash();  // outside ckpt_mu (crash() re-acquires it)
     return info;
@@ -221,9 +220,10 @@ struct Store::Impl {
 
   bool durable() const { return !opts.in_memory; }
 
-  /// Checkpoint()/Compact(): runs `action` on the compactor under ckpt_mu,
-  /// concurrent with serving threads. A failure an introspection drain
-  /// parked earlier is surfaced once instead of checkpointing over it.
+  /// Checkpoint()/Compact(): runs `action` on the engine under ckpt_mu,
+  /// concurrent with serving threads. The background job is drained
+  /// first; a failure parked earlier, or the drained job's own, is
+  /// returned once instead of checkpointing over it.
   template <typename Action>
   Status run_checkpoint(const char* what, Action&& action) {
     return serve<util::ReaderLock>([&] {
@@ -231,12 +231,14 @@ struct Store::Impl {
         return Status::FailedPrecondition(
             std::string("ephemeral store cannot ") + what);
       const util::MutexLock ck(ckpt_mu);
-      if (!deferred_ckpt_error.ok()) {
-        Status s = deferred_ckpt_error;
-        deferred_ckpt_error = Status::OK();
-        return s;
+      try {
+        compactor->wait();
+      } catch (...) {
+        if (park_ckpt_failure()) throw;  // serve() crashes the store
       }
-      action(*compactor);
+      if (!deferred_ckpt_error.ok())
+        return std::exchange(deferred_ckpt_error, Status::OK());
+      action(*delta);
       mutations_since_ckpt.store(0, std::memory_order_relaxed);
       return Status::OK();
     });
@@ -323,8 +325,11 @@ struct Store::Impl {
   /// Cadence accounting: every acknowledged mutation counts toward the
   /// next automatic background checkpoint. Only try_locks ckpt_mu — if
   /// another thread is already talking to the compactor, this trigger is
-  /// redundant. May throw (trigger() surfaces a previously failed
-  /// checkpoint); callers' boundary catch maps it.
+  /// redundant. The mutations it counts are applied and durable already,
+  /// so a previous job's failure that trigger() rethrows parks for the
+  /// next Checkpoint(), Compact() or Close() instead of failing them;
+  /// only an injected fault throws, and the caller's boundary crashes the
+  /// store.
   void note_mutations(std::uint64_t n) {
     if (n == 0 || opts.checkpoint_every == 0 || !compactor) return;
     const std::uint64_t total =
@@ -343,8 +348,12 @@ struct Store::Impl {
     // running checkpoint finished (the note_mutations thundering herd).
     // The mutations folded away here count toward the in-flight run, not
     // the next window; at worst the next checkpoint is one period late.
-    compactor->trigger();
     mutations_since_ckpt.store(0, std::memory_order_relaxed);
+    try {
+      compactor->trigger();
+    } catch (...) {
+      if (park_ckpt_failure()) throw;
+    }
   }
 };
 
@@ -436,8 +445,6 @@ StatusOr<std::unique_ptr<Store>> Store::Open(const Options& options,
         im.recovery.wal_shards = rec.wal_shards;
         im.recovery.wal_tail_torn = rec.wal_tail_torn;
         im.recovery.used_manifest = rec.used_manifest;
-        im.recovery.delta_cuts = rec.delta_cuts;
-        im.recovery.delta_records = rec.delta_records;
       } else {
         im.core = serving_core();
         // A deployment that crashed before its first checkpoint has WAL
@@ -461,9 +468,7 @@ StatusOr<std::unique_ptr<Store>> Store::Open(const Options& options,
       im.delta =
           std::make_unique<persist::DeltaEngine>(*im.core, *im.wal, path);
       // No thread until the first background trigger.
-      im.compactor = std::make_unique<persist::Compactor>(
-          *im.delta, options.compaction_trigger,
-          options.compaction_byte_budget);
+      im.compactor = std::make_unique<persist::Compactor>(*im.delta);
     }
   } catch (...) {
     return persist::current_exception_status();
@@ -482,7 +487,7 @@ Status Store::Bulkload(const std::vector<metadata::FileMetadata>& files) {
           "operation); open a fresh directory or use Put/Write");
     }
     const util::MutexLock ck(im.ckpt_mu);
-    // No background cut may race the build.
+    // No background checkpoint may race the build.
     if (im.compactor) im.compactor->wait();
     im.core->build(files);
     // Fold before returning (durable stores): Bulkload is not WAL-logged,
@@ -609,15 +614,14 @@ Status Store::Flush() {
 
 Status Store::Checkpoint() {
   return impl_->run_checkpoint(
-      "checkpoint", [](persist::Compactor& c) { c.checkpoint_now(); });
+      "checkpoint", [](persist::DeltaEngine& e) { e.checkpoint(); });
 }
 
 Status Store::Compact() {
-  // compact_now waits out an in-flight background job, then folds the
-  // whole chain into a fresh base on this thread — concurrent with
+  // A fold on this thread whatever the tail's length — concurrent with
   // serving (the engine uses the epoch-freeze/COW protocol).
-  return impl_->run_checkpoint(
-      "compact", [](persist::Compactor& c) { c.compact_now(); });
+  return impl_->run_checkpoint("compact",
+                               [](persist::DeltaEngine& e) { e.fold(); });
 }
 
 // ---- replication ------------------------------------------------------------
@@ -694,8 +698,8 @@ StatusOr<std::vector<metadata::FileMetadata>> Store::DumpSnapshot(
       [&]() -> StatusOr<std::vector<metadata::FileMetadata>> {
         // The dump scans the live store at a pinned seq: writers keep
         // landing at later seqs, and GC cannot reclaim a version the scan
-        // still needs. Nothing is cut or written, so bootstrapping a
-        // follower leaves the checkpoint chain alone.
+        // still needs. Nothing is written, so bootstrapping a follower
+        // leaves the checkpoint alone.
         std::uint64_t seq = 0;
         const std::shared_ptr<void> pin = im.core->pin_snapshot(&seq);
         if (seq_out) *seq_out = seq;
@@ -723,10 +727,9 @@ Status Store::LoadBootstrap(std::uint64_t seq,
       return Status::OK();
     }
     // Fold before returning, as Bulkload does: the jump to `seq` writes no
-    // log record, so only a base image and the manifest's last_cut_seq
-    // keep it across a restart (a cut would not: on a store with a
-    // manifest and no new records it is a no-op). Without it the clock
-    // would resume at the last record's local stamp, and the
+    // log record, so only a base image and the manifest's fold seq keep it
+    // across a restart (a Checkpoint() need not fold). Without it the
+    // clock would resume at the last record's local stamp, and the
     // ApplyReplicated gate would re-apply ops the dump already holds.
     const util::MutexLock ck(im.ckpt_mu);
     im.compactor->wait();
@@ -879,18 +882,13 @@ bool Store::GetProperty(const std::string& name, std::string* value) {
     // Checkpoint-engine properties: engine atomics.
     if (name.rfind("smartstore.ckpt.", 0) == 0) {
       const persist::DeltaEngine* eng = im.delta.get();
-      if (name == "smartstore.ckpt.delta-cuts")
-        return u64(eng ? eng->cuts() : 0);
       if (name == "smartstore.ckpt.delta-folds")
         return u64(eng ? eng->folds() : 0);
-      if (name == "smartstore.ckpt.delta-chain-len")
-        return u64(eng ? eng->chain_len() : 0);
-      if (name == "smartstore.ckpt.delta-chain-bytes")
-        return u64(eng ? eng->chain_bytes() : 0);
       if (name == "smartstore.ckpt.delta-last-cut-seq")
-        return u64(eng ? eng->last_cut_seq() : 0);
-      if (name == "smartstore.ckpt.delta-total-bytes")
-        return u64(eng ? eng->total_delta_bytes() : 0);
+        return u64(eng ? eng->fold_seq() : 0);
+      // Always 0: the WAL is the delta, nothing copies it. Kept because
+      // perfbench's ingest_durable workload reads it.
+      if (name == "smartstore.ckpt.delta-total-bytes") return u64(0);
       return false;
     }
   }

@@ -2,12 +2,6 @@
 
 namespace smartstore::persist {
 
-DeltaCutStats Compactor::cut_then_fold() {
-  DeltaCutStats st = engine_.cut();
-  if (over_budget()) st = engine_.fold();
-  return st;
-}
-
 bool Compactor::trigger() {
   bool expected = false;
   if (!running_.compare_exchange_strong(expected, true,
@@ -28,20 +22,10 @@ bool Compactor::trigger() {
 
   inflight_ = std::async(std::launch::async, [this] {
     ClearRunning worker_guard{running_};
-    cut_then_fold();
+    engine_.checkpoint();
   });
   caller_guard.armed = false;  // the worker's guard owns the flag now
   return true;
-}
-
-DeltaCutStats Compactor::checkpoint_now() {
-  wait();
-  return cut_then_fold();
-}
-
-DeltaCutStats Compactor::compact_now() {
-  wait();
-  return engine_.fold();
 }
 
 bool Compactor::wait() {

@@ -65,47 +65,15 @@ void replay_dir_logs(core::SmartStore& store, const std::string& dir,
   }
 }
 
-namespace {
-
-/// Reassembles the state a delta manifest describes at its last cut: the
-/// base image ckpt/base-<id>.bin with every cut's extents applied, merged
-/// across units by store-wide sequence number, and accumulates the
-/// delta_* counts into `res`. No WAL is read — recover() replays the tail
-/// past m.fence separately. Throws PersistError on a missing/corrupt
-/// base, segment, or extent.
-std::unique_ptr<core::SmartStore> load_delta_base(const std::string& dir,
-                                                  const DeltaManifest& m,
-                                                  RecoveryResult& res) {
-  std::unique_ptr<core::SmartStore> store =
-      load_snapshot(base_path(dir, m.base_id));
-  store->serve();  // replays below run on counting sessions, as served ops do
-  std::vector<WalRecord> merged;
-  for (const DeltaCut& c : m.cuts)
-    for (const DeltaExtent& e : c.extents) read_segment_extent(dir, e, &merged);
-  // The global merge across cuts is sound: each cut's barrier strictly
-  // separates seq draws, so every record of cut N precedes every record
-  // of cut N+1 — sorting across the whole chain reproduces the exact live
-  // mutation order, exactly as replay_dir_logs does for shard tails.
-  std::stable_sort(merged.begin(), merged.end(),
-                   [](const WalRecord& a, const WalRecord& b) {
-                     return a.seq < b.seq;
-                   });
-  for (const WalRecord& rec : merged) apply_record(*store, rec);
-  res.delta_cuts = m.cuts.size();
-  res.delta_records = merged.size();
-  return store;
-}
-
-}  // namespace
-
 RecoveryResult recover(const std::string& dir) {
   RecoveryResult res;
   const DeltaManifest m = read_manifest(dir);
-  res.store = load_delta_base(dir, m, res);
-  // The clock resumes at no less than the last cut: the cut recorded the
-  // clock, and not every seq it covers left a record (a follower's
+  res.store = load_snapshot(base_path(dir, m.base_id));
+  res.store->serve();  // replays run on counting sessions, as served ops do
+  // The clock resumes at no less than the last fold: the fold recorded
+  // the clock, and not every seq it covers left a record (a follower's
   // bootstrap jump writes none).
-  res.store->note_commit_seq(m.last_cut_seq);
+  res.store->note_commit_seq(m.fold_seq);
   res.used_manifest = true;
   replay_dir_logs(*res.store, dir, m.fence, res);
   return res;

@@ -1,22 +1,21 @@
 // Deployment-directory recovery over the one durable layout:
 //
-//   <dir>/ckpt/        the checkpoint: a base image plus a delta chain,
-//                      described by ckpt/MANIFEST (persist/segment.h)
+//   <dir>/ckpt/        the checkpoint: a base image described by
+//                      ckpt/MANIFEST (persist/segment.h)
 //   <dir>/wal/<u>.log  one write-ahead log per storage unit
-//                      (persist/wal_shard.h)
+//                      (persist/wal_shard.h) — the delta since the base
 //
 // recover() loads the manifest's base into a serving core
-// (SmartStore::serve), applies the delta chain, resumes
-// the commit clock at no less than the manifest's last cut seq, then
-// replays the valid prefix of every shard log past the manifest's fence,
-// skipping each shard's fenced prefix when generations match. Records are
-// merged across shards by their store-wide sequence number first,
-// reconstructing one mutation order. The checkpoint protocol that keeps
-// every crash window consistent is DeltaEngine's
-// (persist/delta_checkpoint.h). A torn or truncated tail rolls a shard
-// back to its last commit boundary, which loses only *unacknowledged*
-// records of that shard (a mutation is acknowledged only once its commit
-// is fsynced), never an acknowledged record of any shard.
+// (SmartStore::serve), resumes the commit clock at no less than the
+// manifest's fold seq, then replays the valid prefix of every shard log
+// past the manifest's fence, skipping each shard's fenced prefix when
+// generations match. Records are merged across shards by their
+// store-wide sequence number first, reconstructing one mutation order.
+// The checkpoint protocol that keeps every crash window consistent is
+// DeltaEngine's (persist/delta_checkpoint.h). A torn or truncated tail
+// rolls a shard back to its last commit boundary, which loses only
+// *unacknowledged* records of that shard (a mutation is acknowledged only
+// once its commit is fsynced), never an acknowledged record of any shard.
 #pragma once
 
 #include <memory>
@@ -38,8 +37,6 @@ struct RecoveryResult {
   std::size_t wal_shards = 0;    ///< shard logs scanned
   bool wal_tail_torn = false;    ///< any log had a torn tail dropped
   bool used_manifest = false;    ///< a checkpoint manifest was loaded
-  std::size_t delta_cuts = 0;    ///< chain links applied under the manifest
-  std::size_t delta_records = 0; ///< delta records applied before the tail
 };
 
 /// Applies one logged record through the store's mutation API under its
@@ -56,12 +53,12 @@ void apply_record(core::SmartStore& store, const WalRecord& rec);
 void replay_dir_logs(core::SmartStore& store, const std::string& dir,
                      const WalFence& fence, RecoveryResult& res);
 
-/// Loads the manifest's base + delta chain, then replays the WAL tail
-/// past the manifest's fence. The returned core serves: it switched
-/// before its first replayed record. Throws PersistError — kNotFound when
-/// `dir` holds no manifest, kCorruption when the manifest, base or a
-/// segment is corrupt; a torn WAL tail is not an error (reported in the
-/// result, recovery keeps the prefix).
+/// Loads the manifest's base, then replays the WAL tail past the
+/// manifest's fence. The returned core serves: it switched before its
+/// first replayed record. Throws PersistError — kNotFound when `dir`
+/// holds no manifest, kCorruption when the manifest or base is corrupt,
+/// kUnsupported for a manifest layout of earlier builds; a torn WAL tail
+/// is not an error (reported in the result, recovery keeps the prefix).
 RecoveryResult recover(const std::string& dir);
 
 /// The one PersistError → Status mapping: kNotFound, kIOError,

@@ -46,10 +46,10 @@ std::uint64_t fresh_wal_generation() {
   return (static_cast<std::uint64_t>(rd()) << 32) ^ rd();
 }
 
-}  // namespace
-
 // ---- record codec -----------------------------------------------------------
 
+/// Encodes one record in the block-payload layout — the exact bytes
+/// scan_wal parses.
 void encode_wal_record(util::BinaryWriter& w, const WalRecord& rec) {
   w.write_u64(rec.seq);
   w.write_u8(static_cast<std::uint8_t>(rec.type));
@@ -63,6 +63,9 @@ void encode_wal_record(util::BinaryWriter& w, const WalRecord& rec) {
   }
 }
 
+/// Decodes one record from the block-payload layout. Returns false on an
+/// unknown record type; throws util::BinaryIoError on truncation (scan_wal
+/// treats both as a torn tail and keeps the prefix).
 bool decode_wal_record(util::BinaryReader& r, WalRecord* out) {
   out->seq = r.read_u64();
   const std::uint8_t type = r.read_u8();
@@ -79,6 +82,8 @@ bool decode_wal_record(util::BinaryReader& r, WalRecord* out) {
       return false;
   }
 }
+
+}  // namespace
 
 // ---- scan -------------------------------------------------------------------
 
@@ -309,7 +314,7 @@ void WalWriter::rebase(std::size_t drop, std::size_t drop_bytes) {
 
   // The tail splices over as raw block bytes. (This runs under the shard's
   // mutex; re-scanning the whole log here would stall that shard's writers
-  // for the full history since the last cut.)
+  // for the full history since the last fold.)
   std::vector<std::uint8_t> tail(committed_bytes_ - drop_bytes);
   if (!tail.empty()) {
     std::FILE* in = std::fopen(path_.c_str(), "rb");

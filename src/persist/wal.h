@@ -100,18 +100,6 @@ struct WalScan {
 /// exists but is not a WAL at all (bad magic).
 WalScan scan_wal(const std::string& path);
 
-/// Encodes one record in the block-payload layout — the exact bytes
-/// scan_wal parses. Shared by the live append path and the delta
-/// segments (persist/segment.h), so the layouts cannot drift.
-void encode_wal_record(util::BinaryWriter& w, const WalRecord& rec);
-
-/// Decodes one record from the block-payload layout. Returns false on an
-/// unknown record type; throws util::BinaryIoError on truncation. The
-/// caller chooses the failure semantics: scan_wal treats both as a torn
-/// tail (keep the prefix), the segment reader as kCorruption (the extent
-/// passed its checksum, so a parse failure is a real format break).
-bool decode_wal_record(util::BinaryReader& r, WalRecord* out);
-
 /// Append-side of one log. ShardedWal owns one per shard and decides
 /// when to commit; the writer itself never commits on its own.
 class WalWriter {

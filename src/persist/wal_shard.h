@@ -116,7 +116,7 @@ class ShardedWal final : public core::Journal {
   /// Commits every shard and returns the sharded fence at that frontier:
   /// one (generation, records, byte offset) entry per shard, `present`
   /// set. Call at a mutation boundary (the delta engine calls it from
-  /// inside its cut barrier or a fold's frozen section).
+  /// inside a fold's frozen section).
   WalFence frontier();
 
   /// Drops each shard's fenced prefix under its next generation, splicing

@@ -1,5 +1,7 @@
 #include "rpc/socket.h"
 
+#include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "rpc/wire.h"
@@ -149,21 +151,40 @@ void SocketServer::AcceptLoop() {
     }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    const util::MutexLock lock(conns_mu_);
-    conn_fds_.push_back(fd);
-    conn_threads_.emplace_back([this, fd] { ServeConnection(fd); });
+    // Reap the connections whose clients hung up since the last accept:
+    // their fds are closed already, their threads are exiting.
+    std::vector<std::unique_ptr<Conn>> finished;
+    {
+      const util::MutexLock lock(conns_mu_);
+      const auto live = std::stable_partition(
+          conns_.begin(), conns_.end(),
+          [](const std::unique_ptr<Conn>& c) { return !c->done; });
+      std::move(live, conns_.end(), std::back_inserter(finished));
+      conns_.erase(live, conns_.end());
+      auto conn = std::make_unique<Conn>();
+      conn->fd = fd;
+      conn->thread =
+          std::thread([this, c = conn.get()] { ServeConnection(c); });
+      conns_.push_back(std::move(conn));
+    }
+    for (const auto& c : finished) c->thread.join();
   }
 }
 
-void SocketServer::ServeConnection(int fd) {
+void SocketServer::ServeConnection(Conn* conn) {
+  const int fd = conn->fd;  // only this thread ever writes it
   for (;;) {
     Frame req;
     if (!recv_frame(fd, &req).ok()) break;  // EOF, damage, or shutdown
     const Frame resp = handler_(req);
     if (!send_frame(fd, resp).ok()) break;
   }
-  // The fd is closed by Stop (which owns the list); closing here too would
-  // race a concurrent shutdown() on the same descriptor.
+  // Closed under the lock Stop holds across its shutdown() calls, so the
+  // two never meet on one descriptor.
+  const util::MutexLock lock(conns_mu_);
+  ::close(fd);
+  conn->fd = -1;
+  conn->done = true;
 }
 
 void SocketServer::Stop() {
@@ -174,20 +195,17 @@ void SocketServer::Stop() {
   ::close(listen_fd_);
   listen_fd_ = -1;
 
-  // Accept thread is gone: the connection lists are frozen now. Shut every
-  // connection down (unblocks recv in the serving threads), join, close.
-  std::vector<int> fds;
-  std::vector<std::thread> threads;
+  // Accept thread is gone: the connection list is frozen now. Shut every
+  // open connection down (unblocks recv in its thread, which then closes
+  // the fd) and join.
+  std::vector<std::unique_ptr<Conn>> conns;
   {
     const util::MutexLock lock(conns_mu_);
-    fds.swap(conn_fds_);
-    threads.swap(conn_threads_);
+    for (const auto& c : conns_)
+      if (c->fd >= 0) ::shutdown(c->fd, SHUT_RDWR);
+    conns.swap(conns_);
   }
-  for (const int fd : fds) ::shutdown(fd, SHUT_RDWR);
-  for (std::thread& t : threads) {
-    if (t.joinable()) t.join();
-  }
-  for (const int fd : fds) ::close(fd);
+  for (const auto& c : conns) c->thread.join();
 }
 
 SocketChannel::SocketChannel(std::string host, std::uint16_t port,
@@ -284,7 +302,7 @@ db::Status SocketServer::Start(const std::string&, std::uint16_t, Handler) {
 void SocketServer::Stop() {}
 
 void SocketServer::AcceptLoop() {}
-void SocketServer::ServeConnection(int) {}
+void SocketServer::ServeConnection(Conn*) {}
 
 SocketChannel::SocketChannel(std::string host, std::uint16_t port,
                              std::uint32_t recv_timeout_ms)

@@ -10,7 +10,10 @@
 // SocketServer runs one accept thread plus one thread per connection
 // (metadata frames are small and the shard store underneath is internally
 // striped; connection counts in the hundreds are the design point, not
-// tens of thousands). SocketChannel serializes calls on its connection and
+// tens of thousands). A connection's thread closes its fd when the client
+// hangs up, and the accept loop joins finished threads on the next
+// accept, so a long-running server holds only its live connections.
+// SocketChannel serializes calls on its connection and
 // reconnects lazily, so a restarted server looks like a few kUnavailable
 // results followed by recovery — which is exactly what the router's
 // bounded backoff expects.
@@ -55,8 +58,18 @@ class SocketServer {
   void Stop();
 
  private:
+  /// One accepted connection. Its fd is closed, and set to -1, under
+  /// conns_mu_ by its own thread once the client hangs up (or Stop shuts
+  /// it down), so Stop's shutdown() never reaches a closed — possibly
+  /// reused — descriptor.
+  struct Conn {
+    int fd = -1;
+    bool done = false;  ///< the thread has closed the fd and is exiting
+    std::thread thread;
+  };
+
   void AcceptLoop();
-  void ServeConnection(int fd);
+  void ServeConnection(Conn* conn);
 
   Handler handler_;
   int listen_fd_ = -1;
@@ -65,8 +78,7 @@ class SocketServer {
   std::atomic<bool> stopping_{false};
 
   util::Mutex conns_mu_{util::LockRank::kRpcChannel};
-  std::vector<int> conn_fds_ SS_GUARDED_BY(conns_mu_);
-  std::vector<std::thread> conn_threads_ SS_GUARDED_BY(conns_mu_);
+  std::vector<std::unique_ptr<Conn>> conns_ SS_GUARDED_BY(conns_mu_);
 };
 
 /// Client end. Thread-safe: calls are serialized on the connection.

@@ -2,13 +2,13 @@
 //
 // A writer thread streams WAL-logged inserts through the db facade's write
 // path (append under the routed unit's lock, commit after it is
-// released) while DeltaEngine cuts run on the Compactor's background
-// thread and folds run on the test thread; the suite asserts the
-// paper-level contract — a checkpoint taken while a writer streams
-// inserts leaves a base + chain + WAL tail from which recover() restores
-// every acknowledged write — plus the frozen view's copy-on-write
-// semantics, the logged-reconfiguration replay, single-flight triggering
-// and the fence accounting. This suite is a ThreadSanitizer target for the
+// released) while DeltaEngine checkpoints run on the Compactor's
+// background thread and folds run on the test thread; the suite asserts
+// the paper-level contract — a checkpoint taken while a writer streams
+// inserts leaves a base + WAL tail from which recover() restores every
+// acknowledged write — plus the frozen view's copy-on-write semantics,
+// the reconfiguration a fold captures, single-flight triggering and the
+// fence accounting. This suite is a ThreadSanitizer target for the
 // background checkpoint thread.
 #include <gtest/gtest.h>
 
@@ -81,7 +81,7 @@ TEST(BgCheckpoint, RestoresEveryAcknowledgedWriteUnderLiveInsertStream) {
   const auto dir = temp_dir("bg_live");
   BgRig rig(dir, 8, /*downscale=*/20);
   rig.engine.fold();
-  Compactor compactor(rig.engine, /*max_chain_len=*/0, /*max_chain_bytes=*/0);
+  Compactor compactor(rig.engine);
 
   const auto stream = rig.trace.make_insert_stream(300, 77);
   std::atomic<bool> done{false};
@@ -99,17 +99,17 @@ TEST(BgCheckpoint, RestoresEveryAcknowledgedWriteUnderLiveInsertStream) {
     done.store(true, std::memory_order_release);
   });
 
-  // Checkpoint continuously while the stream runs: a cadence job (a cut)
-  // on the background thread, then a fold on this one — both concurrent
-  // with the writer.
+  // Checkpoint continuously while the stream runs: a cadence job (the one
+  // checkpoint) on the background thread, then a fold on this one — both
+  // concurrent with the writer.
   std::size_t checkpoints = 0;
   while (!done.load(std::memory_order_acquire)) {
     if (compactor.trigger()) compactor.wait();
-    compactor.compact_now();
+    rig.engine.fold();
     ++checkpoints;
   }
   writer.join();
-  ASSERT_TRUE(compactor.trigger());  // a cut over the stream's tail
+  ASSERT_TRUE(compactor.trigger());  // a checkpoint over the stream's tail
   compactor.wait();
   EXPECT_GE(checkpoints, 1u);
   // The gated second half of the stream overlapped a frozen window, so
@@ -177,7 +177,7 @@ TEST(BgCheckpoint, ServesQueriesOnTheWritingThreadDuringCheckpoints) {
   const auto dir = temp_dir("bg_queries");
   BgRig rig(dir, 6, /*downscale=*/40);
   rig.engine.fold();
-  Compactor compactor(rig.engine, /*max_chain_len=*/1, /*max_chain_bytes=*/0);
+  Compactor compactor(rig.engine);
 
   const auto stream = rig.trace.make_insert_stream(120, 5);
   std::atomic<bool> done{false};
@@ -193,18 +193,16 @@ TEST(BgCheckpoint, ServesQueriesOnTheWritingThreadDuringCheckpoints) {
     done.store(true, std::memory_order_release);
   });
 
+  // The stream is short of the base, so the background checkpoints write
+  // nothing; the folds on this thread freeze under the serving thread.
   std::size_t checkpoints = 0;
   while (!done.load(std::memory_order_acquire)) {
-    if (compactor.trigger()) {
-      compactor.wait();
-      ++checkpoints;
-    }
+    if (compactor.trigger()) compactor.wait();
+    rig.engine.fold();
+    ++checkpoints;
   }
   serving.join();
-  if (checkpoints == 0) {
-    ASSERT_TRUE(compactor.trigger());
-    compactor.wait();
-  }
+  EXPECT_GE(checkpoints, 1u);
   EXPECT_EQ(found, stream.size());
   std::filesystem::remove_all(dir);
 }
@@ -255,20 +253,55 @@ TEST(BgCheckpoint, FoldCapturesReconfiguredTopology) {
   std::filesystem::remove_all(dir);
 }
 
+/// Forwards to the WAL, but holds the next commit — and with it that
+/// mutation's shared structure lock — until released.
+class GateJournal final : public core::Journal {
+ public:
+  explicit GateJournal(ShardedWal& wal) : wal_(wal) {}
+  void log_insert(core::UnitId unit, const metadata::FileMetadata& f,
+                  std::uint64_t seq) override {
+    wal_.log_insert(unit, f, seq);
+  }
+  void log_remove(core::UnitId unit, const std::string& name,
+                  std::uint64_t seq) override {
+    wal_.log_remove(unit, name, seq);
+  }
+  void commit(core::UnitId unit) override {
+    entered.store(true, std::memory_order_release);
+    while (!released.load(std::memory_order_acquire))
+      std::this_thread::yield();
+    wal_.commit(unit);
+  }
+
+  std::atomic<bool> entered{false};
+  std::atomic<bool> released{false};
+
+ private:
+  ShardedWal& wal_;
+};
+
 TEST(BgCheckpoint, SecondTriggerWhileRunningIsRejected) {
   const auto dir = temp_dir("bg_reject");
   BgRig rig(dir, 6, /*downscale=*/30);
-  Compactor compactor(rig.engine, 0, 0);
+  Compactor compactor(rig.engine);
 
-  // Hold the store's exclusive structure lock across both triggers: the
-  // background job (a cut escalating to a fold on this fresh store) needs
-  // that lock to begin, so the first job is provably still in flight
-  // when the second trigger arrives.
-  rig.store.mutation_barrier([&] {
-    ASSERT_TRUE(compactor.trigger());
-    EXPECT_TRUE(compactor.running());
-    EXPECT_FALSE(compactor.trigger());
-  });
+  // Park a writer inside its commit across both triggers: it holds the
+  // store's structure lock shared, and the background job (the first
+  // checkpoint of this fresh store, a fold) needs that lock exclusively
+  // to freeze, so the first job is provably still in flight when the
+  // second trigger arrives.
+  GateJournal gate(rig.wal);
+  rig.store.attach_journal(&gate);
+  std::thread writer(
+      [&] { rig.insert(rig.trace.make_insert_stream(1, 5).front()); });
+  while (!gate.entered.load(std::memory_order_acquire))
+    std::this_thread::yield();
+  ASSERT_TRUE(compactor.trigger());
+  EXPECT_TRUE(compactor.running());
+  EXPECT_FALSE(compactor.trigger());
+  gate.released.store(true, std::memory_order_release);
+  writer.join();
+  rig.store.attach_journal(&rig.wal);
   EXPECT_TRUE(compactor.wait());
   EXPECT_EQ(rig.engine.completed(), 1u);
   EXPECT_TRUE(rig.engine.last_stats().folded);
@@ -294,9 +327,14 @@ TEST(BgCheckpoint, FenceAccountingMatchesTheLog) {
     records_before.push_back(rig.wal.committed_records(s));
   }
 
-  const DeltaCutStats st = rig.engine.cut();
-  EXPECT_EQ(st.delta_records, 6u);
-  EXPECT_EQ(st.units_contributing + st.units_cold, rig.wal.num_shards());
+  // Six records against a base of the whole trace: the checkpoint leaves
+  // every shard as it was; the fold then fences all six.
+  EXPECT_FALSE(rig.engine.checkpoint().folded);
+  for (std::size_t s = 0; s < rig.wal.num_shards(); ++s) {
+    EXPECT_EQ(rig.wal.generation(s), gen_before[s]) << "shard " << s;
+    EXPECT_EQ(rig.wal.committed_records(s), records_before[s]);
+  }
+  EXPECT_TRUE(rig.engine.fold().folded);
   // Each fenced prefix was rebased away under a fresh generation; a cold
   // shard keeps its log as it was.
   for (std::size_t s = 0; s < rig.wal.num_shards(); ++s) {
@@ -306,14 +344,13 @@ TEST(BgCheckpoint, FenceAccountingMatchesTheLog) {
         << "shard " << s;
   }
 
-  // Post-cut inserts live only in the tail; recovery stitches base, chain
-  // and tail together.
+  // Post-fold inserts live only in the tail; recovery replays it over the
+  // base.
   for (std::size_t i = 6; i < stream.size(); ++i) rig.insert(stream[i]);
   rig.wal.commit_all();
   const RecoveryResult rec = recover(rig.dir);
   EXPECT_EQ(rec.wal_fenced, 0u);  // generations changed: nothing to skip
   EXPECT_EQ(rec.wal_records, 4u);
-  EXPECT_EQ(rec.delta_records, 6u);
   EXPECT_EQ(store_names(*rec.store), store_names(rig.store));
   std::filesystem::remove_all(dir);
 }

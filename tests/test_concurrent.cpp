@@ -3,9 +3,9 @@
 // The contract under test (the PR's tentpole): any number of writer
 // threads may insert/erase concurrently — routing under the shared
 // structure lock, the mutation under the target unit's stripe — while
-// background delta cuts and folds slice, freeze, serialize and rebase the
-// sharded WAL underneath, and queries keep running throughout. Assertions run against
-// a map oracle after the threads join (every insert landed exactly once,
+// background checkpoints fold (freeze, serialize and rebase the sharded
+// WAL underneath), and queries keep running throughout. Assertions run
+// against a map oracle after the threads join (every insert landed exactly once,
 // invariants hold, recovery reproduces the live state); the data-race
 // half of the contract is what the ThreadSanitizer build of this suite
 // checks (CMakePresets' tsan preset includes it).
@@ -212,8 +212,10 @@ TEST(MultiWriter, ShardedWalBackgroundCheckpointsRecoverEverything) {
   store.attach_journal(&wal);
   DeltaEngine engine(store, wal, dir);
   engine.fold();
-  // A short chain budget: the background slot alternates cuts and folds.
-  Compactor compactor(engine, /*max_chain_len=*/1, /*max_chain_bytes=*/0);
+  // The background slot runs the one checkpoint: the stream's 800 records
+  // (600 inserts, 200 removes) outgrow the 625-file base, so it folds
+  // mid-stream and writes nothing otherwise.
+  Compactor compactor(engine);
 
   const auto stream = d.trace.make_insert_stream(600, 31);
   const auto ranges = split(stream.size(), 4);
@@ -252,7 +254,7 @@ TEST(MultiWriter, ShardedWalBackgroundCheckpointsRecoverEverything) {
   EXPECT_GE(checkpoints, 2u);
 
   // Acknowledge everything still pending, then recovery must reproduce
-  // the live store exactly: base + delta chain + merged shard tails.
+  // the live store exactly: base + merged shard tails.
   wal.commit_all();
   const RecoveryResult rec = recover(dir);
   ASSERT_TRUE(rec.store);
@@ -265,9 +267,10 @@ TEST(MultiWriter, ShardedWalBackgroundCheckpointsRecoverEverything) {
 
 TEST(MultiWriter, FiltersGrowFromEmptyUnderWritersReadersAndCheckpoints) {
   // A store built empty, filled by concurrent logged writers while readers
-  // route and the background slot cuts and folds: every filter-growth step
-  // takes the structure lock exclusively in between, copying units still
-  // pending in an active freeze first.
+  // route and the background slot folds at each doubling of the
+  // population: every filter-growth step takes the structure lock
+  // exclusively in between, copying units still pending in an active
+  // freeze first.
   const std::string dir = temp_dir("growth");
   const auto tr = trace::SyntheticTrace::generate(trace::msn_profile(), 1, 42,
                                                   /*downscale=*/10);
@@ -281,7 +284,7 @@ TEST(MultiWriter, FiltersGrowFromEmptyUnderWritersReadersAndCheckpoints) {
   store.attach_journal(&wal);
   DeltaEngine engine(store, wal, dir);
   engine.fold();
-  Compactor compactor(engine, /*max_chain_len=*/1, /*max_chain_bytes=*/0);
+  Compactor compactor(engine);
 
   std::atomic<std::size_t> done_writers{0};
   std::atomic<std::size_t> found{0};

@@ -1,21 +1,21 @@
-// Crash-injection suite for the checkpoint protocol (sharded WAL + delta
-// cuts and folds).
+// Crash-injection suite for the checkpoint protocol (sharded WAL, the one
+// checkpoint rule, and folds).
 //
 // Three attack angles on the same contract — recover() always lands on a
 // consistent prefix of the acknowledged history, with no acknowledged
 // write lost and nothing applied twice:
 //
 //   1. a deterministic fault-point sweep: one fixed workload (WAL-logged
-//      inserts, delta cuts, folds, and a fold with inserts inside its
+//      inserts, checkpoints, folds, and a fold with inserts inside its
 //      frozen window and ahead of its rebase) is killed at *every* fault
 //      point it passes — every snapshot section boundary, atomic-publish
-//      stage, WAL block boundary, segment append and rebase stage — and
-//      recovery is verified from each crash state; the sweep must cross
-//      every fault point src/persist/ declares;
-//   2. a randomized oracle fuzz: insert/delete/reconfigure/cut/fold/
-//      crash/recover against an in-memory name-set oracle (folds include
-//      mutations landing mid-snapshot), with on-line point-query recall
-//      checked after every recovery;
+//      stage, WAL block boundary and rebase stage — and recovery is
+//      verified from each crash state; the sweep must cross every fault
+//      point src/persist/ declares;
+//   2. a randomized oracle fuzz: insert/delete/reconfigure/checkpoint/
+//      fold/crash/recover against an in-memory name-set oracle (folds
+//      include mutations landing mid-snapshot), with on-line point-query
+//      recall checked after every recovery;
 //   3. per-section snapshot corruption: one flipped bit in each
 //      CRC-protected section (and in each stored CRC) must fail the load
 //      cleanly with PersistError — no crash, no partially loaded store.
@@ -83,7 +83,7 @@ WalFence stepped_fold(SmartStore& store, ShardedWal& wal,
   next.base_id = next.manifest_id;
   store.begin_checkpoint([&] {
     next.fence = wal.frontier();
-    next.last_cut_seq = store.last_commit_seq();
+    next.fold_seq = store.last_commit_seq();
   });
   try {
     in_freeze();
@@ -121,20 +121,23 @@ struct ShardedScenarioResult {
   /// The stepped fold's rebase dropped a fenced prefix from a shard whose
   /// tail past the fence was non-empty.
   bool tail_spliced = false;
+  /// Checkpoints (DeltaEngine::checkpoint) that folded.
+  std::uint64_t checkpoint_folds = 0;
 };
 
-/// WAL-logged inserts over per-unit shards (one commit each), two delta
-/// cuts growing a chain on the baseline fold's base image, a compaction
-/// fold over that chain, a fold stepped by hand with inserts in its
-/// frozen window and between its manifest publish and its rebase, a
-/// third cut onto that base (slicing the spliced tail), a second engine
-/// fold, and a trailing batch — so the sweep crosses every WAL commit,
-/// segment-append, manifest-publish, image-write, rebase and prune
-/// boundary, the image sections and rebase stages also with writes in
-/// flight. Single-threaded for a deterministic fault sequence (the
-/// multi-writer interleavings are test_concurrent's job; every crash
-/// boundary is the same either way). The disarmed baseline fold gives
-/// every crash state a manifest to recover from.
+/// WAL-logged inserts over per-unit shards (one commit each), two
+/// checkpoints whose tails are far shorter than the baseline fold's base
+/// (so they write nothing and the records stay in the WAL), a fold over
+/// that tail, a fold stepped by hand with inserts in its frozen window
+/// and between its manifest publish and its rebase, a third checkpoint
+/// onto that base (writing nothing over the spliced tail), a second
+/// engine fold, and a trailing batch — so the sweep crosses every WAL
+/// commit, manifest-publish, image-write, rebase and prune boundary, the
+/// image sections and rebase stages also with writes in flight.
+/// Single-threaded for a deterministic fault sequence (the multi-writer
+/// interleavings are test_concurrent's job; every crash boundary is the
+/// same either way). The disarmed baseline fold gives every crash state a
+/// manifest to recover from.
 ShardedScenarioResult run_delta_crash_scenario(const std::string& dir,
                                                std::uint64_t arm_at) {
   ShardedScenarioResult res;
@@ -157,7 +160,7 @@ ShardedScenarioResult run_delta_crash_scenario(const std::string& dir,
   RecordingJournal journal(*wal);
   store.attach_journal(&journal);
   auto engine = std::make_unique<DeltaEngine>(store, *wal, dir);
-  engine->fold();  // baseline: ckpt/base-1.bin + an empty-chain manifest
+  engine->fold();  // baseline: ckpt/base-1.bin + its manifest
 
   // Durable frontiers are tracked CUMULATIVELY per shard: rebases drop
   // durable prefixes out of committed_records(), so the running `dropped`
@@ -173,9 +176,10 @@ ShardedScenarioResult run_delta_crash_scenario(const std::string& dir,
       res.committed[s] =
           (s < dropped.size() ? dropped[s] : 0) + wal->committed_records(s);
   };
-  // A successful cut/fold committed every shard at its barrier, so
-  // everything logged so far is durable regardless of which shards the
-  // rebase touched.
+  // A successful fold committed every shard at its freeze, so everything
+  // logged so far is durable regardless of which shards the rebase
+  // touched. (A checkpoint that writes nothing rebases nothing: the
+  // per-insert snapshots stay exact across it.)
   auto mark_all_durable = [&] {
     if (dropped.size() < wal->num_shards()) dropped.resize(wal->num_shards());
     for (std::size_t s = 0; s < dropped.size(); ++s)
@@ -196,16 +200,18 @@ ShardedScenarioResult run_delta_crash_scenario(const std::string& dir,
       snapshot_committed();
     };
 
+    // The one checkpoint: 4, then 7 records logged against a base of the
+    // whole trace, so both write nothing.
+    auto checkpoint = [&] {
+      if (engine->checkpoint().folded) ++res.checkpoint_folds;
+    };
     for (int i = 0; i < 4; ++i) logged_insert(stream[i]);
-    engine->cut();  // cut #1: segment appends + manifest + rebase
-    mark_all_durable();
-
+    checkpoint();
     for (int i = 4; i < 7; ++i) logged_insert(stream[i]);
-    engine->cut();  // cut #2: the chain grows
-    mark_all_durable();
+    checkpoint();
 
     for (int i = 7; i < 9; ++i) logged_insert(stream[i]);
-    engine->fold();  // compaction: fresh base, empty chain, prune
+    engine->fold();  // Compact(): fresh base over the tail, rebase, prune
     mark_all_durable();
 
     // A fold with writes inside it: two inserts land in the frozen window
@@ -231,11 +237,10 @@ ShardedScenarioResult run_delta_crash_scenario(const std::string& dir,
     engine = std::make_unique<DeltaEngine>(store, *wal, dir);
 
     for (int i = 16; i < 18; ++i) logged_insert(stream[i]);
-    engine->cut();  // cut #3: first cut onto the stepped fold's base
-    mark_all_durable();
+    checkpoint();  // onto the stepped fold's base (an engine reopened)
 
     for (int i = 18; i < 20; ++i) logged_insert(stream[i]);
-    engine->fold();  // a second engine fold, over a non-empty chain
+    engine->fold();  // a second engine fold, over the whole tail
     mark_all_durable();
 
     for (int i = 20; i < 22; ++i) logged_insert(stream[i]);
@@ -264,10 +269,11 @@ TEST(CrashInjection, DeltaCheckpointLosesNoAckedWriteAtAnyFaultPoint) {
     // inside its frozen window, and a tail for its rebase to splice.
     EXPECT_GT(dry.cow_copies, 0u);
     EXPECT_TRUE(dry.tail_spliced);
+    EXPECT_EQ(dry.checkpoint_folds, 0u);
     total = fault_points_passed();
     std::filesystem::remove_all(dir);
   }
-  ASSERT_GT(total, 40u) << "the delta workload should cross many segment/"
+  ASSERT_GT(total, 40u) << "the delta workload should cross many WAL/"
                            "manifest/rebase/prune boundaries";
 
   std::set<std::string> fired;
@@ -288,7 +294,7 @@ TEST(CrashInjection, DeltaCheckpointLosesNoAckedWriteAtAnyFaultPoint) {
     const std::set<std::string> got = unit_names(*rec.store);
 
     // 1. No acknowledged write lost: every record under a shard's durable
-    //    frontier at crash time must survive base + delta chain + tail.
+    //    frontier at crash time must survive base + WAL tail.
     for (const ShardedInsert& ins : r.inserts) {
       const bool acked = ins.shard < r.committed.size() &&
                          r.committed[ins.shard] > ins.idx;
@@ -298,7 +304,7 @@ TEST(CrashInjection, DeltaCheckpointLosesNoAckedWriteAtAnyFaultPoint) {
             << ") at point " << k << " (" << where << ")";
       }
     }
-    // 2. Nothing applied twice: a folded delta replayed over a base that
+    // 2. Nothing applied twice: a fenced prefix replayed over a base that
     //    already contains it would duplicate ids — total_files() counts
     //    records, unit_names() dedups, so equality proves single-apply
     //    (check_invariants also cross-checks ids).
@@ -343,9 +349,8 @@ TEST(CrashInjection, DeltaCheckpointLosesNoAckedWriteAtAnyFaultPoint) {
            "snapshot:write:torn-temp",
            "snapshot:write:pre-rename", "snapshot:write:pre-dirsync",
            "ckpt:manifest:torn-temp", "ckpt:manifest:pre-rename",
-           "ckpt:manifest:pre-dirsync", "delta:seg:pre-truncate",
-           "delta:seg:pre-append", "delta:seg:pre-sync", "delta:pre-rebase",
-           "compact:pre-rebase", "compact:pre-prune"}) {
+           "ckpt:manifest:pre-dirsync", "compact:pre-rebase",
+           "compact:pre-prune"}) {
     EXPECT_TRUE(fired.count(point)) << "sweep never crossed " << point;
   }
 }
@@ -382,7 +387,7 @@ TEST(CrashOracle, RandomizedMutationsCrashesAndRecoveriesMatchOracle) {
   const auto pool = tr.make_insert_stream(400, 123);
   std::size_t cursor = 0;
   util::Rng rng(2024);
-  std::size_t crashes = 0, cuts = 0, folds = 0, stepped_folds = 0;
+  std::size_t crashes = 0, checkpoints = 0, folds = 0, stepped_folds = 0;
 
   auto insert_next = [&] {
     if (cursor >= pool.size()) return;
@@ -431,14 +436,14 @@ TEST(CrashOracle, RandomizedMutationsCrashesAndRecoveriesMatchOracle) {
       store->autoconfigure(
           {AttrSubset::from_mask(0x7u), AttrSubset::from_mask(0x1Fu)});
     } else if (r < 0.92) {
-      // Checkpoint: mostly cuts growing the chain, sometimes a fold —
-      // the engine's, or one stepped by hand with a mutation landing
-      // mid-snapshot (COW path) and another ahead of the rebase (a tail
-      // it splices past the fence).
+      // Checkpoint: mostly the one checkpoint (a fold once the tail holds
+      // the base, nothing before), sometimes a fold — the engine's, or one
+      // stepped by hand with a mutation landing mid-snapshot (COW path)
+      // and another ahead of the rebase (a tail it splices past the fence).
       const double kind = rng.uniform();
       if (kind < 0.6) {
-        engine->cut();
-        ++cuts;
+        engine->checkpoint();
+        ++checkpoints;
       } else if (kind < 0.8) {
         engine->fold();
         ++folds;
@@ -478,7 +483,7 @@ TEST(CrashOracle, RandomizedMutationsCrashesAndRecoveriesMatchOracle) {
   ASSERT_TRUE(rec.store);
   verify_against_oracle(*rec.store);
   EXPECT_GE(crashes, 1u);
-  EXPECT_GE(cuts, 1u);
+  EXPECT_GE(checkpoints, 1u);
   EXPECT_GE(folds, 1u);
   EXPECT_GE(stepped_folds, 1u);
   std::filesystem::remove_all(dir);

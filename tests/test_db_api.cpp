@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -255,6 +256,76 @@ TEST(DbApi, OpenRefusesManifestWithAdoptedBase) {
   EXPECT_TRUE(opened.status().IsFailedPrecondition())
       << opened.status().ToString();
   EXPECT_EQ(util::read_file_bytes(manifest), bytes);
+  std::filesystem::remove_all(dir);
+}
+
+/// Every file under `dir` with its bytes.
+std::map<std::string, std::vector<std::uint8_t>> dir_contents(
+    const std::filesystem::path& dir) {
+  std::map<std::string, std::vector<std::uint8_t>> out;
+  for (const auto& e : std::filesystem::recursive_directory_iterator(dir)) {
+    const std::string rel =
+        std::filesystem::relative(e.path(), dir).generic_string();
+    out[rel] = e.is_regular_file() ? util::read_file_bytes(e.path().string())
+                                   : std::vector<std::uint8_t>{};
+  }
+  return out;
+}
+
+TEST(DbApi, OpenRefusesManifestChainingDeltaCuts) {
+  // Earlier builds checkpointed by chaining delta cuts onto the base: each
+  // cut copied the WAL records since the previous one into per-unit
+  // segment files (ckpt/units/<u>.seg) and listed them in the manifest.
+  // This build keeps those records in the WAL until a fold and has no
+  // chain reader, so a manifest with a non-zero cut count — well formed,
+  // checksums intact — is a layout it cannot read: Open must say so with
+  // FailedPrecondition and change nothing in the directory.
+  const auto dir = temp_dir("cut_chain");
+  {
+    auto store = open_or_die(small_options(), dir.string());
+    ASSERT_TRUE(store->Put(make_file(1)).ok());
+    ASSERT_TRUE(store->Checkpoint().ok());  // a fold: base-1 + manifest
+    ASSERT_TRUE(store->Close().ok());
+  }
+  // The manifest an earlier build published after one cut of two records
+  // on unit 0: the fold's fields, then the chain — per cut its id, seq and
+  // extents (unit, offset, length, records, CRC of the extent bytes) and a
+  // chain CRC over the previous link's CRC and the cut's fields — and the
+  // trailer CRC over everything after the magic.
+  const std::string manifest = (dir / "ckpt" / "MANIFEST").string();
+  std::vector<std::uint8_t> folded = util::read_file_bytes(manifest);
+  ASSERT_GT(folded.size(), 8u + 8 + 4);
+  util::BinaryWriter body;
+  body.write_bytes(folded.data() + 8, folded.size() - 8 - 8 - 4);
+  util::BinaryWriter cut;
+  cut.write_u32(0);   // the chain's first link follows CRC 0
+  cut.write_u64(1);   // cut id
+  cut.write_u64(3);   // cut seq
+  cut.write_u64(1);   // extents
+  cut.write_u64(0);   // unit
+  cut.write_u64(16);  // offset past the segment header
+  cut.write_u64(96);  // length
+  cut.write_u64(2);   // records
+  cut.write_u32(0x5eed5eed);  // the extent bytes' CRC
+  body.write_u64(1);  // cut count
+  body.write_bytes(cut.buffer().data() + 4, cut.size() - 4);
+  body.write_u32(util::crc32(cut.buffer().data(), cut.size()));
+  util::BinaryWriter out;
+  out.write_bytes(folded.data(), 8);  // magic
+  out.write_bytes(body.buffer().data(), body.size());
+  out.write_u32(util::crc32(body.buffer().data(), body.size()));
+  persist::write_file_atomic_faulted(manifest, out.buffer(), "fixture");
+  std::filesystem::create_directories(dir / "ckpt" / "units");
+  persist::write_file_atomic_faulted(
+      (dir / "ckpt" / "units" / "0.seg").string(),
+      std::vector<std::uint8_t>(16 + 96, 0x5a), "fixture");
+
+  const auto before = dir_contents(dir);
+  auto opened = db::Store::Open(small_options(), dir.string());
+  ASSERT_FALSE(opened.ok());
+  EXPECT_TRUE(opened.status().IsFailedPrecondition())
+      << opened.status().ToString();
+  EXPECT_EQ(dir_contents(dir), before);
   std::filesystem::remove_all(dir);
 }
 
@@ -514,6 +585,55 @@ TEST(DbApi, PowerCutKeepsEveryAcknowledgedPutOfConcurrentWriters) {
   for (const auto& a : acked) names.insert(names.end(), a.begin(), a.end());
   EXPECT_EQ(names.size(), kWriters * kPuts);
   EXPECT_EQ(count_found(dir.string(), names), names.size());
+  std::filesystem::remove_all(dir);
+}
+
+// ---- a failed background checkpoint -----------------------------------------
+
+TEST(DbApi, FailedBackgroundCheckpointFailsNoMutation) {
+  // A background checkpoint that fails (here: the manifest publish, with a
+  // directory in the way of MANIFEST.tmp) must not fail the mutation whose
+  // cadence tick finds it: that mutation is applied and durable already,
+  // so an error would invite a retry, and Put is not an upsert. The
+  // failure waits for the next Checkpoint().
+  const auto dir = temp_dir("bg_ckpt_failure");
+  const auto obstacle = dir / "ckpt" / "MANIFEST.tmp";
+  db::Options o = small_options();
+  o.checkpoint_every = 1;
+  {
+    auto store = open_or_die(o, dir.string());
+    std::filesystem::create_directories(obstacle);
+    for (std::uint64_t i = 0; i < 4; ++i) {
+      const db::Status s = store->Put(make_file(i));
+      EXPECT_TRUE(s.ok()) << "Put " << i << ": " << s.ToString();
+    }
+    // A batch spanning cadence ticks applies every op.
+    db::WriteBatch batch;
+    for (std::uint64_t i = 4; i < 10; ++i) batch.Put(make_file(i));
+    const db::Status ws = store->Write(std::move(batch));
+    EXPECT_TRUE(ws.ok()) << ws.ToString();
+    std::string v;
+    ASSERT_TRUE(store->GetProperty("smartstore.total-files", &v));
+    EXPECT_EQ(v, "10");
+
+    const db::Status failed = store->Checkpoint();
+    EXPECT_TRUE(failed.IsIOError()) << failed.ToString();
+    std::filesystem::remove_all(obstacle);
+    const db::Status ok = store->Checkpoint();
+    EXPECT_TRUE(ok.ok()) << ok.ToString();
+    ASSERT_TRUE(store->Close().ok());
+  }
+  auto store = open_or_die(small_options(), dir.string());
+  std::string v;
+  ASSERT_TRUE(store->GetProperty("smartstore.total-files", &v));
+  EXPECT_EQ(v, "10");
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    auto r = store->Query(db::QueryRequest::Point(make_file(i).name),
+                          db::ReadOptions{});
+    ASSERT_TRUE(r.ok());
+    EXPECT_TRUE(r->found) << make_file(i).name;
+  }
+  ASSERT_TRUE(store->Close().ok());
   std::filesystem::remove_all(dir);
 }
 
@@ -842,12 +962,12 @@ TEST(DbApi, QueryAsOfReplaysAcrossCheckpointBoundary) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(DbApi, CommitClockSurvivesReopenPastACutNoOpRemove) {
+TEST(DbApi, CommitClockSurvivesReopenPastAFoldedNoOpRemove) {
   // A replicated remove of an absent name consumes its seq without
-  // applying anything. Once a cut has moved it into a segment and rebased
+  // applying anything. Once a fold has taken it into the base and rebased
   // the WAL, no log record is left to resume the clock from: replay must
   // advance past every record it reads, applied or not, and recovery must
-  // resume at no less than the manifest's last cut seq.
+  // resume at no less than the manifest's fold seq.
   const auto dir = temp_dir("clock_resume");
   {
     auto store = open_or_die(small_options(), dir.string());
@@ -860,10 +980,11 @@ TEST(DbApi, CommitClockSurvivesReopenPastACutNoOpRemove) {
     ops[1].name = "never_inserted.dat";
     ASSERT_TRUE(store->ApplyReplicated(ops, nullptr).ok());
     EXPECT_EQ(store->LatestSequence(), 2u);
-    ASSERT_TRUE(store->Checkpoint().ok());  // a cut: both into segments
-    std::string cuts;
-    ASSERT_TRUE(store->GetProperty("smartstore.ckpt.delta-cuts", &cuts));
-    EXPECT_EQ(cuts, "1");
+    // The base holds nothing: two logged records fold into a fresh one.
+    ASSERT_TRUE(store->Checkpoint().ok());
+    std::string folds;
+    ASSERT_TRUE(store->GetProperty("smartstore.ckpt.delta-folds", &folds));
+    EXPECT_EQ(folds, "2");
     ASSERT_TRUE(store->Close().ok());
   }
   auto store = open_or_die(small_options(), dir.string());

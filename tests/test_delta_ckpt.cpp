@@ -1,19 +1,23 @@
-// The checkpoint engine, end to end: delta cuts and recovery round trips
-// at the persist layer (DeltaEngine over a sharded WAL), chain folds and
-// pruning, the Compactor's budget policy — and the db::Store facade
-// wiring (Checkpoint-as-cut, Compact(), the DumpSnapshot bootstrap
-// payload on a durable store, typed I/O errors, the smartstore.ckpt.*
-// properties, the measured records per commit, and the cadence-counter
-// coalescing regression). The Compactor's background slot under live
-// writer threads is test_bg_checkpoint.
+// The checkpoint engine, end to end: the one checkpoint rule at the
+// persist layer (DeltaEngine over a sharded WAL — a fold when there is no
+// base or the log has grown to the base's size, nothing otherwise), folds
+// and pruning, the Compactor's background slot running that rule, the
+// pinned manifest bytes — and the db::Store facade wiring (Checkpoint and
+// Compact(), the DumpSnapshot bootstrap payload on a durable store, typed
+// I/O errors, the smartstore.ckpt.* properties, the measured records per
+// commit, and the cadence-counter coalescing regression). The Compactor's
+// background slot under live writer threads is test_bg_checkpoint.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
+#include "bloom/md5.h"
 #include "core/smartstore.h"
 #include "persist/compactor.h"
 #include "persist/delta_checkpoint.h"
@@ -21,6 +25,7 @@
 #include "persist/segment.h"
 #include "persist/wal_shard.h"
 #include "smartstore/smartstore.h"
+#include "util/binary_io.h"
 
 namespace {
 
@@ -79,83 +84,99 @@ struct EngineRig {
   std::set<std::string> inserted;
 };
 
-TEST(DeltaCkpt, FirstCutEscalatesToFoldThenChainsAndRecovers) {
-  const auto dir = temp_dir("roundtrip");
+/// Everything a checkpoint that writes nothing must leave alone: the
+/// manifest id, every shard's generation, and the ckpt/ listing with each
+/// file's size.
+struct DiskState {
+  std::uint64_t manifest_id = 0;
+  std::vector<std::uint64_t> generations;
+  std::map<std::string, std::uintmax_t> ckpt_files;
+
+  static DiskState of(const EngineRig& rig) {
+    DiskState d;
+    d.manifest_id = read_manifest(rig.dir).manifest_id;
+    for (std::size_t s = 0; s < rig.wal.num_shards(); ++s)
+      d.generations.push_back(rig.wal.generation(s));
+    for (const auto& e : std::filesystem::directory_iterator(
+             std::filesystem::path(rig.dir) / "ckpt"))
+      d.ckpt_files[e.path().filename().string()] = e.file_size();
+    return d;
+  }
+  bool operator==(const DiskState& o) const {
+    return manifest_id == o.manifest_id && generations == o.generations &&
+           ckpt_files == o.ckpt_files;
+  }
+};
+
+TEST(DeltaCkpt, CheckpointFoldsOnlyOnceTheLogHoldsTheBase) {
+  const auto dir = temp_dir("rule");
   std::set<std::string> expect;
   {
     EngineRig rig(dir);
     DeltaEngine engine(rig.store, rig.wal, rig.dir);
 
+    // No base yet: the first checkpoint folds, whatever the log holds.
     for (std::uint64_t i = 0; i < 8; ++i) rig.insert(i);
-    // No base to chain from yet: the first cut must escalate to a fold.
-    const DeltaCutStats first = engine.cut();
-    EXPECT_TRUE(first.folded);
+    EXPECT_TRUE(engine.checkpoint().folded);
     EXPECT_EQ(engine.folds(), 1u);
-    EXPECT_EQ(engine.chain_len(), 0u);
+    const DiskState after_fold = DiskState::of(rig);
 
-    for (std::uint64_t i = 8; i < 14; ++i) rig.insert(i);
-    const DeltaCutStats second = engine.cut();
-    EXPECT_FALSE(second.folded);
-    EXPECT_FALSE(second.noop);
-    EXPECT_EQ(second.delta_records, 6u);
-    EXPECT_GT(second.delta_bytes, 0u);
-    EXPECT_EQ(engine.chain_len(), 1u);
-    EXPECT_EQ(engine.chain_bytes(), second.chain_bytes);
+    // The base holds 8 files: checkpoints over 1..7 logged records write
+    // nothing, rebase nothing and publish nothing.
+    std::uint64_t next = 8;
+    for (int logged = 1; logged < 8; ++logged) {
+      rig.insert(next++);
+      const CheckpointStats st = engine.checkpoint();
+      EXPECT_FALSE(st.folded) << logged << " logged records";
+      EXPECT_EQ(st.base_bytes, 0u);
+      EXPECT_TRUE(DiskState::of(rig) == after_fold)
+          << logged << " logged records changed the disk";
+    }
+    EXPECT_EQ(engine.folds(), 1u);
 
-    for (std::uint64_t i = 14; i < 17; ++i) rig.insert(i);
-    const DeltaCutStats third = engine.cut();
-    EXPECT_EQ(third.chain_len, 2u);
+    // The 8th record since the base: the log holds as many as the base.
+    rig.insert(next++);
+    EXPECT_TRUE(engine.checkpoint().folded);
+    EXPECT_EQ(engine.folds(), 2u);
+    EXPECT_EQ(read_manifest(rig.dir).manifest_id, after_fold.manifest_id + 1);
+    EXPECT_EQ(engine.completed(), 9u);  // every checkpoint counts
+
+    // An engine opened over the same log learns the base's size (16) from
+    // the store and the WAL: 5 records since the fold do not fold, 16 do.
+    for (int i = 0; i < 5; ++i) rig.insert(next++);
+    DeltaEngine reopened(rig.store, rig.wal, rig.dir);
+    EXPECT_FALSE(reopened.checkpoint().folded);
+    for (int i = 0; i < 10; ++i) rig.insert(next++);
+    EXPECT_FALSE(reopened.checkpoint().folded);  // 15 < 16
+    rig.insert(next++);
+    EXPECT_TRUE(reopened.checkpoint().folded);
     expect = rig.inserted;
   }
-  // Recovery: base + two chained deltas, no WAL tail left to replay.
+  // Recovery: the last fold's base, no WAL tail left to replay.
   RecoveryResult rec = recover(dir.string());
   ASSERT_TRUE(rec.store);
   EXPECT_TRUE(rec.used_manifest);
-  EXPECT_EQ(rec.delta_cuts, 2u);
   EXPECT_EQ(rec.wal_records, 0u);
   EXPECT_TRUE(rec.store->check_invariants());
   EXPECT_EQ(store_names(*rec.store), expect);
   std::filesystem::remove_all(dir);
 }
 
-TEST(DeltaCkpt, ColdCutIsNoop) {
-  const auto dir = temp_dir("cold");
-  EngineRig rig(dir);
-  DeltaEngine engine(rig.store, rig.wal, rig.dir);
-  for (std::uint64_t i = 0; i < 5; ++i) rig.insert(i);
-  engine.cut();
-  const std::uint64_t chain_before = engine.chain_len();
-  const std::uint64_t bytes_before = engine.total_delta_bytes();
-
-  // Nothing mutated since: a cold store's cut must write nothing at all.
-  const DeltaCutStats cold = engine.cut();
-  EXPECT_TRUE(cold.noop);
-  EXPECT_EQ(cold.delta_records, 0u);
-  EXPECT_EQ(engine.chain_len(), chain_before);
-  EXPECT_EQ(engine.total_delta_bytes(), bytes_before);
-  std::filesystem::remove_all(dir);
-}
-
-TEST(DeltaCkpt, FoldCollapsesChainAndPrunesSupersededFiles) {
+TEST(DeltaCkpt, FoldPrunesSupersededBases) {
   const auto dir = temp_dir("fold");
   std::set<std::string> expect;
   {
     EngineRig rig(dir);
     DeltaEngine engine(rig.store, rig.wal, rig.dir);
     for (std::uint64_t i = 0; i < 6; ++i) rig.insert(i);
-    engine.cut();  // fold #1 (no base yet)
+    engine.checkpoint();  // fold #1 (no base yet)
     for (std::uint64_t i = 6; i < 10; ++i) rig.insert(i);
-    engine.cut();
-    for (std::uint64_t i = 10; i < 12; ++i) rig.insert(i);
-    engine.cut();
-    ASSERT_EQ(engine.chain_len(), 2u);
 
-    const DeltaCutStats fold = engine.fold();
+    // An explicit fold runs however short the tail is.
+    const CheckpointStats fold = engine.fold();
     EXPECT_TRUE(fold.folded);
-    EXPECT_EQ(fold.chain_len, 0u);
-    EXPECT_EQ(engine.chain_len(), 0u);
-    EXPECT_EQ(engine.chain_bytes(), 0u);
     EXPECT_GT(fold.base_bytes, 0u);
+    EXPECT_EQ(engine.folds(), 2u);
     expect = rig.inserted;
   }
   // The superseded base image must be gone: exactly one base-<id>.bin
@@ -171,37 +192,79 @@ TEST(DeltaCkpt, FoldCollapsesChainAndPrunesSupersededFiles) {
   RecoveryResult rec = recover(dir.string());
   ASSERT_TRUE(rec.store);
   EXPECT_TRUE(rec.used_manifest);
-  EXPECT_EQ(rec.delta_cuts, 0u);
+  EXPECT_EQ(rec.wal_records, 0u);
   EXPECT_EQ(store_names(*rec.store), expect);
   std::filesystem::remove_all(dir);
 }
 
-TEST(DeltaCkpt, CompactorFoldsWhenChainExceedsBudget) {
+TEST(DeltaCkpt, CompactorRunsTheOneCheckpointInTheBackground) {
   const auto dir = temp_dir("compactor");
   EngineRig rig(dir);
   DeltaEngine engine(rig.store, rig.wal, rig.dir);
-  Compactor compactor(engine, /*max_chain_len=*/2, /*max_chain_bytes=*/0);
+  Compactor compactor(engine);
 
   std::uint64_t next = 0;
-  auto churn_and_checkpoint = [&] {
-    for (int i = 0; i < 3; ++i) rig.insert(next++);
+  auto churn_and_checkpoint = [&](int n) {
+    for (int i = 0; i < n; ++i) rig.insert(next++);
     EXPECT_TRUE(compactor.trigger());
     EXPECT_TRUE(compactor.wait());
-    return engine.chain_len();
+    return engine.folds();
   };
-  EXPECT_EQ(churn_and_checkpoint(), 0u);  // fold #1 (no base yet)
-  EXPECT_EQ(churn_and_checkpoint(), 1u);  // under budget: the cut stays
-  EXPECT_EQ(churn_and_checkpoint(), 2u);  // not PAST the budget (strict >)
-  EXPECT_EQ(engine.folds(), 1u);
-  EXPECT_EQ(churn_and_checkpoint(), 0u);  // chain 3 > 2: cut, then fold
-  EXPECT_EQ(engine.folds(), 2u);
-  EXPECT_EQ(engine.cuts(), 3u);
-  EXPECT_EQ(engine.completed(), 5u);  // every cut and fold counts
+  EXPECT_EQ(churn_and_checkpoint(3), 1u);  // no base yet: a base of 3
+  EXPECT_EQ(churn_and_checkpoint(2), 1u);  // 2 < 3: nothing written
+  EXPECT_EQ(churn_and_checkpoint(1), 2u);  // 3 >= 3: a base of 6
+  EXPECT_EQ(churn_and_checkpoint(5), 2u);
+  EXPECT_EQ(engine.completed(), 4u);
 
   RecoveryResult rec = recover(dir.string());
   ASSERT_TRUE(rec.store);
+  EXPECT_EQ(rec.wal_records, 5u);
   EXPECT_EQ(store_names(*rec.store), rig.inserted);
   std::filesystem::remove_all(dir);
+}
+
+TEST(DeltaCkpt, FoldManifestBytesArePinned) {
+  // The bytes write_manifest gives a manifest of the shape every fold
+  // publishes: a base id, the fold's seq, a per-shard fence and a zero
+  // cut count. Pinned because the SSMFTv01 (version 1) layout must not
+  // move: builds that still chained delta cuts wrote these same bytes
+  // for a fold, so a directory they folded opens here.
+  const auto dir = temp_dir("manifest_pin");
+  DeltaManifest m;
+  m.manifest_id = 7;
+  m.base_id = 7;
+  m.fold_seq = 1234;
+  m.fence.present = true;
+  m.fence.shards = {{0, 0x1111, 5, 0}, {1, 0x2222, 0, 0}, {3, 0x3333, 9, 0}};
+  write_manifest(dir.string(), m);
+  const auto bytes =
+      util::read_file_bytes((dir / "ckpt" / "MANIFEST").string());
+  ASSERT_EQ(bytes.size(), 146u);
+  EXPECT_EQ(bloom::md5(bytes.data(), bytes.size()).hex(),
+            "5fa4223126e92a00f6117d7a1f97faf0");
+  const DeltaManifest back = read_manifest(dir.string());
+  EXPECT_EQ(back.manifest_id, 7u);
+  EXPECT_EQ(back.base_id, 7u);
+  EXPECT_EQ(back.fold_seq, 1234u);
+  ASSERT_EQ(back.fence.shards.size(), 3u);
+  EXPECT_EQ(back.fenced_records(3, 0x3333), 9u);
+  EXPECT_EQ(back.fenced_records(3, 0x3334), 0u);  // a rebased shard
+
+  // A real fold writes exactly these encodings of its own fields.
+  const auto fold_dir = temp_dir("manifest_fold");
+  {
+    EngineRig rig(fold_dir);
+    DeltaEngine engine(rig.store, rig.wal, rig.dir);
+    for (std::uint64_t i = 0; i < 5; ++i) rig.insert(i);
+    engine.fold();
+  }
+  const auto folded =
+      util::read_file_bytes((fold_dir / "ckpt" / "MANIFEST").string());
+  const auto redo = temp_dir("manifest_redo");
+  write_manifest(redo.string(), read_manifest(fold_dir.string()));
+  EXPECT_EQ(util::read_file_bytes((redo / "ckpt" / "MANIFEST").string()),
+            folded);
+  for (const auto& d : {dir, fold_dir, redo}) std::filesystem::remove_all(d);
 }
 
 // ---- db facade --------------------------------------------------------------
@@ -220,7 +283,7 @@ std::unique_ptr<db::Store> open_or_die(const db::Options& o,
   return std::move(opened).value();
 }
 
-TEST(DeltaDb, CheckpointCadenceCutsDeltasAndReopens) {
+TEST(DeltaDb, CheckpointKeepsTheTailInTheWalUntilItHoldsTheBase) {
   const auto dir = temp_dir("db_roundtrip");
   {
     auto store = open_or_die(small_options(), dir.string());
@@ -229,25 +292,32 @@ TEST(DeltaDb, CheckpointCadenceCutsDeltasAndReopens) {
     ASSERT_TRUE(store->Checkpoint().ok());  // fold (fresh store)
     for (std::uint64_t i = 30; i < 40; ++i)
       ASSERT_TRUE(store->Put(make_file(i)).ok());
-    ASSERT_TRUE(store->Checkpoint().ok());  // delta cut
+    ASSERT_TRUE(store->Checkpoint().ok());  // 10 < 30: writes nothing
 
     const db::CheckpointInfo info = store->GetCheckpointInfo();
-    EXPECT_TRUE(info.last_was_delta);
-    EXPECT_GE(info.delta_cuts, 1u);
-    EXPECT_EQ(info.last_delta_records, 10u);
-    EXPECT_GE(info.delta_chain_len, 1u);
-    EXPECT_GT(info.delta_chain_bytes, 0u);
+    EXPECT_EQ(info.completed, 2u);
+    EXPECT_EQ(info.delta_folds, 1u);
+    EXPECT_EQ(info.delta_cuts, 0u);
+    EXPECT_EQ(info.last_snapshot_bytes, 0u);  // the last one wrote nothing
 
     std::string v;
-    ASSERT_TRUE(store->GetProperty("smartstore.ckpt.delta-chain-len", &v));
-    EXPECT_EQ(v, std::to_string(info.delta_chain_len));
+    ASSERT_TRUE(store->GetProperty("smartstore.wal.committed-records", &v));
+    EXPECT_EQ(v, "10");
     ASSERT_TRUE(store->GetProperty("smartstore.ckpt.delta-total-bytes", &v));
-    EXPECT_NE(v, "0");
+    EXPECT_EQ(v, "0");
+    for (const char* gone : {"smartstore.ckpt.delta-cuts",
+                             "smartstore.ckpt.delta-chain-len",
+                             "smartstore.ckpt.delta-chain-bytes"})
+      EXPECT_FALSE(store->GetProperty(gone, &v)) << gone;
     ASSERT_TRUE(store->Close().ok());
   }
   {
     auto store = open_or_die(small_options(), dir.string());
-    EXPECT_TRUE(store->recovery_info().recovered);
+    const db::RecoveryInfo& rec = store->recovery_info();
+    EXPECT_TRUE(rec.recovered);
+    EXPECT_EQ(rec.wal_records, 10u);
+    EXPECT_EQ(rec.delta_cuts, 0u);
+    EXPECT_EQ(rec.delta_records, 0u);
     std::string v;
     ASSERT_TRUE(store->GetProperty("smartstore.total-files", &v));
     EXPECT_EQ(v, "40");
@@ -256,7 +326,7 @@ TEST(DeltaDb, CheckpointCadenceCutsDeltasAndReopens) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(DeltaDb, CompactFoldsTheChainAndSurvivesReopen) {
+TEST(DeltaDb, CompactFoldsTheTailAndSurvivesReopen) {
   const auto dir = temp_dir("db_compact");
   {
     auto store = open_or_die(small_options(), dir.string());
@@ -265,17 +335,23 @@ TEST(DeltaDb, CompactFoldsTheChainAndSurvivesReopen) {
         ASSERT_TRUE(store->Put(make_file(round * 10 + i)).ok());
       ASSERT_TRUE(store->Checkpoint().ok());
     }
+    // Rounds 1 and 2 fold (no base, then 10 >= 10); round 3 (10 < 20)
+    // leaves its records in the WAL for the Compact() to fold.
+    EXPECT_EQ(store->GetCheckpointInfo().delta_folds, 2u);
     ASSERT_TRUE(store->Compact().ok());
     const db::CheckpointInfo info = store->GetCheckpointInfo();
-    EXPECT_GE(info.delta_folds, 1u);
-    EXPECT_EQ(info.delta_chain_len, 0u);
+    EXPECT_EQ(info.delta_folds, 3u);
+    EXPECT_GT(info.last_snapshot_bytes, 0u);
     std::string v;
     ASSERT_TRUE(store->GetProperty("smartstore.ckpt.delta-folds", &v));
-    EXPECT_NE(v, "0");
+    EXPECT_EQ(v, "3");
+    ASSERT_TRUE(store->GetProperty("smartstore.wal.committed-records", &v));
+    EXPECT_EQ(v, "0");
     ASSERT_TRUE(store->Close().ok());
   }
   {
     auto store = open_or_die(small_options(), dir.string());
+    EXPECT_EQ(store->recovery_info().wal_records, 0u);
     std::string v;
     ASSERT_TRUE(store->GetProperty("smartstore.total-files", &v));
     EXPECT_EQ(v, "30");
@@ -303,12 +379,13 @@ TEST(DeltaDb, CheckpointPublishFailureIsIOErrorAndLosesNothing) {
     for (std::uint64_t i = 20; i < 30; ++i)
       ASSERT_TRUE(store->Put(make_file(i)).ok());
     std::filesystem::create_directories(obstacle);
-    s = store->Checkpoint();  // a cut this time
+    s = store->Compact();  // a fold of a 10-record tail
     EXPECT_TRUE(s.IsIOError()) << s.ToString();
     EXPECT_TRUE(store->Close().ok());
   }
   {
     auto store = open_or_die(small_options(), dir.string());
+    EXPECT_EQ(store->recovery_info().wal_records, 10u);
     std::string v;
     ASSERT_TRUE(store->GetProperty("smartstore.total-files", &v));
     EXPECT_EQ(v, "30");
@@ -317,11 +394,11 @@ TEST(DeltaDb, CheckpointPublishFailureIsIOErrorAndLosesNothing) {
     auto r = store->Query(q);
     ASSERT_TRUE(r.ok());
     EXPECT_TRUE(r->found);
-    // The next cut publishes past the orphan segment bytes the failed one
+    // The next fold publishes over the unreferenced image the failed one
     // left behind.
     std::filesystem::remove_all(obstacle);
     ASSERT_TRUE(store->Put(make_file(30)).ok());
-    ASSERT_TRUE(store->Checkpoint().ok());
+    ASSERT_TRUE(store->Compact().ok());
     ASSERT_TRUE(store->Close().ok());
   }
   {

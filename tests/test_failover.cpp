@@ -386,9 +386,10 @@ TEST(Failover, AutomaticFailoverResumesWithoutOperatorAction) {
 
 // Kill the primary at a sweep of phases of a live, fault-injected write
 // load: immediately (mid-batch), mid-checkpoint (checkpoint_every is
-// tiny, so checkpoints are continuous), right after a follower rejoin
-// (bootstrap catch-up still in flight), and a double failure — kill the
-// PROMOTED primary too, then bring the first victim back. After every
+// tiny: a checkpoint runs every 8 writes, and it folds each time the
+// population has doubled since the last fold), right after a follower
+// rejoin (bootstrap catch-up still in flight), and a double failure —
+// kill the PROMOTED primary too, then bring the first victim back. After every
 // phase: zero acked-write loss, exactly-once effects, and the merged
 // range scan equals the oracle (every id written, once, in order).
 //
@@ -431,7 +432,7 @@ TEST(Failover, ChaosSweepKillPrimaryAtEveryPhase) {
     co.auto_failover = true;
     co.heartbeat_interval_ms = 10;
     co.heartbeat_misses = 2;
-    co.store_options.checkpoint_every = 8;  // checkpoints are continuous
+    co.store_options.checkpoint_every = 8;  // folds at each doubling
     auto cluster = start_or_die(co);
 
     // Fault-injected client path: drops and delays on every channel.

@@ -138,7 +138,7 @@ std::uint64_t get_le(const std::uint8_t* p, int n) {
 }
 
 TEST(BinaryIo, EncodingIsPinnedLittleEndian) {
-  // Images, WAL blocks, segments, manifests and frames all speak this
+  // Images, WAL blocks, manifests and frames all speak this
   // encoding: each writer method against bytes written out by hand.
   util::BinaryWriter w;
   std::vector<std::uint8_t> want;
@@ -1510,21 +1510,25 @@ TEST(Recovery, RecoveredCoreServes) {
   EXPECT_EQ(r.stats.latency_s, 0.0);
 }
 
-TEST(Recovery, CutRebasesTheWalItSubsumes) {
+TEST(Recovery, FoldRebasesTheWalItSubsumes) {
   const std::string dir = temp_dir("checkpoint");
   trace::SyntheticTrace tr = trace::SyntheticTrace::generate(
       trace::msn_profile(), 1, 42, /*downscale=*/50);
   Durable d(dir, tr, 6);
 
+  // Four records against a base of the whole trace: the checkpoint leaves
+  // them in the WAL, and recovery replays them from there.
   for (const auto& f : tr.make_insert_stream(4, 3)) d.insert(f);
-  d.engine.cut();
+  EXPECT_FALSE(d.engine.checkpoint().folded);
+  EXPECT_EQ(recover(dir).wal_records, 4u);
+
+  d.engine.fold();
   for (std::size_t s = 0; s < d.wal.num_shards(); ++s)
     EXPECT_EQ(d.wal.committed_records(s), 0u) << "shard " << s;
 
-  // Recovery after the cut sees the mutations exactly once, from the chain.
+  // Recovery after the fold sees the mutations exactly once, in the base.
   const RecoveryResult rec = recover(dir);
   EXPECT_EQ(rec.wal_records, 0u);
-  EXPECT_EQ(rec.delta_records, 4u);
   EXPECT_EQ(rec.store->total_files(), d.store.total_files());
 }
 
@@ -1537,20 +1541,19 @@ TEST(Recovery, CrashBetweenManifestAndRebaseReplaysNothingTwice) {
   Durable d(dir, tr, 6);
   for (const auto& f : tr.make_insert_stream(5, 3)) d.insert(f);
 
-  // Simulate the crash: preserve the pre-cut logs, cut (segments +
+  // Simulate the crash: preserve the pre-fold logs, fold (base image +
   // manifest land, shards are rebased), then restore the old logs as if
   // the rebase never hit the disk.
   const std::string wal_dir = ShardedWal::shard_dir(dir);
   const std::string saved = dir + "/wal.saved";
   std::filesystem::copy(wal_dir, saved);
-  d.engine.cut();
+  d.engine.fold();
   std::filesystem::remove_all(wal_dir);
   std::filesystem::copy(saved, wal_dir);
 
   const RecoveryResult rec = recover(dir);
   EXPECT_EQ(rec.wal_fenced, 5u);   // all five suppressed by the fence
   EXPECT_EQ(rec.wal_records, 0u);  // nothing replayed on top
-  EXPECT_EQ(rec.delta_records, 5u);
   EXPECT_EQ(rec.store->total_files(), d.store.total_files());
   EXPECT_TRUE(rec.store->check_invariants());
   // No duplicate records: per-unit name multisets match the live store.

@@ -6,8 +6,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -576,6 +578,41 @@ TEST(Socket, ReconnectAfterServerRestart) {
   EXPECT_TRUE(channel.Call(make_request(rpc::Method::kPing), &resp).ok());
   second.Stop();
 }
+
+#if defined(__linux__)
+
+std::size_t open_fds() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& e :
+       std::filesystem::directory_iterator("/proc/self/fd"))
+    ++n;
+  return n;
+}
+
+// A long-running server must not keep a fd (or a thread) per client it
+// ever had: clients that connect, call once and hang up, one after the
+// other, leave the process's descriptor count where it was.
+TEST(Socket, SerialReconnectsKeepFdCountFlat) {
+  rpc::SocketServer server;
+  ASSERT_TRUE(server.Start("127.0.0.1", 0, echo_handler(0)).ok());
+  const std::size_t before = open_fds();
+  for (int i = 0; i < 50; ++i) {
+    rpc::SocketChannel channel("127.0.0.1", server.port());
+    rpc::Frame resp;
+    ASSERT_TRUE(channel.Call(make_request(rpc::Method::kPing), &resp).ok());
+  }  // the channel's destructor hangs up
+  // The server closes its end once it reads the hang-up, on its own
+  // thread: allow the last connection a moment.
+  std::size_t after = open_fds();
+  for (int i = 0; i < 200 && after > before + 2; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    after = open_fds();
+  }
+  EXPECT_LE(after, before + 2) << "started at " << before;
+  server.Stop();
+}
+
+#endif  // __linux__
 
 #if defined(__unix__) || defined(__APPLE__)
 
