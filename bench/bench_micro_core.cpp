@@ -1,8 +1,11 @@
 // Micro-benchmarks (google-benchmark) for the core operations: MD5
 // hashing, Bloom filter ops, B+-tree ops, SVD/LSI fitting and projection,
 // R-tree insert/search, SmartStore bulk build, record encoding and CRC-32,
-// and query paths (routed, and exact at a pinned seq).
+// and query paths (routed, and exact at a pinned seq), and point lookups
+// on a serving core alone and amid scans.
 #include <benchmark/benchmark.h>
+
+#include <chrono>
 
 #include "bloom/bloom_filter.h"
 #include "bloom/md5.h"
@@ -341,6 +344,72 @@ void BM_SmartStoreExactTopKQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SmartStoreExactTopKQuery);
+
+// ---- point lookups on a serving core -----------------------------------------
+
+/// A serving core shaped like the repository benchmark's semantic_query
+/// store (the HP TIF 4 population, 80,000 files, on 60 units, fanout 8)
+/// with a Zipf query generator over it.
+struct ServingFixture {
+  ServingFixture() {
+    core::Config cfg;
+    cfg.num_units = 60;
+    cfg.fanout = 8;
+    store = std::make_unique<core::SmartStore>(cfg);
+    store->serve();
+    store->build(bulk_trace(true).files());
+    gen = std::make_unique<trace::QueryGenerator>(
+        bulk_trace(true), trace::QueryDistribution::kZipf, 11);
+  }
+  std::unique_ptr<core::SmartStore> store;
+  std::unique_ptr<trace::QueryGenerator> gen;
+};
+
+ServingFixture& serving_fixture() {
+  static ServingFixture f;
+  return f;
+}
+
+/// Off-line point lookups (10% absent names) on that core, three per
+/// iteration: alone (Arg 0), or after a range query or a top-k query in
+/// turn (Arg 1) on semantic_query's dims (mtime, read and write bytes;
+/// boxes 5% wide, top-8), whose scans evict what the lookups keep warm.
+/// Only the lookups are timed; the reported time is per three lookups.
+void BM_ServingLookup(benchmark::State& state) {
+  auto& f = serving_fixture();
+  const bool amid_scans = state.range(0) == 1;
+  const auto dims = metadata::AttrSubset({metadata::Attr::kModificationTime,
+                                          metadata::Attr::kReadBytes,
+                                          metadata::Attr::kWriteBytes});
+  std::vector<metadata::PointQuery> points(3);
+  bool range_next = true;
+  for (auto _ : state) {
+    if (amid_scans) {
+      if (range_next) {
+        benchmark::DoNotOptimize(f.store->range_query(
+            f.gen->gen_range(dims, 0.05), core::Routing::kOffline));
+      } else {
+        benchmark::DoNotOptimize(f.store->topk_query(
+            f.gen->gen_topk(dims, 8), core::Routing::kOffline));
+      }
+      range_next = !range_next;
+    }
+    for (auto& p : points) p = f.gen->gen_point(0.9);
+    const auto t0 = std::chrono::steady_clock::now();
+    for (const auto& p : points)
+      benchmark::DoNotOptimize(f.store->point_query(p, core::Routing::kOffline));
+    const auto t1 = std::chrono::steady_clock::now();
+    state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(points.size()));
+  state.SetLabel(amid_scans ? "amid_scans" : "alone");
+}
+BENCHMARK(BM_ServingLookup)
+    ->Arg(0)
+    ->Arg(1)
+    ->UseManualTime()
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -1,5 +1,6 @@
 #include "bloom/bloom_filter.h"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cmath>
@@ -85,55 +86,91 @@ double BloomFilter::estimated_fpp() const {
   return std::pow(fill_ratio(), static_cast<double>(k_));
 }
 
-AtomicBloomFilter::AtomicBloomFilter(const AtomicBloomFilter& other)
-    : bits_(other.bits_), k_(other.k_), words_(other.words_.size()) {
-  for (std::size_t i = 0; i < words_.size(); ++i)
-    words_[i].store(other.words_[i].load(std::memory_order_relaxed),
-                    std::memory_order_relaxed);
-}
-
-AtomicBloomFilter& AtomicBloomFilter::operator=(
-    const AtomicBloomFilter& other) {
-  if (this == &other) return *this;
-  bits_ = other.bits_;
-  k_ = other.k_;
-  words_ = std::vector<std::atomic<std::uint64_t>>(other.words_.size());
-  for (std::size_t i = 0; i < words_.size(); ++i)
-    words_[i].store(other.words_[i].load(std::memory_order_relaxed),
-                    std::memory_order_relaxed);
-  return *this;
-}
-
-void AtomicBloomFilter::assign(const BloomFilter& f) {
-  const std::vector<std::uint64_t>& src = f.words();
-  if (f.bit_count() != bits_ || f.num_hashes() != k_) {
-    bits_ = f.bit_count();
-    k_ = f.num_hashes();
-    words_ = std::vector<std::atomic<std::uint64_t>>(src.size());
+BitSlicedBank::BitSlicedBank(std::size_t bits, unsigned num_hashes,
+                             const std::vector<BloomFilter>& members)
+    : members_(members.size()), bits_((bits + 63) / 64 * 64),
+      k_(num_hashes) {
+  assert(bits > 0 && num_hashes > 0);
+  if (members_ > 64) {
+    width_shift_ = 6;
+    row_words_ = (members_ + 63) / 64;
+  } else {
+    width_shift_ = static_cast<unsigned>(
+        std::countr_zero(std::bit_ceil(std::max<std::size_t>(members_, 1))));
+    rows_shift_ = 6 - width_shift_;
+    row_mask_ = (std::size_t{1} << rows_shift_) - 1;
   }
-  for (std::size_t i = 0; i < src.size(); ++i) {
-    if (words_[i].load(std::memory_order_relaxed) != src[i])
-      words_[i].store(src[i], std::memory_order_relaxed);
+  // Filled in plain words, then published: nothing else can see the bank
+  // yet, so no bit needs a read-modify-write.
+  std::vector<std::uint64_t> plain(
+      ((bits_ + row_mask_) >> rows_shift_) * row_words_, 0);
+  for (std::size_t m = 0; m < members_; ++m) {
+    const BloomFilter& f = members[m];
+    assert(f.bit_count() == bits_ && f.num_hashes() == k_);
+    const std::vector<std::uint64_t>& src = f.words();
+    for (std::size_t i = 0; i < src.size(); ++i) {
+      for (std::uint64_t x = src[i]; x != 0; x &= x - 1) {
+        const Slot s = slot(i * 64 + static_cast<std::size_t>(
+                                         std::countr_zero(x)), m);
+        plain[s.word] |= s.mask;
+      }
+    }
   }
+  words_ = std::vector<std::atomic<std::uint64_t>>(plain.size());
+  for (std::size_t i = 0; i < plain.size(); ++i)
+    words_[i].store(plain[i], std::memory_order_relaxed);
 }
 
-void AtomicBloomFilter::insert(const ItemHash& h) {
+void BitSlicedBank::insert(std::size_t m, const ItemHash& h) {
+  assert(m < members_);
   for (unsigned i = 0; i < k_; ++i) {
-    const std::size_t idx = bloom_probe_index(i, h.w.data(), bits_);
-    std::atomic<std::uint64_t>& word = words_[idx / 64];
-    const std::uint64_t old = word.load(std::memory_order_relaxed);
-    const std::uint64_t set = old | (1ULL << (idx % 64));
-    if (set != old) word.store(set, std::memory_order_relaxed);
+    const Slot s = slot(bloom_probe_index(i, h.w.data(), bits_), m);
+    std::atomic<std::uint64_t>& word = words_[s.word];
+    if ((word.load(std::memory_order_relaxed) & s.mask) == 0)
+      word.fetch_or(s.mask, std::memory_order_relaxed);
   }
 }
 
-bool AtomicBloomFilter::may_contain(const ItemHash& h) const {
-  for (unsigned i = 0; i < k_; ++i) {
-    const std::size_t idx = bloom_probe_index(i, h.w.data(), bits_);
-    if ((words_[idx / 64].load(std::memory_order_relaxed) &
-         (1ULL << (idx % 64))) == 0)
+void BitSlicedBank::update(std::size_t m, const BloomFilter& from,
+                           const BloomFilter& to) {
+  assert(m < members_);
+  assert(from.bit_count() == bits_ && from.num_hashes() == k_);
+  assert(to.bit_count() == bits_ && to.num_hashes() == k_);
+  const std::vector<std::uint64_t>& before = from.words();
+  const std::vector<std::uint64_t>& after = to.words();
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    for (std::uint64_t diff = before[i] ^ after[i]; diff != 0;
+         diff &= diff - 1) {
+      const auto b = static_cast<unsigned>(std::countr_zero(diff));
+      const Slot s = slot(i * 64 + b, m);
+      if ((after[i] >> b) & 1) {
+        words_[s.word].fetch_or(s.mask, std::memory_order_relaxed);
+      } else {
+        words_[s.word].fetch_and(~s.mask, std::memory_order_relaxed);
+      }
+    }
+  }
+}
+
+BloomFilter BitSlicedBank::member(std::size_t m) const {
+  assert(m < members_);
+  std::vector<std::uint64_t> out(bits_ / 64, 0);
+  for (std::size_t p = 0; p < bits_; ++p) {
+    const Slot s = slot(p, m);
+    if (words_[s.word].load(std::memory_order_relaxed) & s.mask)
+      out[p / 64] |= std::uint64_t{1} << (p % 64);
+  }
+  return BloomFilter::from_words(bits_, k_, std::move(out));
+}
+
+bool BitSlicedBank::operator==(const BitSlicedBank& other) const {
+  if (members_ != other.members_ || bits_ != other.bits_ || k_ != other.k_ ||
+      words_.size() != other.words_.size())
+    return false;
+  for (std::size_t i = 0; i < words_.size(); ++i)
+    if (words_[i].load(std::memory_order_relaxed) !=
+        other.words_[i].load(std::memory_order_relaxed))
       return false;
-  }
   return true;
 }
 

@@ -8,10 +8,12 @@
 // filters, so a query can walk down the tree following positive hits.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
-#include <cstdint>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <string_view>
 #include <vector>
 
@@ -89,31 +91,99 @@ class BloomFilter {
   std::vector<std::uint64_t> words_;
 };
 
-/// A plain Bloom filter that probes may read while one writer at a time
-/// (serialized by the caller) inserts into it or overwrites it: probes
-/// read every word with a relaxed atomic load, and the writer stores only
-/// the words it changes. A probe racing a write sees each word either
-/// before or after it, so an item whose bits are set both before and
-/// after the write is never reported absent. The geometry changes only
-/// when assign() is given a filter of another geometry, or by copying;
-/// both need the caller to exclude every probe.
-class AtomicBloomFilter {
+/// A bank of same-geometry Bloom filters stored bit-sliced (the layout of
+/// bit-sliced signature files): row p holds bit p of every member, member
+/// m at bit m of the row. A lookup computes an item's k probe positions
+/// once and ANDs k rows to learn every member that may contain it, where
+/// separate filters cost one probe walk per member. A row is as wide as
+/// the smallest power of two covering the members, packed several to a
+/// 64-bit word, or ceil(members / 64) words beyond 64 members.
+///
+/// Concurrency: probes take no lock and read each word with a relaxed
+/// atomic load. The caller serializes the writers of one member; writers
+/// of different members may run concurrently, since they can share a row
+/// word and every bit change is an atomic read-modify-write of its word.
+/// A writer changes only the bits it means to change, so a probe racing
+/// it reads each bit before or after its change: an item whose bits are
+/// set in a member both before and after a write never reads absent. The
+/// geometry and the member count change only by building a new bank,
+/// which must exclude every probe and writer.
+class BitSlicedBank {
  public:
-  /// The default geometry, all bits clear.
-  AtomicBloomFilter() { assign(BloomFilter()); }
-  AtomicBloomFilter(const AtomicBloomFilter& other);
-  AtomicBloomFilter& operator=(const AtomicBloomFilter& other);
+  BitSlicedBank() = default;
+  /// A bank holding `members`: filters of one geometry, `bits` bits
+  /// (rounded up to a multiple of 64, as BloomFilter rounds) and
+  /// `num_hashes` probes.
+  BitSlicedBank(std::size_t bits, unsigned num_hashes,
+                const std::vector<BloomFilter>& members);
 
-  /// Makes the contents equal `f`'s, storing only the words that differ.
-  void assign(const BloomFilter& f);
-  void insert(const ItemHash& h);
-  bool may_contain(const ItemHash& h) const;
+  std::size_t members() const { return members_; }
+  std::size_t bit_count() const { return bits_; }
+  unsigned num_hashes() const { return k_; }
+
+  /// Member m's BloomFilter::insert.
+  void insert(std::size_t m, const ItemHash& h);
+  /// Makes member m equal `to`, given that it equals `from`: only the bits
+  /// that differ between the two change. Both have the bank's geometry.
+  void update(std::size_t m, const BloomFilter& from, const BloomFilter& to);
+
+  /// Calls fn(m) for every member that may contain the item (BloomFilter::
+  /// may_contain), in increasing member order.
+  template <typename Fn>
+  void for_each_match(const ItemHash& h, Fn&& fn) const;
+
+  /// Member m as a plain filter (reads every row).
+  BloomFilter member(std::size_t m) const;
+
+  /// Same geometry, members and bits.
+  bool operator==(const BitSlicedBank& other) const;
+
+  std::size_t byte_size() const {
+    return sizeof(*this) + words_.capacity() * sizeof(std::uint64_t);
+  }
 
  private:
+  /// Where member m's bit of row p lives.
+  struct Slot {
+    std::size_t word;
+    std::uint64_t mask;
+  };
+  Slot slot(std::size_t p, std::size_t m) const {
+    return {((p >> rows_shift_) * row_words_) + (m >> 6),
+            std::uint64_t{1} << ((((p & row_mask_) << width_shift_) + m) & 63)};
+  }
+
+  std::size_t members_ = 0;
   std::size_t bits_ = 0;
   unsigned k_ = 0;
+  unsigned width_shift_ = 0;   ///< log2 of the row width in bits (<= 6)
+  unsigned rows_shift_ = 0;    ///< log2 of the rows packed in one word
+  std::size_t row_mask_ = 0;   ///< rows per word - 1
+  std::size_t row_words_ = 1;  ///< words per row (1 up to 64 members)
   std::vector<std::atomic<std::uint64_t>> words_;
 };
+
+template <typename Fn>
+void BitSlicedBank::for_each_match(const ItemHash& h, Fn&& fn) const {
+  if (members_ == 0) return;
+  for (std::size_t w = 0; w < row_words_; ++w) {
+    // The members of row word w that every probed row admits.
+    const std::size_t first = w * 64;
+    const std::size_t n = std::min<std::size_t>(members_ - first, 64);
+    std::uint64_t hits = n == 64 ? ~std::uint64_t{0}
+                                 : (std::uint64_t{1} << n) - 1;
+    for (unsigned i = 0; i < k_ && hits != 0; ++i) {
+      const std::size_t p = bloom_probe_index(i, h.w.data(), bits_);
+      hits &= words_[(p >> rows_shift_) * row_words_ + w].load(
+                  std::memory_order_relaxed) >>
+              ((p & row_mask_) << width_shift_);
+    }
+    while (hits != 0) {
+      fn(first + static_cast<std::size_t>(std::countr_zero(hits)));
+      hits &= hits - 1;
+    }
+  }
+}
 
 /// Counting Bloom filter: supports deletion and exports a plain BloomFilter
 /// view for replication up the tree. 4-bit saturating counters packed two

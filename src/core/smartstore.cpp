@@ -243,12 +243,14 @@ void SmartStore::build(const std::vector<FileMetadata>& files) {
     std::vector<StorageUnit>& units = units_;
     util::for_each_chunk(pool.get(), place.groups.size(), 1,
                          [&](std::size_t lo, std::size_t hi) {
+                           std::array<double, kNumAttrs> coords;
                            for (std::size_t g = lo; g < hi; ++g) {
                              StorageUnit& unit = units[g % units.size()];
                              unit.reserve(place.groups[g].size());
                              for (std::size_t idx : place.groups[g]) {
                                const FileMetadata& f = files[idx];
-                               unit.add_file(f, standardizer.transform(f.attrs),
+                               standardizer.transform(f.attrs, coords);
+                               unit.add_file(f, coords,
                                              bloom::hash_item(f.name));
                              }
                            }
@@ -277,6 +279,18 @@ void SmartStore::build(const std::vector<FileMetadata>& files) {
 void SmartStore::init_sync_state() {
   sync_.clear();
   refresh_sync_groups();
+}
+
+void SmartStore::rebuild_group_bank() {
+  const std::vector<std::size_t>& groups = tree_.groups();
+  std::vector<bloom::BloomFilter> unions;
+  unions.reserve(groups.size());
+  for (std::size_t c = 0; c < groups.size(); ++c) {
+    GroupSync& gs = sync_.at(groups[c]);
+    gs.column = c;
+    unions.push_back(gs.replica.union_filter());
+  }
+  group_bank_ = bloom::BitSlicedBank(bloom_bits_, cfg_.bloom_hashes, unions);
 }
 
 // ---- filter geometry ---------------------------------------------------------
@@ -330,8 +344,14 @@ void SmartStore::maybe_grow_filters() {
   for (auto& v : variants_) v.tree.resize_filters(units_, bits);
   // A replica base is a filter of the names its group held at the last
   // sync, which are not kept apart: only a full sync (as reconfigure()
-  // runs) gives it the new geometry.
-  for (std::size_t g : tree_.groups()) full_sync_group(g);
+  // runs) gives it the new geometry, and the group bank is rebuilt in it.
+  for (std::size_t g : tree_.groups()) {
+    GroupSync& gs = sync_.at(g);
+    gs.replica.reset(replica_base(tree_.node(g)));
+    gs.pending = empty_delta();
+    gs.changes_since_full_sync = 0;
+  }
+  rebuild_group_bank();
   bloom_resizes_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -352,6 +372,7 @@ void SmartStore::refresh_sync_groups() {
     gs.pending = empty_delta();
     sync_.emplace(g, std::move(gs));
   }
+  rebuild_group_bank();
 }
 
 util::Rng& SmartStore::thread_rng() const {
@@ -424,14 +445,6 @@ SmartStore::StdPoint SmartStore::standardize(
   return p;
 }
 
-bool SmartStore::StdBox::contains(const la::Vector& coords) const {
-  for (std::size_t j = 0; j < dims.size(); ++j) {
-    const double v = coords[dims[j]];
-    if (v < lo[j] || v > hi[j]) return false;
-  }
-  return true;
-}
-
 bool SmartStore::StdBox::intersects(const rtree::Mbr& mbr) const {
   if (!mbr.valid()) return false;
   for (std::size_t i = 0; i < dims.size(); ++i) {
@@ -439,15 +452,6 @@ bool SmartStore::StdBox::intersects(const rtree::Mbr& mbr) const {
     if (mbr.hi()[d] < lo[i] || mbr.lo()[d] > hi[i]) return false;
   }
   return true;
-}
-
-double SmartStore::StdPoint::dist2(const la::Vector& coords) const {
-  double acc = 0.0;
-  for (std::size_t j = 0; j < dims.size(); ++j) {
-    const double delta = coords[dims[j]] - at[j];
-    acc += delta * delta;
-  }
-  return acc;
 }
 
 double SmartStore::StdPoint::min_dist2(const rtree::Mbr& mbr) const {
@@ -468,24 +472,26 @@ double SmartStore::StdPoint::min_dist2(const rtree::Mbr& mbr) const {
 
 void SmartStore::unit_range_scan(const StorageUnit& u, const StdBox& box,
                                  std::vector<FileId>& out) {
-  const auto& coords = u.std_coords();
-  for (std::size_t i = 0; i < coords.size(); ++i)
-    if (box.contains(coords[i])) out.push_back(u.files()[i].id);
+  const StorageUnit::Columns cols = u.columns();
+  const auto& ids = u.ids();
+  for (std::size_t i = 0; i < ids.size(); ++i)
+    if (box.contains(cols.row(i))) out.push_back(ids[i]);
 }
 
 void SmartStore::unit_topk_scan(const StorageUnit& u, const StdPoint& point,
                                 std::size_t k,
                                 std::vector<std::pair<double, FileId>>& heap) {
   // `heap` is a max-heap of the best k candidates found so far.
-  const auto& coords = u.std_coords();
-  for (std::size_t i = 0; i < coords.size(); ++i) {
-    const double dist = point.dist2(coords[i]);
+  const StorageUnit::Columns cols = u.columns();
+  const auto& ids = u.ids();
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const double dist = point.dist2(cols.row(i));
     if (heap.size() < k) {
-      heap.emplace_back(dist, u.files()[i].id);
+      heap.emplace_back(dist, ids[i]);
       std::push_heap(heap.begin(), heap.end());
     } else if (dist < heap.front().first) {
       std::pop_heap(heap.begin(), heap.end());
-      heap.back() = {dist, u.files()[i].id};
+      heap.back() = {dist, ids[i]};
       std::push_heap(heap.begin(), heap.end());
     }
   }
@@ -586,6 +592,8 @@ void SmartStore::seal_version(std::size_t g) {
   sync_stripes_.assert_held(&sync_.at(g));
   GroupSync& gs = sync_.at(g);
   if (gs.pending.empty()) return;
+  for (const bloom::ItemHash& h : gs.pending.added_names)
+    group_bank_.insert(gs.column, h);
   gs.replica.seal(std::move(gs.pending));
   gs.pending = empty_delta();
 }
@@ -608,7 +616,11 @@ void SmartStore::full_sync_group(std::size_t g) {
   {
     const auto sync_guard = maybe_lock(&sync_stripes_, &sync_.at(g));
     GroupSync& gs = sync_.at(g);
+    // The column holds the old union; only the bits the new base changes
+    // flip, so a name in both never reads absent to a racing lookup.
+    const bloom::BloomFilter before = gs.replica.union_filter();
     gs.replica.reset(std::move(base));
+    group_bank_.update(gs.column, before, gs.replica.base().name_filter);
     gs.pending = std::move(pending);
     gs.changes_since_full_sync = 0;
   }
@@ -757,11 +769,11 @@ bool SmartStore::remove_located(UnitId u, FileId id, const std::string& name,
   la::Vector raw;
   {
     const util::MutexLock guard(unit_mutex(u));
-    if (!units_[u].find_by_id(id)) return false;  // lost a delete race
+    if (!units_[u].find(id, name)) return false;  // lost a delete race
     const std::uint64_t stamped = commit_stamp(seq);
     if (journal) journal->log_remove(u, name, stamped);
     cow_unit(u);
-    auto removed = units_[u].remove_file(id, name_hash, stamped);
+    auto removed = units_[u].remove_file(id, name, name_hash, stamped);
     assert(removed.has_value());
     raw = removed->full_vector();
     units_[u].prune_tombstones(gc_watermark());
@@ -929,20 +941,28 @@ PointResult SmartStore::point_query(const metadata::PointQuery& q,
   };
 
   if (routing == Routing::kOffline) {
-    // Candidate groups from the replicated Bloom filters (+versions). The
-    // union probe and the version count need no lock; the group's stripe
-    // is taken only to confirm a name its union admits.
+    // Candidate groups from the replicated Bloom filters (+versions): one
+    // lock-free probe of the group bank names, in group order, every group
+    // whose union admits the name, and only those take their stripe to
+    // confirm it.
+    const std::vector<std::size_t>& groups = tree_.groups();
     std::vector<std::size_t> candidates;
-    for (std::size_t g : tree_.groups()) {
-      const GroupSync& gs = sync_.at(g);
-      version_cost += static_cast<double>(gs.replica.version_count()) *
-                      cfg_.cost.per_bloom_check_s;
-      if (!gs.replica.union_may_contain(qhash)) continue;
+    group_bank_.for_each_match(qhash, [&](std::size_t c) {
+      const GroupSync& gs = sync_.at(groups[c]);
       const auto guard = maybe_lock(&sync_stripes_, &gs);
       if (gs.replica.confirm_name(qhash, cfg_.versioning_enabled))
-        candidates.push_back(g);
+        candidates.push_back(groups[c]);
+    });
+    // The paper's home unit checks every group's filter and every sealed
+    // version, in group order; only a simulated session has a clock to
+    // charge that to (the version counts need no lock).
+    if (session.simulated()) {
+      for (std::size_t g : groups)
+        version_cost +=
+            static_cast<double>(sync_.at(g).replica.version_count()) *
+            cfg_.cost.per_bloom_check_s;
     }
-    session.visit(static_cast<double>(tree_.groups().size()) *
+    session.visit(static_cast<double>(groups.size()) *
                       cfg_.cost.per_bloom_check_s +
                   version_cost);
 
@@ -1241,7 +1261,8 @@ void SmartStore::remove_storage_unit(UnitId u) {
   std::vector<FileMetadata> displaced = units_[u].files();
   std::vector<std::uint64_t> displaced_seqs = units_[u].added_seqs();
   for (const auto& f : displaced) {
-    auto removed = units_[u].remove_file(f.id, bloom::hash_item(f.name));
+    auto removed =
+        units_[u].remove_file(f.id, f.name, bloom::hash_item(f.name));
     tree_.on_file_removed(u, f.full_vector());
     for (auto& v : variants_) v.tree.on_file_removed(u, f.full_vector());
     total_files_.fetch_sub(1, std::memory_order_relaxed);
@@ -1342,10 +1363,22 @@ bool SmartStore::check_invariants() const {
   std::size_t files = 0;
   for (UnitId u = 0; u < units_.size(); ++u) files += units_[u].file_count();
   if (files != total_files_.load(std::memory_order_relaxed)) return false;
-  for (std::size_t g : tree_.groups()) {
-    if (!sync_.count(g)) return false;
+  // The group bank holds, in group order, the union of each replica's
+  // base filter and sealed digests: the bank a rebuild would make.
+  const std::vector<std::size_t>& groups = tree_.groups();
+  std::vector<bloom::BloomFilter> unions;
+  unions.reserve(groups.size());
+  for (std::size_t c = 0; c < groups.size(); ++c) {
+    const auto it = sync_.find(groups[c]);
+    if (it == sync_.end() || it->second.column != c) return false;
+    const bloom::BloomFilter& base = it->second.replica.base().name_filter;
+    if (base.bit_count() != group_bank_.bit_count() ||
+        base.num_hashes() != group_bank_.num_hashes())
+      return false;
+    unions.push_back(it->second.replica.union_filter());
   }
-  return true;
+  return group_bank_ ==
+         bloom::BitSlicedBank(bloom_bits_, cfg_.bloom_hashes, unions);
 }
 
 // ---- MVCC snapshots ------------------------------------------------------------
@@ -1424,10 +1457,10 @@ void SmartStore::for_each_visible(std::uint64_t seq, Fn&& fn) const {
     const util::MutexLock guard(unit_mutex(u));
     const StorageUnit& unit = units_[u];
     const auto& files = unit.files();
-    const auto& coords = unit.std_coords();
+    const StorageUnit::Columns cols = unit.columns();
     const auto& seqs = unit.added_seqs();
     for (std::size_t i = 0; i < files.size(); ++i)
-      if (live_visible(seqs[i], seq)) fn(u, files[i], coords[i], seqs[i]);
+      if (live_visible(seqs[i], seq)) fn(u, files[i], cols.row(i), seqs[i]);
     for (const TombstoneRecord& t : unit.tombstones())
       if (dead_visible(t, seq)) fn(u, t.file, t.std_coords, t.added_seq);
   }
@@ -1437,7 +1470,7 @@ std::vector<metadata::FileMetadata> SmartStore::snapshot_dump(
     std::uint64_t seq) const {
   util::ReaderLock shared(structure_mu_);
   std::vector<metadata::FileMetadata> out;
-  for_each_visible(seq, [&](UnitId, const FileMetadata& f, const la::Vector&,
+  for_each_visible(seq, [&](UnitId, const FileMetadata& f, const auto&,
                             std::uint64_t) { out.push_back(f); });
   // Canonical order, like the snapshot queries: two dumps at the same seq
   // (even across different stores with different placement) compare ==.
@@ -1455,8 +1488,8 @@ PointResult SmartStore::snapshot_point_query(const metadata::PointQuery& q,
   // Deterministic version pick: newest visible added_seq wins, ties broken
   // by smallest id — independent of unit visit order and writer timing.
   std::uint64_t best_added = 0;
-  for_each_visible(seq, [&](UnitId u, const FileMetadata& f,
-                            const la::Vector&, std::uint64_t added) {
+  for_each_visible(seq, [&](UnitId u, const FileMetadata& f, const auto&,
+                            std::uint64_t added) {
     if (f.name != q.filename) return;
     if (res.found &&
         (added < best_added || (added == best_added && f.id >= res.id)))
@@ -1477,7 +1510,7 @@ RangeResult SmartStore::snapshot_range_query(const metadata::RangeQuery& q,
   RangeResult res;
   const StdBox box = standardize(q);
   for_each_visible(seq, [&](UnitId, const FileMetadata& f,
-                            const la::Vector& coords, std::uint64_t) {
+                            const auto& coords, std::uint64_t) {
     if (box.contains(coords)) res.ids.push_back(f.id);
   });
   // Canonical order: sorted ids, so two scans at the same seq compare ==.
@@ -1492,7 +1525,7 @@ TopKResult SmartStore::snapshot_topk_query(const metadata::TopKQuery& q,
   TopKResult res;
   const StdPoint point = standardize(q);
   for_each_visible(seq, [&](UnitId, const FileMetadata& f,
-                            const la::Vector& coords, std::uint64_t) {
+                            const auto& coords, std::uint64_t) {
     res.hits.emplace_back(point.dist2(coords), f.id);
   });
   // The k best in exact (dist, id) order — canonical — without ordering
@@ -1513,7 +1546,7 @@ SmartStore::Introspection SmartStore::introspect(std::uint64_t seq) const {
   out.tree_height = static_cast<std::size_t>(tree_.height());
   out.tree_groups = tree_.groups().size();
   out.index_units = tree_.num_nodes();
-  for_each_visible(seq, [&](UnitId, const FileMetadata&, const la::Vector&,
+  for_each_visible(seq, [&](UnitId, const FileMetadata&, const auto&,
                             std::uint64_t) { ++out.files; });
 
   std::size_t active = 0;

@@ -323,6 +323,9 @@ class SmartStore {
   const GroupReplica& group_replica(std::size_t g) const {
     return sync_.at(g).replica;
   }
+  /// The bank of every group replica's union filter, one member per group
+  /// in tree().groups() order (quiesced-only, as above).
+  const bloom::BitSlicedBank& group_bank() const { return group_bank_; }
 
   /// Standardized full-D coordinates of a record (quiesced-only, as above).
   la::Vector std_coords(const metadata::FileMetadata& f) const
@@ -409,6 +412,7 @@ class SmartStore {
     GroupReplica replica;   ///< what every remote unit sees
     VersionDelta pending;   ///< unsealed changes, invisible remotely
     std::size_t changes_since_full_sync = 0;
+    std::size_t column = 0;  ///< the group's member of group_bank_
   };
 
   // ---- checkpoint freeze state -------------------------------------------
@@ -497,7 +501,9 @@ class SmartStore {
   /// chains may still be visible) under that unit's lock, one at a time,
   /// and calls fn(unit, record, standardized coords, added_seq) for each
   /// record visible at `seq`, live records before the unit's tombstones.
-  /// The caller holds the structure lock shared for the whole walk.
+  /// The coords are indexable by attribute: a row of the unit's columns
+  /// for a live record, the tombstone's vector for a dead one. The caller
+  /// holds the structure lock shared for the whole walk.
   template <typename Fn>
   void for_each_visible(std::uint64_t seq, Fn&& fn) const
       SS_REQUIRES_SHARED(structure_mu_);
@@ -519,6 +525,10 @@ class SmartStore {
   sim::Session start_session(double arrival)
       SS_REQUIRES_SHARED(structure_mu_);
   void init_sync_state() SS_REQUIRES(structure_mu_);
+  /// Rebuilds group_bank_ from every replica's union, one member per group
+  /// in tree_.groups() order, at the current geometry; numbers each
+  /// group's column. Run wherever the group list or the geometry changes.
+  void rebuild_group_bank() SS_REQUIRES(structure_mu_);
 
   /// The filter sizing rule: ~12 bits per expected group member for a
   /// population of `files`, i.e. `cfg_.bloom_bits` doubled until it
@@ -534,13 +544,15 @@ class SmartStore {
   /// and the variants re-created and refilled, every group full-synced.
   void maybe_grow_filters() SS_EXCLUDES(structure_mu_);
   /// Snapshots group `g`'s current truth into its replica (full sync);
-  /// clears versions. Copies the authoritative node summary under the
-  /// node's stripe, then installs it under the group's sync stripe — never
-  /// holding two stripes at once.
+  /// clears versions, and flips the bits of the group's bank column that
+  /// differ between its old union and the new base. Copies the
+  /// authoritative node summary under the node's stripe, then installs it
+  /// under the group's sync stripe — never holding two stripes at once.
   void full_sync_group(std::size_t g) SS_REQUIRES_SHARED(structure_mu_);
-  /// Seals the pending delta into a version. Caller holds group `g`'s
-  /// sync stripe (asserted at runtime — the stripe is hash-picked, so TSA
-  /// cannot name it).
+  /// Seals the pending delta into a version and sets its digests' bits in
+  /// the group's bank column. Caller holds group `g`'s sync stripe
+  /// (asserted at runtime — the stripe is hash-picked, so TSA cannot name
+  /// it).
   void seal_version(std::size_t g)
       SS_REQUIRES_SHARED(structure_mu_);
   /// Applies the versioning policy after a change to group g (caller holds
@@ -559,16 +571,33 @@ class SmartStore {
   struct StdBox {
     std::vector<std::size_t> dims;  ///< attribute index of each query dim
     la::Vector lo, hi;              ///< standardized bounds, lo <= hi
-    /// The record predicate: full-D standardized `coords` inside the box.
-    bool contains(const la::Vector& coords) const;
+    /// The record predicate: full-D standardized `coords` (indexable by
+    /// attribute) inside the box. Reads the query dims alone.
+    template <typename Coords>
+    bool contains(const Coords& coords) const {
+      for (std::size_t j = 0; j < dims.size(); ++j) {
+        const double v = coords[dims[j]];
+        if (v < lo[j] || v > hi[j]) return false;
+      }
+      return true;
+    }
     /// Could a unit or group summarized by `mbr` hold a matching record?
     bool intersects(const rtree::Mbr& mbr) const;
   };
   struct StdPoint {
     std::vector<std::size_t> dims;  ///< attribute index of each query dim
     la::Vector at;                  ///< the standardized query point
-    /// The record distance: squared Euclidean on the dims.
-    double dist2(const la::Vector& coords) const;
+    /// The record distance: squared Euclidean on the dims of `coords`
+    /// (indexable by attribute).
+    template <typename Coords>
+    double dist2(const Coords& coords) const {
+      double acc = 0.0;
+      for (std::size_t j = 0; j < dims.size(); ++j) {
+        const double delta = coords[dims[j]] - at[j];
+        acc += delta * delta;
+      }
+      return acc;
+    }
     /// Lower bound of dist2 over `mbr` (infinite for an empty box).
     double min_dist2(const rtree::Mbr& mbr) const;
   };
@@ -644,6 +673,12 @@ class SmartStore {
   std::unique_ptr<sim::Cluster> cluster_ SS_GUARDED_BY(structure_mu_);
   la::RowStandardizer standardizer_ SS_GUARDED_BY(structure_mu_);
   std::unordered_map<std::size_t, GroupSync> sync_;  // group node -> state
+  /// Every replica's union (base filter plus sealed digests), bit-sliced:
+  /// one probe finds every group that may hold a name. Off-line point
+  /// routing reads it with no lock; a group's column changes under that
+  /// group's sync stripe (seal_version, full_sync_group), the whole bank
+  /// only under the exclusive structure lock (rebuild_group_bank).
+  bloom::BitSlicedBank group_bank_;
   /// Store rng: build-time placement and index-unit mapping only. Mutated
   /// exclusively under the exclusive structure lock; persisted and
   /// captured at freeze without further locking. Query-side draws come

@@ -14,15 +14,18 @@ StorageUnit::StorageUnit(UnitId id, std::size_t bloom_bits,
     : id_(id), name_filter_(bloom_bits, bloom_hashes),
       attr_sums_(kNumAttrs, 0.0) {}
 
-void StorageUnit::add_file(const FileMetadata& f, la::Vector std_coords,
+void StorageUnit::add_file(const FileMetadata& f,
+                           std::span<const double> std_coords,
                            const bloom::ItemHash& name_hash,
                            std::uint64_t added_seq) {
   assert(std_coords.size() == kNumAttrs);
-  by_name_[f.name] = files_.size();
-  by_id_[f.id] = files_.size();
+  Slot& slot = by_name_[f.name];
+  slot.pos = files_.size();
+  ++slot.count;
   files_.push_back(f);
+  ids_.push_back(f.id);
   box_.expand(std_coords);
-  std_coords_.push_back(std::move(std_coords));
+  for (std::size_t d = 0; d < kNumAttrs; ++d) cols_[d].push_back(std_coords[d]);
   added_seqs_.push_back(added_seq);
   assert(name_hash == bloom::hash_item(f.name));
   name_hashes_.push_back(name_hash);
@@ -32,18 +35,49 @@ void StorageUnit::add_file(const FileMetadata& f, la::Vector std_coords,
 
 void StorageUnit::reserve(std::size_t n) {
   files_.reserve(n);
-  std_coords_.reserve(n);
+  ids_.reserve(n);
+  for (auto& col : cols_) col.reserve(n);
   added_seqs_.reserve(n);
   name_hashes_.reserve(n);
   by_name_.reserve(n);
-  by_id_.reserve(n);
+}
+
+std::size_t StorageUnit::position(FileId id, const std::string& name) const {
+  const auto it = by_name_.find(name);
+  if (it == by_name_.end()) return kInvalidIndex;
+  if (files_[it->second.pos].id == id) return it->second.pos;
+  if (it->second.count == 1) return kInvalidIndex;
+  // The name repeats: only a scan finds the record with this id.
+  for (std::size_t j = 0; j < files_.size(); ++j)
+    if (files_[j].id == id && files_[j].name == name) return j;
+  return kInvalidIndex;
+}
+
+void StorageUnit::unindex_name(std::size_t pos) {
+  const std::string& name = files_[pos].name;
+  const auto it = by_name_.find(name);
+  assert(it != by_name_.end());
+  if (--it->second.count == 0) {
+    by_name_.erase(it);
+    return;
+  }
+  if (it->second.pos != pos) return;
+  std::size_t best = kInvalidIndex;
+  for (std::size_t j = 0; j < files_.size(); ++j) {
+    if (j == pos || files_[j].name != name) continue;
+    if (best == kInvalidIndex || added_seqs_[j] > added_seqs_[best] ||
+        (added_seqs_[j] == added_seqs_[best] && files_[j].id < files_[best].id))
+      best = j;
+  }
+  assert(best != kInvalidIndex);
+  it->second.pos = best;
 }
 
 std::optional<FileMetadata> StorageUnit::remove_file(
-    FileId id, const bloom::ItemHash& name_hash, std::uint64_t deleted_seq) {
-  auto it = by_id_.find(id);
-  if (it == by_id_.end()) return std::nullopt;
-  const std::size_t pos = it->second;
+    FileId id, const std::string& name, const bloom::ItemHash& name_hash,
+    std::uint64_t deleted_seq) {
+  const std::size_t pos = position(id, name);
+  if (pos == kInvalidIndex) return std::nullopt;
   FileMetadata removed = files_[pos];
 
   if (deleted_seq > 0) {
@@ -51,7 +85,7 @@ std::optional<FileMetadata> StorageUnit::remove_file(
     // record. The caller prunes against the GC watermark.
     TombstoneRecord t;
     t.file = removed;
-    t.std_coords = std_coords_[pos];
+    t.std_coords = std_coords(pos);
     t.added_seq = added_seqs_[pos];
     t.deleted_seq = deleted_seq;
     tombstones_.push_back(std::move(t));
@@ -59,23 +93,25 @@ std::optional<FileMetadata> StorageUnit::remove_file(
 
   assert(name_hash == bloom::hash_item(removed.name));
   name_filter_.remove(name_hash);
-  by_name_.erase(removed.name);
-  by_id_.erase(it);
+  unindex_name(pos);
   for (std::size_t d = 0; d < kNumAttrs; ++d)
     attr_sums_[d] -= removed.attrs[d];
 
-  // Swap-remove; fix the indexes of the moved record.
+  // Swap-remove; a name index entry that named the moved record follows
+  // it.
   const std::size_t last = files_.size() - 1;
   if (pos != last) {
     files_[pos] = std::move(files_[last]);
-    std_coords_[pos] = std::move(std_coords_[last]);
+    ids_[pos] = ids_[last];
+    for (auto& col : cols_) col[pos] = col[last];
     added_seqs_[pos] = added_seqs_[last];
     name_hashes_[pos] = name_hashes_[last];
-    by_name_[files_[pos].name] = pos;
-    by_id_[files_[pos].id] = pos;
+    Slot& moved = by_name_.at(files_[pos].name);
+    if (moved.pos == last) moved.pos = pos;
   }
   files_.pop_back();
-  std_coords_.pop_back();
+  ids_.pop_back();
+  for (auto& col : cols_) col.pop_back();
   added_seqs_.pop_back();
   name_hashes_.pop_back();
   return removed;
@@ -100,12 +136,30 @@ std::size_t StorageUnit::prune_tombstones(std::uint64_t watermark) {
 
 const FileMetadata* StorageUnit::find_by_name(const std::string& name) const {
   auto it = by_name_.find(name);
-  return it == by_name_.end() ? nullptr : &files_[it->second];
+  return it == by_name_.end() ? nullptr : &files_[it->second.pos];
 }
 
 const FileMetadata* StorageUnit::find_by_id(FileId id) const {
-  auto it = by_id_.find(id);
-  return it == by_id_.end() ? nullptr : &files_[it->second];
+  const auto it = std::find(ids_.begin(), ids_.end(), id);
+  return it == ids_.end() ? nullptr : &files_[it - ids_.begin()];
+}
+
+const FileMetadata* StorageUnit::find(FileId id,
+                                      const std::string& name) const {
+  const std::size_t pos = position(id, name);
+  return pos == kInvalidIndex ? nullptr : &files_[pos];
+}
+
+StorageUnit::Columns StorageUnit::columns() const {
+  Columns c;
+  for (std::size_t d = 0; d < kNumAttrs; ++d) c.col[d] = cols_[d].data();
+  return c;
+}
+
+la::Vector StorageUnit::std_coords(std::size_t i) const {
+  la::Vector v(kNumAttrs);
+  for (std::size_t d = 0; d < kNumAttrs; ++d) v[d] = cols_[d][i];
+  return v;
 }
 
 la::Vector StorageUnit::centroid_raw() const {
@@ -120,10 +174,10 @@ la::Vector StorageUnit::centroid_raw() const {
 std::size_t StorageUnit::byte_size() const {
   std::size_t b = sizeof(*this);
   for (const auto& f : files_) b += f.byte_size();
-  b += std_coords_.size() * (kNumAttrs * sizeof(double) + sizeof(la::Vector));
-  // Hash indexes: bucket array + one node per entry (approximation).
+  // The id and coordinate columns.
+  b += files_.size() * (sizeof(FileId) + kNumAttrs * sizeof(double));
+  // Name index: bucket array + one node per entry (approximation).
   b += by_name_.size() * (sizeof(void*) * 2 + 48);
-  b += by_id_.size() * (sizeof(void*) * 2 + 24);
   b += added_seqs_.size() * sizeof(std::uint64_t);
   for (const auto& t : tombstones_) {
     b += sizeof(TombstoneRecord) + t.file.byte_size() +
@@ -145,7 +199,6 @@ void GroupReplica::reset(Base base) {
   base_ = std::move(base);
   versions_.clear();
   version_count_.n.store(0, std::memory_order_relaxed);
-  names_.assign(base_.name_filter);
   sum_ = base_.attr_sum;
   count_ = base_.file_count;
   centroid_.clear();
@@ -153,7 +206,6 @@ void GroupReplica::reset(Base base) {
 }
 
 void GroupReplica::seal(VersionDelta v) {
-  for (const bloom::ItemHash& h : v.added_names) names_.insert(h);
   box_.expand(v.added_box);
   if (v.added_count != 0) {
     for (std::size_t d = 0; d < sum_.size(); ++d) sum_[d] += v.added_attr_sum[d];
@@ -177,13 +229,6 @@ const la::Vector& GroupReplica::effective_centroid(bool with_versions) const {
   return with_versions && !versions_.empty() ? centroid_ : base_.centroid_raw;
 }
 
-bool GroupReplica::name_may_contain(const bloom::ItemHash& name,
-                                    bool with_versions) const {
-  // One probe settles a miss in the base and every version at once.
-  if (!names_.may_contain(name)) return false;
-  return confirm_name(name, with_versions);
-}
-
 bool GroupReplica::confirm_name(const bloom::ItemHash& name,
                                 bool with_versions) const {
   // The answer is an OR, so the cheap base probe may go first.
@@ -195,6 +240,13 @@ bool GroupReplica::confirm_name(const bloom::ItemHash& name,
       if (h == name) return true;
   }
   return false;
+}
+
+bloom::BloomFilter GroupReplica::union_filter() const {
+  bloom::BloomFilter all = base_.name_filter;
+  for (const auto& v : versions_)
+    for (const bloom::ItemHash& h : v.added_names) all.insert(h);
+  return all;
 }
 
 std::size_t GroupReplica::byte_size() const {

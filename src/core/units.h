@@ -4,6 +4,9 @@
 // (Section 2.3). It holds file metadata records, a local filename index, a
 // counting Bloom filter for point queries, the unit's MBR in standardized
 // attribute space and its raw-attribute centroid (its semantic vector).
+// The records' standardized coordinates are kept as one column per
+// attribute, parallel to the records, so a scan reads only the columns of
+// the dimensions it queries.
 //
 // GroupReplica is the unit of the off-line pre-processing scheme (Section
 // 3.4): every storage unit keeps replicas of the *first-level index
@@ -15,10 +18,12 @@
 // rolling-backward at query time.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -64,35 +69,65 @@ class StorageUnit {
   bool empty() const { return files_.empty(); }
 
   /// Adds a record; `std_coords` is the file's standardized full-D vector
-  /// (the geometry every MBR in the store is expressed in) and `name_hash`
-  /// the digest of its name, which the caller computes once per operation
-  /// and shares with every filter the operation touches. `added_seq` is
-  /// the commit sequence stamped on the mutation (0 = pre-history: bulk
-  /// builds and legacy snapshots, visible to every snapshot).
-  void add_file(const metadata::FileMetadata& f, la::Vector std_coords,
+  /// (kNumAttrs values: the geometry every MBR in the store is expressed
+  /// in) and `name_hash` the digest of its name, which the caller computes
+  /// once per operation and shares with every filter the operation
+  /// touches. `added_seq` is the commit sequence stamped on the mutation
+  /// (0 = pre-history: bulk builds and legacy snapshots, visible to every
+  /// snapshot). The same name may be added more than once (a retried Put
+  /// stores a second record): the name index then names the newest.
+  void add_file(const metadata::FileMetadata& f,
+                std::span<const double> std_coords,
                 const bloom::ItemHash& name_hash, std::uint64_t added_seq = 0);
 
-  /// Sizes the record arrays and both name/id indexes for `n` records, so
-  /// a bulk fill of that many adds neither reallocates nor rehashes.
+  /// Sizes the record arrays, the columns and the name index for `n`
+  /// records, so a bulk fill of that many adds neither reallocates nor
+  /// rehashes.
   void reserve(std::size_t n);
 
-  /// Removes by id; returns the removed record. `name_hash` is the digest
-  /// of the record's name. MBRs are not shrunk on delete (standard R-tree
-  /// practice; bounds stay conservative until the next reconfiguration).
-  /// With `deleted_seq` > 0 the removed version is kept on the unit's
-  /// tombstone chain so pinned snapshots older than the delete can still
-  /// see it; `deleted_seq` == 0 drops it outright (bulk moves that re-home
-  /// a record under its original added_seq).
+  /// Removes the record with this id and name; returns it. `name_hash` is
+  /// the digest of `name`. When another live record shares the name, the
+  /// name index names it from then on. MBRs are not
+  /// shrunk on delete (standard R-tree practice; bounds stay conservative
+  /// until the next reconfiguration). With `deleted_seq` > 0 the removed
+  /// version is kept on the unit's tombstone chain so pinned snapshots
+  /// older than the delete can still see it; `deleted_seq` == 0 drops it
+  /// outright (bulk moves that re-home a record under its original
+  /// added_seq).
   std::optional<metadata::FileMetadata> remove_file(
-      metadata::FileId id, const bloom::ItemHash& name_hash,
-      std::uint64_t deleted_seq = 0);
+      metadata::FileId id, const std::string& name,
+      const bloom::ItemHash& name_hash, std::uint64_t deleted_seq = 0);
 
   /// Local filename lookup (exact).
   const metadata::FileMetadata* find_by_name(const std::string& name) const;
+  /// A live record with this id, if any: a scan of the id column (no
+  /// index keeps ids; nothing on a serving path looks a record up by id
+  /// alone).
   const metadata::FileMetadata* find_by_id(metadata::FileId id) const;
+  /// The live record with this id and name, if any.
+  const metadata::FileMetadata* find(metadata::FileId id,
+                                     const std::string& name) const;
 
   const std::vector<metadata::FileMetadata>& files() const { return files_; }
-  const std::vector<la::Vector>& std_coords() const { return std_coords_; }
+  /// Each live record's id, parallel to files(): what a scan reports.
+  const std::vector<metadata::FileId>& ids() const { return ids_; }
+
+  /// The standardized coordinates of the live records as columns: one
+  /// pointer per attribute, each to file_count() values parallel to
+  /// files(). Valid until the unit next changes.
+  struct Columns {
+    std::array<const double*, metadata::kNumAttrs> col;
+    /// Record i's coordinates, indexable by attribute.
+    struct Row {
+      const Columns* c;
+      std::size_t i;
+      double operator[](std::size_t d) const { return c->col[d][i]; }
+    };
+    Row row(std::size_t i) const { return {this, i}; }
+  };
+  Columns columns() const;
+  /// Record i's standardized full-D vector, gathered from the columns.
+  la::Vector std_coords(std::size_t i) const;
 
   /// Commit sequence of each live record, parallel to files(). 0 means
   /// pre-history (always visible).
@@ -134,20 +169,36 @@ class StorageUnit {
   la::Vector centroid_raw() const;
 
   /// Approximate memory footprint of everything this unit stores locally
-  /// for itself (records + indexes), excluding hosted index units.
+  /// for itself (records, coordinate columns, indexes), excluding hosted
+  /// index units.
   std::size_t byte_size() const;
 
  private:
+  /// A name index entry: the position of the record the name names, and
+  /// how many live records carry the name.
+  struct Slot {
+    std::size_t pos = 0;
+    std::size_t count = 0;
+  };
+  /// Position of the live record with this id and name, or kInvalidIndex.
+  std::size_t position(metadata::FileId id, const std::string& name) const;
+  /// Drops record `pos` from the name index. When other live records carry
+  /// its name and the entry named `pos`, the entry names the newest of them
+  /// (greatest added_seq, then smallest id: the record an exact read
+  /// picks).
+  void unindex_name(std::size_t pos);
+
   UnitId id_;
   std::vector<metadata::FileMetadata> files_;
-  std::vector<la::Vector> std_coords_;        // parallel to files_
+  std::vector<metadata::FileId> ids_;         // parallel to files_
+  /// Standardized coordinate d of every record, parallel to files_.
+  std::array<std::vector<double>, metadata::kNumAttrs> cols_;
   std::vector<std::uint64_t> added_seqs_;     // parallel to files_
   /// Name digests, parallel to files_: what resize_name_filter() refills
   /// the filter from. Derived from the names, so not in byte_size().
   std::vector<bloom::ItemHash> name_hashes_;
   std::vector<TombstoneRecord> tombstones_;   // MVCC version chain
-  std::unordered_map<std::string, std::size_t> by_name_;  // name -> position
-  std::unordered_map<metadata::FileId, std::size_t> by_id_;
+  std::unordered_map<std::string, Slot> by_name_;
   bloom::CountingBloomFilter name_filter_;
   rtree::Mbr box_;
   la::Vector attr_sums_;  // running sums for the centroid
@@ -177,23 +228,20 @@ struct VersionDelta {
 /// synchronization plus the sealed deltas received since, newest last.
 /// Queries scan them rolling backward (newest first, Section 4.4).
 ///
-/// The backlog changes only through reset() and seal(), which keep three
-/// derived views in step with it, so a lookup costs one probe however
-/// many versions are attached: the base filter with every sealed digest's
-/// bits set, and the running effective attribute sum/count and box. Each
-/// view is built with the same operations, in the same order, as the walk
-/// over versions() it stands for, so every answer is bit-identical to the
-/// walk's. The simulated cost model still charges one Bloom check per
-/// sealed version (the paper's remote unit walks them).
+/// The backlog changes only through reset() and seal(), which keep two
+/// derived views in step with it: the running effective attribute
+/// sum/count and box. Each is built with the same operations, in the same
+/// order, as the walk over versions() it stands for, so every answer is
+/// bit-identical to the walk's. The union of the base filter and every
+/// sealed digest (union_filter()) is kept by the store instead, as one
+/// column of its bit-sliced group bank, so a lookup probes every group's
+/// union at once however many versions are attached. The simulated cost
+/// model still charges one Bloom check per sealed version (the paper's
+/// remote unit walks them).
 ///
-/// Concurrency: the store serializes reset() and seal() and every other
-/// read under the group's sync stripe, except two reads that need none —
-/// union_may_contain() and version_count() — so a lookup takes the stripe
-/// only for the groups whose union admits its name. Racing a reset() or
-/// seal(), union_may_contain() answers for the old or the new union, or a
-/// word-wise mix of the two: a name in both has its bits set in every mix,
-/// and a name only in the new one is a change the lookup may miss, as an
-/// off-line lookup may miss any change not yet synchronized.
+/// Concurrency: the store serializes reset() and seal() and every read
+/// under the group's sync stripe, except version_count(), which needs
+/// none.
 class GroupReplica {
  public:
   /// A group's summary at a full synchronization point.
@@ -224,20 +272,19 @@ class GroupReplica {
 
   /// Filename may-contain check against the base filter and (when
   /// `with_versions`) every sealed version's digests, newest first. `name`
-  /// is the digest of the queried filename. Equals union_may_contain()
-  /// followed, on "maybe", by confirm_name().
-  bool name_may_contain(const bloom::ItemHash& name, bool with_versions) const;
-
-  /// One probe of the union of the base filter and every sealed digest:
-  /// false means name_may_contain() is false with or without versions.
-  /// Needs no lock (see the class comment).
-  bool union_may_contain(const bloom::ItemHash& name) const {
-    return names_.may_contain(name);
+  /// is the digest of the queried filename.
+  bool name_may_contain(const bloom::ItemHash& name, bool with_versions) const {
+    return confirm_name(name, with_versions);
   }
 
-  /// name_may_contain() for a name the union admitted: the base probe,
-  /// then (when `with_versions`) the digest walk, newest first.
+  /// name_may_contain(), as the store asks it for a name the group's
+  /// union admitted: the base probe, then (when `with_versions`) the
+  /// digest walk, newest first.
   bool confirm_name(const bloom::ItemHash& name, bool with_versions) const;
+
+  /// The base filter with the bits of every sealed digest set: a name
+  /// missing here is in no version and not in the base.
+  bloom::BloomFilter union_filter() const;
 
   /// versions().size(), readable without a lock (see the class comment).
   std::size_t version_count() const {
@@ -267,9 +314,6 @@ class GroupReplica {
   };
 
   // Derived from base_ and versions_ by reset() and seal() alone.
-  /// base_.name_filter with the bits of every sealed digest set: a name
-  /// missing here is in no version and not in the base.
-  bloom::AtomicBloomFilter names_;
   AtomicCount version_count_;
   la::Vector sum_;             ///< attr_sum + every inserting version's sum
   std::size_t count_ = 0;      ///< file_count + every version's added_count

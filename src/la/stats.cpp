@@ -73,11 +73,16 @@ void RowStandardizer::apply(Matrix& a) const {
 }
 
 Vector RowStandardizer::transform(std::span<const double> raw) const {
-  assert(raw.size() == means.size());
   Vector out(raw.size());
+  transform(raw, out);
+  return out;
+}
+
+void RowStandardizer::transform(std::span<const double> raw,
+                                std::span<double> out) const {
+  assert(raw.size() == means.size() && out.size() == raw.size());
   for (std::size_t i = 0; i < raw.size(); ++i)
     out[i] = (raw[i] - means[i]) * inv_stdevs[i];
-  return out;
 }
 
 }  // namespace smartstore::la

@@ -34,6 +34,9 @@ struct RowStandardizer {
   Vector transform(const Vector& raw) const {
     return transform(std::span<const double>(raw));
   }
+  /// The same values written to `out` (raw.size() of them), allocating
+  /// nothing.
+  void transform(std::span<const double> raw, std::span<double> out) const;
 };
 
 }  // namespace smartstore::la

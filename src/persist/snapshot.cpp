@@ -1,6 +1,7 @@
 #include "persist/snapshot.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <filesystem>
 #include <iterator>
@@ -577,10 +578,11 @@ struct SnapshotAccess {
       if (version >= 2) {
         for (auto& seq : seqs) seq = units_r.read_u64();
       }
+      std::array<double, metadata::kNumAttrs> coords;
       for (std::size_t i = 0; i < nfiles; ++i) {
-        s.units_.back().add_file(
-            files[i], s.standardizer_.transform(files[i].full_vector()),
-            bloom::hash_item(files[i].name), seqs[i]);
+        s.standardizer_.transform(files[i].attrs, coords);
+        s.units_.back().add_file(files[i], coords,
+                                 bloom::hash_item(files[i].name), seqs[i]);
       }
       if (version >= 2) {
         const std::size_t ntombs = static_cast<std::size_t>(
@@ -627,9 +629,26 @@ struct SnapshotAccess {
       gs.changes_since_full_sync = static_cast<std::size_t>(sync_r.read_u64());
       s.sync_.emplace(g, std::move(gs));
     }
-    // Versions of a pre-3 image lost their names above: every group
-    // full-syncs, the state a live lazy-update refresh produces.
-    if (version < 3) s.init_sync_state();
+    // The group bank holds every group replica's union in the image's
+    // geometry. Versions of a pre-3 image lost their names above: there
+    // every group full-syncs from its node, the state a live lazy-update
+    // refresh produces.
+    const bloom::BloomFilter geometry(s.bloom_bits_, cfg.bloom_hashes);
+    for (std::size_t g : s.tree_.groups()) {
+      if (version >= 3 && !s.sync_.count(g))
+        throw PersistError("group without sync state");
+      const bloom::BloomFilter& f = version < 3
+                                        ? s.tree_.node(g).name_filter
+                                        : s.sync_.at(g).replica.base().name_filter;
+      if (f.bit_count() != geometry.bit_count() ||
+          f.num_hashes() != geometry.num_hashes())
+        throw PersistError("group filter geometry differs from the image's");
+    }
+    if (version < 3) {
+      s.init_sync_state();
+    } else {
+      s.rebuild_group_bank();
+    }
 
     s.rebuild_unit_locks();
 

@@ -12,10 +12,10 @@ Mbr::Mbr(la::Vector lo, la::Vector hi) : lo_(std::move(lo)), hi_(std::move(hi)) 
 #endif
 }
 
-void Mbr::expand(const la::Vector& point) {
+void Mbr::expand(std::span<const double> point) {
   if (!valid()) {
-    lo_ = point;
-    hi_ = point;
+    lo_.assign(point.begin(), point.end());
+    hi_ = lo_;
     return;
   }
   assert(point.size() == dims());

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 
 #include "la/matrix.h"
 
@@ -28,7 +29,7 @@ class Mbr {
   const la::Vector& hi() const { return hi_; }
 
   /// Grows to cover the point.
-  void expand(const la::Vector& point);
+  void expand(std::span<const double> point);
   /// Grows to cover another MBR.
   void expand(const Mbr& other);
 

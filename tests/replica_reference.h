@@ -46,6 +46,15 @@ inline bool name_may_contain(const GroupReplica& r, const bloom::ItemHash& h,
   return r.base().name_filter.may_contain(h);
 }
 
+/// The union the store's group bank holds for `r`: the base filter with
+/// the bits of every sealed digest set.
+inline bloom::BloomFilter union_filter(const GroupReplica& r) {
+  bloom::BloomFilter all = r.base().name_filter;
+  for (const auto& v : r.versions())
+    for (const bloom::ItemHash& h : v.added_names) all.insert(h);
+  return all;
+}
+
 inline bool same_bits(const la::Vector& a, const la::Vector& b) {
   return a.size() == b.size() &&
          (a.empty() ||
@@ -58,9 +67,17 @@ inline bool same_bits(const rtree::Mbr& a, const rtree::Mbr& b) {
 }
 
 /// Every derived view of `r`, with and without versions, equals its
-/// reference walk; `probes` are the name digests to look up.
+/// reference walk; `probes` are the name digests to look up. With a
+/// `bank`, its member `column` holds r's union, and the store's two-step
+/// lookup (the unlocked bank probe, then the exact check only on "maybe")
+/// answers as the walk does.
 inline ::testing::AssertionResult matches(
-    const GroupReplica& r, const std::vector<bloom::ItemHash>& probes) {
+    const GroupReplica& r, const std::vector<bloom::ItemHash>& probes,
+    const bloom::BitSlicedBank* bank = nullptr, std::size_t column = 0) {
+  if (!(r.union_filter() == union_filter(r)))
+    return ::testing::AssertionFailure() << "union filter";
+  if (bank && !(bank->member(column) == union_filter(r)))
+    return ::testing::AssertionFailure() << "bank member " << column;
   for (const bool with : {false, true}) {
     if (!same_bits(r.effective_box(with), effective_box(r, with)))
       return ::testing::AssertionFailure() << "box, with_versions=" << with;
@@ -72,12 +89,14 @@ inline ::testing::AssertionResult matches(
       if (r.name_may_contain(probes[i], with) != want)
         return ::testing::AssertionFailure()
                << "probe " << i << ", with_versions=" << with;
-      // The store's two-step form: the unlocked union probe, then the
-      // exact check only on "maybe".
-      if ((r.union_may_contain(probes[i]) &&
-           r.confirm_name(probes[i], with)) != want)
-        return ::testing::AssertionFailure()
-               << "unlocked probe " << i << ", with_versions=" << with;
+      if (bank) {
+        bool admitted = false;
+        bank->for_each_match(probes[i],
+                             [&](std::size_t m) { admitted |= m == column; });
+        if ((admitted && r.confirm_name(probes[i], with)) != want)
+          return ::testing::AssertionFailure()
+                 << "bank probe " << i << ", with_versions=" << with;
+      }
     }
   }
   if (r.version_count() != r.versions().size())

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/rng.h"
@@ -168,6 +170,158 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_pair<std::size_t, unsigned>(1024, 7),
                       std::make_pair<std::size_t, unsigned>(4096, 7),
                       std::make_pair<std::size_t, unsigned>(8192, 11)));
+
+// ---- bit-sliced bank ----------------------------------------------------------
+
+/// The bank answers as its members' plain filters do: every matching
+/// member in increasing order, and each member's bits.
+::testing::AssertionResult bank_matches(const BitSlicedBank& bank,
+                                        const std::vector<BloomFilter>& want,
+                                        const std::vector<ItemHash>& probes) {
+  if (bank.members() != want.size())
+    return ::testing::AssertionFailure() << "member count";
+  for (std::size_t m = 0; m < want.size(); ++m)
+    if (!(bank.member(m) == want[m]))
+      return ::testing::AssertionFailure() << "member " << m << " bits";
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    std::vector<std::size_t> expect, got;
+    for (std::size_t m = 0; m < want.size(); ++m)
+      if (want[m].may_contain(probes[i])) expect.push_back(m);
+    bank.for_each_match(probes[i], [&](std::size_t m) { got.push_back(m); });
+    if (got != expect)
+      return ::testing::AssertionFailure() << "matches of probe " << i;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Random members (more than 64 of them in some geometries, so rows span
+/// words), then inserts, diff updates and a rebuild in a bigger geometry,
+/// each checked against per-member BloomFilters.
+TEST(BitSlicedBank, MatchesPerMemberFilters) {
+  for (const std::size_t members : {1, 2, 3, 8, 27, 64, 65, 130}) {
+    util::Rng rng(members);
+    std::vector<ItemHash> probes;
+    auto fresh = [&] {
+      probes.push_back(hash_item("/n" + std::to_string(probes.size()) + "_" +
+                                 std::to_string(members)));
+      return probes.back();
+    };
+    for (int i = 0; i < 200; ++i) fresh();  // absent from every member
+    auto random_filter = [&](std::size_t bits) {
+      BloomFilter f(bits, 5);
+      for (std::uint64_t n = rng.uniform_u64(40); n > 0; --n) f.insert(fresh());
+      return f;
+    };
+    std::size_t bits = 512;
+    std::vector<BloomFilter> want;
+    for (std::size_t m = 0; m < members; ++m) want.push_back(random_filter(bits));
+    BitSlicedBank bank(bits, 5, want);
+    ASSERT_TRUE(bank_matches(bank, want, probes)) << members << " members";
+
+    for (int step = 0; step < 40; ++step) {
+      const std::size_t m = rng.uniform_u64(members);
+      if (rng.uniform_u64(3) == 0) {
+        BloomFilter next = random_filter(bits);
+        bank.update(m, want[m], next);
+        want[m] = std::move(next);
+      } else {
+        const ItemHash h = fresh();
+        bank.insert(m, h);
+        want[m].insert(h);
+      }
+      ASSERT_TRUE(bank_matches(bank, want, probes))
+          << members << " members, step " << step;
+    }
+    // The patched bank is the bank a rebuild from the same filters makes.
+    EXPECT_TRUE(bank == BitSlicedBank(bits, 5, want)) << members << " members";
+    EXPECT_FALSE(bank == BitSlicedBank(bits, 5, {}));
+
+    bits = 2048;  // the geometry grows: a new bank
+    for (auto& f : want) f = random_filter(bits);
+    bank = BitSlicedBank(bits, 5, want);
+    ASSERT_TRUE(bank_matches(bank, want, probes)) << members << " grown";
+  }
+}
+
+/// A row is as wide as the smallest power of two covering the members, or
+/// whole words beyond 64 members: the store's geometries cost these.
+TEST(BitSlicedBank, RowWidthFollowsMemberCount) {
+  auto payload = [](std::size_t members, std::size_t bits) {
+    const BitSlicedBank bank(bits, 7,
+                             std::vector<BloomFilter>(members, BloomFilter(bits, 7)));
+    return bank.byte_size() - sizeof(BitSlicedBank);
+  };
+  EXPECT_EQ(payload(27, 131072), 131072u * 4);
+  EXPECT_EQ(payload(8, 131072), 131072u);
+  EXPECT_EQ(payload(8, 524288), 524288u);
+  EXPECT_EQ(payload(2, 32768), 32768u / 4);
+  EXPECT_EQ(payload(1, 1024), 1024u / 8);
+  EXPECT_EQ(payload(65, 1024), 1024u * 16);
+}
+
+/// Readers probe with no lock while one writer per member inserts items
+/// and replaces its filter by diff updates; three members share every row
+/// word. Under TSan a plain access in that race is a report. An item every
+/// version of every member holds never reads absent.
+TEST(BitSlicedBank, UnlockedProbesRaceWriters) {
+  constexpr std::size_t kMembers = 3;
+  constexpr std::size_t kBits = 1024;
+  const ItemHash always = hash_item("/always/here");
+  auto base = [&](std::uint64_t salt) {
+    BloomFilter f(kBits, 7);
+    f.insert(always);
+    for (int i = 0; i < 20; ++i)
+      f.insert(hash_item("/b" + std::to_string(salt) + "/" + std::to_string(i)));
+    return f;
+  };
+  std::vector<BloomFilter> current;
+  for (std::size_t m = 0; m < kMembers; ++m) current.push_back(base(m));
+  BitSlicedBank bank(kBits, 7, current);
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::size_t> misses{0};
+  std::atomic<std::size_t> probes{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&, t] {
+      std::size_t i = static_cast<std::size_t>(t), maybes = 0;
+      while (!stop.load(std::memory_order_relaxed)) {
+        std::size_t hits = 0;
+        bank.for_each_match(always, [&](std::size_t) { ++hits; });
+        if (hits != kMembers) misses.fetch_add(1);
+        bank.for_each_match(hash_item("/probe/" + std::to_string(i++ % 64)),
+                            [&](std::size_t) { ++maybes; });
+        probes.fetch_add(1, std::memory_order_relaxed);
+      }
+      EXPECT_GE(maybes, 0u);
+    });
+  }
+  std::vector<std::thread> writers;
+  for (std::size_t m = 0; m < kMembers; ++m) {
+    writers.emplace_back([&, m] {
+      BloomFilter& cur = current[m];  // this writer's member alone
+      for (std::uint64_t step = 1; step <= 2000; ++step) {
+        if (step % 16 == 0) {
+          BloomFilter next = base(step * kMembers + m);
+          bank.update(m, cur, next);
+          cur = std::move(next);
+        } else {
+          const ItemHash h =
+              hash_item("/v" + std::to_string(m) + "/" + std::to_string(step));
+          bank.insert(m, h);
+          cur.insert(h);
+        }
+      }
+    });
+  }
+  for (auto& th : writers) th.join();
+  while (probes.load() < 1000) std::this_thread::yield();
+  stop.store(true);
+  for (auto& th : readers) th.join();
+  EXPECT_EQ(misses.load(), 0u);
+  for (std::size_t m = 0; m < kMembers; ++m)
+    EXPECT_EQ(bank.member(m), current[m]) << "member " << m;
+}
 
 }  // namespace
 }  // namespace smartstore::bloom

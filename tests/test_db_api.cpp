@@ -437,6 +437,58 @@ TEST(DbApi, WriteBatchAppliesInOrder) {
   std::filesystem::remove_all(dir);
 }
 
+/// Put is not an upsert: a retried Put stores a second record, and two
+/// names may carry one id. On a one-unit store both records land on one
+/// unit; each stays deletable, the routed and the exact lookup agree
+/// after every step, and the store ends empty.
+TEST(DbApi, RepeatedNameOrIdStaysDeletable) {
+  db::Options o = small_options();
+  o.num_units = 1;
+  o.in_memory = true;
+  auto store = open_or_die(o, "");
+  auto total_files = [&] {
+    std::string v;
+    EXPECT_TRUE(store->GetProperty("smartstore.total-files", &v));
+    return v;
+  };
+  auto lookups_agree = [&](const std::string& name, bool found,
+                           std::uint64_t id) {
+    auto routed = store->Query(db::QueryRequest::Point(name));
+    auto exact = store->Query(db::QueryRequest::Point(name), db::ReadOptions{});
+    ASSERT_TRUE(routed.ok() && exact.ok()) << name;
+    EXPECT_EQ(routed->found, found) << name;
+    EXPECT_EQ(exact->found, found) << name;
+    if (found) {
+      EXPECT_EQ(routed->id, id) << name;
+      EXPECT_EQ(exact->id, id) << name;
+    }
+  };
+
+  metadata::FileMetadata dup = make_file(1);
+  dup.name = "/dup/x";
+  ASSERT_TRUE(store->Put(dup).ok());
+  ASSERT_TRUE(store->Put(dup).ok());  // a retried Put
+  EXPECT_EQ(total_files(), "2");
+  ASSERT_TRUE(store->Delete(dup.name).ok());
+  lookups_agree(dup.name, true, 1);
+  ASSERT_TRUE(store->Delete(dup.name).ok());
+  lookups_agree(dup.name, false, 0);
+  EXPECT_TRUE(store->Delete(dup.name).IsNotFound());
+
+  metadata::FileMetadata a = make_file(7);
+  a.name = "/shared/a";
+  metadata::FileMetadata b = make_file(7);
+  b.name = "/shared/b";
+  ASSERT_TRUE(store->Put(a).ok());
+  ASSERT_TRUE(store->Put(b).ok());
+  ASSERT_TRUE(store->Delete(a.name).ok());
+  lookups_agree(a.name, false, 0);
+  lookups_agree(b.name, true, 7);
+  ASSERT_TRUE(store->Delete(b.name).ok());
+  lookups_agree(b.name, false, 0);
+  EXPECT_EQ(total_files(), "0");
+}
+
 TEST(DbApi, QueryValidation) {
   auto opened = db::Store::Open([] {
     db::Options o;

@@ -468,10 +468,17 @@ TEST_F(SnapshotReplicas, LoadedReplicasRouteExactlyAsSaved) {
   save_snapshot(store, image_path(dir));
   auto loaded = load_snapshot(image_path(dir));
   ASSERT_EQ(loaded->tree().groups(), store.tree().groups());
-  for (std::size_t g : store.tree().groups()) {
+  EXPECT_TRUE(loaded->check_invariants());
+  ASSERT_EQ(loaded->group_bank().members(), store.tree().groups().size());
+  for (std::size_t c = 0; c < store.tree().groups().size(); ++c) {
+    const std::size_t g = store.tree().groups()[c];
     const core::GroupReplica& live = store.group_replica(g);
     const core::GroupReplica& back = loaded->group_replica(g);
-    EXPECT_TRUE(core::reference::matches(back, probes)) << "group " << g;
+    // The loaded bank is rebuilt from the loaded replicas, and equals the
+    // one the live store kept through its seals.
+    EXPECT_TRUE(core::reference::matches(back, probes, &loaded->group_bank(), c))
+        << "group " << g;
+    EXPECT_EQ(loaded->group_bank().member(c), store.group_bank().member(c));
     ASSERT_EQ(back.versions().size(), live.versions().size());
     for (const bool with : {false, true}) {
       EXPECT_TRUE(core::reference::same_bits(back.effective_box(with),
@@ -823,11 +830,15 @@ TEST(SnapshotGrowth, GrownStoreRoundTripsByteIdentically) {
   save_snapshot(store, image_path(dir));
   auto loaded = load_snapshot(image_path(dir));
   EXPECT_EQ(loaded->bloom_bits(), store.bloom_bits());
+  EXPECT_TRUE(loaded->check_invariants());
   for (const auto& u : loaded->units())
     EXPECT_EQ(u.name_filter().bit_count(), store.bloom_bits());
-  for (std::size_t g : store.tree().groups()) {
+  for (std::size_t c = 0; c < store.tree().groups().size(); ++c) {
+    const std::size_t g = store.tree().groups()[c];
     const core::GroupReplica& back = loaded->group_replica(g);
-    EXPECT_TRUE(core::reference::matches(back, probes)) << "group " << g;
+    EXPECT_TRUE(core::reference::matches(back, probes, &loaded->group_bank(), c))
+        << "group " << g;
+    EXPECT_EQ(loaded->group_bank().member(c), store.group_bank().member(c));
     ASSERT_EQ(back.versions().size(), store.group_replica(g).versions().size());
     for (const auto& h : probes)
       EXPECT_EQ(back.name_may_contain(h, true),

@@ -172,7 +172,8 @@ TEST(SemanticRTree, OnFileRemovedUpdatesCounts) {
   const UnitId u = 2;
   const FileMetadata victim = units[u].files().front();
   const auto removed =
-      units[u].remove_file(victim.id, bloom::hash_item(victim.name));
+      units[u].remove_file(victim.id, victim.name,
+                           bloom::hash_item(victim.name));
   ASSERT_TRUE(removed.has_value());
   t.on_file_removed(u, removed->full_vector());
   EXPECT_EQ(t.node(t.root_id()).file_count, before - 1);

@@ -664,6 +664,117 @@ TEST(SmartStoreEdge, ConstantAttributesStillPlaceEveryFile) {
   }
 }
 
+// ---- the group bank and the unit columns -----------------------------------
+
+/// The group bank (every replica's union, bit-sliced) is patched or rebuilt
+/// on every path that changes a replica, the group list or the filter
+/// geometry; check_invariants compares each member with the walk over the
+/// replica's base filter and sealed digests.
+TEST(SmartStoreBank, FollowsEveryReplicaChange) {
+  const auto tr = small_trace();
+  const auto& files = tr.files();
+  SmartStore store(small_config());
+  store.build({files.begin(), files.begin() + 300});
+  ASSERT_TRUE(store.check_invariants());
+  std::unordered_map<std::size_t, std::size_t> base_counts;
+  for (std::size_t g : store.tree().groups())
+    base_counts[g] = store.group_replica(g).base().file_count;
+
+  // Inserts seal versions, trip lazy full syncs and grow the filters.
+  bool sealed = false;
+  for (std::size_t i = 300; i < 1200; ++i) {
+    store.insert_file(files[i]);
+    for (std::size_t g : store.tree().groups())
+      sealed |= !store.group_replica(g).versions().empty();
+    if (i % 50 == 0) {
+      ASSERT_TRUE(store.check_invariants()) << "insert " << i;
+    }
+  }
+  EXPECT_TRUE(sealed);
+  EXPECT_GE(store.bloom_resizes(), 1u);
+  bool synced = false;
+  for (std::size_t g : store.tree().groups())
+    synced |= base_counts.count(g) &&
+              store.group_replica(g).base().file_count != base_counts[g];
+  EXPECT_TRUE(synced);
+  ASSERT_TRUE(store.check_invariants());
+
+  for (std::size_t i = 0; i < 100; ++i)
+    ASSERT_TRUE(store.erase_file(files[i * 3].name));
+  ASSERT_TRUE(store.check_invariants());
+  store.add_storage_unit();
+  ASSERT_TRUE(store.check_invariants());
+  store.remove_storage_unit(3);
+  ASSERT_TRUE(store.check_invariants());
+  store.reconfigure();
+  ASSERT_TRUE(store.check_invariants());
+  // Off-line lookups still find what is there, through the bank.
+  std::size_t found = 0;
+  for (std::size_t i = 1000; i < 1200; ++i)
+    found += store.point_query({files[i].name}, Routing::kOffline, 0.0).found;
+  EXPECT_GT(found, 180u);
+}
+
+/// After deletes from the first, a middle and the last position of a
+/// unit, every scan path still finds each record, the ones a swap-remove
+/// moved included: routed (on-line, exact) range, pinned range, pinned
+/// top-k and the dump.
+TEST(SmartStoreColumns, ScansFindTheRecordsASwapRemoveMoved) {
+  std::vector<FileMetadata> files;
+  for (int i = 1; i <= 24; ++i) {
+    FileMetadata f;
+    f.id = static_cast<FileId>(i);
+    f.name = "/c/f" + std::to_string(i);
+    f.set_attr(Attr::kFileSize, 10.0 * i);
+    f.set_attr(Attr::kCreationTime, 1000.0 - 7.0 * i);
+    f.set_attr(Attr::kModificationTime, (i * 37) % 11);
+    files.push_back(f);
+  }
+  Config cfg;
+  cfg.num_units = 2;
+  cfg.fanout = 2;
+  SmartStore store(cfg);
+  store.build(files);
+  std::vector<FileMetadata> live = files;
+  auto all_found = [&] {
+    const AttrSubset dims({Attr::kFileSize, Attr::kCreationTime});
+    const std::uint64_t seq = store.last_commit_seq();
+    const auto dump = store.snapshot_dump(seq);
+    if (dump.size() != live.size()) return false;
+    for (const FileMetadata& f : live) {
+      metadata::RangeQuery rq;
+      rq.dims = dims;
+      rq.lo = {f.attr(Attr::kFileSize), f.attr(Attr::kCreationTime)};
+      rq.hi = rq.lo;
+      const auto routed = store.range_query(rq, Routing::kOnline, 0.0).ids;
+      const auto pinned = store.snapshot_range_query(rq, seq).ids;
+      if (routed != std::vector<FileId>{f.id} || pinned != routed) return false;
+      metadata::TopKQuery tq;
+      tq.dims = dims;
+      tq.point = rq.lo;
+      tq.k = 1;
+      const auto top = store.snapshot_topk_query(tq, seq).hits;
+      if (top.size() != 1 || top[0].first != 0.0 || top[0].second != f.id)
+        return false;
+    }
+    return true;
+  };
+  ASSERT_TRUE(all_found());
+  const StorageUnit& unit = store.units()[0];
+  ASSERT_GE(unit.file_count(), 4u);
+  for (const char* where : {"first", "middle", "last"}) {
+    const std::size_t n = unit.file_count();
+    const std::size_t pos = where[0] == 'f' ? 0 : where[0] == 'm' ? n / 2 : n - 1;
+    const FileMetadata victim = unit.files()[pos];
+    ASSERT_TRUE(store.erase_file(victim.name)) << where;
+    live.erase(std::find_if(live.begin(), live.end(), [&](const FileMetadata& f) {
+      return f.id == victim.id;
+    }));
+    EXPECT_TRUE(all_found()) << "after deleting the " << where << " record";
+    EXPECT_TRUE(store.check_invariants());
+  }
+}
+
 // ---- exact reads at a pinned seq --------------------------------------------
 
 /// One version of a record in the test's own MVCC reference: the seq it

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -37,7 +40,8 @@ void add(StorageUnit& u, const FileMetadata& f) {
 
 std::optional<FileMetadata> remove(StorageUnit& u, metadata::FileId id) {
   const FileMetadata* f = u.find_by_id(id);
-  return u.remove_file(id, bloom::hash_item(f ? f->name : ""));
+  const std::string name = f ? f->name : "";
+  return u.remove_file(id, name, bloom::hash_item(name));
 }
 
 TEST(StorageUnit, AddAndFind) {
@@ -108,7 +112,8 @@ TEST(StorageUnit, BoxCoversAllCoords) {
     const auto f = make_file(i, 10.0 * i, 100.0 - i);
     add(u, f);
   }
-  for (const auto& c : u.std_coords()) EXPECT_TRUE(u.box().contains(c));
+  for (std::size_t i = 0; i < u.file_count(); ++i)
+    EXPECT_TRUE(u.box().contains(u.std_coords(i)));
 }
 
 TEST(StorageUnit, CentroidIsMeanAndUpdatesOnRemove) {
@@ -132,6 +137,111 @@ TEST(StorageUnit, ByteSizeGrows) {
     add(u, f);
   }
   EXPECT_GT(u.byte_size(), before);
+}
+
+/// Removing the first, a middle and the last record keeps the columns,
+/// the records, their ids and seqs aligned, and the moved record stays
+/// reachable by name, id and column row; a copy (what a fold's
+/// copy-on-write makes) equals the original.
+TEST(StorageUnit, SwapRemoveKeepsColumnsAligned) {
+  StorageUnit u(0, 1024, 7);
+  for (int i = 1; i <= 9; ++i) {
+    const auto f = make_file(i, 10.0 * i, 100.0 + i);
+    u.add_file(f, coords(f), bloom::hash_item(f.name),
+               static_cast<std::uint64_t>(100 + i));
+  }
+  auto aligned = [](const StorageUnit& unit) {
+    const StorageUnit::Columns cols = unit.columns();
+    for (std::size_t i = 0; i < unit.file_count(); ++i) {
+      const FileMetadata& f = unit.files()[i];
+      const la::Vector want = coords(f);
+      for (std::size_t d = 0; d < kNumAttrs; ++d) {
+        if (cols.row(i)[d] != want[d]) return false;
+      }
+      if (unit.std_coords(i) != want || unit.ids()[i] != f.id) return false;
+      if (unit.added_seqs()[i] != 100 + f.id) return false;
+      if (unit.find_by_id(f.id) != &f || unit.find_by_name(f.name) != &f ||
+          unit.find(f.id, f.name) != &f)
+        return false;
+    }
+    return true;
+  };
+  ASSERT_TRUE(aligned(u));
+  const auto at = [&](std::size_t pos) { return u.files()[pos].id; };
+  for (const std::size_t pos : {std::size_t{0}, std::size_t{3}, std::size_t{6}}) {
+    ASSERT_LT(pos, u.file_count());
+    const metadata::FileId moved = at(u.file_count() - 1);
+    ASSERT_TRUE(remove(u, at(pos)).has_value());
+    EXPECT_TRUE(aligned(u)) << "after removing position " << pos;
+    if (pos < u.file_count()) {
+      EXPECT_EQ(at(pos), moved);
+    }
+  }
+  EXPECT_EQ(u.file_count(), 6u);
+  ASSERT_TRUE(remove(u, at(u.file_count() - 1)).has_value());  // the last
+  EXPECT_TRUE(aligned(u));
+
+  const StorageUnit copy = u;
+  EXPECT_TRUE(aligned(copy));
+  ASSERT_EQ(copy.file_count(), u.file_count());
+  for (std::size_t i = 0; i < u.file_count(); ++i) {
+    EXPECT_EQ(copy.files()[i].id, u.files()[i].id);
+    EXPECT_EQ(copy.std_coords(i), u.std_coords(i));
+  }
+  EXPECT_EQ(copy.added_seqs(), u.added_seqs());
+  EXPECT_EQ(copy.name_filter_view(), u.name_filter_view());
+  EXPECT_EQ(copy.box(), u.box());
+  EXPECT_EQ(copy.byte_size(), u.byte_size());
+}
+
+/// Put is not an upsert: a retried Put stores a second record under one
+/// name and id, and two names may carry one id. Each record stays
+/// reachable until its own removal.
+TEST(StorageUnit, RepeatedNameOrIdStaysReachable) {
+  StorageUnit u(0, 1024, 7);
+  const auto dup = make_file(1, 10, 1);
+  add(u, dup);
+  add(u, dup);
+  ASSERT_TRUE(u.remove_file(1, dup.name, bloom::hash_item(dup.name)));
+  ASSERT_NE(u.find_by_name(dup.name), nullptr);
+  ASSERT_NE(u.find(1, dup.name), nullptr);
+  EXPECT_NE(u.find_by_id(1), nullptr);
+  EXPECT_TRUE(u.name_filter().may_contain(dup.name));
+  ASSERT_TRUE(u.remove_file(1, dup.name, bloom::hash_item(dup.name)));
+  EXPECT_EQ(u.find_by_name(dup.name), nullptr);
+  EXPECT_EQ(u.find(1, dup.name), nullptr);
+  EXPECT_EQ(u.find_by_id(1), nullptr);
+  EXPECT_FALSE(u.remove_file(1, dup.name, bloom::hash_item(dup.name)));
+
+  // Two names, one id: removing one by its name keeps the other whole.
+  auto a = make_file(7, 20, 2);
+  auto b = a;
+  b.name = "/t/other";
+  add(u, a);
+  add(u, b);
+  const auto removed = u.remove_file(7, a.name, bloom::hash_item(a.name));
+  ASSERT_TRUE(removed.has_value());
+  EXPECT_EQ(removed->name, a.name);
+  EXPECT_EQ(u.find_by_name(a.name), nullptr);
+  EXPECT_EQ(u.find(7, a.name), nullptr);
+  ASSERT_NE(u.find_by_id(7), nullptr);
+  EXPECT_EQ(u.find_by_id(7)->name, b.name);
+  ASSERT_TRUE(u.remove_file(7, b.name, bloom::hash_item(b.name)));
+  EXPECT_TRUE(u.empty());
+
+  // Once the newest record under a name goes, the index names the one an
+  // exact read picks: the greatest added_seq.
+  auto v = make_file(2, 1, 1);
+  for (const auto& [id, seq] : {std::pair<metadata::FileId, std::uint64_t>{2, 5},
+                                {3, 9}, {4, 7}}) {
+    v.id = id;
+    u.add_file(v, coords(v), bloom::hash_item(v.name), seq);
+  }
+  EXPECT_EQ(u.find_by_name(v.name)->id, 4u);
+  ASSERT_TRUE(u.remove_file(4, v.name, bloom::hash_item(v.name)));
+  EXPECT_EQ(u.find_by_name(v.name)->id, 3u);
+  ASSERT_TRUE(u.remove_file(3, v.name, bloom::hash_item(v.name)));
+  EXPECT_EQ(u.find_by_name(v.name)->id, 2u);
 }
 
 TEST(VersionDelta, EmptyAndByteSize) {
@@ -229,7 +339,10 @@ TEST(GroupReplica, ByteSizeIncludesVersions) {
 /// Random replica lifecycles — seal()s of inserting and delete-only
 /// versions, and reset()s to random bases, some in a bigger geometry (the
 /// store's filters grew) — with every derived view checked against the
-/// reference walk over versions() after each step.
+/// reference walk over versions() after each step. A bank column follows
+/// the replica as the store keeps it (digests set on a seal, the differing
+/// bits flipped on a reset, a rebuild on a geometry change), beside a
+/// second column that shares its row words and never changes.
 TEST(GroupReplica, DerivedStateMatchesReferenceWalk) {
   // Small filters fill up: many absent names hit the union of the base
   // and the sealed digests while matching no digest and missing the base,
@@ -285,18 +398,36 @@ TEST(GroupReplica, DerivedStateMatchesReferenceWalk) {
 
     GroupReplica r;
     r.reset(random_base());
+    bloom::BloomFilter neighbour;
+    bloom::BitSlicedBank bank;
+    auto rebuild = [&] {
+      const bloom::BloomFilter& f = r.base().name_filter;
+      neighbour = bloom::BloomFilter(f.bit_count(), kHashes);
+      for (int i = 0; i < 8; ++i)
+        neighbour.insert(bloom::hash_item("/other/" + std::to_string(i)));
+      bank = bloom::BitSlicedBank(f.bit_count(), kHashes,
+                                  {neighbour, r.union_filter()});
+    };
+    rebuild();
     for (int step = 0; step < 60; ++step) {
       if (rng.uniform_u64(8) == 0) {
+        const bloom::BloomFilter before = r.union_filter();
         r.reset(random_base());
+        if (r.base().name_filter.bit_count() == before.bit_count()) {
+          bank.update(1, before, r.base().name_filter);
+        } else {
+          rebuild();
+        }
       } else {
-        r.seal(random_delta());
+        VersionDelta v = random_delta();
+        for (const auto& h : v.added_names) bank.insert(1, h);
+        r.seal(std::move(v));
       }
-      ASSERT_TRUE(reference::matches(r, probes))
+      ASSERT_TRUE(reference::matches(r, probes, &bank, 1))
           << "seed " << seed << " step " << step;
+      ASSERT_EQ(bank.member(0), neighbour);
 
-      bloom::BloomFilter all = r.base().name_filter;
-      for (const auto& v : r.versions())
-        for (const auto& h : v.added_names) all.insert(h);
+      const bloom::BloomFilter all = reference::union_filter(r);
       for (const auto& h : probes) {
         if (all.may_contain(h) && !reference::name_may_contain(r, h, true))
           ++union_only_hits;
@@ -306,11 +437,14 @@ TEST(GroupReplica, DerivedStateMatchesReferenceWalk) {
   EXPECT_GT(union_only_hits, 0u);
 }
 
-/// The store probes a replica's union and reads its version count without
-/// the group's stripe while a writer seals versions and full-syncs the
-/// group. Under TSan a plain access in that race is a report. A name every
-/// base holds must probe positive throughout: its bits are set in the old
-/// union, the new one and every word-wise mix of the two.
+/// The store probes its group bank and reads a replica's version count
+/// without the group's stripe, while writers seal versions and full-sync
+/// groups. Two groups share the bank's row words here, each written by
+/// its own thread under its own mutex (the group's stripe in the store).
+/// Under TSan a plain access in that race is a report. A name every base
+/// holds must probe positive in both columns throughout, and confirm under
+/// the group's mutex: its bits are set in the old union and the new one,
+/// and no write touches them.
 TEST(GroupReplica, UnlockedProbesRaceSealAndReset) {
   const bloom::ItemHash always = bloom::hash_item("/always/here");
   auto base = [&](std::uint64_t salt) {
@@ -328,42 +462,68 @@ TEST(GroupReplica, UnlockedProbesRaceSealAndReset) {
   for (int i = 0; i < 64; ++i)
     others.push_back(bloom::hash_item("/probe/" + std::to_string(i)));
 
-  GroupReplica r;
-  r.reset(base(0));
+  constexpr std::size_t kGroups = 2;
+  std::array<GroupReplica, kGroups> r;
+  std::array<std::mutex, kGroups> mu;
+  r[0].reset(base(0));
+  r[1].reset(base(1));
+  bloom::BitSlicedBank bank(1024, 7, {r[0].union_filter(), r[1].union_filter()});
+
   std::atomic<bool> stop{false};
   std::atomic<std::size_t> misses{0};
   std::atomic<std::size_t> probes{0};
   std::vector<std::thread> readers;
-  for (int t = 0; t < 3; ++t) {
+  for (int t = 0; t < 2; ++t) {
     readers.emplace_back([&, t] {
       std::size_t i = static_cast<std::size_t>(t), maybes = 0;
       while (!stop.load(std::memory_order_relaxed)) {
-        if (!r.union_may_contain(always)) misses.fetch_add(1);
-        maybes += r.union_may_contain(others[i++ % others.size()]);
-        maybes += r.version_count();
+        std::size_t hits = 0;
+        bank.for_each_match(always, [&](std::size_t g) {
+          ++hits;
+          const std::lock_guard<std::mutex> lock(mu[g]);
+          if (!r[g].confirm_name(always, true)) misses.fetch_add(1);
+        });
+        if (hits != kGroups) misses.fetch_add(1);
+        bank.for_each_match(others[i++ % others.size()],
+                            [&](std::size_t) { ++maybes; });
+        maybes += r[i % kGroups].version_count();
         probes.fetch_add(1, std::memory_order_relaxed);
       }
       EXPECT_GE(maybes, 0u);
     });
   }
-  // One writer, as the group's stripe serializes them in the store.
-  for (std::uint64_t step = 1; step <= 3000; ++step) {
-    if (step % 16 == 0) {
-      r.reset(base(step));
-      continue;
-    }
-    VersionDelta v;
-    v.added_attr_sum.assign(kNumAttrs, 1.0);
-    v.added_count = 1;
-    v.added_box = rtree::Mbr(la::Vector(kNumAttrs, static_cast<double>(step)));
-    v.added_names.push_back(bloom::hash_item("/v/" + std::to_string(step)));
-    r.seal(std::move(v));
+  // One writer per group, as the group's stripe serializes them in the
+  // store.
+  std::vector<std::thread> writers;
+  for (std::size_t g = 0; g < kGroups; ++g) {
+    writers.emplace_back([&, g] {
+      for (std::uint64_t step = 1; step <= 2000; ++step) {
+        const std::lock_guard<std::mutex> lock(mu[g]);
+        if (step % 16 == 0) {
+          const bloom::BloomFilter before = r[g].union_filter();
+          r[g].reset(base(step * kGroups + g));
+          bank.update(g, before, r[g].base().name_filter);
+          continue;
+        }
+        VersionDelta v;
+        v.added_attr_sum.assign(kNumAttrs, 1.0);
+        v.added_count = 1;
+        v.added_box =
+            rtree::Mbr(la::Vector(kNumAttrs, static_cast<double>(step)));
+        v.added_names.push_back(bloom::hash_item(
+            "/v" + std::to_string(g) + "/" + std::to_string(step)));
+        bank.insert(g, v.added_names.back());
+        r[g].seal(std::move(v));
+      }
+    });
   }
+  for (auto& th : writers) th.join();
   while (probes.load() < 1000) std::this_thread::yield();
   stop.store(true);
   for (auto& th : readers) th.join();
   EXPECT_EQ(misses.load(), 0u);
-  EXPECT_TRUE(reference::matches(r, others));
+  for (std::size_t g = 0; g < kGroups; ++g)
+    EXPECT_TRUE(reference::matches(r[g], others, &bank, g)) << "group " << g;
 }
 
 }  // namespace
