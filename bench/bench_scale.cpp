@@ -13,7 +13,7 @@
 //   * reopen seconds from the base + a 1% WAL tail, and crash-reopen
 //     seconds with a second 1% tail on top (recovery-time scaling);
 //   * ingest puts/s quiet vs puts/s while a fold runs concurrently
-//     (the epoch-freeze/COW "checkpoint does not stop the world" claim,
+//     (the pinned-seq fold's "checkpoint does not stop the world" claim,
 //     reported as degradation_pct).
 //
 // Usage: bench_scale [--files N] [--json PATH]
@@ -180,7 +180,7 @@ int main(int argc, char** argv) {
 
   // ---- ingest degradation during compaction ---------------------------------
   // Quiet rate was measured above; now ingest the same volume while a
-  // fold runs concurrently (epoch-freeze/COW: traffic must keep flowing).
+  // fold runs concurrently (a pinned-seq read: traffic must keep flowing).
   std::uint64_t next_id = files + 2 * churn;
   std::atomic<bool> fold_failed{false};
   std::thread folder([&] {

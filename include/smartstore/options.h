@@ -49,7 +49,7 @@ struct Options {
   /// Background-checkpoint cadence: every N acknowledged mutations, run
   /// one checkpoint on a background thread, concurrent with serving. The
   /// WAL is the delta: a checkpoint folds the deployment into a fresh base
-  /// image under <path>/ckpt/ (epoch freeze + copy-on-write) when there is
+  /// image under <path>/ckpt/ (the store as of a pinned seq) when there is
   /// no base yet or when the shards hold at least as many records logged
   /// since the base as the base holds, and writes nothing otherwise.
   /// Recovery loads the base and replays the WAL tail. 0 = checkpoint only

@@ -118,9 +118,11 @@ struct ReadOptions {
 struct CheckpointInfo {
   /// Checkpoints (those that wrote nothing included) + Compact() folds.
   std::uint64_t completed = 0;
-  /// Mutations that rode along with a fold's frozen view, summed.
+  /// Mutations that rode along with a fold's frozen view (commit seqs
+  /// stamped while it ran), summed.
   std::uint64_t total_mutations_during = 0;
-  /// Pieces folds copied on write, summed.
+  /// Always 0: a fold reads the store as of its pinned seq and copies
+  /// nothing. Kept because perfbench's ingest_durable workload reads it.
   std::uint64_t total_cow_copies = 0;
   double last_freeze_s = 0;    ///< serving threads excluded
   double last_write_s = 0;     ///< base image + manifest
@@ -241,7 +243,8 @@ class Store {
   Status Checkpoint();
 
   /// Folds the WAL tail into a fresh base image however short it is,
-  /// concurrent with serving (epoch freeze + copy-on-write), and prunes
+  /// concurrent with serving (the image is the store as of the seq the
+  /// fold pinned at its freeze), and prunes
   /// the superseded base — the explicit "compact now" call. Like
   /// Checkpoint(), it returns a background checkpoint's untold failure
   /// first.

@@ -464,11 +464,10 @@ int main(int argc, char** argv) {
         }
         std::printf(
             "bg ckpt  : %llu checkpoints, %llu of them folds (%llu mutations "
-            "rode along with folds, %llu COW copies); last %s\n",
+            "rode along with folds); last %s\n",
             static_cast<unsigned long long>(ck.completed),
             static_cast<unsigned long long>(ck.delta_folds),
-            static_cast<unsigned long long>(ck.total_mutations_during),
-            static_cast<unsigned long long>(ck.total_cow_copies), last);
+            static_cast<unsigned long long>(ck.total_mutations_during), last);
       }
     }
   }

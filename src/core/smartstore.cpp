@@ -5,6 +5,7 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <stdexcept>
 #include <thread>
 
 #include "util/thread_pool.h"
@@ -72,22 +73,25 @@ void SmartStore::serve() {
   cluster_.reset();
 }
 
-// ---- concurrent checkpointing (epoch freeze + copy-on-write) ----------------
+// ---- concurrent checkpointing (a pinned MVCC read) ---------------------------
 
 std::uint64_t SmartStore::begin_checkpoint(
     const std::function<void()>& while_frozen) {
-  // Exclusive: every serving thread is outside its operation, so the epoch
-  // cut is a mutation boundary for all of them simultaneously — which is
-  // also what makes `while_frozen` the right place to fence the WAL shards.
+  // Exclusive: every serving thread is outside its operation, so the
+  // commit clock names a mutation boundary for all of them simultaneously
+  // — which is also what makes `while_frozen` the right place to fence
+  // the WAL shards.
   util::WriterLock ex(structure_mu_);
-  std::uint64_t frozen_epoch = 0;
+  // The watermark the UNITS serializer filters tombstones against is the
+  // one before this fold's own pin: a pin taken after the freeze needs no
+  // tombstone this image lacks, because its seq is >= the frozen seq.
+  const std::uint64_t watermark = gc_watermark();
+  std::uint64_t seq = 0;
+  std::shared_ptr<void> pin = pin_snapshot(&seq);
   {
     util::MutexLock lock(freeze_.mu);
     assert(!freeze_.active && "one checkpoint at a time");
     freeze_.active = true;
-    freeze_.frozen_epoch = epoch_.load(std::memory_order_relaxed);
-    freeze_.cow_copies = 0;
-
     freeze_.core.bloom_bits = bloom_bits_;
     freeze_.core.total_files = total_files_.load(std::memory_order_relaxed);
     freeze_.core.rng_state = rng_.state();
@@ -95,49 +99,37 @@ std::uint64_t SmartStore::begin_checkpoint(
     freeze_.core.standardizer = standardizer_;
     freeze_.core.unit_count = units_.size();
     // The MVCC cut: no mutator runs (exclusive structure lock), so the
-    // commit counter is the exact seq of the image being captured. The
-    // watermark is what the UNITS serializer filters tombstones against —
-    // a pin taken after the freeze needs no tombstone this image lacks,
-    // because its seq is >= the frozen commit seq.
-    freeze_.core.commit_seq = commit_seq_.load(std::memory_order_acquire);
-    freeze_.core.gc_watermark = gc_watermark();
-
-    // Units (the bulk of the state) freeze lazily via copy-on-write; the
-    // index structures are captured eagerly here, so post-freeze writers
-    // never copy a whole tree mid-operation and the serializer never has
-    // to reconcile a structure being updated under striped locks.
-    freeze_.unit_state.assign(units_.size(), PieceState::kPending);
-    freeze_.frozen_units.clear();
-    freeze_.frozen_units.resize(units_.size());
+    // pinned seq is the exact seq of the image being captured, and the
+    // pin keeps every version visible at it until end_checkpoint.
+    freeze_.core.commit_seq = seq;
+    freeze_.core.gc_watermark = watermark;
+    freeze_.core.pin = std::move(pin);
+    // Units (the bulk of the state) are read as of the pinned seq by the
+    // serializer; the index structures are captured eagerly here, so the
+    // serializer never has to reconcile a structure being updated under
+    // striped locks.
     freeze_.core.tree = tree_;
     freeze_.core.variants = variants_;
     freeze_.core.sync = sync_;
-    // Copied out under the lock: the post-freeze read at the bottom of
-    // this function used to reach for freeze_.frozen_epoch directly, a
-    // data race with a serializer that finishes (and a writer that begins
-    // the next cycle) between here and the return.
-    frozen_epoch = freeze_.frozen_epoch;
   }
   if (while_frozen) {
     try {
       while_frozen();
     } catch (...) {
-      // The checkpoint never happened: release the freeze here, or every
-      // later mutation would pay copy-on-write into a stale frozen view
-      // forever (and the next begin_checkpoint would assert).
+      // The checkpoint never happened: release the freeze and its pin
+      // here, or GC would stay held at this seq forever (and the next
+      // begin_checkpoint would assert).
       end_checkpoint();
       throw;
     }
   }
-  return frozen_epoch;
+  return seq;
 }
 
 void SmartStore::end_checkpoint() {
   util::MutexLock lock(freeze_.mu);
   freeze_.active = false;
   freeze_.core = FrozenCore{};
-  freeze_.unit_state.clear();
-  freeze_.frozen_units.clear();
 }
 
 bool SmartStore::checkpoint_active() const {
@@ -145,30 +137,13 @@ bool SmartStore::checkpoint_active() const {
   return freeze_.active;
 }
 
-std::uint64_t SmartStore::checkpoint_cow_copies() const {
+void SmartStore::refuse_rehoming_while_frozen(const char* op) const {
   util::MutexLock lock(freeze_.mu);
-  return freeze_.cow_copies;
-}
-
-void SmartStore::cow_unit_locked(UnitId u) {
-  if (u >= freeze_.unit_state.size()) return;
-  if (freeze_.unit_state[u] != PieceState::kPending) return;
-  freeze_.frozen_units[u] = std::make_unique<StorageUnit>(units_[u]);
-  freeze_.unit_state[u] = PieceState::kFrozen;
-  ++freeze_.cow_copies;
-}
-
-void SmartStore::cow_unit(UnitId u) {
-  unit_mutex(u).assert_held();
-  util::MutexLock lock(freeze_.mu);
-  if (!freeze_.active) return;
-  cow_unit_locked(u);
-}
-
-void SmartStore::cow_all_units() {
-  util::MutexLock lock(freeze_.mu);
-  if (!freeze_.active) return;
-  for (UnitId u = 0; u < freeze_.unit_state.size(); ++u) cow_unit_locked(u);
+  if (freeze_.active)
+    throw std::logic_error(
+        std::string(op) +
+        " re-homes records under their commit seqs, which the checkpoint "
+        "in progress reads as of its frozen seq; end_checkpoint() first");
 }
 
 void SmartStore::rebuild_unit_locks() {
@@ -187,12 +162,10 @@ la::Vector SmartStore::std_coords(const FileMetadata& f) const {
 
 void SmartStore::build(const std::vector<FileMetadata>& files) {
   // Bulk construction replaces every piece; serving threads and the
-  // checkpoint serializer are excluded for the duration, and any units
-  // still pending in an active freeze are copied first (the structures
-  // were captured eagerly at freeze time).
+  // checkpoint serializer are excluded for the duration. It replaces the
+  // records a checkpoint in progress reads, so it waits for none.
   util::WriterLock ex(structure_mu_);
-  epoch_.fetch_add(1, std::memory_order_relaxed);
-  cow_all_units();
+  refuse_rehoming_while_frozen("build");
   la::Matrix attrs = attribute_matrix(files);
   standardizer_ = la::RowStandardizer::fit(attrs);
   set_bloom_bits(sized_bloom_bits(files.size()));
@@ -273,10 +246,6 @@ void SmartStore::build(const std::vector<FileMetadata>& files) {
   if (cluster_)
     cluster_ = std::make_unique<sim::Cluster>(cfg_.num_units, cfg_.cost);
   variants_.clear();
-  init_sync_state();
-}
-
-void SmartStore::init_sync_state() {
   sync_.clear();
   refresh_sync_groups();
 }
@@ -330,14 +299,13 @@ void SmartStore::maybe_grow_filters() {
       grow_at_.load(std::memory_order_relaxed))
     return;
   // A structural operation like add_storage_unit: every serving thread is
-  // outside its operation, and units still pending in an active freeze
-  // are copied first (the index structures were captured at freeze time).
+  // outside its operation. A checkpoint in progress is unaffected: it
+  // captured the geometry and the index structures at its freeze, and
+  // the image holds no unit filter.
   util::WriterLock ex(structure_mu_);
   const std::size_t bits =
       sized_bloom_bits(total_files_.load(std::memory_order_relaxed));
   if (bits <= bloom_bits_) return;  // a concurrent writer grew them first
-  epoch_.fetch_add(1, std::memory_order_relaxed);
-  cow_all_units();
   set_bloom_bits(bits);
   for (StorageUnit& u : units_) u.resize_name_filter(bits);
   tree_.resize_filters(units_, bits);
@@ -648,7 +616,6 @@ bool SmartStore::after_group_change(std::size_t g) {
 
 void SmartStore::reconfigure() {
   util::WriterLock ex(structure_mu_);
-  epoch_.fetch_add(1, std::memory_order_relaxed);
   for (std::size_t g : tree_.groups()) full_sync_group(g);
 }
 
@@ -712,9 +679,8 @@ QueryStats SmartStore::insert_file_impl(const FileMetadata& f, double arrival,
   session.send_to(target, kQueryMsgBytes);
   session.visit(cfg_.cost.per_node_visit_s, 1);
 
-  // The mutation proper: log, copy-on-write, apply — all under the target
-  // unit's lock, so the shard's log order equals this unit's apply order.
-  epoch_.fetch_add(1, std::memory_order_relaxed);
+  // The mutation proper: log and apply under the target unit's lock, so
+  // the shard's log order equals this unit's apply order.
   const la::Vector raw = f.full_vector();
   const la::Vector std = std_coords(f);
   // Hashed once, outside every lock: the filters under the unit lock, the
@@ -729,7 +695,6 @@ QueryStats SmartStore::insert_file_impl(const FileMetadata& f, double arrival,
     // pin are strictly greater than S.
     const std::uint64_t stamped = commit_stamp(seq);
     if (journal) journal->log_insert(target, f, stamped);
-    cow_unit(target);
     units_[target].add_file(f, std, name_hash, stamped);
     units_[target].prune_tombstones(gc_watermark());
   }
@@ -765,14 +730,12 @@ QueryStats SmartStore::insert_file_impl(const FileMetadata& f, double arrival,
 bool SmartStore::remove_located(UnitId u, FileId id, const std::string& name,
                                 const bloom::ItemHash& name_hash,
                                 std::uint64_t seq, Journal* journal) {
-  epoch_.fetch_add(1, std::memory_order_relaxed);
   la::Vector raw;
   {
     const util::MutexLock guard(unit_mutex(u));
     if (!units_[u].find(id, name)) return false;  // lost a delete race
     const std::uint64_t stamped = commit_stamp(seq);
     if (journal) journal->log_remove(u, name, stamped);
-    cow_unit(u);
     auto removed = units_[u].remove_file(id, name, name_hash, stamped);
     assert(removed.has_value());
     raw = removed->full_vector();
@@ -1232,11 +1195,10 @@ int SmartStore::routing_distance(
 
 UnitId SmartStore::add_storage_unit() {
   // Exclusive: appending to units_ can reallocate the vector concurrent
-  // serving threads and the snapshot serializer index into; any units still
-  // pending in an active freeze are copied first.
+  // serving threads and the snapshot serializer index into. A checkpoint
+  // in progress writes only the units it froze, as of its seq, and the
+  // new unit holds no record from before it.
   util::WriterLock ex(structure_mu_);
-  epoch_.fetch_add(1, std::memory_order_relaxed);
-  cow_all_units();
   const UnitId id = units_.size();
   units_.emplace_back(id, bloom_bits_, cfg_.bloom_hashes);
   unit_active_.push_back(true);
@@ -1251,8 +1213,7 @@ UnitId SmartStore::add_storage_unit() {
 void SmartStore::remove_storage_unit(UnitId u) {
   util::WriterLock ex(structure_mu_);
   assert(u < units_.size() && unit_active_[u]);
-  epoch_.fetch_add(1, std::memory_order_relaxed);
-  cow_all_units();
+  refuse_rehoming_while_frozen("remove_storage_unit");
   // Capture the records WITH their commit seqs: re-homing must be invisible
   // to snapshots, so each displaced file re-inserts under its original
   // added_seq and the removal leaves no tombstone
@@ -1287,7 +1248,6 @@ void SmartStore::remove_storage_unit(UnitId u) {
 std::size_t SmartStore::autoconfigure(
     const std::vector<AttrSubset>& candidates) {
   util::WriterLock ex(structure_mu_);
-  epoch_.fetch_add(1, std::memory_order_relaxed);
   variants_.clear();
   const double full_count = static_cast<double>(tree_.num_nodes());
   for (const auto& dims : candidates) {

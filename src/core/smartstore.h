@@ -366,40 +366,36 @@ class SmartStore {
   /// Structural invariants across units, tree and sync state.
   bool check_invariants() const;
 
-  // ---- concurrent checkpointing (epoch-based freeze + copy-on-write) ------
+  // ---- concurrent checkpointing (a pinned MVCC read) ---------------------
   //
   // Threading contract: any number of serving threads may mutate and query
   // concurrently; begin_checkpoint() takes the structure lock exclusively
-  // (a bounded stop-the-world pause), copies the CONFIG scalars plus the
-  // index structures (tree, variants, replica sync — cheap relative to the
-  // file records), and returns. Storage units — the bulk of the state —
-  // stay live: post-freeze mutators copy a still-unserialized unit on
-  // first write under that unit's lock, and the background serializer
-  // resolves each unit piece under the freeze mutex, so neither ever
-  // observes a half-mutated piece. The per-thread query RNG streams never
-  // touch the store rng, so the freeze capture of the persisted rng state
-  // is deterministic without locking queries out.
+  // (a bounded stop-the-world pause), pins the commit seq it freezes at,
+  // copies the CONFIG scalars plus the index structures (tree, variants,
+  // replica sync — cheap relative to the file records), and returns.
+  // Storage units — the bulk of the state — are never copied: the image
+  // writer reads each one as of the pinned seq under that unit's lock,
+  // by the visibility rule every pinned scan uses, and the pin keeps GC
+  // from reclaiming a tombstone the image still needs. No Put or Delete
+  // touches checkpoint state. Re-homing is the one change a pinned read
+  // cannot see (a unit removal moves records under their original seqs,
+  // a build replaces them), so remove_storage_unit() and build() throw
+  // std::logic_error while a checkpoint is active. The per-thread query
+  // RNG streams never touch the store rng, so the freeze capture of the
+  // persisted rng state is deterministic without locking queries out.
 
-  /// Freezes the logical state at the current epoch; returns that epoch.
-  /// At most one checkpoint may be active at a time. `while_frozen`, if
-  /// given, runs inside the exclusive section — a checkpoint fold uses it
-  /// to commit the WAL shards and capture their frontier vector at
-  /// exactly the frozen mutation boundary.
+  /// Freezes the logical state at the current commit seq, pins that seq
+  /// against GC and returns it. At most one checkpoint may be active at a
+  /// time. `while_frozen`, if given, runs inside the exclusive section — a
+  /// checkpoint fold uses it to commit the WAL shards and capture their
+  /// frontier vector at exactly the frozen seq.
   std::uint64_t begin_checkpoint(
       const std::function<void()>& while_frozen = {});
 
-  /// Releases frozen copies; mutations stop paying the copy-on-write tax.
+  /// Releases the frozen copies and the pin.
   void end_checkpoint();
 
   bool checkpoint_active() const;
-
-  /// Bumped by every mutation (insert/delete/reconfiguration).
-  std::uint64_t mutation_epoch() const {
-    return epoch_.load(std::memory_order_relaxed);
-  }
-
-  /// Pieces copied on first write during the current/last checkpoint.
-  std::uint64_t checkpoint_cow_copies() const;
 
  private:
   /// The snapshot codec in src/persist/ serializes the full private state
@@ -417,13 +413,6 @@ class SmartStore {
 
   // ---- checkpoint freeze state -------------------------------------------
 
-  /// Lifecycle of one storage unit during an active checkpoint.
-  enum class PieceState : std::uint8_t {
-    kPending,  ///< untouched since freeze: the live unit IS the frozen view
-    kFrozen,   ///< mutated since freeze: a copy preserves the frozen view
-    kDone,     ///< serialized: mutations may write through without copying
-  };
-
   /// Everything in the image except the storage units, copied at freeze
   /// time (the freeze holds the exclusive structure lock, so the capture
   /// is a consistent cut; the per-thread query RNG streams are derived
@@ -438,41 +427,30 @@ class SmartStore {
     SemanticRTree tree;
     std::vector<TreeVariant> variants;
     std::unordered_map<std::size_t, GroupSync> sync;
-    /// MVCC cut at freeze: the snapshot image's commit seq and the GC
-    /// watermark the UNITS serializer filters tombstones against
+    /// MVCC cut at freeze: the seq the UNITS serializer reads each unit
+    /// as of, and the GC watermark it filters tombstones against
     /// ("checkpoint respects the watermark").
     std::uint64_t commit_seq = 0;
     std::uint64_t gc_watermark = kNoWatermark;
+    /// The pin on commit_seq: holds GC below it until end_checkpoint.
+    std::shared_ptr<void> pin;
   };
 
   struct FreezeState {
-    /// Interlocks COW hooks with the serializer; every other field below
-    /// is GUARDED_BY it (the serializer runs in the persist layer via the
+    /// Guards the fields below, written by begin/end_checkpoint and read
+    /// by the serializer (which runs in the persist layer via the
     /// SnapshotAccess friend, so the annotations police that TU too).
     mutable util::Mutex mu{util::LockRank::kFreeze};
     bool active SS_GUARDED_BY(mu) = false;
-    std::uint64_t frozen_epoch SS_GUARDED_BY(mu) = 0;
-    std::uint64_t cow_copies SS_GUARDED_BY(mu) = 0;
     FrozenCore core SS_GUARDED_BY(mu);
-    std::vector<PieceState> unit_state SS_GUARDED_BY(mu);
-    std::vector<std::unique_ptr<StorageUnit>> frozen_units SS_GUARDED_BY(mu);
   };
 
-  /// Lock-held body shared by cow_unit and cow_all_units.
-  void cow_unit_locked(UnitId u) SS_REQUIRES(freeze_.mu);
-
-  /// Copies storage unit `u` into the frozen view if a checkpoint is active
-  /// and the unit has not yet been serialized or copied. Caller must hold
-  /// unit `u`'s lock (the tree/variants/sync structures are captured
-  /// eagerly at freeze time, so units are the only lazily copied pieces) —
-  /// enforced at runtime via assert_held, since the per-unit locks are
-  /// picked by index and TSA cannot name them.
-  void cow_unit(UnitId u);
-  /// Freezes every unit still pending: required before structural changes
-  /// (unit admission/removal reallocates units_, invalidating the
-  /// serializer's view of the live vector). Caller holds the exclusive
-  /// structure lock, which is why no unit locks are needed here.
-  void cow_all_units() SS_REQUIRES(structure_mu_);
+  /// Throws std::logic_error naming `op` while a checkpoint is active: the
+  /// guard of the two operations that re-home records (see above). Runs
+  /// under the exclusive structure lock, which begin_checkpoint also
+  /// takes, so a freeze cannot start between the check and the change.
+  void refuse_rehoming_while_frozen(const char* op) const
+      SS_REQUIRES(structure_mu_);
   /// Shared removal bookkeeping once a file has been located (unit, id);
   /// `name_hash` is the digest of `name`. Re-checks existence under the
   /// unit lock (a concurrent delete may have won); returns whether the
@@ -524,7 +502,6 @@ class SmartStore {
   /// this core simulates, counting over unit_active_ when it serves.
   sim::Session start_session(double arrival)
       SS_REQUIRES_SHARED(structure_mu_);
-  void init_sync_state() SS_REQUIRES(structure_mu_);
   /// Rebuilds group_bank_ from every replica's union, one member per group
   /// in tree_.groups() order, at the current geometry; numbers each
   /// group's column. Run wherever the group list or the geometry changes.
@@ -689,7 +666,6 @@ class SmartStore {
   /// Process-unique instance id (per-thread RNG stream ownership key).
   std::uint64_t store_id_ = 0;
   std::atomic<std::size_t> total_files_{0};
-  std::atomic<std::uint64_t> epoch_{0};  ///< mutation counter
   /// Population at which the filters next grow (see set_bloom_bits);
   /// written under the exclusive structure lock, read lock-free.
   std::atomic<std::size_t> grow_at_{static_cast<std::size_t>(-1)};
@@ -721,13 +697,16 @@ class SmartStore {
   //
   // Hierarchy (outer to inner, = increasing LockRank): structure_mu_
   // (kShape) -> one unit lock (kUnit) OR one summary stripe
-  // (kSummaryStripe) OR one sync stripe (kSyncStripe) -> { freeze_.mu
-  // (kFreeze) | WAL shard mutexes (kWalShardMap/kWalShard) | cluster mutex
-  // (kCluster, simulating cores only) }. At most one unit-lock-or-stripe is ever held at a time
-  // (see striped_locks.h) — the validator's strictly-increasing-rank rule
-  // enforces exactly that, since unit locks and each pool's stripes share
-  // a rank. Structural operations take structure_mu_ exclusively and then
-  // need no finer locks at all.
+  // (kSummaryStripe) OR one sync stripe (kSyncStripe) -> { WAL shard
+  // mutexes (kWalShardMap/kWalShard) | cluster mutex (kCluster,
+  // simulating cores only) }. At most one unit-lock-or-stripe is ever
+  // held at a time (see striped_locks.h) — the validator's
+  // strictly-increasing-rank rule enforces exactly that, since unit locks
+  // and each pool's stripes share a rank. Structural operations take
+  // structure_mu_ exclusively and then need no finer locks at all, save
+  // freeze_.mu (kFreeze), which no serving path takes: the freeze and the
+  // re-homing guard take it under the exclusive structure lock, the image
+  // writer with no store lock held.
   //
   // Units get DEDICATED locks (not pool stripes) because the journal logs
   // under them, and a log can wait out its shard's commit fsync: a

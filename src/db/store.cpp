@@ -177,7 +177,6 @@ struct Store::Impl {
       const persist::CheckpointStats st = delta->last_stats();
       info.completed = delta->completed();
       info.total_mutations_during = delta->total_mutations_during();
-      info.total_cow_copies = delta->total_cow_copies();
       info.last_freeze_s = st.freeze_s;
       info.last_write_s = st.write_s;
       info.last_truncate_s = st.truncate_s;
@@ -619,7 +618,7 @@ Status Store::Checkpoint() {
 
 Status Store::Compact() {
   // A fold on this thread whatever the tail's length — concurrent with
-  // serving (the engine uses the epoch-freeze/COW protocol).
+  // serving (the engine writes the store as of its pinned seq).
   return impl_->run_checkpoint("compact",
                                [](persist::DeltaEngine& e) { e.fold(); });
 }
@@ -872,8 +871,6 @@ bool Store::GetProperty(const std::string& name, std::string* value) {
         return u64(info.completed);
       if (name == "smartstore.checkpoints.mutations-during")
         return u64(info.total_mutations_during);
-      if (name == "smartstore.checkpoints.cow-copies")
-        return u64(info.total_cow_copies);
       if (name == "smartstore.checkpoints.last-snapshot-bytes")
         return u64(info.last_snapshot_bytes);
       return false;

@@ -1,9 +1,9 @@
 // The one background checkpoint slot over the delta engine. Its cadence
 // action is DeltaEngine::checkpoint() — a fold into a fresh base image
 // when the WAL tail has grown to the base's size, nothing otherwise — on
-// a worker thread, concurrent with live traffic (the fold reuses the
-// store's epoch-freeze/COW protocol and honors the MVCC GC watermark, so
-// readers and writers keep running).
+// a worker thread, concurrent with live traffic (the fold writes the
+// store as of the commit seq it pinned at its freeze and honors the MVCC
+// GC watermark, so readers and writers keep running).
 //
 // The class is intentionally thin — all correctness lives in DeltaEngine,
 // whose internal mutex serializes every checkpoint and fold (a caller

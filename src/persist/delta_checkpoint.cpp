@@ -50,7 +50,6 @@ std::uint64_t DeltaEngine::logged_since_base_locked() const {
 void DeltaEngine::record_locked(const CheckpointStats& st) {
   last_ = st;
   completed_.fetch_add(1, std::memory_order_relaxed);
-  total_cow_copies_.fetch_add(st.cow_copies, std::memory_order_relaxed);
   total_mutations_during_.fetch_add(st.mutations_during,
                                     std::memory_order_relaxed);
 }
@@ -86,23 +85,23 @@ CheckpointStats DeltaEngine::fold_locked() {
   fs::create_directories(ckpt_dir(dir_), ec);
 
   // FREEZE: the frontier and the population are taken inside the
-  // exclusive section, at exactly the frozen mutation boundary.
+  // exclusive section, at exactly the frozen seq.
   DeltaManifest next;
   next.manifest_id = next_id;
   next.base_id = next_id;
   std::uint64_t files = 0;
   util::WallTimer phase;
-  const std::uint64_t epoch = store_.begin_checkpoint([&] {
+  const std::uint64_t seq = store_.begin_checkpoint([&] {
     next.fence = wal_.frontier();
-    next.fold_seq = store_.last_commit_seq();
     files = store_.total_files();
   });
+  next.fold_seq = seq;
   st.freeze_s = phase.seconds();
   phase.reset();
 
   // WRITE (concurrent with serving), then PUBLISH + TRUNCATE. Any failure,
   // an injected crash included, must release the freeze so a surviving
-  // store stops paying the copy-on-write tax.
+  // store's GC is no longer held at the frozen seq.
   try {
     const std::string base = base_path(dir_, next_id);
     save_snapshot_frozen(store_, base);
@@ -125,8 +124,7 @@ CheckpointStats DeltaEngine::fold_locked() {
     store_.end_checkpoint();
     throw;
   }
-  st.cow_copies = store_.checkpoint_cow_copies();
-  st.mutations_during = store_.mutation_epoch() - epoch;
+  st.mutations_during = store_.last_commit_seq() - seq;
   store_.end_checkpoint();
 
   // Superseded bases; a failure here leaves only unreferenced garbage.

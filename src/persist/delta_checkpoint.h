@@ -15,12 +15,12 @@
 // A *fold* is the only operation that writes, and the only one that
 // freezes: the ARIES-style fuzzy checkpoint. FREEZE — inside the store's
 // exclusive section, commit every shard and record the frontier, then
-// start the epoch freeze that makes later mutations copy
-// still-unserialized pieces on first write. WRITE — concurrent with live
-// traffic, serialize the frozen view (honoring the MVCC GC watermark the
-// frozen core captures) to a fresh FULL image ckpt/base-<id>, published
-// under a new manifest. TRUNCATE — rebase the shards and end the freeze.
-// Superseded bases are pruned afterwards.
+// pin the commit seq they stand at. WRITE — concurrent with live traffic,
+// serialize the store as of that seq (each unit read under its own lock,
+// honoring the MVCC GC watermark the frozen core captures) to a fresh
+// FULL image ckpt/base-<id>, published under a new manifest. TRUNCATE —
+// rebase the shards and end the freeze, releasing the pin. Superseded
+// bases are pruned afterwards.
 //
 // Crash windows (the crash-injection suite sweeps every publish stage):
 //   * before the manifest publish: the old manifest, its base and the
@@ -48,8 +48,8 @@ namespace smartstore::persist {
 struct CheckpointStats {
   bool folded = false;  ///< false: the checkpoint wrote nothing
   std::size_t base_bytes = 0;         ///< fold: size of the new image
-  std::uint64_t cow_copies = 0;       ///< fold: pieces copied on write
-  std::uint64_t mutations_during = 0; ///< fold: mutations while frozen
+  /// fold: commit seqs stamped between its freeze and its end
+  std::uint64_t mutations_during = 0;
   double freeze_s = 0;    ///< serving threads excluded
   double write_s = 0;     ///< base image + manifest
   double truncate_s = 0;  ///< per-shard WAL rebase
@@ -104,9 +104,6 @@ class DeltaEngine {
     return completed_.load(std::memory_order_relaxed);
   }
   /// Summed over every fold since construction.
-  std::uint64_t total_cow_copies() const {
-    return total_cow_copies_.load(std::memory_order_relaxed);
-  }
   std::uint64_t total_mutations_during() const {
     return total_mutations_during_.load(std::memory_order_relaxed);
   }
@@ -139,7 +136,6 @@ class DeltaEngine {
   std::atomic<std::uint64_t> fold_seq_{0};
   std::atomic<std::uint64_t> base_id_{0};
   std::atomic<std::uint64_t> completed_{0};
-  std::atomic<std::uint64_t> total_cow_copies_{0};
   std::atomic<std::uint64_t> total_mutations_during_{0};
 };
 

@@ -151,25 +151,18 @@ void write_version_delta(BinaryWriter& w, const core::VersionDelta& v) {
   w.write_f64(v.sealed_at);
 }
 
-/// Reads one version delta. Images before format version 3 stored the
-/// inserted names as a filter, which no digest list can be recovered
-/// from: it is read and dropped, and the caller full-syncs the group.
-core::VersionDelta read_version_delta(BinaryReader& r, std::uint32_t version) {
+core::VersionDelta read_version_delta(BinaryReader& r) {
   constexpr std::size_t kDigestBytes = sizeof(bloom::ItemHash::w);
   core::VersionDelta v;
   v.added_box = read_mbr(r);
-  if (version >= 3) {
-    // Bounded by the payload before anything is allocated.
-    const std::uint64_t n = r.read_u64();
-    if (n > r.remaining() / kDigestBytes)
-      throw PersistError("version digest count " + std::to_string(n) +
-                         " exceeds the section payload");
-    v.added_names.resize(static_cast<std::size_t>(n));
-    for (bloom::ItemHash& h : v.added_names)
-      for (std::uint32_t& word : h.w) word = r.read_u32();
-  } else {
-    (void)read_bloom(r);
-  }
+  // Bounded by the payload before anything is allocated.
+  const std::uint64_t n = r.read_u64();
+  if (n > r.remaining() / kDigestBytes)
+    throw PersistError("version digest count " + std::to_string(n) +
+                       " exceeds the section payload");
+  v.added_names.resize(static_cast<std::size_t>(n));
+  for (bloom::ItemHash& h : v.added_names)
+    for (std::uint32_t& word : h.w) word = r.read_u32();
   v.added_attr_sum = r.read_vec_f64();
   v.added_count = static_cast<std::size_t>(r.read_u64());
   v.deleted = r.read_vec_u64();
@@ -191,7 +184,7 @@ void write_replica(BinaryWriter& w, const core::GroupReplica& g) {
 /// Rebuilds the replica's derived routing state through the same reset()
 /// and seal() calls that built it live, so a loaded replica answers every
 /// lookup exactly as the saved one did.
-core::GroupReplica read_replica(BinaryReader& r, std::uint32_t version) {
+core::GroupReplica read_replica(BinaryReader& r) {
   core::GroupReplica::Base b;
   b.centroid_raw = r.read_vec_f64();
   b.attr_sum = r.read_vec_f64();
@@ -204,7 +197,7 @@ core::GroupReplica read_replica(BinaryReader& r, std::uint32_t version) {
   const std::size_t n = static_cast<std::size_t>(
       r.read_u64_max(r.remaining(), "version count"));
   for (std::size_t i = 0; i < n; ++i) {
-    core::VersionDelta v = read_version_delta(r, version);
+    core::VersionDelta v = read_version_delta(r);
     // seal() folds the sum and box into running totals: a short vector
     // must fail the load rather than be indexed past its end.
     const rtree::Mbr& box = g.effective_box(true);
@@ -229,14 +222,12 @@ struct SnapshotAccess {
   //
   // Every section but UNITS serializes a value begin_checkpoint() captured
   // under the exclusive structure lock, so no writer reaches it. Units are
-  // resolved one at a time under the freeze lock: the copy made by the
-  // first post-freeze write where one exists, the untouched live unit
-  // otherwise. Marking a unit done releases its copy immediately (bounding
-  // COW memory to the not-yet-serialized units) and tells later mutations
-  // to write through without copying. A serving thread only ever blocks
-  // for the duration of one section or one unit.
+  // live: each is read as of the pinned seq under its own lock (and the
+  // structure lock shared, taken per unit), by the visibility rule every
+  // pinned scan uses. A writer only ever blocks for the one unit being
+  // written, a structural operation for one unit at most.
 
-  static void require_frozen(Store& s) {
+  static void require_frozen(const Store& s) {
     const util::MutexLock lock(s.freeze_.mu);
     if (!s.freeze_.active)
       throw PersistError(
@@ -244,7 +235,8 @@ struct SnapshotAccess {
   }
 
   /// Writes section `id`'s payload.
-  static void save_section(Store& s, std::uint32_t id, BinaryWriter& w) {
+  static void save_section(const Store& s, std::uint32_t id,
+                           BinaryWriter& w) {
     if (id == kSecUnits) {
       save_units(s, w);
       return;
@@ -304,38 +296,59 @@ struct SnapshotAccess {
     for (std::uint64_t word : f.rng_state) w.write_u64(word);
     w.write_u64(f.unit_active.size());
     for (bool b : f.unit_active) w.write_bool(b);
-    // v2: the commit timestamp the image captures — recovery resumes the
-    // MVCC clock here, then the WAL replay advances it record by record.
+    // The commit timestamp the image captures — recovery resumes the MVCC
+    // clock here, then the WAL replay advances it record by record.
     w.write_u64(f.commit_seq);
   }
 
-  /// v2 unit entry: the v1 record block, then the parallel added_seq array
-  /// and the tombstone versions still pinned above `watermark` — the
-  /// "checkpoint respects the GC watermark" rule. Tombstone coordinates are
-  /// rebuilt from the standardizer on load, like live records'.
-  static void save_unit(const core::StorageUnit& u, std::uint64_t watermark,
-                        BinaryWriter& w) {
+  /// One unit entry as of `seq`: the records visible there (the live
+  /// ones added at or before it, then the ones deleted after it, written
+  /// as live records), the parallel added_seq array, then the tombstones
+  /// deleted at or before `seq` that are still pinned above `watermark` —
+  /// the "checkpoint respects the GC watermark" rule. Tombstone
+  /// coordinates are rebuilt from the standardizer on load, like live
+  /// records'. A unit no write reached since `seq` is written exactly as a
+  /// quiesced save writes it.
+  static void save_unit(const core::StorageUnit& u, std::uint64_t seq,
+                        std::uint64_t watermark, BinaryWriter& w) {
+    const std::vector<metadata::FileMetadata>& files = u.files();
+    const std::vector<std::uint64_t>& seqs = u.added_seqs();
+    const std::vector<core::TombstoneRecord>& tombs = u.tombstones();
+    const auto revived = [seq](const core::TombstoneRecord& t) {
+      return t.added_seq <= seq && t.deleted_seq > seq;
+    };
+    const auto kept = [seq, watermark](const core::TombstoneRecord& t) {
+      return t.deleted_seq > watermark && t.deleted_seq <= seq;
+    };
+    const auto visible = std::count_if(
+        seqs.begin(), seqs.end(), [seq](std::uint64_t s) { return s <= seq; });
     w.write_u64(u.id());
-    w.write_u64(u.file_count());
-    for (const auto& f : u.files()) write_file_meta(w, f);
-    for (std::uint64_t seq : u.added_seqs()) w.write_u64(seq);
-    std::uint64_t kept = 0;
-    for (const auto& t : u.tombstones())
-      if (t.deleted_seq > watermark) ++kept;
-    w.write_u64(kept);
-    for (const auto& t : u.tombstones()) {
-      if (t.deleted_seq <= watermark) continue;
+    w.write_u64(static_cast<std::uint64_t>(
+        visible + std::count_if(tombs.begin(), tombs.end(), revived)));
+    for (std::size_t i = 0; i < files.size(); ++i)
+      if (seqs[i] <= seq) write_file_meta(w, files[i]);
+    for (const core::TombstoneRecord& t : tombs)
+      if (revived(t)) write_file_meta(w, t.file);
+    for (std::uint64_t s : seqs)
+      if (s <= seq) w.write_u64(s);
+    for (const core::TombstoneRecord& t : tombs)
+      if (revived(t)) w.write_u64(t.added_seq);
+    w.write_u64(static_cast<std::uint64_t>(
+        std::count_if(tombs.begin(), tombs.end(), kept)));
+    for (const core::TombstoneRecord& t : tombs) {
+      if (!kept(t)) continue;
       write_file_meta(w, t.file);
       w.write_u64(t.added_seq);
       w.write_u64(t.deleted_seq);
     }
   }
 
-  static void save_units(Store& s, BinaryWriter& w) {
-    const auto [count, watermark, files] = [&] {
+  static void save_units(const Store& s, BinaryWriter& w) {
+    const auto [count, seq, watermark, files] = [&] {
       const util::MutexLock lock(s.freeze_.mu);
       const Store::FrozenCore& f = s.freeze_.core;
-      return std::make_tuple(f.unit_count, f.gc_watermark, f.total_files);
+      return std::make_tuple(f.unit_count, f.commit_seq, f.gc_watermark,
+                             f.total_files);
     }();
     // Sized from the frozen counts before any unit is read: the unit
     // count, each unit's id, file count and tombstone count, and each
@@ -351,14 +364,9 @@ struct SnapshotAccess {
     w.reserve(8 + count * 24 + files * (kRecordBytes + kNameAllowance));
     w.write_u64(count);
     for (std::size_t u = 0; u < count; ++u) {
-      const util::MutexLock lock(s.freeze_.mu);
-      if (s.freeze_.unit_state[u] == Store::PieceState::kFrozen) {
-        save_unit(*s.freeze_.frozen_units[u], watermark, w);
-        s.freeze_.frozen_units[u].reset();
-      } else {
-        save_unit(s.units_[u], watermark, w);
-      }
-      s.freeze_.unit_state[u] = Store::PieceState::kDone;
+      const util::ReaderLock shared(s.structure_mu_);
+      const util::MutexLock guard(s.unit_mutex(u));
+      save_unit(s.units_[u], seq, watermark, w);
     }
   }
 
@@ -509,8 +517,7 @@ struct SnapshotAccess {
   // Builds the store before any other thread can see it, so the guarded
   // members are written lock-free by construction; exempted from analysis
   // rather than given locks the unpublished object does not need.
-  static std::unique_ptr<Store> assemble(std::uint32_t version,
-                                         BinaryReader& config_r,
+  static std::unique_ptr<Store> assemble(BinaryReader& config_r,
                                          BinaryReader& std_r,
                                          BinaryReader& units_r,
                                          BinaryReader& tree_r,
@@ -541,11 +548,8 @@ struct SnapshotAccess {
     s.unit_active_.resize(num_units);
     for (std::size_t u = 0; u < num_units; ++u)
       s.unit_active_[u] = config_r.read_bool();
-    if (version >= 2) {
-      // MVCC clock resumes where the image cut it; v1 images predate the
-      // commit counter and restart it at 0 (all records pre-history).
-      s.commit_seq_.store(config_r.read_u64(), std::memory_order_relaxed);
-    }
+    // The MVCC clock resumes where the image cut it.
+    s.commit_seq_.store(config_r.read_u64(), std::memory_order_relaxed);
 
     s.standardizer_.means = std_r.read_vec_f64();
     s.standardizer_.inv_stdevs = std_r.read_vec_f64();
@@ -574,29 +578,25 @@ struct SnapshotAccess {
       files.reserve(nfiles);
       for (std::size_t i = 0; i < nfiles; ++i)
         files.push_back(read_file_meta(units_r));
-      std::vector<std::uint64_t> seqs(nfiles, 0);
-      if (version >= 2) {
-        for (auto& seq : seqs) seq = units_r.read_u64();
-      }
+      std::vector<std::uint64_t> seqs(nfiles);
+      for (auto& seq : seqs) seq = units_r.read_u64();
       std::array<double, metadata::kNumAttrs> coords;
       for (std::size_t i = 0; i < nfiles; ++i) {
         s.standardizer_.transform(files[i].attrs, coords);
         s.units_.back().add_file(files[i], coords,
                                  bloom::hash_item(files[i].name), seqs[i]);
       }
-      if (version >= 2) {
-        const std::size_t ntombs = static_cast<std::size_t>(
-            units_r.read_u64_max(units_r.remaining(), "tombstone count"));
-        for (std::size_t i = 0; i < ntombs; ++i) {
-          core::TombstoneRecord t;
-          t.file = read_file_meta(units_r);
-          t.added_seq = units_r.read_u64();
-          t.deleted_seq = units_r.read_u64();
-          if (t.deleted_seq == 0 || t.deleted_seq <= t.added_seq)
-            throw PersistError("tombstone with inverted seq window");
-          t.std_coords = s.standardizer_.transform(t.file.full_vector());
-          s.units_.back().restore_tombstone(std::move(t));
-        }
+      const std::size_t ntombs = static_cast<std::size_t>(
+          units_r.read_u64_max(units_r.remaining(), "tombstone count"));
+      for (std::size_t i = 0; i < ntombs; ++i) {
+        core::TombstoneRecord t;
+        t.file = read_file_meta(units_r);
+        t.added_seq = units_r.read_u64();
+        t.deleted_seq = units_r.read_u64();
+        if (t.deleted_seq == 0 || t.deleted_seq <= t.added_seq)
+          throw PersistError("tombstone with inverted seq window");
+        t.std_coords = s.standardizer_.transform(t.file.full_vector());
+        s.units_.back().restore_tombstone(std::move(t));
       }
     }
 
@@ -624,31 +624,22 @@ struct SnapshotAccess {
       const std::size_t g =
           read_index(sync_r, s.tree_.nodes_.size(), "sync group");
       Store::GroupSync gs;
-      gs.replica = read_replica(sync_r, version);
-      gs.pending = read_version_delta(sync_r, version);
+      gs.replica = read_replica(sync_r);
+      gs.pending = read_version_delta(sync_r);
       gs.changes_since_full_sync = static_cast<std::size_t>(sync_r.read_u64());
       s.sync_.emplace(g, std::move(gs));
     }
     // The group bank holds every group replica's union in the image's
-    // geometry. Versions of a pre-3 image lost their names above: there
-    // every group full-syncs from its node, the state a live lazy-update
-    // refresh produces.
+    // geometry.
     const bloom::BloomFilter geometry(s.bloom_bits_, cfg.bloom_hashes);
     for (std::size_t g : s.tree_.groups()) {
-      if (version >= 3 && !s.sync_.count(g))
-        throw PersistError("group without sync state");
-      const bloom::BloomFilter& f = version < 3
-                                        ? s.tree_.node(g).name_filter
-                                        : s.sync_.at(g).replica.base().name_filter;
+      if (!s.sync_.count(g)) throw PersistError("group without sync state");
+      const bloom::BloomFilter& f = s.sync_.at(g).replica.base().name_filter;
       if (f.bit_count() != geometry.bit_count() ||
           f.num_hashes() != geometry.num_hashes())
         throw PersistError("group filter geometry differs from the image's");
     }
-    if (version < 3) {
-      s.init_sync_state();
-    } else {
-      s.rebuild_group_bank();
-    }
+    s.rebuild_group_bank();
 
     s.rebuild_unit_locks();
 
@@ -678,7 +669,8 @@ struct SectionView {
 
 }  // namespace
 
-void save_snapshot_frozen(core::SmartStore& store, const std::string& path) {
+void save_snapshot_frozen(const core::SmartStore& store,
+                          const std::string& path) {
   // Section order and crash boundaries: one table, one writer.
   static constexpr struct {
     std::uint32_t id;
@@ -746,7 +738,18 @@ std::unique_ptr<core::SmartStore> load_snapshot(const std::string& path) {
   if (std::memcmp(magic, kSnapshotMagic, sizeof(kSnapshotMagic)) != 0)
     throw PersistError("bad snapshot magic: " + path);
   const std::uint32_t version = r.read_u32();
-  if (version == 0 || version > kSnapshotFormatVersion) {
+  if (version == 1 || version == 2) {
+    // Well-formed, from an earlier build: its version deltas named their
+    // inserted files by a filter no digest list can be recovered from.
+    throw PersistError(
+        path + " is a format-" + std::to_string(version) +
+            " snapshot an earlier build wrote; this release reads only "
+            "format " +
+            std::to_string(kSnapshotFormatVersion) +
+            " and has no importer",
+        PersistError::Code::kUnsupported);
+  }
+  if (version != kSnapshotFormatVersion) {
     throw PersistError("unsupported snapshot format version " +
                        std::to_string(version));
   }
@@ -783,7 +786,7 @@ std::unique_ptr<core::SmartStore> load_snapshot(const std::string& path) {
   BinaryReader variants_r(sections[kSecVariants].data,
                           sections[kSecVariants].size);
   BinaryReader sync_r(sections[kSecSync].data, sections[kSecSync].size);
-  return SnapshotAccess::assemble(version, config_r, std_r, units_r, tree_r,
+  return SnapshotAccess::assemble(config_r, std_r, units_r, tree_r,
                                   variants_r, sync_r);
 }
 

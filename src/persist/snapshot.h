@@ -68,14 +68,12 @@ class PersistError : public std::runtime_error {
 
 inline constexpr char kSnapshotMagic[8] = {'S', 'S', 'N', 'A',
                                            'P', 'v', '0', '1'};
-/// Version 2 adds MVCC state: the CONFIG section appends the commit seq,
-/// and each UNITS entry appends per-record added_seqs plus the tombstone
-/// chain still visible above the GC watermark at save time. The loader
-/// accepts version 1 (every record loads as pre-history, seq 0).
-/// Version 3 names each version delta's inserted files in SYNC by their
-/// digests (a u64 count, then four u32 words each) instead of a filter.
-/// A version 1 or 2 image loads with every group full-synced: its
-/// versions' filters are read and dropped.
+/// The one format the writer writes and the loader reads. The CONFIG
+/// section carries the commit seq; each UNITS entry carries per-record
+/// added_seqs plus the tombstone chain still visible above the GC
+/// watermark at save time; SYNC names each version delta's inserted files
+/// by their digests (a u64 count, then four u32 words each). A version 1
+/// or 2 image of an earlier build is refused as kUnsupported.
 inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
 
 /// One shard's slice of a sharded-WAL fence: records [0, records) of
@@ -104,14 +102,12 @@ struct WalFence {
 /// active, while serving threads keep mutating it, and publishes it
 /// atomically (temp file + rename + directory fsync). The CONFIG scalars,
 /// the tree, the variants and the sync state come from the copies the
-/// freeze captured; each storage unit is resolved under the store's freeze
-/// lock — the copy its first post-freeze write made where one exists, the
-/// untouched live unit where not — so the written image is exactly the
-/// state at the freeze epoch. Serialized units are marked done (their
-/// copies are released and later writes stop copying), which is why the
-/// store reference is non-const. This is the one image writer: every fold
-/// runs it, and save_snapshot() below wraps it.
-void save_snapshot_frozen(core::SmartStore& store, const std::string& path);
+/// freeze captured; each storage unit is read live, as of the frozen
+/// commit seq, under that unit's lock — so the written image is exactly
+/// the state at the freeze. This is the one image writer: every fold runs
+/// it, and save_snapshot() below wraps it.
+void save_snapshot_frozen(const core::SmartStore& store,
+                          const std::string& path);
 
 /// begin_checkpoint() → save_snapshot_frozen() → end_checkpoint(): the
 /// same image a fold of `store` would write as its base.

@@ -48,7 +48,7 @@ enum class LockRank : int {
   kUnit = 20,            ///< per-storage-unit record mutexes
   kSummaryStripe = 30,   ///< index-unit summary stripe pool
   kSyncStripe = 40,      ///< group replica-sync stripe pool
-  kFreeze = 50,          ///< checkpoint freeze/COW interlock
+  kFreeze = 50,          ///< checkpoint freeze state (the frozen core)
   kWalShardMap = 52,     ///< sharded-WAL shard-map shape mutex
   kWalShard = 54,        ///< per-shard WAL writer mutexes
   kReplBuffer = 56,      ///< replication commit-tap reorder buffer (taken

@@ -6,16 +6,20 @@
 // background thread and folds run on the test thread; the suite asserts
 // the paper-level contract — a checkpoint taken while a writer streams
 // inserts leaves a base + WAL tail from which recover() restores every
-// acknowledged write — plus the frozen view's copy-on-write semantics,
-// the reconfiguration a fold captures, single-flight triggering and the
-// fence accounting. This suite is a ThreadSanitizer target for the
-// background checkpoint thread.
+// acknowledged write — plus the frozen view a fold writes as of its pinned
+// seq (inserts, deletes, a released pin and topology changes inside its
+// window; re-homing refused there), the reconfiguration a fold captures,
+// single-flight triggering and the fence accounting. This suite is a
+// ThreadSanitizer target for the background checkpoint thread.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
+#include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -77,6 +81,44 @@ struct BgRig {
   DeltaEngine engine;
 };
 
+/// A first fold of `rig`, stepped by hand through the phases
+/// DeltaEngine::fold runs back to back, with `in_window` run between its
+/// freeze and its image write. The base alone must be the store at the
+/// freeze — it loads, passes check_invariants and holds exactly the names
+/// and the count the store held there — and base plus WAL tail must
+/// recover the live store.
+void fold_with_window(BgRig& rig, const std::function<void()>& in_window) {
+  const std::set<std::string> names_at_freeze = store_names(rig.store);
+  const std::size_t files_at_freeze = rig.store.total_files();
+  WalFence fence;
+  const std::uint64_t frozen =
+      rig.store.begin_checkpoint([&] { fence = rig.wal.frontier(); });
+  in_window();
+  EXPECT_GT(rig.store.last_commit_seq(), frozen) << "no write in the window";
+  std::filesystem::create_directories(ckpt_dir(rig.dir));
+  save_snapshot_frozen(rig.store, base_path(rig.dir, 1));
+  DeltaManifest m;
+  m.manifest_id = 1;
+  m.base_id = 1;
+  m.fold_seq = frozen;
+  m.fence = fence;
+  write_manifest(rig.dir, m);
+  rig.wal.rebase_to(fence);
+  rig.store.end_checkpoint();
+  rig.wal.commit_all();
+
+  std::unique_ptr<core::SmartStore> base;
+  ASSERT_NO_THROW(base = load_snapshot(base_path(rig.dir, 1)));
+  EXPECT_TRUE(base->check_invariants());
+  EXPECT_EQ(base->total_files(), files_at_freeze);
+  EXPECT_EQ(store_names(*base), names_at_freeze);
+  const RecoveryResult rec = recover(rig.dir);
+  ASSERT_TRUE(rec.store);
+  EXPECT_TRUE(rec.store->check_invariants());
+  EXPECT_EQ(rec.store->total_files(), rig.store.total_files());
+  EXPECT_EQ(store_names(*rec.store), store_names(rig.store));
+}
+
 TEST(BgCheckpoint, RestoresEveryAcknowledgedWriteUnderLiveInsertStream) {
   const auto dir = temp_dir("bg_live");
   BgRig rig(dir, 8, /*downscale=*/20);
@@ -113,10 +155,9 @@ TEST(BgCheckpoint, RestoresEveryAcknowledgedWriteUnderLiveInsertStream) {
   compactor.wait();
   EXPECT_GE(checkpoints, 1u);
   // The gated second half of the stream overlapped a frozen window, so
-  // mutations demonstrably rode along with a fold. (Whether they also
-  // *copied* depends on which pieces were still unserialized at that
-  // instant — FrozenViewExcludesMidFoldMutations asserts the COW
-  // semantics deterministically.)
+  // mutations demonstrably rode along with a fold.
+  // (FrozenViewExcludesMidFoldMutations asserts what the image holds
+  // then, deterministically.)
   EXPECT_GT(rig.engine.total_mutations_during(), 0u);
 
   // Every acknowledged write: the live store and the recovered one agree
@@ -134,20 +175,22 @@ TEST(BgCheckpoint, RestoresEveryAcknowledgedWriteUnderLiveInsertStream) {
 }
 
 TEST(BgCheckpoint, FrozenViewExcludesMidFoldMutations) {
-  // Deterministic copy-on-write check, stepping through a fold's phases by
-  // hand (DeltaEngine::fold runs them back to back): a mutation landing
-  // between the freeze and the serialization must copy the pieces it
-  // touches, and the published base must show the freeze-epoch state —
-  // without the mutation — while the live store keeps it.
+  // Deterministic check of the frozen view, stepping through a fold's
+  // phases by hand (DeltaEngine::fold runs them back to back): a mutation
+  // landing between the freeze and the serialization stays out of the
+  // published base, which shows the state at the frozen seq — without the
+  // mutation — while the live store keeps it.
   const auto dir = temp_dir("bg_frozen");
   BgRig rig(dir, 6, /*downscale=*/40);
   const std::size_t files_at_freeze = rig.store.total_files();
 
   WalFence fence;
-  rig.store.begin_checkpoint([&] { fence = rig.wal.frontier(); });
+  const std::uint64_t frozen_seq =
+      rig.store.begin_checkpoint([&] { fence = rig.wal.frontier(); });
   const auto extra = rig.trace.make_insert_stream(3, 11);
   for (const auto& f : extra) rig.insert(f);
-  EXPECT_GT(rig.store.checkpoint_cow_copies(), 0u);  // pieces were pending
+  // Every insert landed inside the frozen window.
+  EXPECT_EQ(rig.store.last_commit_seq() - frozen_seq, extra.size());
 
   std::filesystem::create_directories(ckpt_dir(rig.dir));
   save_snapshot_frozen(rig.store, base_path(rig.dir, 1));
@@ -171,6 +214,130 @@ TEST(BgCheckpoint, FrozenViewExcludesMidFoldMutations) {
   EXPECT_EQ(rec.store->total_files(), rig.store.total_files());
   EXPECT_EQ(store_names(*rec.store), store_names(rig.store));
   std::filesystem::remove_all(dir);
+
+  // Deletes of frozen records: each record is live at the frozen seq, so
+  // the base holds it although the live unit no longer does.
+  {
+    BgRig r(temp_dir("bg_frozen_deletes"), 6, /*downscale=*/40);
+    fold_with_window(r, [&] {
+      for (std::size_t i = 0; i < 5; ++i)
+        ASSERT_TRUE(r.store.erase_file(r.trace.files()[i * 11].name));
+    });
+    std::filesystem::remove_all(r.dir);
+  }
+  // An insert followed by its delete: the record lives and dies after the
+  // frozen seq, so the base never holds it.
+  {
+    BgRig r(temp_dir("bg_frozen_churn"), 6, /*downscale=*/40);
+    fold_with_window(r, [&] {
+      for (const auto& f : r.trace.make_insert_stream(4, 12)) {
+        r.insert(f);
+        ASSERT_TRUE(r.store.erase_file(f.name));
+      }
+    });
+    std::filesystem::remove_all(r.dir);
+  }
+  // The release of an older pin: deletes before the freeze leave
+  // tombstones only that pin keeps. Inside the window the pin goes, and a
+  // delete on each of those units prunes them mid-fold; the base still
+  // holds every record live at the frozen seq.
+  {
+    BgRig r(temp_dir("bg_frozen_unpin"), 6, /*downscale=*/40);
+    std::shared_ptr<void> older = r.store.pin_snapshot(nullptr);
+    std::vector<std::string> in_window;
+    for (core::UnitId u = 0; u < 3; ++u) {
+      const auto& files = r.store.units()[u].files();
+      ASSERT_GE(files.size(), 2u);
+      const std::string before_freeze = files[0].name;
+      in_window.push_back(files[1].name);
+      ASSERT_TRUE(r.store.erase_file(before_freeze));
+    }
+    ASSERT_EQ(r.store.tombstone_count(), 3u);
+    fold_with_window(r, [&] {
+      older.reset();
+      for (const std::string& name : in_window)
+        ASSERT_TRUE(r.store.erase_file(name));
+      // Only the fold's own pin is left: the tombstones of the deletes
+      // before the freeze are gone, those of the window's deletes stay.
+      EXPECT_EQ(r.store.tombstone_count(), in_window.size());
+    });
+    std::filesystem::remove_all(r.dir);
+  }
+}
+
+TEST(BgCheckpoint, TopologyChangesInsideTheFrozenWindow) {
+  // Unit admission, autoconfigure, reconfigure and a filter-growth step
+  // change no record's seq: a fold that froze before them still writes
+  // the store as of its seq, a base equal to the freeze state. No journal:
+  // the growth step needs hundreds of inserts, and the base is what is
+  // checked here.
+  const auto tr =
+      trace::SyntheticTrace::generate(trace::msn_profile(), 1, 42, 40);
+  core::Config cfg;
+  cfg.num_units = 6;
+  cfg.seed = 7;
+  core::SmartStore store(cfg);
+  store.build(tr.files());
+  const auto dir = temp_dir("bg_topology");
+  std::filesystem::create_directories(dir);
+  const auto stream = tr.make_insert_stream(4000, 21);
+  std::size_t next = 0;
+
+  const std::set<std::string> names = store_names(store);
+  const std::size_t files = store.total_files();
+  const std::size_t units = store.units().size();
+  const std::size_t bits = store.bloom_bits();
+  store.begin_checkpoint();
+  store.erase_file(tr.files()[3].name);
+  EXPECT_EQ(store.add_storage_unit(), units);
+  for (; next < 20; ++next) store.insert_file(stream[next], 0.0);
+  store.autoconfigure({metadata::AttrSubset::from_mask(0x7u)});
+  store.reconfigure();
+  const std::uint64_t resizes = store.bloom_resizes();
+  while (store.bloom_resizes() == resizes && next < stream.size())
+    store.insert_file(stream[next++], 0.0);
+  ASSERT_GT(store.bloom_resizes(), resizes) << "no growth step in the window";
+  ASSERT_GT(store.bloom_bits(), bits);
+  const std::string path = (dir / "base.bin").string();
+  save_snapshot_frozen(store, path);
+  store.end_checkpoint();
+
+  std::unique_ptr<core::SmartStore> base;
+  ASSERT_NO_THROW(base = load_snapshot(path));
+  EXPECT_TRUE(base->check_invariants());
+  EXPECT_EQ(base->total_files(), files);
+  EXPECT_EQ(store_names(*base), names);
+  EXPECT_EQ(base->units().size(), units);
+  EXPECT_EQ(base->bloom_bits(), bits);
+  EXPECT_TRUE(base->variants().empty());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(BgCheckpoint, RehomingInsideTheFrozenWindowThrows) {
+  // A unit removal moves records under their original seqs and a build
+  // replaces them, which no read as of the frozen seq can tell apart from
+  // the records it froze: both refuse while a fold is frozen (a check
+  // under the exclusive structure lock, not an assertion), leave the
+  // store as it was, and the fold publishes a base that loads.
+  BgRig rig(temp_dir("bg_rehome"), 6, /*downscale=*/40);
+  fold_with_window(rig, [&] {
+    const std::set<std::string> names = store_names(rig.store);
+    const std::size_t files = rig.store.total_files();
+    EXPECT_THROW(rig.store.remove_storage_unit(1), std::logic_error);
+    EXPECT_THROW(rig.store.build(rig.trace.make_insert_stream(50, 3)),
+                 std::logic_error);
+    EXPECT_TRUE(rig.store.unit_active(1));
+    EXPECT_EQ(rig.store.units().size(), 6u);
+    EXPECT_EQ(rig.store.total_files(), files);
+    EXPECT_EQ(store_names(rig.store), names);
+    EXPECT_TRUE(rig.store.check_invariants());
+    rig.insert(rig.trace.make_insert_stream(1, 4).front());
+  });
+  // Outside a fold both run as before.
+  rig.store.remove_storage_unit(1);
+  EXPECT_FALSE(rig.store.unit_active(1));
+  EXPECT_TRUE(rig.store.check_invariants());
+  std::filesystem::remove_all(rig.dir);
 }
 
 TEST(BgCheckpoint, ServesQueriesOnTheWritingThreadDuringCheckpoints) {

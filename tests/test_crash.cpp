@@ -69,8 +69,8 @@ std::set<std::string> unit_names(const SmartStore& s) {
 
 /// A fold stepped by hand through the phases DeltaEngine::fold runs back
 /// to back, so a test can mutate between them: `in_freeze` runs after the
-/// freeze and before the base image is written (its mutations copy on
-/// write and must stay out of the image), `before_rebase` after the
+/// freeze and before the base image is written (its mutations land after
+/// the frozen seq and must stay out of the image), `before_rebase` after the
 /// manifest publish (its records join the tail the rebase splices past
 /// the fence). Returns the fence. A DeltaEngine caches the manifest, so
 /// the caller rebuilds its engine afterwards.
@@ -116,8 +116,8 @@ struct ShardedScenarioResult {
                                              ///< when the crash hit
   std::set<std::string> base;
   bool completed = false;
-  /// Pieces the stepped fold's in-window inserts copied on write.
-  std::uint64_t cow_copies = 0;
+  /// Commit seqs the stepped fold's in-window inserts stamped.
+  std::uint64_t in_window = 0;
   /// The stepped fold's rebase dropped a fenced prefix from a shard whose
   /// tail past the fence was non-empty.
   bool tail_spliced = false;
@@ -215,16 +215,17 @@ ShardedScenarioResult run_delta_crash_scenario(const std::string& dir,
     mark_all_durable();
 
     // A fold with writes inside it: two inserts land in the frozen window
-    // (copied on write, kept out of the image), one more after the
+    // (after its seq, kept out of the image), one more after the
     // manifest publish, so the rebase splices a non-empty tail.
     for (int i = 9; i < 13; ++i) logged_insert(stream[i]);
     const WalFence fence = stepped_fold(
         store, *wal, dir,
         [&] {
           snapshot_committed();  // the freeze committed every shard
+          const std::uint64_t frozen = store.last_commit_seq();
           logged_insert(stream[13]);
           logged_insert(stream[14]);
-          res.cow_copies = store.checkpoint_cow_copies();
+          res.in_window = store.last_commit_seq() - frozen;
         },
         [&] { logged_insert(stream[15]); });
     for (const ShardFence& f : fence.shards) {
@@ -265,9 +266,10 @@ TEST(CrashInjection, DeltaCheckpointLosesNoAckedWriteAtAnyFaultPoint) {
     const std::string dir = temp_dir("delta_dry");
     const ShardedScenarioResult dry = run_delta_crash_scenario(dir, 0);
     ASSERT_TRUE(dry.completed);
-    // The stepped fold must really have had writes in flight: copies made
-    // inside its frozen window, and a tail for its rebase to splice.
-    EXPECT_GT(dry.cow_copies, 0u);
+    // The stepped fold must really have had writes in flight: both
+    // inserts inside its frozen window, and a tail for its rebase to
+    // splice.
+    EXPECT_EQ(dry.in_window, 2u);
     EXPECT_TRUE(dry.tail_spliced);
     EXPECT_EQ(dry.checkpoint_folds, 0u);
     total = fault_points_passed();
@@ -396,6 +398,17 @@ TEST(CrashOracle, RandomizedMutationsCrashesAndRecoveriesMatchOracle) {
     oracle.insert(f.name);
     live_names.push_back(f.name);
   };
+  auto erase_next = [&] {
+    if (live_names.empty()) return;
+    const std::size_t pick =
+        static_cast<std::size_t>(rng.uniform_u64(live_names.size()));
+    const std::string name = live_names[pick];
+    live_names.erase(live_names.begin() + static_cast<std::ptrdiff_t>(pick));
+    if (oracle.count(name)) {
+      ASSERT_TRUE(store->erase_file(name)) << name;
+      oracle.erase(name);
+    }
+  };
 
   auto verify_against_oracle = [&](const SmartStore& s) {
     ASSERT_EQ(unit_names(s), oracle);
@@ -408,15 +421,7 @@ TEST(CrashOracle, RandomizedMutationsCrashesAndRecoveriesMatchOracle) {
     if (r < 0.55 && cursor < pool.size()) {
       insert_next();
     } else if (r < 0.72 && !live_names.empty()) {
-      const std::size_t pick =
-          static_cast<std::size_t>(rng.uniform_u64(live_names.size()));
-      const std::string name = live_names[pick];
-      live_names.erase(live_names.begin() +
-                       static_cast<std::ptrdiff_t>(pick));
-      if (oracle.count(name)) {
-        ASSERT_TRUE(store->erase_file(name)) << name;
-        oracle.erase(name);
-      }
+      erase_next();
     } else if (r < 0.77) {
       // Topology changes log nothing: a crash before the next fold
       // recovers the last base's shape with every logged mutation
@@ -438,8 +443,9 @@ TEST(CrashOracle, RandomizedMutationsCrashesAndRecoveriesMatchOracle) {
     } else if (r < 0.92) {
       // Checkpoint: mostly the one checkpoint (a fold once the tail holds
       // the base, nothing before), sometimes a fold — the engine's, or one
-      // stepped by hand with a mutation landing mid-snapshot (COW path)
-      // and another ahead of the rebase (a tail it splices past the fence).
+      // stepped by hand with an insert and a delete of a live name landing
+      // mid-snapshot (after its seq) and an insert ahead of the rebase (a
+      // tail it splices past the fence).
       const double kind = rng.uniform();
       if (kind < 0.6) {
         engine->checkpoint();
@@ -448,7 +454,13 @@ TEST(CrashOracle, RandomizedMutationsCrashesAndRecoveriesMatchOracle) {
         engine->fold();
         ++folds;
       } else {
-        stepped_fold(*store, *wal, dir, insert_next, insert_next);
+        stepped_fold(
+            *store, *wal, dir,
+            [&] {
+              insert_next();
+              erase_next();
+            },
+            insert_next);
         engine = std::make_unique<DeltaEngine>(*store, *wal, dir);
         ++stepped_folds;
       }

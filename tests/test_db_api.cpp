@@ -259,6 +259,34 @@ TEST(DbApi, OpenRefusesManifestWithAdoptedBase) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(DbApi, OpenRefusesPreVersion3BaseImage) {
+  // A base image of format 1 or 2 — well formed, from an earlier build —
+  // is a layout this release cannot read: Open must say so with
+  // FailedPrecondition, not Corruption, and leave the image untouched.
+  const auto dir = temp_dir("v2_base");
+  {
+    auto store = open_or_die(small_options(), dir.string());
+    ASSERT_TRUE(store->Put(make_file(1)).ok());
+    ASSERT_TRUE(store->Checkpoint().ok());  // a fold: base-1 + manifest
+    ASSERT_TRUE(store->Close().ok());
+  }
+  // The format version is the u32 after the 8-byte magic; the header is
+  // outside every section's CRC.
+  const std::string base = (dir / "ckpt" / "base-1.bin").string();
+  std::vector<std::uint8_t> bytes = util::read_file_bytes(base);
+  ASSERT_GT(bytes.size(), 12u);
+  ASSERT_EQ(bytes[8], 3u);
+  bytes[8] = 2;
+  persist::write_file_atomic_faulted(base, bytes, "fixture");
+
+  auto opened = db::Store::Open(small_options(), dir.string());
+  ASSERT_FALSE(opened.ok());
+  EXPECT_TRUE(opened.status().IsFailedPrecondition())
+      << opened.status().ToString();
+  EXPECT_EQ(util::read_file_bytes(base), bytes);
+  std::filesystem::remove_all(dir);
+}
+
 /// Every file under `dir` with its bytes.
 std::map<std::string, std::vector<std::uint8_t>> dir_contents(
     const std::filesystem::path& dir) {

@@ -307,7 +307,8 @@ TEST(DeltaDb, CheckpointKeepsTheTailInTheWalUntilItHoldsTheBase) {
     EXPECT_EQ(v, "0");
     for (const char* gone : {"smartstore.ckpt.delta-cuts",
                              "smartstore.ckpt.delta-chain-len",
-                             "smartstore.ckpt.delta-chain-bytes"})
+                             "smartstore.ckpt.delta-chain-bytes",
+                             "smartstore.checkpoints.cow-copies"})
       EXPECT_FALSE(store->GetProperty(gone, &v)) << gone;
     ASSERT_TRUE(store->Close().ok());
   }

@@ -706,99 +706,30 @@ TEST_F(SnapshotReplicas, OversizedDigestCountFailsWithoutAllocating) {
   std::filesystem::remove_all(dir);
 }
 
-/// Re-encodes a format-3 SYNC payload the way format 2 wrote it: every
-/// version delta names its inserted files by a filter of the group's base
-/// geometry instead of a digest list.
-std::vector<std::uint8_t> sync_as_v2(const std::vector<std::uint8_t>& sync) {
-  util::BinaryReader r(sync);
-  util::BinaryWriter w;
-  auto copy_vec_f64 = [&] { w.write_vec_f64(r.read_vec_f64()); };
-  auto copy_mbr = [&] {
-    const bool valid = r.read_bool();
-    w.write_bool(valid);
-    if (!valid) return;
-    copy_vec_f64();
-    copy_vec_f64();
-  };
-  auto delta_as_v2 = [&](const bloom::BloomFilter& geometry) {
-    copy_mbr();
-    bloom::BloomFilter names(geometry.bit_count(), geometry.num_hashes());
-    for (std::uint64_t n = r.read_u64(); n > 0; --n) {
-      bloom::ItemHash h;
-      for (auto& word : h.w) word = r.read_u32();
-      names.insert(h);
-    }
-    w.write_u64(names.bit_count());
-    w.write_u32(names.num_hashes());
-    w.write_vec_u64(names.words());
-    copy_vec_f64();                     // added_attr_sum
-    w.write_u64(r.read_u64());          // added_count
-    w.write_vec_u64(r.read_vec_u64());  // deleted
-    w.write_f64(r.read_f64());          // sealed_at
-  };
-  const std::uint64_t groups = r.read_u64();
-  w.write_u64(groups);
-  for (std::uint64_t g = 0; g < groups; ++g) {
-    w.write_u64(r.read_u64());  // group id
-    copy_vec_f64();             // base centroid
-    copy_vec_f64();             // base attr_sum
-    w.write_u64(r.read_u64());  // base file_count
-    copy_mbr();
-    const std::uint64_t bits = r.read_u64();
-    const std::uint32_t k = r.read_u32();
-    const bloom::BloomFilter base =
-        bloom::BloomFilter::from_words(bits, k, r.read_vec_u64());
-    w.write_u64(bits);
-    w.write_u32(k);
-    w.write_vec_u64(base.words());
-    const std::uint64_t versions = r.read_u64();
-    w.write_u64(versions);
-    for (std::uint64_t v = 0; v < versions; ++v) delta_as_v2(base);
-    delta_as_v2(base);          // pending
-    w.write_u64(r.read_u64());  // changes_since_full_sync
-  }
-  EXPECT_TRUE(r.at_end());
-  return w.buffer();
-}
-
-TEST_F(SnapshotReplicas, Version2SyncLoadsWithGroupsFullSynced) {
-  // A format-2 image stored each version's names as a filter, from which
-  // no digest list can be recovered: it loads with every group
-  // full-synced, the state a live lazy-update refresh produces.
+TEST_F(SnapshotReplicas, PreVersion3ImagesAreRefusedAsUnsupported) {
+  // Format 1 and 2 images are well formed but stored each version's names
+  // as a filter no digest list can be recovered from; this release reads
+  // only the format it writes and has no importer. The refusal is typed
+  // kUnsupported (Open maps it to FailedPrecondition), not corruption.
   const std::string dir = temp_dir("sync_v2");
   const std::string path = image_path(dir);
   save_snapshot(*store_, path);
-  auto image = edit_section(util::read_file_bytes(path), /*kSync=*/6,
-                            [](std::vector<std::uint8_t>& sync) {
-                              sync = sync_as_v2(sync);
-                            });
-  image[sizeof(kSnapshotMagic)] = 2;  // little-endian u32 format version
-  write_file_atomic_faulted(path, image, "fixture");
-
-  std::unique_ptr<SmartStore> loaded;
-  ASSERT_NO_THROW(loaded = load_snapshot(path));
-  EXPECT_TRUE(loaded->check_invariants());
-  EXPECT_EQ(loaded->total_files(), store_->total_files());
-  EXPECT_EQ(loaded->bloom_bits(), store_->bloom_bits());
-  for (std::size_t g : loaded->tree().groups()) {
-    const core::GroupReplica& r = loaded->group_replica(g);
-    const core::IndexUnit& node = loaded->tree().node(g);
-    EXPECT_TRUE(r.versions().empty()) << "group " << g;
-    EXPECT_EQ(r.base().file_count, node.file_count) << "group " << g;
-    EXPECT_EQ(r.base().name_filter, node.name_filter) << "group " << g;
+  const std::vector<std::uint8_t> image = util::read_file_bytes(path);
+  for (const std::uint8_t version : {1, 2}) {
+    std::vector<std::uint8_t> old = image;
+    old[sizeof(kSnapshotMagic)] = version;  // little-endian u32 version
+    const std::string old_path = dir + "/v" + std::to_string(version) + ".bin";
+    write_file_atomic_faulted(old_path, old, "fixture");
+    try {
+      load_snapshot(old_path);
+      ADD_FAILURE() << "format " << int{version} << " image loaded";
+    } catch (const PersistError& e) {
+      EXPECT_EQ(e.code(), PersistError::Code::kUnsupported)
+          << int{version} << ": " << e.what();
+    }
   }
-  // Full-synced replicas hold every inserted name in their bases.
-  for (const auto& f : extra_) {
-    const auto res = loaded->point_query({f.name}, Routing::kOnline, 0.0);
-    ASSERT_TRUE(res.found) << f.name;
-    const std::size_t g = loaded->tree().group_of_unit(res.unit);
-    EXPECT_TRUE(loaded->group_replica(g).name_may_contain(
-        bloom::hash_item(f.name), /*with_versions=*/false))
-        << f.name;
-  }
-  // Saved again, it is a format-3 image.
-  save_snapshot(*loaded, dir + "/again.bin");
-  EXPECT_NO_THROW(load_snapshot(dir + "/again.bin"));
+  // The format this release writes loads.
+  EXPECT_NO_THROW(load_snapshot(path));
   std::filesystem::remove_all(dir);
 }
 

@@ -141,8 +141,7 @@ TEST(StorageUnit, ByteSizeGrows) {
 
 /// Removing the first, a middle and the last record keeps the columns,
 /// the records, their ids and seqs aligned, and the moved record stays
-/// reachable by name, id and column row; a copy (what a fold's
-/// copy-on-write makes) equals the original.
+/// reachable by name, id and column row; a copy equals the original.
 TEST(StorageUnit, SwapRemoveKeepsColumnsAligned) {
   StorageUnit u(0, 1024, 7);
   for (int i = 1; i <= 9; ++i) {
